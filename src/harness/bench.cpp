@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "harness/experiment.hpp"
@@ -36,6 +37,20 @@ std::string utc_timestamp() {
   return buf;
 }
 
+/// The "model name" line of /proc/cpuinfo, or "unknown".
+std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t begin = line.find_first_not_of(" \t", colon + 1);
+    return begin == std::string::npos ? "unknown" : line.substr(begin);
+  }
+  return "unknown";
+}
+
 }  // namespace
 
 void write_machine(metrics::JsonWriter& w) {
@@ -52,11 +67,14 @@ void write_machine(metrics::JsonWriter& w) {
 #else
   w.key("compiler").value("unknown");
 #endif
+  w.key("build_type").value(HYPERCAST_BUILD_TYPE);
+  w.key("cxx_flags").value(HYPERCAST_CXX_FLAGS);
 #if defined(NDEBUG)
   w.key("assertions").value(false);
 #else
   w.key("assertions").value(true);
 #endif
+  w.key("cpu_model").value(cpu_model());
   w.key("hardware_threads")
       .value(static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
   w.key("pointer_bits").value(static_cast<std::uint64_t>(sizeof(void*) * 8));

@@ -147,8 +147,10 @@ std::string benchmark_json(const Benchmark& benchmark, const RunOptions& opts,
 // ---- helpers shared by benchmark definitions ----------------------------
 
 /// Write the artifact's "machine" provenance object (os, compiler,
-/// assertion mode, hardware threads, UTC timestamp). Shared by every
-/// artifact writer, including the net load generator.
+/// build type, optimisation flags, assertion mode, CPU model, hardware
+/// threads, UTC timestamp). Shared by every artifact writer, including
+/// the net load generator. check_bench_regression.py refuses to compare
+/// artifacts whose build types differ.
 void write_machine(metrics::JsonWriter& w);
 
 /// Append `series` to the report plus one summary metric per curve:

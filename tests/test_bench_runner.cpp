@@ -258,6 +258,23 @@ TEST(BenchRunner, SmokeEmitsValidSchema) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(BenchRunner, MachineBlockRecordsBuildProvenance) {
+  // check_bench_regression.py refuses rates across build types, so every
+  // artifact must say how it was built and on what CPU.
+  metrics::JsonWriter w;
+  w.begin_object();
+  write_machine(w);
+  w.end_object();
+  const std::string json = std::move(w).str();
+  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  for (const char* key : {"\"build_type\":\"", "\"cxx_flags\":\"",
+                          "\"cpu_model\":\""}) {
+    EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
+  }
+  EXPECT_EQ(json.find("\"build_type\":\"\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"cpu_model\":\"\""), std::string::npos) << json;
+}
+
 TEST(BenchRunner, SmokeSeriesAreDeterministic) {
   // Sweep results (everything between "series" and "machine") must be
   // identical across runs — only timing metrics may differ.

@@ -15,6 +15,12 @@ Usage:
   tools/check_bench_regression.py --fresh-dir bench-artifacts \
       [--baseline-dir results] [--threshold 0.30] [--only SUBSTR]
 
+Rates from different build types are not comparable (a RelWithDebInfo
+coder runs several times slower than a Release one), so the gate
+refuses (exit 2) when a benchmark's fresh and baseline artifacts both
+record machine.build_type and the two differ. When only one side
+records it, the comparison goes ahead with a warning.
+
 --only restricts the comparison to benchmark names containing SUBSTR
 (applied to both sides; used by CI to gate cached-mode "_cached"
 artifacts against their own baselines only). A SUBSTR that matches no
@@ -39,8 +45,10 @@ def is_rate_metric(key: str) -> bool:
 
 
 def load_artifacts(directory: Path):
-    """Map benchmark name -> {metric: value} for rate metrics only."""
+    """Map benchmark name -> {metric: value} for rate metrics only, and
+    benchmark name -> recorded machine.build_type (None when absent)."""
     out = {}
+    build_types = {}
     for path in sorted(directory.glob("BENCH_*.json")):
         try:
             doc = json.loads(path.read_text())
@@ -64,8 +72,29 @@ def load_artifacts(directory: Path):
             for key, value in metrics.items()
             if is_rate_metric(key) and isinstance(value, (int, float))
         }
-        out[doc.get("name", path.stem)] = rates
-    return out
+        name = doc.get("name", path.stem)
+        out[name] = rates
+        machine = doc.get("machine")
+        build_type = (machine.get("build_type")
+                      if isinstance(machine, dict) else None)
+        build_types[name] = build_type if build_type else None
+    return out, build_types
+
+
+def build_type_mismatches(fresh_types, base_types, names):
+    """Names whose two sides record different build types; warns for
+    names where only one side records one."""
+    mismatches = []
+    for name in sorted(names):
+        fresh_type, base_type = fresh_types.get(name), base_types.get(name)
+        if fresh_type and base_type:
+            if fresh_type != base_type:
+                mismatches.append((name, base_type, fresh_type))
+        elif fresh_type or base_type:
+            side = "fresh" if fresh_type else "baseline"
+            print(f"warning: {name}: only the {side} artifact records a "
+                  f"build type ({fresh_type or base_type}); comparing anyway")
+    return mismatches
 
 
 def main() -> int:
@@ -94,8 +123,8 @@ def main() -> int:
             print(f"error: {directory} is not a directory", file=sys.stderr)
             return 2
 
-    fresh = load_artifacts(args.fresh_dir)
-    baseline = load_artifacts(args.baseline_dir)
+    fresh, fresh_types = load_artifacts(args.fresh_dir)
+    baseline, base_types = load_artifacts(args.baseline_dir)
     if args.only:
         fresh = {k: v for k, v in fresh.items() if args.only in k}
         baseline = {k: v for k, v in baseline.items() if args.only in k}
@@ -112,6 +141,15 @@ def main() -> int:
 
     for name in sorted(baseline.keys() - fresh.keys()):
         print(f"note: {name}: baseline present but missing from fresh run")
+
+    mismatches = build_type_mismatches(fresh_types, base_types,
+                                       fresh.keys() & baseline.keys())
+    if mismatches:
+        for name, base_type, fresh_type in mismatches:
+            print(f"error: {name}: baseline built {base_type}, fresh built "
+                  f"{fresh_type}; rates across build types are not "
+                  f"comparable", file=sys.stderr)
+        return 2
 
     regressions = []
     compared = 0
