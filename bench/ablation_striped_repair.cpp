@@ -61,7 +61,7 @@ void run(const bench::Context& ctx, bench::Report& report) {
     const hcube::Topology topo(n);
     const core::MulticastRequest request{topo, 0, broadcast_dests(topo)};
     coll::StripeOptions options;
-    options.parity = true;
+    options.parity_stripes = 1;
     const coll::StripedPlanner planner(options);
 
     const coll::StripedPlan baseline = planner.plan(request, kPayload);
@@ -157,7 +157,7 @@ void run(const bench::Context& ctx, bench::Report& report) {
   const hcube::Topology topo8(8);
   const core::MulticastRequest request8{topo8, 0, broadcast_dests(topo8)};
   coll::StripeOptions hot;
-  hot.parity = true;
+  hot.parity_stripes = 1;
   hot.verify = coll::StripeOptions::Verify::kOff;
   const coll::StripedPlanner hot_planner(hot);
   workload::Rng rng8(ctx.seed);

@@ -102,7 +102,7 @@ void run(const bench::Context& ctx, bench::Report& report) {
   const hcube::Topology topo6(6);
   const core::MulticastRequest request6{topo6, 0, broadcast_dests(topo6)};
   coll::StripeOptions parity_options;
-  parity_options.parity = true;
+  parity_options.parity_stripes = 1;
   const coll::StripedPlanner parity_planner(parity_options);
   const std::size_t fault_trials = ctx.quick ? 2 : 6;
   metrics::Series degraded("Degraded striped delivery vs link-fault count "
@@ -141,7 +141,7 @@ void run(const bench::Context& ctx, bench::Report& report) {
       delivered += 1.0;
       makespan_us += sim::to_microseconds(result.makespan());
       repaired += static_cast<double>(plan.repaired_trees);
-      if (plan.dropped_tree >= 0) dropped += 1.0;
+      if (!plan.dropped_trees.empty()) dropped += 1.0;
       degraded.add_sample("makespan", static_cast<double>(fault_links),
                           sim::to_microseconds(result.makespan()));
     }

@@ -4,7 +4,6 @@
 #include <array>
 #include <thread>
 
-#include "fault/fault_aware.hpp"
 #include "obs/registry.hpp"
 
 namespace hypercast::coll {
@@ -29,7 +28,6 @@ std::uint64_t next_instance_id() {
 struct L1Slot {
   std::uint64_t instance = 0;    ///< owning ScheduleCache
   std::uint64_t generation = 0;  ///< shard generation at stamp time
-  std::uint64_t fault_epoch = 0; ///< stamp for absolute (fault) keys
   core::CacheKey key;
   std::shared_ptr<const core::MulticastSchedule> schedule;
 };
@@ -67,28 +65,21 @@ ScheduleCache::ScheduleCache(Config config)
 
 ScheduleCache::~ScheduleCache() { detach_from_registry(); }
 
-bool ScheduleCache::stale(const core::CacheKey& key,
-                          std::uint64_t entry_epoch) {
-  return key.absolute && entry_epoch != kEpochImmune &&
-         entry_epoch != fault::fault_epoch();
-}
-
 std::shared_ptr<const core::MulticastSchedule> ScheduleCache::get(
     const core::CacheKey& key) {
   Shard& shard = *shards_[shard_of(key)];
 
-  // Lock-free fast path: thread-local slot, validated by instance id,
-  // shard generation and (for fault-dependent entries) the fault epoch.
+  // Lock-free fast path: thread-local slot, validated by instance id
+  // and shard generation.
   L1Slot& slot = l1_slot_for(key.hash);
   if (slot.instance == instance_id_ &&
       slot.generation == shard.generation.load(std::memory_order_acquire) &&
-      !stale(key, slot.fault_epoch) && slot.key == key) {
+      slot.key == key) {
     l1_hits_.inc();
     return slot.schedule;
   }
 
   std::shared_ptr<const core::MulticastSchedule> found;
-  std::uint64_t entry_epoch = 0;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.map.find(key);
@@ -96,26 +87,14 @@ std::shared_ptr<const core::MulticastSchedule> ScheduleCache::get(
       misses_.inc();
       return nullptr;
     }
-    if (stale(key, it->second.fault_epoch)) {
-      // Lazy epoch invalidation: the fault set moved on since this
-      // repaired tree was built — drop it and report a miss.
-      shard.bytes -= it->second.bytes;
-      shard.lru.erase(it->second.lru);
-      shard.map.erase(it);
-      invalidations_.inc();
-      misses_.inc();
-      return nullptr;
-    }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru);
     found = it->second.schedule;
-    entry_epoch = it->second.fault_epoch;
     hits_.inc();
   }
 
   // Stamp the L1 slot outside the lock (thread-local, no races).
   slot.instance = instance_id_;
   slot.generation = shard.generation.load(std::memory_order_acquire);
-  slot.fault_epoch = entry_epoch;
   slot.key = key;
   slot.schedule = found;
   return found;
@@ -124,17 +103,9 @@ std::shared_ptr<const core::MulticastSchedule> ScheduleCache::get(
 void ScheduleCache::put(
     const core::CacheKey& key,
     std::shared_ptr<const core::MulticastSchedule> schedule) {
-  put(key, std::move(schedule), fault::fault_epoch());
-}
-
-void ScheduleCache::put(
-    const core::CacheKey& key,
-    std::shared_ptr<const core::MulticastSchedule> schedule,
-    std::uint64_t built_at_epoch) {
   Shard& shard = *shards_[shard_of(key)];
   const std::size_t bytes =
       schedule->footprint_bytes() + key.footprint_bytes() + 64;
-  const std::uint64_t epoch = key.absolute ? built_at_epoch : 0;
 
   std::lock_guard<std::mutex> lock(shard.mu);
   auto [it, inserted] = shard.map.try_emplace(key);
@@ -145,22 +116,10 @@ void ScheduleCache::put(
   }
   entry.schedule = std::move(schedule);
   entry.bytes = bytes;
-  entry.fault_epoch = epoch;
   shard.lru.push_front(&it->first);
   entry.lru = shard.lru.begin();
   shard.bytes += bytes;
   evict_over_budget_locked(shard);
-}
-
-std::shared_ptr<const core::MulticastSchedule> ScheduleCache::get_or_build(
-    const core::CacheKey& key,
-    const std::function<std::shared_ptr<const core::MulticastSchedule>()>&
-        build) {
-  if (auto hit = get(key)) return hit;
-  const std::uint64_t epoch_before = fault::fault_epoch();
-  auto built = build();
-  put(key, built, epoch_before);
-  return built;
 }
 
 void ScheduleCache::evict_over_budget_locked(Shard& shard) {
@@ -191,7 +150,6 @@ ScheduleCache::Stats ScheduleCache::stats() const {
   out.l1_hits = l1_hits_.value();
   out.misses = misses_.value();
   out.evictions = evictions_.value();
-  out.invalidations = invalidations_.value();
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     out.entries += shard->map.size();

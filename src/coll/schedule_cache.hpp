@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -28,20 +27,23 @@ namespace hypercast::coll {
 /// `(v, v ^ u ^ D)` hit the same schedule, so a broadcast sweep over all
 /// sources, the n translated multicasts of a tree-based all-to-all, or a
 /// repeated hot pattern all pay tree construction exactly once.
-/// *Absolute* entries pin one specific source: fault-aware schedules
-/// (whose repairs depend on absolute link positions, invalidated by
-/// fault-epoch bumps) and materialized translations of relative entries
-/// (epoch-immune; they make exact repeats zero-copy).
+/// *Absolute* entries pin one specific source: materialized translations
+/// of relative entries (they make exact repeats zero-copy) and
+/// fault-repaired trees, whose repairs depend on absolute link positions.
+/// The cache knows nothing about faults: a repaired tree's key is salted
+/// with its fault set's fingerprint (CacheKey::salt), so the fault set is
+/// part of the identity. Pipelines for different fault sets can share
+/// one cache and never see each other's repairs; an entry for a retired
+/// fault set is simply never probed again and ages out of the LRU.
 ///
 /// Concurrency
 ///  * The shared tier is striped: the key's hash selects a shard, each
 ///    shard owns a mutex + hash map + LRU list. Writers (miss insert,
-///    eviction, invalidation) only contend within one shard.
+///    eviction, clear) only contend within one shard.
 ///  * The hot path is lock-free: each thread keeps a small direct-mapped
 ///    L1 of recently served entries, validated against the owning
-///    shard's atomic generation tag (bumped by clear()) and — for
-///    fault-dependent entries — against fault::fault_epoch(). An L1 hit
-///    touches no lock and no shared cache line beyond two atomic loads.
+///    shard's atomic generation tag (bumped by clear()). An L1 hit
+///    touches no lock and no shared cache line beyond one atomic load.
 ///    Schedules are immutable once published (finalized before insert),
 ///    so an L1 entry that outlives its shared-tier eviction still serves
 ///    correct bytes; generation tags only guard deliberate invalidation.
@@ -69,7 +71,6 @@ class ScheduleCache {
     std::uint64_t l1_hits = 0;       ///< lock-free thread-local hits
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;     ///< entries dropped for capacity
-    std::uint64_t invalidations = 0; ///< entries dropped as stale (epoch)
     std::size_t entries = 0;         ///< resident entries (shared tier)
     std::size_t bytes = 0;           ///< resident bytes (shared tier)
 
@@ -90,7 +91,6 @@ class ScheduleCache {
       visit("l1_hits", static_cast<double>(l1_hits));
       visit("misses", static_cast<double>(misses));
       visit("evictions", static_cast<double>(evictions));
-      visit("invalidations", static_cast<double>(invalidations));
       visit("entries", static_cast<double>(entries));
       visit("bytes", static_cast<double>(bytes));
       visit("total_hits", static_cast<double>(total_hits()));
@@ -98,11 +98,6 @@ class ScheduleCache {
       visit("hit_rate", hit_rate());
     }
   };
-
-  /// built_at_epoch value for absolute entries whose contents do NOT
-  /// depend on the fault set (cached materializations of one specific
-  /// translation): they survive fault-epoch bumps.
-  static constexpr std::uint64_t kEpochImmune = ~std::uint64_t{0};
 
   ScheduleCache();  ///< default Config
   explicit ScheduleCache(Config config);
@@ -124,27 +119,12 @@ class ScheduleCache {
   /// finalized, immutable and safe to share across threads.
   std::shared_ptr<const core::MulticastSchedule> get(const core::CacheKey& key);
 
-  /// Insert (or overwrite) the finalized relative schedule for `key`.
-  /// The schedule must already be finalized; the cache never mutates it.
-  /// For absolute (fault-dependent) keys, `built_at_epoch` must be the
-  /// fault epoch observed *before* the schedule was built — stamping the
-  /// insert-time epoch would let a build that raced a fault change be
-  /// served as fresh. Ignored for translation-invariant keys.
-  void put(const core::CacheKey& key,
-           std::shared_ptr<const core::MulticastSchedule> schedule,
-           std::uint64_t built_at_epoch);
+  /// Insert (or overwrite) the schedule for `key`. The schedule must
+  /// already be finalized; the cache never mutates it. Two threads
+  /// racing on the same cold key may both build and put (last insert
+  /// wins): builds are pure, so both carry the same bytes.
   void put(const core::CacheKey& key,
            std::shared_ptr<const core::MulticastSchedule> schedule);
-
-  /// get(), falling back to `build` on a miss and inserting the result.
-  /// `build` runs outside every lock; two threads racing on the same
-  /// cold key may both build (last insert wins) — by design, since
-  /// builds are pure and holding a stripe across a build would serialize
-  /// unrelated misses.
-  std::shared_ptr<const core::MulticastSchedule> get_or_build(
-      const core::CacheKey& key,
-      const std::function<std::shared_ptr<const core::MulticastSchedule>()>&
-          build);
 
   /// Drop every entry and bump every shard's generation tag (which also
   /// kills all thread-local L1 entries).
@@ -164,7 +144,6 @@ class ScheduleCache {
   struct Entry {
     std::shared_ptr<const core::MulticastSchedule> schedule;
     std::size_t bytes = 0;
-    std::uint64_t fault_epoch = 0;  ///< stamp at insert (absolute keys)
     std::list<const core::CacheKey*>::iterator lru;
   };
 
@@ -184,9 +163,6 @@ class ScheduleCache {
     std::atomic<std::uint64_t> generation{1};
   };
 
-  /// True iff the entry is stale under the current fault epoch.
-  static bool stale(const core::CacheKey& key, std::uint64_t entry_epoch);
-
   void evict_over_budget_locked(Shard& shard);
 
   Config config_;
@@ -203,7 +179,6 @@ class ScheduleCache {
   obs::Counter l1_hits_;
   obs::Counter misses_;
   obs::Counter evictions_;
-  obs::Counter invalidations_;
 
   obs::Registry* attached_registry_ = nullptr;
   std::string attached_name_;

@@ -1,12 +1,9 @@
 #include "coll/serve_pipeline.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #include "core/tree_builder.hpp"
 #include "core/wsort.hpp"
@@ -16,31 +13,6 @@
 namespace hypercast::coll {
 
 namespace {
-
-/// Fixed algorithm ids for the translation-invariant built-ins; ids for
-/// absolutely-cached registry entries are assigned on first use so that
-/// pipelines sharing one cache never collide.
-constexpr std::uint8_t kUcubeId = 0;
-constexpr std::uint8_t kMaxportId = 1;
-constexpr std::uint8_t kCombineId = 2;
-constexpr std::uint8_t kWsortId = 3;
-
-std::uint8_t entry_algo_id(const std::string& name) {
-  static std::mutex mu;
-  static std::unordered_map<std::string, std::uint8_t> ids;
-  static std::uint8_t next = 4;
-  std::lock_guard<std::mutex> lock(mu);
-  const auto it = ids.find(name);
-  if (it != ids.end()) return it->second;
-  if (next == 0) {  // wrapped: 252 distinct registered names, unlikely
-    throw std::runtime_error("ServePipeline: algorithm id space exhausted");
-  }
-  return ids.emplace(name, next++).first->second;
-}
-
-bool ends_with_ft(const std::string& name) {
-  return name.size() > 3 && name.compare(name.size() - 3, 3, "-ft") == 0;
-}
 
 /// Per-thread serving scratch: the canonical key, the relative chain
 /// reconstruction buffer, the tree builder and the wsort permutation
@@ -98,103 +70,128 @@ const ServeMetrics& serve_metrics() {
   return m;
 }
 
+/// One serve's stage clock. Construction counts the request; on a
+/// sampled request (one in kSampleMask + 1) mark() closes the stage
+/// since the previous mark into its histogram, and destruction records
+/// the whole serve into serve_ns on every return path.
+class StageTimer {
+ public:
+  explicit StageTimer(ServeTls& tls) {
+    if (!obs::stats_enabled()) return;
+    serve_metrics().requests->inc();
+    if ((tls.sample_tick++ & kSampleMask) == 0) start_ = last_ = obs::now_ns();
+  }
+  ~StageTimer() {
+    if (start_ != 0) serve_metrics().serve_ns->record(obs::now_ns() - start_);
+  }
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
+
+  void mark(obs::Histogram* stage) {
+    if (start_ == 0) return;
+    const std::uint64_t now = obs::now_ns();
+    stage->record(now - last_);
+    last_ = now;
+  }
+
+ private:
+  std::uint64_t start_ = 0;  ///< 0: not sampled
+  std::uint64_t last_ = 0;
+};
+
+/// Run a miss-path stage, timing it into `stage` whenever stats are on.
+template <typename Fn>
+auto timed(obs::Histogram* stage, Fn&& fn) {
+  if (!obs::stats_enabled()) return fn();
+  const std::uint64_t t0 = obs::now_ns();
+  auto out = fn();
+  stage->record(obs::now_ns() - t0);
+  return out;
+}
+
+std::shared_ptr<core::MulticastSchedule> finalized(
+    core::MulticastSchedule&& schedule) {
+  auto out = std::make_shared<core::MulticastSchedule>(std::move(schedule));
+  out->finalize();
+  return out;
+}
+
 }  // namespace
 
 ServePipeline::ServePipeline(std::string algorithm,
-                             std::shared_ptr<ScheduleCache> cache)
-    : algorithm_(std::move(algorithm)), cache_(std::move(cache)) {
+                             std::shared_ptr<ScheduleCache> cache,
+                             std::shared_ptr<const fault::FaultSet> faults)
+    : algorithm_(std::move(algorithm)),
+      cache_(std::move(cache)),
+      faults_(std::move(faults)) {
   if (algorithm_ == "ucube") {
     kind_ = Kind::Chain;
     rule_ = core::NextRule::Center;
-    algo_id_ = kUcubeId;
+    algo_id_ = core::kAlgoUcube;
   } else if (algorithm_ == "maxport") {
     kind_ = Kind::Chain;
     rule_ = core::NextRule::HighDim;
-    algo_id_ = kMaxportId;
+    algo_id_ = core::kAlgoMaxport;
   } else if (algorithm_ == "combine") {
     kind_ = Kind::Chain;
     rule_ = core::NextRule::MaxOfBoth;
-    algo_id_ = kCombineId;
+    algo_id_ = core::kAlgoCombine;
   } else if (algorithm_ == "wsort") {
     kind_ = Kind::Wsort;
-    algo_id_ = kWsortId;
+    algo_id_ = core::kAlgoWsort;
   } else {
     // Resolves (and validates) the name against the registry; throws the
     // self-diagnosing invalid_argument for typos.
     kind_ = Kind::Entry;
-    entry_epoch_.store(fault::fault_epoch(), std::memory_order_relaxed);
-    entry_.store(&core::find_algorithm(algorithm_), std::memory_order_relaxed);
-    entry_cacheable_ = ends_with_ft(algorithm_);
-    algo_id_ = entry_cacheable_ ? entry_algo_id(algorithm_) : 0;
+    entry_ = &core::find_algorithm(algorithm_);
   }
-}
-
-const core::AlgorithmEntry& ServePipeline::resolved_entry() const {
-  const std::uint64_t now = fault::fault_epoch();
-  const core::AlgorithmEntry* e = entry_.load(std::memory_order_acquire);
-  if (e == nullptr || entry_epoch_.load(std::memory_order_acquire) != now) {
-    // The epoch moved since this pipeline last looked the name up:
-    // whoever bumped it may have re-registered the entry against a new
-    // FaultSet (register_fault_aware_algorithms replaces in place and
-    // then bumps). Re-resolve so builds go through the live
-    // registration, not the one captured at construction. The pair of
-    // stores is not atomic; a racing bump at worst leaves a stale
-    // epoch stamp behind, causing one redundant re-resolution — never
-    // a stale entry served as fresh (the post-build epoch recheck in
-    // the callers covers the build window itself).
-    e = &core::find_algorithm(algorithm_);
-    entry_.store(e, std::memory_order_release);
-    entry_epoch_.store(now, std::memory_order_release);
+  if (faults_ != nullptr) {
+    fault_salt_ =
+        faults_->fingerprint(cache_ ? cache_->config().hash_seed : 0);
   }
-  return *e;
 }
 
 std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve(
     const core::MulticastRequest& request) const {
   HYPERCAST_OBS_SPAN("serve");
-  if (cache_ == nullptr) return build_direct(request);
-  switch (kind_) {
-    case Kind::Chain:
-    case Kind::Wsort:
-      return serve_relative(request);
-    case Kind::Entry:
-      return entry_cacheable_ ? serve_absolute(request)
-                              : build_direct(request);
-  }
-  return build_direct(request);  // unreachable
+  return faults_ != nullptr ? serve_repaired(request) : serve_tree(request);
+}
+
+void ServePipeline::first_key(const core::MulticastRequest& request,
+                              bool repaired, core::CacheKey& key) const {
+  const auto repaired_id =
+      static_cast<std::uint8_t>(core::kAlgoRepaired + algo_id_);
+  core::canonical_key_into(request.topo, request.source, request.destinations,
+                           repaired ? repaired_id : algo_id_,
+                           /*absolute=*/repaired || request.source != 0,
+                           cache_->config().hash_seed, key);
+  if (repaired) core::set_salt(key, fault_salt_);
+}
+
+std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_tree(
+    const core::MulticastRequest& request) const {
+  if (cacheable()) return serve_relative(request);
+  // Direct builds are the uncached slow path (several microseconds):
+  // build_ns times every one.
+  StageTimer timer(serve_tls());
+  return timed(serve_metrics().build_ns, [&] { return build_tree(request); });
 }
 
 std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_relative(
     const core::MulticastRequest& request) const {
   ServeTls& tls = serve_tls();
+  StageTimer timer(tls);
+  const ServeMetrics& metrics = serve_metrics();
   const core::NodeId mask = request.source;
-  const bool stats = obs::stats_enabled();
-  bool sampled = false;
-  std::uint64_t t_start = 0;
-  if (stats) {
-    serve_metrics().requests->inc();
-    sampled = (tls.sample_tick++ & kSampleMask) == 0;
-    if (sampled) t_start = obs::now_ns();
-  }
   // One canonicalization pass yields both identities: the absolute one
   // (this exact translation, zero-copy on repeat) and — via a cheap
   // rekey() of the header — the relative one (shared by every
   // translation of the chain).
-  core::canonical_key_into(request.topo, request.source, request.destinations,
-                           algo_id_, /*absolute=*/mask != 0,
-                           cache_->config().hash_seed, tls.key);
-  std::uint64_t t_probe = 0;
-  if (sampled) {
-    t_probe = obs::now_ns();
-    serve_metrics().canonicalize_ns->record(t_probe - t_start);
-  }
+  first_key(request, /*repaired=*/false, tls.key);
+  timer.mark(metrics.canonicalize_ns);
   if (mask != 0) {
     if (auto hit = cache_->get(tls.key)) {
-      if (sampled) {
-        const std::uint64_t t_end = obs::now_ns();
-        serve_metrics().hit_ns->record(t_end - t_probe);
-        serve_metrics().serve_ns->record(t_end - t_start);
-      }
+      timer.mark(metrics.hit_ns);
       return hit;
     }
     core::rekey(tls.key, /*absolute=*/false, 0);
@@ -202,90 +199,52 @@ std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_relative(
   auto rel = cache_->get(tls.key);
   if (rel == nullptr) {
     HYPERCAST_OBS_SPAN("serve.build");
-    const std::uint64_t t_build = stats ? obs::now_ns() : 0;
-    auto built = build_relative(request.topo, tls.key);
-    cache_->put(tls.key, built);
-    if (stats) serve_metrics().build_ns->record(obs::now_ns() - t_build);
-    rel = std::move(built);
-  } else if (sampled && mask == 0) {
-    serve_metrics().hit_ns->record(obs::now_ns() - t_probe);
+    rel = timed(metrics.build_ns, [&] {
+      auto built = build_relative(request.topo, tls.key);
+      cache_->put(tls.key, built);
+      return built;
+    });
+  } else if (mask == 0) {
+    timer.mark(metrics.hit_ns);
   }
-  if (mask == 0) {
-    if (sampled) serve_metrics().serve_ns->record(obs::now_ns() - t_start);
-    return rel;  // zero-copy: the relative origin
-  }
+  if (mask == 0) return rel;  // zero-copy: the relative origin
   HYPERCAST_OBS_SPAN("serve.translate");
-  const std::uint64_t t_translate = stats ? obs::now_ns() : 0;
-  auto out = std::make_shared<core::MulticastSchedule>(request.topo,
-                                                       request.source);
-  out->assign_translated(*rel, mask);
-  out->finalize();
-  // Publish the materialized translation under its absolute identity so
-  // the next identical request shares it without copying. The entry is
-  // pure translation (no fault dependence), hence epoch-immune.
-  core::rekey(tls.key, /*absolute=*/true, mask);
-  cache_->put(tls.key, out, ScheduleCache::kEpochImmune);
-  if (stats) {
-    const std::uint64_t t_end = obs::now_ns();
-    serve_metrics().translate_ns->record(t_end - t_translate);
-    if (sampled) serve_metrics().serve_ns->record(t_end - t_start);
-  }
-  return out;
+  return timed(metrics.translate_ns, [&] {
+    auto out = std::make_shared<core::MulticastSchedule>(request.topo,
+                                                         request.source);
+    out->assign_translated(*rel, mask);
+    out->finalize();
+    // Publish the materialized translation under its absolute identity
+    // so the next identical request shares it without copying.
+    core::rekey(tls.key, /*absolute=*/true, mask);
+    cache_->put(tls.key, out);
+    return out;
+  });
 }
 
-std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_absolute(
+std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_repaired(
     const core::MulticastRequest& request) const {
   ServeTls& tls = serve_tls();
-  const bool stats = obs::stats_enabled();
-  bool sampled = false;
-  std::uint64_t t_start = 0;
-  if (stats) {
-    serve_metrics().requests->inc();
-    sampled = (tls.sample_tick++ & kSampleMask) == 0;
-    if (sampled) t_start = obs::now_ns();
-  }
-  core::canonical_key_into(request.topo, request.source, request.destinations,
-                           algo_id_, /*absolute=*/true,
-                           cache_->config().hash_seed, tls.key);
-  std::uint64_t t_probe = 0;
-  if (sampled) {
-    t_probe = obs::now_ns();
-    serve_metrics().canonicalize_ns->record(t_probe - t_start);
-  }
-  if (auto hit = cache_->get(tls.key)) {
-    if (sampled) {
-      const std::uint64_t t_end = obs::now_ns();
-      serve_metrics().hit_ns->record(t_end - t_probe);
-      serve_metrics().serve_ns->record(t_end - t_start);
+  StageTimer timer(tls);
+  const ServeMetrics& metrics = serve_metrics();
+  const bool cached = cacheable();
+  if (cached) {
+    first_key(request, /*repaired=*/true, tls.key);
+    timer.mark(metrics.canonicalize_ns);
+    if (auto hit = cache_->get(tls.key)) {
+      timer.mark(metrics.hit_ns);
+      return hit;
     }
-    return hit;
   }
   HYPERCAST_OBS_SPAN("serve.build");
-  const std::uint64_t t_build = stats ? obs::now_ns() : 0;
-  // Build-and-recheck: the epoch must be read *before* the build for
-  // the stamp to be safe, and read *again* after it — a bump landing
-  // mid-build may have swapped the registry entry under us, so the
-  // schedule we just built could reflect the retired FaultSet. On a
-  // mismatch, retry against the freshly resolved entry; if the epoch
-  // will not hold still (a bump storm), serve the last build uncached
-  // so nothing stale is ever stamped as current.
-  std::shared_ptr<core::MulticastSchedule> built;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    const core::AlgorithmEntry& entry = resolved_entry();
-    const std::uint64_t epoch = fault::fault_epoch();
-    built = std::make_shared<core::MulticastSchedule>(entry.build(request));
-    built->finalize();
-    if (fault::fault_epoch() == epoch) {
-      cache_->put(tls.key, built, epoch);
-      break;
-    }
-  }
-  if (stats) {
-    const std::uint64_t t_end = obs::now_ns();
-    serve_metrics().build_ns->record(t_end - t_build);
-    if (sampled) serve_metrics().serve_ns->record(t_end - t_start);
-  }
-  return built;
+  return timed(metrics.build_ns, [&] {
+    auto out = finalized(
+        fault::repair_schedule(*build_tree(request), request.destinations,
+                               *faults_)
+            .schedule);
+    if (cached) cache_->put(tls.key, out);
+    return out;
+  });
 }
 
 std::shared_ptr<core::MulticastSchedule> ServePipeline::build_relative(
@@ -304,54 +263,18 @@ std::shared_ptr<core::MulticastSchedule> ServePipeline::build_relative(
   return out;
 }
 
-std::shared_ptr<const core::MulticastSchedule> ServePipeline::build_direct(
+std::shared_ptr<core::MulticastSchedule> ServePipeline::build_tree(
     const core::MulticastRequest& request) const {
+  if (kind_ == Kind::Entry) return finalized(entry_->build(request));
   ServeTls& tls = serve_tls();
-  const bool stats = obs::stats_enabled();
-  std::uint64_t t_build = 0;
-  if (stats) {
-    serve_metrics().requests->inc();
-    // Direct builds are the uncached slow path (several microseconds):
-    // timing every one costs well under a percent, no sampling needed.
-    t_build = obs::now_ns();
+  auto out =
+      std::make_shared<core::MulticastSchedule>(request.topo, request.source);
+  if (kind_ == Kind::Chain) {
+    tls.builder.build_into(request, rule_, *out);
+  } else {
+    tls.builder.build_wsort_into(request, core::WeightedSortImpl::Fast, *out);
   }
-  const auto record_build = [&](std::uint64_t t0) {
-    if (stats) serve_metrics().build_ns->record(obs::now_ns() - t0);
-  };
-  switch (kind_) {
-    case Kind::Chain: {
-      auto out = std::make_shared<core::MulticastSchedule>(request.topo,
-                                                           request.source);
-      tls.builder.build_into(request, rule_, *out);
-      out->finalize();
-      record_build(t_build);
-      return out;
-    }
-    case Kind::Wsort: {
-      auto out = std::make_shared<core::MulticastSchedule>(request.topo,
-                                                           request.source);
-      tls.builder.build_wsort_into(request, core::WeightedSortImpl::Fast,
-                                   *out);
-      out->finalize();
-      record_build(t_build);
-      return out;
-    }
-    case Kind::Entry:
-      break;
-  }
-  // Pass-through entries get the same resolve-and-recheck treatment as
-  // the cached absolute path: without it, a pipeline constructed before
-  // a register + bump_fault_epoch would keep building through the
-  // retired registration's captured FaultSet.
-  std::shared_ptr<core::MulticastSchedule> out;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    const core::AlgorithmEntry& entry = resolved_entry();
-    const std::uint64_t epoch = fault::fault_epoch();
-    out = std::make_shared<core::MulticastSchedule>(entry.build(request));
-    out->finalize();
-    if (fault::fault_epoch() == epoch) break;
-  }
-  record_build(t_build);
+  out->finalize();
   return out;
 }
 
@@ -395,8 +318,6 @@ ServePipeline::serve_batch(std::span<const core::MulticastRequest> requests,
   // Owner of request i: with a cache, its key's shard (so no two workers
   // ever touch the same stripe — hits resolve without lock contention);
   // without one, a contiguous chunk.
-  const bool shard_partition =
-      cache_ != nullptr && (kind_ != Kind::Entry || entry_cacheable_);
   std::vector<std::uint32_t> owner(n, 0);
   std::mutex error_mu;
   std::exception_ptr error;
@@ -419,23 +340,17 @@ ServePipeline::serve_batch(std::span<const core::MulticastRequest> requests,
     if (error) std::rethrow_exception(error);
   };
 
-  if (shard_partition) {
+  if (cacheable()) {
     // Phase 1: canonicalize in parallel chunks to discover each
     // request's shard (the keys are recomputed thread-locally during
-    // serving; what matters here is only the partition).
+    // serving; what matters here is only the partition). Partition by
+    // the identity serve() probes (and inserts) first; the fallback
+    // probe of a cold relative entry may touch a foreign stripe, but
+    // that is a once-per-chain event, not the steady state.
     parallel_over([&](std::size_t w) {
       core::CacheKey key;
       for (std::size_t i = w; i < n; i += workers) {
-        // Partition by the identity serve() probes (and inserts) first:
-        // the absolute one for translated or registry requests, the
-        // relative one at the relative origin. The fallback probe of a
-        // cold relative entry may touch a foreign stripe, but that is a
-        // once-per-chain event, not the steady state.
-        const bool absolute =
-            kind_ == Kind::Entry || requests[i].source != 0;
-        core::canonical_key_into(requests[i].topo, requests[i].source,
-                                 requests[i].destinations, algo_id_, absolute,
-                                 cache_->config().hash_seed, key);
+        first_key(requests[i], faults_ != nullptr, key);
         owner[i] = static_cast<std::uint32_t>(cache_->shard_of(key) %
                                               workers);
       }
@@ -461,60 +376,24 @@ ServePipeline::serve_batch(std::span<const core::MulticastRequest> requests,
 StripedPlan ServePipeline::serve_striped(
     const core::MulticastRequest& request, std::size_t payload_bytes,
     const StripeOptions& options) const {
-  if (payload_bytes < options.threshold_bytes || request.topo.dim() < 2) {
-    StripedPlan plan;
-    plan.payload_bytes = payload_bytes;
-    plan.stripe_bytes = payload_bytes;
-    plan.trees.push_back(serve(request));
-    return plan;
+  if (payload_bytes >= options.threshold_bytes && request.topo.dim() >= 2) {
+    const StripedPlanner planner(options, cache_);
+    return faults_ != nullptr
+               ? planner.plan(request, payload_bytes, *faults_)
+               : planner.plan(request, payload_bytes);
   }
-  return StripedPlanner(options, cache_).plan(request, payload_bytes);
-}
-
-StripedPlan ServePipeline::serve_striped(
-    const core::MulticastRequest& request, std::size_t payload_bytes,
-    const StripeOptions& options, const fault::FaultSet& faults) const {
-  if (payload_bytes < options.threshold_bytes || request.topo.dim() < 2) {
-    StripedPlan plan;
-    plan.payload_bytes = payload_bytes;
-    plan.stripe_bytes = payload_bytes;
-    auto tree = serve(request);
-    if (fault::blocked_unicasts(*tree, faults) != 0) {
-      // Degraded single-tree fallback. The repaired tree depends on the
-      // absolute fault set, so it caches like the striped planner's
-      // repaired trees: an absolute key under a dedicated algorithm id,
-      // salted with the fault fingerprint and stamped with the live
-      // fault epoch (bump_fault_epoch() invalidates it lazily).
-      constexpr std::uint8_t kFallbackRepairAlgoId = 191;
-      std::shared_ptr<const core::MulticastSchedule> repaired;
-      ServeTls* tls = nullptr;
-      if (cache_ != nullptr) {
-        tls = &serve_tls();
-        core::canonical_key_into(request.topo, request.source,
-                                 request.destinations, kFallbackRepairAlgoId,
-                                 /*absolute=*/true, cache_->config().hash_seed,
-                                 tls->key);
-        core::set_salt(tls->key,
-                       faults.fingerprint(cache_->config().hash_seed));
-        repaired = cache_->get(tls->key);
-      }
-      if (repaired == nullptr) {
-        auto built = std::make_shared<core::MulticastSchedule>(
-            fault::repair_schedule(*tree, request.destinations, faults)
-                .schedule);
-        built->finalize();
-        if (tls != nullptr) {
-          cache_->put(tls->key, built, fault::fault_epoch());
-        }
-        repaired = std::move(built);
-      }
-      tree = std::move(repaired);
-      plan.repaired_trees = 1;
-    }
-    plan.trees.push_back(std::move(tree));
-    return plan;
+  StripedPlan plan;
+  plan.payload_bytes = payload_bytes;
+  plan.stripe_bytes = payload_bytes;
+  auto tree = serve_tree(request);
+  if (faults_ != nullptr && fault::blocked_unicasts(*tree, *faults_) != 0) {
+    // Degraded single-tree fallback: the repaired tree is exactly what
+    // serve() returns under this fault set, cached under its salted key.
+    tree = serve_repaired(request);
+    plan.repaired_trees = 1;
   }
-  return StripedPlanner(options, cache_).plan(request, payload_bytes, faults);
+  plan.trees.push_back(std::move(tree));
+  return plan;
 }
 
 ServePipeline::CoschedBatch ServePipeline::serve_batch_cosched(

@@ -1,7 +1,6 @@
 #ifndef HYPERCAST_COLL_SERVE_PIPELINE_HPP
 #define HYPERCAST_COLL_SERVE_PIPELINE_HPP
 
-#include <atomic>
 #include <memory>
 #include <span>
 #include <string>
@@ -12,12 +11,14 @@
 #include "coll/striped.hpp"
 #include "core/chain_algorithms.hpp"
 #include "core/registry.hpp"
+#include "fault/fault_set.hpp"
 
 namespace hypercast::coll {
 
 /// The concurrent schedule-serving front end: turns MulticastRequests
 /// into finalized, immutably shared MulticastSchedules, consulting a
-/// ScheduleCache when one is attached.
+/// ScheduleCache when one is attached. A pipeline is immutable after
+/// construction, so any number of threads may serve through it.
 ///
 /// Serving strategy by algorithm:
 ///  * ucube / maxport / combine / wsort — translation-invariant (the
@@ -29,28 +30,34 @@ namespace hypercast::coll {
 ///    (paying the XOR relabeling copy once per (source, shape) pair).
 ///    In steady state a hit is zero-copy: key canonicalization plus a
 ///    shared_ptr share, never a construction and never a copy.
-///  * "<algo>-ft" fault-aware variants — repairs depend on the absolute
-///    fault positions, so these cache under absolute keys (source folded
-///    in, shared back without translation) and are invalidated by fault
-///    epoch bumps.
-///  * anything else (separate, sftree, other registered entries) — the
-///    output may depend on caller-supplied destination *order*, which
-///    canonicalization erases, so these are served pass-through
-///    (built per request, never cached).
+///  * the same four under a fault set — the tree is built as above and
+///    repaired with fault::repair_schedule (byte-identical to
+///    fault::fault_aware_multicast). Repairs depend on absolute fault
+///    positions, so they cache under absolute keys salted with the
+///    fault set's fingerprint: pipelines for different fault sets may
+///    share one cache and never see each other's repairs.
+///  * anything else (separate, sftree) — the output may depend on
+///    caller-supplied destination *order*, which canonicalization
+///    erases, so these are served pass-through (built, and repaired
+///    under a fault set, per request; never cached).
 ///
 /// Misses build through a thread-local core::TreeBuilder, so a pipeline
-/// shared by many worker threads reaches the same zero-allocation steady
-/// state as PR 3's sweeps while staying bit-identical to uncached
-/// construction at any thread count.
+/// shared by many worker threads stays allocation-free in steady state
+/// and bit-identical to uncached construction at any thread count.
 class ServePipeline {
  public:
   /// `cache` may be nullptr: the pipeline then serves every request by
-  /// direct construction (the --cache=off mode everywhere).
-  ServePipeline(std::string algorithm, std::shared_ptr<ScheduleCache> cache);
+  /// direct construction (the --cache=off mode everywhere). With a
+  /// non-null `faults`, every served tree is repaired against it.
+  ServePipeline(std::string algorithm, std::shared_ptr<ScheduleCache> cache,
+                std::shared_ptr<const fault::FaultSet> faults = nullptr);
 
   const std::string& algorithm() const { return algorithm_; }
   const std::shared_ptr<ScheduleCache>& cache() const { return cache_; }
   bool cached() const { return cache_ != nullptr; }
+  const std::shared_ptr<const fault::FaultSet>& faults() const {
+    return faults_;
+  }
 
   /// Serve one request. The returned schedule is finalized and safe to
   /// share read-only across threads. Throws std::invalid_argument on
@@ -107,21 +114,18 @@ class ServePipeline {
   /// options.threshold_bytes on cubes of dim >= 2 split across the n
   /// arc-disjoint IST trees (each tree cached per-tree through this
   /// pipeline's cache, same two-level scheme as serve()); smaller
-  /// payloads fall back to the latency-optimal single-tree serve()
+  /// payloads fall back to the latency-optimal single tree
   /// (plan.striped == false, one tree carrying the whole payload).
+  ///
+  /// Under the pipeline's fault set, striped plans run StripedPlanner's
+  /// degraded ladder (drop onto parity, disjoint repair, greedy
+  /// detours), and the single-tree fallback is the fault-free tree when
+  /// no fault blocks it, else serve()'s cached repair
+  /// (plan.repaired_trees == 1). Throws fault::UnrepairableFault when a
+  /// destination is unreachable.
   StripedPlan serve_striped(const core::MulticastRequest& request,
                             std::size_t payload_bytes,
                             const StripeOptions& options = {}) const;
-
-  /// Degraded-mode serve_striped: striped plans swap the most-affected
-  /// tree onto the parity stripe and detour-repair the rest (see
-  /// StripedPlanner); the single-tree fallback is detour-repaired when a
-  /// fault blocks it. Throws fault::UnrepairableFault when a destination
-  /// is unreachable.
-  StripedPlan serve_striped(const core::MulticastRequest& request,
-                            std::size_t payload_bytes,
-                            const StripeOptions& options,
-                            const fault::FaultSet& faults) const;
 
   /// serve_batch, then co-schedule the served slots into waves under
   /// `cosched` (see coll::CoScheduler). The schedules are byte-identical
@@ -135,14 +139,29 @@ class ServePipeline {
   enum class Kind {
     Chain,   ///< ucube / maxport / combine: TreeBuilder + NextRule
     Wsort,   ///< weighted_sort permutation + HighDim rule
-    Entry,   ///< registry entry; cacheable only under absolute keys
+    Entry,   ///< registry entry; served pass-through
   };
 
+  bool cacheable() const { return cache_ != nullptr && kind_ != Kind::Entry; }
+
+  /// The fault-free tree: cached two-level when cacheable, else built.
+  std::shared_ptr<const core::MulticastSchedule> serve_tree(
+      const core::MulticastRequest& request) const;
   std::shared_ptr<const core::MulticastSchedule> serve_relative(
       const core::MulticastRequest& request) const;
-  std::shared_ptr<const core::MulticastSchedule> serve_absolute(
+  /// serve() under a fault set: the repaired tree, cached under the
+  /// fingerprint-salted absolute key when cacheable.
+  std::shared_ptr<const core::MulticastSchedule> serve_repaired(
       const core::MulticastRequest& request) const;
-  std::shared_ptr<const core::MulticastSchedule> build_direct(
+
+  /// The identity a serve probes first: for a repaired tree the absolute
+  /// key under core::kAlgoRepaired, salted with the fault fingerprint;
+  /// for a fault-free one the absolute (translated) or relative key.
+  void first_key(const core::MulticastRequest& request, bool repaired,
+                 core::CacheKey& key) const;
+
+  /// Build the fault-free tree for the request directly, finalized.
+  std::shared_ptr<core::MulticastSchedule> build_tree(
       const core::MulticastRequest& request) const;
 
   /// Build the relative schedule a canonical key denotes (source 0,
@@ -150,26 +169,14 @@ class ServePipeline {
   std::shared_ptr<core::MulticastSchedule> build_relative(
       const core::Topology& topo, const core::CacheKey& key) const;
 
-  /// The registry entry serving Kind::Entry requests, re-resolved
-  /// whenever the fault epoch moves. register_fault_aware_algorithms
-  /// replaces entries in place and bumps the epoch; a pipeline that
-  /// kept the pointer it resolved at construction would build through
-  /// the *retired* registration (capturing the old FaultSet) forever —
-  /// and stamp those stale builds with the current epoch, so the cache
-  /// would serve them as fresh. Epoch-checked resolution plus the
-  /// post-build epoch recheck in serve_absolute/build_direct closes
-  /// both holes.
-  const core::AlgorithmEntry& resolved_entry() const;
-
   std::string algorithm_;
   Kind kind_ = Kind::Entry;
   core::NextRule rule_ = core::NextRule::Center;
-  /// Kind::Entry only; epoch-stamped cache of find_algorithm(algorithm_).
-  mutable std::atomic<const core::AlgorithmEntry*> entry_{nullptr};
-  mutable std::atomic<std::uint64_t> entry_epoch_{0};
-  bool entry_cacheable_ = false;                 ///< "-ft" entries
-  std::uint8_t algo_id_ = 0;
+  const core::AlgorithmEntry* entry_ = nullptr;  ///< Kind::Entry only
+  std::uint8_t algo_id_ = 0;  ///< the fault-free core::CacheAlgoId
   std::shared_ptr<ScheduleCache> cache_;
+  std::shared_ptr<const fault::FaultSet> faults_;
+  std::uint64_t fault_salt_ = 0;  ///< faults_->fingerprint(hash seed)
 };
 
 }  // namespace hypercast::coll

@@ -12,23 +12,13 @@ namespace hypercast::coll {
 
 namespace {
 
-/// Per-tree cache algorithm ids. The serving pipeline hands ids 0..3 to
-/// the paper algorithms and grows registry-entry ids upward from 4; the
-/// IST trees claim a block at the top of the 8-bit space instead
-/// (kIstAlgoBase + tree, tree < dim <= hcube::kMaxDim = 20), so the two
-/// assignment schemes cannot collide until ~220 distinct registered
-/// names exist — far beyond anything the registry holds. Degraded-mode
-/// repaired trees take a second block below it: they are absolute,
-/// fault-dependent entries salted by fault fingerprint + parity config.
-constexpr std::uint8_t kIstAlgoBase = 224;
-constexpr std::uint8_t kIstRepairAlgoBase = 192;
-
+/// Per-tree cache algorithm ids (core::CacheAlgoId blocks).
 std::uint8_t ist_algo_id(hcube::Dim tree) {
-  return static_cast<std::uint8_t>(kIstAlgoBase + tree);
+  return static_cast<std::uint8_t>(core::kAlgoIst + tree);
 }
 
 std::uint8_t ist_repair_algo_id(hcube::Dim tree) {
-  return static_cast<std::uint8_t>(kIstRepairAlgoBase + tree);
+  return static_cast<std::uint8_t>(core::kAlgoIstRepaired + tree);
 }
 
 /// Per-thread scratch mirroring the serving pipeline's: one canonical
@@ -97,8 +87,7 @@ std::vector<std::vector<std::uint8_t>> split_stripes(
   if (parity_stripes > 0) {
     // Reed-Solomon over the data stripes, each notionally zero-padded
     // to `width` (short tail bytes contribute nothing, so padding is
-    // implicit). One parity stripe is the all-ones row — plain XOR,
-    // byte-identical to the legacy parity contract.
+    // implicit). One parity stripe is the all-ones row — plain XOR.
     const code::RsCode rs(data_stripes, parity_stripes);
     std::vector<std::vector<std::uint8_t>> parity;
     rs.encode(std::span<const std::vector<std::uint8_t>>(stripes.data(),
@@ -109,13 +98,6 @@ std::vector<std::vector<std::uint8_t>> split_stripes(
     }
   }
   return stripes;
-}
-
-std::vector<std::vector<std::uint8_t>> split_stripes(
-    std::span<const std::uint8_t> payload, std::size_t data_stripes,
-    bool parity) {
-  return split_stripes(payload, data_stripes,
-                       static_cast<std::size_t>(parity ? 1 : 0));
 }
 
 std::vector<std::uint8_t> reassemble_stripes(
@@ -132,6 +114,10 @@ std::vector<std::uint8_t> reassemble_stripes(
   std::vector<std::vector<std::uint8_t>> recovered;
   bool any_data_missing = false;
   for (const std::size_t i : missing) {
+    if (i >= stripes.size()) {
+      throw std::invalid_argument(
+          "reassemble_stripes: missing index out of range");
+    }
     if (i < data_stripes) any_data_missing = true;
   }
   if (any_data_missing) {
@@ -162,35 +148,13 @@ std::vector<std::uint8_t> reassemble_stripes(
   return out;
 }
 
-std::vector<std::uint8_t> reassemble_stripes(
-    std::span<const std::vector<std::uint8_t>> stripes,
-    std::size_t data_stripes, std::size_t payload_bytes, int missing) {
-  if (missing < 0) {
-    return reassemble_stripes(stripes, data_stripes, payload_bytes,
-                              std::span<const std::size_t>{});
-  }
-  if (static_cast<std::size_t>(missing) >= data_stripes) {
-    throw std::invalid_argument(
-        "reassemble_stripes: missing index out of range");
-  }
-  if (stripes.size() < data_stripes + 1) {
-    throw std::invalid_argument(
-        "reassemble_stripes: parity stripe required to reconstruct");
-  }
-  const std::size_t gone[1] = {static_cast<std::size_t>(missing)};
-  return reassemble_stripes(stripes, data_stripes, payload_bytes,
-                            std::span<const std::size_t>(gone));
-}
-
 StripedPlanner::StripedPlanner(StripeOptions options,
                                std::shared_ptr<ScheduleCache> cache)
     : options_(options), cache_(std::move(cache)) {}
 
 std::size_t StripedPlanner::effective_parity(hcube::Dim dim) const {
   if (dim < 2) return 0;
-  std::size_t k = options_.parity_stripes;
-  if (options_.parity && k == 0) k = 1;
-  return std::min(k, static_cast<std::size_t>(dim) - 1);
+  return std::min(options_.parity_stripes, static_cast<std::size_t>(dim) - 1);
 }
 
 bool StripedPlanner::should_verify(hcube::Dim dim) const {
@@ -218,7 +182,7 @@ std::shared_ptr<const core::MulticastSchedule> StripedPlanner::serve_tree(
   // The serving pipeline's two-level scheme, one instance per tree: the
   // relative IST tree caches under the canonical relative chain (built
   // once per chain shape, shared by every source), and each materialized
-  // translation under its absolute identity (epoch-immune pure copy).
+  // translation under its absolute identity (a pure copy).
   StripedTls& tls = striped_tls();
   const core::NodeId mask = request.source;
   core::canonical_key_into(request.topo, request.source, request.destinations,
@@ -244,7 +208,7 @@ std::shared_ptr<const core::MulticastSchedule> StripedPlanner::serve_tree(
   out->assign_translated(*rel, mask);
   out->finalize();
   core::rekey(tls.key, /*absolute=*/true, mask);
-  cache_->put(tls.key, out, ScheduleCache::kEpochImmune);
+  cache_->put(tls.key, out);
   return out;
 }
 
@@ -270,10 +234,7 @@ void StripedPlanner::cache_repair(
                            ist_repair_algo_id(tree), /*absolute=*/true,
                            cache_->config().hash_seed, tls.key);
   core::set_salt(tls.key, salt);
-  // Stamped with the live fault epoch, NOT kEpochImmune: a repaired
-  // tree is a function of the absolute fault set, so bump_fault_epoch()
-  // must invalidate it like every fault-dependent entry.
-  cache_->put(tls.key, schedule, fault::fault_epoch());
+  cache_->put(tls.key, schedule);
 }
 
 StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
@@ -339,7 +300,6 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
     out.dropped_trees.push_back(t);
   }
   std::sort(out.dropped_trees.begin(), out.dropped_trees.end());
-  out.dropped_tree = out.dropped_trees.empty() ? -1 : out.dropped_trees.front();
   bump("striped.dropped_trees", out.dropped_trees.size());
   bump("striped.repair_rs", out.dropped_trees.size());
 
@@ -351,7 +311,7 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
     // Salt for the degraded-entry cache keys: the repaired tree is a
     // function of the fault set, the parity config and the drop
     // decisions, all of which are deterministic given the request — so
-    // fold them all in and let the fault epoch handle invalidation.
+    // fold them all in.
     std::uint64_t drop_mask = 0;
     for (const int d : out.dropped_trees) drop_mask |= std::uint64_t{1} << d;
     std::uint64_t salt =

@@ -25,8 +25,8 @@ namespace hypercast::coll {
 /// Fault tolerance: with k >= 1 parity stripes the payload splits into
 /// n - k data stripes plus k GF(256) Reed-Solomon parity stripes
 /// (code/rs.hpp; k == 1 is the classic XOR stripe), so receivers
-/// survive ANY k lost stripes. When a fault epoch lands the planner
-/// walks a repair-tier ladder per damaged tree (docs/STRIPING.md §3):
+/// survive ANY k lost stripes. Under a fault set the planner walks a
+/// repair-tier ladder per damaged tree (docs/STRIPING.md §3):
 ///   1. drop — up to k damaged trees (root-blocked ones first) are
 ///      dropped outright and their stripes RS-reconstructed;
 ///   2. disjoint repair — remaining damage is patched by
@@ -49,12 +49,9 @@ struct StripeOptions {
   /// pays n send startups to save almost no streaming time —
   /// ablation_striping locates the crossover.
   std::size_t threshold_bytes = 64 * 1024;
-  /// Legacy switch: reserve one XOR parity tree (equivalent to
-  /// parity_stripes = 1). Needs dim >= 2; ignored below that.
-  bool parity = false;
-  /// Reserve k parity trees (Reed-Solomon; k-fault-tolerant delivery).
-  /// The effective k is max(parity ? 1 : 0, parity_stripes), clamped
-  /// to dim - 1 so at least one data stripe remains.
+  /// Reserve k parity trees (Reed-Solomon; k-fault-tolerant delivery;
+  /// k == 1 is one XOR stripe). Clamped to dim - 1 so at least one data
+  /// stripe remains; no parity below dim 2.
   std::size_t parity_stripes = 0;
   Verify verify = Verify::kAuto;
 };
@@ -67,7 +64,6 @@ struct StripedPlan {
   std::size_t data_stripes = 1;  ///< stripes carrying payload bytes
   std::size_t parity_stripes = 0;  ///< k: trees carrying RS parity
   int parity_tree = -1;          ///< first parity tree (dim - k), -1 if none
-  int dropped_tree = -1;         ///< first dropped tree (legacy accessor)
   std::vector<int> dropped_trees;  ///< all fault-dropped trees: their
                                    ///< stripes are RS-reconstructed at
                                    ///< the receivers
@@ -115,25 +111,15 @@ std::vector<std::vector<std::uint8_t>> split_stripes(
     std::span<const std::uint8_t> payload, std::size_t data_stripes,
     std::size_t parity_stripes);
 
-/// Legacy single-XOR-parity split (parity_stripes = parity ? 1 : 0).
-std::vector<std::vector<std::uint8_t>> split_stripes(
-    std::span<const std::uint8_t> payload, std::size_t data_stripes,
-    bool parity);
-
 /// Reassemble the original payload from the stripe array (data stripes
 /// first, then any parity stripes). `missing` lists unavailable stripe
 /// indices; missing data stripes are Reed-Solomon-reconstructed from
 /// the surviving ones (requires #missing-data <= #surviving-parity).
+/// Throws std::invalid_argument for an index outside the stripe array.
 std::vector<std::uint8_t> reassemble_stripes(
     std::span<const std::vector<std::uint8_t>> stripes,
     std::size_t data_stripes, std::size_t payload_bytes,
-    std::span<const std::size_t> missing);
-
-/// Legacy overload: with `missing` >= 0, that data stripe is
-/// reconstructed from the single parity stripe at index data_stripes.
-std::vector<std::uint8_t> reassemble_stripes(
-    std::span<const std::vector<std::uint8_t>> stripes,
-    std::size_t data_stripes, std::size_t payload_bytes, int missing = -1);
+    std::span<const std::size_t> missing = {});
 
 /// Plans striped collectives, consulting a ScheduleCache when attached:
 /// each tree caches as a *relative* schedule under its own per-tree
@@ -141,9 +127,8 @@ std::vector<std::uint8_t> reassemble_stripes(
 /// cached tree serves every source via XOR materialization, exactly
 /// like the serving pipeline's chain algorithms). Degraded-mode
 /// repaired trees cache under *absolute* keys salted with the fault
-/// fingerprint + parity config and stamped with the fault epoch, so
-/// bump_fault_epoch() invalidates them like every fault-dependent
-/// entry.
+/// fingerprint + parity config + drop decisions, so plans for different
+/// fault sets share one cache without ever aliasing.
 class StripedPlanner {
  public:
   explicit StripedPlanner(StripeOptions options = {},

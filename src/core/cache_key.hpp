@@ -25,15 +25,16 @@ namespace hypercast::core {
 /// is then folded into the identity and the cached schedule is only
 /// reusable at mask 0.
 struct CacheKey {
-  std::uint8_t algo = 0;        ///< opaque algorithm id (cache-owner scoped)
+  std::uint8_t algo = 0;        ///< a CacheAlgoId (below)
   bool absolute = false;        ///< source folded in; no XOR materialization
   std::uint8_t dim = 0;         ///< cube dimension n
   std::uint8_t res = 0;         ///< hcube::Resolution
   NodeId source = 0;            ///< 0 unless `absolute`
-  std::uint64_t salt = 0;       ///< extra identity scope (0 = none): the
-                                ///< striping layer keys degraded plans by a
-                                ///< fault-set fingerprint + parity config so
-                                ///< two fault sets never alias in one epoch
+  std::uint64_t salt = 0;       ///< extra identity scope (0 = none):
+                                ///< fault-repaired entries carry the fault
+                                ///< set's fingerprint (plus, for striped
+                                ///< plans, the parity config), so two
+                                ///< fault sets never alias in one cache
   std::uint64_t hash = 0;       ///< seeded FNV-1a over the fields + words
   std::uint64_t words_hash = 0; ///< hash of the words alone (rekey cache)
 
@@ -53,6 +54,24 @@ struct CacheKey {
     return sizeof(CacheKey) + words.capacity() * sizeof(std::uint32_t);
   }
 };
+
+/// Every CacheKey::algo id in one table, so producers sharing a
+/// ScheduleCache cannot collide and no module hands ids out at run time.
+/// The "+ x" rows are bases of a block: the id is base + x.
+enum CacheAlgoId : std::uint8_t {
+  kAlgoUcube = 0,    ///< paper algorithms: relative trees + translations
+  kAlgoMaxport = 1,
+  kAlgoCombine = 2,
+  kAlgoWsort = 3,
+  kAlgoRepaired = 4,       ///< + paper id: fault-repaired trees (absolute,
+                           ///< salted with the fault fingerprint)
+  kAlgoIstRepaired = 192,  ///< + tree: repaired IST trees of a degraded
+                           ///< striped plan (salted: faults + parity)
+  kAlgoIst = 224,          ///< + tree: IST trees, relative + translations
+};
+static_assert(kAlgoRepaired + kAlgoWsort < kAlgoIstRepaired);
+static_assert(kAlgoIstRepaired + hcube::kMaxDim <= kAlgoIst);
+static_assert(kAlgoIst + hcube::kMaxDim <= 0xff);
 
 /// Seeded 64-bit FNV-1a over a word sequence (word-at-a-time; the seed
 /// perturbs the offset basis so independent caches decorrelate).

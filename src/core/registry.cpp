@@ -1,6 +1,5 @@
 #include "core/registry.hpp"
 
-#include <array>
 #include <stdexcept>
 
 #include "core/chain_algorithms.hpp"
@@ -28,11 +27,6 @@ const std::vector<AlgorithmEntry>& table() {
   return entries;
 }
 
-std::vector<AlgorithmEntry>& registered() {
-  static std::vector<AlgorithmEntry> entries;
-  return entries;
-}
-
 }  // namespace
 
 std::span<const AlgorithmEntry> paper_algorithms() {
@@ -41,39 +35,15 @@ std::span<const AlgorithmEntry> paper_algorithms() {
 
 std::span<const AlgorithmEntry> all_algorithms() { return table(); }
 
-std::span<const AlgorithmEntry> registered_algorithms() {
-  return registered();
-}
-
 std::vector<std::string> algorithm_names() {
   std::vector<std::string> names;
-  names.reserve(table().size() + registered().size());
+  names.reserve(table().size());
   for (const AlgorithmEntry& e : table()) names.push_back(e.name);
-  for (const AlgorithmEntry& e : registered()) names.push_back(e.name);
   return names;
-}
-
-void register_algorithm(AlgorithmEntry entry) {
-  for (const AlgorithmEntry& e : table()) {
-    if (e.name == entry.name) {
-      throw std::invalid_argument("register_algorithm: '" + entry.name +
-                                  "' would shadow a built-in algorithm");
-    }
-  }
-  for (AlgorithmEntry& e : registered()) {
-    if (e.name == entry.name) {
-      e = std::move(entry);
-      return;
-    }
-  }
-  registered().push_back(std::move(entry));
 }
 
 const AlgorithmEntry& find_algorithm(std::string_view name) {
   for (const AlgorithmEntry& e : table()) {
-    if (e.name == name) return e;
-  }
-  for (const AlgorithmEntry& e : registered()) {
     if (e.name == name) return e;
   }
   std::string known;

@@ -26,21 +26,14 @@ std::span<const AlgorithmEntry> paper_algorithms();
 /// store-and-forward tree).
 std::span<const AlgorithmEntry> all_algorithms();
 
-/// Lookup by name (built-in or registered); throws
-/// std::invalid_argument listing every known name for unknown ones, so
-/// CLI typos are self-diagnosing.
+/// Lookup by name; throws std::invalid_argument listing every known
+/// name for unknown ones, so CLI typos are self-diagnosing. The table is
+/// fixed at compile time: fault tolerance is a value handed to the
+/// consumer (fault::fault_aware_multicast, coll::ServePipeline), not a
+/// separately named algorithm.
 const AlgorithmEntry& find_algorithm(std::string_view name);
 
-/// Register an additional algorithm (e.g. a fault-aware wrapper) under
-/// its entry's name, replacing an earlier registration of the same
-/// name. Built-in names cannot be shadowed (std::invalid_argument).
-/// The entry becomes visible to find_algorithm and registered_algorithms.
-void register_algorithm(AlgorithmEntry entry);
-
-/// The dynamically registered entries, in registration order.
-std::span<const AlgorithmEntry> registered_algorithms();
-
-/// Every known algorithm name: built-ins first, then registered.
+/// Every known algorithm name, in all_algorithms() order.
 std::vector<std::string> algorithm_names();
 
 }  // namespace hypercast::core

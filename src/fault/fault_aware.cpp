@@ -1,7 +1,6 @@
 #include "fault/fault_aware.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <sstream>
 #include <stdexcept>
@@ -258,42 +257,6 @@ std::size_t blocked_unicasts(const core::MulticastSchedule& schedule,
     if (faults.path_blocked(u.from, u.to)) ++blocked;
   }
   return blocked;
-}
-
-core::AlgorithmEntry fault_aware_entry(
-    const core::AlgorithmEntry& base, std::shared_ptr<const FaultSet> faults) {
-  auto build = base.build;
-  return core::AlgorithmEntry{
-      base.name + "-ft", base.display + "+FT",
-      [build = std::move(build),
-       faults = std::move(faults)](const core::MulticastRequest& r) {
-        return repair_schedule(build(r), r.destinations, *faults).schedule;
-      }};
-}
-
-void register_fault_aware_algorithms(std::shared_ptr<const FaultSet> faults) {
-  for (const core::AlgorithmEntry& base : core::paper_algorithms()) {
-    core::register_algorithm(fault_aware_entry(base, faults));
-  }
-  bump_fault_epoch();
-}
-
-namespace {
-std::atomic<std::uint64_t>& fault_epoch_counter() {
-  static std::atomic<std::uint64_t> epoch{0};
-  return epoch;
-}
-}  // namespace
-
-std::uint64_t fault_epoch() {
-  return fault_epoch_counter().load(std::memory_order_acquire);
-}
-
-void bump_fault_epoch() {
-  fault_epoch_counter().fetch_add(1, std::memory_order_acq_rel);
-  if (obs::stats_enabled()) {
-    obs::default_registry().counter("fault.epoch_bumps").inc();
-  }
 }
 
 }  // namespace hypercast::fault

@@ -1,7 +1,7 @@
 #ifndef HYPERCAST_FAULT_FAULT_AWARE_HPP
 #define HYPERCAST_FAULT_FAULT_AWARE_HPP
 
-#include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/contention.hpp"
@@ -81,36 +81,10 @@ FaultAwareResult fault_aware_multicast(const core::AlgorithmEntry& base,
 /// Number of unicasts in `schedule` whose E-cube route crosses a failed
 /// arc or dead node (endpoints included) — 0 means the schedule can
 /// replay unrepaired under `faults`. The striping layer uses this to
-/// pick which trees a fault epoch actually touched (and, with a parity
-/// stripe, which single tree to drop instead of repairing).
+/// pick which trees a fault set actually touches (and, with parity
+/// stripes, which trees to drop instead of repairing).
 std::size_t blocked_unicasts(const core::MulticastSchedule& schedule,
                              const FaultSet& faults);
-
-/// Wrap a registered algorithm into a fault-aware registry entry named
-/// "<name>-ft" (display "<Display>+FT") that builds and repairs against
-/// the captured fault set.
-core::AlgorithmEntry fault_aware_entry(const core::AlgorithmEntry& base,
-                                       std::shared_ptr<const FaultSet> faults);
-
-/// Register fault-aware variants of the four paper algorithms in
-/// core::registry ("ucube-ft", "maxport-ft", "combine-ft", "wsort-ft"),
-/// replacing any previously registered variants (e.g. for a new fault
-/// set). Bumps the fault epoch (below), so cached fault-dependent
-/// schedules built against the previous fault set become stale.
-void register_fault_aware_algorithms(std::shared_ptr<const FaultSet> faults);
-
-/// Monotonic process-wide fault epoch. Repaired schedules depend on the
-/// absolute fault set, not just the relative request, so caches stamp
-/// fault-dependent entries with the epoch current at insertion and treat
-/// an epoch mismatch as a miss (lazy invalidation — no cache walk on a
-/// fault event). The epoch advances on every
-/// register_fault_aware_algorithms call and on explicit bumps.
-std::uint64_t fault_epoch();
-
-/// Advance the fault epoch, invalidating every cached fault-dependent
-/// schedule. Call after mutating or retiring a fault set that registered
-/// algorithms still capture. Thread-safe.
-void bump_fault_epoch();
 
 }  // namespace hypercast::fault
 

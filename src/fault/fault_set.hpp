@@ -83,8 +83,8 @@ class FaultSet {
   std::string format() const;
 
   /// 64-bit fingerprint of the fault membership, mixed from `seed` —
-  /// what the striping layer salts degraded cache entries with so two
-  /// fault sets never alias within one fault epoch. Insertion-order
+  /// what fault-repaired cache entries are salted with, so repairs for
+  /// two fault sets never alias in one cache. Insertion-order
   /// dependent (two equal sets built in different orders may differ):
   /// that costs at most a cache miss, never a wrong hit, because the
   /// salt only partitions the key space.

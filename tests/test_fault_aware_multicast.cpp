@@ -2,10 +2,12 @@
 // paper algorithm's repaired tree still reaches every destination, and
 // no unicast of the repaired tree ever touches a failed resource — the
 // latter proved twice, statically against the FaultSet and dynamically
-// by the simulator's hard-error path.
+// by the simulator's hard-error path. A ServePipeline given the fault
+// set serves exactly those repaired trees, cached or not.
 
 #include <gtest/gtest.h>
 
+#include "coll/serve_pipeline.hpp"
 #include "fault/fault_aware.hpp"
 #include "fault/fault_inject.hpp"
 #include "sim/wormhole_sim.hpp"
@@ -77,14 +79,19 @@ TEST(FaultAwareMulticast, EverySingleLinkFaultIn4Cube) {
       for (NodeId low = 0; low < static_cast<NodeId>(topo.num_nodes());
            ++low) {
         if (hcube::test_bit(low, d)) continue;  // enumerate links once
-        FaultSet fs(topo);
-        fs.fail_link(low, d);
+        auto fs = std::make_shared<FaultSet>(topo);
+        fs->fail_link(low, d);
+        // The serving path under the same fault set, cold and warm.
+        const coll::ServePipeline cached(
+            algo.name, std::make_shared<coll::ScheduleCache>(), fs);
         for (const auto& req : requests) {
-          const auto result = fault::fault_aware_multicast(algo, req, fs);
+          const auto result = fault::fault_aware_multicast(algo, req, *fs);
           ASSERT_TRUE(testutil::covers_at_least(result.schedule, req))
               << algo.name << " link " << topo.format(low) << ":" << d;
-          ASSERT_TRUE(no_unicast_blocked(result.schedule, fs)) << algo.name;
-          ASSERT_TRUE(sim_delivers(result.schedule, req, fs)) << algo.name;
+          ASSERT_TRUE(no_unicast_blocked(result.schedule, *fs)) << algo.name;
+          ASSERT_TRUE(sim_delivers(result.schedule, req, *fs)) << algo.name;
+          ASSERT_TRUE(*cached.serve(req) == result.schedule) << algo.name;
+          ASSERT_TRUE(*cached.serve(req) == result.schedule) << algo.name;
         }
       }
     }
@@ -196,24 +203,40 @@ TEST(FaultAwareMulticast, RandomMultiFaultScenariosOn5Cube) {
   }
 }
 
-TEST(FaultAwareRegistry, VariantsRegisterAndResolve) {
-  const Topology topo(4);
-  auto fs = std::make_shared<FaultSet>(topo);
-  fs->fail_link(0, 0);
-  fault::register_fault_aware_algorithms(fs);
-  const auto& entry = core::find_algorithm("wsort-ft");
-  EXPECT_EQ(entry.display, "W-sort+FT");
-  const core::MulticastRequest req{topo, 0, {1, 6, 9}};
-  const auto schedule = entry.build(req);
-  EXPECT_TRUE(schedule.covers(req.destinations));
-  EXPECT_TRUE(no_unicast_blocked(schedule, *fs));
-  // Re-registering (a new fault set) replaces, not duplicates.
-  fault::register_fault_aware_algorithms(std::make_shared<FaultSet>(topo));
-  std::size_t wsort_ft = 0;
-  for (const auto& e : core::registered_algorithms()) {
-    if (e.name == "wsort-ft") ++wsort_ft;
+// A fault set handed to a ServePipeline makes every paper algorithm
+// fault-aware: cached (cold, warm, and translated to other sources) and
+// uncached serving both return exactly fault_aware_multicast's repair.
+TEST(FaultAwareServing, PipelineMatchesFaultAwareMulticast) {
+  const Topology topo(5);
+  for (std::uint64_t trial = 0; trial < 4; ++trial) {
+    workload::Rng rng(workload::derive_seed(0x5E4E, 6, trial));
+    const auto fs = std::make_shared<const FaultSet>(
+        fault::connected_link_faults(topo, 6, rng));
+    std::vector<core::MulticastRequest> requests;
+    const auto shape = testutil::random_request(topo, 9, rng);
+    for (const NodeId mask : {NodeId{0}, NodeId{5}, NodeId{22}}) {
+      core::MulticastRequest r{topo, shape.source ^ mask, {}};
+      for (const NodeId d : shape.destinations) {
+        r.destinations.push_back(d ^ mask);
+      }
+      requests.push_back(std::move(r));
+    }
+    for (const auto& algo : core::paper_algorithms()) {
+      const coll::ServePipeline cached(
+          algo.name, std::make_shared<coll::ScheduleCache>(), fs);
+      const coll::ServePipeline uncached(algo.name, nullptr, fs);
+      for (const auto& req : requests) {
+        const auto expected = fault::fault_aware_multicast(algo, req, *fs);
+        ASSERT_TRUE(no_unicast_blocked(expected.schedule, *fs));
+        EXPECT_TRUE(*uncached.serve(req) == expected.schedule)
+            << algo.name << " trial " << trial;
+        const auto cold = cached.serve(req);
+        EXPECT_TRUE(*cold == expected.schedule)
+            << algo.name << " trial " << trial;
+        EXPECT_EQ(cached.serve(req), cold) << "warm serve is a cache hit";
+      }
+    }
   }
-  EXPECT_EQ(wsort_ft, 1u);
 }
 
 TEST(FaultAwareRegistry, UnknownNameListsKnownAlgorithms) {
@@ -226,13 +249,8 @@ TEST(FaultAwareRegistry, UnknownNameListsKnownAlgorithms) {
     EXPECT_NE(what.find("ucube"), std::string::npos) << what;
     EXPECT_NE(what.find("wsort"), std::string::npos) << what;
   }
-  EXPECT_THROW(
-      core::register_algorithm(core::AlgorithmEntry{
-          "ucube", "shadow",
-          [](const core::MulticastRequest& r) {
-            return core::MulticastSchedule(r.topo, r.source);
-          }}),
-      std::invalid_argument);
+  // The table is fixed: fault tolerance is a value, not extra names.
+  EXPECT_EQ(core::algorithm_names().size(), core::all_algorithms().size());
 }
 
 }  // namespace

@@ -246,7 +246,7 @@ TEST(GoldenEquality, FaultAwareRepairMatchesOnBothBases) {
       const auto flat_fixed =
           fault::repair_schedule(flat_base, req.destinations, faults);
       expect_identical(ref_fixed.schedule, flat_fixed.schedule, topo,
-                       ctx + " " + name + "-ft");
+                       ctx + " " + name + " repaired");
       EXPECT_EQ(ref_fixed.report.broken, flat_fixed.report.broken)
           << ctx << " " << name;
       EXPECT_EQ(ref_fixed.report.extra_hops, flat_fixed.report.extra_hops)
@@ -258,7 +258,7 @@ TEST(GoldenEquality, FaultAwareRepairMatchesOnBothBases) {
     const auto flat_fixed = fault::repair_schedule(builder.build_wsort(req, WeightedSortImpl::Fast),
                                                    req.destinations, faults);
     expect_identical(ref_fixed.schedule, flat_fixed.schedule, topo,
-                     ctx + " wsort-ft");
+                     ctx + " wsort repaired");
     if (::testing::Test::HasFailure()) return;
   }
 }

@@ -180,7 +180,7 @@ TEST(DisjointRepair, ExhaustiveSingleLinkFaultsStayDisjoint) {
     core::MulticastRequest request{topo, source,
                                    broadcast_dests(topo, source)};
     coll::StripeOptions options;
-    options.parity = true;  // one parity tree: drop budget 1
+    options.parity_stripes = 1;  // one parity tree: drop budget 1
     options.verify = coll::StripeOptions::Verify::kOn;
     const coll::StripedPlanner planner(options);
 
@@ -234,7 +234,7 @@ TEST(DisjointRepair, BroadcastWithoutParityFallsBackToGreedy) {
   fault::FaultSet faults(topo);
   faults.fail_link(0b0101, 1);  // interior: damages exactly two trees
   const coll::StripedPlan plan = planner.plan(request, 1 << 20, faults);
-  EXPECT_EQ(plan.dropped_tree, -1);
+  EXPECT_TRUE(plan.dropped_trees.empty());
   EXPECT_FALSE(plan.certified_disjoint);
   EXPECT_EQ(plan.repaired_trees, 2u);
   EXPECT_GE(plan.repaired_greedy, 1u);

@@ -1,9 +1,9 @@
 // The schedule-serving cache: canonical keys, the two-level (relative +
-// materialized-translation) LRU, fault-epoch invalidation, and the
+// materialized-translation) LRU, fault-fingerprint salting, and the
 // bit-identical guarantee — cached serving returns schedules equal
 // (MulticastSchedule::operator==) to direct construction, sequentially,
 // in batches, and under a multi-threaded hammer with concurrent
-// invalidation.
+// clears.
 
 #include <gtest/gtest.h>
 
@@ -162,32 +162,37 @@ TEST(ScheduleCache, EvictsLeastRecentlyUsedUnderByteBudget) {
   EXPECT_EQ(stats.evictions, 5u);
 }
 
-TEST(ScheduleCache, FaultEpochInvalidatesAbsoluteEntries) {
+TEST(ScheduleCache, FaultFingerprintSaltSeparatesAbsoluteEntries) {
   ScheduleCache cache;
   const Topology topo(6, Resolution::HighToLow);
   const core::MulticastRequest req{topo, 3, {1, 2, 60}};
   const auto schedule = build_wsort(req);
+  fault::FaultSet faults_a(topo);
+  faults_a.fail_link(0, 1);
+  fault::FaultSet faults_b(topo);
+  faults_b.fail_link(1, 2);
 
+  // A fault-dependent entry is visible only under its own fault set's
+  // salt: a different fault set misses, as does the unsalted identity.
+  auto under_a = key_of(req, 7, /*absolute=*/true);
+  core::set_salt(under_a, faults_a.fingerprint(kSeed));
+  auto under_b = key_of(req, 7, /*absolute=*/true);
+  core::set_salt(under_b, faults_b.fingerprint(kSeed));
+  cache.put(under_a, schedule);
+  EXPECT_NE(cache.get(under_a), nullptr);
+  EXPECT_EQ(cache.get(under_b), nullptr);
+  EXPECT_EQ(cache.get(key_of(req, 7, /*absolute=*/true)), nullptr);
+
+  // Unsalted absolute entries (materialized translations) and relative
+  // entries coexist with the salted one.
   const auto absolute = key_of(req, 7, /*absolute=*/true);
-  cache.put(absolute, schedule, fault::fault_epoch());
-  EXPECT_NE(cache.get(absolute), nullptr);
-
-  fault::bump_fault_epoch();
-  EXPECT_EQ(cache.get(absolute), nullptr);  // lazily dropped
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.invalidations, 1u);
-  EXPECT_EQ(stats.entries, 0u);
-
-  // Epoch-immune absolute entries (materialized translations) survive.
-  cache.put(absolute, schedule, ScheduleCache::kEpochImmune);
-  fault::bump_fault_epoch();
-  EXPECT_NE(cache.get(absolute), nullptr);
-
-  // Relative entries are never epoch-sensitive.
   const auto relative = key_of(req, 7, /*absolute=*/false);
+  cache.put(absolute, schedule);
   cache.put(relative, schedule);
-  fault::bump_fault_epoch();
+  EXPECT_NE(cache.get(absolute), nullptr);
   EXPECT_NE(cache.get(relative), nullptr);
+  EXPECT_NE(cache.get(under_a), nullptr);
+  EXPECT_EQ(cache.stats().entries, 3u);
 }
 
 // ---- the serving pipeline ------------------------------------------------
@@ -227,37 +232,39 @@ TEST(ServePipeline, PassThroughAlgorithmsNeverTouchTheCache) {
   EXPECT_EQ(cache->stats().lookups(), 0u);
 }
 
-TEST(ServePipeline, FaultAwareServesCachedRepairsUntilEpochBump) {
+TEST(ServePipeline, FaultAwareServesCachedRepairsPerFaultSet) {
   const Topology topo(6, Resolution::HighToLow);
   auto faults = std::make_shared<const fault::FaultSet>([&] {
     fault::FaultSet fs(topo);
     fs.fail_link(0, 1);
     return fs;
   }());
-  fault::register_fault_aware_algorithms(faults);
 
   auto cache = std::make_shared<ScheduleCache>();
-  ServePipeline pipeline("wsort-ft", cache);
+  const ServePipeline pipeline("wsort", cache, faults);
   const core::MulticastRequest req{topo, 0, {1, 2, 3, 42}};
   const auto first = pipeline.serve(req);
   const auto second = pipeline.serve(req);
   EXPECT_EQ(first, second);  // pointer-shared cache hit
   EXPECT_EQ(cache->stats().total_hits(), 1u);
 
-  // A new fault set re-registers and bumps the epoch: the cached repair
-  // is stale and must be rebuilt against the new faults.
+  // A pipeline for a new fault set over the SAME cache must not see the
+  // first set's repair: it rebuilds against the new faults.
   auto faults2 = std::make_shared<const fault::FaultSet>([&] {
     fault::FaultSet fs(topo);
     fs.fail_link(1, 2);
     return fs;
   }());
-  fault::register_fault_aware_algorithms(faults2);
-  ServePipeline pipeline2("wsort-ft", cache);
+  const ServePipeline pipeline2("wsort", cache, faults2);
+  const auto misses = cache->stats().misses;
   const auto repaired = pipeline2.serve(req);
-  EXPECT_GE(cache->stats().invalidations, 1u);
+  EXPECT_EQ(cache->stats().misses, misses + 1);
   const auto direct = fault::fault_aware_multicast(
       core::find_algorithm("wsort"), req, *faults2);
   EXPECT_TRUE(*repaired == direct.schedule);
+  EXPECT_FALSE(*repaired == *first);
+  // The first set's repair is still cached for its own pipeline.
+  EXPECT_EQ(pipeline.serve(req), first);
 }
 
 TEST(ServePipeline, BatchMatchesSequentialAtAnyThreadCount) {
@@ -329,7 +336,6 @@ TEST(ScheduleCacheConcurrency, HammerMixedHitMissInvalidateStaysBitIdentical) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
         if (t == 0 && i % 100 == 50) cache->clear();
-        if (t == 1 && i % 100 == 50) fault::bump_fault_epoch();
       }
     });
   }

@@ -1,7 +1,9 @@
 // Adversarial serving-pipeline tests: malformed and oversized
-// destination sets, zero-destination requests, deadline shedding, and
-// fault-epoch bumps racing serve_batch. These run under the sanitize CI
-// job (ASan/UBSan), so "survives" means clean under instrumentation.
+// destination sets, zero-destination requests, deadline shedding, cache
+// clears racing serve_batch, and pipelines for different fault sets
+// serving concurrently through one cache. These run under the sanitize
+// (ASan/UBSan) and tsan CI jobs, so "survives" means clean under
+// instrumentation.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include "coll/schedule_cache.hpp"
 #include "coll/serve_pipeline.hpp"
 #include "fault/fault_aware.hpp"
+#include "fault/fault_inject.hpp"
 #include "obs/obs.hpp"
 #include "workload/random_sets.hpp"
 
@@ -114,7 +117,7 @@ TEST(ServeAdversarial, BatchWithExpiredDeadlineShedsEverything) {
   }
 }
 
-TEST(ServeAdversarial, ConcurrentFaultEpochBumpsDuringServeBatch) {
+TEST(ServeAdversarial, ConcurrentCacheClearsDuringServeBatch) {
   obs::FlagsGuard flags;
   auto cache = std::make_shared<ScheduleCache>(ScheduleCache::Config{});
   const ServePipeline cached("wsort", cache);
@@ -136,13 +139,13 @@ TEST(ServeAdversarial, ConcurrentFaultEpochBumpsDuringServeBatch) {
     expected.push_back(direct.serve(r));
   }
 
-  // Hammer serve_batch while another thread keeps bumping the fault
-  // epoch (invalidating cached entries mid-flight). Results must stay
-  // bit-identical to direct construction throughout.
+  // Hammer serve_batch while another thread keeps clearing the cache
+  // (retiring shared-tier and thread-local L1 entries mid-flight).
+  // Results must stay bit-identical to direct construction throughout.
   std::atomic<bool> stop{false};
-  std::thread bumper([&] {
+  std::thread clearer([&] {
     while (!stop.load()) {
-      fault::bump_fault_epoch();
+      cache->clear();
       std::this_thread::yield();
     }
   });
@@ -162,58 +165,85 @@ TEST(ServeAdversarial, ConcurrentFaultEpochBumpsDuringServeBatch) {
   }
   for (std::thread& t : hammers) t.join();
   stop.store(true);
-  bumper.join();
+  clearer.join();
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-TEST(ServeAdversarial, PipelineTracksFaultSetReRegistration) {
-  // Regression: a ServePipeline used to resolve its registry entry once
-  // at construction. register_fault_aware_algorithms *replaces* the
-  // "-ft" entries in place, so a long-lived pipeline kept building
-  // through the retired registration — schedules repaired against the
-  // OLD fault set — and, worse, stamped them with the CURRENT epoch, so
-  // the cache served the stale trees as fresh forever after.
+TEST(ServeAdversarial, PipelinesUnderDifferentFaultSetsShareOneCache) {
+  // Faults are a constructor value: each pipeline is immutable, so any
+  // number of them, for different fault sets, may serve concurrently
+  // through one cache. A repair is keyed by its fault set's
+  // fingerprint, so no pipeline ever sees another set's repair.
   const hcube::Topology topo(6);
-  const core::MulticastRequest req{topo, 0, {1, 2, 3, 42, 17}};
+  workload::Rng rng(0xFA17Full);
+  constexpr int kPipelines = 3;
+  std::vector<std::shared_ptr<const fault::FaultSet>> faults;
+  for (int p = 0; p < kPipelines; ++p) {
+    faults.push_back(std::make_shared<const fault::FaultSet>(
+        fault::connected_link_faults(topo, 2 + p, rng)));
+  }
+  std::vector<MulticastRequest> requests;
+  for (int i = 0; i < 48; ++i) {
+    const auto source =
+        static_cast<hcube::NodeId>(rng() % topo.num_nodes());
+    requests.push_back(MulticastRequest{
+        topo, source,
+        workload::random_destinations(topo, source, 1 + (i % 24), rng)});
+  }
+  std::vector<std::vector<core::MulticastSchedule>> expected(kPipelines);
+  const core::AlgorithmEntry& wsort = core::find_algorithm("wsort");
+  for (int p = 0; p < kPipelines; ++p) {
+    for (const MulticastRequest& r : requests) {
+      expected[p].push_back(
+          fault::fault_aware_multicast(wsort, r, *faults[p]).schedule);
+    }
+  }
 
-  auto faults_a = std::make_shared<const fault::FaultSet>([&] {
-    fault::FaultSet fs(topo);
-    fs.fail_link(0, 1);
-    return fs;
-  }());
-  fault::register_fault_aware_algorithms(faults_a);
+  // Small enough that the three fault sets' repairs evict each other.
+  ScheduleCache::Config config;
+  config.shards = 2;
+  config.max_bytes = std::size_t{64} << 10;
+  auto cache = std::make_shared<ScheduleCache>(config);
+  std::vector<std::unique_ptr<ServePipeline>> pipelines;
+  for (int p = 0; p < kPipelines; ++p) {
+    pipelines.push_back(
+        std::make_unique<ServePipeline>("wsort", cache, faults[p]));
+  }
 
-  auto cache = std::make_shared<ScheduleCache>(ScheduleCache::Config{});
-  const ServePipeline cached("wsort-ft", cache);
-  const ServePipeline uncached("wsort-ft", nullptr);
-  const auto under_a = cached.serve(req);
-  ASSERT_NE(under_a, nullptr);
-  EXPECT_TRUE(*uncached.serve(req) == *under_a);
+  // Sequentially first: a repair cached under fault set 0 is never what
+  // fault set 1's pipeline returns for the same request. A broadcast
+  // crosses every link, so the two sets' repairs differ.
+  std::vector<hcube::NodeId> everyone;
+  for (hcube::NodeId u = 1; u < topo.num_nodes(); ++u) everyone.push_back(u);
+  const MulticastRequest probe{topo, 0, everyone};
+  const auto probe_0 = fault::fault_aware_multicast(wsort, probe, *faults[0]);
+  const auto probe_1 = fault::fault_aware_multicast(wsort, probe, *faults[1]);
+  ASSERT_FALSE(probe_0.schedule == probe_1.schedule);
+  EXPECT_TRUE(*pipelines[0]->serve(probe) == probe_0.schedule);
+  EXPECT_TRUE(*pipelines[1]->serve(probe) == probe_1.schedule);
+  EXPECT_TRUE(*pipelines[0]->serve(probe) == probe_0.schedule);
+  EXPECT_TRUE(*ServePipeline("wsort", nullptr, faults[1]).serve(probe) ==
+              probe_1.schedule);
 
-  // Swap the fault set under the SAME pipelines.
-  auto faults_b = std::make_shared<const fault::FaultSet>([&] {
-    fault::FaultSet fs(topo);
-    fs.fail_link(1, 2);
-    fs.fail_link(3, 0);
-    return fs;
-  }());
-  fault::register_fault_aware_algorithms(faults_b);
-
-  const auto expected =
-      fault::fault_aware_multicast(core::find_algorithm("wsort"), req,
-                                   *faults_b)
-          .schedule;
-  // Both the cached and the pass-through pipeline must now build
-  // against fault set B — first serve (fills the cache) and second
-  // serve (may hit it) alike.
-  EXPECT_TRUE(*uncached.serve(req) == expected);
-  EXPECT_TRUE(*cached.serve(req) == expected);
-  EXPECT_TRUE(*cached.serve(req) == expected);
-
-  // Leave a clean registry for other tests: an empty fault set behaves
-  // like the fault-oblivious algorithms.
-  fault::register_fault_aware_algorithms(
-      std::make_shared<const fault::FaultSet>(topo));
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kPipelines; ++p) {
+    threads.emplace_back([&, p] {
+      for (int round = 0; round < 20; ++round) {
+        const auto results =
+            pipelines[p]->serve_batch(requests, 1 + (round % 2));
+        for (std::size_t i = 0; i < results.size(); ++i) {
+          if (results[i] == nullptr || !(*results[i] == expected[p][i])) {
+            ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(cache->stats().evictions, 0u);
+  EXPECT_GT(cache->stats().total_hits(), 0u);
 }
 
 }  // namespace

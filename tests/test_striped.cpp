@@ -23,6 +23,7 @@ namespace {
 
 using namespace hypercast;
 using coll::ScheduleCache;
+using coll::ServePipeline;
 using coll::StripedPlan;
 using coll::StripedPlanner;
 using coll::StripeOptions;
@@ -52,7 +53,7 @@ TEST(StripeBytes, SplitReassembleRoundtrip) {
   for (const std::size_t size : {0ul, 1ul, 7ul, 10ul, 64ul, 1000ul}) {
     const auto payload = pattern_payload(size);
     for (const std::size_t stripes : {1ul, 3ul, 5ul, 8ul}) {
-      const auto split = coll::split_stripes(payload, stripes, false);
+      const auto split = coll::split_stripes(payload, stripes, 0);
       ASSERT_EQ(split.size(), stripes);
       const auto back =
           coll::reassemble_stripes(split, stripes, payload.size());
@@ -64,11 +65,12 @@ TEST(StripeBytes, SplitReassembleRoundtrip) {
 TEST(StripeBytes, ParityReconstructsAnySingleMissingStripe) {
   const auto payload = pattern_payload(1000);
   for (const std::size_t stripes : {2ul, 3ul, 7ul}) {
-    const auto split = coll::split_stripes(payload, stripes, true);
+    const auto split = coll::split_stripes(payload, stripes, 1);
     ASSERT_EQ(split.size(), stripes + 1);
     for (std::size_t missing = 0; missing < stripes; ++missing) {
-      const auto back = coll::reassemble_stripes(
-          split, stripes, payload.size(), static_cast<int>(missing));
+      const std::size_t gone[] = {missing};
+      const auto back =
+          coll::reassemble_stripes(split, stripes, payload.size(), gone);
       EXPECT_EQ(back, payload) << "stripes=" << stripes
                                << " missing=" << missing;
     }
@@ -77,13 +79,16 @@ TEST(StripeBytes, ParityReconstructsAnySingleMissingStripe) {
 
 TEST(StripeBytes, RejectsBadArguments) {
   const auto payload = pattern_payload(16);
-  EXPECT_THROW(coll::split_stripes(payload, 0, false), std::invalid_argument);
-  const auto split = coll::split_stripes(payload, 4, false);
+  EXPECT_THROW(coll::split_stripes(payload, 0, 0), std::invalid_argument);
+  const auto split = coll::split_stripes(payload, 4, 0);
   // Reconstruction without the parity stripe present must refuse.
-  EXPECT_THROW(coll::reassemble_stripes(split, 4, payload.size(), 1),
+  const std::size_t data_gone[] = {1};
+  EXPECT_THROW(coll::reassemble_stripes(split, 4, payload.size(), data_gone),
                std::invalid_argument);
-  EXPECT_THROW(coll::reassemble_stripes(split, 4, payload.size(), 4),
-               std::invalid_argument);
+  const std::size_t out_of_range[] = {4};
+  EXPECT_THROW(
+      coll::reassemble_stripes(split, 4, payload.size(), out_of_range),
+      std::invalid_argument);
 }
 
 TEST(StripedPlanTest, FourCubePlanIsDisjointAndCovers) {
@@ -298,7 +303,7 @@ TEST(StripedFaults, RootLinkFaultDropsExactlyOneTreeOntoParity) {
   const NodeId source = 3;
   MulticastRequest request{topo, source, broadcast_dests(topo, source)};
   StripeOptions options;
-  options.parity = true;
+  options.parity_stripes = 1;
 
   fault::FaultSet faults(topo);
   // The dim-1 link at the source: relative arc 0 -> 2 is tree 1's root
@@ -310,12 +315,12 @@ TEST(StripedFaults, RootLinkFaultDropsExactlyOneTreeOntoParity) {
       StripedPlanner(options).plan(request, 1 << 20, faults);
   EXPECT_EQ(plan.parity_tree, 3);
   EXPECT_EQ(plan.data_stripes, 3u);
-  EXPECT_EQ(plan.dropped_tree, 1);
+  EXPECT_EQ(plan.dropped_trees, std::vector<int>{1});
   EXPECT_EQ(plan.repaired_trees, 0u);
   EXPECT_EQ(plan.jobs().size(), 3u);
   // The surviving trees replay untouched under the fault set.
   for (std::size_t t = 0; t < plan.trees.size(); ++t) {
-    if (static_cast<int>(t) == plan.dropped_tree) continue;
+    if (plan.dropped(t)) continue;
     EXPECT_EQ(fault::blocked_unicasts(*plan.trees[t], faults), 0u);
   }
 }
@@ -332,7 +337,7 @@ TEST(StripedFaults, RepairedPlanDeliversUnderFaultsInDes) {
   faults.fail_link(0b0101, 1);  // interior link: hits at most two trees
 
   const StripedPlan plan = StripedPlanner().plan(request, 1 << 20, faults);
-  EXPECT_EQ(plan.dropped_tree, -1);
+  EXPECT_TRUE(plan.dropped_trees.empty());
   EXPECT_GE(plan.repaired_trees, 1u);
   EXPECT_LE(plan.repaired_trees, 2u);
 
@@ -505,11 +510,10 @@ TEST(StripedFaults, SixCubeRandomDoubleFaultsDeliverEverything) {
   }
 }
 
-// Regression (satellite): degraded-mode cached repairs must be
-// invalidated by bump_fault_epoch. Before the fix, repaired trees were
-// cached without an epoch stamp, so a plan computed after the fault set
-// was rearmed could replay a stale repair.
-TEST(StripedFaults, DegradedPlansInvalidateOnFaultEpochBump) {
+// Degraded-mode cached repairs are keyed by the fault set they were
+// built for: a replay under the same set hits, a cold cache rebuilds
+// the same bits, and a different set never aliases the cached repair.
+TEST(StripedFaults, DegradedRepairsAreKeyedByFaultSet) {
   const Topology topo(4);
   const NodeId source = 0;
   MulticastRequest request{topo, source, broadcast_dests(topo, source)};
@@ -523,17 +527,17 @@ TEST(StripedFaults, DegradedPlansInvalidateOnFaultEpochBump) {
   ASSERT_GE(first.repaired_disjoint, 1u);
   const auto warm_misses = cache->stats().misses;
 
-  // Same epoch, same faults: the repaired trees come from the cache
-  // (no new misses at the repair level beyond the probe pattern).
+  // Same faults: the certified repairs come from the cache (only the
+  // uncached greedy tier probes and misses again), bit-identical.
   const StripedPlan replay = planner.plan(request, 1 << 20, faults);
+  EXPECT_EQ(cache->stats().misses, warm_misses + first.repaired_greedy);
   ASSERT_EQ(replay.repaired_trees, first.repaired_trees);
   for (std::size_t t = 0; t < first.trees.size(); ++t) {
     EXPECT_TRUE(*first.trees[t] == *replay.trees[t]) << "tree " << t;
   }
 
-  // Epoch bump: every cached repair is stale; the planner rebuilds
-  // (misses grow) yet produces the same bits for the same fault set.
-  fault::bump_fault_epoch();
+  // A cleared cache rebuilds (misses grow) the same bits.
+  cache->clear();
   const StripedPlan rebuilt = planner.plan(request, 1 << 20, faults);
   EXPECT_GT(cache->stats().misses, warm_misses);
   ASSERT_EQ(rebuilt.repaired_trees, first.repaired_trees);
@@ -541,7 +545,7 @@ TEST(StripedFaults, DegradedPlansInvalidateOnFaultEpochBump) {
     EXPECT_TRUE(*first.trees[t] == *rebuilt.trees[t]) << "tree " << t;
   }
 
-  // Distinct fault sets within one epoch must not alias: the salt
+  // Distinct fault sets in one cache must not alias: the salt
   // partitions the key space by fault fingerprint.
   fault::FaultSet other(topo);
   other.fail_link(0b0011, 2);
@@ -551,6 +555,47 @@ TEST(StripedFaults, DegradedPlansInvalidateOnFaultEpochBump) {
     if (!(*rebuilt.trees[t] == *different.trees[t])) any_differ = true;
   }
   EXPECT_TRUE(any_differ);
+  EXPECT_TRUE(*different.trees[0] ==
+              *StripedPlanner().plan(request, 1 << 20, other).trees[0]);
+}
+
+// The single-tree fallback below threshold_bytes on a faulted pipeline:
+// a tree a fault blocks is replaced by its repair (cached like any
+// serve() under the fault set); an untouched tree stays fault-free.
+TEST(StripedFaults, FallbackSingleTreeRepairsAndCaches) {
+  const Topology topo(4);
+  const MulticastRequest request{topo, 0, {1, 3, 6, 9, 12, 15}};
+  const StripeOptions options;  // 64 KiB threshold
+  const std::size_t small = 1024;
+  const auto tree = ServePipeline("wsort", nullptr).serve(request);
+
+  auto blocking = std::make_shared<fault::FaultSet>(topo);
+  blocking->fail_link(0, 0);  // the source's dim-0 link: 0 -> 1
+  ASSERT_GT(fault::blocked_unicasts(*tree, *blocking), 0u);
+  auto cache = std::make_shared<ScheduleCache>();
+  const ServePipeline faulted("wsort", cache, blocking);
+  const StripedPlan plan = faulted.serve_striped(request, small, options);
+  EXPECT_FALSE(plan.striped);
+  EXPECT_EQ(plan.repaired_trees, 1u);
+  ASSERT_EQ(plan.trees.size(), 1u);
+  EXPECT_TRUE(*plan.trees[0] ==
+              fault::repair_schedule(*tree, request.destinations, *blocking)
+                  .schedule);
+  const auto misses = cache->stats().misses;
+  const StripedPlan again = faulted.serve_striped(request, small, options);
+  EXPECT_EQ(cache->stats().misses, misses) << "second call is a cache hit";
+  EXPECT_EQ(again.trees[0], plan.trees[0]);
+  EXPECT_EQ(again.repaired_trees, 1u);
+
+  // A fault that blocks nothing leaves the fault-free tree in place.
+  auto harmless = std::make_shared<fault::FaultSet>(topo);
+  harmless->fail_link(0b1010, 2);
+  ASSERT_EQ(fault::blocked_unicasts(*tree, *harmless), 0u);
+  const StripedPlan clean =
+      ServePipeline("wsort", cache, harmless).serve_striped(request, small,
+                                                            options);
+  EXPECT_EQ(clean.repaired_trees, 0u);
+  EXPECT_TRUE(*clean.trees[0] == *tree);
 }
 
 // A fault that touches nothing leaves the plan identical to fault-free.
@@ -571,7 +616,7 @@ TEST(StripedFaults, UntouchedTreesAreNotRepaired) {
   ASSERT_FALSE(any_blocked);
 
   const StripedPlan degraded = planner.plan(request, 1 << 20, faults);
-  EXPECT_EQ(degraded.dropped_tree, -1);
+  EXPECT_TRUE(degraded.dropped_trees.empty());
   EXPECT_EQ(degraded.repaired_trees, 0u);
   for (std::size_t t = 0; t < clean.trees.size(); ++t) {
     EXPECT_TRUE(*clean.trees[t] == *degraded.trees[t]);

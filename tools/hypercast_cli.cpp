@@ -104,15 +104,12 @@ core::MulticastRequest request_from(const harness::Options& opts) {
   return req;
 }
 
-/// Parse the fault flags; when present, also register the fault-aware
-/// "-ft" variants of the paper algorithms so --algo wsort-ft etc. work.
+/// Parse the fault flags (nullptr when none are given).
 std::shared_ptr<const fault::FaultSet> setup_faults(
     const harness::Options& opts, const hcube::Topology& topo) {
   auto fs = opts.fault_set(topo);
   if (!fs) return nullptr;
-  auto shared = std::make_shared<const fault::FaultSet>(std::move(*fs));
-  fault::register_fault_aware_algorithms(shared);
-  return shared;
+  return std::make_shared<const fault::FaultSet>(std::move(*fs));
 }
 
 /// Build the schedule for `algo`, repairing it against the fault set
@@ -334,7 +331,7 @@ int cmd_serve(const harness::Options& opts) {
       opts.get_int_or("m", static_cast<long>(topo.num_nodes() / 2)));
   const int threads = static_cast<int>(opts.get_int_or("threads", 1));
   const auto cache_opts = opts.cache(/*default_enabled=*/true);
-  const auto faults = setup_faults(opts, topo);  // enables --algo <name>-ft
+  const auto faults = setup_faults(opts, topo);
 
   workload::Rng rng(static_cast<std::uint64_t>(opts.get_int_or("seed", 1)));
   const auto stream = translated_stream(topo, shapes, m, requests, rng);
@@ -347,7 +344,7 @@ int cmd_serve(const harness::Options& opts) {
     cache = std::make_shared<coll::ScheduleCache>(config);
     cache->attach_to_registry(obs::default_registry(), "cache");
   }
-  coll::ServePipeline pipeline(algo, cache);
+  const coll::ServePipeline pipeline(algo, cache, faults);
 
   const auto start = std::chrono::steady_clock::now();
   const auto schedules = pipeline.serve_batch(stream, threads);
@@ -397,12 +394,11 @@ int cmd_stripe(const harness::Options& opts) {
   const std::size_t bytes =
       static_cast<std::size_t>(opts.get_int_or("bytes", 1 << 20));
   coll::StripeOptions stripe_opts;
-  // Bare --parity keeps the legacy single-XOR-stripe meaning;
-  // --parity=<k> reserves k Reed-Solomon parity trees (any k lost
-  // stripes recoverable).
+  // Bare --parity reserves one XOR parity tree; --parity=<k> reserves
+  // k Reed-Solomon parity trees (any k lost stripes recoverable).
   if (opts.has("parity")) {
     if (opts.is_bare_flag("parity")) {
-      stripe_opts.parity = true;
+      stripe_opts.parity_stripes = 1;
     } else {
       const long k = opts.get_int("parity");
       if (k < 0) throw std::invalid_argument("--parity expects k >= 0");
@@ -421,10 +417,9 @@ int cmd_stripe(const harness::Options& opts) {
     cache = std::make_shared<coll::ScheduleCache>(config);
   }
   const std::string algo = opts.get_or("algo", "wsort");
-  const coll::ServePipeline pipeline(algo, cache);
+  const coll::ServePipeline pipeline(algo, cache, faults);
   const coll::StripedPlan plan =
-      faults ? pipeline.serve_striped(req, bytes, stripe_opts, *faults)
-             : pipeline.serve_striped(req, bytes, stripe_opts);
+      pipeline.serve_striped(req, bytes, stripe_opts);
 
   std::printf("%zu-byte payload to %zu destinations on a %d-cube\n", bytes,
               req.destinations.size(), req.topo.dim());
