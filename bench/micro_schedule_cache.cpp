@@ -6,17 +6,25 @@
 // canonicalization instead of a tree construction. Measures both modes
 // regardless of --cache (the flag only picks which artifact the run
 // gates against) and verifies cached output is bit-identical to direct
-// construction before timing anything.
+// construction before timing anything. Two rows per schedule shape
+// time the stages around a hit that scale with the schedule:
+// materializing a cached relative schedule at a new source (translate)
+// and writing the Ok response (encode), for sparse serving shapes and
+// for the dense IST broadcast trees striped serving translates.
 
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coll/schedule_cache.hpp"
 #include "coll/serve_pipeline.hpp"
+#include "core/ist.hpp"
+#include "core/registry.hpp"
 #include "harness/bench.hpp"
+#include "net/protocol.hpp"
 #include "workload/random_sets.hpp"
 
 namespace {
@@ -85,7 +93,60 @@ std::vector<core::MulticastRequest> translated_stream(
   return stream;
 }
 
+/// translate_per_sec: a fresh schedule assigned the XOR translation of a
+/// finalized relative one and finalized, as a cache miss on the absolute
+/// key materializes it. encode_per_sec: encode_ok_response into a fresh
+/// string, as a worker serializes each response.
+void schedule_stage_rows(const bench::Context& ctx, bench::Report& report) {
+  struct Shape {
+    std::string key;
+    core::MulticastSchedule relative;
+  };
+  std::vector<Shape> shapes;
+  const std::pair<int, std::size_t> sparse[] = {{8, 24}, {10, 48}};
+  for (const auto& [dim, m] : sparse) {
+    const hcube::Topology topo(dim);
+    workload::Rng rng(workload::derive_seed(2027, m, 2));
+    shapes.push_back(
+        {"wsort/" + std::to_string(dim) + "-cube-" + std::to_string(m),
+         core::find_algorithm("wsort").build(core::MulticastRequest{
+             topo, 0, workload::random_destinations(topo, 0, m, rng)})});
+  }
+  for (const int dim : {8, 10}) {
+    shapes.push_back({"ist/" + std::to_string(dim) + "-cube-broadcast",
+                      core::build_ist_tree0(hcube::Topology(dim), 0)});
+  }
+  for (Shape& shape : shapes) {
+    const core::MulticastSchedule& rel = shape.relative;
+    rel.finalize();
+    const std::size_t nodes = rel.topo().num_nodes();
+    hcube::NodeId mask = 0;
+    const bench::Rate translate = best_rate(ctx.min_time(0.1), [&] {
+      mask = static_cast<hcube::NodeId>((mask + 0x9e5) % nodes);
+      core::MulticastSchedule out(rel.topo(), mask);
+      out.assign_translated(rel, mask);
+      out.finalize();
+    });
+    core::MulticastSchedule translated(rel.topo(), 0);
+    translated.assign_translated(rel, static_cast<hcube::NodeId>(nodes / 3));
+    translated.finalize();
+    std::uint64_t id = 0;
+    const bench::Rate encode = best_rate(ctx.min_time(0.1), [&] {
+      std::string out;
+      net::encode_ok_response(++id, translated, out);
+    });
+    std::string response;
+    net::encode_ok_response(id, translated, response);
+    report.metric(shape.key + " translate_per_sec", translate.per_second());
+    report.metric(shape.key + " encode_per_sec", encode.per_second());
+    std::printf("  %-24s %10.0f translates/s %10.0f encodes/s (%zu B)\n",
+                shape.key.c_str(), translate.per_second(),
+                encode.per_second(), response.size());
+  }
+}
+
 void run(const bench::Context& ctx, bench::Report& report) {
+  schedule_stage_rows(ctx, report);
   const hcube::Topology topo(8);
   const std::size_t shapes = 4;
   const std::size_t m = 224;

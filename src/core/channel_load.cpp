@@ -62,11 +62,13 @@ ArcFootprint arc_footprint(const Topology& topo,
   // touches O(m log N) arcs, so the sort beats a num_arcs-sized scratch
   // for the small batches the co-scheduler scores.
   std::vector<std::uint32_t> touched;
-  for (const Unicast& u : schedule.unicasts()) {
-    hcube::for_each_ecube_arc(topo, u.from, u.to, [&](hcube::Arc a) {
-      touched.push_back(static_cast<std::uint32_t>(topo.arc_index(a)));
-    });
-  }
+  schedule.for_each_sender([&](NodeId from, std::span<const Send> sends) {
+    for (const Send& s : sends) {
+      hcube::for_each_ecube_arc(topo, from, s.to, [&](hcube::Arc a) {
+        touched.push_back(static_cast<std::uint32_t>(topo.arc_index(a)));
+      });
+    }
+  });
   std::sort(touched.begin(), touched.end());
   for (std::size_t i = 0; i < touched.size();) {
     std::size_t j = i;

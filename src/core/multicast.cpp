@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
 namespace hypercast::core {
 
@@ -61,37 +62,52 @@ void MulticastSchedule::assign_translated(const MulticastSchedule& relative,
   // The relative view is already grouped by sender, and XOR only permutes
   // whole buckets (bucket u here is bucket u ^ mask there, contents in
   // the same stable order), so the translated view is a gather copy —
-  // cheaper than re-running finalize()'s counting sort.
-  const std::size_t n = topo_.num_nodes();
-  begin_.resize(n + 1);
+  // cheaper than re-running finalize()'s counting sort. The high mask
+  // bits move whole bitmap words; the low six permute bits within one,
+  // so each word's relative buckets are indexed by their new bit first.
+  const std::size_t words = relative.words_.size();
+  const std::size_t word_mask = mask >> 6;
+  const unsigned bit_mask = mask & 63;
+  words_.resize(words);
+  begin_.resize(relative.begin_.size());
   view_.resize(relative.view_.size());
   const NodeId* rel_pool = relative.pool_.data();
   const NodeId* pool = pool_.data();
+  std::uint32_t rel_bucket[64];
+  std::uint32_t k = 0;
   std::uint32_t out = 0;
-  for (std::size_t u = 0; u < n; ++u) {
-    begin_[u] = out;
-    const std::size_t rel = u ^ static_cast<std::size_t>(mask);
-    for (std::uint32_t j = relative.begin_[rel]; j < relative.begin_[rel + 1];
-         ++j) {
-      const Send& s = relative.view_[j];
-      const std::size_t offset =
-          s.payload.empty() ? 0
-                            : static_cast<std::size_t>(s.payload.data() -
-                                                       rel_pool);
-      view_[out++] = Send{s.to ^ mask, std::span<const NodeId>(
-                                           pool + offset, s.payload.size())};
+  for (std::size_t w = 0; w < words; ++w) {
+    const SenderWord& rel = relative.words_[w ^ word_mask];
+    std::uint32_t rel_k = rel.rank;
+    std::uint64_t word = 0;
+    for (std::uint64_t bits = rel.bits; bits != 0; bits &= bits - 1) {
+      const unsigned bit =
+          static_cast<unsigned>(std::countr_zero(bits)) ^ bit_mask;
+      rel_bucket[bit] = rel_k++;
+      word |= std::uint64_t{1} << bit;
+    }
+    words_[w] = SenderWord{word, k};
+    for (; word != 0; word &= word - 1) {
+      begin_[k++] = out;
+      // Every view payload points into its schedule's pool (empty ones
+      // included), so the offset carries over unchanged.
+      for (const Send& s : relative.bucket(rel_bucket[std::countr_zero(word)])) {
+        view_[out++] = Send{s.to ^ mask,
+                            std::span<const NodeId>(
+                                pool + (s.payload.data() - rel_pool),
+                                s.payload.size())};
+      }
     }
   }
-  begin_[n] = out;
-  cursor_.clear();
+  begin_[k] = out;
   dirty_ = false;
 }
 
 std::size_t MulticastSchedule::footprint_bytes() const {
   return sizeof(MulticastSchedule) + raw_.capacity() * sizeof(RawSend) +
          pool_.capacity() * sizeof(NodeId) + view_.capacity() * sizeof(Send) +
-         begin_.capacity() * sizeof(std::uint32_t) +
-         cursor_.capacity() * sizeof(std::uint32_t);
+         words_.capacity() * sizeof(SenderWord) +
+         begin_.capacity() * sizeof(std::uint32_t);
 }
 
 bool operator==(const MulticastSchedule& a, const MulticastSchedule& b) {
@@ -145,18 +161,39 @@ void MulticastSchedule::add_send(NodeId from, NodeId to,
 
 void MulticastSchedule::finalize() const {
   if (!dirty_) return;
-  const std::size_t n = topo_.num_nodes();
-  // Counting sort by sender, stable in append order per sender.
-  begin_.assign(n + 1, 0);
-  for (const RawSend& r : raw_) ++begin_[static_cast<std::size_t>(r.from) + 1];
-  for (std::size_t i = 1; i <= n; ++i) begin_[i] += begin_[i - 1];
-  cursor_.assign(begin_.begin(), begin_.end() - 1);
-  view_.resize(raw_.size());
-  const NodeId* pool = pool_.data();
+  words_.assign((topo_.num_nodes() + 63) / 64, SenderWord{});
   for (const RawSend& r : raw_) {
-    view_[cursor_[r.from]++] =
+    words_[r.from >> 6].bits |= std::uint64_t{1} << (r.from & 63);
+  }
+  std::uint32_t senders = 0;
+  for (SenderWord& w : words_) {
+    w.rank = senders;
+    senders += static_cast<std::uint32_t>(hcube::popcount64(w.bits));
+  }
+  begin_.resize(senders + std::size_t{1});
+  view_.resize(raw_.size());
+  // Counting sort by sender, stable in append order per sender. The
+  // per-node counts, then bucket cursors, live in a per-thread table
+  // whose sender entries are zeroed again before returning (nothing in
+  // between allocates), so no schedule stores an O(2^n) array.
+  thread_local std::vector<std::uint32_t> cursor;
+  if (cursor.size() < topo_.num_nodes()) cursor.resize(topo_.num_nodes(), 0);
+  std::uint32_t* const count = cursor.data();
+  for (const RawSend& r : raw_) ++count[r.from];
+  std::uint32_t k = 0;
+  std::uint32_t start = 0;
+  for_each_sender_id([&](NodeId u) {
+    begin_[k++] = start;
+    start += std::exchange(count[u], start);
+  });
+  begin_[k] = start;
+  const NodeId* pool = pool_.data();
+  Send* const view = view_.data();
+  for (const RawSend& r : raw_) {
+    view[count[r.from]++] =
         Send{r.to, std::span<const NodeId>(pool + r.pool_begin, r.pool_len)};
   }
+  for_each_sender_id([&](NodeId u) { count[u] = 0; });
   dirty_ = false;
 }
 
@@ -185,11 +222,9 @@ std::vector<NodeId> MulticastSchedule::recipients() const {
 }
 
 std::vector<NodeId> MulticastSchedule::senders() const {
-  finalize();
   std::vector<NodeId> out;
-  for (std::size_t u = 0; u + 1 < begin_.size(); ++u) {
-    if (begin_[u + 1] > begin_[u]) out.push_back(static_cast<NodeId>(u));
-  }
+  out.reserve(num_senders());
+  for_each_sender([&](NodeId u, std::span<const Send>) { out.push_back(u); });
   return out;
 }
 

@@ -1,12 +1,14 @@
 #ifndef HYPERCAST_CORE_MULTICAST_HPP
 #define HYPERCAST_CORE_MULTICAST_HPP
 
+#include <bit>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "hcube/bits.hpp"
 #include "hcube/chain.hpp"
 #include "hcube/ecube.hpp"
 #include "hcube/topology.hpp"
@@ -69,6 +71,13 @@ struct Unicast {
 /// The lazy rebuild means the first accessor call after a mutation is
 /// not safe to race with other readers — finalize() first to share a
 /// schedule across threads read-only.
+///
+/// The grouped view is sized by the sends, not by the cube: a sender
+/// bitmap of ceil(2^n / 64) words, a rank (senders in earlier words)
+/// per word, and senders + 1 bucket offsets. sends_from(u) is one bit
+/// test plus one popcount; for_each_sender() walks the set bits. A
+/// 10-cube wsort tree to 48 destinations pins 2,788 bytes in all, where
+/// two dense 2^n + 1 offset arrays alone took 8,196.
 class MulticastSchedule {
  public:
   MulticastSchedule(Topology topo, NodeId source)
@@ -130,8 +139,19 @@ class MulticastSchedule {
   /// The ordered sends issued by node u (empty list if u sends nothing).
   std::span<const Send> sends_from(NodeId u) const {
     if (dirty_) finalize();
-    const auto node = static_cast<std::size_t>(u);
-    return {view_.data() + begin_[node], begin_[node + 1] - begin_[node]};
+    const SenderWord& word = words_[u >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (u & 63);
+    if ((word.bits & bit) == 0) return {};
+    return bucket(word.rank + hcube::popcount64(word.bits & (bit - 1)));
+  }
+
+  /// Call fn(u, sends_from(u)) for every sender u in ascending node
+  /// order, without allocating.
+  template <typename Fn>
+  void for_each_sender(Fn&& fn) const {
+    if (dirty_) finalize();
+    std::size_t k = 0;
+    for_each_sender_id([&](NodeId u) { fn(u, bucket(k++)); });
   }
 
   /// Build the grouped per-sender view now (idempotent). Called
@@ -148,6 +168,15 @@ class MulticastSchedule {
 
   /// Total number of unicast messages in the schedule.
   std::size_t num_unicasts() const { return raw_.size(); }
+
+  /// Destination ids carried by all payloads together.
+  std::size_t num_payload_ids() const { return pool_.size(); }
+
+  /// Number of nodes with at least one outgoing send.
+  std::size_t num_senders() const {
+    if (dirty_) finalize();
+    return begin_.size() - 1;
+  }
 
   /// Nodes with at least one outgoing send, including the source if it
   /// sends. Ascending node order.
@@ -192,17 +221,40 @@ class MulticastSchedule {
     std::uint32_t pool_len = 0;
   };
 
+  /// 64 nodes of the sender bitmap and the senders in earlier words.
+  struct SenderWord {
+    std::uint64_t bits = 0;
+    std::uint32_t rank = 0;
+  };
+
+  /// Call fn(u) for every node u set in words_, ascending.
+  template <typename Fn>
+  void for_each_sender_id(Fn&& fn) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w].bits; bits != 0; bits &= bits - 1) {
+        fn(static_cast<NodeId>(w * 64 + std::countr_zero(bits)));
+      }
+    }
+  }
+
+  /// The k-th sender's sends (k counts senders in ascending order).
+  std::span<const Send> bucket(std::size_t k) const {
+    return {view_.data() + begin_[k], begin_[k + 1] - begin_[k]};
+  }
+
   Topology topo_;
   NodeId source_;
   std::vector<RawSend> raw_;   ///< append order
   std::vector<NodeId> pool_;   ///< all payloads, back to back
 
-  // Cached per-sender grouping (counting-sort by `from`, stable within
-  // a sender): node u's sends are view_[begin_[u] .. begin_[u+1]).
+  // Cached per-sender grouping (counting sort by sender, stable within
+  // a sender). Bit u % 64 of words_[u / 64] marks sender u; its rank k
+  // is that word's rank plus the set bits below u in it, and its sends
+  // are view_[begin_[k] .. begin_[k+1]).
   mutable bool dirty_ = true;
   mutable std::vector<Send> view_;
-  mutable std::vector<std::uint32_t> begin_;    ///< num_nodes + 1 offsets
-  mutable std::vector<std::uint32_t> cursor_;   ///< finalize scratch
+  mutable std::vector<SenderWord> words_;     ///< ceil(num_nodes / 64)
+  mutable std::vector<std::uint32_t> begin_;  ///< senders + 1 offsets
 };
 
 }  // namespace hypercast::core

@@ -253,9 +253,12 @@ FaultAwareResult fault_aware_multicast(const core::AlgorithmEntry& base,
 std::size_t blocked_unicasts(const core::MulticastSchedule& schedule,
                              const FaultSet& faults) {
   std::size_t blocked = 0;
-  for (const core::Unicast& u : schedule.unicasts()) {
-    if (faults.path_blocked(u.from, u.to)) ++blocked;
-  }
+  schedule.for_each_sender(
+      [&](NodeId from, std::span<const core::Send> sends) {
+        for (const core::Send& s : sends) {
+          if (faults.path_blocked(from, s.to)) ++blocked;
+        }
+      });
   return blocked;
 }
 

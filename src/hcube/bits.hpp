@@ -13,6 +13,16 @@ namespace hypercast::hcube {
 /// weight of an address (and the Hamming distance when applied to u^v).
 constexpr int popcount(std::uint32_t v) { return std::popcount(v); }
 
+/// Set bits of a 64-bit word, as a dozen inline ALU ops (SWAR). The
+/// default build has no -mpopcnt, where std::popcount is a call into
+/// libgcc (__popcountdi2); bitmap rank lookups sit on hot paths.
+constexpr int popcount64(std::uint64_t v) {
+  v -= (v >> 1) & 0x5555555555555555ull;
+  v = (v & 0x3333333333333333ull) + ((v >> 2) & 0x3333333333333333ull);
+  v = (v + (v >> 4)) & 0x0f0f0f0f0f0f0f0full;
+  return static_cast<int>((v * 0x0101010101010101ull) >> 56);
+}
+
 /// Hamming distance between two node addresses = E-cube path length.
 constexpr int hamming(NodeId u, NodeId v) { return popcount(u ^ v); }
 

@@ -280,19 +280,20 @@ std::string schedule_to_json(const core::MulticastSchedule& schedule) {
   w.begin_object();
   w.key("source").value(static_cast<std::uint64_t>(schedule.source()));
   w.key("sends").begin_array();
-  for (const hcube::NodeId from : schedule.senders()) {
-    for (const core::Send& send : schedule.sends_from(from)) {
-      w.begin_object();
-      w.key("from").value(static_cast<std::uint64_t>(from));
-      w.key("to").value(static_cast<std::uint64_t>(send.to));
-      w.key("payload").begin_array();
-      for (const hcube::NodeId node : send.payload) {
-        w.value(static_cast<std::uint64_t>(node));
-      }
-      w.end_array();
-      w.end_object();
-    }
-  }
+  schedule.for_each_sender(
+      [&](hcube::NodeId from, std::span<const core::Send> sends) {
+        for (const core::Send& send : sends) {
+          w.begin_object();
+          w.key("from").value(static_cast<std::uint64_t>(from));
+          w.key("to").value(static_cast<std::uint64_t>(send.to));
+          w.key("payload").begin_array();
+          for (const hcube::NodeId node : send.payload) {
+            w.value(static_cast<std::uint64_t>(node));
+          }
+          w.end_array();
+          w.end_object();
+        }
+      });
   w.end_array();
   w.end_object();
   return std::move(w).str();

@@ -1,5 +1,7 @@
 #include "net/protocol.hpp"
 
+#include <bit>
+#include <cassert>
 #include <cstring>
 
 namespace hypercast::net {
@@ -18,6 +20,50 @@ void put_u32(std::string& out, std::uint32_t v) {
 void put_u64(std::string& out, std::uint64_t v) {
   put_u32(out, static_cast<std::uint32_t>(v & 0xffffffffull));
   put_u32(out, static_cast<std::uint32_t>(v >> 32));
+}
+
+/// In-place little-endian store; returns the next write position.
+char* store_u32(char* p, std::uint32_t v) {
+  p[0] = static_cast<char>(v & 0xff);
+  p[1] = static_cast<char>((v >> 8) & 0xff);
+  p[2] = static_cast<char>((v >> 16) & 0xff);
+  p[3] = static_cast<char>((v >> 24) & 0xff);
+  return p + 4;
+}
+
+/// Bytes encode_schedule writes: source and sender count, an id and a
+/// send count per sender, a target and a payload length per send, and
+/// every payload id — all u32.
+std::size_t schedule_bytes(const core::MulticastSchedule& schedule) {
+  return 4 * (2 + 2 * schedule.num_senders() + 2 * schedule.num_unicasts() +
+              schedule.num_payload_ids());
+}
+
+/// Write encode_schedule's body at p (schedule_bytes of room); returns
+/// the end of what it wrote.
+char* write_schedule(const core::MulticastSchedule& schedule, char* p) {
+  p = store_u32(p, schedule.source());
+  p = store_u32(p, static_cast<std::uint32_t>(schedule.num_senders()));
+  schedule.for_each_sender(
+      [&](hcube::NodeId from, std::span<const core::Send> sends) {
+        p = store_u32(p, from);
+        p = store_u32(p, static_cast<std::uint32_t>(sends.size()));
+        for (const core::Send& send : sends) {
+          p = store_u32(p, send.to);
+          p = store_u32(p, static_cast<std::uint32_t>(send.payload.size()));
+          if constexpr (std::endian::native == std::endian::little) {
+            // NodeId is a u32, so the payload already is its wire bytes.
+            const std::size_t bytes = send.payload.size_bytes();
+            if (bytes != 0) std::memcpy(p, send.payload.data(), bytes);
+            p += bytes;
+          } else {
+            for (const hcube::NodeId node : send.payload) {
+              p = store_u32(p, node);
+            }
+          }
+        }
+      });
+  return p;
 }
 
 /// Sequential reader over a frame body; every read checks bounds and
@@ -142,29 +188,27 @@ void encode_request(const RequestMsg& msg, std::string& out) {
 
 void encode_schedule(const core::MulticastSchedule& schedule,
                      std::string& out) {
-  put_u32(out, schedule.source());
-  const std::vector<hcube::NodeId> senders = schedule.senders();
-  put_u32(out, static_cast<std::uint32_t>(senders.size()));
-  for (const hcube::NodeId from : senders) {
-    put_u32(out, from);
-    const auto sends = schedule.sends_from(from);
-    put_u32(out, static_cast<std::uint32_t>(sends.size()));
-    for (const core::Send& send : sends) {
-      put_u32(out, send.to);
-      put_u32(out, static_cast<std::uint32_t>(send.payload.size()));
-      for (const hcube::NodeId node : send.payload) put_u32(out, node);
-    }
-  }
+  const std::size_t at = out.size();
+  const std::size_t bytes = schedule_bytes(schedule);
+  out.resize(at + bytes);
+  [[maybe_unused]] const char* end = write_schedule(schedule, out.data() + at);
+  assert(end == out.data() + at + bytes);
 }
 
 void encode_ok_response(std::uint64_t id,
                         const core::MulticastSchedule& schedule,
                         std::string& out) {
-  FrameWriter frame(out);
-  out.push_back(static_cast<char>(kScheduleResponse));
-  put_u64(out, id);
-  out.push_back(static_cast<char>(Status::Ok));
-  encode_schedule(schedule, out);
+  // Sized up front and written in place: one resize per response.
+  const std::size_t at = out.size();
+  const std::size_t body = 1 + 8 + 1 + schedule_bytes(schedule);
+  out.resize(at + 4 + body);
+  char* p = store_u32(out.data() + at, static_cast<std::uint32_t>(body));
+  *p++ = static_cast<char>(kScheduleResponse);
+  p = store_u32(p, static_cast<std::uint32_t>(id & 0xffffffffull));
+  p = store_u32(p, static_cast<std::uint32_t>(id >> 32));
+  *p++ = static_cast<char>(Status::Ok);
+  [[maybe_unused]] const char* end = write_schedule(schedule, p);
+  assert(end == out.data() + out.size());
 }
 
 void encode_error_response(std::uint64_t id, Status status,

@@ -77,6 +77,12 @@ struct Server::Metrics {
   obs::Histogram* request_ns;   ///< admission -> response serialized
   obs::Histogram* queue_wait_ns;  ///< admission -> worker pop
   obs::Histogram* batch_size;
+  obs::Histogram* decode_ns;  ///< decode_request, sampled
+  obs::Histogram* encode_ns;  ///< Ok response serialization, sampled
+
+  /// The stage histograms time one request in kSampleMask + 1, as the
+  /// serve pipeline's stage timer does, so most requests read no clock.
+  static constexpr unsigned kSampleMask = 15;
 
   static const Metrics& get() {
     static const Metrics m = [] {
@@ -94,7 +100,9 @@ struct Server::Metrics {
                      &r.counter("net.loop_turns"),
                      &r.histogram("net.request_ns"),
                      &r.histogram("net.queue_wait_ns"),
-                     &r.histogram("net.batch_size")};
+                     &r.histogram("net.batch_size"),
+                     &r.histogram("net.decode_ns"),
+                     &r.histogram("net.encode_ns")};
     }();
     return m;
   }
@@ -490,8 +498,13 @@ void Server::parse_binary(Conn& conn) {
       consumed += size;
 
       RequestMsg msg;
+      const std::uint64_t t0 =
+          obs::stats_enabled() && (decode_tick_++ & Metrics::kSampleMask) == 0
+              ? obs::now_ns()
+              : 0;
       try {
         msg = decode_request(body);
+        if (t0 != 0) metrics_->decode_ns->record(obs::now_ns() - t0);
       } catch (const ProtocolError& e) {
         // The frame boundary held, so the stream stays usable; only this
         // request fails.
@@ -696,6 +709,7 @@ void Server::apply_completions() {
 void Server::worker_loop() {
   std::vector<Pending> batch;
   std::vector<Completion> done;
+  unsigned encode_tick = 0;  ///< net.encode_ns sampler
   while (true) {
     batch.clear();
     done.clear();
@@ -746,6 +760,11 @@ void Server::worker_loop() {
                              Status status, std::string_view message) {
       Completion c;
       c.conn_id = p.conn_id;
+      const std::uint64_t t0 =
+          schedule != nullptr && obs::stats_enabled() &&
+                  (encode_tick++ & Metrics::kSampleMask) == 0
+              ? obs::now_ns()
+              : 0;
       if (p.http) {
         if (schedule != nullptr) {
           c.bytes = http_response(200, "application/json",
@@ -764,7 +783,9 @@ void Server::worker_loop() {
       if (schedule != nullptr) {
         m.responses->inc();
         if (obs::stats_enabled()) {
-          m.request_ns->record(obs::now_ns() - p.enqueue_ns);
+          const std::uint64_t now = obs::now_ns();
+          if (t0 != 0) m.encode_ns->record(now - t0);
+          m.request_ns->record(now - p.enqueue_ns);
         }
       }
       done.push_back(std::move(c));

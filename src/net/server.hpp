@@ -193,6 +193,7 @@ class Server {
   struct ConnTable;
   std::unique_ptr<ConnTable> conns_;
   std::uint64_t next_conn_id_ = 1;
+  unsigned decode_tick_ = 0;  ///< net.decode_ns sampler
 
   /// Event-loop scratch, reused every turn instead of reallocated.
   std::vector<Pending> burst_;          ///< one read's decoded requests

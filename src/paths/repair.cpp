@@ -62,14 +62,14 @@ class DisjointRepairer {
     // previously committed non-disjoint tree (the planner force-claims
     // greedy fallbacks so later repairs still avoid them); the affected
     // send then simply fails the owns-path test and gets rerouted.
-    for (const NodeId u : base_.senders()) {
-      for (const Send& s : base_.sends_from(u)) {
+    base_.for_each_sender([&](NodeId u, std::span<const Send> sends) {
+      for (const Send& s : sends) {
         base_parent_[s.to] = u;
         base_send_[s.to] = &s;
         hcube::for_each_ecube_arc(topo_, u, s.to,
                                   [&](hcube::Arc a) { table_.try_claim(a, self_); });
       }
-    }
+    });
   }
 
   std::optional<DisjointRepairResult> run(core::ArcOwnerTable& owners) {

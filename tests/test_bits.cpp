@@ -14,6 +14,20 @@ TEST(Bits, PopcountBasics) {
   EXPECT_EQ(popcount(0xFFFFFFFFu), 32);
 }
 
+TEST(Bits, Popcount64MatchesStdPopcount) {
+  static_assert(popcount64(~std::uint64_t{0}) == 64);
+  EXPECT_EQ(popcount64(0), 0);
+  EXPECT_EQ(popcount64(std::uint64_t{1} << 63), 1);
+  std::mt19937_64 rng(64);
+  for (int i = 0; i < 10000; ++i) {
+    // Sparse, dense and uniform words.
+    const std::uint64_t a = rng(), b = rng();
+    for (const std::uint64_t v : {a, a & b, a | b}) {
+      EXPECT_EQ(popcount64(v), std::popcount(v)) << v;
+    }
+  }
+}
+
 TEST(Bits, HammingIsPopcountOfXor) {
   EXPECT_EQ(hamming(0b0101, 0b1110), 3);
   EXPECT_EQ(hamming(7, 7), 0);
