@@ -1,7 +1,8 @@
 // Microbenchmark: the GF(256) Reed-Solomon stripe coder (code/rs.hpp)
 // — the byte-plane cost the striped collectives pay for k-fault
 // tolerance. Encode is what every striped send with parity pays;
-// reconstruct is the receivers' price when stripes were actually lost.
+// reconstruct and reassemble are the receivers' price when stripes were
+// actually lost.
 // Rates are bytes of *payload* per second (not stripe bytes), so the
 // numbers compare directly against the link bandwidths the DES models:
 // parity coding is worth it only while it runs far above the per-tree
@@ -13,6 +14,7 @@
 
 #include "code/gf256.hpp"
 #include "code/rs.hpp"
+#include "coll/striped.hpp"
 #include "harness/bench.hpp"
 #include "workload/random_sets.hpp"
 
@@ -60,17 +62,17 @@ void run(const bench::Context& ctx, bench::Report& report) {
                 s.label, encode_bps / 1e6, s.m, s.k);
 
     // Reconstruct the worst case: k data stripes lost, all k parity
-    // rows needed (full matrix inversion + k addmul passes per row).
+    // rows needed (one k-by-k inversion, then one addmul pass per
+    // surviving stripe for each lost one). Only the lost slots are
+    // emptied per iteration; the decoder never writes the survivors.
     std::vector<std::vector<std::uint8_t>> stripes = data;
     rs.encode(data, parity, width);
     for (auto& p : parity) stripes.push_back(std::move(p));
     std::vector<std::size_t> missing(s.k);
     for (std::size_t i = 0; i < s.k; ++i) missing[i] = i;
-    std::vector<std::vector<std::uint8_t>> scratch;
     const auto decode_rate = bench::measure_rate(ctx.min_time(0.3), [&] {
-      scratch = stripes;
-      for (const std::size_t i : missing) scratch[i].clear();
-      rs.reconstruct(scratch, missing, width);
+      for (const std::size_t i : missing) stripes[i].clear();
+      rs.reconstruct(stripes, missing, width);
     });
     const double decode_bps =
         decode_rate.per_second() * static_cast<double>(kPayload);
@@ -79,6 +81,28 @@ void run(const bench::Context& ctx, bench::Report& report) {
         decode_bps);
     std::printf("decode %-8s: %8.1f MB/s payload (%zu data stripes lost)\n",
                 s.label, decode_bps / 1e6, s.k);
+  }
+
+  // reassemble_stripes, the receivers' whole rebuild of a 1 MiB payload
+  // (what the striped workload times): m7k1 loses one data stripe, m6k2
+  // loses two.
+  std::vector<std::uint8_t> payload(kPayload);
+  for (auto& b : payload) b = static_cast<std::uint8_t>(rng());
+  const Shape lossy[] = {{7, 1, "m7k1"}, {6, 2, "m6k2"}};
+  for (const Shape& s : lossy) {
+    const auto stripes = coll::split_stripes(payload, s.m, s.k);
+    std::vector<std::size_t> missing(s.k);
+    for (std::size_t i = 0; i < s.k; ++i) missing[i] = 1 + i;
+    std::vector<std::uint8_t> out;
+    const auto rate = bench::measure_rate(ctx.min_time(0.3), [&] {
+      out = coll::reassemble_stripes(stripes, s.m, kPayload, missing);
+    });
+    const double bps = rate.per_second() * static_cast<double>(kPayload);
+    report.metric(std::string("reassemble_payload_bytes_per_sec_") + s.label,
+                  bps);
+    std::printf("reassemble %-4s: %8.1f MB/s payload (%zu data stripes "
+                "lost)\n",
+                s.label, bps / 1e6, s.k);
   }
 
   // The kernel under both: dst ^= c * src over a long row.
@@ -98,8 +122,8 @@ void run(const bench::Context& ctx, bench::Report& report) {
 
 const bench::Registration reg{
     {"micro_rs_coder", bench::Kind::Micro,
-     "GF(256) Reed-Solomon stripe coder: encode/reconstruct payload "
-     "throughput at planner shapes, plus the addmul kernel",
+     "GF(256) Reed-Solomon stripe coder: encode/reconstruct/reassemble "
+     "payload throughput at planner shapes, plus the addmul kernel",
      run}};
 
 }  // namespace

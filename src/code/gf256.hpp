@@ -13,12 +13,15 @@ namespace hypercast::code {
 /// multiplication modulo the primitive polynomial
 /// x^8 + x^4 + x^3 + x^2 + 1 (0x11d), with 2 as the generator of the
 /// multiplicative group. Scalar ops go through log/exp tables (exp is
-/// doubled so a*b needs no modular reduction of the exponent sum); the
-/// bulk addmul/mul kernels instead gather from a per-constant 256-byte
-/// product row of a full 64 KiB multiplication table, so the byte loop
-/// has no data-dependent branches and vectorizes as a plain table
-/// lookup. All tables are built once at first use and are immutable
-/// afterwards, so every entry point is thread-safe.
+/// doubled so a*b needs no modular reduction of the exponent sum). The
+/// bulk addmul/mul kernels multiply by a constant with split nibbles:
+/// c * s = c * (s & 0x0f) ^ c * (s & 0xf0), so two 16-entry tables cut
+/// from the constant's row of the 64 KiB product table cover every
+/// byte, and SSSE3's pshufb looks up 16 bytes per instruction. The
+/// kernel is picked once by a CPU check; tails under 16 bytes, CPUs
+/// without SSSE3 and non-x86 builds gather from the 256-byte product
+/// row one byte at a time. All tables are built once at first use and
+/// are immutable afterwards, so every entry point is thread-safe.
 
 namespace detail {
 

@@ -9,6 +9,24 @@
 
 namespace hypercast::code {
 
+/// The decoder for one erasure pattern (RsCode::recovery): every lost
+/// data stripe as a GF(256) combination of surviving stripes,
+///   stripe[lost[c]] = sum_s coeff[c * S + s] * stripe[sources[s]]
+/// with S = sources.size().
+struct Recovery {
+  std::vector<std::size_t> lost;     ///< lost data slots, in `missing` order
+  std::vector<std::size_t> sources;  ///< surviving data slots, then parity
+  std::vector<std::uint8_t> coeff;   ///< lost.size() x sources.size()
+
+  /// dst[i] ^= stripe[lost[c]][i] for i < n <= width, reading sources
+  /// from `stripes` (all m + k slots) as zero-padded to `width`; a
+  /// zeroed dst receives the lost stripe's first n bytes. Throws
+  /// std::invalid_argument if a source is wider than `width`.
+  void rebuild(std::size_t c,
+               std::span<const std::vector<std::uint8_t>> stripes,
+               std::size_t width, std::uint8_t* dst, std::size_t n) const;
+};
+
 /// Systematic (m + k, m) Reed–Solomon erasure code over GF(256): m data
 /// stripes plus k parity stripes, tolerating the loss of ANY k stripes
 /// (data or parity). This is what lets the striped planner reserve k
@@ -51,6 +69,14 @@ class RsCode {
   void encode(std::span<const std::vector<std::uint8_t>> data,
               std::vector<std::vector<std::uint8_t>>& parity,
               std::size_t width) const;
+
+  /// The decoder for an erasure pattern: `missing` lists unavailable
+  /// slot indices in [0, m + k). Inverts only the e-by-e submatrix of
+  /// the first e surviving parity rows over the e lost data columns, so
+  /// lost_c = sum_r inv[c][r] * P_r + sum_j (sum_r inv[c][r] * C[r][j]) * D_j.
+  /// Throws std::invalid_argument when `missing` repeats or overflows an
+  /// index or lists more than k slots.
+  Recovery recovery(std::span<const std::size_t> missing) const;
 
   /// Rebuild missing data stripes in place. `stripes` holds the m + k
   /// slots (data first, then parity); `missing` lists the unavailable

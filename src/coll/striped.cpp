@@ -109,37 +109,33 @@ std::vector<std::uint8_t> reassemble_stripes(
   }
   const std::size_t width =
       (payload_bytes + data_stripes - 1) / data_stripes;
-  // Reconstruct lost data stripes (if any) through the RS decoder; the
-  // working copy is only materialized when something is missing.
-  std::vector<std::vector<std::uint8_t>> recovered;
-  bool any_data_missing = false;
-  for (const std::size_t i : missing) {
-    if (i >= stripes.size()) {
-      throw std::invalid_argument(
-          "reassemble_stripes: missing index out of range");
-    }
-    if (i < data_stripes) any_data_missing = true;
+  // The decoder for this erasure pattern (it also rejects repeated,
+  // out-of-range or too many losses, whatever the stripe type).
+  code::Recovery rec;
+  if (!missing.empty()) {
+    rec = code::RsCode(data_stripes, stripes.size() - data_stripes)
+              .recovery(missing);
   }
-  if (any_data_missing) {
-    const std::size_t parity_stripes = stripes.size() - data_stripes;
-    const code::RsCode rs(data_stripes, parity_stripes);
-    recovered.assign(stripes.begin(), stripes.end());
-    rs.reconstruct(recovered, missing, width);
-  }
-  const std::span<const std::vector<std::uint8_t>> source =
-      any_data_missing
-          ? std::span<const std::vector<std::uint8_t>>(recovered)
-          : stripes;
+  // Each data slice of the payload is written once: surviving stripes
+  // are copied in, lost ones are rebuilt in place over the bytes the
+  // payload keeps (the last stripe may be short).
   std::vector<std::uint8_t> out;
   out.reserve(payload_bytes);
   for (std::size_t i = 0; i < data_stripes && out.size() < payload_bytes;
        ++i) {
-    const std::vector<std::uint8_t>& s = source[i];
-    const std::size_t take =
-        std::min(payload_bytes - out.size(), std::min(width, s.size()));
+    const std::size_t keep = std::min(width, payload_bytes - out.size());
+    const auto lost = std::find(rec.lost.begin(), rec.lost.end(), i);
+    if (lost != rec.lost.end()) {
+      out.resize(out.size() + keep);
+      rec.rebuild(static_cast<std::size_t>(lost - rec.lost.begin()), stripes,
+                  width, out.data() + out.size() - keep, keep);
+      continue;
+    }
+    const std::vector<std::uint8_t>& s = stripes[i];
+    const std::size_t take = std::min(keep, s.size());
     out.insert(out.end(), s.begin(),
                s.begin() + static_cast<std::ptrdiff_t>(take));
-    if (take < width && out.size() < payload_bytes) break;
+    if (take < keep) break;
   }
   if (out.size() != payload_bytes) {
     throw std::invalid_argument(

@@ -113,9 +113,11 @@ std::vector<std::vector<std::uint8_t>> split_stripes(
 
 /// Reassemble the original payload from the stripe array (data stripes
 /// first, then any parity stripes). `missing` lists unavailable stripe
-/// indices; missing data stripes are Reed-Solomon-reconstructed from
-/// the surviving ones (requires #missing-data <= #surviving-parity).
-/// Throws std::invalid_argument for an index outside the stripe array.
+/// indices; missing data stripes are Reed-Solomon-rebuilt from the
+/// surviving ones straight into the returned payload. Throws
+/// std::invalid_argument when `missing` holds an index outside the
+/// stripe array, a repeated index or more entries than there are parity
+/// stripes, and when the stripes are shorter than the payload.
 std::vector<std::uint8_t> reassemble_stripes(
     std::span<const std::vector<std::uint8_t>> stripes,
     std::size_t data_stripes, std::size_t payload_bytes,

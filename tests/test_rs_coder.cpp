@@ -6,6 +6,7 @@
 
 #include "code/rs.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <numeric>
@@ -72,21 +73,88 @@ TEST(Gf256, FieldIdentities) {
   EXPECT_EQ(code::gf_pow(0, 5), 0);
 }
 
-TEST(Gf256, AddmulAndMulRowMatchScalarLoop) {
+/// Every product a * b at [a * 256 + b], from the shift-and-add
+/// reference.
+const std::vector<std::uint8_t>& reference_products() {
+  static const std::vector<std::uint8_t> table = [] {
+    std::vector<std::uint8_t> t(256 * 256);
+    for (unsigned a = 0; a < 256; ++a) {
+      for (unsigned b = 0; b < 256; ++b) {
+        t[a * 256 + b] = slow_mul(static_cast<std::uint8_t>(a),
+                                  static_cast<std::uint8_t>(b));
+      }
+    }
+    return t;
+  }();
+  return table;
+}
+
+/// The bulk kernels against slow_mul: gf_addmul, gf_mul_row and an
+/// in-place gf_mul_row over every constant, every length 0-70 (the SIMD
+/// body, the scalar tail and both together) and source/destination
+/// offsets 0-15, so every alignment is exercised. Each constant also
+/// runs one long row of 1 MiB + 13 through one of the three calls in
+/// turn (all three per constant would cost ~40 s under ASan). The 16
+/// bytes past each destination row must stay untouched.
+TEST(Gf256, KernelsMatchReferenceForEveryConstantLengthAndOffset) {
+  const std::vector<std::uint8_t>& ref = reference_products();
+  constexpr std::size_t kLong = (std::size_t{1} << 20) + 13;
   workload::Rng rng(0x6f256);
-  std::vector<std::uint8_t> src(257), dst(257), expect(257);
+  std::vector<std::uint8_t> src(kLong + 16), before(kLong + 32),
+      dst(kLong + 32);
   for (auto& b : src) b = static_cast<std::uint8_t>(rng());
-  for (const std::uint8_t c : {0, 1, 2, 29, 255}) {
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-      dst[i] = static_cast<std::uint8_t>(i * 31);
-      expect[i] = dst[i] ^ code::gf_mul(c, src[i]);
+  for (auto& b : before) b = static_cast<std::uint8_t>(rng());
+
+  enum class Op { kAddmul, kMulRow, kMulRowInPlace };
+  // Runs one kernel call on dst[d, d + n) from src[so, so + n) and
+  // checks dst[0, d + n + 16) byte by byte.
+  const auto check = [&](Op op, std::uint8_t c, std::size_t n, std::size_t so,
+                         std::size_t d) {
+    const std::size_t span = d + n + 16;
+    std::copy(before.begin(), before.begin() + static_cast<long>(span),
+              dst.begin());
+    switch (op) {
+      case Op::kAddmul:
+        code::gf_addmul(dst.data() + d, src.data() + so, c, n);
+        break;
+      case Op::kMulRow:
+        code::gf_mul_row(dst.data() + d, src.data() + so, c, n);
+        break;
+      case Op::kMulRowInPlace:
+        std::copy(src.begin() + static_cast<long>(so),
+                  src.begin() + static_cast<long>(so + n),
+                  dst.begin() + static_cast<long>(d));
+        code::gf_mul_row(dst.data() + d, dst.data() + d, c, n);
+        break;
     }
-    code::gf_addmul(dst.data(), src.data(), c, dst.size());
-    EXPECT_EQ(dst, expect) << "addmul c=" << int{c};
-    code::gf_mul_row(dst.data(), src.data(), c, dst.size());
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-      ASSERT_EQ(dst[i], code::gf_mul(c, src[i])) << "mul_row c=" << int{c};
+    for (std::size_t i = 0; i < span; ++i) {
+      std::uint8_t want = before[i];
+      if (i >= d && i < d + n) {
+        const std::uint8_t product = ref[c * 256u + src[so + i - d]];
+        want = op == Op::kAddmul ? static_cast<std::uint8_t>(want ^ product)
+                                 : product;
+      }
+      if (dst[i] != want) {
+        ADD_FAILURE() << "op " << static_cast<int>(op) << " c=" << int{c}
+                      << " n=" << n << " src+" << so << " dst+" << d
+                      << ": byte " << i << " is " << int{dst[i]}
+                      << ", want " << int{want};
+        return false;
+      }
     }
+    return true;
+  };
+  const Op ops[] = {Op::kAddmul, Op::kMulRow, Op::kMulRowInPlace};
+  for (unsigned cc = 0; cc < 256; ++cc) {
+    const auto c = static_cast<std::uint8_t>(cc);
+    for (const Op op : ops) {
+      for (std::size_t n = 0; n <= 70; ++n) {
+        for (std::size_t so = 0; so < 16; ++so) {
+          ASSERT_TRUE(check(op, c, n, so, (so * 7 + n) % 16));
+        }
+      }
+    }
+    ASSERT_TRUE(check(ops[cc % 3], c, kLong, cc % 16, (cc * 5) % 16));
   }
 }
 
@@ -114,6 +182,38 @@ TEST(RsCode, SingleParityRowIsPlainXor) {
     for (const auto& s : data) x ^= s[i];
     ASSERT_EQ(parity[0][i], x) << "byte " << i;
   }
+}
+
+// The k = 2 parity bytes are pinned: a kernel or decoder change must
+// not move a single byte of the Cauchy rows' output. Data: six stripes
+// of a fixed xorshift64 stream, the last one 5 bytes short.
+TEST(RsCode, DoubleParityBytesArePinned) {
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  const std::size_t width = 4099;
+  std::vector<std::vector<std::uint8_t>> data(6);
+  for (auto& s : data) {
+    s.resize(width);
+    for (auto& b : s) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      b = static_cast<std::uint8_t>(x);
+    }
+  }
+  data.back().resize(width - 5);
+  std::vector<std::vector<std::uint8_t>> parity;
+  RsCode(6, 2).encode(data, parity, width);
+  const auto fnv1a = [](const std::vector<std::uint8_t>& bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint8_t b : bytes) {
+      h ^= b;
+      h *= 0x100000001b3ull;
+    }
+    return h;
+  };
+  ASSERT_EQ(parity.size(), 2u);
+  EXPECT_EQ(fnv1a(parity[0]), 0x11e26c41be78272dull);
+  EXPECT_EQ(fnv1a(parity[1]), 0xdec75c31842299a1ull);
 }
 
 TEST(RsCode, RejectsBadShapes) {

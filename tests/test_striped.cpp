@@ -7,12 +7,14 @@
 #include "coll/striped.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "code/rs.hpp"
 #include "coll/serve_pipeline.hpp"
 #include "core/ist.hpp"
 #include "fault/fault_aware.hpp"
@@ -89,6 +91,89 @@ TEST(StripeBytes, RejectsBadArguments) {
   EXPECT_THROW(
       coll::reassemble_stripes(split, 4, payload.size(), out_of_range),
       std::invalid_argument);
+}
+
+// `missing` is validated whole, whatever the stripe type: a repeated
+// parity index, or more losses than parity stripes, is an error even
+// when no data stripe is lost.
+TEST(StripeBytes, RejectsRepeatedOrExcessLossesOfAnyStripeType) {
+  const auto payload = pattern_payload(1000);
+  const auto split = coll::split_stripes(payload, 6, 2);
+  const auto rejects = [&](std::vector<std::size_t> missing) {
+    EXPECT_THROW(coll::reassemble_stripes(split, 6, payload.size(), missing),
+                 std::invalid_argument)
+        << ::testing::PrintToString(missing);
+  };
+  rejects({6, 6});
+  rejects({6, 6, 7});
+  rejects({0, 0});
+  rejects({5, 6, 7});
+  rejects({0, 1, 2});
+  rejects({8});
+  const std::size_t both_parity[] = {6, 7};
+  EXPECT_EQ(coll::reassemble_stripes(split, 6, payload.size(), both_parity),
+            payload);
+}
+
+/// Every subset of [0, n) with at most k members, by bitmask.
+std::vector<std::vector<std::size_t>> erasure_patterns(std::size_t n,
+                                                       std::size_t k) {
+  std::vector<std::vector<std::size_t>> out;
+  for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
+    if (static_cast<std::size_t>(std::popcount(mask)) > k) continue;
+    std::vector<std::size_t> missing;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (mask & (1u << i)) missing.push_back(i);
+    }
+    out.push_back(std::move(missing));
+  }
+  return out;
+}
+
+// The shapes perfbench's striped workload decodes: 1 MiB payloads (and
+// 1 MiB + 7, so every shape has a short last data stripe) at (m, k) =
+// (7, 1), (6, 2) and (5, 3), under every erasure pattern of up to k
+// stripes. Lost stripes are overwritten with junk, as a receiver's
+// buffer for an undelivered stripe would be, so a decoder that read
+// them would fail.
+TEST(StripeBytes, EveryErasurePatternAtPerfbenchShapes) {
+  constexpr std::pair<std::size_t, std::size_t> kShapes[] = {
+      {7, 1}, {6, 2}, {5, 3}};
+  for (const std::size_t size :
+       {std::size_t{1} << 20, (std::size_t{1} << 20) + 7}) {
+    const auto payload = pattern_payload(size);
+    for (const auto& [m, k] : kShapes) {
+      const std::size_t width = (size + m - 1) / m;
+      const auto split = coll::split_stripes(payload, m, k);
+      ASSERT_LT(split[m - 1].size(), width) << "size=" << size << " m=" << m;
+      const code::RsCode rs(m, k);
+      auto damaged = split;
+      for (const auto& missing : erasure_patterns(m + k, k)) {
+        for (const std::size_t i : missing) {
+          damaged[i].assign(width + 3, std::uint8_t{0xa5});
+        }
+        ASSERT_EQ(coll::reassemble_stripes(damaged, m, size, missing), payload)
+            << "size=" << size << " m=" << m << " k=" << k
+            << " missing=" << ::testing::PrintToString(missing);
+
+        // The same pattern through RsCode::reconstruct: every lost data
+        // stripe comes back `width` bytes long, its tail zero-padded.
+        rs.reconstruct(damaged, missing, width);
+        for (const std::size_t i : missing) {
+          if (i >= m) continue;
+          ASSERT_EQ(damaged[i].size(), width);
+          ASSERT_TRUE(std::equal(split[i].begin(), split[i].end(),
+                                 damaged[i].begin()))
+              << "stripe " << i;
+          ASSERT_TRUE(std::all_of(
+              damaged[i].begin() + static_cast<long>(split[i].size()),
+              damaged[i].end(), [](std::uint8_t b) { return b == 0; }))
+              << "stripe " << i << " tail";
+        }
+        for (const std::size_t i : missing) damaged[i] = split[i];
+      }
+    }
+  }
 }
 
 TEST(StripedPlanTest, FourCubePlanIsDisjointAndCovers) {
