@@ -1,21 +1,27 @@
 // End-to-end loopback tests of the serving front end: byte-identical
-// responses vs direct ServePipeline::serve, queue-full shedding, the
+// responses vs direct ServePipeline::serve, backlog shedding, the
 // graceful drain (no lost or duplicated in-flight requests), the HTTP
-// fallback endpoints, concurrent pipelined bursts, and the in-process
-// load generator.
+// fallback endpoints, concurrent pipelined bursts, fairness and
+// backpressure within one event loop, many loops at once, accept under
+// fd exhaustion, and the in-process load generator.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,9 +46,16 @@ using net::Status;
 /// Blocking loopback client socket (tests want simple sequential IO).
 class Client {
  public:
-  explicit Client(std::uint16_t port) {
+  /// `buffer_bytes` > 0 shrinks both socket buffers before connecting.
+  explicit Client(std::uint16_t port, int buffer_bytes = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd_, 0);
+    if (buffer_bytes > 0) {
+      for (const int option : {SO_RCVBUF, SO_SNDBUF}) {
+        ::setsockopt(fd_, SOL_SOCKET, option, &buffer_bytes,
+                     sizeof(buffer_bytes));
+      }
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -66,6 +79,18 @@ class Client {
       ASSERT_GT(n, 0) << strerror(errno);
       off += static_cast<std::size_t>(n);
     }
+  }
+
+  /// True once a whole frame is buffered or bytes arrive within `ms`.
+  bool readable_within(int ms) {
+    if (net::frame_size(buffer_, net::kMaxFrameBytes) != 0) return true;
+    pollfd pfd{fd_, POLLIN, 0};
+    return ::poll(&pfd, 1, ms) > 0;
+  }
+
+  void close() {
+    ::close(fd_);
+    fd_ = -1;
   }
 
   /// Read one binary frame; false on clean EOF before any byte.
@@ -202,14 +227,17 @@ TEST(NetServer, QueueFullSheddingAndAccounting) {
   Server server(config);
   server.start();
 
+  obs::Counter& shed_counter =
+      obs::default_registry().counter("net.shed_queue_full");
+  const std::uint64_t shed_before = shed_counter.value();
+
   Client client(server.port());
   workload::Rng rng(0xBADCAFEull);
 
   // One write carrying an expensive request followed by a flood of
-  // cheap ones. The event loop admits them in order within a single
-  // parse pass: the big request occupies the lone worker for
-  // milliseconds, the capacity-1 queue takes one more, and everything
-  // behind it must shed — not block, not vanish.
+  // cheap ones. The lone loop decodes them in order: the big request
+  // fills its capacity-1 backlog, and every frame read behind it must
+  // be answered ShedQueueFull at once — not block, not vanish.
   constexpr int kFlood = 64;
   std::string wire;
   net::encode_request(make_request(0, 16, 20000, rng), wire);
@@ -236,17 +264,20 @@ TEST(NetServer, QueueFullSheddingAndAccounting) {
   EXPECT_EQ(ok + shed + other, kFlood + 1);
   EXPECT_EQ(other, 0);
   EXPECT_GE(ok, 1);    // the expensive request itself
-  EXPECT_GE(shed, 1);  // a capacity-1 queue cannot absorb the flood
+  EXPECT_GE(shed, 1);  // a capacity-1 backlog cannot absorb the flood
+  // Shed accounting matches responses one-for-one.
+  EXPECT_EQ(shed_counter.value() - shed_before,
+            static_cast<std::uint64_t>(shed));
   server.stop();
 }
 
 TEST(NetServer, QueuedExpiryShedsWithExactlyOneResponseAndOneCount) {
-  // Regression: requests whose per-request deadline expires while
-  // *batched behind* slower work used to ride the newest request's
-  // slack (the worker collapsed deadlines via max) and be served late.
-  // Each must instead get exactly one ShedDeadline response and exactly
-  // one net.shed_deadline increment — never a double count, never a
-  // silent drop.
+  // Requests whose deadline expires while they wait in the loop's
+  // backlog behind a slow build must each get exactly one ShedDeadline
+  // response and exactly one net.shed_deadline increment — never served
+  // late, never a double count, never a silent drop. With batch_max 1
+  // the lone loop serves the huge request alone in the turn that read
+  // it; the cheap ones follow one per turn, long past their window.
   obs::FlagsGuard flags;
   ServerConfig config;
   config.workers = 1;
@@ -262,8 +293,8 @@ TEST(NetServer, QueuedExpiryShedsWithExactlyOneResponseAndOneCount) {
 
   Client client(server.port());
   workload::Rng rng(0xDEAD1135ull);
-  // One write: a huge request that holds the lone worker far past the
-  // 1 ms window, then cheap ones that expire while queued behind it.
+  // One write: a huge request that holds the lone loop far past the
+  // 1 ms window, then cheap ones that expire in the backlog behind it.
   constexpr int kCheap = 8;
   std::string wire;
   net::encode_request(make_request(0, 16, 40000, rng), wire);
@@ -289,7 +320,7 @@ TEST(NetServer, QueuedExpiryShedsWithExactlyOneResponseAndOneCount) {
         << "id " << id << " status " << static_cast<int>(status);
     if (status == Status::ShedDeadline) ++shed_responses;
   }
-  // Every cheap request sat in the queue for the big one's whole build
+  // Every cheap request sat in the backlog for the big one's whole build
   // (>> 1 ms): all of them shed.
   EXPECT_GE(shed_responses, static_cast<std::uint64_t>(kCheap));
   // Shed accounting matches responses one-for-one (no double count).
@@ -342,10 +373,9 @@ TEST(NetServer, CoschedServingAnswersEverythingByteIdentically) {
   EXPECT_TRUE(pending.empty());
   server.stop();
   EXPECT_EQ(server.outstanding(), 0u);
-  // Waves are planned only within one batch, so co-scheduled serving
-  // must not split the burst across the workers by fair share: it is
-  // planned as 32 + 16 (an even split makes 5 plans). One spare plan
-  // allows for a read that the kernel splits.
+  // Waves are planned only within one batch, and a loop turn takes up
+  // to batch_max requests per connection: the one-write burst is planned
+  // as 32 + 16. One spare plan allows for a read that the kernel splits.
   EXPECT_LE(plans.value() - plans0, 3u);
 }
 
@@ -366,7 +396,7 @@ TEST(NetServer, GracefulDrainLosesAndDuplicatesNothing) {
                         wire);
   }
   client.send_all(wire);
-  // Begin the drain while requests are still queued and in flight.
+  // Begin the drain while requests are still in the backlog.
   server.request_stop();
 
   std::map<std::uint64_t, Status> answered;
@@ -386,17 +416,17 @@ TEST(NetServer, GracefulDrainLosesAndDuplicatesNothing) {
 }
 
 TEST(NetServer, ConcurrentPipelinedBurstsAnswerEveryIdExactlyOnce) {
-  // The batched handoff under concurrency: binary clients pipeline
-  // bursts of frames up to the per-connection inflight cap, HTTP
-  // keep-alive clients pipeline POSTs, and a small queue forces
-  // queue-full sheds. Every id is answered exactly once, admitted work
-  // reconciles with the counters, and HTTP responses stay in order.
+  // Several loops under concurrency: binary clients pipeline bursts of
+  // up to kMaxInflight frames, HTTP keep-alive clients pipeline POSTs,
+  // and a small per-loop backlog forces queue-full sheds. Every id is
+  // answered exactly once, admitted work reconciles with the counters,
+  // and HTTP responses stay in order.
   obs::FlagsGuard flags;
   ServerConfig config;
   config.workers = 3;
   config.batch_max = 4;
-  config.max_inflight_per_conn = 16;
   config.queue_capacity = 24;
+  constexpr std::size_t kMaxInflight = 16;  // per binary connection
   Server server(config);
   server.start();
 
@@ -428,10 +458,10 @@ TEST(NetServer, ConcurrentPipelinedBurstsAnswerEveryIdExactlyOnce) {
       int sent = 0;
       std::string body;
       while (sent < kBinaryRequests || !pending.empty()) {
-        // Top the pipeline up in one write, never past the inflight cap.
-        const std::size_t room = config.max_inflight_per_conn - pending.size();
+        // Top the pipeline up in one write, never past kMaxInflight.
+        const std::size_t room = kMaxInflight - pending.size();
         const std::size_t burst = std::min<std::size_t>(
-            {room, 1 + rng() % config.max_inflight_per_conn,
+            {room, 1 + rng() % kMaxInflight,
              static_cast<std::size_t>(kBinaryRequests - sent)});
         std::string wire;
         for (std::size_t k = 0; k < burst; ++k, ++sent) {
@@ -518,14 +548,290 @@ TEST(NetServer, ConcurrentPipelinedBurstsAnswerEveryIdExactlyOnce) {
       kBinaryThreads * kBinaryRequests + kHttpThreads * kHttpRequests;
   EXPECT_EQ(ok.load() + shed.load(), total);
   EXPECT_EQ(server.outstanding(), 0u);
-  // Every admitted request was served or shed by its deadline; queue-full
-  // sheds were never admitted.
+  // Every admitted request was served or shed by its deadline; backlog-
+  // full sheds were never admitted.
   const std::uint64_t admitted = requests.value() - requests0;
   const std::uint64_t served = responses.value() - responses0;
   const std::uint64_t late = shed_deadline.value() - shed_deadline0;
   EXPECT_EQ(admitted, served + late);
   EXPECT_EQ(served, ok.load());
   EXPECT_EQ(shed_full.value() - shed_full0 + late, shed.load());
+}
+
+TEST(NetServer, OneLoopInterleavesConnectionsFairly) {
+  // A loop turn serves at most batch_max requests per connection, so a
+  // deep pipeline on one connection cannot starve another on the same
+  // loop: B's one request is answered before A's last (one shared FIFO
+  // would answer B after all of them).
+  obs::FlagsGuard flags;
+  ServerConfig config;
+  config.workers = 1;
+  config.batch_max = 4;
+  config.cache = false;  // every A request is a real build
+  Server server(config);
+  server.start();
+  obs::Counter& served = obs::default_registry().counter("net.responses");
+  const std::uint64_t served0 = served.value();
+
+  constexpr int kDeep = 256;
+  Client a(server.port());
+  Client b(server.port());
+  workload::Rng rng(0xFA1Aull);
+  std::string wire;
+  for (int i = 0; i < kDeep; ++i) {
+    net::encode_request(
+        make_request(static_cast<std::uint64_t>(i), 11, 400, rng), wire);
+  }
+  std::thread a_writer([&] { a.send_all(wire); });  // one write, unread
+  while (server.outstanding() == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+
+  std::string b_wire;
+  net::encode_request(make_request(kDeep, 11, 400, rng), b_wire);
+  b.send_all(b_wire);
+  std::string body;
+  ASSERT_TRUE(b.read_frame(body));
+  const std::uint64_t served_by_b = served.value() - served0;
+  EXPECT_EQ(net::decode_response(body).status, Status::Ok);
+  EXPECT_LT(served_by_b, static_cast<std::uint64_t>(kDeep))
+      << "B waited behind all of A's pipeline";
+
+  std::map<std::uint64_t, Status> a_status;
+  for (int i = 0; i < kDeep; ++i) {
+    ASSERT_TRUE(a.read_frame(body)) << "response " << i << " missing";
+    const ResponseMsg response = net::decode_response(body);
+    EXPECT_EQ(a_status.count(response.id), 0u) << response.id;
+    a_status.emplace(response.id, response.status);
+    EXPECT_EQ(response.status, Status::Ok);
+  }
+  a_writer.join();
+  EXPECT_EQ(a_status.size(), static_cast<std::size_t>(kDeep));
+  server.stop();
+  EXPECT_EQ(server.outstanding(), 0u);
+}
+
+TEST(NetServer, SlowReaderIsThrottledWithoutStallingItsLoop) {
+  // A client that pipelines and never reads: once its output cannot
+  // flush, the loop stops reading it, so its requests back up in the
+  // kernel instead of in server memory. Another connection on the same
+  // loop is still answered, and once the slow client reads, every one
+  // of its ids arrives exactly once.
+  obs::FlagsGuard flags;
+  ServerConfig config;
+  config.workers = 1;
+  Server server(config);
+  server.start();
+  obs::Counter& admitted = obs::default_registry().counter("net.requests");
+  const std::uint64_t admitted0 = admitted.value();
+
+  // 10-cube broadcasts: each response is several times its request.
+  constexpr int kRequests = 300;
+  Client slow(server.port(), 4096);
+  workload::Rng rng(0x510Bull);
+  std::vector<std::string> frames(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    net::encode_request(
+        make_request(static_cast<std::uint64_t>(i), 10, 1023, rng),
+        frames[static_cast<std::size_t>(i)]);
+  }
+  std::thread sender([&] {
+    for (const std::string& frame : frames) slow.send_all(frame);
+  });
+
+  // Wait for admissions to stop moving: the loop no longer reads it.
+  std::uint64_t seen = admitted.value();
+  for (int quiet_polls = 0; quiet_polls < 3;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const std::uint64_t now = admitted.value();
+    quiet_polls = now == seen ? quiet_polls + 1 : 0;
+    seen = now;
+  }
+  EXPECT_GT(seen - admitted0, 0u);
+  EXPECT_LT(seen - admitted0, static_cast<std::uint64_t>(kRequests))
+      << "the loop kept reading a client whose output could not flush";
+
+  {
+    Client other(server.port());
+    std::string wire;
+    net::encode_request(make_request(kRequests, 6, 8, rng), wire);
+    other.send_all(wire);
+    ASSERT_TRUE(other.readable_within(10000))
+        << "a slow reader stalled its loop";
+    std::string body;
+    ASSERT_TRUE(other.read_frame(body));
+    const ResponseMsg response = net::decode_response(body);
+    EXPECT_EQ(response.id, static_cast<std::uint64_t>(kRequests));
+    EXPECT_EQ(response.status, Status::Ok);
+  }
+
+  std::map<std::uint64_t, Status> answered;
+  std::string body;
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(slow.read_frame(body)) << "response " << i << " missing";
+    const ResponseMsg response = net::decode_response(body);
+    EXPECT_EQ(answered.count(response.id), 0u) << response.id;
+    answered[response.id] = response.status;
+    EXPECT_EQ(response.status, Status::Ok);
+  }
+  sender.join();
+  EXPECT_EQ(answered.size(), static_cast<std::size_t>(kRequests));
+  server.stop();
+  EXPECT_EQ(server.outstanding(), 0u);
+}
+
+TEST(NetServer, FourLoopsAnswerEveryIdExactlyOnceByteIdentically) {
+  // Connections are dealt round-robin over the loops, so 8 connections
+  // keep all 4 loops serving through the shared cache at once.
+  obs::FlagsGuard flags;
+  ServerConfig config;
+  config.workers = 4;
+  config.batch_max = 8;
+  Server server(config);
+  server.start();
+  coll::ServePipeline direct(config.algorithm, nullptr);
+
+  constexpr int kConns = 8;
+  constexpr int kRequestsPerConn = 48;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kConns; ++t) {
+    clients.emplace_back([&, t] {
+      workload::Rng rng(0x4100Bull + static_cast<std::uint64_t>(t));
+      Client client(server.port());
+      std::map<std::uint64_t, RequestMsg> pending;
+      std::string wire;
+      for (int i = 0; i < kRequestsPerConn; ++i) {
+        const auto id = static_cast<std::uint64_t>(t * kRequestsPerConn + i);
+        // Few shapes, so the loops hit and fill the same cache entries.
+        RequestMsg msg = make_request(id, 7, 4 + (i % 6), rng);
+        net::encode_request(msg, wire);
+        pending.emplace(id, std::move(msg));
+      }
+      client.send_all(wire);
+      std::string body;
+      for (int i = 0; i < kRequestsPerConn; ++i) {
+        if (!client.read_frame(body)) {
+          ++failures;
+          return;
+        }
+        const ResponseMsg response = net::decode_response(body);
+        const auto it = pending.find(response.id);
+        if (it == pending.end() || response.status != Status::Ok) {
+          ++failures;  // unknown, duplicated or not served
+          continue;
+        }
+        std::string expected;
+        net::encode_schedule(*direct.serve(it->second.to_request()),
+                             expected);
+        if (response.schedule_body != expected) ++failures;
+        pending.erase(it);
+      }
+      if (!pending.empty()) ++failures;
+    });
+  }
+  for (std::thread& c : clients) c.join();
+  EXPECT_EQ(failures.load(), 0);
+  server.stop();
+  EXPECT_EQ(server.outstanding(), 0u);
+}
+
+TEST(NetServer, FdExhaustionPausesAcceptWithoutSpinning) {
+  // Out of file descriptors, a pending connection keeps the listener
+  // readable; polling it anyway would spin the loop. The server runs in
+  // a forked child whose RLIMIT_NOFILE leaves room for exactly two
+  // connections; the parent drives the clients and asks the child for
+  // net.loop_turns over a pipe.
+  int to_child[2];
+  int to_parent[2];
+  ASSERT_EQ(::pipe(to_child), 0);
+  ASSERT_EQ(::pipe(to_parent), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Child: no gtest assertions, only a status on exit.
+    ::close(to_child[1]);
+    ::close(to_parent[0]);
+    ServerConfig config;
+    config.workers = 1;
+    Server server(config);
+    server.start();
+    rlimit limit{};
+    ::getrlimit(RLIMIT_NOFILE, &limit);
+    int free_fds = 0;
+    rlim_t cap = 0;
+    for (int fd = 0; free_fds < 2; ++fd) {
+      if (::fcntl(fd, F_GETFD) == -1 && errno == EBADF) ++free_fds;
+      cap = static_cast<rlim_t>(fd) + 1;
+    }
+    limit.rlim_cur = cap;
+    if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(3);
+    const std::uint16_t port = server.port();
+    if (::write(to_parent[1], &port, sizeof(port)) != sizeof(port)) {
+      ::_exit(4);
+    }
+    obs::Counter& turns = obs::default_registry().counter("net.loop_turns");
+    char command = 0;
+    while (::read(to_child[0], &command, 1) == 1 && command == 't') {
+      const std::uint64_t value = turns.value();
+      if (::write(to_parent[1], &value, sizeof(value)) != sizeof(value)) {
+        ::_exit(5);
+      }
+    }
+    server.stop();
+    ::_exit(0);
+  }
+  ::close(to_child[0]);
+  ::close(to_parent[1]);
+  std::uint16_t port = 0;
+  ASSERT_EQ(::read(to_parent[0], &port, sizeof(port)),
+            static_cast<ssize_t>(sizeof(port)));
+  const auto loop_turns = [&] {
+    const char command = 't';
+    std::uint64_t value = 0;
+    EXPECT_EQ(::write(to_child[1], &command, 1), 1);
+    EXPECT_EQ(::read(to_parent[0], &value, sizeof(value)),
+              static_cast<ssize_t>(sizeof(value)));
+    return value;
+  };
+
+  // Four clients: the first two are accepted, the other two wait in the
+  // listen backlog. Each sends one request.
+  workload::Rng rng(0xEF11Eull);
+  std::vector<std::unique_ptr<Client>> clients;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    clients.push_back(std::make_unique<Client>(port));
+    std::string wire;
+    net::encode_request(make_request(i, 6, 8, rng), wire);
+    clients.back()->send_all(wire);
+  }
+  const auto answered = [&](std::size_t i, int ms) {
+    std::string body;
+    return clients[i]->readable_within(ms) && clients[i]->read_frame(body) &&
+           net::decode_response(body).id == i;
+  };
+  EXPECT_TRUE(answered(0, 10000));
+  EXPECT_TRUE(answered(1, 10000));
+  EXPECT_FALSE(clients[2]->readable_within(200));
+
+  // While the limit holds, the loop sleeps in poll() (50 ms timeouts)
+  // instead of returning at once on every turn.
+  const std::uint64_t turns0 = loop_turns();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::uint64_t turns = loop_turns() - turns0;
+  EXPECT_LT(turns, 50u) << "the loop spun on an unacceptable listener";
+
+  // A disconnect frees a descriptor; accepting resumes, one at a time.
+  clients[0]->close();
+  EXPECT_TRUE(answered(2, 10000));
+  clients[1]->close();
+  EXPECT_TRUE(answered(3, 10000));
+
+  ::close(to_child[1]);  // EOF: the child drains and exits
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  ::close(to_parent[0]);
 }
 
 TEST(NetServer, HttpEndpoints) {

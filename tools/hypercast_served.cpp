@@ -1,10 +1,12 @@
 // hypercast_served — the schedule-serving daemon.
 //
 // Puts a coll::ServePipeline behind the src/net/ front end: binary
-// "hypercast-net-v1" frames and HTTP/JSON on one port, request batching
-// into serve_batch, bounded-queue backpressure, and Prometheus metrics
-// on GET /metrics. SIGTERM/SIGINT trigger a graceful drain: every
-// admitted request is answered before the process exits.
+// "hypercast-net-v1" frames and HTTP/JSON on one port, served by
+// --workers independent event loops that each batch what they read
+// into one serve_batch call per turn, with TCP backpressure and a
+// per-loop backlog cap, and Prometheus metrics on GET /metrics.
+// SIGTERM/SIGINT trigger a graceful drain: every admitted request is
+// answered before the process exits.
 //
 // Usage:
 //   hypercast_served [--port P] [--bind ADDR] [--algo NAME]
@@ -19,6 +21,12 @@
 // batch (coll::CoScheduler): schedules are packed into waves so no
 // directed channel is crossed by more than --cosched-overlap worms per
 // wave, and responses are released in wave order.
+//
+// --workers N runs N event loops, one thread each; connections are
+// dealt to them round-robin. --queue-cap N caps each loop's backlog
+// (requests read but not yet served); requests read past it are shed
+// with ShedQueueFull / HTTP 429. --batch-max N caps the requests one
+// connection contributes to a loop turn's batch.
 //
 // --port 0 (the default) binds an ephemeral port; the bound port is
 // printed on stdout and, with --port-file, written to PATH so scripts
@@ -41,7 +49,7 @@ std::atomic<hypercast::net::Server*> g_server{nullptr};
 std::atomic<bool> g_stop{false};
 
 void handle_signal(int) {
-  // Async-signal-safe: one atomic store + one write() on a pipe.
+  // Async-signal-safe: atomic stores and one eventfd write() per loop.
   g_stop.store(true);
   if (auto* server = g_server.load()) server->request_stop();
 }
@@ -97,8 +105,9 @@ int main(int argc, char** argv) {
     if (!quiet) {
       std::cout << "hypercast_served listening on " << config.bind_address
                 << ":" << server.port() << " (algo=" << config.algorithm
-                << ", workers=" << config.workers
-                << ", queue=" << config.queue_capacity << ")" << std::endl;
+                << ", loops=" << config.workers
+                << ", backlog-cap=" << config.queue_capacity << " per loop)"
+                << std::endl;
     }
     if (opts.has("port-file")) {
       std::ofstream out(opts.get("port-file"), std::ios::trunc);
