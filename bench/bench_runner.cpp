@@ -8,7 +8,8 @@
 //   bench_runner --list                   show the registered table
 //   bench_runner --filter smoke           substring on name, or a kind
 //                                         ("figure", "ablation", "micro")
-//   bench_runner --repeat 3               timed repetitions per benchmark
+//   bench_runner --repeat 5               timed repetitions per benchmark;
+//                                         metrics are their medians
 //   bench_runner --threads 8              parallel sweep points
 //   bench_runner --quick                  shrunken sweeps (CI smoke)
 //   bench_runner --out <dir>              artifact directory

@@ -153,6 +153,26 @@ const Registration smoke_registration{
      "4-cube (schema/CI check)",
      run_smoke}};
 
+/// The repeats folded into one report: each metric is the median of its
+/// values across the repeats (the lower middle one for an even count),
+/// and the series come from the final repeat. A benchmark reports the
+/// same metrics in the same order on every repeat.
+Report median_report(const std::vector<Report>& runs) {
+  Report out;
+  const auto& last = runs.back().metrics();
+  std::vector<double> values(runs.size());
+  for (std::size_t i = 0; i < last.size(); ++i) {
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      values[r] = runs[r].metrics().at(i).second;
+    }
+    const auto mid = values.begin() + (values.size() - 1) / 2;
+    std::nth_element(values.begin(), mid, values.end());
+    out.metric(last[i].first, *mid);
+  }
+  for (const metrics::Series& s : runs.back().series()) out.add_series(s);
+  return out;
+}
+
 }  // namespace
 
 const char* kind_name(Kind kind) {
@@ -268,11 +288,10 @@ std::vector<RunRecord> run_benchmarks(const RunOptions& opts) {
     }
     RunRecord record;
     record.name = artifact_name(*b, opts);
-    Report report;
+    std::vector<Report> runs(static_cast<std::size_t>(opts.repeat));
     // Each artifact's stats block covers exactly its own benchmark.
     if (opts.stats) obs::default_registry().reset();
-    for (int r = 0; r < opts.repeat; ++r) {
-      report = Report();
+    for (Report& report : runs) {
       const auto start = std::chrono::steady_clock::now();
       b->fn(ctx, report);
       record.wall_seconds.push_back(
@@ -280,7 +299,8 @@ std::vector<RunRecord> run_benchmarks(const RunOptions& opts) {
                                         start)
               .count());
     }
-    record.json = benchmark_json(*b, opts, report, record.wall_seconds,
+    record.json = benchmark_json(*b, opts, median_report(runs),
+                                 record.wall_seconds,
                                  opts.stats ? &obs::default_registry()
                                             : nullptr);
     if (!opts.out_dir.empty()) {

@@ -1,6 +1,8 @@
 #ifndef HYPERCAST_SIM_EVENT_QUEUE_HPP
 #define HYPERCAST_SIM_EVENT_QUEUE_HPP
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -14,25 +16,28 @@ namespace hypercast::sim {
 /// std::logic_error in every build type — a release build silently
 /// running time backwards would corrupt every delay figure downstream.
 ///
-/// Scheduling structure: a calendar queue (Brown-style bucketed time
-/// bands) instead of a binary heap. The active *window* covers
-/// [epoch, epoch + width * buckets); a ticket due inside the window is
-/// appended to its band's unsorted bucket in O(1), a ticket past the
-/// horizon spills to an overflow ladder. Pops drain band by band — a
-/// bucket is sorted once when the cursor reaches it, then popped from
-/// the back — and when the window runs dry the overflow is re-bucketed
-/// into a fresh window whose width/band-count are re-estimated from the
-/// pending events' spacing (width is a power of two, so classifying a
-/// ticket into its band is one shift). Insert and pop are O(1) amortized; the
-/// worst case (every event beyond every horizon) degrades to the
-/// O(log n)-ish ladder re-distribution, never to an unsorted scan per
-/// pop. Ordering is exactly the old heap's: (time, global insertion
-/// seq), so same-timestamp events still fire FIFO and every golden
-/// delay figure is bit-identical.
+/// Scheduling structure: a monotone radix heap (Ahuja, Mehlhorn, Orlin
+/// and Tarjan, 1990) keyed on the ticket's time. Every pending ticket is
+/// due at or after now(), so it lives in bucket bit_width(at ^ now()):
+/// bucket 0 holds exactly the tickets due now, bucket b the ones whose
+/// highest bit differing from now() is b - 1. A push is one XOR, one
+/// bit_width and a list append. A pop takes the head of bucket 0; when
+/// bucket 0 is empty, the lowest non-empty bucket is found by one
+/// find-first-set, now() advances to its minimum and its tickets are
+/// relinked into lower buckets. A ticket only ever moves down, so each
+/// costs O(log T) relinks over its life, with no width to estimate.
 ///
-/// Hot-path layout: buckets order small POD tickets {time, seq, slot,
-/// kind}; 24 bytes, the same pooled-ticket layout the heap used. A
-/// generic action lives in a pooled slot array (slots recycled through
+/// Ordering is exactly (time, global insertion seq), so same-timestamp
+/// events fire FIFO and every golden delay figure is bit-identical. No
+/// tie sort is needed: every bucket is a FIFO list, pushes append in seq
+/// order, and a bucket is only refilled from a higher one while empty,
+/// in that bucket's order — so each bucket stays sorted by seq.
+///
+/// Hot-path layout: buckets are intrusive lists threaded through one
+/// ticket arena of small POD nodes (24-byte tickets {time, seq, slot,
+/// kind} plus a link), recycled through a free list. A fresh queue grows
+/// one vector, not one per bucket, and reserve() pre-sizes it.
+/// A generic action lives in a pooled slot array (slots recycled through
 /// a free list, constructed and moved exactly once, no per-event heap
 /// allocation — see InplaceFunction). Simulation engines that fire
 /// millions of homogeneous continuations can skip the action pool
@@ -97,14 +102,14 @@ class EventQueue {
   /// (runaway-simulation guard) with exactly `max_events` fired.
   void run_to_completion(std::uint64_t max_events = 100'000'000);
 
-  /// Heap bytes currently pinned by the scheduler (buckets, overflow
-  /// ladder, action pool) — capacity, not size.
+  /// Heap bytes currently pinned by the scheduler (ticket arena,
+  /// action pool, handler table) — capacity, not size.
   std::size_t memory_bytes() const;
 
  private:
   /// kind 0 = pooled Action in pool_[slot]; kind >= 1 = raw handler
   /// handlers_[kind - 1] called with arg `slot`. Same 24-byte POD the
-  /// binary heap used to sift; buckets move these, never actions.
+  /// binary heap used to sift; buckets relink these, never actions.
   struct Ticket {
     SimTime at;
     std::uint64_t seq;
@@ -113,14 +118,24 @@ class EventQueue {
   };
   static_assert(sizeof(Ticket) == 24, "pooled ticket layout");
 
-  /// Descending (time, seq): the next event to fire sits at the back of
-  /// a sorted bucket, so draining a band is pop_back. A struct (not a
-  /// function pointer) so std::sort inlines the comparison.
-  struct After {
-    bool operator()(const Ticket& a, const Ticket& b) const {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    }
+  /// An arena slot: a ticket plus the index of the next node in its
+  /// bucket (or in the free list).
+  struct Node {
+    Ticket ticket;
+    std::uint32_t next;
   };
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// A FIFO list of arena nodes, empty when head == kNil (tail is then
+  /// stale). `min` is the earliest `at` among its tickets, kept on every
+  /// append so a refill needs no extra pass.
+  struct Bucket {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    SimTime min = 0;
+  };
+  /// bit_width of a non-negative SimTime XOR is at most 63.
+  static constexpr int kBuckets = 64;
 
   /// Inline compare with a cold out-of-line throw: this guard runs on
   /// every schedule call of every event in a run.
@@ -142,54 +157,53 @@ class EventQueue {
   }
   [[noreturn]] static void throw_seq_exhausted();
 
-  /// Inline fast path: one shift classifies the ticket into its band
-  /// (band width is a power of two) and an append lands it. Folding into
-  /// the partially-drained current band and overflow spills are the cold
-  /// paths.
+  /// Inline fast path: take a node from the free list (or grow the
+  /// arena), then append it to the bucket its time selects.
   void push_ticket(Ticket t) {
-    ++size_;
-    if (in_window_ != 0 && t.at < horizon_) {
-      const std::size_t idx = static_cast<std::size_t>(
-          static_cast<std::uint64_t>(t.at - epoch_) >> shift_);
-      if (idx > cur_) {
-        buckets_[idx].push_back(t);
-        occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-        ++in_window_;
-      } else {
-        push_current_band(t);
-      }
+    std::uint32_t i = free_head_;
+    if (i != kNil) {
+      free_head_ = nodes_[i].next;
+      nodes_[i] = Node{t, kNil};
     } else {
-      overflow_.push_back(t);
+      i = grow_arena(t);
     }
+    ++size_;
+    append(bucket_of(t.at), i);
   }
-  /// Fold into the cursor's (possibly mid-drain) bucket — or, when that
-  /// bucket shows the window width was badly over-estimated, respill the
-  /// whole window to the ladder for re-estimation. Maintains occupied_
-  /// and in_window_ itself (a respill zeroes both).
-  void push_current_band(Ticket t);
-  void respill(Ticket t);
+  int bucket_of(SimTime at) const {
+    return static_cast<int>(std::bit_width(
+        static_cast<std::uint64_t>(at) ^ static_cast<std::uint64_t>(now_)));
+  }
+  void append(int b, std::uint32_t i) {
+    Bucket& bucket = buckets_[static_cast<std::size_t>(b)];
+    const SimTime at = nodes_[i].ticket.at;
+    if (bucket.head == kNil) {
+      bucket.head = i;
+      bucket.min = at;
+      occupied_ |= std::uint64_t{1} << b;
+    } else {
+      nodes_[bucket.tail].next = i;
+      if (at < bucket.min) bucket.min = at;
+    }
+    bucket.tail = i;
+  }
+  std::uint32_t grow_arena(Ticket t);
   /// Cold dispatch arm for pooled Actions: kept out of the drain loop so
   /// the raw-handler hot path carries no Action storage in its frame.
   void run_pooled(std::uint32_t slot);
+  /// Pops the earliest ticket and advances now() to its time.
   Ticket pop_ticket();
-  /// Open a fresh window over the overflow ladder (requires a non-empty
-  /// overflow): re-estimates width/band count, re-buckets what fits.
-  void open_window();
+  /// Bucket 0 is empty and tickets are pending: advance now() to the
+  /// lowest non-empty bucket's minimum and relink that bucket downward.
+  void refill();
 
-  std::vector<std::vector<Ticket>> buckets_;
-  /// One bit per band: band i nonempty. The pop cursor advances by
-  /// find-first-set over these words instead of walking (and cache
-  /// missing on) thousands of empty buckets' headers.
-  std::vector<std::uint64_t> occupied_;
-  std::vector<Ticket> overflow_;  ///< tickets at/past the horizon
-  SimTime epoch_ = 0;             ///< window start (inclusive)
-  int shift_ = 0;                 ///< band width = 1 << shift_ ns
-  SimTime horizon_ = 0;           ///< window end (exclusive)
-  std::size_t nbands_ = 0;        ///< active band count this window
-  std::size_t cur_ = 0;           ///< band the pop cursor is on
-  bool cur_sorted_ = false;       ///< buckets_[cur_] sorted descending
-  std::size_t in_window_ = 0;     ///< tickets in buckets_
-  std::size_t size_ = 0;          ///< total pending tickets
+  std::vector<Node> nodes_;  ///< the ticket arena
+  std::uint32_t free_head_ = kNil;
+  std::array<Bucket, kBuckets> buckets_{};
+  /// Bit b set: bucket b is non-empty. Bit 0 is never cleared and never
+  /// read; pop_ticket() tests bucket 0's head instead.
+  std::uint64_t occupied_ = 0;
+  std::size_t size_ = 0;  ///< total pending tickets
 
   std::vector<Action> pool_;          ///< slot -> pending action
   std::vector<std::uint32_t> free_;   ///< recycled pool slots
@@ -198,6 +212,8 @@ class EventQueue {
     void* ctx;
   };
   std::vector<Handler> handlers_;
+  /// Also the radix heap's reference key: every pending ticket is due
+  /// at or after it, and refill() is the only place it advances.
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;

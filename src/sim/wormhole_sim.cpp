@@ -64,6 +64,9 @@ class Engine {
       result_.per_job[j].delivery.reserve(jobs[j].schedule->num_unicasts());
     }
     worms_.reserve(total_unicasts, topo_.dim() / 2 + 2);
+    // A worm has at most one pending ticket (header, tail, resume or
+    // post-receive forward), and each job one start.
+    queue_.reserve(total_unicasts + jobs.size());
     job_of_.reserve(total_unicasts);
     // MessageIds are assigned densely by injection order, so the flat
     // done-time table can be sized exactly once up front.

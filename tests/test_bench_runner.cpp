@@ -297,6 +297,27 @@ TEST(BenchRunner, RejectsZeroRepeat) {
   EXPECT_THROW(run_benchmarks(opts), std::invalid_argument);
 }
 
+/// Reports 5, 1, 3, 4, 2 on five successive runs.
+void run_counter(const Context&, Report& report) {
+  static const double values[] = {5, 1, 3, 4, 2};
+  static int call = 0;
+  report.metric("value", values[call++ % 5]);
+}
+const Registration counter_registration{
+    {"test_repeat_counter", Kind::Micro,
+     "reports 5, 1, 3, 4, 2 on successive runs", run_counter}};
+
+TEST(BenchRunner, RepeatsReportEachMetricsMedian) {
+  RunOptions opts = smoke_options("");
+  opts.filter = "test_repeat_counter";
+  opts.repeat = 5;
+  const auto records = run_benchmarks(opts);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].wall_seconds.size(), 5u);
+  EXPECT_NE(records[0].json.find("\"value\":3"), std::string::npos)
+      << records[0].json;
+}
+
 // ---- parallel sweeps -----------------------------------------------------
 
 TEST(ParallelSweep, StepSweepIsThreadCountInvariant) {
