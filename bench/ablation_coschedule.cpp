@@ -166,9 +166,11 @@ void run(const bench::Context& ctx, bench::Report& report) {
                 trials_counted > 0.0 ? predicted_overlap_sum / trials_counted
                                      : 0.0);
 
-  // Planning throughput (the regression-gated rate): plan a fresh
-  // 12-tree hot-spot batch per iteration, scoring every tree's arc
-  // footprint against the shared load map.
+  // Planning throughput (the regression-gated rate): plan one 12-tree
+  // hot-spot batch per iteration, scoring every tree's arc footprint
+  // against the shared load map. The untimed warm-up plan fills the
+  // trees' footprint memos, so this times the packing, as for cached
+  // trees; micro_channel_load times cold plans too.
   workload::Rng rate_rng(workload::derive_seed(7193, 0x77, 0));
   const auto rate_requests = workload::hot_spot_mix(topo, 12, 16, 8, rate_rng);
   std::vector<core::MulticastSchedule> rate_schedules;

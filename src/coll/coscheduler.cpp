@@ -58,57 +58,39 @@ CoschedPlan CoScheduler::plan(
 
 CoschedPlan CoScheduler::plan(
     std::span<const core::MulticastSchedule* const> schedules) {
+  const bool stats = obs::stats_enabled();
+  const std::uint64_t t_start = stats ? obs::now_ns() : 0;
   const core::Topology* topo = nullptr;
-  std::vector<std::size_t> order;  // candidate batch indices
-  footprints_.assign(schedules.size(), core::ArcFootprint{});
+  std::vector<std::size_t> remaining;  // batch indices still to place
+  footprints_.assign(schedules.size(), nullptr);
   for (std::size_t i = 0; i < schedules.size(); ++i) {
     const core::MulticastSchedule* s = schedules[i];
     if (s == nullptr) continue;
     if (topo == nullptr) {
       topo = &s->topo();
-    } else if (s->topo().dim() != topo->dim()) {
+    } else if (s->topo() != *topo) {
       throw std::invalid_argument(
           "CoScheduler::plan: schedules span different topologies");
     }
-    footprints_[i] = core::arc_footprint(*topo, *s);
-    order.push_back(i);
+    footprints_[i] = &s->cached_arc_footprint();
+    remaining.push_back(i);
   }
   if (topo == nullptr) return CoschedPlan{};  // nothing to plan
-  return pack(*topo, std::move(order));
-}
-
-CoschedPlan CoScheduler::plan_footprints(
-    const core::Topology& topo,
-    std::span<const core::ArcFootprint> footprints) {
-  footprints_.assign(footprints.begin(), footprints.end());
-  std::vector<std::size_t> order(footprints.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (order.empty()) return CoschedPlan{};
-  return pack(topo, std::move(order));
-}
-
-CoschedPlan CoScheduler::pack(const core::Topology& topo,
-                              std::vector<std::size_t> candidates) {
-  const bool stats = obs::stats_enabled();
-  const std::uint64_t t_start = stats ? obs::now_ns() : 0;
   CoschedPlan out;
-  std::vector<std::size_t> order = std::move(candidates);
 
   // Heaviest-footprint-first, original index breaking ties: packing the
   // widest trees before the narrow ones is the classic first-fit-
   // decreasing move, and the deterministic order is what keeps the plan
   // identical at any serving thread count.
-  std::stable_sort(order.begin(), order.end(),
+  std::stable_sort(remaining.begin(), remaining.end(),
                    [&](std::size_t a, std::size_t b) {
-                     const std::size_t ca = footprints_[a].total_crossings();
-                     const std::size_t cb = footprints_[b].total_crossings();
+                     const std::size_t ca = footprints_[a]->total_crossings();
+                     const std::size_t cb = footprints_[b]->total_crossings();
                      if (ca != cb) return ca > cb;
                      return a < b;
                    });
 
   const std::uint32_t bound = std::max<std::uint32_t>(policy_.max_arc_overlap, 1);
-  wave_load_.reset(topo);
-  std::vector<std::size_t> remaining = std::move(order);
   std::vector<std::size_t> next_round;
   while (!remaining.empty()) {
     const std::size_t wave_index = out.waves.size();
@@ -116,14 +98,17 @@ CoschedPlan CoScheduler::pack(const core::Topology& topo,
         policy_.max_waves != 0 && wave_index + 1 >= policy_.max_waves;
     CoschedPlan::Wave wave;
     wave.start_offset_ns = wave_index * policy_.stagger_offset_ns;
-    wave_load_.clear();
+    wave_load_.reset(*topo);
     next_round.clear();
 
     for (std::size_t k = 0; k < remaining.size(); ++k) {
       const std::size_t idx = remaining[k];
-      const core::ArcFootprint& fp = footprints_[idx];
-      const bool fits_bound = fp.self_max <= bound &&
-                              wave_load_.peak_if_added(fp) <= bound;
+      const core::ArcFootprint& fp = *footprints_[idx];
+      // Add, then take back out if rejected: the peak over the arcs the
+      // tree touched is its admission score. The peak is never below the
+      // tree's own self_max, so fitting the bound implies self_max does.
+      const std::uint32_t peak = wave_load_.add(fp);
+      const bool fits_bound = peak <= bound;
       // Three ways in: it fits under the bound; the wave cap forces the
       // remainder into this final wave obliviously; or the tree's own
       // footprint exceeds the bound (unachievable for any wave), in
@@ -133,12 +118,13 @@ CoschedPlan CoScheduler::pack(const core::Topology& topo,
           fits_bound || final_wave ||
           (self_unschedulable && wave.members.empty());
       if (!admit) {
+        wave_load_.remove(fp);
         next_round.push_back(idx);
         ++out.deferred;
         continue;
       }
       if (!fits_bound) ++out.oblivious_fallback;
-      wave.peak_overlap = std::max(wave.peak_overlap, wave_load_.add(fp));
+      wave.peak_overlap = std::max(wave.peak_overlap, peak);
       wave.members.push_back(idx);
       // A tree above the bound owns its wave: piling more on top only
       // deepens the hot arc it already saturates.

@@ -85,20 +85,15 @@ class CoScheduler {
   /// total footprint crossings (heaviest first, original index breaking
   /// ties), then first-fit into the earliest wave where every footprint
   /// arc stays within policy.max_arc_overlap of the wave's shared load
-  /// map. Obs counters (cosched.*) record waves, deferrals and
-  /// fallbacks when stats are enabled.
+  /// map. Footprints come from each schedule's memo
+  /// (MulticastSchedule::cached_arc_footprint), so a cached tree's
+  /// routes are walked once, on its first plan, not once per batch.
+  /// Obs counters (cosched.*) record waves, deferrals and fallbacks
+  /// when stats are enabled.
   CoschedPlan plan(
       std::span<const std::shared_ptr<const core::MulticastSchedule>>
           schedules);
   CoschedPlan plan(std::span<const core::MulticastSchedule* const> schedules);
-
-  /// Plan directly from precomputed arc footprints — the entry point for
-  /// composite candidates that are not a single schedule, e.g. a striped
-  /// collective presenting the union footprint of its n trees
-  /// (StripedPlan::union_footprint) as one candidate. Same deterministic
-  /// greedy-wave packing; wave members index into `footprints`.
-  CoschedPlan plan_footprints(const core::Topology& topo,
-                              std::span<const core::ArcFootprint> footprints);
 
   /// Expand a plan into DES jobs: each member of wave w starts at
   /// `base_start + w * stagger`. Orders jobs by (wave, member), so the
@@ -110,15 +105,10 @@ class CoScheduler {
       sim::SimTime base_start = 0);
 
  private:
-  /// The greedy first-fit-decreasing wave packing over footprints_;
-  /// `candidates` lists the admissible batch indices. Shared by both
-  /// plan() overloads and plan_footprints().
-  CoschedPlan pack(const core::Topology& topo,
-                   std::vector<std::size_t> candidates);
-
   CoschedPolicy policy_;
-  core::ChannelLoadMap wave_load_;              // scratch: current wave
-  std::vector<core::ArcFootprint> footprints_;  // scratch: per candidate
+  core::ChannelLoadMap wave_load_;  // scratch: current wave
+  // Scratch: per batch index, the schedule's memo (null for null slots).
+  std::vector<const core::ArcFootprint*> footprints_;
 };
 
 }  // namespace hypercast::coll

@@ -58,16 +58,6 @@ std::vector<sim::CollectiveJob> StripedPlan::jobs(sim::SimTime start) const {
   return out;
 }
 
-core::ArcFootprint StripedPlan::union_footprint() const {
-  std::vector<core::ArcFootprint> parts;
-  parts.reserve(active_trees());
-  for (std::size_t t = 0; t < trees.size(); ++t) {
-    if (dropped(t)) continue;
-    parts.push_back(core::arc_footprint(trees[t]->topo(), *trees[t]));
-  }
-  return core::merge_footprints(parts);
-}
-
 std::vector<std::vector<std::uint8_t>> split_stripes(
     std::span<const std::uint8_t> payload, std::size_t data_stripes,
     std::size_t parity_stripes) {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "coll/schedule_cache.hpp"
-#include "core/channel_load.hpp"
 #include "core/ist.hpp"
 #include "fault/fault_set.hpp"
 #include "sim/wormhole_sim.hpp"
@@ -93,12 +92,6 @@ struct StripedPlan {
   /// Expand into simultaneous DES jobs launching at `start`, each
   /// carrying stripe_bytes (the per-job override in sim::CollectiveJob).
   std::vector<sim::CollectiveJob> jobs(sim::SimTime start = 0) const;
-
-  /// The union arc footprint of the active trees — how a striped launch
-  /// presents itself to CoScheduler::plan_footprints (one candidate
-  /// whose footprint sums its trees'; for fault-free IST trees the arcs
-  /// are disjoint, so self_max stays at the per-tree value).
-  core::ArcFootprint union_footprint() const;
 };
 
 /// Byte-level stripe split: `data_stripes` slices of ceil(size /

@@ -1,7 +1,9 @@
 #include "core/channel_load.hpp"
 
 #include <algorithm>
+#include <bit>
 
+#include "hcube/bits.hpp"
 #include "hcube/ecube.hpp"
 
 namespace hypercast::core {
@@ -55,57 +57,52 @@ ChannelLoadReport analyze_channel_load(const MulticastSchedule& schedule,
   return report;
 }
 
+namespace {
+
+/// Multiplicity of the most repeated entry, counted in an open-addressing
+/// table sized to the list (not to the cube's arcs, which would pin
+/// O(num_arcs) scratch on a million-node run). Slots hold
+/// (arc + 1) << 32 | count; 0 marks an empty slot.
+std::uint32_t max_multiplicity(const std::vector<std::uint32_t>& arcs) {
+  if (arcs.empty()) return 0;
+  const std::size_t slots = std::bit_ceil(arcs.size() * 2);
+  const int shift = 64 - std::countr_zero(slots);
+  std::vector<std::uint64_t> table(slots, 0);
+  std::uint32_t best = 0;
+  for (const std::uint32_t arc : arcs) {
+    const std::uint64_t tag = (std::uint64_t{arc} + 1) << 32;
+    // Fibonacci hashing: the product's top bits pick the slot.
+    std::size_t i = (arc * 0x9E3779B97F4A7C15ull) >> shift;
+    while (table[i] != 0 && (table[i] & ~0xFFFFFFFFull) != tag) {
+      i = (i + 1) & (slots - 1);
+    }
+    table[i] = tag | ((table[i] & 0xFFFFFFFFull) + 1);
+    best = std::max(best, static_cast<std::uint32_t>(table[i]));
+  }
+  return best;
+}
+
+}  // namespace
+
 ArcFootprint arc_footprint(const Topology& topo,
                            const MulticastSchedule& schedule) {
+  // An E-cube route crosses one arc per differing address bit, so the
+  // list's exact size is known before the walk.
+  std::size_t crossings = 0;
+  schedule.for_each_sender([&](NodeId from, std::span<const Send> sends) {
+    for (const Send& s : sends) crossings += hcube::popcount64(from ^ s.to);
+  });
   ArcFootprint fp;
-  // Collect raw arc indices, then sort + run-length encode: a tree
-  // touches O(m log N) arcs, so the sort beats a num_arcs-sized scratch
-  // for the small batches the co-scheduler scores.
-  std::vector<std::uint32_t> touched;
+  fp.arcs.reserve(crossings);
   schedule.for_each_sender([&](NodeId from, std::span<const Send> sends) {
     for (const Send& s : sends) {
       hcube::for_each_ecube_arc(topo, from, s.to, [&](hcube::Arc a) {
-        touched.push_back(static_cast<std::uint32_t>(topo.arc_index(a)));
+        fp.arcs.push_back(static_cast<std::uint32_t>(topo.arc_index(a)));
       });
     }
   });
-  std::sort(touched.begin(), touched.end());
-  for (std::size_t i = 0; i < touched.size();) {
-    std::size_t j = i;
-    while (j < touched.size() && touched[j] == touched[i]) ++j;
-    const auto count = static_cast<std::uint32_t>(j - i);
-    fp.arcs.emplace_back(touched[i], count);
-    fp.self_max = std::max(fp.self_max, count);
-    i = j;
-  }
+  fp.self_max = max_multiplicity(fp.arcs);
   return fp;
-}
-
-ArcFootprint merge_footprints(std::span<const ArcFootprint> parts) {
-  ArcFootprint out;
-  if (parts.size() == 1) return parts.front();
-  // Each part's arc list is already sorted; concatenate and re-encode
-  // (k-way merging buys nothing at co-scheduler batch sizes).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> all;
-  std::size_t total = 0;
-  for (const ArcFootprint& p : parts) total += p.arcs.size();
-  all.reserve(total);
-  for (const ArcFootprint& p : parts) {
-    all.insert(all.end(), p.arcs.begin(), p.arcs.end());
-  }
-  std::sort(all.begin(), all.end());
-  for (std::size_t i = 0; i < all.size();) {
-    std::uint32_t count = 0;
-    std::size_t j = i;
-    while (j < all.size() && all[j].first == all[i].first) {
-      count += all[j].second;
-      ++j;
-    }
-    out.arcs.emplace_back(all[i].first, count);
-    out.self_max = std::max(out.self_max, count);
-    i = j;
-  }
-  return out;
 }
 
 }  // namespace hypercast::core

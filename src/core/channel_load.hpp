@@ -3,8 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "core/stepwise.hpp"
@@ -37,35 +35,29 @@ struct ChannelLoadReport {
 ChannelLoadReport analyze_channel_load(const MulticastSchedule& schedule,
                                        const StepResult& steps);
 
-/// The sparse per-arc crossing profile of one schedule: which directed
-/// channels its unicasts' E-cube routes traverse, and how many times.
-/// Entries are (dense arc index, multiplicity), sorted by arc index, so
-/// footprints of different trees can be compared and summed without
-/// re-walking the routes.
+/// The E-cube arc footprint of one schedule: one dense arc index per
+/// channel crossing of its unicasts' routes, in walk order (senders
+/// ascending, each sender's sends in issue order, each route source to
+/// destination). An arc crossed k times appears k times. Adding the
+/// list to a ChannelLoadMap entry by entry is all the co-scheduler does
+/// with it, so it is kept flat: no sort, no run-length encoding.
 struct ArcFootprint {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> arcs;
-  std::uint32_t self_max = 0;  ///< max multiplicity over `arcs` — the
+  std::vector<std::uint32_t> arcs;
+  std::uint32_t self_max = 0;  ///< max multiplicity of any arc — the
                                ///< floor any co-schedule pays for this
                                ///< tree alone
 
-  std::size_t total_crossings() const {
-    std::size_t total = 0;
-    for (const auto& [arc, count] : arcs) total += count;
-    return total;
-  }
+  std::size_t total_crossings() const { return arcs.size(); }
+
+  friend bool operator==(const ArcFootprint&, const ArcFootprint&) = default;
 };
 
 /// Walk every unicast's E-cube route and collect the schedule's
-/// footprint. The schedule must belong to `topo` (same dimension).
+/// footprint, sized exactly (one allocation). The schedule must belong
+/// to `topo` (same dimension). Nothing is retained; the co-scheduler's
+/// per-schedule memo is MulticastSchedule::cached_arc_footprint.
 ArcFootprint arc_footprint(const Topology& topo,
                            const MulticastSchedule& schedule);
-
-/// The union footprint of several schedules launched as one unit:
-/// per-arc multiplicities summed, self_max recomputed. This is how a
-/// striped collective (n trees in flight at once) presents itself to
-/// the co-scheduler — one candidate whose footprint is the sum of its
-/// trees'. Arc-disjoint parts merge with self_max = max over parts.
-ArcFootprint merge_footprints(std::span<const ArcFootprint> parts);
 
 /// A reusable flat per-arc load accumulator — the dense counter array
 /// analyze_channel_load keeps internally, promoted to a shared data
@@ -74,18 +66,10 @@ ArcFootprint merge_footprints(std::span<const ArcFootprint> parts);
 /// O(num_arcs) storage, O(footprint) updates.
 class ChannelLoadMap {
  public:
-  ChannelLoadMap() = default;
-  explicit ChannelLoadMap(const Topology& topo) { reset(topo); }
-
   /// Size (or resize) for `topo` and zero every counter.
   void reset(const Topology& topo) {
     load_.assign(topo.num_arcs(), 0);
   }
-  /// Zero every counter, keeping the current size.
-  void clear() { std::fill(load_.begin(), load_.end(), 0u); }
-
-  std::size_t num_arcs() const { return load_.size(); }
-  std::uint32_t load(std::size_t arc) const { return load_[arc]; }
 
   /// Peak load over the whole map.
   std::uint32_t max_load() const {
@@ -94,25 +78,18 @@ class ChannelLoadMap {
     return peak;
   }
 
-  /// Peak resulting load over `fp`'s arcs if it were added — the
-  /// admission score. Does not mutate the map.
-  std::uint32_t peak_if_added(const ArcFootprint& fp) const {
+  /// Accumulate `fp` into the map; returns the peak load over the arcs
+  /// it touched. Loads only rise, so this is also the peak the map would
+  /// reach if `fp` were added — the co-scheduler's admission score.
+  std::uint32_t add(const ArcFootprint& fp) {
     std::uint32_t peak = 0;
-    for (const auto& [arc, count] : fp.arcs) {
-      peak = std::max(peak, load_[arc] + count);
-    }
+    for (const std::uint32_t arc : fp.arcs) peak = std::max(peak, ++load_[arc]);
     return peak;
   }
 
-  /// Accumulate `fp` into the map; returns the peak load over the arcs
-  /// it touched.
-  std::uint32_t add(const ArcFootprint& fp) {
-    std::uint32_t peak = 0;
-    for (const auto& [arc, count] : fp.arcs) {
-      load_[arc] += count;
-      peak = std::max(peak, load_[arc]);
-    }
-    return peak;
+  /// Take `fp` back out: undoes an add(fp).
+  void remove(const ArcFootprint& fp) {
+    for (const std::uint32_t arc : fp.arcs) --load_[arc];
   }
 
  private:

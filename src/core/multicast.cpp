@@ -6,6 +6,8 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/channel_load.hpp"
+
 namespace hypercast::core {
 
 void MulticastRequest::validate() const {
@@ -38,10 +40,12 @@ void MulticastSchedule::reset(Topology topo, NodeId source) {
   pool_.clear();
   view_.clear();
   dirty_ = true;
+  memo_.reset();
 }
 
 void MulticastSchedule::assign_translated(const MulticastSchedule& relative,
                                           NodeId mask) {
+  memo_.reset();
   topo_ = relative.topo_;
   source_ = relative.source_ ^ mask;
   raw_.resize(relative.raw_.size());
@@ -103,6 +107,27 @@ void MulticastSchedule::assign_translated(const MulticastSchedule& relative,
   dirty_ = false;
 }
 
+const ArcFootprint& MulticastSchedule::cached_arc_footprint() const {
+  if (const ArcFootprint* fp = memo_.get()) return *fp;
+  return memo_.publish(arc_footprint(topo_, *this));
+}
+
+const ArcFootprint& MulticastSchedule::FootprintMemo::publish(
+    ArcFootprint&& fp) const {
+  auto* mine = new ArcFootprint(std::move(fp));
+  ArcFootprint* expected = nullptr;
+  if (ptr_.compare_exchange_strong(expected, mine)) return *mine;
+  delete mine;  // another caller published an identical footprint first
+  return *expected;
+}
+
+void MulticastSchedule::FootprintMemo::reset() noexcept {
+  if (ArcFootprint* fp = ptr_.load()) {
+    ptr_ = nullptr;
+    delete fp;
+  }
+}
+
 std::size_t MulticastSchedule::footprint_bytes() const {
   return sizeof(MulticastSchedule) + raw_.capacity() * sizeof(RawSend) +
          pool_.capacity() * sizeof(NodeId) + view_.capacity() * sizeof(Send) +
@@ -157,6 +182,7 @@ void MulticastSchedule::add_send(NodeId from, NodeId to,
   }
   raw_.push_back(raw);
   dirty_ = true;
+  memo_.reset();
 }
 
 void MulticastSchedule::finalize() const {

@@ -1,6 +1,7 @@
 #ifndef HYPERCAST_CORE_MULTICAST_HPP
 #define HYPERCAST_CORE_MULTICAST_HPP
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <initializer_list>
@@ -19,6 +20,8 @@ using hcube::Dim;
 using hcube::NodeId;
 using hcube::Resolution;
 using hcube::Topology;
+
+struct ArcFootprint;  // core/channel_load.hpp
 
 /// A multicast to perform: deliver one message from `source` to every
 /// node in `destinations` (distinct, source excluded).
@@ -85,7 +88,8 @@ class MulticastSchedule {
 
   // Copies drop the cached view (it points into the source's pool) and
   // lazily rebuild against their own storage; moves keep it (the heap
-  // buffers move wholesale, so the spans stay valid).
+  // buffers move wholesale, so the spans stay valid). The footprint memo
+  // follows the same rule: copies start without one, moves carry it.
   MulticastSchedule(const MulticastSchedule& other)
       : topo_(other.topo_), source_(other.source_), raw_(other.raw_),
         pool_(other.pool_) {}
@@ -97,6 +101,7 @@ class MulticastSchedule {
       pool_ = other.pool_;
       dirty_ = true;
       view_.clear();
+      memo_.reset();
     }
     return *this;
   }
@@ -200,6 +205,22 @@ class MulticastSchedule {
   /// Multi-line human-readable tree rendering (for examples/debugging).
   std::string format_tree() const;
 
+  /// The schedule's arc footprint (core::arc_footprint over topo()),
+  /// computed by the first call and kept until the schedule changes:
+  /// reset, add_send, assign_translated and copy-assignment drop it.
+  /// This is the co-scheduler's entry point — a cached tree comes back
+  /// batch after batch, and its footprint is a pure function of the
+  /// tree. Other footprint users call core::arc_footprint and keep
+  /// nothing, so serving and the simulators never allocate the memo.
+  /// Safe to call concurrently on a finalized schedule: racing callers
+  /// may each compute it, one result is published (the contents are
+  /// identical), and every caller gets the published one.
+  const ArcFootprint& cached_arc_footprint() const;
+
+  /// The footprint cached_arc_footprint() published, or null when none
+  /// is held. Never computes.
+  const ArcFootprint* arc_footprint_memo() const { return memo_.get(); }
+
   /// Heap bytes the flat arrays pin (capacity, not size — what a cache
   /// entry actually holds resident).
   std::size_t footprint_bytes() const;
@@ -219,6 +240,40 @@ class MulticastSchedule {
     NodeId to = 0;
     std::uint32_t pool_begin = 0;
     std::uint32_t pool_len = 0;
+  };
+
+  /// Owning, atomically published pointer to the footprint memo; moves
+  /// transfer it. Only publish() and get() may race. A schedule without
+  /// a memo pays one atomic load per move, reset() or destruction — a
+  /// plain load on x86-64 and AArch64 — and no store.
+  class FootprintMemo {
+   public:
+    FootprintMemo() = default;
+    FootprintMemo(const FootprintMemo&) = delete;
+    FootprintMemo& operator=(const FootprintMemo&) = delete;
+    FootprintMemo(FootprintMemo&& other) noexcept : ptr_(other.release()) {}
+    FootprintMemo& operator=(FootprintMemo&& other) noexcept {
+      if (this != &other) {
+        reset();
+        ptr_ = other.release();
+      }
+      return *this;
+    }
+    ~FootprintMemo() { reset(); }
+
+    const ArcFootprint* get() const { return ptr_.load(); }
+    /// Publish `fp` unless another caller got there first; returns the
+    /// published footprint either way.
+    const ArcFootprint& publish(ArcFootprint&& fp) const;
+    void reset() noexcept;
+
+   private:
+    ArcFootprint* release() noexcept {
+      ArcFootprint* fp = ptr_.load();
+      if (fp != nullptr) ptr_ = nullptr;
+      return fp;
+    }
+    mutable std::atomic<ArcFootprint*> ptr_{nullptr};
   };
 
   /// 64 nodes of the sender bitmap and the senders in earlier words.
@@ -255,6 +310,8 @@ class MulticastSchedule {
   mutable std::vector<Send> view_;
   mutable std::vector<SenderWord> words_;     ///< ceil(num_nodes / 64)
   mutable std::vector<std::uint32_t> begin_;  ///< senders + 1 offsets
+
+  FootprintMemo memo_;  ///< see cached_arc_footprint()
 };
 
 }  // namespace hypercast::core

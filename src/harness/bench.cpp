@@ -155,6 +155,7 @@ const Registration smoke_registration{
 
 /// The repeats folded into one report: each metric is the median of its
 /// values across the repeats (the lower middle one for an even count),
+/// with its [min, max] across them as the spread when there are several,
 /// and the series come from the final repeat. A benchmark reports the
 /// same metrics in the same order on every repeat.
 Report median_report(const std::vector<Report>& runs) {
@@ -168,6 +169,10 @@ Report median_report(const std::vector<Report>& runs) {
     const auto mid = values.begin() + (values.size() - 1) / 2;
     std::nth_element(values.begin(), mid, values.end());
     out.metric(last[i].first, *mid);
+    if (runs.size() > 1) {
+      const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+      out.spread(last[i].first, *lo, *hi);
+    }
   }
   for (const metrics::Series& s : runs.back().series()) out.add_series(s);
   return out;
@@ -237,6 +242,13 @@ std::string benchmark_json(const Benchmark& benchmark, const RunOptions& opts,
     w.key(name).value(value);
   }
   w.end_object();
+  if (!report.spreads().empty()) {
+    w.key("spread").begin_object();
+    for (const Report::Spread& sp : report.spreads()) {
+      w.key(sp.name).begin_array().value(sp.lo).value(sp.hi).end_array();
+    }
+    w.end_object();
+  }
   w.key("series").begin_array();
   for (const metrics::Series& s : report.series()) write_series(w, s);
   w.end_array();

@@ -61,14 +61,26 @@ class Report {
     series_.push_back(std::move(series));
   }
 
+  /// A metric's [lo, hi] over repeated runs.
+  struct Spread {
+    std::string name;
+    double lo = 0.0;
+    double hi = 0.0;
+  };
+  void spread(std::string name, double lo, double hi) {
+    spreads_.push_back({std::move(name), lo, hi});
+  }
+
   const std::vector<std::pair<std::string, double>>& metrics() const {
     return metrics_;
   }
   const std::vector<metrics::Series>& series() const { return series_; }
+  const std::vector<Spread>& spreads() const { return spreads_; }
 
  private:
   std::vector<std::pair<std::string, double>> metrics_;
   std::vector<metrics::Series> series_;
+  std::vector<Spread> spreads_;
 };
 
 using BenchFn = void (*)(const Context&, Report&);

@@ -69,10 +69,7 @@ ShardPlan partition_collective_jobs(std::span<const CollectiveJob> jobs) {
     const core::MulticastSchedule& s = *jobs[j].schedule;
     assert(s.topo() == topo && "all jobs must share one topology");
     const core::ArcFootprint fp = core::arc_footprint(topo, s);
-    for (const auto& [arc, count] : fp.arcs) {
-      (void)count;
-      claim(arc_owner, arc, j);
-    }
+    for (const std::uint32_t arc : fp.arcs) claim(arc_owner, arc, j);
     claim(node_owner, s.source(), j);
     for (const hcube::NodeId n : s.recipients()) {
       claim(node_owner, n, j);

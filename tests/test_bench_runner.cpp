@@ -316,6 +316,10 @@ TEST(BenchRunner, RepeatsReportEachMetricsMedian) {
   EXPECT_EQ(records[0].wall_seconds.size(), 5u);
   EXPECT_NE(records[0].json.find("\"value\":3"), std::string::npos)
       << records[0].json;
+  // The spread over the repeats rides next to the medians.
+  EXPECT_NE(records[0].json.find("\"spread\":{\"value\":[1,5]}"),
+            std::string::npos)
+      << records[0].json;
 }
 
 // ---- parallel sweeps -----------------------------------------------------

@@ -13,10 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <memory>
 #include <set>
 #include <span>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "coll/coscheduler.hpp"
@@ -39,13 +42,14 @@ using core::MulticastSchedule;
 
 std::vector<MulticastSchedule> build_batch(
     const hcube::Topology& topo,
-    const std::vector<workload::ConcurrentRequest>& requests) {
-  const auto& wsort = core::find_algorithm("wsort");
+    const std::vector<workload::ConcurrentRequest>& requests,
+    const char* algorithm = "wsort") {
+  const auto& entry = core::find_algorithm(algorithm);
   std::vector<MulticastSchedule> schedules;
   schedules.reserve(requests.size());
   for (const auto& r : requests) {
     schedules.push_back(
-        wsort.build(MulticastRequest{topo, r.source, r.destinations}));
+        entry.build(MulticastRequest{topo, r.source, r.destinations}));
   }
   return schedules;
 }
@@ -331,6 +335,250 @@ TEST(CoScheduler, BeatsObliviousSuperpositionInTheSimulator) {
     };
     EXPECT_LE(worst_delay(planned, cosched), worst_delay(base, oblivious))
         << "workload " << which;
+  }
+}
+
+// ---- golden plans ---------------------------------------------------------
+
+/// One line per plan: every wave's members and peak, then the plan-wide
+/// peak, deferral and fallback counts.
+std::string describe(const CoschedPlan& plan) {
+  std::ostringstream os;
+  for (const auto& wave : plan.waves) {
+    os << '[';
+    for (std::size_t i = 0; i < wave.members.size(); ++i) {
+      os << (i == 0 ? "" : ",") << wave.members[i];
+    }
+    os << "]p" << wave.peak_overlap << ' ';
+  }
+  os << "peak " << plan.peak_overlap << " deferred " << plan.deferred
+     << " fallback " << plan.oblivious_fallback;
+  return os.str();
+}
+
+struct GoldenCase {
+  std::uint32_t bound;
+  std::size_t max_waves;
+  const char* expected;
+};
+
+void expect_golden(const std::vector<MulticastSchedule>& schedules,
+                   std::initializer_list<GoldenCase> cases) {
+  const auto ptrs = pointers(schedules);
+  for (const GoldenCase& c : cases) {
+    CoschedPolicy policy;
+    policy.max_arc_overlap = c.bound;
+    policy.max_waves = c.max_waves;
+    CoScheduler scheduler(policy);
+    // Plan twice on one scheduler: the second plan reuses its scratch
+    // (and any per-schedule state the first plan left behind).
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_EQ(describe(scheduler.plan(
+                    std::span<const MulticastSchedule* const>(ptrs))),
+                c.expected)
+          << "bound " << c.bound << " max_waves " << c.max_waves
+          << " round " << round;
+    }
+  }
+}
+
+// Plans pinned for fixed seeded batches. The expected strings were
+// captured from the sort-and-run-length footprint planner; any change
+// to footprints or packing that alters a wave, a peak or a count shows
+// up here as an exact diff.
+TEST(CoSchedulerGolden, MultiTenantWsortBatch) {
+  const hcube::Topology topo(6);
+  workload::Rng rng(0x6017D3ull);
+  const auto schedules =
+      build_batch(topo, workload::multi_tenant_mix(topo, 4, 4, 20, rng));
+  expect_golden(schedules, {
+    {1, 0,
+     "[12,13]p1 [14]p1 [4,11]p1 [10]p1 [3]p1 [0]p1 [8]p1 [9]p1 [6,15]p1 "
+     "[1]p1 [2]p1 [5]p1 [7]p1 peak 1 deferred 88 fallback 0"},
+    {2, 0,
+     "[4,12,13,14]p2 [3,7,10]p2 [0,2,8]p2 [1,9,11]p2 [5,6,15]p2 peak 2 "
+     "deferred 30 fallback 0"},
+    {3, 0,
+     "[3,4,6,10,12,13,14]p3 [0,1,8,9,11]p3 [2,5,7,15]p3 peak 3 deferred "
+     "13 fallback 0"},
+    {1, 2,
+     "[12,13]p1 [0,1,2,3,4,5,6,7,8,9,10,11,14,15]p7 peak 7 deferred 14 "
+     "fallback 13"}
+  });
+}
+
+TEST(CoSchedulerGolden, HotSpotWsortBatch) {
+  const hcube::Topology topo(6);
+  workload::Rng rng(0x407590ull);
+  const auto schedules =
+      build_batch(topo, workload::hot_spot_mix(topo, 16, 16, 8, rng));
+  expect_golden(schedules, {
+    {1, 0,
+     "[12,13]p1 [0,2]p1 [3,5]p1 [1]p1 [4,14]p1 [6,7]p1 [9,10]p1 [8,15]p1 "
+     "[11]p1 peak 1 deferred 61 fallback 0"},
+    {2, 0,
+     "[0,2,5,12]p2 [1,3,4]p2 [6,7,13,14]p2 [8,9,10,15]p2 [11]p1 peak 2 "
+     "deferred 27 fallback 0"},
+    {3, 0,
+     "[0,1,2,3,5,12]p3 [4,6,7,10,13,14]p3 [8,9,11,15]p3 peak 3 deferred "
+     "14 fallback 0"},
+    {1, 3,
+     "[12,13]p1 [0,2]p1 [1,3,4,5,6,7,8,9,10,11,14,15]p7 peak 7 deferred "
+     "26 fallback 11"}
+  });
+}
+
+TEST(CoSchedulerGolden, HotSpotUcubeBatchWithSelfOverlap) {
+  // U-cube trees reuse channels across steps, so several exceed the
+  // tight bounds alone and exercise the solo-wave fallback.
+  const hcube::Topology topo(5);
+  workload::Rng rng(0x0C0BEull);
+  const auto schedules = build_batch(
+      topo, workload::hot_spot_mix(topo, 12, 14, 6, rng), "ucube");
+  expect_golden(schedules, {
+    {1, 0,
+     "[10]p2 [9]p2 [7]p2 [11]p2 [0]p2 [1]p1 [2]p2 [3]p1 [4]p2 [5]p2 "
+     "[6]p2 [8]p2 peak 2 deferred 66 fallback 10"},
+    {2, 0,
+     "[0,10,11]p2 [3,5,9]p2 [4,7]p2 [1,2]p2 [6,8]p2 peak 2 deferred 21 "
+     "fallback 0"},
+    {3, 0,
+     "[0,1,5,10,11]p3 [2,4,9]p3 [3,6,7]p3 [8]p2 peak 3 deferred 12 "
+     "fallback 0"},
+    {1, 2,
+     "[10]p2 [0,1,2,3,4,5,6,7,8,9,11]p9 peak 9 deferred 11 fallback 12"},
+    {2, 3,
+     "[0,10,11]p2 [3,5,9]p2 [1,2,4,6,7,8]p6 peak 6 deferred 15 fallback "
+     "5"}
+  });
+}
+
+TEST(CoSchedulerGolden, DesTenantsShapedBatch) {
+  // The des_tenants benchmark's shape: 10-cube, 8 tenants x 4
+  // multicasts, m = 64.
+  const hcube::Topology topo(10);
+  workload::Rng rng(0x7E4A47ull);
+  const auto schedules =
+      build_batch(topo, workload::multi_tenant_mix(topo, 8, 4, 64, rng));
+  expect_golden(schedules, {
+    {2, 0,
+     "[0,3,10,11,24,25,26,29]p2 [5,12,15,16,19,22,28]p2 [1,2,8,14,21,27]p2 "
+     "[4,6,9,13,18,31]p2 [7,17,23,30]p2 [20]p1 peak 2 deferred 58 "
+     "fallback 0"},
+    {1, 0,
+     "[10]p1 [0,3]p1 [11]p1 [13,25]p1 [5]p1 [19,23]p1 [24,27]p1 [28,29]p1 "
+     "[6,22]p1 [8,15]p1 [1]p1 [26]p1 [7,16]p1 [2]p1 [12]p1 [31]p1 [14]p1 "
+     "[9]p1 [18]p1 [4]p1 [21]p1 [30]p1 [17]p1 [20]p1 peak 1 deferred 327 "
+     "fallback 0"}
+  });
+}
+
+TEST(CoSchedulerGolden, SelfHeavyTreeBatch) {
+  // The pair from SelfHeavyTreeFallsBackSolo.
+  const hcube::Topology topo(3);
+  std::vector<MulticastSchedule> schedules;
+  schedules.emplace_back(topo, 0);
+  schedules.back().add_send(0, 2, {});
+  schedules.back().add_send(0, 3, {});
+  schedules.emplace_back(topo, 4);
+  schedules.back().add_send(4, 6, {});
+  for (auto& s : schedules) s.finalize();
+  expect_golden(schedules, {
+    {1, 0,
+     "[0]p2 [1]p1 peak 2 deferred 1 fallback 1"},
+    {2, 0,
+     "[0,1]p2 peak 2 deferred 0 fallback 0"},
+    {3, 0,
+     "[0,1]p2 peak 2 deferred 0 fallback 0"},
+    {1, 1,
+     "[0,1]p2 peak 2 deferred 0 fallback 1"}
+  });
+}
+
+// ---- footprint memo -------------------------------------------------------
+
+/// Plan `s` alone; the memo the plan leaves must equal a fresh footprint.
+void expect_plan_uses_fresh_footprint(CoScheduler& scheduler,
+                                      const MulticastSchedule& s,
+                                      const char* after) {
+  const MulticastSchedule* const one[] = {&s};
+  (void)scheduler.plan(std::span<const MulticastSchedule* const>(one));
+  const core::ArcFootprint* memo = s.arc_footprint_memo();
+  ASSERT_NE(memo, nullptr) << after;
+  EXPECT_EQ(*memo, core::arc_footprint(s.topo(), s)) << after;
+}
+
+TEST(CoSchedulerMemo, EveryMutatorDropsTheFootprint) {
+  const hcube::Topology topo(6);
+  workload::Rng rng(0x3E3011ull);
+  auto batch =
+      build_batch(topo, workload::multi_tenant_mix(topo, 2, 2, 20, rng));
+  CoScheduler scheduler;
+  MulticastSchedule& s = batch[0];
+  EXPECT_EQ(s.arc_footprint_memo(), nullptr);
+  expect_plan_uses_fresh_footprint(scheduler, s, "first plan");
+  // Later plans reuse the memo instead of recomputing it.
+  const core::ArcFootprint* first = s.arc_footprint_memo();
+  expect_plan_uses_fresh_footprint(scheduler, s, "second plan");
+  EXPECT_EQ(s.arc_footprint_memo(), first);
+
+  s.add_send(s.source(), s.source() ^ 63);
+  EXPECT_EQ(s.arc_footprint_memo(), nullptr);
+  expect_plan_uses_fresh_footprint(scheduler, s, "add_send");
+
+  s.assign_translated(batch[1], 5);
+  EXPECT_EQ(s.arc_footprint_memo(), nullptr);
+  expect_plan_uses_fresh_footprint(scheduler, s, "assign_translated");
+
+  // Copy-assign from a planned schedule: the target neither keeps its
+  // own memo nor shares the source's.
+  expect_plan_uses_fresh_footprint(scheduler, batch[2], "copy source");
+  s = batch[2];
+  EXPECT_EQ(s.arc_footprint_memo(), nullptr);
+  expect_plan_uses_fresh_footprint(scheduler, s, "copy-assign");
+  EXPECT_NE(s.arc_footprint_memo(), batch[2].arc_footprint_memo());
+
+  s.reset(topo, 7);
+  EXPECT_EQ(s.arc_footprint_memo(), nullptr);
+  s.add_send(7, 8);
+  s.add_send(7, 48);
+  expect_plan_uses_fresh_footprint(scheduler, s, "reset");
+
+  // A copy starts without a memo; a move carries it.
+  const MulticastSchedule copy(batch[2]);
+  EXPECT_EQ(copy.arc_footprint_memo(), nullptr);
+  expect_plan_uses_fresh_footprint(scheduler, copy, "copy");
+  EXPECT_NE(copy.arc_footprint_memo(), batch[2].arc_footprint_memo());
+  const core::ArcFootprint* carried = batch[2].arc_footprint_memo();
+  const MulticastSchedule moved(std::move(batch[2]));
+  EXPECT_EQ(moved.arc_footprint_memo(), carried);
+}
+
+TEST(CoSchedulerMemo, PlainServingLeavesTheMemoEmpty) {
+  const hcube::Topology topo(6);
+  workload::Rng rng(0x5E1F3Dull);
+  std::vector<MulticastRequest> requests;
+  for (const auto& r : workload::multi_tenant_mix(topo, 4, 3, 18, rng)) {
+    requests.push_back(MulticastRequest{topo, r.source, r.destinations});
+  }
+  requests.push_back(MulticastRequest{topo, 0, {1, 2, 5, 9}});  // relative
+  const coll::ServePipeline pipeline(
+      "wsort", std::make_shared<coll::ScheduleCache>());
+  for (const auto& request : requests) {
+    EXPECT_EQ(pipeline.serve(request)->arc_footprint_memo(), nullptr);
+  }
+  for (const auto& s : pipeline.serve_batch(requests, {2, 0})) {
+    EXPECT_EQ(s->arc_footprint_memo(), nullptr);
+  }
+  // Co-scheduled serving fills the memos of the cached trees, and the
+  // next serve of the same request hands back the tree with its memo.
+  const auto cosched =
+      pipeline.serve_batch_cosched(requests, {}, CoschedPolicy{});
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const core::ArcFootprint* memo =
+        cosched.schedules[i]->arc_footprint_memo();
+    ASSERT_NE(memo, nullptr) << "slot " << i;
+    EXPECT_EQ(pipeline.serve(requests[i])->arc_footprint_memo(), memo);
   }
 }
 

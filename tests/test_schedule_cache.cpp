@@ -10,6 +10,7 @@
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "coll/schedule_cache.hpp"
 #include "coll/serve_pipeline.hpp"
@@ -17,6 +18,7 @@
 #include "fault/fault_aware.hpp"
 #include "fault/fault_set.hpp"
 #include "test_util.hpp"
+#include "workload/concurrent.hpp"
 #include "workload/random_sets.hpp"
 
 namespace hypercast {
@@ -298,6 +300,73 @@ TEST(ServePipeline, BatchPropagatesExceptions) {
   auto cache = std::make_shared<ScheduleCache>();
   ServePipeline pipeline("wsort", cache);
   EXPECT_THROW(pipeline.serve_batch(batch, 2), std::invalid_argument);
+}
+
+// Several event loops serving under --cosched plan the same cached
+// trees at once, so their first plans race to publish each tree's
+// footprint memo. Every thread's plans must equal a single-threaded
+// reference built on a separate cache.
+TEST(ServePipeline, CoschedOnSharedCachedTreesMatchesSingleThreaded) {
+  const Topology topo(7, Resolution::HighToLow);
+  workload::Rng rng(0xC05C4EDull);
+  std::vector<core::MulticastRequest> pool;
+  for (const auto& r : workload::multi_tenant_mix(topo, 7, 4, 24, rng)) {
+    pool.push_back({topo, r.source, r.destinations});
+  }
+  // Windows of 25 over the pool of 28, one request apart: thread t's
+  // first tree is the second tree of thread t - 1.
+  constexpr int kThreads = 4;
+  std::vector<std::vector<core::MulticastRequest>> batches(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    batches[t].assign(pool.begin() + t, pool.begin() + t + 25);
+  }
+  const coll::CoschedPolicy policy;
+  const auto describe = [](const coll::CoschedPlan& plan) {
+    std::vector<std::size_t> out{plan.deferred, plan.oblivious_fallback,
+                                 plan.peak_overlap};
+    for (const auto& wave : plan.waves) {
+      out.push_back(wave.peak_overlap);
+      out.insert(out.end(), wave.members.begin(), wave.members.end());
+      out.push_back(~std::size_t{0});
+    }
+    return out;
+  };
+  std::vector<std::vector<std::size_t>> reference;
+  {
+    const ServePipeline single("wsort", std::make_shared<ScheduleCache>());
+    for (const auto& batch : batches) {
+      reference.push_back(
+          describe(single.serve_batch_cosched(batch, {}, policy).plan));
+    }
+  }
+
+  // Each round serves through a fresh cache warmed by plain serving, so
+  // its threads plan shared cached trees none of which holds a memo yet.
+  for (int round = 0; round < 8; ++round) {
+    const ServePipeline pipeline("wsort", std::make_shared<ScheduleCache>());
+    for (const auto& s : pipeline.serve_batch(pool, {})) {
+      ASSERT_EQ(s->arc_footprint_memo(), nullptr);
+    }
+    std::atomic<int> ready{0};
+    std::vector<std::vector<std::size_t>> plans(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        plans[t] = describe(
+            pipeline.serve_batch_cosched(batches[t], {}, policy).plan);
+      });
+    }
+    for (auto& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(plans[t], reference[t]) << "round " << round << " thread " << t;
+    }
+    for (const auto& s : pipeline.serve_batch(pool, {})) {
+      EXPECT_NE(s->arc_footprint_memo(), nullptr);
+    }
+  }
 }
 
 // ---- concurrency hammer --------------------------------------------------

@@ -200,15 +200,6 @@ TEST(StripedPlanTest, FourCubePlanIsDisjointAndCovers) {
     const auto report = core::verify_arc_disjoint(
         topo, std::span<const MulticastSchedule* const>(ptrs));
     EXPECT_TRUE(report.disjoint) << report.summary(topo);
-    // The union footprint the co-scheduler sees: disjoint trees merge
-    // without any arc's multiplicity exceeding the per-tree max.
-    const core::ArcFootprint fp = plan.union_footprint();
-    EXPECT_EQ(fp.self_max, 1u);
-    std::size_t parts_total = 0;
-    for (const auto* t : ptrs) {
-      parts_total += core::arc_footprint(topo, *t).total_crossings();
-    }
-    EXPECT_EQ(fp.total_crossings(), parts_total);
   }
 }
 

@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
 """Bench regression gate for hypercast-bench-v1 artifacts.
 
-Compares throughput metrics (any metric key containing "per_sec" or
-"per_s" -- builds_per_sec, events_per_s, sorts_per_sec, ...) in freshly
-produced BENCH_*.json files against the committed baselines under
-results/. Higher is better for every rate metric; the gate fails when a
-fresh rate drops more than --threshold (default 30%) below its baseline.
+Compares two kinds of metric in freshly produced BENCH_*.json files
+against the committed baselines under results/:
+
+* rates, higher is better: any key containing "per_sec" or "per_s"
+  (builds_per_sec, events_per_s, sorts_per_sec, ...);
+* latencies, lower is better: keys ending in "ns_per_event" or
+  "_p99_us" (the simulator's cost per event, the serving SLO's p99).
+
+Other keys are not compared. The gate fails when a metric gets worse by
+more than --threshold (default 30%): a rate below (1 - threshold) times
+its baseline, or a latency above its baseline divided by
+(1 - threshold), so both kinds fail at the same slowdown.
 
 Benchmarks or individual metrics present on only one side are reported
 but never fail the gate: baselines are refreshed deliberately, and quick
@@ -38,15 +45,23 @@ import sys
 from pathlib import Path
 
 RATE_MARKERS = ("per_sec", "per_s")
+LATENCY_SUFFIXES = ("ns_per_event", "_p99_us")
 
 
-def is_rate_metric(key: str) -> bool:
-    return any(marker in key for marker in RATE_MARKERS)
+def metric_direction(key: str):
+    """"lower" for latency keys, "higher" for rate keys, None for keys
+    the gate does not compare."""
+    if key.endswith(LATENCY_SUFFIXES):
+        return "lower"
+    if any(marker in key for marker in RATE_MARKERS):
+        return "higher"
+    return None
 
 
 def load_artifacts(directory: Path):
-    """Map benchmark name -> {metric: value} for rate metrics only, and
-    benchmark name -> recorded machine.build_type (None when absent)."""
+    """Map benchmark name -> {metric: value} for the gated metrics only,
+    and benchmark name -> recorded machine.build_type (None when
+    absent)."""
     out = {}
     build_types = {}
     for path in sorted(directory.glob("BENCH_*.json")):
@@ -67,13 +82,13 @@ def load_artifacts(directory: Path):
             print(f"error: {path}: \"metrics\" is not an object "
                   f"(got {type(metrics).__name__})", file=sys.stderr)
             sys.exit(2)
-        rates = {
+        gated = {
             key: value
             for key, value in metrics.items()
-            if is_rate_metric(key) and isinstance(value, (int, float))
+            if metric_direction(key) and isinstance(value, (int, float))
         }
         name = doc.get("name", path.stem)
-        out[name] = rates
+        out[name] = gated
         machine = doc.get("machine")
         build_type = (machine.get("build_type")
                       if isinstance(machine, dict) else None)
@@ -107,7 +122,7 @@ def main() -> int:
     parser.add_argument("--threshold", type=float,
                         default=float(os.environ.get(
                             "BENCH_REGRESSION_THRESHOLD", "0.30")),
-                        help="max tolerated fractional drop, e.g. 0.30 "
+                        help="max tolerated slowdown, e.g. 0.30 "
                              "(default: 0.30 or $BENCH_REGRESSION_THRESHOLD)")
     parser.add_argument("--only", default="",
                         help="restrict to benchmark names containing this "
@@ -153,20 +168,26 @@ def main() -> int:
 
     regressions = []
     compared = 0
-    for name, fresh_rates in sorted(fresh.items()):
-        base_rates = baseline.get(name)
-        if base_rates is None:
+    for name, fresh_metrics in sorted(fresh.items()):
+        base_metrics = baseline.get(name)
+        if base_metrics is None:
             print(f"note: {name}: no committed baseline, skipping")
             continue
-        for key, fresh_value in sorted(fresh_rates.items()):
-            base_value = base_rates.get(key)
+        for key, fresh_value in sorted(fresh_metrics.items()):
+            base_value = base_metrics.get(key)
             if base_value is None:
                 print(f"note: {name}: metric {key!r} not in baseline")
                 continue
             if base_value <= 0:
                 continue
             compared += 1
-            ratio = fresh_value / base_value
+            # How much faster the fresh run is (< 1: slower), either way
+            # round: a rate's fresh/base, a latency's base/fresh.
+            if metric_direction(key) == "higher":
+                ratio = fresh_value / base_value
+            else:
+                ratio = (base_value / fresh_value if fresh_value > 0
+                         else float("inf"))
             status = "ok"
             if ratio < 1.0 - args.threshold:
                 status = "REGRESSION"
@@ -174,15 +195,15 @@ def main() -> int:
             print(f"{status:>10}  {name}: {key}  "
                   f"{base_value:.4g} -> {fresh_value:.4g}  ({ratio:.2f}x)")
 
-    print(f"\ncompared {compared} rate metrics, "
-          f"threshold {args.threshold:.0%} drop")
+    print(f"\ncompared {compared} metrics, "
+          f"threshold {args.threshold:.0%} slowdown")
     if regressions:
         print(f"FAIL: {len(regressions)} metric(s) regressed:")
         for name, key, base_value, fresh_value, ratio in regressions:
             print(f"  {name}: {key}  {base_value:.4g} -> {fresh_value:.4g}  "
-                  f"({(1 - ratio):.0%} drop)")
+                  f"({(1 - ratio):.0%} slower)")
         return 1
-    print("PASS: no rate metric regressed beyond threshold")
+    print("PASS: no metric regressed beyond threshold")
     return 0
 
 
