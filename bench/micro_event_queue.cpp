@@ -1,14 +1,15 @@
 // Microbenchmark: raw event-queue churn — schedule + dispatch cost of
-// the radix-heap EventQueue, isolated from the network model. Two rows:
+// the radix-heap EventQueue, isolated from the network model. Both rows
+// fire handler tickets ({time, kind, 32-bit arg}, no callable) and
+// report events/s plus its inverse, ns per event:
 //
-//  * 64 interleaved self-rescheduling chains of pooled Actions, each
-//    one nanosecond ahead (POD tickets, slot-recycled actions, no
-//    per-event allocation);
-//  * the DES regime ("des_mix"): raw-handler tickets, about 360
-//    pending, rescheduled with the delay mix a des_tenants replay
-//    produces — 48% per-hop (2 µs), 16% receive overhead (80 µs), 16%
-//    4 KiB body time (1.84 ms), 4% zero-delay resumes, and the rest
-//    job starts at multiples of 160 µs.
+//  * 64 interleaved self-rescheduling chains, each one nanosecond
+//    ahead, the ticket's arg counting the hops left;
+//  * the DES regime ("des_mix"): about 360 tickets pending, rescheduled
+//    with the delay mix a des_tenants replay produces — 48% per-hop
+//    (2 µs), 16% receive overhead (80 µs), 16% 4 KiB body time
+//    (1.84 ms), 4% zero-delay resumes, and the rest job starts at
+//    multiples of 160 µs.
 
 #include <cstdio>
 #include <random>
@@ -26,18 +27,22 @@ void run_chains(const bench::Context& ctx, bench::Report& report) {
   const std::uint64_t hops = ctx.quick ? 2'000 : 20'000;
   const std::uint64_t events_per_iter = chains * (hops + 1);
 
-  struct Hop {
+  struct Chain {
     sim::EventQueue* queue;
-    std::uint64_t left;
-    void operator()() const {
-      if (left > 0) queue->schedule_in(1, Hop{queue, left - 1});
-    }
+    std::uint16_t kind;
   };
 
   const bench::Rate rate = bench::measure_rate(ctx.min_time(0.5), [&] {
     sim::EventQueue queue;
+    Chain chain{&queue, 0};
+    chain.kind = queue.register_handler(
+        [](void* c, std::uint32_t left) {
+          const Chain& ch = *static_cast<const Chain*>(c);
+          if (left > 0) ch.queue->schedule_in(1, ch.kind, left - 1);
+        },
+        &chain);
     for (std::size_t c = 0; c < chains; ++c) {
-      queue.schedule_in(1, Hop{&queue, hops});
+      queue.schedule_in(1, chain.kind, static_cast<std::uint32_t>(hops));
     }
     queue.run_to_completion(events_per_iter);
   });
@@ -46,6 +51,7 @@ void run_chains(const bench::Context& ctx, bench::Report& report) {
   report.metric("chains", static_cast<double>(chains));
   report.metric("events_per_iter", static_cast<double>(events_per_iter));
   report.metric("events_per_sec", events_per_sec);
+  report.metric("ns_per_event", 1e9 / events_per_sec);
   std::printf("  %zu chains x %llu hops: %12.3e events/s\n", chains,
               static_cast<unsigned long long>(hops), events_per_sec);
 }
@@ -96,13 +102,13 @@ void run_des_mix(const bench::Context& ctx, bench::Report& report) {
           Mix& m = *static_cast<Mix*>(c);
           if (m.left == 0) return;
           --m.left;
-          m.queue->schedule_raw_in(m.delays[m.next++ & (kDelays - 1)],
-                                   m.kind, arg);
+          m.queue->schedule_in(m.delays[m.next++ & (kDelays - 1)], m.kind,
+                               arg);
         },
         &mix);
     for (std::size_t i = 0; i < pending; ++i) {
-      queue.schedule_raw(delays[(i * 7) & (kDelays - 1)], mix.kind,
-                         static_cast<std::uint32_t>(i));
+      queue.schedule(delays[(i * 7) & (kDelays - 1)], mix.kind,
+                     static_cast<std::uint32_t>(i));
     }
     queue.run_to_completion(events_per_iter);
   });
@@ -112,6 +118,7 @@ void run_des_mix(const bench::Context& ctx, bench::Report& report) {
   report.metric("des_mix events_per_iter",
                 static_cast<double>(events_per_iter));
   report.metric("des_mix events_per_sec", events_per_sec);
+  report.metric("des_mix ns_per_event", 1e9 / events_per_sec);
   std::printf("  des mix, %zu pending:  %12.3e events/s\n", pending,
               events_per_sec);
 }
@@ -123,8 +130,8 @@ void run(const bench::Context& ctx, bench::Report& report) {
 
 const bench::Registration reg{
     {"micro_event_queue", bench::Kind::Micro,
-     "event-queue schedule+dispatch throughput (64 interleaved pooled "
-     "chains; raw tickets in the des_tenants delay mix)",
+     "event-queue schedule+dispatch throughput and ns per event (64 "
+     "interleaved chains; the des_tenants delay mix)",
      run}};
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Microbenchmark: discrete-event simulator throughput — full multicast
 // replays per second and events per second, for the schedules the
 // figure sweeps run by the thousand. This is the regression guard for
-// the simulator hot path (pooled events, intrusive waiter lists, shared
-// path pool): events_per_sec here is the number to compare across PRs.
+// the simulator hot path (handler tickets, intrusive waiter lists, shared
+// path pool): events_per_sec here, and its inverse ns_per_event, are the
+// numbers to compare across PRs.
 
 #include <cstdio>
 #include <string>
@@ -55,6 +56,7 @@ void run(const bench::Context& ctx, bench::Report& report) {
       report.metric(key + " events_per_replay",
                     static_cast<double>(events_per_replay));
       report.metric(key + " events_per_sec", events_per_sec);
+      report.metric(key + " ns_per_event", 1e9 / events_per_sec);
       std::printf("  %-22s %9.1f replays/s   %12.3e events/s\n", key.c_str(),
                   rate.per_second(), events_per_sec);
     }
@@ -63,8 +65,8 @@ void run(const bench::Context& ctx, bench::Report& report) {
 
 const bench::Registration reg{
     {"micro_sim_engine", bench::Kind::Micro,
-     "DES throughput: 10-cube multicast replays and events per second "
-     "(hot-path regression guard)",
+     "DES throughput: 10-cube multicast replays, events per second and ns "
+     "per event (hot-path regression guard)",
      run}};
 
 }  // namespace

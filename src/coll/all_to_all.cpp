@@ -26,6 +26,11 @@ class ExchangeEngine {
           e->received(e->worms_.destination(m), m, tail);
         },
         this);
+    kind_begin_round_ = queue_.register_handler(
+        [](void* ctx, std::uint32_t u) {
+          static_cast<ExchangeEngine*>(ctx)->begin_round(u);
+        },
+        this);
   }
 
   AllToAllResult run() {
@@ -34,7 +39,7 @@ class ExchangeEngine {
     round_.assign(n_nodes, 0);
     if (topo_.dim() == 0) return std::move(result_);
     for (NodeId u = 0; u < n_nodes; ++u) {
-      begin_round(u, 0);
+      begin_round(u);
     }
     queue_.run_to_completion();
     finish();
@@ -55,10 +60,12 @@ class ExchangeEngine {
     return (topo_.num_nodes() / 2) * config_.block_bytes;
   }
 
-  void begin_round(NodeId u, SimTime ready) {
+  /// Issues u's send for its current round, no earlier than now() and
+  /// than its CPU is free.
+  void begin_round(NodeId u) {
     const int r = round_[u];
     const NodeId peer = topo_.neighbor(u, round_dim(r));
-    const SimTime issue = std::max(cpu_free_[u], ready);
+    const SimTime issue = std::max(cpu_free_[u], queue_.now());
     const SimTime header_start = issue + config_.cost.send_startup;
     cpu_free_[u] = header_start;
     const sim::MessageId id =
@@ -74,7 +81,7 @@ class ExchangeEngine {
     if (worms_.recording_traces()) worms_.trace(id).done = done;
     const int r = ++round_[u];
     if (r < topo_.dim()) {
-      queue_.schedule(done, [this, u, done] { begin_round(u, done); });
+      queue_.schedule(done, kind_begin_round_, u);
     } else {
       result_.finish[u] = done;
       result_.completion = std::max(result_.completion, done);
@@ -99,6 +106,7 @@ class ExchangeEngine {
   AllToAllConfig config_;
   sim::EventQueue queue_;
   sim::WormEngine worms_;
+  std::uint16_t kind_begin_round_ = 0;
   std::vector<SimTime> cpu_free_;
   std::vector<int> round_;
   AllToAllResult result_;

@@ -25,19 +25,26 @@ class ScatterEngine {
           static_cast<ScatterEngine*>(ctx)->delivered(m, tail);
         },
         this);
+    kind_start_node_ = queue_.register_handler(
+        [](void* ctx, std::uint32_t node) {
+          static_cast<ScatterEngine*>(ctx)->start_node(node);
+        },
+        this);
   }
 
   ScatterResult run() {
     cpu_free_.assign(tree_.topo().num_nodes(), 0);
-    start_node(tree_.source(), 0);
+    start_node(tree_.source());
     queue_.run_to_completion();
     finish();
     return std::move(result_);
   }
 
  private:
-  void start_node(NodeId node, SimTime ready) {
-    SimTime cpu = std::max(cpu_free_[node], ready);
+  /// Issues the node's sends, no earlier than now() and than its CPU is
+  /// free.
+  void start_node(NodeId node) {
+    SimTime cpu = std::max(cpu_free_[node], queue_.now());
     for (const core::Send& send : tree_.sends_from(node)) {
       // The bundle for this subtree: the recipient's own block plus one
       // per payload destination.
@@ -59,7 +66,7 @@ class ScatterEngine {
     cpu_free_[node] = done;
     if (worms_.recording_traces()) worms_.trace(id).done = done;
     result_.delivery.emplace(node, done);
-    queue_.schedule(done, [this, node, done] { start_node(node, done); });
+    queue_.schedule(done, kind_start_node_, node);
   }
 
   void finish() {
@@ -81,24 +88,12 @@ class ScatterEngine {
   ScatterConfig config_;
   sim::EventQueue queue_;
   sim::WormEngine worms_;
+  std::uint16_t kind_start_node_ = 0;
   std::vector<SimTime> cpu_free_;
   ScatterResult result_;
 };
 
 }  // namespace
-
-SimTime ScatterResult::max_delay(
-    std::span<const hcube::NodeId> targets) const {
-  SimTime worst = 0;
-  if (targets.empty()) {
-    for (const auto& [node, t] : delivery) worst = std::max(worst, t);
-  } else {
-    for (const hcube::NodeId n : targets) {
-      worst = std::max(worst, delivery.at(n));
-    }
-  }
-  return worst;
-}
 
 ScatterResult simulate_scatter(const core::MulticastSchedule& tree,
                                const ScatterConfig& config) {

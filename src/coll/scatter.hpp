@@ -1,8 +1,6 @@
 #ifndef HYPERCAST_COLL_SCATTER_HPP
 #define HYPERCAST_COLL_SCATTER_HPP
 
-#include <unordered_map>
-
 #include "core/multicast.hpp"
 #include "core/stepwise.hpp"
 #include "sim/wormhole_sim.hpp"
@@ -27,12 +25,14 @@ struct ScatterConfig {
 struct ScatterResult {
   /// When each participant has fully received (and unpacked) its
   /// bundle; for leaves this is when their own block is in memory.
-  std::unordered_map<hcube::NodeId, sim::SimTime> delivery;
+  sim::DeliveryMap delivery;
   sim::SimStats stats;
   sim::Trace trace;
 
   sim::SimTime delay(hcube::NodeId node) const { return delivery.at(node); }
-  sim::SimTime max_delay(std::span<const hcube::NodeId> targets = {}) const;
+  sim::SimTime max_delay(std::span<const hcube::NodeId> targets = {}) const {
+    return delivery.max_time(targets);
+  }
 };
 
 /// Simulate a scatter over `tree` (root = tree.source()); the tree's

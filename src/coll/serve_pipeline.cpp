@@ -254,8 +254,7 @@ std::shared_ptr<core::MulticastSchedule> ServePipeline::build_relative(
   auto out = std::make_shared<core::MulticastSchedule>(topo, 0);
   core::NextRule rule = rule_;
   if (kind_ == Kind::Wsort) {
-    core::weighted_sort(topo, tls.chain, core::WeightedSortImpl::Fast,
-                        tls.wsort_scratch);
+    core::weighted_sort_fast(topo, tls.chain, tls.wsort_scratch);
     rule = core::NextRule::HighDim;
   }
   tls.builder.build_chain_into(topo, tls.chain, rule, *out);
@@ -272,7 +271,7 @@ std::shared_ptr<core::MulticastSchedule> ServePipeline::build_tree(
   if (kind_ == Kind::Chain) {
     tls.builder.build_into(request, rule_, *out);
   } else {
-    tls.builder.build_wsort_into(request, core::WeightedSortImpl::Fast, *out);
+    tls.builder.build_wsort_into(request, *out);
   }
   out->finalize();
   return out;

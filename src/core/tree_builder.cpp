@@ -25,18 +25,16 @@ void TreeBuilder::build_into(const MulticastRequest& req, NextRule rule,
   build_chain_into(req.topo, chain_, rule, out);
 }
 
-MulticastSchedule TreeBuilder::build_wsort(const MulticastRequest& req,
-                                           WeightedSortImpl impl) {
+MulticastSchedule TreeBuilder::build_wsort(const MulticastRequest& req) {
   MulticastSchedule out(req.topo, req.source);
-  build_wsort_into(req, impl, out);
+  build_wsort_into(req, out);
   return out;
 }
 
 void TreeBuilder::build_wsort_into(const MulticastRequest& req,
-                                   WeightedSortImpl impl,
                                    MulticastSchedule& out) {
   prepare_chain(req);
-  weighted_sort(req.topo, chain_, impl, wsort_scratch_);
+  weighted_sort_fast(req.topo, chain_, wsort_scratch_);
   build_chain_into(req.topo, chain_, NextRule::HighDim, out);
 }
 

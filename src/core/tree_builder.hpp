@@ -40,10 +40,8 @@ class TreeBuilder {
 
   /// W-sort: dimension-ordered chain, weighted_sort permutation, then
   /// the HighDim rule.
-  MulticastSchedule build_wsort(const MulticastRequest& req,
-                                WeightedSortImpl impl);
-  void build_wsort_into(const MulticastRequest& req, WeightedSortImpl impl,
-                        MulticastSchedule& out);
+  MulticastSchedule build_wsort(const MulticastRequest& req);
+  void build_wsort_into(const MulticastRequest& req, MulticastSchedule& out);
 
   /// Run `rule` over an explicit cube-ordered chain (position 0 is the
   /// source). `chain` may alias this builder's internal chain buffer

@@ -134,22 +134,4 @@ void weighted_sort_fast(const Topology& topo, std::vector<NodeId>& chain) {
   weighted_sort_fast(topo, chain, scratch);
 }
 
-void weighted_sort(const Topology& topo, std::vector<NodeId>& chain,
-                   WeightedSortImpl impl, WeightedSortScratch& scratch) {
-  switch (impl) {
-    case WeightedSortImpl::Faithful:
-      weighted_sort_faithful(topo, chain, scratch);
-      break;
-    case WeightedSortImpl::Fast:
-      weighted_sort_fast(topo, chain, scratch);
-      break;
-  }
-}
-
-void weighted_sort(const Topology& topo, std::vector<NodeId>& chain,
-                   WeightedSortImpl impl) {
-  WeightedSortScratch scratch;
-  weighted_sort(topo, chain, impl, scratch);
-}
-
 }  // namespace hypercast::core

@@ -16,7 +16,8 @@ namespace hypercast::core {
 /// Two implementations with identical output:
 ///  * faithful — the paper's centralized recursion, with the swap done
 ///    by rotating subcube halves in place after recursing (the paper
-///    quotes O(m^2) for the centralized form);
+///    quotes O(m^2) for the centralized form); the reference tests
+///    compare the fast version against;
 ///  * fast — a top-down rewrite that decides each swap from half sizes
 ///    (binary searches on the sorted input) and emits straight into an
 ///    output buffer, O(m log N). It stands in for the distributed
@@ -42,13 +43,6 @@ void weighted_sort_faithful(const Topology& topo, std::vector<NodeId>& chain,
 void weighted_sort_fast(const Topology& topo, std::vector<NodeId>& chain);
 void weighted_sort_fast(const Topology& topo, std::vector<NodeId>& chain,
                         WeightedSortScratch& scratch);
-
-enum class WeightedSortImpl { Faithful, Fast };
-
-void weighted_sort(const Topology& topo, std::vector<NodeId>& chain,
-                   WeightedSortImpl impl);
-void weighted_sort(const Topology& topo, std::vector<NodeId>& chain,
-                   WeightedSortImpl impl, WeightedSortScratch& scratch);
 
 }  // namespace hypercast::core
 

@@ -4,17 +4,16 @@
 
 namespace hypercast::core {
 
-std::vector<NodeId> wsort_chain(const MulticastRequest& req,
-                                WeightedSortImpl impl) {
+std::vector<NodeId> wsort_chain(const MulticastRequest& req) {
   req.validate();
   auto chain = hcube::make_relative_chain(req.topo, req.source, req.destinations);
-  weighted_sort(req.topo, chain, impl);
+  weighted_sort_fast(req.topo, chain);
   return chain;
 }
 
-MulticastSchedule wsort(const MulticastRequest& req, WeightedSortImpl impl) {
+MulticastSchedule wsort(const MulticastRequest& req) {
   thread_local TreeBuilder builder;
-  return builder.build_wsort(req, impl);
+  return builder.build_wsort(req);
 }
 
 }  // namespace hypercast::core

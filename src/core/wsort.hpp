@@ -11,13 +11,11 @@ namespace hypercast::core {
 /// weighted_sort so the most crowded subcube half is always forwarded
 /// first, and feed the (still cube-ordered, Theorem 5) chain to Maxport.
 /// Theorem 6: the resulting multicast is contention-free.
-MulticastSchedule wsort(const MulticastRequest& req,
-                        WeightedSortImpl impl = WeightedSortImpl::Fast);
+MulticastSchedule wsort(const MulticastRequest& req);
 
 /// The weighted chain W-sort would multicast over, exposed for tests,
 /// examples and ablations.
-std::vector<NodeId> wsort_chain(const MulticastRequest& req,
-                                WeightedSortImpl impl = WeightedSortImpl::Fast);
+std::vector<NodeId> wsort_chain(const MulticastRequest& req);
 
 }  // namespace hypercast::core
 

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -81,6 +82,31 @@ class DeliveryMap {
   void clear() {
     entries_.clear();
     std::fill(slots_.begin(), slots_.end(), kEmpty);
+  }
+
+  /// Latest time over `targets`, or over every entry when `targets` is
+  /// empty (0 for an empty map). Throws like at() for a missing target.
+  SimTime max_time(std::span<const hcube::NodeId> targets = {}) const {
+    SimTime worst = 0;
+    if (targets.empty()) {
+      for (const auto& [node, t] : entries_) worst = std::max(worst, t);
+    } else {
+      for (const hcube::NodeId n : targets) worst = std::max(worst, at(n));
+    }
+    return worst;
+  }
+
+  /// Mean time over `targets`, or over every entry when `targets` is
+  /// empty (0 for an empty map).
+  double mean_time(std::span<const hcube::NodeId> targets = {}) const {
+    double sum = 0;
+    if (targets.empty()) {
+      if (entries_.empty()) return 0.0;
+      for (const auto& [node, t] : entries_) sum += static_cast<double>(t);
+      return sum / static_cast<double>(entries_.size());
+    }
+    for (const hcube::NodeId n : targets) sum += static_cast<double>(at(n));
+    return sum / static_cast<double>(targets.size());
   }
 
   /// Iteration in insertion order over packed (node, time) pairs.

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/cost_model.hpp"
-#include "sim/inplace_function.hpp"
 
 namespace hypercast::sim {
 
@@ -34,23 +33,20 @@ namespace hypercast::sim {
 /// in that bucket's order — so each bucket stays sorted by seq.
 ///
 /// Hot-path layout: buckets are intrusive lists threaded through one
-/// ticket arena of small POD nodes (24-byte tickets {time, seq, slot,
+/// ticket arena of small POD nodes (24-byte tickets {time, seq, arg,
 /// kind} plus a link), recycled through a free list. A fresh queue grows
 /// one vector, not one per bucket, and reserve() pre-sizes it.
-/// A generic action lives in a pooled slot array (slots recycled through
-/// a free list, constructed and moved exactly once, no per-event heap
-/// allocation — see InplaceFunction). Simulation engines that fire
-/// millions of homogeneous continuations can skip the action pool
-/// entirely: register_handler() returns a kind tag and schedule_raw()
-/// enqueues just {time, kind, 32-bit arg}, dispatched through a flat
-/// handler table with no callable construction at all.
+///
+/// Events carry no callable. An engine registers one handler per kind of
+/// continuation it fires; register_handler() returns the kind tag and
+/// schedule() enqueues just {time, kind, 32-bit arg}, dispatched through
+/// a flat handler table. The arg names the engine's object (a worm, a
+/// node, an arc), so scheduling allocates nothing per event.
 class EventQueue {
  public:
-  using Action = InplaceFunction<void(), 48>;
-
-  /// A raw continuation: called as fn(ctx, arg). Registered once per
-  /// engine; `ctx` must stay valid for the queue's lifetime.
-  using RawHandler = void (*)(void* ctx, std::uint32_t arg);
+  /// A continuation: called as fn(ctx, arg). Registered once per engine;
+  /// `ctx` must stay valid for the queue's lifetime.
+  using Handler = void (*)(void* ctx, std::uint32_t arg);
 
   /// Current simulated time: the firing time of the event being
   /// processed, 0 before the first event.
@@ -63,35 +59,27 @@ class EventQueue {
   std::size_t pending() const { return size_; }
 
   /// Pre-size the ticket storage for about `tickets` concurrently
-  /// pending events (and optionally the action pool for `actions`
-  /// concurrently pending pooled callables), so a large run reaches its
-  /// steady state without growth reallocations. Raw-handler engines pass
-  /// actions = 0: their tickets carry no callable.
-  void reserve(std::size_t tickets, std::size_t actions = 0);
+  /// pending events, so a large run reaches its steady state without
+  /// growth reallocations.
+  void reserve(std::size_t tickets);
 
-  /// Throws std::logic_error when `at` lies before now().
-  void schedule(SimTime at, Action action);
+  /// Register a continuation handler; the returned kind tag is valid
+  /// for this queue forever (handlers are never unregistered). At most
+  /// 65,536 handlers fit the 16-bit tag; the next one throws
+  /// std::runtime_error.
+  std::uint16_t register_handler(Handler fn, void* ctx);
 
-  /// Convenience: schedule relative to now().
-  void schedule_in(SimTime delay, Action action) {
-    schedule(now_ + delay, std::move(action));
-  }
-
-  /// Register a raw continuation handler; the returned kind tag is
-  /// valid for this queue forever (handlers are never unregistered).
-  std::uint16_t register_handler(RawHandler fn, void* ctx);
-
-  /// Schedule a raw continuation: fires fn(ctx, arg) at `at`, ordered
-  /// exactly like any other event (global insertion seq breaks ties).
-  /// Costs one 24-byte ticket append — no action-pool traffic.
-  void schedule_raw(SimTime at, std::uint16_t kind, std::uint32_t arg) {
+  /// Fire fn(ctx, arg) of handler `kind` at `at`; same-time events fire
+  /// in insertion order, whatever their kind. Costs one 24-byte ticket
+  /// append. Throws std::logic_error when `at` lies before now().
+  void schedule(SimTime at, std::uint16_t kind, std::uint32_t arg) {
     check_schedule(at);
     push_ticket(Ticket{at, bump_seq(), arg, kind});
   }
 
-  void schedule_raw_in(SimTime delay, std::uint16_t kind,
-                       std::uint32_t arg) {
-    schedule_raw(now_ + delay, kind, arg);
+  /// Convenience: schedule relative to now().
+  void schedule_in(SimTime delay, std::uint16_t kind, std::uint32_t arg) {
+    schedule(now_ + delay, kind, arg);
   }
 
   /// Pop and run the earliest event. Returns false when empty.
@@ -102,21 +90,19 @@ class EventQueue {
   /// (runaway-simulation guard) with exactly `max_events` fired.
   void run_to_completion(std::uint64_t max_events = 100'000'000);
 
-  /// Heap bytes currently pinned by the scheduler (ticket arena,
-  /// action pool, handler table) — capacity, not size.
+  /// Heap bytes currently pinned by the scheduler (ticket arena and
+  /// handler table) — capacity, not size.
   std::size_t memory_bytes() const;
 
  private:
-  /// kind 0 = pooled Action in pool_[slot]; kind >= 1 = raw handler
-  /// handlers_[kind - 1] called with arg `slot`. Same 24-byte POD the
-  /// binary heap used to sift; buckets relink these, never actions.
+  /// Fires as handlers_[kind] called with `arg`.
   struct Ticket {
     SimTime at;
     std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint32_t arg;
     std::uint16_t kind;
   };
-  static_assert(sizeof(Ticket) == 24, "pooled ticket layout");
+  static_assert(sizeof(Ticket) == 24, "ticket layout");
 
   /// An arena slot: a ticket plus the index of the next node in its
   /// bucket (or in the free list).
@@ -188,9 +174,6 @@ class EventQueue {
     bucket.tail = i;
   }
   std::uint32_t grow_arena(Ticket t);
-  /// Cold dispatch arm for pooled Actions: kept out of the drain loop so
-  /// the raw-handler hot path carries no Action storage in its frame.
-  void run_pooled(std::uint32_t slot);
   /// Pops the earliest ticket and advances now() to its time.
   Ticket pop_ticket();
   /// Bucket 0 is empty and tickets are pending: advance now() to the
@@ -205,13 +188,11 @@ class EventQueue {
   std::uint64_t occupied_ = 0;
   std::size_t size_ = 0;  ///< total pending tickets
 
-  std::vector<Action> pool_;          ///< slot -> pending action
-  std::vector<std::uint32_t> free_;   ///< recycled pool slots
-  struct Handler {
-    RawHandler fn;
+  struct Registered {
+    Handler fn;
     void* ctx;
   };
-  std::vector<Handler> handlers_;
+  std::vector<Registered> handlers_;  ///< indexed by kind
   /// Also the radix heap's reference key: every pending ticket is due
   /// at or after it, and refill() is the only place it advances.
   SimTime now_ = 0;

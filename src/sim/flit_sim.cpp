@@ -34,9 +34,13 @@ struct Worm {
   MessageTrace trace;
 };
 
+/// Only the owner's flits ever cross a link, so a crossing event needs
+/// just the arc index: the owner and its path index name the worm and
+/// the hop.
 struct Link {
   static constexpr WormId kFree = ~WormId{0};
   WormId owner = kFree;
+  std::uint32_t owner_hop = 0;  ///< this link's index in owner's path
   bool busy = false;  ///< a flit is mid-transfer
   /// Headers waiting for ownership: (worm, its path index for this link).
   std::deque<std::pair<WormId, std::size_t>> waiters;
@@ -59,22 +63,40 @@ class FlitEngine {
     consumption_.assign(topo_.num_nodes(), Pool{pool_cap, 0, {}});
     cpu_free_.assign(topo_.num_nodes(), 0);
     assert(config.flit_bytes > 0 && config.buffer_flits >= 1);
+    kind_start_node_ = on<&FlitEngine::start_node>();
+    kind_acquire_injection_ = on<&FlitEngine::acquire_injection>();
+    kind_injection_granted_ = on<&FlitEngine::injection_granted>();
+    kind_crossed_ = on<&FlitEngine::crossed>();
+    kind_consumption_granted_ = on<&FlitEngine::consumption_granted>();
   }
 
   FlitResult run() {
-    start_node(schedule_.source(), 0);
+    start_node(schedule_.source());
     queue_.run_to_completion();
     finish();
     return std::move(result_);
   }
 
  private:
+  /// Registers member `Fn` as an event handler; its arg is a worm id,
+  /// node or arc index, depending on the handler.
+  template <void (FlitEngine::*Fn)(std::uint32_t)>
+  std::uint16_t on() {
+    return queue_.register_handler(
+        [](void* ctx, std::uint32_t arg) {
+          (static_cast<FlitEngine*>(ctx)->*Fn)(arg);
+        },
+        this);
+  }
+
   SimTime flit_time(std::size_t bytes) const {
     return static_cast<SimTime>(bytes) * config_.cost.ns_per_byte;
   }
 
-  void start_node(NodeId node, SimTime ready) {
-    SimTime cpu = std::max(cpu_free_[node], ready);
+  /// The node's processor issues its sends, no earlier than now() and
+  /// than the CPU is free.
+  void start_node(NodeId node) {
+    SimTime cpu = std::max(cpu_free_[node], queue_.now());
     for (const core::Send& send : schedule_.sends_from(node)) {
       const WormId id = static_cast<WormId>(worms_.size());
       Worm w;
@@ -102,8 +124,8 @@ class FlitEngine {
       w.trace.header_start = cpu;
       worms_.push_back(std::move(w));
       ++result_.stats.messages;
-      queue_.schedule(worms_[id].trace.header_start,
-                      [this, id] { acquire_injection(id); });
+      queue_.schedule(worms_[id].trace.header_start, kind_acquire_injection_,
+                      id);
     }
     cpu_free_[node] = cpu;
   }
@@ -170,6 +192,7 @@ class FlitEngine {
         return;
       }
       link.owner = id;
+      link.owner_hop = static_cast<std::uint32_t>(i);
     }
 
     if (link.busy) return;
@@ -188,14 +211,17 @@ class FlitEngine {
     const SimTime duration =
         (j == 0 ? config_.cost.per_hop : 0) + w.flit_ns[j];
     ++result_.stats.flit_transfers;
-    queue_.schedule_in(duration, [this, id, i] { crossed(id, i); });
+    queue_.schedule_in(duration, kind_crossed_,
+                       static_cast<std::uint32_t>(w.links[i]));
   }
 
-  void crossed(WormId id, std::size_t i) {
+  void crossed(std::uint32_t arc) {
+    Link& link = links_[arc];
+    const WormId id = link.owner;
+    const std::size_t i = link.owner_hop;
     Worm& w = worms_[id];
     const std::size_t h = w.links.size();
     const std::size_t j = w.done[i];
-    Link& link = links_[w.links[i]];
     link.busy = false;
     ++w.done[i];
 
@@ -208,7 +234,6 @@ class FlitEngine {
 
     if (j + 1 == w.flit_count) {
       // The tail has crossed: release this link to the next header.
-      assert(link.owner == id);
       link.owner = Link::kFree;
       if (!link.waiters.empty()) {
         const auto [next, path_index] = link.waiters.front();
@@ -259,7 +284,7 @@ class FlitEngine {
       const WormId next = pool.waiters.front();
       pool.waiters.pop_front();
       ++pool.in_use;
-      queue_.schedule_in(0, [this, next] { injection_granted(next); });
+      queue_.schedule_in(0, kind_injection_granted_, next);
     }
   }
 
@@ -271,7 +296,7 @@ class FlitEngine {
       const WormId next = pool.waiters.front();
       pool.waiters.pop_front();
       ++pool.in_use;
-      queue_.schedule_in(0, [this, next] { consumption_granted(next); });
+      queue_.schedule_in(0, kind_consumption_granted_, next);
     }
   }
 
@@ -286,8 +311,7 @@ class FlitEngine {
     const auto [it, inserted] = result_.delivery.emplace(w.to, done);
     (void)it;
     assert(inserted && "schedule delivers to a node twice");
-    queue_.schedule(done,
-                    [this, node = w.to, done] { start_node(node, done); });
+    queue_.schedule(done, kind_start_node_, w.to);
   }
 
   void finish() {
@@ -310,6 +334,11 @@ class FlitEngine {
   FlitConfig config_;
   Topology topo_;
   EventQueue queue_;
+  std::uint16_t kind_start_node_ = 0;
+  std::uint16_t kind_acquire_injection_ = 0;
+  std::uint16_t kind_injection_granted_ = 0;
+  std::uint16_t kind_crossed_ = 0;
+  std::uint16_t kind_consumption_granted_ = 0;
   std::vector<Worm> worms_;
   std::vector<Link> links_;
   std::vector<Pool> injection_;
@@ -319,16 +348,6 @@ class FlitEngine {
 };
 
 }  // namespace
-
-SimTime FlitResult::max_delay(std::span<const hcube::NodeId> targets) const {
-  SimTime worst = 0;
-  if (targets.empty()) {
-    for (const auto& [node, t] : delivery) worst = std::max(worst, t);
-  } else {
-    for (const hcube::NodeId n : targets) worst = std::max(worst, delivery.at(n));
-  }
-  return worst;
-}
 
 FlitResult simulate_multicast_flit(const core::MulticastSchedule& schedule,
                                    const FlitConfig& config) {

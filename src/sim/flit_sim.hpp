@@ -45,12 +45,14 @@ struct FlitStats {
 };
 
 struct FlitResult {
-  std::unordered_map<hcube::NodeId, SimTime> delivery;
+  DeliveryMap delivery;
   FlitStats stats;
   Trace trace;
 
   SimTime delay(hcube::NodeId node) const { return delivery.at(node); }
-  SimTime max_delay(std::span<const hcube::NodeId> targets = {}) const;
+  SimTime max_delay(std::span<const hcube::NodeId> targets = {}) const {
+    return delivery.max_time(targets);
+  }
 };
 
 /// Replay a multicast schedule at flit granularity. CPU modelling

@@ -25,7 +25,7 @@ MessageId WormEngine::inject(hcube::NodeId from, hcube::NodeId to,
     t.header_start = header_start;
     traces_.push_back(t);
   }
-  queue_.schedule_raw(header_start, kind_advance_, id);
+  queue_.schedule(header_start, kind_advance_, id);
   return id;
 }
 
@@ -48,7 +48,7 @@ void WormEngine::advance(MessageId id) {
     net_.take(r);
     ++p.next;
     if (net_.is_external(r)) {
-      queue_.schedule_raw_in(cost_.per_hop, kind_advance_, id);
+      queue_.schedule_in(cost_.per_hop, kind_advance_, id);
       return;
     }
   }
@@ -62,7 +62,7 @@ void WormEngine::resume(MessageId id) {
   const ResourceId r = path_at(p, p.next);
   ++p.next;  // release() already took the unit on our behalf
   if (net_.is_external(r)) {
-    queue_.schedule_raw_in(cost_.per_hop, kind_advance_, id);
+    queue_.schedule_in(cost_.per_hop, kind_advance_, id);
   } else {
     advance(id);
   }
@@ -70,14 +70,14 @@ void WormEngine::resume(MessageId id) {
 
 void WormEngine::header_arrived(MessageId id) {
   if (record_trace_) traces_[id].path_acquired = queue_.now();
-  queue_.schedule_raw_in(cost_.body_time(bytes_[id]), kind_tail_, id);
+  queue_.schedule_in(cost_.body_time(bytes_[id]), kind_tail_, id);
 }
 
 void WormEngine::tail_arrived(MessageId id) {
   const PathRef p = paths_[id];
   for (std::size_t i = 0; i < p.len; ++i) {
     if (const auto granted = net_.release(path_at(p, i))) {
-      queue_.schedule_raw_in(0, kind_resume_, *granted);
+      queue_.schedule_in(0, kind_resume_, *granted);
     }
   }
   ++delivered_;

@@ -25,9 +25,9 @@ namespace hypercast::sim {
 /// per hop live in one packed 8-byte PathRef array (path offset/len and
 /// the next-resource cursor); destination, payload size, and blocking
 /// accounting sit in parallel arrays read once per worm; every worm's
-/// resource path is a slice of one shared flat buffer. Continuations go
-/// through the queue's raw-handler path (three kinds registered at
-/// construction), so a hop costs a 24-byte ticket, not a callable.
+/// resource path is a slice of one shared flat buffer. Continuations are
+/// three event-queue handler kinds registered at construction, so a hop
+/// costs a 24-byte ticket, not a callable.
 /// Delivery notification is one engine-wide handler, not a per-worm
 /// callback: a million-worm run stores zero per-message callables.
 ///

@@ -40,11 +40,11 @@ const SimMetrics& sim_metrics() {
 /// processor model: send startups and receive overheads serialize on
 /// each node's CPU across every job it participates in.
 ///
-/// Every hot continuation goes through the event queue's raw-handler
-/// path: worm deliveries arrive via the engine-wide delivery handler,
-/// and a node's post-receive forwarding is a raw ticket whose arg is the
-/// MessageId (job and node recovered from job_of_/destination, the time
-/// from now()). Only the per-job kick-off events use pooled actions.
+/// Every continuation is an event-queue handler: worm deliveries arrive
+/// via the engine-wide delivery handler, a node's post-receive
+/// forwarding is a ticket whose arg is the MessageId (job and node
+/// recovered from job_of_/destination, the time from now()), and each
+/// job's kick-off is a ticket whose arg is the job index.
 class Engine {
  public:
   Engine(std::span<const CollectiveJob> jobs, const SimConfig& config)
@@ -83,8 +83,8 @@ class Engine {
 
   MultiSimResult run() {
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
-      queue_.schedule_raw(jobs_[j].start, kind_job_start_,
-                          static_cast<std::uint32_t>(j));
+      queue_.schedule(jobs_[j].start, kind_job_start_,
+                      static_cast<std::uint32_t>(j));
     }
     queue_.run_to_completion();
     finish();
@@ -138,7 +138,7 @@ class Engine {
     cpu_free_[node] = done;
     if (worms_.recording_traces()) worms_.trace(id).done = done;
     done_[id] = done;
-    queue_.schedule_raw(done, kind_forward_, id);
+    queue_.schedule(done, kind_forward_, id);
   }
 
   void finish() {
@@ -208,30 +208,6 @@ class Engine {
 };
 
 }  // namespace
-
-SimTime SimResult::max_delay(std::span<const hcube::NodeId> targets) const {
-  SimTime worst = 0;
-  if (targets.empty()) {
-    for (const auto& [node, t] : delivery) worst = std::max(worst, t);
-  } else {
-    for (const hcube::NodeId n : targets) worst = std::max(worst, delivery.at(n));
-  }
-  return worst;
-}
-
-double SimResult::avg_delay(std::span<const hcube::NodeId> targets) const {
-  if (targets.empty()) {
-    if (delivery.empty()) return 0.0;
-    double sum = 0;
-    for (const auto& [node, t] : delivery) sum += static_cast<double>(t);
-    return sum / static_cast<double>(delivery.size());
-  }
-  double sum = 0;
-  for (const hcube::NodeId n : targets) {
-    sum += static_cast<double>(delivery.at(n));
-  }
-  return sum / static_cast<double>(targets.size());
-}
 
 SimTime MultiSimResult::makespan() const {
   SimTime worst = 0;

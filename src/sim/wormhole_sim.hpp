@@ -49,8 +49,12 @@ struct SimResult {
 
   /// Max and mean delay over `targets` (or all recipients when empty) —
   /// the quantities plotted in Figures 11-14.
-  SimTime max_delay(std::span<const hcube::NodeId> targets = {}) const;
-  double avg_delay(std::span<const hcube::NodeId> targets = {}) const;
+  SimTime max_delay(std::span<const hcube::NodeId> targets = {}) const {
+    return delivery.max_time(targets);
+  }
+  double avg_delay(std::span<const hcube::NodeId> targets = {}) const {
+    return delivery.mean_time(targets);
+  }
 };
 
 /// One multicast participating in a shared-network simulation.

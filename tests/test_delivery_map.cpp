@@ -133,4 +133,23 @@ TEST(DeliveryMap, ClearKeepsCapacityAndSupportsReuse) {
   EXPECT_EQ(map.at(1050), 100);
 }
 
+TEST(DeliveryMap, MaxAndMeanOverAllOrSomeTargets) {
+  // The one implementation behind every result type's max_delay and
+  // SimResult::avg_delay.
+  DeliveryMap map;
+  EXPECT_EQ(map.max_time(), 0);
+  EXPECT_EQ(map.mean_time(), 0.0);
+  map.emplace(4, 300);
+  map.emplace(9, 100);
+  map.emplace(2, 200);
+  EXPECT_EQ(map.max_time(), 300);
+  EXPECT_DOUBLE_EQ(map.mean_time(), 200.0);
+  const std::vector<NodeId> some = {9, 2};
+  EXPECT_EQ(map.max_time(some), 200);
+  EXPECT_DOUBLE_EQ(map.mean_time(some), 150.0);
+  const std::vector<NodeId> missing = {9, 5};
+  EXPECT_THROW(map.max_time(missing), std::out_of_range);
+  EXPECT_THROW(map.mean_time(missing), std::out_of_range);
+}
+
 }  // namespace

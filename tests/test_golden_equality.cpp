@@ -123,7 +123,7 @@ MulticastSchedule ref_wsort(const MulticastRequest& req) {
   req.validate();
   auto chain =
       hcube::make_relative_chain(req.topo, req.source, req.destinations);
-  weighted_sort(req.topo, chain, WeightedSortImpl::Faithful);
+  weighted_sort_faithful(req.topo, chain);
   return ref_build_chain_schedule(req.topo, chain, NextRule::HighDim);
 }
 
@@ -179,7 +179,7 @@ TEST(GoldenEquality, ExhaustiveFourCubeAllSubsets) {
                          builder.build(req, rule), topo, ctx + " " + name);
         if (::testing::Test::HasFailure()) return;  // first mismatch only
       }
-      expect_identical(ref_wsort(req), builder.build_wsort(req, WeightedSortImpl::Fast), topo,
+      expect_identical(ref_wsort(req), builder.build_wsort(req), topo,
                        ctx + " wsort");
       if (::testing::Test::HasFailure()) return;
     }
@@ -205,7 +205,7 @@ TEST_P(GoldenEqualityFiveCube, RandomizedSweep) {
                        topo, ctx + " " + name);
       if (::testing::Test::HasFailure()) return;
     }
-    expect_identical(ref_wsort(req), builder.build_wsort(req, WeightedSortImpl::Fast), topo,
+    expect_identical(ref_wsort(req), builder.build_wsort(req), topo,
                      ctx + " wsort");
     // The registry entries route through a thread_local builder — they
     // must agree with the explicit-scratch path too.
@@ -255,7 +255,7 @@ TEST(GoldenEquality, FaultAwareRepairMatchesOnBothBases) {
     }
     const auto ref_fixed =
         fault::repair_schedule(ref_wsort(req), req.destinations, faults);
-    const auto flat_fixed = fault::repair_schedule(builder.build_wsort(req, WeightedSortImpl::Fast),
+    const auto flat_fixed = fault::repair_schedule(builder.build_wsort(req),
                                                    req.destinations, faults);
     expect_identical(ref_fixed.schedule, flat_fixed.schedule, topo,
                      ctx + " wsort repaired");

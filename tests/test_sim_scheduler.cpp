@@ -160,9 +160,9 @@ std::vector<Fired> run_reference(std::uint64_t seed, Flavor flavor,
   return fired;
 }
 
-/// Real run: the EventQueue, spawning through both the raw-handler
-/// path and the pooled Action path (every third event) so the shared
-/// (time, seq) ordering across kinds is exercised too.
+/// Real run: the EventQueue, spawning through two handler kinds (every
+/// third event through the second) so the shared (time, seq) ordering
+/// across kinds is exercised too.
 std::vector<Fired> run_queue(std::uint64_t seed, Flavor flavor,
                              std::size_t max_events,
                              std::size_t reserve = 0) {
@@ -174,15 +174,12 @@ std::vector<Fired> run_queue(std::uint64_t seed, Flavor flavor,
     Flavor flavor;
     std::size_t max_events;
     std::uint16_t kind = 0;
+    std::uint16_t third_kind = 0;
     std::uint32_t next_id = 0;
     std::vector<Fired> fired;
 
     void spawn(SimTime at, std::uint32_t id) {
-      if (id % 3 == 0) {
-        q->schedule(at, [this, id] { fire(id); });
-      } else {
-        q->schedule_raw(at, kind, id);
-      }
+      q->schedule(at, id % 3 == 0 ? third_kind : kind, id);
     }
     void fire(std::uint32_t id) {
       fired.push_back(Fired{q->now(), id});
@@ -199,9 +196,11 @@ std::vector<Fired> run_queue(std::uint64_t seed, Flavor flavor,
   ctx.seed = seed;
   ctx.flavor = flavor;
   ctx.max_events = max_events;
-  ctx.kind = q.register_handler(
-      [](void* c, std::uint32_t id) { static_cast<Ctx*>(c)->fire(id); },
-      &ctx);
+  const auto fire = [](void* c, std::uint32_t id) {
+    static_cast<Ctx*>(c)->fire(id);
+  };
+  ctx.kind = q.register_handler(fire, &ctx);
+  ctx.third_kind = q.register_handler(fire, &ctx);
   for (const SimTime t : seed_times(seed, flavor, 16)) {
     ctx.spawn(t, ctx.next_id++);
   }

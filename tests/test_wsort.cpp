@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/contention.hpp"
+#include "core/tree_builder.hpp"
+#include "hcube/chain.hpp"
 #include "hcube/ecube.hpp"
 #include "test_util.hpp"
 
@@ -97,8 +99,14 @@ TEST_P(WsortProperty, FaithfulAndFastImplsGiveTheSameSchedule) {
     const std::size_t m =
         1 + rng() % std::min<std::size_t>(topo.num_nodes() - 1, 30);
     const auto req = random_request(topo, m, rng);
-    const auto a = wsort(req, WeightedSortImpl::Faithful);
-    const auto b = wsort(req, WeightedSortImpl::Fast);
+    // Faithful reference: the paper's recursion over the same chain,
+    // then the HighDim rule W-sort applies.
+    auto chain =
+        hcube::make_relative_chain(topo, req.source, req.destinations);
+    weighted_sort_faithful(topo, chain);
+    MulticastSchedule a(topo, req.source);
+    TreeBuilder().build_chain_into(topo, chain, NextRule::HighDim, a);
+    const auto b = wsort(req);
     EXPECT_EQ(a.format_tree(), b.format_tree());
   }
 }
