@@ -390,6 +390,7 @@ StripedPlan ServePipeline::serve_striped(
     // serve() returns under this fault set, cached under its salted key.
     tree = serve_repaired(request);
     plan.repaired_trees = 1;
+    plan.repaired_greedy = 1;
   }
   plan.trees.push_back(std::move(tree));
   return plan;

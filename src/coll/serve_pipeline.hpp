@@ -31,8 +31,10 @@ namespace hypercast::coll {
 ///    In steady state a hit is zero-copy: key canonicalization plus a
 ///    shared_ptr share, never a construction and never a copy.
 ///  * the same four under a fault set — the tree is built as above and
-///    repaired with fault::repair_schedule (byte-identical to
-///    fault::fault_aware_multicast). Repairs depend on absolute fault
+///    repaired with fault::repair_schedule, the greedy entry point of
+///    the repair engine (byte-identical to
+///    fault::fault_aware_multicast; striped plans take the certified
+///    one, see serve_striped). Repairs depend on absolute fault
 ///    positions, so they cache under absolute keys salted with the
 ///    fault set's fingerprint: pipelines for different fault sets may
 ///    share one cache and never see each other's repairs.
@@ -120,9 +122,9 @@ class ServePipeline {
   /// Under the pipeline's fault set, striped plans run StripedPlanner's
   /// degraded ladder (drop onto parity, disjoint repair, greedy
   /// detours), and the single-tree fallback is the fault-free tree when
-  /// no fault blocks it, else serve()'s cached repair
-  /// (plan.repaired_trees == 1). Throws fault::UnrepairableFault when a
-  /// destination is unreachable.
+  /// no fault blocks it, else serve()'s cached greedy repair
+  /// (plan.repaired_trees == plan.repaired_greedy == 1). Throws
+  /// fault::UnrepairableFault when a destination is unreachable.
   StripedPlan serve_striped(const core::MulticastRequest& request,
                             std::size_t payload_bytes,
                             const StripeOptions& options = {}) const;

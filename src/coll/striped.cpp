@@ -6,7 +6,6 @@
 #include "code/rs.hpp"
 #include "fault/fault_aware.hpp"
 #include "obs/registry.hpp"
-#include "paths/repair.hpp"
 
 namespace hypercast::coll {
 
@@ -307,7 +306,7 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
 
     // Tier 2 — certified disjoint repair: every surviving untouched
     // tree claims its footprint, and each damaged tree is patched
-    // through the remaining free arcs (paths::repair_disjoint), so the
+    // through the remaining free arcs (fault::repair_disjoint), so the
     // repaired family stays pairwise arc-disjoint by construction.
     core::ArcOwnerTable owners(request.topo);
     for (std::size_t t = 0; t < n; ++t) {
@@ -326,7 +325,7 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
         bump("striped.repair_cached");
         continue;
       }
-      std::optional<paths::DisjointRepairResult> res = paths::repair_disjoint(
+      std::optional<fault::FaultAwareResult> res = fault::repair_disjoint(
           *out.trees[static_cast<std::size_t>(t)], request.destinations,
           faults, owners, t);
       if (res) {

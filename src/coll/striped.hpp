@@ -29,12 +29,12 @@ namespace hypercast::coll {
 ///   1. drop — up to k damaged trees (root-blocked ones first) are
 ///      dropped outright and their stripes RS-reconstructed;
 ///   2. disjoint repair — remaining damage is patched by
-///      paths::repair_disjoint, provably arc-disjoint from every other
+///      fault::repair_disjoint, provably arc-disjoint from every other
 ///      surviving tree (certified: the striped launch keeps its
 ///      contention-freedom);
-///   3. greedy detours — fault::repair_schedule as the last resort,
-///      delivering at the price of arc-disjointness
-///      (certified_disjoint drops to false).
+///   3. greedy detours — fault::repair_schedule, the same repair engine
+///      without the owner table, as the last resort, delivering at the
+///      price of arc-disjointness (certified_disjoint drops to false).
 struct StripeOptions {
   /// Exhaustive owner-table verification of degraded plans
   /// (core::verify_arc_disjoint): kAuto runs it for small cubes
@@ -66,8 +66,9 @@ struct StripedPlan {
   std::vector<int> dropped_trees;  ///< all fault-dropped trees: their
                                    ///< stripes are RS-reconstructed at
                                    ///< the receivers
-  std::size_t repaired_trees = 0;    ///< total patched trees
-  std::size_t repaired_disjoint = 0; ///< via paths::repair_disjoint
+  std::size_t repaired_trees = 0;    ///< total patched trees: always
+                                     ///< repaired_disjoint + repaired_greedy
+  std::size_t repaired_disjoint = 0; ///< via fault::repair_disjoint
   std::size_t repaired_greedy = 0;   ///< via fault::repair_schedule
   bool certified_disjoint = true;  ///< active trees pairwise arc-disjoint
                                    ///< by construction (no greedy tier)

@@ -78,7 +78,7 @@ MulticastSchedule build_ist_tree(const Topology& topo, Dim tree,
 struct IstDisjointReport;
 
 /// Dense per-directed-arc ownership map — the data structure under
-/// verify_arc_disjoint, shared with the paths:: disjoint repairer so
+/// verify_arc_disjoint, shared with fault::repair_disjoint so
 /// that repaired striped schedules are checked (and constructed)
 /// against exactly the invariant the verifier proves: every directed
 /// channel has at most one owning tree.

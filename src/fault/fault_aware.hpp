@@ -1,52 +1,41 @@
 #ifndef HYPERCAST_FAULT_FAULT_AWARE_HPP
 #define HYPERCAST_FAULT_FAULT_AWARE_HPP
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 
-#include "core/contention.hpp"
 #include "core/registry.hpp"
 #include "fault/fault_route.hpp"
 #include "fault/fault_set.hpp"
 
 namespace hypercast::fault {
 
-/// One repaired unicast of a schedule.
-struct Repair {
-  NodeId from = 0;  ///< the (live) sender of the broken unicast
-  NodeId to = 0;    ///< its destination
-  NodePath path;    ///< the fault-free replacement path actually routed
-  std::vector<NodeId> relays;  ///< fresh relay recipients introduced
-  bool shortest = false;       ///< repaired at the original hop count
-};
-
-/// What the repair pass did to one schedule, plus the degraded-mode
-/// price it paid: detours break the algorithms' contention-freedom
-/// guarantees, so the report re-runs the Definition 4 checker on the
-/// repaired tree and counts the violations the detours introduced.
+/// What the repair pass did to one schedule. Every broken unicast is
+/// replaced by one repair chain, counted either as a shortest detour or
+/// as a longer relay route.
 struct RepairReport {
   std::size_t unicasts_checked = 0;
   std::size_t broken = 0;            ///< unicasts blocked by a fault
-  std::size_t rerouted_shortest = 0; ///< fixed by a same-length detour
+  std::size_t rerouted_shortest = 0; ///< routed along a shortest path
+                                     ///< from the chain's origin
   std::size_t relayed = 0;           ///< needed a longer relay route
+  std::size_t chain_fed = 0;  ///< planned recipients whose delivery moved
+                              ///< onto a repair chain (certified repair
+                              ///< only; their base send is skipped)
   std::size_t dead_relays_bypassed = 0;  ///< dead tree nodes whose
                                          ///< forwarding moved to a parent
   std::size_t relay_nodes_added = 0;     ///< extra processors involved
   int extra_hops = 0;  ///< transmitted detour hops minus E-cube distance
                        ///< (negative when chains short-circuit through
                        ///< nodes that already hold the message)
-  std::vector<Repair> repairs;
-
-  /// Contention the detours introduced (Definition 4 over the repaired
-  /// schedule under the all-port stepwise model). Zero-fault inputs
-  /// keep the base algorithm's guarantee.
-  std::size_t contention_violations = 0;
 
   bool clean() const { return broken == 0 && dead_relays_bypassed == 0; }
   std::string summary() const;
 };
 
-/// A repaired schedule plus its repair accounting.
+/// A repaired schedule plus its repair accounting. The schedule is not
+/// finalized (callers finalize after any further surgery).
 struct FaultAwareResult {
   core::MulticastSchedule schedule;
   RepairReport report;
@@ -66,12 +55,43 @@ class UnrepairableFault : public std::runtime_error {
 /// intermediates; dead non-destination recipients are bypassed by
 /// moving their forwarding duties to their live parent. The result is a
 /// valid multicast tree in which no unicast touches a failed resource
-/// (the simulator's hard-error path proves this at run time).
+/// (the simulator's hard-error path proves this at run time). Detours
+/// may break the base algorithm's contention-freedom; callers that care
+/// run core::check_contention on the result.
 /// Throws UnrepairableFault when a destination cannot be reached and
 /// std::invalid_argument when the source is dead.
 FaultAwareResult repair_schedule(const core::MulticastSchedule& base,
                                  std::span<const NodeId> destinations,
                                  const FaultSet& faults);
+
+/// Certified repair: the same engine as repair_schedule, but the result
+/// is arc-disjoint from everything already claimed in `owners`.
+///
+/// `owners` must hold the E-cube footprints of every *other* surviving
+/// tree (claimed under their ids); `base`'s own arcs are claimed under
+/// `self` internally. Broken, skipped and dead-bypassed base sends
+/// release their arcs back to the free pool, and every repair chain is
+/// routed by constrained_bfs_detour through free arcs only, so the
+/// invariant "one owner per directed arc" holds at every step. On
+/// success `owners` has absorbed exactly the result's footprint under
+/// `self` and the repaired family verifies under
+/// core::verify_arc_disjoint.
+///
+/// Broken sends are rerouted from the *set of nodes already holding the
+/// message* (many-to-one, in the spirit of the many-to-many disjoint
+/// paths of PAPERS.md), and a chain may pass through a planned but not
+/// yet delivered recipient: that node's delivery moves onto the chain
+/// (carrying its subtree payload) and its original incoming send is
+/// skipped. This "chain feeding" makes even root-blocked trees
+/// repairable once a dropped tree has freed arcs.
+///
+/// Returns nullopt, leaving `owners` untouched, when some broken send
+/// has no disjoint repair (a certified negative: every live route
+/// collides with a claimed arc). Throws std::invalid_argument when the
+/// source is dead and UnrepairableFault when a destination is dead.
+std::optional<FaultAwareResult> repair_disjoint(
+    const core::MulticastSchedule& base, std::span<const NodeId> destinations,
+    const FaultSet& faults, core::ArcOwnerTable& owners, int self);
 
 /// Build `base` on the (fault-oblivious) request, then repair the tree.
 FaultAwareResult fault_aware_multicast(const core::AlgorithmEntry& base,

@@ -5,6 +5,7 @@
 #include <deque>
 #include <unordered_set>
 
+#include "core/ist.hpp"
 #include "hcube/bits.hpp"
 
 namespace hypercast::fault {
@@ -68,13 +69,13 @@ std::optional<NodePath> bfs_detour(const Topology& topo,
                                    const std::vector<bool>* banned) {
   assert(u != v);
   const NodeId sources[1] = {u};
-  return constrained_bfs_detour(topo, faults, sources, v, {}, banned);
+  return constrained_bfs_detour(topo, faults, sources, v, nullptr, banned);
 }
 
 std::optional<NodePath> constrained_bfs_detour(
     const Topology& topo, const FaultSet& faults,
-    std::span<const NodeId> sources, NodeId target, const ArcFilter& arc_ok,
-    const std::vector<bool>* banned) {
+    std::span<const NodeId> sources, NodeId target,
+    const core::ArcOwnerTable* owners, const std::vector<bool>* banned) {
   if (faults.node_failed(target)) return std::nullopt;
   constexpr NodeId kUnreached = ~NodeId{0};
   std::vector<NodeId> parent(topo.num_nodes(), kUnreached);
@@ -91,7 +92,7 @@ std::optional<NodePath> constrained_bfs_detour(
     for (Dim d = 0; d < topo.dim(); ++d) {
       const Arc arc{cur, d};
       if (faults.arc_failed(arc)) continue;
-      if (arc_ok && !arc_ok(arc)) continue;
+      if (owners && owners->owner(arc) >= 0) continue;
       const NodeId next = topo.neighbor(cur, d);
       if (parent[next] != kUnreached) continue;
       if (next != target && !intermediate_usable(faults, banned, next)) {

@@ -1,20 +1,24 @@
 #ifndef HYPERCAST_FAULT_FAULT_ROUTE_HPP
 #define HYPERCAST_FAULT_FAULT_ROUTE_HPP
 
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "fault/fault_set.hpp"
 
+namespace hypercast::core {
+class ArcOwnerTable;
+}  // namespace hypercast::core
+
 namespace hypercast::fault {
 
 /// Detour-routing primitives for repairing multicast trees over a
 /// faulted cube. Both searches return a *node path* (u; w1; ...; v):
 /// consecutive nodes adjacent, every traversed arc live, every
-/// intermediate node live. The wrapper in fault_aware.cpp decomposes
-/// such a path into E-cube-exact segments (see segment_endpoints).
+/// intermediate node live. The repair engine in fault_aware.cpp
+/// decomposes such a path into E-cube-exact segments (see
+/// segment_endpoints).
 
 using NodePath = std::vector<NodeId>;
 
@@ -39,22 +43,20 @@ std::optional<NodePath> bfs_detour(const Topology& topo,
                                    const FaultSet& faults, NodeId u, NodeId v,
                                    const std::vector<bool>* banned = nullptr);
 
-/// Admission predicate over directed arcs — the hook the disjoint-path
-/// router (paths/disjoint.hpp) uses to exclude channels owned by other
-/// spanning trees. Arcs the fault set kills are excluded regardless.
-using ArcFilter = std::function<bool(Arc)>;
-
-/// The generalized search the two detours above are special cases of: a
+/// The generalized search bfs_detour is a special case of: a
 /// breadth-first shortest path from *any* node of `sources` to `target`
-/// through the surviving cube, restricted to arcs `arc_ok` admits (an
-/// empty filter admits everything). The returned path starts at the
+/// through the surviving cube, restricted — when `owners` is given — to
+/// arcs no tree has claimed in it (the certified repair's disjointness
+/// from the other spanning trees). The returned path starts at the
 /// chosen source; because the search is multi-source, the path never
 /// passes through another source as an intermediate (it would have been
 /// a shorter origin). Same `banned` contract as above. Returns nullopt
-/// when no admitted live route exists.
+/// when no admitted live route exists: under `owners`, a certified
+/// negative — every live route collides with a claimed arc.
 std::optional<NodePath> constrained_bfs_detour(
     const Topology& topo, const FaultSet& faults,
-    std::span<const NodeId> sources, NodeId target, const ArcFilter& arc_ok,
+    std::span<const NodeId> sources, NodeId target,
+    const core::ArcOwnerTable* owners,
     const std::vector<bool>* banned = nullptr);
 
 /// Split a node path into maximal runs that an E-cube router would

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "coll/serve_pipeline.hpp"
+#include "core/contention.hpp"
 #include "fault/fault_aware.hpp"
 #include "fault/fault_inject.hpp"
 #include "sim/wormhole_sim.hpp"
@@ -107,7 +108,9 @@ TEST(FaultAwareMulticast, UntouchedScheduleWhenNoFaultApplies) {
     const auto result = fault::fault_aware_multicast(algo, req, none);
     EXPECT_TRUE(result.report.clean());
     EXPECT_EQ(result.report.broken, 0u);
-    EXPECT_EQ(result.report.contention_violations, 0u)
+    EXPECT_TRUE(core::check_contention(result.schedule,
+                                       core::PortModel::all_port())
+                    .contention_free())
         << "paper algorithms stay contention-free without faults";
     EXPECT_EQ(result.schedule.num_unicasts(), base.num_unicasts());
     EXPECT_EQ(testutil::recipient_set(result.schedule),
@@ -131,9 +134,6 @@ TEST(FaultAwareMulticast, RepairReportAccountsForTheDetour) {
   // Adjacent nodes share no common neighbour in a hypercube, so the
   // shortest relay route is 3 hops where the direct link was 1.
   EXPECT_EQ(result.report.extra_hops, 2);
-  ASSERT_EQ(result.report.repairs.size(), 1u);
-  EXPECT_EQ(result.report.repairs.front().from, 0u);
-  EXPECT_EQ(result.report.repairs.front().to, 1u);
   EXPECT_FALSE(result.report.summary().empty());
 }
 

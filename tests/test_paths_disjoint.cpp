@@ -1,11 +1,10 @@
-// The disjoint-path subsystem (paths/disjoint.hpp, paths/repair.hpp):
-// owner-constrained routing, the certified repairer's contract
-// (disjointness by construction, owner-table commit semantics, the
-// nullopt fallback signal), and the acceptance sweep — on 4- and 5-cubes
-// every single-link fault yields a repaired striped family that
+// Certified disjoint repair (fault::repair_disjoint, the repair engine
+// run against an arc-owner table): owner-constrained routing through
+// fault::constrained_bfs_detour, the certified contract (disjointness by
+// construction, owner-table commit semantics, the nullopt fallback
+// signal), and the acceptance sweep — on 4- and 5-cubes every
+// single-link fault yields a repaired striped family that
 // core::verify_arc_disjoint proves pairwise arc-disjoint.
-
-#include "paths/repair.hpp"
 
 #include <algorithm>
 #include <optional>
@@ -17,8 +16,8 @@
 #include "coll/striped.hpp"
 #include "core/ist.hpp"
 #include "fault/fault_aware.hpp"
+#include "fault/fault_route.hpp"
 #include "hcube/bits.hpp"
-#include "paths/disjoint.hpp"
 #include "workload/random_sets.hpp"
 
 namespace {
@@ -46,7 +45,7 @@ TEST(DisjointRoute, AvoidsClaimedArcsAndCertifiesInfeasibility) {
   const NodeId src[1] = {0};
 
   // Free cube: the route 0 -> 7 is a shortest path (3 hops).
-  auto path = paths::disjoint_route(topo, no_faults, owners, src, 7);
+  auto path = fault::constrained_bfs_detour(topo, no_faults, src, 7, &owners);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ(path->size(), 4u);
 
@@ -54,7 +53,7 @@ TEST(DisjointRoute, AvoidsClaimedArcsAndCertifiesInfeasibility) {
   // with the one free arc.
   ASSERT_TRUE(owners.try_claim(Arc{0, 0}, 9));
   ASSERT_TRUE(owners.try_claim(Arc{0, 1}, 9));
-  path = paths::disjoint_route(topo, no_faults, owners, src, 7);
+  path = fault::constrained_bfs_detour(topo, no_faults, src, 7, &owners);
   ASSERT_TRUE(path.has_value());
   EXPECT_EQ((*path)[1], topo.neighbor(0, 2));
   for (std::size_t i = 0; i + 1 < path->size(); ++i) {
@@ -64,11 +63,13 @@ TEST(DisjointRoute, AvoidsClaimedArcsAndCertifiesInfeasibility) {
 
   // Seal 0 completely: certified infeasible, not a crash.
   ASSERT_TRUE(owners.try_claim(Arc{0, 2}, 9));
-  EXPECT_FALSE(paths::disjoint_route(topo, no_faults, owners, src, 7));
+  EXPECT_FALSE(
+      fault::constrained_bfs_detour(topo, no_faults, src, 7, &owners));
 
   // Many-to-one: a second holder restores feasibility.
   const NodeId both[2] = {0, 5};
-  auto rescued = paths::disjoint_route(topo, no_faults, owners, both, 7);
+  auto rescued =
+      fault::constrained_bfs_detour(topo, no_faults, both, 7, &owners);
   ASSERT_TRUE(rescued.has_value());
   EXPECT_EQ(rescued->front(), 5u);
 }
@@ -79,14 +80,15 @@ TEST(DisjointRoute, RespectsFaultsAndBannedNodes) {
   faults.fail_link(0, 0);  // kill 0 <-> 1
   ArcOwnerTable owners(topo);
   const NodeId src[1] = {0};
-  auto path = paths::disjoint_route(topo, faults, owners, src, 1);
+  auto path = fault::constrained_bfs_detour(topo, faults, src, 1, &owners);
   ASSERT_TRUE(path.has_value());
   // 0 and 1 are at odd distance, so the shortest detour is 3 hops.
   EXPECT_EQ(path->size(), 4u);
   // Ban every candidate intermediate: 1 is only reachable via 3 or 5.
   std::vector<bool> banned(topo.num_nodes(), false);
   banned[3] = banned[5] = true;
-  EXPECT_FALSE(paths::disjoint_route(topo, faults, owners, src, 1, &banned));
+  EXPECT_FALSE(fault::constrained_bfs_detour(topo, faults, src, 1, &owners,
+                                             &banned));
 }
 
 /// The repairer's owner-table contract: on success the table absorbs
@@ -120,11 +122,12 @@ TEST(DisjointRepair, CommitsFootprintOnSuccessOnly) {
   // Drop damaged[0] (its arcs stay free — the parity-drop scenario) and
   // disjoint-repair damaged[1] against the two untouched trees.
   const int target = damaged[1];
-  auto res = paths::repair_disjoint(trees[target], dests, faults, owners,
+  auto res = fault::repair_disjoint(trees[target], dests, faults, owners,
                                     target);
   ASSERT_TRUE(res.has_value());
   EXPECT_GT(res->report.broken, 0u);
-  EXPECT_EQ(res->report.rerouted, res->report.broken);
+  EXPECT_EQ(res->report.rerouted_shortest + res->report.relayed,
+            res->report.broken);
   res->schedule.finalize();
   EXPECT_TRUE(res->schedule.covers(dests));
   EXPECT_EQ(fault::blocked_unicasts(res->schedule, faults), 0u);
@@ -153,7 +156,7 @@ TEST(DisjointRepair, CommitsFootprintOnSuccessOnly) {
   }
   const std::size_t all = full.arcs_claimed();
   EXPECT_FALSE(
-      paths::repair_disjoint(trees[damaged[0]], dests, faults, full, 0));
+      fault::repair_disjoint(trees[damaged[0]], dests, faults, full, 0));
   EXPECT_EQ(full.arcs_claimed(), all);
 }
 
@@ -165,7 +168,7 @@ TEST(DisjointRepair, DeadDestinationThrowsUnrepairable) {
   faults.fail_node(5);
   const auto tree = core::build_ist_tree(topo, 0, source, dests);
   ArcOwnerTable owners(topo);
-  EXPECT_THROW(paths::repair_disjoint(tree, dests, faults, owners, 0),
+  EXPECT_THROW(fault::repair_disjoint(tree, dests, faults, owners, 0),
                fault::UnrepairableFault);
 }
 

@@ -653,6 +653,9 @@ TEST(StripedFaults, FallbackSingleTreeRepairsAndCaches) {
   const StripedPlan plan = faulted.serve_striped(request, small, options);
   EXPECT_FALSE(plan.striped);
   EXPECT_EQ(plan.repaired_trees, 1u);
+  EXPECT_EQ(plan.repaired_greedy, 1u) << "the fallback repair is greedy";
+  EXPECT_EQ(plan.repaired_trees,
+            plan.repaired_disjoint + plan.repaired_greedy);
   ASSERT_EQ(plan.trees.size(), 1u);
   EXPECT_TRUE(*plan.trees[0] ==
               fault::repair_schedule(*tree, request.destinations, *blocking)
@@ -662,6 +665,7 @@ TEST(StripedFaults, FallbackSingleTreeRepairsAndCaches) {
   EXPECT_EQ(cache->stats().misses, misses) << "second call is a cache hit";
   EXPECT_EQ(again.trees[0], plan.trees[0]);
   EXPECT_EQ(again.repaired_trees, 1u);
+  EXPECT_EQ(again.repaired_greedy, 1u);
 
   // A fault that blocks nothing leaves the fault-free tree in place.
   auto harmless = std::make_shared<fault::FaultSet>(topo);
@@ -671,6 +675,7 @@ TEST(StripedFaults, FallbackSingleTreeRepairsAndCaches) {
       ServePipeline("wsort", cache, harmless).serve_striped(request, small,
                                                             options);
   EXPECT_EQ(clean.repaired_trees, 0u);
+  EXPECT_EQ(clean.repaired_greedy, 0u);
   EXPECT_TRUE(*clean.trees[0] == *tree);
 }
 

@@ -18,7 +18,6 @@
 #include "metrics/json.hpp"
 #include "net/http.hpp"
 #include "net/protocol.hpp"
-#include "paths/repair.hpp"
 #include "workload/random_sets.hpp"
 
 namespace hypercast {
@@ -157,7 +156,7 @@ std::vector<Case> corpus() {
         const MulticastSchedule tree = core::build_ist_tree0(topo, t);
         if (fault::blocked_unicasts(tree, faults) == 0) continue;
         core::ArcOwnerTable owners(topo);
-        auto repaired = paths::repair_disjoint(tree, all, faults, owners, t);
+        auto repaired = fault::repair_disjoint(tree, all, faults, owners, t);
         if (repaired.has_value()) {
           out.push_back({cube + "disjoint repair of ist tree " +
                              std::to_string(t),

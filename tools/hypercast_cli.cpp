@@ -112,6 +112,16 @@ std::shared_ptr<const fault::FaultSet> setup_faults(
   return std::make_shared<const fault::FaultSet>(std::move(*fs));
 }
 
+/// The repair summary plus the contention the detours introduced
+/// (Definition 4 over the repaired schedule, all-port stepwise model).
+std::string repair_summary(const fault::FaultAwareResult& repaired) {
+  const std::size_t violations =
+      core::check_contention(repaired.schedule, core::PortModel::all_port())
+          .violations.size();
+  return repaired.report.summary() + ", " + std::to_string(violations) +
+         " contention violation" + (violations == 1 ? "" : "s");
+}
+
 /// Build the schedule for `algo`, repairing it against the fault set
 /// when one is configured (printing the repair summary).
 core::MulticastSchedule build_schedule(const core::AlgorithmEntry& algo,
@@ -122,7 +132,7 @@ core::MulticastSchedule build_schedule(const core::AlgorithmEntry& algo,
   auto result = fault::fault_aware_multicast(algo, req, *faults);
   if (print_repairs) {
     std::printf("faults: %s\n  %s\n", faults->format().c_str(),
-                result.report.summary().c_str());
+                repair_summary(result).c_str());
   }
   return std::move(result.schedule);
 }
@@ -271,7 +281,7 @@ int cmd_faults(const harness::Options& opts) {
     const auto& algo = core::find_algorithm(opts.get_or("algo", "wsort"));
     auto repaired =
         fault::repair_schedule(algo.build(req), req.destinations, *faults);
-    std::printf("  %s\n", repaired.report.summary().c_str());
+    std::printf("  %s\n", repair_summary(repaired).c_str());
     sim::SimConfig config;
     config.port = opts.port();
     config.message_bytes =
