@@ -127,8 +127,12 @@ class Repairer {
     });
   }
 
+  /// Only a base edge keeps its pre-claim. A dead relay's bypass runs a
+  /// new E-cube route whose arcs the pre-claim gave to the tree's other
+  /// sends, so it is routed as a repair chain through free arcs.
   bool owns_path(NodeId from, NodeId to) const {
     if (!table_) return true;
+    if (from != base_parent_[to]) return false;
     bool mine = true;
     hcube::for_each_ecube_arc(topo_, from, to, [&](hcube::Arc a) {
       if (table_->owner(a) != self_) mine = false;
