@@ -1,28 +1,20 @@
 // Scale benchmark: how big a hypercube the DES can simulate and how
-// fast. Three prongs, all feeding BENCH_sim_scale.json:
+// fast. Two prongs, both feeding BENCH_sim_scale.json:
 //
 //  * full-broadcast replay throughput at 10-, 14- and 16-cube (the
 //    16-cube case replays a 65 535-recipient wsort broadcast end to
 //    end, including in --quick CI smoke);
 //  * memory footprint per simulated node — and the largest cube whose
 //    reserved simulator state (network resources + worm SoA + event
-//    queue) fits in 1 GiB, the "million-node" headroom number;
-//  * sharded-replay scaling: disjoint-subcube tenants simulated via
-//    simulate_collectives_sharded at 1 thread vs. the machine's
-//    parallelism (speedup/efficiency metrics deliberately avoid the
-//    "per_sec" naming so the regression gate ignores machine-dependent
-//    scaling figures).
+//    queue) fits in 1 GiB, the "million-node" headroom number.
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/registry.hpp"
 #include "harness/bench.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/shard.hpp"
 #include "sim/worm_engine.hpp"
 #include "sim/wormhole_sim.hpp"
 #include "workload/patterns.hpp"
@@ -92,53 +84,12 @@ void run(const bench::Context& ctx, bench::Report& report) {
   report.metric("max_cube_nodes_per_gb", max_nodes);
   std::printf("  largest cube in 1 GiB: %d-cube (%.0f nodes)\n", max_dim,
               max_nodes);
-
-  // Prong 3: sharded replay of disjoint-subcube tenants. 16 tenants
-  // each broadcast inside their own 10-subcube of a 14-cube: footprints
-  // are provably disjoint, so the shard planner splits them 16 ways and
-  // thread scaling is pure parallel speedup.
-  {
-    const hcube::Topology topo(14);
-    std::vector<core::MulticastSchedule> schedules;
-    schedules.reserve(16);
-    std::vector<sim::CollectiveJob> jobs;
-    for (int t = 0; t < 16; ++t) {
-      const hcube::NodeId base = static_cast<hcube::NodeId>(t) << 10;
-      std::vector<hcube::NodeId> dests;
-      dests.reserve((1u << 10) - 1);
-      for (hcube::NodeId off = 1; off < (1u << 10); ++off) {
-        dests.push_back(base ^ off);
-      }
-      const core::MulticastRequest req{topo, base, dests};
-      schedules.push_back(core::find_algorithm("wsort").build(req));
-      jobs.push_back(sim::CollectiveJob{&schedules.back(), 0});
-    }
-    const std::uint64_t events =
-        sim::simulate_collectives_sharded(jobs, config, 1).stats.events;
-    const bench::Rate serial = bench::measure_rate(ctx.min_time(0.5), [&] {
-      (void)sim::simulate_collectives_sharded(jobs, config, 1);
-    });
-    const unsigned threads = std::clamp(
-        std::thread::hardware_concurrency(), 1u, 16u);
-    const bench::Rate parallel = bench::measure_rate(ctx.min_time(0.5), [&] {
-      (void)sim::simulate_collectives_sharded(jobs, config, threads);
-    });
-    const double speedup = parallel.per_second() / serial.per_second();
-    report.metric("sharded_events_per_sec",
-                  serial.per_second() * static_cast<double>(events));
-    report.metric("shard_threads", static_cast<double>(threads));
-    report.metric("shard_speedup", speedup);
-    report.metric("shard_efficiency", speedup / static_cast<double>(threads));
-    std::printf(
-        "  shards: %11.3e events/s serial, %.2fx speedup at %u threads\n",
-        serial.per_second() * static_cast<double>(events), speedup, threads);
-  }
 }
 
 const bench::Registration reg{
     {"sim_scale", bench::Kind::Micro,
-     "DES scale: full-broadcast events/s at 10/14/16-cube, nodes per GB "
-     "of simulator state, and sharded-replay thread scaling",
+     "DES scale: full-broadcast events/s at 10/14/16-cube and nodes per "
+     "GB of simulator state",
      run}};
 
 }  // namespace

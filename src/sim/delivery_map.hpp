@@ -26,8 +26,8 @@ namespace hypercast::sim {
 /// broadcast replay — and iteration is a linear walk over packed pairs.
 ///
 /// Equality is order-independent (set semantics, like unordered_map),
-/// so results assembled in different insertion orders — a sharded run
-/// vs. a joint run — still compare equal when the times agree.
+/// so results assembled in different insertion orders still compare
+/// equal when the times agree.
 class DeliveryMap {
  public:
   using value_type = std::pair<hcube::NodeId, SimTime>;

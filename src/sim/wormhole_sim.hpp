@@ -73,9 +73,6 @@ struct MultiSimResult {
                                    ///< delivery times are absolute
   SimStats stats;                  ///< aggregate across jobs
   Trace trace;                     ///< merged trace (if recorded)
-  std::size_t shards = 1;          ///< independent partitions simulated
-                                   ///< (1 unless run through the
-                                   ///< sharded entry point in shard.hpp)
 
   /// Completion time of the whole phase: the latest delivery.
   SimTime makespan() const;

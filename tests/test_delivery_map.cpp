@@ -34,8 +34,8 @@ TEST(DeliveryMap, EmplaceFindAndInsertionOrder) {
   EXPECT_EQ(map.at(0), 130);
   EXPECT_THROW(map.at(42), std::out_of_range);
 
-  // Iteration replays exactly the insertion order — what makes sharded
-  // vs joint simulation results comparable deterministically.
+  // Iteration replays exactly the insertion order, so a deterministic
+  // simulation iterates its results deterministically too.
   std::size_t i = 0;
   for (const auto& [node, time] : map) {
     EXPECT_EQ(node, order[i]);
