@@ -40,17 +40,8 @@ int main() {
   std::printf("gather     (96 x 1 KiB):       completes %8.1f us\n",
               sim::to_microseconds(ga.completion));
 
-  const auto sc = comm.scatter(0, group, 1024);
-  std::printf("scatter    (96 x 1 KiB):       last block %8.1f us\n",
-              sim::to_microseconds(sc.max_delay(group)));
-
-  std::printf("barrier    (96 nodes):         releases  %8.1f us\n",
+  std::printf("barrier    (96 nodes):         releases  %8.1f us\n\n",
               sim::to_microseconds(comm.barrier(0, group)));
-
-  const auto a2a = comm.all_to_all(256);
-  std::printf("all-to-all (256 B blocks):     completes %8.1f us"
-              "   (dimension exchange, %d rounds)\n\n",
-              sim::to_microseconds(a2a.completion), options.topo.dim());
 
   // What-if: how would the same application behave on one-port nodes,
   // or with the one-port-era algorithm?

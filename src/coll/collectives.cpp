@@ -79,54 +79,6 @@ ReduceResult Collectives::gather(hcube::NodeId root,
   return simulate_reduce(*tree, config);
 }
 
-ScatterResult Collectives::scatter(
-    hcube::NodeId root, std::span<const hcube::NodeId> destinations,
-    std::size_t bytes_per_node) const {
-  const auto tree = plan_shared(root, destinations);
-  ScatterConfig config;
-  config.cost = options_.cost;
-  config.port = options_.port;
-  config.block_bytes = bytes_per_node;
-  return simulate_scatter(*tree, config);
-}
-
-AllToAllResult Collectives::all_to_all(std::size_t bytes_per_block) const {
-  AllToAllConfig config;
-  config.cost = options_.cost;
-  config.port = options_.port;
-  config.block_bytes = bytes_per_block;
-  return simulate_all_to_all(options_.topo, config);
-}
-
-AllToAllResult Collectives::all_to_all_scatter(
-    std::size_t bytes_per_block) const {
-  ScatterConfig config;
-  config.cost = options_.cost;
-  config.port = options_.port;
-  config.block_bytes = bytes_per_block;
-
-  // One phase per root, network quiescent between phases. Every root's
-  // tree is the XOR-translation of the same relative broadcast tree, so
-  // planning the exchange is one construction + N - 1 cache hits.
-  AllToAllResult out;
-  for (hcube::NodeId root = 0;
-       root < static_cast<hcube::NodeId>(options_.topo.num_nodes()); ++root) {
-    const auto dests = workload::broadcast_destinations(options_.topo, root);
-    const auto tree = plan_shared(root, dests);
-    const ScatterResult phase = simulate_scatter(*tree, config);
-    out.completion += phase.max_delay();
-    out.stats.messages += phase.stats.messages;
-    out.stats.blocked_acquisitions += phase.stats.blocked_acquisitions;
-    out.stats.total_blocked_ns += phase.stats.total_blocked_ns;
-    out.stats.events += phase.stats.events;
-  }
-  for (hcube::NodeId u = 0;
-       u < static_cast<hcube::NodeId>(options_.topo.num_nodes()); ++u) {
-    out.finish[u] = out.completion;
-  }
-  return out;
-}
-
 sim::SimTime Collectives::barrier(
     hcube::NodeId root, std::span<const hcube::NodeId> participants) const {
   const auto tree = plan_shared(root, participants);

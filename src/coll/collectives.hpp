@@ -4,9 +4,7 @@
 #include <memory>
 #include <string>
 
-#include "coll/all_to_all.hpp"
 #include "coll/reduce.hpp"
-#include "coll/scatter.hpp"
 #include "coll/serve_pipeline.hpp"
 #include "core/registry.hpp"
 #include "sim/wormhole_sim.hpp"
@@ -77,30 +75,11 @@ class Collectives {
                       std::span<const hcube::NodeId> participants,
                       std::size_t bytes_per_node) const;
 
-  /// One-to-many personalized: each destination receives its own
-  /// block; bundles shrink down the tree (the dual of gather).
-  ScatterResult scatter(hcube::NodeId root,
-                        std::span<const hcube::NodeId> destinations,
-                        std::size_t bytes_per_node) const;
-
   /// Full-tree barrier: a minimal-payload reduction to `root` followed
   /// by a minimal-payload broadcast back. Returns the release time of
   /// the last participant.
   sim::SimTime barrier(hcube::NodeId root,
                        std::span<const hcube::NodeId> participants) const;
-
-  /// Complete exchange among ALL nodes (dimension-exchange algorithm):
-  /// every node ends up with one block from every other node.
-  AllToAllResult all_to_all(std::size_t bytes_per_block) const;
-
-  /// Complete exchange as N phased scatters over multicast trees, one
-  /// rooted at every node — the "n translated multicasts" pattern: all N
-  /// trees are XOR-translations of one relative broadcast tree, so with
-  /// the cache enabled the whole exchange plans one tree. Modeled as
-  /// sequential quiescent phases (an estimator, pessimistic on overlap;
-  /// the dimension-exchange all_to_all above remains the contention-free
-  /// reference).
-  AllToAllResult all_to_all_scatter(std::size_t bytes_per_block) const;
 
  private:
   Options options_;

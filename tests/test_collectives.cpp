@@ -101,16 +101,6 @@ TEST(Collectives, AlgorithmChoiceMattersForDelay) {
   EXPECT_LT(wsort_avg, ucube_avg);
 }
 
-TEST(Collectives, AllToAllMatchesDirectSimulation) {
-  const Collectives comm(six_cube());
-  const auto via_facade = comm.all_to_all(512);
-  AllToAllConfig config;
-  config.block_bytes = 512;
-  const auto direct = simulate_all_to_all(Topology(6), config);
-  EXPECT_EQ(via_facade.completion, direct.completion);
-  EXPECT_EQ(via_facade.stats.blocked_acquisitions, 0u);
-}
-
 TEST(Collectives, OnePortConfigurationPropagates) {
   auto options = six_cube();
   options.port = core::PortModel::one_port();
