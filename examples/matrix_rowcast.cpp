@@ -1,8 +1,9 @@
 // Row broadcasts for data-parallel linear algebra — Theorem 2 live.
 //
 // An 8x8 process grid is embedded in a 64-node hypercube with Gray
-// codes (hcube/embeddings). In LU factorization or HPF array statements
-// each row leader periodically broadcasts its pivot block to its row.
+// codes, so grid neighbours are cube neighbours. In LU factorization or
+// HPF array statements each row leader periodically broadcasts its
+// pivot block to its row.
 // Because the embedding maps every grid row into its own 3-dimensional
 // subcube, Theorem 2 guarantees the eight simultaneous row multicasts
 // are pairwise arc-disjoint: running them together costs exactly what
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "core/wsort.hpp"
-#include "hcube/embeddings.hpp"
 #include "hcube/subcube.hpp"
 #include "sim/wormhole_sim.hpp"
 
@@ -21,7 +21,17 @@ int main() {
   const hcube::Topology topo(6);
   const std::size_t rows = 8;
   const std::size_t cols = 8;
-  const auto grid = hcube::embed_grid(topo, rows, cols);
+  const int col_bits = 3;  // log2(cols)
+  // grid[r * cols + c] hosts position (r, c): the row's Gray code in the
+  // high bits, the column's in the low col_bits.
+  const auto gray = [](std::size_t i) { return i ^ (i >> 1); };
+  std::vector<hcube::NodeId> grid;
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      grid.push_back(
+          static_cast<hcube::NodeId>((gray(r) << col_bits) | gray(c)));
+    }
+  }
 
   std::puts("process grid (rows are subcubes):");
   for (std::size_t r = 0; r < rows; ++r) {
