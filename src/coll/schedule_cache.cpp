@@ -43,6 +43,28 @@ L1Slot& l1_slot_for(std::uint64_t hash) {
   return l1_table()[(hash >> 8) & (kL1Slots - 1)];
 }
 
+/// offer()'s doorkeeper: 2^16 bits (8 KiB) per shard, indexed by the
+/// low bits of the key hash, which are independent of the bits from 40
+/// up that shard_of() reads.
+constexpr std::size_t kDoorkeeperBits = std::size_t{1} << 16;
+constexpr std::size_t kDoorkeeperWords = kDoorkeeperBits / 64;
+
+/// The doorkeeper resets once the first sightings since its last reset
+/// exceed the shard's resident entry count: by then the LRU has turned
+/// over, and older sightings describe keys no longer competing for
+/// room. The floor keeps a shard holding few entries from forgetting a
+/// sighting before its repeat can arrive; the ceiling keeps at most a
+/// quarter of the bits set, so that fewer than a quarter of first
+/// sightings collide with a set bit and are admitted early.
+constexpr std::size_t kDoorkeeperMinReset = 64;
+constexpr std::size_t kDoorkeeperMaxReset = kDoorkeeperBits / 4;
+
+/// The bytes an entry charges against its shard's budget.
+std::size_t entry_bytes(const core::CacheKey& key,
+                        const core::MulticastSchedule& schedule) {
+  return schedule.footprint_bytes() + key.footprint_bytes() + 64;
+}
+
 }  // namespace
 
 ScheduleCache::ScheduleCache() : ScheduleCache(Config{}) {}
@@ -104,10 +126,30 @@ void ScheduleCache::put(
     const core::CacheKey& key,
     std::shared_ptr<const core::MulticastSchedule> schedule) {
   Shard& shard = *shards_[shard_of(key)];
-  const std::size_t bytes =
-      schedule->footprint_bytes() + key.footprint_bytes() + 64;
-
+  const std::size_t bytes = entry_bytes(key, *schedule);
   std::lock_guard<std::mutex> lock(shard.mu);
+  insert_locked(shard, key, std::move(schedule), bytes);
+}
+
+bool ScheduleCache::offer(
+    const core::CacheKey& key,
+    std::shared_ptr<const core::MulticastSchedule> schedule) {
+  Shard& shard = *shards_[shard_of(key)];
+  const std::size_t bytes = entry_bytes(key, *schedule);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  if (shard.bytes + bytes > per_shard_budget_ &&
+      !sighted_before_locked(shard, key)) {
+    declined_.inc();
+    return false;
+  }
+  insert_locked(shard, key, std::move(schedule), bytes);
+  return true;
+}
+
+void ScheduleCache::insert_locked(
+    Shard& shard, const core::CacheKey& key,
+    std::shared_ptr<const core::MulticastSchedule> schedule,
+    std::size_t bytes) {
   auto [it, inserted] = shard.map.try_emplace(key);
   Entry& entry = it->second;
   if (!inserted) {
@@ -120,6 +162,22 @@ void ScheduleCache::put(
   entry.lru = shard.lru.begin();
   shard.bytes += bytes;
   evict_over_budget_locked(shard);
+}
+
+bool ScheduleCache::sighted_before_locked(Shard& shard,
+                                          const core::CacheKey& key) {
+  if (shard.doorkeeper.empty()) shard.doorkeeper.resize(kDoorkeeperWords);
+  const std::size_t bit = key.hash & (kDoorkeeperBits - 1);
+  std::uint64_t& word = shard.doorkeeper[bit / 64];
+  const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+  if ((word & mask) != 0) return true;
+  word |= mask;
+  if (++shard.first_sightings >
+      std::clamp(shard.map.size(), kDoorkeeperMinReset, kDoorkeeperMaxReset)) {
+    std::fill(shard.doorkeeper.begin(), shard.doorkeeper.end(), 0);
+    shard.first_sightings = 0;
+  }
+  return false;
 }
 
 void ScheduleCache::evict_over_budget_locked(Shard& shard) {
@@ -139,6 +197,8 @@ void ScheduleCache::clear() {
     shard->map.clear();
     shard->lru.clear();
     shard->bytes = 0;
+    shard->doorkeeper.clear();
+    shard->first_sightings = 0;
     // Generation bump retires every thread-local L1 slot pointing here.
     shard->generation.fetch_add(1, std::memory_order_acq_rel);
   }
@@ -150,6 +210,7 @@ ScheduleCache::Stats ScheduleCache::stats() const {
   out.l1_hits = l1_hits_.value();
   out.misses = misses_.value();
   out.evictions = evictions_.value();
+  out.declined = declined_.value();
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     out.entries += shard->map.size();

@@ -53,6 +53,13 @@ namespace hypercast::coll {
 /// their schedule + key footprint and the least-recently *inserted or
 /// shared-tier-hit* entry is evicted first (L1 hits deliberately skip
 /// the LRU touch — approximate recency in exchange for zero locking).
+/// put() always inserts. offer() is the admission-gated insert the
+/// serving path uses: while the shard has room it inserts exactly like
+/// put(); once an insert would evict, it admits a key only on its
+/// second sighting, remembered in a per-shard doorkeeper bitset (the
+/// TinyLFU doorkeeper, Einziger, Friedman and Manes, ACM ToS 2017). A
+/// stream of never-repeating requests then costs a bit test instead of
+/// two inserts and their evictions, and cannot flush a resident hot set.
 class ScheduleCache {
  public:
   struct Config {
@@ -71,6 +78,7 @@ class ScheduleCache {
     std::uint64_t l1_hits = 0;       ///< lock-free thread-local hits
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;     ///< entries dropped for capacity
+    std::uint64_t declined = 0;      ///< offers refused by the doorkeeper
     std::size_t entries = 0;         ///< resident entries (shared tier)
     std::size_t bytes = 0;           ///< resident bytes (shared tier)
 
@@ -91,6 +99,7 @@ class ScheduleCache {
       visit("l1_hits", static_cast<double>(l1_hits));
       visit("misses", static_cast<double>(misses));
       visit("evictions", static_cast<double>(evictions));
+      visit("declined", static_cast<double>(declined));
       visit("entries", static_cast<double>(entries));
       visit("bytes", static_cast<double>(bytes));
       visit("total_hits", static_cast<double>(total_hits()));
@@ -125,6 +134,15 @@ class ScheduleCache {
   /// wins): builds are pure, so both carry the same bytes.
   void put(const core::CacheKey& key,
            std::shared_ptr<const core::MulticastSchedule> schedule);
+
+  /// Admission-gated put(): inserts like put() when the entry fits the
+  /// shard's remaining budget. Otherwise it inserts (evicting the LRU
+  /// tail) only if the key was already sighted since the doorkeeper's
+  /// last reset, and else just records the sighting. Returns whether
+  /// the schedule was inserted; a declined offer leaves every resident
+  /// entry in place and counts in Stats::declined.
+  bool offer(const core::CacheKey& key,
+             std::shared_ptr<const core::MulticastSchedule> schedule);
 
   /// Drop every entry and bump every shard's generation tag (which also
   /// kills all thread-local L1 entries).
@@ -161,8 +179,17 @@ class ScheduleCache {
     std::list<const core::CacheKey*> lru;
     std::size_t bytes = 0;
     std::atomic<std::uint64_t> generation{1};
+    /// offer()'s doorkeeper: one bit per key-hash bucket, set on a key's
+    /// first sighting while the shard is full. Allocated on the shard's
+    /// first refusal, so caches that never fill never pay for it.
+    std::vector<std::uint64_t> doorkeeper;
+    std::size_t first_sightings = 0;  ///< since the last doorkeeper reset
   };
 
+  void insert_locked(Shard& shard, const core::CacheKey& key,
+                     std::shared_ptr<const core::MulticastSchedule> schedule,
+                     std::size_t bytes);
+  bool sighted_before_locked(Shard& shard, const core::CacheKey& key);
   void evict_over_budget_locked(Shard& shard);
 
   Config config_;
@@ -179,6 +206,7 @@ class ScheduleCache {
   obs::Counter l1_hits_;
   obs::Counter misses_;
   obs::Counter evictions_;
+  obs::Counter declined_;
 
   obs::Registry* attached_registry_ = nullptr;
   std::string attached_name_;

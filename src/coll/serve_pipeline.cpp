@@ -201,7 +201,7 @@ std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_relative(
     HYPERCAST_OBS_SPAN("serve.build");
     rel = timed(metrics.build_ns, [&] {
       auto built = build_relative(request.topo, tls.key);
-      cache_->put(tls.key, built);
+      cache_->offer(tls.key, built);
       return built;
     });
   } else if (mask == 0) {
@@ -214,10 +214,10 @@ std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_relative(
                                                          request.source);
     out->assign_translated(*rel, mask);
     out->finalize();
-    // Publish the materialized translation under its absolute identity
-    // so the next identical request shares it without copying.
+    // Offer the materialized translation under its absolute identity so
+    // the next identical request shares it without copying.
     core::rekey(tls.key, /*absolute=*/true, mask);
-    cache_->put(tls.key, out);
+    cache_->offer(tls.key, out);
     return out;
   });
 }

@@ -29,7 +29,9 @@ namespace hypercast::coll {
 ///    and each *materialized translation* under its absolute identity
 ///    (paying the XOR relabeling copy once per (source, shape) pair).
 ///    In steady state a hit is zero-copy: key canonicalization plus a
-///    shared_ptr share, never a construction and never a copy.
+///    shared_ptr share, never a construction and never a copy. Both
+///    levels insert through ScheduleCache::offer(), so once the cache
+///    is full a request's schedules are kept only when it repeats.
 ///  * the same four under a fault set — the tree is built as above and
 ///    repaired with fault::repair_schedule, the greedy entry point of
 ///    the repair engine (byte-identical to

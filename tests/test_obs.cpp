@@ -434,8 +434,8 @@ TEST(ObsCacheStats, ForEachFieldIsTheCanonicalSchema) {
   std::vector<std::string> names;
   stats.for_each_field([&](const char* name, double) { names.push_back(name); });
   const std::vector<std::string> expected{
-      "hits",       "l1_hits", "misses",  "evictions", "entries",
-      "bytes",      "total_hits", "lookups", "hit_rate"};
+      "hits",       "l1_hits", "misses",  "evictions", "declined",
+      "entries",    "bytes",   "total_hits", "lookups", "hit_rate"};
   EXPECT_EQ(names, expected);
   stats.for_each_field([&](const char* name, double v) {
     const std::string field(name);

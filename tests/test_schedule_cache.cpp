@@ -1,5 +1,6 @@
 // The schedule-serving cache: canonical keys, the two-level (relative +
-// materialized-translation) LRU, fault-fingerprint salting, and the
+// materialized-translation) LRU, admission under budget pressure
+// (offer's doorkeeper), fault-fingerprint salting, and the
 // bit-identical guarantee — cached serving returns schedules equal
 // (MulticastSchedule::operator==) to direct construction, sequentially,
 // in batches, and under a multi-threaded hammer with concurrent
@@ -162,6 +163,125 @@ TEST(ScheduleCache, EvictsLeastRecentlyUsedUnderByteBudget) {
   const auto stats = cache.stats();
   EXPECT_EQ(stats.entries, 1u);  // never evicts the newest entry
   EXPECT_EQ(stats.evictions, 5u);
+}
+
+// ---- admission under budget pressure (offer) ------------------------------
+
+/// The bytes one entry charges: what a single put() leaves resident.
+std::size_t charged_bytes(
+    const CacheKey& key,
+    const std::shared_ptr<const core::MulticastSchedule>& schedule) {
+  ScheduleCache probe;
+  probe.put(key, schedule);
+  return probe.stats().bytes;
+}
+
+/// A one-shard cache whose budget is exactly `bytes`.
+std::shared_ptr<ScheduleCache> one_shard_cache(std::size_t bytes) {
+  ScheduleCache::Config config;
+  config.shards = 1;
+  config.max_bytes = bytes;
+  return std::make_shared<ScheduleCache>(config);
+}
+
+TEST(ScheduleCache, OfferInsertsOnFirstSightWhileThereIsRoom) {
+  ScheduleCache cache;
+  const Topology topo(6, Resolution::HighToLow);
+  workload::Rng rng(17);
+  for (int i = 0; i < 20; ++i) {
+    const auto req = random_request(topo, 1 + rng() % 30, rng);
+    const auto key = key_of(req);
+    const auto schedule = build_wsort(req);
+    ASSERT_TRUE(cache.offer(key, schedule)) << "offer " << i;
+    EXPECT_EQ(cache.get(key), schedule);
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, 20u);
+  EXPECT_EQ(stats.declined, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+}
+
+TEST(ScheduleCache, OfferAtBudgetAdmitsOnlyTheSecondSighting) {
+  const Topology topo(6, Resolution::HighToLow);
+  workload::Rng rng(23);
+  std::vector<CacheKey> keys;
+  std::vector<std::shared_ptr<const core::MulticastSchedule>> schedules;
+  for (int i = 0; i < 4; ++i) {
+    const auto req = random_request(topo, 12, rng);
+    keys.push_back(key_of(req));
+    schedules.push_back(build_wsort(req));
+  }
+  // Exactly the first three entries fit: the cache is then full.
+  std::size_t budget = 0;
+  for (int i = 0; i < 3; ++i) budget += charged_bytes(keys[i], schedules[i]);
+  const auto cache = one_shard_cache(budget);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(cache->offer(keys[i], schedules[i]));
+  ASSERT_EQ(cache->stats().bytes, budget);
+
+  // First sighting of a fourth key: nothing inserted, nothing evicted.
+  EXPECT_FALSE(cache->offer(keys[3], schedules[3]));
+  auto stats = cache->stats();
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.declined, 1u);
+  EXPECT_EQ(stats.bytes, budget);
+  EXPECT_EQ(cache->get(keys[3]), nullptr);
+
+  // Second sighting: admitted, and the LRU tail (the first key) makes
+  // room for it.
+  EXPECT_TRUE(cache->offer(keys[3], schedules[3]));
+  stats = cache->stats();
+  EXPECT_EQ(stats.declined, 1u);
+  EXPECT_GE(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries + stats.evictions, 4u);
+  EXPECT_LE(stats.bytes, budget);
+  EXPECT_EQ(cache->get(keys[3]), schedules[3]);
+  EXPECT_EQ(cache->get(keys[0]), nullptr);
+
+  // put() is never gated.
+  cache->put(keys[0], schedules[0]);
+  EXPECT_EQ(cache->get(keys[0]), schedules[0]);
+  EXPECT_EQ(cache->stats().declined, 1u);
+}
+
+TEST(ScheduleCache, OfferDoorkeeperResetsAfterTurnover) {
+  const Topology topo(6, Resolution::HighToLow);
+  workload::Rng rng(29);
+  const auto entry = [&] {
+    const auto req = random_request(topo, 10, rng);
+    return std::pair{key_of(req), build_wsort(req)};
+  };
+  const auto [resident_key, resident] = entry();
+  const auto cache = one_shard_cache(charged_bytes(resident_key, resident));
+  ASSERT_TRUE(cache->offer(resident_key, resident));
+
+  // A few sightings in between: the doorkeeper still remembers x.
+  const auto [x_key, x] = entry();
+  EXPECT_FALSE(cache->offer(x_key, x));
+  for (int i = 0; i < 8; ++i) {
+    const auto [key, schedule] = entry();
+    EXPECT_FALSE(cache->offer(key, schedule));
+  }
+  EXPECT_TRUE(cache->offer(x_key, x));
+
+  // Far more first sightings than the shard holds entries (and than the
+  // doorkeeper's floor): the LRU has turned over, the doorkeeper has
+  // reset, and y's next offer counts as a first sighting again.
+  const auto [y_key, y] = entry();
+  EXPECT_FALSE(cache->offer(y_key, y));
+  for (int i = 0; i < 300; ++i) {
+    const auto [key, schedule] = entry();
+    cache->offer(key, schedule);
+  }
+  EXPECT_FALSE(cache->offer(y_key, y));
+  EXPECT_TRUE(cache->offer(y_key, y));
+
+  // clear() forgets every sighting too; the emptied shard has room.
+  const auto [z_key, z] = entry();
+  EXPECT_FALSE(cache->offer(z_key, z));
+  cache->clear();
+  EXPECT_TRUE(cache->offer(resident_key, resident));
+  EXPECT_FALSE(cache->offer(z_key, z));
 }
 
 TEST(ScheduleCache, FaultFingerprintSaltSeparatesAbsoluteEntries) {
@@ -369,6 +489,43 @@ TEST(ServePipeline, CoschedOnSharedCachedTreesMatchesSingleThreaded) {
   }
 }
 
+TEST(ServePipeline, ScanOfFreshRequestsLeavesAFullCachesHotPoolResident) {
+  const Topology topo(6, Resolution::HighToLow);
+  workload::Rng rng(37);
+  std::vector<core::MulticastRequest> pool;
+  for (int i = 0; i < 8; ++i) pool.push_back(random_request(topo, 16, rng));
+
+  // Size the budget to exactly the pool's relative and translated
+  // entries, so the pool fills the cache.
+  const auto sizing = one_shard_cache(std::size_t{64} << 20);
+  for (const auto& req : pool) ServePipeline("wsort", sizing).serve(req);
+  const auto cache = one_shard_cache(sizing->stats().bytes);
+  const ServePipeline pipeline("wsort", cache);
+  for (const auto& req : pool) pipeline.serve(req);
+  ASSERT_EQ(cache->stats().bytes, sizing->stats().bytes);
+
+  // A scan of sets that never repeat: every insert is a first sighting
+  // at budget. It is kept shorter than the doorkeeper's 2^16 bits by
+  // far, because two keys sharing a bit count as a repeat by design.
+  const ServePipeline uncached("wsort", nullptr);
+  constexpr int kScan = 40;
+  for (int i = 0; i < kScan; ++i) {
+    const auto req = random_request(topo, 16, rng);
+    ASSERT_TRUE(*pipeline.serve(req) == *uncached.serve(req));
+  }
+  const auto after_scan = cache->stats();
+  EXPECT_EQ(after_scan.evictions, 0u);
+  EXPECT_GE(after_scan.declined, static_cast<std::uint64_t>(kScan));
+
+  // The hot pool is still all hits.
+  for (const auto& req : pool) {
+    ASSERT_TRUE(*pipeline.serve(req) == *uncached.serve(req));
+  }
+  const auto after_pool = cache->stats();
+  EXPECT_EQ(after_pool.misses, after_scan.misses);
+  EXPECT_EQ(after_pool.total_hits(), after_scan.total_hits() + pool.size());
+}
+
 // ---- concurrency hammer --------------------------------------------------
 
 TEST(ScheduleCacheConcurrency, HammerMixedHitMissInvalidateStaysBitIdentical) {
@@ -415,6 +572,59 @@ TEST(ScheduleCacheConcurrency, HammerMixedHitMissInvalidateStaysBitIdentical) {
   EXPECT_EQ(stats.lookups(), stats.total_hits() + stats.misses);
   EXPECT_GT(stats.total_hits(), 0u);
   EXPECT_GT(stats.misses, 0u);
+}
+
+TEST(ScheduleCacheConcurrency, RacingSightingsAtBudgetStayBitIdentical) {
+  const Topology topo(6, Resolution::HighToLow);
+  ScheduleCache::Config config;
+  config.shards = 2;
+  config.max_bytes = std::size_t{32} << 10;  // full from the first rounds
+  auto cache = std::make_shared<ScheduleCache>(config);
+  ServePipeline cached("wsort", cache);
+  ServePipeline uncached("wsort", nullptr);
+
+  // Shared keys: every thread draws from one pool, so first and second
+  // sightings of a key race across threads and shards.
+  workload::Rng rng(41);
+  std::vector<core::MulticastRequest> pool;
+  std::vector<std::shared_ptr<const core::MulticastSchedule>> reference;
+  for (int i = 0; i < 96; ++i) {
+    pool.push_back(random_request(topo, 1 + rng() % 40, rng));
+    reference.push_back(uncached.serve(pool.back()));
+  }
+
+  constexpr int kThreads = 8;
+  constexpr int kItersPerThread = 300;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      workload::Rng local(2000 + t);
+      for (int i = 0; i < kItersPerThread; ++i) {
+        const std::size_t pick = local() % pool.size();
+        const auto served = cached.serve(pool[pick]);
+        if (!(*served == *reference[pick])) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (t == 0 && i == kItersPerThread / 2) cache->clear();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  const auto stats = cache->stats();
+  constexpr std::uint64_t kServes = kThreads * kItersPerThread;
+  EXPECT_EQ(stats.lookups(), stats.total_hits() + stats.misses);
+  // A serve probes once (hit, or a source-0 request) or twice (the
+  // absolute probe misses and the relative one follows).
+  EXPECT_GE(stats.lookups(), kServes);
+  EXPECT_LE(stats.lookups(), 2 * kServes);
+  EXPECT_GT(stats.declined, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.total_hits(), 0u);
+  EXPECT_LE(stats.bytes, config.max_bytes);
 }
 
 }  // namespace
