@@ -137,13 +137,17 @@ bool ScheduleCache::offer(
   Shard& shard = *shards_[shard_of(key)];
   const std::size_t bytes = entry_bytes(key, *schedule);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.bytes + bytes > per_shard_budget_ &&
-      !sighted_before_locked(shard, key)) {
-    declined_.inc();
-    return false;
-  }
+  if (!admit_locked(shard, key, bytes)) return false;
   insert_locked(shard, key, std::move(schedule), bytes);
   return true;
+}
+
+bool ScheduleCache::admit(const core::CacheKey& key,
+                          const core::MulticastSchedule& schedule) {
+  Shard& shard = *shards_[shard_of(key)];
+  const std::size_t bytes = entry_bytes(key, schedule);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  return admit_locked(shard, key, bytes);
 }
 
 void ScheduleCache::insert_locked(
@@ -164,8 +168,9 @@ void ScheduleCache::insert_locked(
   evict_over_budget_locked(shard);
 }
 
-bool ScheduleCache::sighted_before_locked(Shard& shard,
-                                          const core::CacheKey& key) {
+bool ScheduleCache::admit_locked(Shard& shard, const core::CacheKey& key,
+                                 std::size_t bytes) {
+  if (shard.bytes + bytes <= per_shard_budget_) return true;
   if (shard.doorkeeper.empty()) shard.doorkeeper.resize(kDoorkeeperWords);
   const std::size_t bit = key.hash & (kDoorkeeperBits - 1);
   std::uint64_t& word = shard.doorkeeper[bit / 64];
@@ -177,6 +182,7 @@ bool ScheduleCache::sighted_before_locked(Shard& shard,
     std::fill(shard.doorkeeper.begin(), shard.doorkeeper.end(), 0);
     shard.first_sightings = 0;
   }
+  declined_.inc();
   return false;
 }
 

@@ -57,9 +57,11 @@ namespace hypercast::coll {
 /// serving path uses: while the shard has room it inserts exactly like
 /// put(); once an insert would evict, it admits a key only on its
 /// second sighting, remembered in a per-shard doorkeeper bitset (the
-/// TinyLFU doorkeeper, Einziger, Friedman and Manes, ACM ToS 2017). A
-/// stream of never-repeating requests then costs a bit test instead of
-/// two inserts and their evictions, and cannot flush a resident hot set.
+/// TinyLFU doorkeeper, Einziger, Friedman and Manes, ACM ToS 2017).
+/// admit() runs the same test without the insert, so a caller can skip
+/// making an entry that would be refused. A stream of never-repeating
+/// requests then costs a bit test instead of two inserts and their
+/// evictions, and cannot flush a resident hot set.
 class ScheduleCache {
  public:
   struct Config {
@@ -144,6 +146,15 @@ class ScheduleCache {
   bool offer(const core::CacheKey& key,
              std::shared_ptr<const core::MulticastSchedule> schedule);
 
+  /// offer()'s admission test alone, for a caller that makes an entry
+  /// only once it is admitted: whether offer(key, schedule) would insert
+  /// now, recording the sighting and counting a refusal in
+  /// Stats::declined just as offer() does. On true the caller put()s
+  /// the entry; `schedule` stands in for it and must be the same size
+  /// (as an XOR-translated copy and its source are).
+  bool admit(const core::CacheKey& key,
+             const core::MulticastSchedule& schedule);
+
   /// Drop every entry and bump every shard's generation tag (which also
   /// kills all thread-local L1 entries).
   void clear();
@@ -189,7 +200,8 @@ class ScheduleCache {
   void insert_locked(Shard& shard, const core::CacheKey& key,
                      std::shared_ptr<const core::MulticastSchedule> schedule,
                      std::size_t bytes);
-  bool sighted_before_locked(Shard& shard, const core::CacheKey& key);
+  bool admit_locked(Shard& shard, const core::CacheKey& key,
+                    std::size_t bytes);
   void evict_over_budget_locked(Shard& shard);
 
   Config config_;

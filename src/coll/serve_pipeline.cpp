@@ -14,16 +14,16 @@ namespace hypercast::coll {
 
 namespace {
 
-/// Per-thread serving scratch: the canonical key, the relative chain
-/// reconstruction buffer, the tree builder and the wsort permutation
-/// scratch. One instance per thread serves every pipeline (builders are
-/// stateless between builds), which is what keeps a threaded batch at
-/// the zero-allocation steady state.
+/// Per-thread serving scratch: the canonical key, the W-sorted key
+/// order, the chain a miss builds from and the tree builder. One
+/// instance per thread serves every pipeline (builders are stateless
+/// between builds), which is what keeps a threaded batch at the
+/// zero-allocation steady state.
 struct ServeTls {
   core::CacheKey key;
+  std::vector<std::uint32_t> wsorted;
   std::vector<core::NodeId> chain;
   core::TreeBuilder builder;
-  core::WeightedSortScratch wsort_scratch;
   unsigned sample_tick = 0;  ///< stage-timing sampler (see kSampleMask)
 };
 
@@ -116,6 +116,16 @@ std::shared_ptr<core::MulticastSchedule> finalized(
   return out;
 }
 
+/// The XOR translation of a finalized schedule by `mask`, finalized.
+std::shared_ptr<core::MulticastSchedule> translated(
+    const core::MulticastSchedule& schedule, core::NodeId mask) {
+  auto out = std::make_shared<core::MulticastSchedule>(
+      schedule.topo(), schedule.source() ^ mask);
+  out->assign_translated(schedule, mask);
+  out->finalize();
+  return out;
+}
+
 }  // namespace
 
 ServePipeline::ServePipeline(std::string algorithm,
@@ -196,30 +206,39 @@ std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_relative(
     }
     core::rekey(tls.key, /*absolute=*/false, 0);
   }
-  auto rel = cache_->get(tls.key);
-  if (rel == nullptr) {
-    HYPERCAST_OBS_SPAN("serve.build");
-    rel = timed(metrics.build_ns, [&] {
-      auto built = build_relative(request.topo, tls.key);
-      cache_->offer(tls.key, built);
-      return built;
-    });
-  } else if (mask == 0) {
-    timer.mark(metrics.hit_ns);
-  }
-  if (mask == 0) return rel;  // zero-copy: the relative origin
-  HYPERCAST_OBS_SPAN("serve.translate");
-  return timed(metrics.translate_ns, [&] {
-    auto out = std::make_shared<core::MulticastSchedule>(request.topo,
-                                                         request.source);
-    out->assign_translated(*rel, mask);
-    out->finalize();
+  if (auto rel = cache_->get(tls.key)) {
+    if (mask == 0) {
+      timer.mark(metrics.hit_ns);
+      return rel;  // zero-copy: the relative origin
+    }
+    HYPERCAST_OBS_SPAN("serve.translate");
+    auto out =
+        timed(metrics.translate_ns, [&] { return translated(*rel, mask); });
     // Offer the materialized translation under its absolute identity so
     // the next identical request shares it without copying.
     core::rekey(tls.key, /*absolute=*/true, mask);
     cache_->offer(tls.key, out);
     return out;
-  });
+  }
+  // A miss at both levels: build the requested tree at its source. The
+  // algorithms are translation-invariant, so the relative entry is this
+  // tree translated back to source 0, copied only once it is admitted.
+  std::shared_ptr<core::MulticastSchedule> out;
+  {
+    HYPERCAST_OBS_SPAN("serve.build");
+    out = timed(metrics.build_ns,
+                [&] { return build_at_source(request.topo, tls.key, mask); });
+  }
+  if (mask != 0) {
+    if (cache_->admit(tls.key, *out)) {
+      HYPERCAST_OBS_SPAN("serve.translate");
+      cache_->put(tls.key, timed(metrics.translate_ns,
+                                 [&] { return translated(*out, mask); }));
+    }
+    core::rekey(tls.key, /*absolute=*/true, mask);
+  }
+  cache_->offer(tls.key, out);
+  return out;
 }
 
 std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_repaired(
@@ -247,16 +266,19 @@ std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_repaired(
   });
 }
 
-std::shared_ptr<core::MulticastSchedule> ServePipeline::build_relative(
-    const core::Topology& topo, const core::CacheKey& key) const {
+std::shared_ptr<core::MulticastSchedule> ServePipeline::build_at_source(
+    const core::Topology& topo, const core::CacheKey& key,
+    core::NodeId source) const {
   ServeTls& tls = serve_tls();
-  core::relative_chain_from_key(topo, key, tls.chain);
-  auto out = std::make_shared<core::MulticastSchedule>(topo, 0);
+  std::span<const std::uint32_t> keys = key.words;
   core::NextRule rule = rule_;
   if (kind_ == Kind::Wsort) {
-    core::weighted_sort_fast(topo, tls.chain, tls.wsort_scratch);
+    core::weighted_sort_fast(keys, tls.wsorted);
+    keys = tls.wsorted;
     rule = core::NextRule::HighDim;
   }
+  core::chain_from_keys(topo, source, keys, tls.chain);
+  auto out = std::make_shared<core::MulticastSchedule>(topo, source);
   tls.builder.build_chain_into(topo, tls.chain, rule, *out);
   out->finalize();
   return out;

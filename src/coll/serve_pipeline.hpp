@@ -29,9 +29,13 @@ namespace hypercast::coll {
 ///    and each *materialized translation* under its absolute identity
 ///    (paying the XOR relabeling copy once per (source, shape) pair).
 ///    In steady state a hit is zero-copy: key canonicalization plus a
-///    shared_ptr share, never a construction and never a copy. Both
-///    levels insert through ScheduleCache::offer(), so once the cache
-///    is full a request's schedules are kept only when it repeats.
+///    shared_ptr share, never a construction and never a copy. A miss
+///    at both levels builds the requested tree once, at its source,
+///    from the key's relative chain XOR the source; the relative entry
+///    is a translated copy of it, made only if ScheduleCache::admit()
+///    accepts it, and the tree itself goes through ScheduleCache::offer()
+///    — the same admission test — so once the cache is full a request's
+///    schedules are kept only when it repeats.
 ///  * the same four under a fault set — the tree is built as above and
 ///    repaired with fault::repair_schedule, the greedy entry point of
 ///    the repair engine (byte-identical to
@@ -168,10 +172,12 @@ class ServePipeline {
   std::shared_ptr<core::MulticastSchedule> build_tree(
       const core::MulticastRequest& request) const;
 
-  /// Build the relative schedule a canonical key denotes (source 0,
-  /// destinations reconstructed from the key words), finalized.
-  std::shared_ptr<core::MulticastSchedule> build_relative(
-      const core::Topology& topo, const core::CacheKey& key) const;
+  /// Build, finalized, the fault-free tree from `source` to the
+  /// destinations a canonical key denotes: its relative chain XOR the
+  /// source, through the same TreeBuilder as every other build.
+  std::shared_ptr<core::MulticastSchedule> build_at_source(
+      const core::Topology& topo, const core::CacheKey& key,
+      core::NodeId source) const;
 
   std::string algorithm_;
   Kind kind_ = Kind::Entry;

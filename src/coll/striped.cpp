@@ -179,7 +179,7 @@ std::shared_ptr<const core::MulticastSchedule> StripedPlanner::serve_tree(
   }
   auto rel = cache_->get(tls.key);
   if (rel == nullptr) {
-    core::relative_chain_from_key(request.topo, tls.key, tls.chain);
+    core::chain_from_keys(request.topo, 0, tls.key.words, tls.chain);
     auto built = finalized(core::build_ist_tree0(
         request.topo, tree,
         std::span<const core::NodeId>(tls.chain.data() + 1,

@@ -135,12 +135,14 @@ void set_salt(CacheKey& key, std::uint64_t salt) {
   rekey(key, key.absolute, key.source);
 }
 
-void relative_chain_from_key(const Topology& topo, const CacheKey& key,
-                             std::vector<NodeId>& chain) {
-  chain.resize(key.words.size() + 1);
-  chain[0] = 0;  // key(0) == 0 under both resolution orders
-  for (std::size_t i = 0; i < key.words.size(); ++i) {
-    chain[i + 1] = topo.unkey(key.words[i]);
+void chain_from_keys(const Topology& topo, NodeId source,
+                     std::span<const std::uint32_t> keys,
+                     std::vector<NodeId>& chain) {
+  const std::uint32_t source_key = topo.key(source);
+  chain.resize(keys.size() + 1);
+  chain[0] = source;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    chain[i + 1] = topo.unkey(keys[i] ^ source_key);
   }
 }
 

@@ -107,12 +107,14 @@ void rekey(CacheKey& key, bool absolute, NodeId source);
 /// scope entries (fault fingerprint, parity config) salt afterwards.
 void set_salt(CacheKey& key, std::uint64_t salt);
 
-/// Reconstruct the relative build chain a canonical key denotes: node 0
-/// (the relative source) followed by unkey(word) for each word, which is
-/// precisely the 0-relative dimension-ordered chain of the relative
-/// destination set. `chain` is resized to words.size() + 1.
-void relative_chain_from_key(const Topology& topo, const CacheKey& key,
-                             std::vector<NodeId>& chain);
+/// Reconstruct a build chain from relative keys: `source`, then the node
+/// each key denotes relative to it, unkey(k ^ key(source)). Fed a
+/// canonical key's words, this is precisely the source-relative
+/// dimension-ordered chain of the request (source 0: of the relative
+/// destination set). `chain` is resized to keys.size() + 1.
+void chain_from_keys(const Topology& topo, NodeId source,
+                     std::span<const std::uint32_t> keys,
+                     std::vector<NodeId>& chain);
 
 }  // namespace hypercast::core
 

@@ -15,8 +15,10 @@ void MulticastRequest::validate() const {
     throw std::invalid_argument("multicast source outside the cube");
   }
   // One bit per node: duplicate and source checks in a single linear
-  // pass (no hashing, no rescans).
-  std::vector<std::uint64_t> seen((topo.num_nodes() + 63) / 64, 0);
+  // pass (no hashing, no rescans). The bitmap is reused per thread and
+  // zeroed on entry, so a call that threw leaves no stale bits behind.
+  thread_local std::vector<std::uint64_t> seen;
+  seen.assign((topo.num_nodes() + 63) / 64, 0);
   for (const NodeId d : destinations) {
     if (!topo.contains(d)) {
       throw std::invalid_argument("multicast destination outside the cube");

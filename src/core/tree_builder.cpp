@@ -48,11 +48,6 @@ void TreeBuilder::build_chain_into(const Topology& topo,
     out.finalize();
     return;
   }
-  // Every non-source chain entry receives exactly once; payload volume
-  // is roughly one chain suffix per tree level, so 2n is a good first
-  // guess (amortized away entirely once the schedule is recycled).
-  out.reserve(n - 1, 2 * n);
-
   keys_.resize(n);
   for (std::size_t i = 0; i < n; ++i) keys_[i] = topo.key(chain[i]);
 #ifndef NDEBUG
@@ -67,6 +62,8 @@ void TreeBuilder::build_chain_into(const Topology& topo,
   // Processing order across ranges is irrelevant (each node's sends are
   // emitted in one burst; the schedule groups per sender), so a LIFO
   // stack keeps the worklist cache-hot.
+  sends_.clear();
+  std::size_t payload_total = 0;
   work_.clear();
   work_.push_back(Range{0, static_cast<std::uint32_t>(n - 1)});
   while (!work_.empty()) {
@@ -74,7 +71,6 @@ void TreeBuilder::build_chain_into(const Topology& topo,
     work_.pop_back();
     const std::uint32_t left = range.local;
     std::uint32_t right = range.last;
-    const NodeId local = chain[left];
     while (left < right) {
       // Step 1: x = delta(d_left, d_right), the first routing dimension
       // (as a key-space bit) of a message spanning the whole segment.
@@ -109,12 +105,21 @@ void TreeBuilder::build_chain_into(const Topology& topo,
       // D = {d_next+1, ..., d_right} — the contiguous chain segment
       // (next, right]. The recipient's own share of the recursion is
       // exactly that range.
-      out.add_send(local, chain[next], chain.subspan(next + 1, right - next));
+      sends_.push_back(PendingSend{left, next, right});
+      payload_total += right - next;
       if (next < right) work_.push_back(Range{next, right});
 
       // Step 7.
       right = next - 1;
     }
+  }
+  // Emitted once the payload total is known, so the schedule's arrays
+  // are sized exactly: a cached tree pins no slack, and is the same
+  // size as its XOR-translated copies.
+  out.reserve(sends_.size(), payload_total);
+  for (const PendingSend& send : sends_) {
+    out.add_send(chain[send.from], chain[send.to],
+                 chain.subspan(send.to + 1, send.last - send.to));
   }
   out.finalize();
 }

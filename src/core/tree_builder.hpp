@@ -17,10 +17,10 @@ namespace hypercast::core {
 /// delivers is a contiguous segment of that chain, so the whole build
 /// runs as an explicit worklist of (chain index, last) ranges — no
 /// per-hop payload copies, no per-delivery allocation. The builder owns
-/// the chain buffer, the key cache, the worklist and the weighted_sort
-/// scratch; reusing one TreeBuilder across a sweep of thousands of
-/// builds reaches a zero-allocation steady state (together with
-/// MulticastSchedule::reset, which recycles the output arrays too).
+/// the chain buffer, the key cache, the worklist, the pending sends and
+/// the weighted_sort scratch; reusing one TreeBuilder across a sweep of
+/// thousands of builds reaches a zero-allocation steady state (together
+/// with MulticastSchedule::reset, which recycles the output arrays too).
 ///
 /// Reuse contract: a TreeBuilder may be reused for any number of
 /// sequential builds, on any mix of topologies, and holds no pointers
@@ -63,6 +63,15 @@ class TreeBuilder {
     std::uint32_t last = 0;
   };
   std::vector<Range> work_;
+
+  /// One send, held until the payload total is known: chain_[from]
+  /// sends chain_[to] the field chain_[to + 1 .. last].
+  struct PendingSend {
+    std::uint32_t from = 0;
+    std::uint32_t to = 0;
+    std::uint32_t last = 0;
+  };
+  std::vector<PendingSend> sends_;
 
   WeightedSortScratch wsort_scratch_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 #include "hcube/bits.hpp"
 
@@ -44,42 +45,49 @@ void faithful_rec(std::vector<std::uint32_t>& rel, std::size_t first,
   }
 }
 
-/// Top-down equivalent: the input range [first, last) of `sorted` is
-/// ascending, so half sizes come from a binary search; the half that
-/// should go first is emitted first. `pinned` marks the range that will
-/// occupy output position 0 (the guard `first != 0` in Figure 7).
-void fast_rec(const std::vector<std::uint32_t>& sorted, std::size_t first,
-              std::size_t last, Dim ns, bool pinned,
-              std::vector<std::uint32_t>& out) {
-  const std::size_t count = last - first + 1;
-  if (count <= 2) {
-    for (std::size_t i = first; i <= last; ++i) out.push_back(sorted[i]);
+/// The first index at or after `i` whose key has bit x set. In a sorted
+/// range whose keys share every bit above x, those keys form a suffix,
+/// so this is the linear scan TreeBuilder uses to find d_highdim.
+std::size_t upper_half(std::span<const std::uint32_t> keys, std::size_t i,
+                       Dim x) {
+  while (!hcube::test_bit(keys[i], x)) ++i;
+  return i;
+}
+
+/// Top-down equivalent of the recursion for the unpinned sorted key range
+/// [first, last]: split at the highest bit in which its ends differ (the
+/// levels above it have an empty half and change nothing), and emit the
+/// strictly more populated half first.
+void fast_rec(std::span<const std::uint32_t> keys, std::size_t first,
+              std::size_t last, std::vector<std::uint32_t>& out) {
+  if (last - first < 2) {
+    for (std::size_t i = first; i <= last; ++i) out.push_back(keys[i]);
     return;
   }
-  assert(ns >= 1);
-  // Boundary between the halves: first key with bit (ns-1) set. All keys
-  // in the range share the bits at and above ns.
-  const std::uint32_t prefix = sorted[first] >> ns;
-  const std::uint32_t boundary = (prefix << ns) | (1u << (ns - 1));
-  const auto it = std::lower_bound(
-      sorted.begin() + static_cast<std::ptrdiff_t>(first),
-      sorted.begin() + static_cast<std::ptrdiff_t>(last) + 1, boundary);
-  const std::size_t center =
-      static_cast<std::size_t>(it - sorted.begin());
-  if (center == first || center > last) {
-    fast_rec(sorted, first, last, ns - 1, pinned, out);
-    return;
-  }
-  const std::size_t lower_n = center - first;
-  const std::size_t upper_n = last - center + 1;
-  const bool swap = !pinned && lower_n < upper_n;
-  if (swap) {
-    fast_rec(sorted, center, last, ns - 1, false, out);
-    fast_rec(sorted, first, center - 1, ns - 1, false, out);
+  const Dim x = hcube::highest_bit(keys[first] ^ keys[last]);
+  const std::size_t center = upper_half(keys, first + 1, x);
+  if (center - first < last - center + 1) {
+    fast_rec(keys, center, last, out);
+    fast_rec(keys, first, center - 1, out);
   } else {
-    fast_rec(sorted, first, center - 1, ns - 1, pinned, out);
-    fast_rec(sorted, center, last, ns - 1, false, out);
+    fast_rec(keys, first, center - 1, out);
+    fast_rec(keys, center, last, out);
   }
+}
+
+/// The range holding the source: relative key 0 (implicit) plus
+/// keys[0, end). Its lower half holds the source and never swaps (the
+/// guard `first != 0` in Figure 7), so it is emitted first.
+void pinned_rec(std::span<const std::uint32_t> keys, std::size_t end,
+                std::vector<std::uint32_t>& out) {
+  if (end < 2) {
+    if (end == 1) out.push_back(keys[0]);
+    return;
+  }
+  const std::size_t center =
+      upper_half(keys, 0, hcube::highest_bit(keys[end - 1]));
+  pinned_rec(keys, center, out);
+  fast_rec(keys, center, end - 1, out);
 }
 
 void to_relative(const Topology& topo, const std::vector<NodeId>& chain,
@@ -94,7 +102,7 @@ void to_relative(const Topology& topo, const std::vector<NodeId>& chain,
 
 void from_relative(const Topology& topo, NodeId source,
                    const std::vector<std::uint32_t>& rel,
-                   std::vector<NodeId>& chain) {
+                   std::span<NodeId> chain) {
   const std::uint32_t skey = topo.key(source);
   for (std::size_t i = 0; i < rel.size(); ++i) {
     chain[i] = topo.unkey(rel[i] ^ skey);
@@ -117,16 +125,22 @@ void weighted_sort_faithful(const Topology& topo, std::vector<NodeId>& chain) {
   weighted_sort_faithful(topo, chain, scratch);
 }
 
+void weighted_sort_fast(std::span<const std::uint32_t> keys,
+                        std::vector<std::uint32_t>& out) {
+  assert(std::is_sorted(keys.begin(), keys.end()));
+  out.clear();
+  out.reserve(keys.size());
+  pinned_rec(keys, keys.size(), out);
+}
+
 void weighted_sort_fast(const Topology& topo, std::vector<NodeId>& chain,
                         WeightedSortScratch& scratch) {
   if (chain.size() <= 2) return;
-  const NodeId source = chain[0];
   to_relative(topo, chain, scratch.rel);
-  scratch.out.clear();
-  scratch.out.reserve(scratch.rel.size());
-  fast_rec(scratch.rel, 0, scratch.rel.size() - 1, topo.dim(),
-           /*pinned=*/true, scratch.out);
-  from_relative(topo, source, scratch.out, chain);
+  weighted_sort_fast(std::span<const std::uint32_t>(scratch.rel).subspan(1),
+                     scratch.out);
+  from_relative(topo, chain[0], scratch.out,
+                std::span<NodeId>(chain).subspan(1));
 }
 
 void weighted_sort_fast(const Topology& topo, std::vector<NodeId>& chain) {

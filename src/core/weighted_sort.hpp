@@ -1,6 +1,8 @@
 #ifndef HYPERCAST_CORE_WEIGHTED_SORT_HPP
 #define HYPERCAST_CORE_WEIGHTED_SORT_HPP
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/multicast.hpp"
@@ -18,10 +20,12 @@ namespace hypercast::core {
 ///    by rotating subcube halves in place after recursing (the paper
 ///    quotes O(m^2) for the centralized form); the reference tests
 ///    compare the fast version against;
-///  * fast — a top-down rewrite that decides each swap from half sizes
-///    (binary searches on the sorted input) and emits straight into an
-///    output buffer, O(m log N). It stands in for the distributed
-///    O(m log m) version the paper defers to the technical report.
+///  * fast — a top-down rewrite over the sorted relative keys: it splits
+///    each range at the highest bit in which its ends differ, decides
+///    the swap from the two half sizes and emits straight into an output
+///    buffer, so the levels where one half is empty cost nothing. It
+///    stands in for the distributed O(m log m) version the paper defers
+///    to the technical report.
 
 /// Reusable buffers for the sort: the relative-key image of the chain
 /// and the fast version's output permutation. Both are resized to the
@@ -39,7 +43,16 @@ void weighted_sort_faithful(const Topology& topo, std::vector<NodeId>& chain);
 void weighted_sort_faithful(const Topology& topo, std::vector<NodeId>& chain,
                             WeightedSortScratch& scratch);
 
-/// Fast version, same contract and identical output.
+/// Fast version, in key space: `keys` are the destinations' relative
+/// keys in strictly increasing order (CacheKey::words; the source's key
+/// 0 is implicit and keeps position 0). Writes them to `out` in
+/// weighted_sort order. The one fast implementation.
+void weighted_sort_fast(std::span<const std::uint32_t> keys,
+                        std::vector<std::uint32_t>& out);
+
+/// Fast version on a node chain, same contract as the faithful one and
+/// identical output: converts to relative keys and back around the
+/// key-space version.
 void weighted_sort_fast(const Topology& topo, std::vector<NodeId>& chain);
 void weighted_sort_fast(const Topology& topo, std::vector<NodeId>& chain,
                         WeightedSortScratch& scratch);

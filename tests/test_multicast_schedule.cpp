@@ -32,6 +32,21 @@ TEST(MulticastRequest, ValidateRejectsDuplicates) {
   EXPECT_THROW(req.validate(), std::invalid_argument);
 }
 
+TEST(MulticastRequest, ValidateLeavesNoStateBehindAThrow) {
+  // The duplicate check's bitmap is reused per thread: bits set by a
+  // call that threw must not flag the next call's destinations.
+  const Topology topo(4);
+  try {
+    MulticastRequest{topo, 3, {5, 9, 5}}.validate();
+    FAIL() << "duplicate accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "duplicate destination");
+  }
+  EXPECT_NO_THROW((MulticastRequest{topo, 3, {9, 5}}).validate());
+  EXPECT_NO_THROW((MulticastRequest{Topology(6), 3, {5, 9, 63}}).validate());
+  EXPECT_NO_THROW((MulticastRequest{topo, 3, {9, 5}}).validate());
+}
+
 TEST(MulticastRequest, ValidateRejectsOutOfRange) {
   const Topology topo(4);
   EXPECT_THROW((MulticastRequest{topo, 3, {16}}).validate(),

@@ -10,12 +10,14 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "coll/schedule_cache.hpp"
 #include "coll/serve_pipeline.hpp"
 #include "core/cache_key.hpp"
+#include "core/tree_builder.hpp"
 #include "fault/fault_aware.hpp"
 #include "fault/fault_set.hpp"
 #include "test_util.hpp"
@@ -524,6 +526,90 @@ TEST(ServePipeline, ScanOfFreshRequestsLeavesAFullCachesHotPoolResident) {
   const auto after_pool = cache->stats();
   EXPECT_EQ(after_pool.misses, after_scan.misses);
   EXPECT_EQ(after_pool.total_hits(), after_scan.total_hits() + pool.size());
+}
+
+/// The tree TreeBuilder builds for `req` directly, finalized.
+core::MulticastSchedule direct_build(const std::string& name,
+                                     const core::MulticastRequest& req) {
+  core::TreeBuilder builder;
+  core::MulticastSchedule out(req.topo, req.source);
+  if (name == "wsort") {
+    builder.build_wsort_into(req, out);
+  } else {
+    const core::NextRule rule = name == "ucube"     ? core::NextRule::Center
+                                : name == "maxport" ? core::NextRule::HighDim
+                                                    : core::NextRule::MaxOfBoth;
+    builder.build_into(req, rule, out);
+  }
+  out.finalize();
+  return out;
+}
+
+/// `req` moved to a new source: the same destinations relative to it.
+core::MulticastRequest moved_to(const core::MulticastRequest& req,
+                                NodeId source) {
+  core::MulticastRequest out{req.topo, source, {}};
+  for (const NodeId d : req.destinations) {
+    out.destinations.push_back(d ^ req.source ^ source);
+  }
+  return out;
+}
+
+TEST(ServePipeline, ColdMissBuildsAtTheSourceAndCopiesOnlyAdmittedEntries) {
+  const std::uint8_t ids[] = {core::kAlgoUcube, core::kAlgoMaxport,
+                              core::kAlgoCombine, core::kAlgoWsort};
+  const char* names[] = {"ucube", "maxport", "combine", "wsort"};
+  for (const Resolution res :
+       {Resolution::HighToLow, Resolution::LowToHigh}) {
+    const Topology topo(6, res);
+    for (int a = 0; a < 4; ++a) {
+      const std::string name = names[a];
+      workload::Rng rng(43 + a);
+      std::vector<core::MulticastRequest> pool;
+      for (int i = 0; i < 6; ++i) pool.push_back(random_request(topo, 12, rng));
+
+      // At budget: a pool fills the cache exactly, so a fresh request's
+      // relative entry and its translation are both first sightings.
+      const auto sizing = one_shard_cache(std::size_t{64} << 20);
+      for (const auto& req : pool) ServePipeline(name, sizing).serve(req);
+      const auto full = one_shard_cache(sizing->stats().bytes);
+      const ServePipeline at_budget(name, full);
+      for (const auto& req : pool) at_budget.serve(req);
+      ASSERT_EQ(full->stats().bytes, sizing->stats().bytes) << name;
+      for (int i = 0; i < 5; ++i) {
+        const auto req = moved_to(random_request(topo, 12, rng), 1 + i);
+        const auto before = full->stats();
+        const auto served = at_budget.serve(req);
+        ASSERT_TRUE(*served == direct_build(name, req)) << name << " " << i;
+        const auto after = full->stats();
+        EXPECT_EQ(after.entries, before.entries) << name;
+        EXPECT_EQ(after.evictions, before.evictions) << name;
+        EXPECT_EQ(after.declined, before.declined + 2) << name;
+      }
+
+      // With room: the relative entry is the relative tree itself, and
+      // another translation of the same shape is served from it.
+      const auto roomy = std::make_shared<ScheduleCache>();
+      const ServePipeline pipeline(name, roomy);
+      const auto req = moved_to(pool[0], 5);
+      const auto served = pipeline.serve(req);
+      ASSERT_TRUE(*served == direct_build(name, req)) << name;
+      EXPECT_EQ(roomy->stats().entries, 2u) << name;
+      const auto rel = roomy->get(key_of(req, ids[a], false));
+      ASSERT_NE(rel, nullptr) << name;
+      EXPECT_TRUE(*rel == direct_build(name, moved_to(req, 0))) << name;
+      // admit() sized the copy by the tree it was made from.
+      EXPECT_EQ(rel->footprint_bytes(), served->footprint_bytes()) << name;
+      const auto before = roomy->stats();
+      const auto other = moved_to(req, 9);
+      ASSERT_TRUE(*pipeline.serve(other) == direct_build(name, other))
+          << name;
+      const auto after = roomy->stats();
+      EXPECT_EQ(after.total_hits(), before.total_hits() + 1) << name;
+      EXPECT_EQ(after.misses, before.misses + 1) << name;  // absolute probe
+      EXPECT_EQ(after.entries, 3u) << name;
+    }
+  }
 }
 
 // ---- concurrency hammer --------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "core/cache_key.hpp"
 #include "test_util.hpp"
 
 namespace hypercast::core {
@@ -80,11 +81,14 @@ TEST_P(WeightedSortProperty, TheoremFive) {
   }
 }
 
-/// The fast O(m log N) implementation is output-identical to the
-/// faithful recursion from Figure 7.
+/// The fast implementation is output-identical to the faithful
+/// recursion from Figure 7, on node chains and, fed the words of a
+/// request's canonical cache key, in key space.
 TEST_P(WeightedSortProperty, FastMatchesFaithful) {
   const Topology topo = this->topo();
   workload::Rng rng(409);
+  CacheKey key;
+  std::vector<std::uint32_t> sorted_keys;
   for (int trial = 0; trial < 60; ++trial) {
     const std::size_t m =
         1 + rng() % std::min<std::size_t>(topo.num_nodes() - 1, 50);
@@ -95,6 +99,16 @@ TEST_P(WeightedSortProperty, FastMatchesFaithful) {
     weighted_sort_faithful(topo, faithful);
     weighted_sort_fast(topo, fast);
     EXPECT_EQ(faithful, fast) << "m=" << m;
+
+    canonical_key_into(topo, req.source, req.destinations, kAlgoWsort,
+                       /*absolute=*/false, /*seed=*/0, key);
+    weighted_sort_fast(key.words, sorted_keys);
+    ASSERT_EQ(sorted_keys.size(), m);
+    for (std::size_t i = 0; i < m; ++i) {
+      EXPECT_EQ(sorted_keys[i],
+                hcube::relative_key(topo, req.source, faithful[i + 1]))
+          << "m=" << m << " position " << i + 1;
+    }
   }
 }
 
