@@ -10,8 +10,12 @@
 // time the stages around a hit that scale with the schedule:
 // materializing a cached relative schedule at a new source (translate)
 // and writing the Ok response (encode), for sparse serving shapes and
-// for the dense IST broadcast trees striped serving translates.
+// for the dense IST broadcast trees striped serving translates. A
+// cold-miss row serves fresh random sets into a full cache, each one
+// timed, and reports the rate and the p99 serve latency.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
@@ -145,8 +149,59 @@ void schedule_stage_rows(const bench::Context& ctx, bench::Report& report) {
   }
 }
 
+/// cold_serves_per_sec and cold_serve_p99_us: W-sort requests for fresh
+/// random sets (10-cube, m = 48, random sources) through
+/// ServePipeline::serve into a one-shard cache that is already full, as
+/// a server's cold stream meets it: every request misses at both levels
+/// and is built at its source, and its entries are declined (first
+/// sightings). Every request is new, so each is served once and timed
+/// on its own.
+void cold_miss_row(const bench::Context& ctx, bench::Report& report) {
+  const hcube::Topology topo(10);
+  const std::size_t m = 48;
+  workload::Rng rng(workload::derive_seed(2027, m, 3));
+  const auto fresh = [&] {
+    const auto source = static_cast<hcube::NodeId>(rng() % topo.num_nodes());
+    return core::MulticastRequest{
+        topo, source, workload::random_destinations(topo, source, m, rng)};
+  };
+  coll::ScheduleCache::Config config;
+  config.shards = 1;
+  config.max_bytes = std::size_t{2} << 20;
+  const auto cache = std::make_shared<coll::ScheduleCache>(config);
+  const coll::ServePipeline pipeline("wsort", cache);
+  while (cache->stats().declined == 0) (void)pipeline.serve(fresh());
+
+  std::vector<core::MulticastRequest> stream;
+  for (std::size_t i = 0; i < (ctx.quick ? 4096u : 32768u); ++i) {
+    stream.push_back(fresh());
+  }
+  using clock = std::chrono::steady_clock;
+  std::vector<double> us;
+  us.reserve(stream.size());
+  double total = 0.0;
+  for (const auto& req : stream) {
+    const auto start = clock::now();
+    (void)pipeline.serve(req);
+    us.push_back(
+        std::chrono::duration<double, std::micro>(clock::now() - start)
+            .count());
+    total += us.back();
+  }
+  const auto p99 =
+      us.begin() + static_cast<std::ptrdiff_t>(us.size() * 99 / 100);
+  std::nth_element(us.begin(), p99, us.end());
+  const double per_sec = static_cast<double>(stream.size()) / total * 1e6;
+  const std::string key = "wsort/10-cube-" + std::to_string(m);
+  report.metric(key + " cold_serves_per_sec", per_sec);
+  report.metric(key + " cold_serve_p99_us", *p99);
+  std::printf("  %-24s %10.0f cold serves/s  p99 %.2f us\n", key.c_str(),
+              per_sec, *p99);
+}
+
 void run(const bench::Context& ctx, bench::Report& report) {
   schedule_stage_rows(ctx, report);
+  cold_miss_row(ctx, report);
   const hcube::Topology topo(8);
   const std::size_t shapes = 4;
   const std::size_t m = 224;

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "core/tree_builder.hpp"
-#include "core/wsort.hpp"
 #include "fault/fault_aware.hpp"
 #include "obs/registry.hpp"
 
@@ -14,14 +13,12 @@ namespace hypercast::coll {
 
 namespace {
 
-/// Per-thread serving scratch: the canonical key, the W-sorted key
-/// order, the chain a miss builds from and the tree builder. One
-/// instance per thread serves every pipeline (builders are stateless
-/// between builds), which is what keeps a threaded batch at the
-/// zero-allocation steady state.
+/// Per-thread serving scratch: the canonical key, the chain a miss
+/// builds from and the tree builder. One instance per thread serves
+/// every pipeline (builders are stateless between builds), which is
+/// what keeps a threaded batch at the zero-allocation steady state.
 struct ServeTls {
   core::CacheKey key;
-  std::vector<std::uint32_t> wsorted;
   std::vector<core::NodeId> chain;
   core::TreeBuilder builder;
   unsigned sample_tick = 0;  ///< stage-timing sampler (see kSampleMask)
@@ -270,17 +267,13 @@ std::shared_ptr<core::MulticastSchedule> ServePipeline::build_at_source(
     const core::Topology& topo, const core::CacheKey& key,
     core::NodeId source) const {
   ServeTls& tls = serve_tls();
-  std::span<const std::uint32_t> keys = key.words;
-  core::NextRule rule = rule_;
-  if (kind_ == Kind::Wsort) {
-    core::weighted_sort_fast(keys, tls.wsorted);
-    keys = tls.wsorted;
-    rule = core::NextRule::HighDim;
-  }
-  core::chain_from_keys(topo, source, keys, tls.chain);
   auto out = std::make_shared<core::MulticastSchedule>(topo, source);
-  tls.builder.build_chain_into(topo, tls.chain, rule, *out);
-  out->finalize();
+  if (kind_ == Kind::Wsort) {
+    tls.builder.build_wsort_into(topo, source, key.words, *out);
+  } else {
+    core::chain_from_keys(topo, source, key.words, tls.chain);
+    tls.builder.build_chain_into(topo, tls.chain, rule_, *out);
+  }
   return out;
 }
 
@@ -295,8 +288,7 @@ std::shared_ptr<core::MulticastSchedule> ServePipeline::build_tree(
   } else {
     tls.builder.build_wsort_into(request, *out);
   }
-  out->finalize();
-  return out;
+  return out;  // TreeBuilder output is finalized
 }
 
 std::vector<std::shared_ptr<const core::MulticastSchedule>>

@@ -173,8 +173,9 @@ class ServePipeline {
       const core::MulticastRequest& request) const;
 
   /// Build, finalized, the fault-free tree from `source` to the
-  /// destinations a canonical key denotes: its relative chain XOR the
-  /// source, through the same TreeBuilder as every other build.
+  /// destinations a canonical key denotes, through the same TreeBuilder
+  /// as every other build: W-sort straight from the key's words, the
+  /// chain rules over its relative chain XOR the source.
   std::shared_ptr<core::MulticastSchedule> build_at_source(
       const core::Topology& topo, const core::CacheKey& key,
       core::NodeId source) const;

@@ -1,6 +1,8 @@
 #include "core/multicast.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
@@ -40,6 +42,7 @@ void MulticastSchedule::reset(Topology topo, NodeId source) {
   source_ = source;
   raw_.clear();
   pool_.clear();
+  payload_ids_ = 0;
   view_.clear();
   dirty_ = true;
   memo_.reset();
@@ -59,6 +62,7 @@ void MulticastSchedule::assign_translated(const MulticastSchedule& relative,
   for (std::size_t i = 0; i < pool_.size(); ++i) {
     pool_[i] = relative.pool_[i] ^ mask;
   }
+  payload_ids_ = relative.payload_ids_;
   if (relative.dirty_) {
     // No view to translate; leave the counting sort to the next accessor.
     view_.clear();
@@ -160,6 +164,50 @@ void MulticastSchedule::reserve(std::size_t sends, std::size_t payload_total) {
   pool_.reserve(payload_total);
 }
 
+void MulticastSchedule::assign_chain_tree(const Topology& topo,
+                                          std::span<const NodeId> chain,
+                                          std::span<const ChainSend> sends) {
+  assert(!chain.empty());
+  memo_.reset();
+  topo_ = topo;
+  source_ = chain[0];
+  pool_.assign(chain.begin(), chain.end());
+  raw_.resize(sends.size());
+  payload_ids_ = 0;
+  for (std::size_t i = 0; i < sends.size(); ++i) {
+    const ChainSend& s = sends[i];
+    raw_[i] = RawSend{chain[s.from], chain[s.to], s.to + 1, s.last - s.to};
+    payload_ids_ += s.last - s.to;
+  }
+  const std::uint32_t senders = index_senders();
+  // Each sender's sends are one run of raw_, so the view is the runs in
+  // sender order: run lengths at their ranks, prefix sums into bucket
+  // offsets, then one copy per run.
+  const auto for_each_run = [&](auto&& fn) {
+    for (std::size_t i = 0, j = 0; i < raw_.size(); i = j) {
+      while (j < raw_.size() && raw_[j].from == raw_[i].from) ++j;
+      fn(i, j, rank(raw_[i].from));
+    }
+  };
+  begin_.assign(senders + std::size_t{1}, 0);
+  for_each_run([&](std::size_t i, std::size_t j, std::uint32_t k) {
+    assert(begin_[k + 1] == 0 && "a sender's sends must be one run");
+    begin_[k + 1] = static_cast<std::uint32_t>(j - i);
+  });
+  std::partial_sum(begin_.begin(), begin_.end(), begin_.begin());
+  view_.resize(raw_.size());
+  const NodeId* pool = pool_.data();
+  for_each_run([&](std::size_t i, std::size_t j, std::uint32_t k) {
+    Send* out = view_.data() + begin_[k];
+    for (; i < j; ++i) {
+      const RawSend& r = raw_[i];
+      *out++ = Send{r.to, std::span<const NodeId>(pool + r.pool_begin,
+                                                  r.pool_len)};
+    }
+  });
+  dirty_ = false;
+}
+
 void MulticastSchedule::add_send(NodeId from, NodeId to,
                                  std::span<const NodeId> payload) {
   RawSend raw;
@@ -183,12 +231,12 @@ void MulticastSchedule::add_send(NodeId from, NodeId to,
     for (std::size_t i = 0; i < raw.pool_len; ++i) dst[i] = base[i];
   }
   raw_.push_back(raw);
+  payload_ids_ += payload.size();
   dirty_ = true;
   memo_.reset();
 }
 
-void MulticastSchedule::finalize() const {
-  if (!dirty_) return;
+std::uint32_t MulticastSchedule::index_senders() const {
   words_.assign((topo_.num_nodes() + 63) / 64, SenderWord{});
   for (const RawSend& r : raw_) {
     words_[r.from >> 6].bits |= std::uint64_t{1} << (r.from & 63);
@@ -198,6 +246,12 @@ void MulticastSchedule::finalize() const {
     w.rank = senders;
     senders += static_cast<std::uint32_t>(hcube::popcount64(w.bits));
   }
+  return senders;
+}
+
+void MulticastSchedule::finalize() const {
+  if (!dirty_) return;
+  const std::uint32_t senders = index_senders();
   begin_.resize(senders + std::size_t{1});
   view_.resize(raw_.size());
   // Counting sort by sender, stable in append order per sender. The

@@ -50,6 +50,14 @@ struct Send {
   std::span<const NodeId> payload;
 };
 
+/// One send of a tree built over a chain: chain[from] sends chain[to]
+/// the address field chain[to + 1 .. last] (positions in the chain).
+struct ChainSend {
+  std::uint32_t from = 0;
+  std::uint32_t to = 0;
+  std::uint32_t last = 0;
+};
+
 /// A unicast flattened out of a schedule, tagged with its sender's
 /// issue position (the order the sender's software would transmit).
 struct Unicast {
@@ -66,20 +74,24 @@ struct Unicast {
 /// A schedule forms a tree rooted at the source: each non-source
 /// recipient receives exactly once (validate() enforces this).
 ///
-/// Storage is CSR-style flat arrays: every add_send appends one fixed
-/// size record plus its payload to one contiguous pool (no per-send
-/// vectors, no per-node map). Accessors group the records per sender
-/// into a cached view, rebuilt lazily after mutation; spans obtained
-/// from sends_from() are invalidated by the next add_send()/reset().
-/// The lazy rebuild means the first accessor call after a mutation is
-/// not safe to race with other readers — finalize() first to share a
-/// schedule across threads read-only.
+/// Storage is CSR-style flat arrays: one fixed-size record per send, in
+/// append order, whose payload is a range of one contiguous id pool (no
+/// per-send vectors, no per-node map). A tree built over a chain
+/// (assign_chain_tree) stores the chain once as its pool, and every
+/// payload is a range of it; add_send appends a copy of its payload
+/// instead. Accessors group the records per sender into a view. A chain
+/// tree writes it directly; after add_send it is rebuilt lazily by a
+/// counting sort, and spans obtained from sends_from() are invalidated
+/// by the next add_send()/reset(). The lazy rebuild means the first
+/// accessor call after a mutation is not safe to race with other
+/// readers — finalize() first to share a schedule across threads
+/// read-only.
 ///
 /// The grouped view is sized by the sends, not by the cube: a sender
 /// bitmap of ceil(2^n / 64) words, a rank (senders in earlier words)
 /// per word, and senders + 1 bucket offsets. sends_from(u) is one bit
 /// test plus one popcount; for_each_sender() walks the set bits. A
-/// 10-cube wsort tree to 48 destinations pins 2,788 bytes in all, where
+/// 10-cube wsort tree to 48 destinations pins 2,608 bytes in all, where
 /// two dense 2^n + 1 offset arrays alone took 8,196.
 class MulticastSchedule {
  public:
@@ -92,13 +104,14 @@ class MulticastSchedule {
   // follows the same rule: copies start without one, moves carry it.
   MulticastSchedule(const MulticastSchedule& other)
       : topo_(other.topo_), source_(other.source_), raw_(other.raw_),
-        pool_(other.pool_) {}
+        pool_(other.pool_), payload_ids_(other.payload_ids_) {}
   MulticastSchedule& operator=(const MulticastSchedule& other) {
     if (this != &other) {
       topo_ = other.topo_;
       source_ = other.source_;
       raw_ = other.raw_;
       pool_ = other.pool_;
+      payload_ids_ = other.payload_ids_;
       dirty_ = true;
       view_.clear();
       memo_.reset();
@@ -111,8 +124,9 @@ class MulticastSchedule {
   const Topology& topo() const { return topo_; }
   NodeId source() const { return source_; }
 
-  /// Re-initialize in place, keeping the flat arrays' capacity. This is
-  /// what lets TreeBuilder sweeps reach a zero-allocation steady state.
+  /// Re-initialize in place, keeping the flat arrays' capacity (as
+  /// assign_chain_tree and assign_translated do, which is what lets
+  /// TreeBuilder sweeps reach a zero-allocation steady state).
   void reset(Topology topo, NodeId source);
 
   /// Capacity hint: `sends` future add_send calls carrying
@@ -133,6 +147,17 @@ class MulticastSchedule {
   /// share; otherwise the view is left dirty — finalize() first.
   void assign_translated(const MulticastSchedule& relative, NodeId mask);
 
+  /// Become the tree whose sends are `sends` over `chain` (position 0 is
+  /// the source), with topology `topo`. The chain is stored once as the
+  /// pool and each payload is a range of it, so nothing is copied per
+  /// send. `sends` must list each sender's sends as one run, in issue
+  /// order; that is also the append order operator== compares. The
+  /// grouped view is written directly (runs placed in sender order, no
+  /// counting sort), so the result is finalized. `chain` may not alias
+  /// this schedule.
+  void assign_chain_tree(const Topology& topo, std::span<const NodeId> chain,
+                         std::span<const ChainSend> sends);
+
   /// Append a send to `from`'s issue list. The payload is copied into
   /// the schedule's pool (the argument may alias any storage, including
   /// this schedule's own pool).
@@ -147,7 +172,7 @@ class MulticastSchedule {
     const SenderWord& word = words_[u >> 6];
     const std::uint64_t bit = std::uint64_t{1} << (u & 63);
     if ((word.bits & bit) == 0) return {};
-    return bucket(word.rank + hcube::popcount64(word.bits & (bit - 1)));
+    return bucket(rank(u));
   }
 
   /// Call fn(u, sends_from(u)) for every sender u in ascending node
@@ -174,8 +199,9 @@ class MulticastSchedule {
   /// Total number of unicast messages in the schedule.
   std::size_t num_unicasts() const { return raw_.size(); }
 
-  /// Destination ids carried by all payloads together.
-  std::size_t num_payload_ids() const { return pool_.size(); }
+  /// Destination ids carried by all payloads together (payloads of a
+  /// chain tree share the pool, so this is counted, not pool_.size()).
+  std::size_t num_payload_ids() const { return payload_ids_; }
 
   /// Number of nodes with at least one outgoing send.
   std::size_t num_senders() const {
@@ -233,7 +259,7 @@ class MulticastSchedule {
                          const MulticastSchedule& b);
 
  private:
-  /// One add_send record: fixed size, payload in [pool_begin,
+  /// One send record: fixed size, payload in [pool_begin,
   /// pool_begin + pool_len) of pool_.
   struct RawSend {
     NodeId from = 0;
@@ -292,6 +318,18 @@ class MulticastSchedule {
     }
   }
 
+  /// Rebuild words_ (sender bits and ranks) from raw_; returns the
+  /// number of senders.
+  std::uint32_t index_senders() const;
+
+  /// Sender u's position k among the senders (u's bit must be set).
+  std::uint32_t rank(NodeId u) const {
+    const SenderWord& word = words_[u >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (u & 63);
+    return word.rank +
+           static_cast<std::uint32_t>(hcube::popcount64(word.bits & (bit - 1)));
+  }
+
   /// The k-th sender's sends (k counts senders in ascending order).
   std::span<const Send> bucket(std::size_t k) const {
     return {view_.data() + begin_[k], begin_[k + 1] - begin_[k]};
@@ -300,10 +338,11 @@ class MulticastSchedule {
   Topology topo_;
   NodeId source_;
   std::vector<RawSend> raw_;   ///< append order
-  std::vector<NodeId> pool_;   ///< all payloads, back to back
+  std::vector<NodeId> pool_;   ///< a chain tree's chain, then copied payloads
+  std::size_t payload_ids_ = 0;  ///< sum of the records' pool_len
 
-  // Cached per-sender grouping (counting sort by sender, stable within
-  // a sender). Bit u % 64 of words_[u / 64] marks sender u; its rank k
+  // Cached per-sender grouping (each sender's sends in append order).
+  // Bit u % 64 of words_[u / 64] marks sender u; its rank k
   // is that word's rank plus the set bits below u in it, and its sends
   // are view_[begin_[k] .. begin_[k+1]).
   mutable bool dirty_ = true;

@@ -1,16 +1,25 @@
 #include "core/tree_builder.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "hcube/bits.hpp"
 
 namespace hypercast::core {
 
-void TreeBuilder::prepare_chain(const MulticastRequest& req) {
-  req.validate();
-  hcube::make_relative_chain_into(req.topo, req.source, req.destinations,
-                                  chain_);
+namespace {
+
+/// The first index at or after `i` whose key has bit x set. In a sorted
+/// range whose keys share every bit above x, those keys form a suffix,
+/// so this is the same linear scan build_chain_into uses to find
+/// d_highdim.
+std::uint32_t upper_half(std::span<const std::uint32_t> keys, std::uint32_t i,
+                         Dim x) {
+  while (!hcube::test_bit(keys[i], x)) ++i;
+  return i;
 }
+
+}  // namespace
 
 MulticastSchedule TreeBuilder::build(const MulticastRequest& req,
                                      NextRule rule) {
@@ -21,7 +30,9 @@ MulticastSchedule TreeBuilder::build(const MulticastRequest& req,
 
 void TreeBuilder::build_into(const MulticastRequest& req, NextRule rule,
                              MulticastSchedule& out) {
-  prepare_chain(req);
+  req.validate();
+  hcube::make_relative_chain_into(req.topo, req.source, req.destinations,
+                                  chain_);
   build_chain_into(req.topo, chain_, rule, out);
 }
 
@@ -33,21 +44,89 @@ MulticastSchedule TreeBuilder::build_wsort(const MulticastRequest& req) {
 
 void TreeBuilder::build_wsort_into(const MulticastRequest& req,
                                    MulticastSchedule& out) {
-  prepare_chain(req);
-  weighted_sort_fast(req.topo, chain_, wsort_scratch_);
-  build_chain_into(req.topo, chain_, NextRule::HighDim, out);
+  req.validate();
+  const std::uint32_t source_key = req.topo.key(req.source);
+  keys_.resize(req.destinations.size());
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    keys_[i] = req.topo.key(req.destinations[i]) ^ source_key;
+  }
+  std::sort(keys_.begin(), keys_.end());
+  build_wsort_into(req.topo, req.source, keys_, out);
+}
+
+void TreeBuilder::build_wsort_into(const Topology& topo, NodeId source,
+                                   std::span<const std::uint32_t> keys,
+                                   MulticastSchedule& out) {
+  assert(std::adjacent_find(keys.begin(), keys.end(),
+                            [](std::uint32_t a, std::uint32_t b) {
+                              return a >= b;
+                            }) == keys.end() &&
+         "keys must be strictly increasing");
+  assert((keys.empty() || keys[0] != 0) &&
+         "destinations must not include the source");
+  const std::uint32_t source_key = topo.key(source);
+  const auto m = static_cast<std::uint32_t>(keys.size());
+  chain_.resize(m + std::size_t{1});
+  chain_[0] = source;
+  sends_.clear();
+  blocks_.clear();
+
+  // chain_[from] sends the keys [first, last] to their head, the rest
+  // as its payload. They fill the block ending just before `end`, the
+  // unfilled tail of the sender's own block; returns the block's start.
+  const auto send_half = [&](std::uint32_t from, std::uint32_t first,
+                             std::uint32_t last, std::uint32_t end) {
+    const std::uint32_t pos = end - (last - first + 1);
+    sends_.push_back(ChainSend{from, pos, end - 1});
+    if (first == last) {
+      chain_[pos] = topo.unkey(keys[first] ^ source_key);
+    } else {
+      blocks_.push_back(Block{first, last, pos});
+    }
+    return pos;
+  };
+
+  // The source's range is relative key 0 plus keys[0, end). Its half
+  // holding key 0 is the lower one and is pinned first at every level
+  // (the guard first != 0 in Figure 7), so the source sends each upper
+  // half, the highest first, and the half fills the end of its block.
+  for (std::uint32_t end = m, block_end = m + 1; end > 0;) {
+    const std::uint32_t center =
+        upper_half(keys, 0, hcube::highest_bit(keys[end - 1]));
+    block_end = send_half(0, center, end - 1, block_end);
+    end = center;
+  }
+  // Any other subcube is led by its more populated half (the lower one
+  // on a tie), recursively, so its head is found by descending into the
+  // leading half; each other half met on the way is one send from the
+  // head, in issue order, and fills the end of what is left.
+  while (!blocks_.empty()) {
+    const Block block = blocks_.back();
+    blocks_.pop_back();
+    std::uint32_t first = block.first;
+    std::uint32_t last = block.last;
+    std::uint32_t end = block.pos + (last - first + 1);
+    while (first < last) {
+      const std::uint32_t center = upper_half(
+          keys, first + 1, hcube::highest_bit(keys[first] ^ keys[last]));
+      if (center - first < last - center + 1) {
+        end = send_half(block.pos, first, center - 1, end);
+        first = center;
+      } else {
+        end = send_half(block.pos, center, last, end);
+        last = center - 1;
+      }
+    }
+    chain_[block.pos] = topo.unkey(keys[first] ^ source_key);
+  }
+  out.assign_chain_tree(topo, chain_, sends_);
 }
 
 void TreeBuilder::build_chain_into(const Topology& topo,
                                    std::span<const NodeId> chain,
                                    NextRule rule, MulticastSchedule& out) {
   assert(!chain.empty());
-  out.reset(topo, chain[0]);
   const std::size_t n = chain.size();
-  if (n <= 1) {
-    out.finalize();
-    return;
-  }
   keys_.resize(n);
   for (std::size_t i = 0; i < n; ++i) keys_[i] = topo.key(chain[i]);
 #ifndef NDEBUG
@@ -57,13 +136,12 @@ void TreeBuilder::build_chain_into(const Topology& topo,
   }
 #endif
 
-  // The distributed recursion over index ranges: chain_[local] holds
-  // the message and owes delivery to the field chain_[local+1 .. last].
-  // Processing order across ranges is irrelevant (each node's sends are
-  // emitted in one burst; the schedule groups per sender), so a LIFO
+  // The distributed recursion over index ranges: chain[local] holds
+  // the message and owes delivery to the field chain[local+1 .. last].
+  // Each node's sends are emitted in one burst, in issue order (a node
+  // receives once, so its range is popped once); across ranges a LIFO
   // stack keeps the worklist cache-hot.
   sends_.clear();
-  std::size_t payload_total = 0;
   work_.clear();
   work_.push_back(Range{0, static_cast<std::uint32_t>(n - 1)});
   while (!work_.empty()) {
@@ -105,23 +183,14 @@ void TreeBuilder::build_chain_into(const Topology& topo,
       // D = {d_next+1, ..., d_right} — the contiguous chain segment
       // (next, right]. The recipient's own share of the recursion is
       // exactly that range.
-      sends_.push_back(PendingSend{left, next, right});
-      payload_total += right - next;
+      sends_.push_back(ChainSend{left, next, right});
       if (next < right) work_.push_back(Range{next, right});
 
       // Step 7.
       right = next - 1;
     }
   }
-  // Emitted once the payload total is known, so the schedule's arrays
-  // are sized exactly: a cached tree pins no slack, and is the same
-  // size as its XOR-translated copies.
-  out.reserve(sends_.size(), payload_total);
-  for (const PendingSend& send : sends_) {
-    out.add_send(chain[send.from], chain[send.to],
-                 chain.subspan(send.to + 1, send.last - send.to));
-  }
-  out.finalize();
+  out.assign_chain_tree(topo, chain, sends_);
 }
 
 }  // namespace hypercast::core

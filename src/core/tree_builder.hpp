@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/chain_algorithms.hpp"
-#include "core/weighted_sort.hpp"
 
 namespace hypercast::core {
 
@@ -15,12 +14,20 @@ namespace hypercast::core {
 /// The Section-4 algorithms are pure index manipulations over one
 /// cube-ordered chain: every address field the distributed recursion
 /// delivers is a contiguous segment of that chain, so the whole build
-/// runs as an explicit worklist of (chain index, last) ranges — no
-/// per-hop payload copies, no per-delivery allocation. The builder owns
-/// the chain buffer, the key cache, the worklist, the pending sends and
-/// the weighted_sort scratch; reusing one TreeBuilder across a sweep of
-/// thousands of builds reaches a zero-allocation steady state (together
-/// with MulticastSchedule::reset, which recycles the output arrays too).
+/// runs as an explicit worklist of index ranges, and every send is a
+/// ChainSend over the chain that MulticastSchedule::assign_chain_tree
+/// stores once — no per-hop payload copies, no per-delivery allocation.
+/// The builder owns the chain buffer, the key cache, the worklists and
+/// the sends; reusing one TreeBuilder across a sweep of thousands of
+/// builds reaches a zero-allocation steady state (together with a
+/// reused output schedule, which keeps its arrays' capacity too).
+///
+/// W-sort is one pass over the sorted relative keys: the weighted_sort
+/// permutation (Figure 7) and Maxport's HighDim rule split the same
+/// ranges, at the highest bit in which a range's keys differ, so each
+/// split is one send from the head of the half placed first to the head
+/// of the other. The pass writes the weighted chain and those sends
+/// together, each sender's as one run in issue order.
 ///
 /// Reuse contract: a TreeBuilder may be reused for any number of
 /// sequential builds, on any mix of topologies, and holds no pointers
@@ -38,10 +45,17 @@ class TreeBuilder {
   void build_into(const MulticastRequest& req, NextRule rule,
                   MulticastSchedule& out);
 
-  /// W-sort: dimension-ordered chain, weighted_sort permutation, then
-  /// the HighDim rule.
+  /// W-sort: the weighted_sort permutation of the dimension-ordered
+  /// chain under the HighDim rule, built in one pass. Validates the
+  /// request.
   MulticastSchedule build_wsort(const MulticastRequest& req);
   void build_wsort_into(const MulticastRequest& req, MulticastSchedule& out);
+
+  /// W-sort from `source` to the nodes whose relative keys are `keys`:
+  /// strictly increasing and nonzero (CacheKey::words), not validated.
+  void build_wsort_into(const Topology& topo, NodeId source,
+                        std::span<const std::uint32_t> keys,
+                        MulticastSchedule& out);
 
   /// Run `rule` over an explicit cube-ordered chain (position 0 is the
   /// source). `chain` may alias this builder's internal chain buffer
@@ -49,12 +63,13 @@ class TreeBuilder {
   void build_chain_into(const Topology& topo, std::span<const NodeId> chain,
                         NextRule rule, MulticastSchedule& out);
 
- private:
-  /// req.validate() + relative chain into chain_.
-  void prepare_chain(const MulticastRequest& req);
+  /// The chain the last build_into or build_wsort_into call ran over:
+  /// after W-sort, the weighted chain. Valid until the next build.
+  std::span<const NodeId> chain() const { return chain_; }
 
-  std::vector<NodeId> chain_;          ///< source + sorted destinations
-  std::vector<std::uint32_t> keys_;    ///< topo.key() of each chain entry
+ private:
+  std::vector<NodeId> chain_;          ///< source + destinations
+  std::vector<std::uint32_t> keys_;    ///< per-chain-entry keys
 
   /// One pending delivery: node chain_[local] received the address
   /// field chain_[local + 1 .. last].
@@ -64,16 +79,17 @@ class TreeBuilder {
   };
   std::vector<Range> work_;
 
-  /// One send, held until the payload total is known: chain_[from]
-  /// sends chain_[to] the field chain_[to + 1 .. last].
-  struct PendingSend {
-    std::uint32_t from = 0;
-    std::uint32_t to = 0;
+  /// One W-sort subcube still to place: the keys [first, last] fill
+  /// chain_ from position `pos`, and their head (at `pos`) received
+  /// the rest of them.
+  struct Block {
+    std::uint32_t first = 0;
     std::uint32_t last = 0;
+    std::uint32_t pos = 0;
   };
-  std::vector<PendingSend> sends_;
+  std::vector<Block> blocks_;
 
-  WeightedSortScratch wsort_scratch_;
+  std::vector<ChainSend> sends_;  ///< each sender's sends as one run
 };
 
 }  // namespace hypercast::core

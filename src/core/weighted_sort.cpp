@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <span>
 
 #include "hcube/bits.hpp"
 
@@ -45,107 +44,22 @@ void faithful_rec(std::vector<std::uint32_t>& rel, std::size_t first,
   }
 }
 
-/// The first index at or after `i` whose key has bit x set. In a sorted
-/// range whose keys share every bit above x, those keys form a suffix,
-/// so this is the linear scan TreeBuilder uses to find d_highdim.
-std::size_t upper_half(std::span<const std::uint32_t> keys, std::size_t i,
-                       Dim x) {
-  while (!hcube::test_bit(keys[i], x)) ++i;
-  return i;
-}
+}  // namespace
 
-/// Top-down equivalent of the recursion for the unpinned sorted key range
-/// [first, last]: split at the highest bit in which its ends differ (the
-/// levels above it have an empty half and change nothing), and emit the
-/// strictly more populated half first.
-void fast_rec(std::span<const std::uint32_t> keys, std::size_t first,
-              std::size_t last, std::vector<std::uint32_t>& out) {
-  if (last - first < 2) {
-    for (std::size_t i = first; i <= last; ++i) out.push_back(keys[i]);
-    return;
-  }
-  const Dim x = hcube::highest_bit(keys[first] ^ keys[last]);
-  const std::size_t center = upper_half(keys, first + 1, x);
-  if (center - first < last - center + 1) {
-    fast_rec(keys, center, last, out);
-    fast_rec(keys, first, center - 1, out);
-  } else {
-    fast_rec(keys, first, center - 1, out);
-    fast_rec(keys, center, last, out);
-  }
-}
-
-/// The range holding the source: relative key 0 (implicit) plus
-/// keys[0, end). Its lower half holds the source and never swaps (the
-/// guard `first != 0` in Figure 7), so it is emitted first.
-void pinned_rec(std::span<const std::uint32_t> keys, std::size_t end,
-                std::vector<std::uint32_t>& out) {
-  if (end < 2) {
-    if (end == 1) out.push_back(keys[0]);
-    return;
-  }
-  const std::size_t center =
-      upper_half(keys, 0, hcube::highest_bit(keys[end - 1]));
-  pinned_rec(keys, center, out);
-  fast_rec(keys, center, end - 1, out);
-}
-
-void to_relative(const Topology& topo, const std::vector<NodeId>& chain,
-                 std::vector<std::uint32_t>& rel) {
-  rel.resize(chain.size());
+void weighted_sort_faithful(const Topology& topo, std::vector<NodeId>& chain) {
+  if (chain.size() <= 2) return;
+  const NodeId source = chain[0];
+  std::vector<std::uint32_t> rel(chain.size());
   for (std::size_t i = 0; i < chain.size(); ++i) {
-    rel[i] = hcube::relative_key(topo, chain[0], chain[i]);
+    rel[i] = hcube::relative_key(topo, source, chain[i]);
   }
   assert(std::is_sorted(rel.begin(), rel.end()) &&
          "weighted_sort input must be a dimension-ordered relative chain");
-}
-
-void from_relative(const Topology& topo, NodeId source,
-                   const std::vector<std::uint32_t>& rel,
-                   std::span<NodeId> chain) {
-  const std::uint32_t skey = topo.key(source);
+  faithful_rec(rel, 0, rel.size() - 1, topo.dim());
+  const std::uint32_t source_key = topo.key(source);
   for (std::size_t i = 0; i < rel.size(); ++i) {
-    chain[i] = topo.unkey(rel[i] ^ skey);
+    chain[i] = topo.unkey(rel[i] ^ source_key);
   }
-}
-
-}  // namespace
-
-void weighted_sort_faithful(const Topology& topo, std::vector<NodeId>& chain,
-                            WeightedSortScratch& scratch) {
-  if (chain.size() <= 2) return;
-  const NodeId source = chain[0];
-  to_relative(topo, chain, scratch.rel);
-  faithful_rec(scratch.rel, 0, scratch.rel.size() - 1, topo.dim());
-  from_relative(topo, source, scratch.rel, chain);
-}
-
-void weighted_sort_faithful(const Topology& topo, std::vector<NodeId>& chain) {
-  WeightedSortScratch scratch;
-  weighted_sort_faithful(topo, chain, scratch);
-}
-
-void weighted_sort_fast(std::span<const std::uint32_t> keys,
-                        std::vector<std::uint32_t>& out) {
-  assert(std::is_sorted(keys.begin(), keys.end()));
-  out.clear();
-  out.reserve(keys.size());
-  pinned_rec(keys, keys.size(), out);
-}
-
-void weighted_sort_fast(const Topology& topo, std::vector<NodeId>& chain,
-                        WeightedSortScratch& scratch) {
-  if (chain.size() <= 2) return;
-  to_relative(topo, chain, scratch.rel);
-  weighted_sort_fast(std::span<const std::uint32_t>(scratch.rel).subspan(1),
-                     scratch.out);
-  from_relative(topo, chain[0], scratch.out,
-                std::span<NodeId>(chain).subspan(1));
-}
-
-void weighted_sort_fast(const Topology& topo, std::vector<NodeId>& chain) {
-  WeightedSortScratch scratch;
-  weighted_sort_fast(topo, chain, scratch);
 }
 
 }  // namespace hypercast::core

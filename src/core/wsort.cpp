@@ -4,16 +4,24 @@
 
 namespace hypercast::core {
 
+namespace {
+
+TreeBuilder& local_builder() {
+  thread_local TreeBuilder builder;
+  return builder;
+}
+
+}  // namespace
+
 std::vector<NodeId> wsort_chain(const MulticastRequest& req) {
-  req.validate();
-  auto chain = hcube::make_relative_chain(req.topo, req.source, req.destinations);
-  weighted_sort_fast(req.topo, chain);
-  return chain;
+  TreeBuilder& builder = local_builder();
+  MulticastSchedule tree(req.topo, req.source);
+  builder.build_wsort_into(req, tree);
+  return {builder.chain().begin(), builder.chain().end()};
 }
 
 MulticastSchedule wsort(const MulticastRequest& req) {
-  thread_local TreeBuilder builder;
-  return builder.build_wsort(req);
+  return local_builder().build_wsort(req);
 }
 
 }  // namespace hypercast::core

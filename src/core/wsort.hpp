@@ -13,8 +13,9 @@ namespace hypercast::core {
 /// Theorem 6: the resulting multicast is contention-free.
 MulticastSchedule wsort(const MulticastRequest& req);
 
-/// The weighted chain W-sort would multicast over, exposed for tests,
-/// examples and ablations.
+/// The weighted chain W-sort multicasts over (the chain of the tree
+/// wsort builds), exposed for tests, examples and ablations. Validates
+/// the request.
 std::vector<NodeId> wsort_chain(const MulticastRequest& req);
 
 }  // namespace hypercast::core

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Tests for tools/check_bench_regression.py: its build-type provenance
-rule and which metric keys it gates in which direction.
+rule, which metric keys it gates in which direction, and its --exact
+mode.
 
 Run directly (python3 tests/test_check_bench_regression.py) or through
 ctest, which registers it as check_bench_regression_build_types.
@@ -40,7 +41,7 @@ def artifact(rate, build_type=None, metrics=None):
 class GateRun(unittest.TestCase):
     """Runs the gate script on one fresh and one baseline artifact."""
 
-    def run_gate(self, fresh, baseline):
+    def run_gate(self, fresh, baseline, *extra):
         with tempfile.TemporaryDirectory() as tmp:
             dirs = {}
             for side, doc in (("fresh", fresh), ("baseline", baseline)):
@@ -50,7 +51,8 @@ class GateRun(unittest.TestCase):
                     json.dumps(doc))
             return subprocess.run(
                 [sys.executable, str(SCRIPT), "--fresh-dir",
-                 str(dirs["fresh"]), "--baseline-dir", str(dirs["baseline"])],
+                 str(dirs["fresh"]), "--baseline-dir", str(dirs["baseline"]),
+                 *extra],
                 capture_output=True, text=True)
 
 
@@ -109,6 +111,48 @@ class LatencyGate(GateRun):
             done = self.run_gate(self.latency(fresh), self.latency(100.0))
             self.assertEqual(done.returncode, 0, done.stdout + done.stderr)
             self.assertIn("compared 1 metrics", done.stdout)
+
+
+class ExactGate(GateRun):
+    """--exact: results must match, timing may move."""
+
+    def figure(self, rate, steps=6, mean=2.0, events=100):
+        doc = artifact(0, "Release", {"W-sort steps @ x=63": steps,
+                                      "events": events,
+                                      "events_per_sec": rate})
+        doc["series"] = [{"title": "Figure 9", "x_label": "destinations",
+                          "y_label": "steps", "curves": [
+                              {"name": "W-sort", "points": [
+                                  {"x": 1, "mean": 1, "count": 100},
+                                  {"x": 3, "mean": mean, "count": 100}]}]}]
+        return doc
+
+    def test_identical_results_pass_whatever_the_rates(self):
+        done = self.run_gate(self.figure(10.0), self.figure(100.0), "--exact")
+        self.assertEqual(done.returncode, 0, done.stdout + done.stderr)
+        self.assertIn("compared 1 benchmark(s) exactly", done.stdout)
+
+    def test_a_changed_series_point_fails(self):
+        done = self.run_gate(self.figure(100.0, mean=2.01),
+                             self.figure(100.0), "--exact")
+        self.assertEqual(done.returncode, 1, done.stdout + done.stderr)
+        self.assertIn("curve 'W-sort' differs at x = [3]", done.stdout)
+
+    def test_a_changed_or_missing_non_timing_metric_fails(self):
+        done = self.run_gate(self.figure(100.0, events=101),
+                             self.figure(100.0), "--exact")
+        self.assertEqual(done.returncode, 1, done.stdout + done.stderr)
+        self.assertIn("'events'", done.stdout)
+        fresh = self.figure(100.0)
+        del fresh["metrics"]["W-sort steps @ x=63"]
+        done = self.run_gate(fresh, self.figure(100.0), "--exact")
+        self.assertEqual(done.returncode, 1, done.stdout + done.stderr)
+        self.assertIn("<missing>", done.stdout)
+
+    def test_without_exact_results_are_not_compared(self):
+        done = self.run_gate(self.figure(100.0, mean=3.0, events=7),
+                             self.figure(100.0))
+        self.assertEqual(done.returncode, 0, done.stdout + done.stderr)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,8 @@
 #include <algorithm>
 
 #include "core/cache_key.hpp"
+#include "core/tree_builder.hpp"
+#include "core/wsort.hpp"
 #include "test_util.hpp"
 
 namespace hypercast::core {
@@ -24,9 +26,9 @@ TEST(WeightedSort, PaperFigure8Example) {
   weighted_sort_faithful(topo, faithful);
   EXPECT_EQ(faithful, expected);
 
-  auto fast = chain;
-  weighted_sort_fast(topo, fast);
-  EXPECT_EQ(fast, expected);
+  const MulticastRequest req{
+      topo, 0, std::vector<NodeId>(chain.begin() + 1, chain.end())};
+  EXPECT_EQ(wsort_chain(req), expected);
 }
 
 TEST(WeightedSort, KeepsSourceFirstEvenWhenItsHalfIsSmaller) {
@@ -81,34 +83,30 @@ TEST_P(WeightedSortProperty, TheoremFive) {
   }
 }
 
-/// The fast implementation is output-identical to the faithful
-/// recursion from Figure 7, on node chains and, fed the words of a
-/// request's canonical cache key, in key space.
+/// The one-pass W-sort build places the destinations exactly as the
+/// faithful recursion from Figure 7 does, from a request and, fed the
+/// words of its canonical cache key, in key space.
 TEST_P(WeightedSortProperty, FastMatchesFaithful) {
   const Topology topo = this->topo();
   workload::Rng rng(409);
   CacheKey key;
-  std::vector<std::uint32_t> sorted_keys;
+  TreeBuilder builder;
+  MulticastSchedule tree(topo, 0);
   for (int trial = 0; trial < 60; ++trial) {
     const std::size_t m =
         1 + rng() % std::min<std::size_t>(topo.num_nodes() - 1, 50);
     const auto req = random_request(topo, m, rng);
     auto faithful =
         hcube::make_relative_chain(topo, req.source, req.destinations);
-    auto fast = faithful;
     weighted_sort_faithful(topo, faithful);
-    weighted_sort_fast(topo, fast);
-    EXPECT_EQ(faithful, fast) << "m=" << m;
+    EXPECT_EQ(faithful, wsort_chain(req)) << "m=" << m;
 
     canonical_key_into(topo, req.source, req.destinations, kAlgoWsort,
                        /*absolute=*/false, /*seed=*/0, key);
-    weighted_sort_fast(key.words, sorted_keys);
-    ASSERT_EQ(sorted_keys.size(), m);
-    for (std::size_t i = 0; i < m; ++i) {
-      EXPECT_EQ(sorted_keys[i],
-                hcube::relative_key(topo, req.source, faithful[i + 1]))
-          << "m=" << m << " position " << i + 1;
-    }
+    builder.build_wsort_into(topo, req.source, key.words, tree);
+    const auto chain = builder.chain();
+    EXPECT_EQ(faithful, std::vector<NodeId>(chain.begin(), chain.end()))
+        << "m=" << m;
   }
 }
 

@@ -20,7 +20,15 @@ CI runs may skip heavyweight benchmarks.
 
 Usage:
   tools/check_bench_regression.py --fresh-dir bench-artifacts \
-      [--baseline-dir results] [--threshold 0.30] [--only SUBSTR]
+      [--baseline-dir results] [--threshold 0.30] [--only SUBSTR] [--exact]
+
+--exact gates what a benchmark computes instead of how fast: every
+metric the timing gate does not compare (step counts, simulated delays,
+event counts, ...) and every series point must equal the baseline's, and
+a benchmark's non-timing metric present on only one side is a
+difference too. Timing metrics are ignored. For deterministic
+benchmarks (the paper figures run a seeded, integer-time simulation)
+any difference is a change in results.
 
 Rates from different build types are not comparable (a RelWithDebInfo
 coder runs several times slower than a Release one), so the gate
@@ -35,7 +43,8 @@ fresh artifact or no committed baseline is an error (exit 2), not a
 silent pass -- a renamed benchmark must not leave a green gate
 comparing nothing. The threshold can also be set via the
 BENCH_REGRESSION_THRESHOLD environment variable (the flag wins). Exit
-status: 0 pass, 1 regression, 2 usage/IO/malformed-artifact error.
+status: 0 pass, 1 regression (or, with --exact, any difference),
+2 usage/IO/malformed-artifact error.
 """
 
 import argparse
@@ -60,10 +69,11 @@ def metric_direction(key: str):
 
 def load_artifacts(directory: Path):
     """Map benchmark name -> {metric: value} for the gated metrics only,
-    and benchmark name -> recorded machine.build_type (None when
-    absent)."""
+    benchmark name -> recorded machine.build_type (None when absent),
+    and benchmark name -> the whole artifact."""
     out = {}
     build_types = {}
+    docs = {}
     for path in sorted(directory.glob("BENCH_*.json")):
         try:
             doc = json.loads(path.read_text())
@@ -89,11 +99,80 @@ def load_artifacts(directory: Path):
         }
         name = doc.get("name", path.stem)
         out[name] = gated
+        docs[name] = doc
         machine = doc.get("machine")
         build_type = (machine.get("build_type")
                       if isinstance(machine, dict) else None)
         build_types[name] = build_type if build_type else None
-    return out, build_types
+    return out, build_types, docs
+
+
+def exact_differences(name, fresh_doc, base_doc):
+    """Messages for every non-timing metric or series point of `name`
+    that differs between the two artifacts (empty when they agree)."""
+    diffs = []
+    fresh_metrics = fresh_doc.get("metrics", {})
+    base_metrics = base_doc.get("metrics", {})
+    for key in sorted(fresh_metrics.keys() | base_metrics.keys()):
+        if metric_direction(key):
+            continue
+        fresh_value = fresh_metrics.get(key, "<missing>")
+        base_value = base_metrics.get(key, "<missing>")
+        if fresh_value != base_value:
+            diffs.append(f"{name}: metric {key!r}  {base_value} -> "
+                         f"{fresh_value}")
+    fresh_series = fresh_doc.get("series", [])
+    base_series = base_doc.get("series", [])
+    if len(fresh_series) != len(base_series):
+        diffs.append(f"{name}: {len(base_series)} series -> "
+                     f"{len(fresh_series)}")
+    for fresh_s, base_s in zip(fresh_series, base_series):
+        title = base_s.get("title", "?")
+        fresh_curves = {c.get("name"): c for c in fresh_s.get("curves", [])}
+        base_curves = {c.get("name"): c for c in base_s.get("curves", [])}
+        for curve in sorted(fresh_curves.keys() | base_curves.keys()):
+            fresh_points = fresh_curves.get(curve, {}).get("points")
+            base_points = base_curves.get(curve, {}).get("points")
+            if fresh_points == base_points:
+                continue
+            if fresh_points is None or base_points is None:
+                side = "fresh" if fresh_points is None else "baseline"
+                diffs.append(f"{name}: {title!r} curve {curve!r} missing "
+                             f"from the {side} artifact")
+                continue
+            changed = [base.get("x") for base, fresh
+                       in zip(base_points, fresh_points) if base != fresh]
+            if len(fresh_points) != len(base_points):
+                changed.append(f"{len(base_points)} -> "
+                               f"{len(fresh_points)} points")
+            diffs.append(f"{name}: {title!r} curve {curve!r} differs at "
+                         f"x = {changed}")
+        rest_fresh = {k: v for k, v in fresh_s.items() if k != "curves"}
+        rest_base = {k: v for k, v in base_s.items() if k != "curves"}
+        if rest_fresh != rest_base:
+            diffs.append(f"{name}: {title!r} series labels differ")
+    return diffs
+
+
+def exact_gate(fresh_docs, base_docs) -> int:
+    """The --exact comparison over benchmarks on both sides."""
+    diffs = []
+    compared = 0
+    for name in sorted(fresh_docs.keys() & base_docs.keys()):
+        compared += 1
+        found = exact_differences(name, fresh_docs[name], base_docs[name])
+        print(f"{'DIFFERS' if found else 'exact':>10}  {name}")
+        diffs.extend(found)
+    for name in sorted(fresh_docs.keys() - base_docs.keys()):
+        print(f"note: {name}: no committed baseline, skipping")
+    print(f"\ncompared {compared} benchmark(s) exactly")
+    if diffs:
+        print(f"FAIL: {len(diffs)} difference(s):")
+        for diff in diffs:
+            print(f"  {diff}")
+        return 1
+    print("PASS: every non-timing metric and series point matches")
+    return 0
 
 
 def build_type_mismatches(fresh_types, base_types, names):
@@ -127,6 +206,9 @@ def main() -> int:
     parser.add_argument("--only", default="",
                         help="restrict to benchmark names containing this "
                              "substring (applied to fresh and baseline)")
+    parser.add_argument("--exact", action="store_true",
+                        help="fail on any difference in non-timing metrics "
+                             "or series points; ignore timing")
     args = parser.parse_args()
 
     if not (0.0 < args.threshold < 1.0):
@@ -138,11 +220,14 @@ def main() -> int:
             print(f"error: {directory} is not a directory", file=sys.stderr)
             return 2
 
-    fresh, fresh_types = load_artifacts(args.fresh_dir)
-    baseline, base_types = load_artifacts(args.baseline_dir)
+    fresh, fresh_types, fresh_docs = load_artifacts(args.fresh_dir)
+    baseline, base_types, base_docs = load_artifacts(args.baseline_dir)
     if args.only:
         fresh = {k: v for k, v in fresh.items() if args.only in k}
         baseline = {k: v for k, v in baseline.items() if args.only in k}
+    if args.exact:
+        fresh = {k: v for k, v in fresh_docs.items() if k in fresh}
+        baseline = {k: v for k, v in base_docs.items() if k in baseline}
     if not fresh:
         what = (f"artifacts matching {args.only!r}" if args.only
                 else "BENCH_*.json artifacts")
@@ -165,6 +250,8 @@ def main() -> int:
                   f"{fresh_type}; rates across build types are not "
                   f"comparable", file=sys.stderr)
         return 2
+    if args.exact:
+        return exact_gate(fresh, baseline)
 
     regressions = []
     compared = 0
