@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
@@ -42,7 +41,6 @@ void MulticastSchedule::reset(Topology topo, NodeId source) {
   source_ = source;
   raw_.clear();
   pool_.clear();
-  payload_ids_ = 0;
   view_.clear();
   dirty_ = true;
   memo_.reset();
@@ -62,7 +60,6 @@ void MulticastSchedule::assign_translated(const MulticastSchedule& relative,
   for (std::size_t i = 0; i < pool_.size(); ++i) {
     pool_[i] = relative.pool_[i] ^ mask;
   }
-  payload_ids_ = relative.payload_ids_;
   if (relative.dirty_) {
     // No view to translate; leave the counting sort to the next accessor.
     view_.clear();
@@ -173,39 +170,12 @@ void MulticastSchedule::assign_chain_tree(const Topology& topo,
   source_ = chain[0];
   pool_.assign(chain.begin(), chain.end());
   raw_.resize(sends.size());
-  payload_ids_ = 0;
   for (std::size_t i = 0; i < sends.size(); ++i) {
     const ChainSend& s = sends[i];
     raw_[i] = RawSend{chain[s.from], chain[s.to], s.to + 1, s.last - s.to};
-    payload_ids_ += s.last - s.to;
   }
-  const std::uint32_t senders = index_senders();
-  // Each sender's sends are one run of raw_, so the view is the runs in
-  // sender order: run lengths at their ranks, prefix sums into bucket
-  // offsets, then one copy per run.
-  const auto for_each_run = [&](auto&& fn) {
-    for (std::size_t i = 0, j = 0; i < raw_.size(); i = j) {
-      while (j < raw_.size() && raw_[j].from == raw_[i].from) ++j;
-      fn(i, j, rank(raw_[i].from));
-    }
-  };
-  begin_.assign(senders + std::size_t{1}, 0);
-  for_each_run([&](std::size_t i, std::size_t j, std::uint32_t k) {
-    assert(begin_[k + 1] == 0 && "a sender's sends must be one run");
-    begin_[k + 1] = static_cast<std::uint32_t>(j - i);
-  });
-  std::partial_sum(begin_.begin(), begin_.end(), begin_.begin());
-  view_.resize(raw_.size());
-  const NodeId* pool = pool_.data();
-  for_each_run([&](std::size_t i, std::size_t j, std::uint32_t k) {
-    Send* out = view_.data() + begin_[k];
-    for (; i < j; ++i) {
-      const RawSend& r = raw_[i];
-      *out++ = Send{r.to, std::span<const NodeId>(pool + r.pool_begin,
-                                                  r.pool_len)};
-    }
-  });
-  dirty_ = false;
+  dirty_ = true;
+  finalize();
 }
 
 void MulticastSchedule::add_send(NodeId from, NodeId to,
@@ -231,43 +201,48 @@ void MulticastSchedule::add_send(NodeId from, NodeId to,
     for (std::size_t i = 0; i < raw.pool_len; ++i) dst[i] = base[i];
   }
   raw_.push_back(raw);
-  payload_ids_ += payload.size();
   dirty_ = true;
   memo_.reset();
 }
 
-std::uint32_t MulticastSchedule::index_senders() const {
-  words_.assign((topo_.num_nodes() + 63) / 64, SenderWord{});
-  for (const RawSend& r : raw_) {
-    words_[r.from >> 6].bits |= std::uint64_t{1} << (r.from & 63);
-  }
-  std::uint32_t senders = 0;
-  for (SenderWord& w : words_) {
-    w.rank = senders;
-    senders += static_cast<std::uint32_t>(hcube::popcount64(w.bits));
-  }
-  return senders;
+std::size_t MulticastSchedule::num_payload_ids() const {
+  std::size_t ids = 0;
+  for (const RawSend& r : raw_) ids += r.pool_len;
+  return ids;
 }
 
 void MulticastSchedule::finalize() const {
   if (!dirty_) return;
-  const std::uint32_t senders = index_senders();
+  words_.assign((topo_.num_nodes() + 63) / 64, SenderWord{});
+  std::uint32_t senders = 0;
+  for (const RawSend& r : raw_) {
+    std::uint64_t& bits = words_[r.from >> 6].bits;
+    const std::uint64_t bit = std::uint64_t{1} << (r.from & 63);
+    senders += (bits & bit) == 0;
+    bits |= bit;
+  }
   begin_.resize(senders + std::size_t{1});
   view_.resize(raw_.size());
   // Counting sort by sender, stable in append order per sender. The
   // per-node counts, then bucket cursors, live in a per-thread table
   // whose sender entries are zeroed again before returning (nothing in
-  // between allocates), so no schedule stores an O(2^n) array.
+  // between allocates), so no schedule stores an O(2^n) array. Only the
+  // pass that ranks the bitmap words walks all ceil(2^n / 64) of them;
+  // the others walk the sends, so a small tree on a large cube is cheap.
   thread_local std::vector<std::uint32_t> cursor;
   if (cursor.size() < topo_.num_nodes()) cursor.resize(topo_.num_nodes(), 0);
   std::uint32_t* const count = cursor.data();
   for (const RawSend& r : raw_) ++count[r.from];
   std::uint32_t k = 0;
   std::uint32_t start = 0;
-  for_each_sender_id([&](NodeId u) {
-    begin_[k++] = start;
-    start += std::exchange(count[u], start);
-  });
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    words_[w].rank = k;
+    for (std::uint64_t bits = words_[w].bits; bits != 0; bits &= bits - 1) {
+      const auto u = static_cast<NodeId>(w * 64 + std::countr_zero(bits));
+      begin_[k++] = start;
+      start += std::exchange(count[u], start);
+    }
+  }
   begin_[k] = start;
   const NodeId* pool = pool_.data();
   Send* const view = view_.data();
@@ -275,7 +250,7 @@ void MulticastSchedule::finalize() const {
     view[count[r.from]++] =
         Send{r.to, std::span<const NodeId>(pool + r.pool_begin, r.pool_len)};
   }
-  for_each_sender_id([&](NodeId u) { count[u] = 0; });
+  for (const RawSend& r : raw_) count[r.from] = 0;
   dirty_ = false;
 }
 

@@ -79,19 +79,18 @@ struct Unicast {
 /// per-send vectors, no per-node map). A tree built over a chain
 /// (assign_chain_tree) stores the chain once as its pool, and every
 /// payload is a range of it; add_send appends a copy of its payload
-/// instead. Accessors group the records per sender into a view. A chain
-/// tree writes it directly; after add_send it is rebuilt lazily by a
-/// counting sort, and spans obtained from sends_from() are invalidated
-/// by the next add_send()/reset(). The lazy rebuild means the first
-/// accessor call after a mutation is not safe to race with other
-/// readers — finalize() first to share a schedule across threads
-/// read-only.
+/// instead. Accessors group the records per sender into a view, built
+/// by a counting sort: at once for a chain tree, lazily after add_send.
+/// Spans obtained from sends_from() are invalidated by the next
+/// add_send()/reset(). The lazy rebuild means the first accessor call
+/// after a mutation is not safe to race with other readers — finalize()
+/// first to share a schedule across threads read-only.
 ///
 /// The grouped view is sized by the sends, not by the cube: a sender
 /// bitmap of ceil(2^n / 64) words, a rank (senders in earlier words)
 /// per word, and senders + 1 bucket offsets. sends_from(u) is one bit
 /// test plus one popcount; for_each_sender() walks the set bits. A
-/// 10-cube wsort tree to 48 destinations pins 2,608 bytes in all, where
+/// 10-cube wsort tree to 48 destinations pins 2,600 bytes in all, where
 /// two dense 2^n + 1 offset arrays alone took 8,196.
 class MulticastSchedule {
  public:
@@ -104,14 +103,13 @@ class MulticastSchedule {
   // follows the same rule: copies start without one, moves carry it.
   MulticastSchedule(const MulticastSchedule& other)
       : topo_(other.topo_), source_(other.source_), raw_(other.raw_),
-        pool_(other.pool_), payload_ids_(other.payload_ids_) {}
+        pool_(other.pool_) {}
   MulticastSchedule& operator=(const MulticastSchedule& other) {
     if (this != &other) {
       topo_ = other.topo_;
       source_ = other.source_;
       raw_ = other.raw_;
       pool_ = other.pool_;
-      payload_ids_ = other.payload_ids_;
       dirty_ = true;
       view_.clear();
       memo_.reset();
@@ -150,11 +148,9 @@ class MulticastSchedule {
   /// Become the tree whose sends are `sends` over `chain` (position 0 is
   /// the source), with topology `topo`. The chain is stored once as the
   /// pool and each payload is a range of it, so nothing is copied per
-  /// send. `sends` must list each sender's sends as one run, in issue
-  /// order; that is also the append order operator== compares. The
-  /// grouped view is written directly (runs placed in sender order, no
-  /// counting sort), so the result is finalized. `chain` may not alias
-  /// this schedule.
+  /// send. `sends` lists each sender's sends in issue order; their
+  /// order is also the append order operator== compares. The result is
+  /// finalized. `chain` may not alias this schedule.
   void assign_chain_tree(const Topology& topo, std::span<const NodeId> chain,
                          std::span<const ChainSend> sends);
 
@@ -172,7 +168,7 @@ class MulticastSchedule {
     const SenderWord& word = words_[u >> 6];
     const std::uint64_t bit = std::uint64_t{1} << (u & 63);
     if ((word.bits & bit) == 0) return {};
-    return bucket(rank(u));
+    return bucket(word.rank + hcube::popcount64(word.bits & (bit - 1)));
   }
 
   /// Call fn(u, sends_from(u)) for every sender u in ascending node
@@ -199,9 +195,10 @@ class MulticastSchedule {
   /// Total number of unicast messages in the schedule.
   std::size_t num_unicasts() const { return raw_.size(); }
 
-  /// Destination ids carried by all payloads together (payloads of a
-  /// chain tree share the pool, so this is counted, not pool_.size()).
-  std::size_t num_payload_ids() const { return payload_ids_; }
+  /// Destination ids carried by all payloads together, summed over the
+  /// sends (payloads of a chain tree share the pool, so this is not
+  /// pool_.size()).
+  std::size_t num_payload_ids() const;
 
   /// Number of nodes with at least one outgoing send.
   std::size_t num_senders() const {
@@ -318,18 +315,6 @@ class MulticastSchedule {
     }
   }
 
-  /// Rebuild words_ (sender bits and ranks) from raw_; returns the
-  /// number of senders.
-  std::uint32_t index_senders() const;
-
-  /// Sender u's position k among the senders (u's bit must be set).
-  std::uint32_t rank(NodeId u) const {
-    const SenderWord& word = words_[u >> 6];
-    const std::uint64_t bit = std::uint64_t{1} << (u & 63);
-    return word.rank +
-           static_cast<std::uint32_t>(hcube::popcount64(word.bits & (bit - 1)));
-  }
-
   /// The k-th sender's sends (k counts senders in ascending order).
   std::span<const Send> bucket(std::size_t k) const {
     return {view_.data() + begin_[k], begin_[k + 1] - begin_[k]};
@@ -339,10 +324,9 @@ class MulticastSchedule {
   NodeId source_;
   std::vector<RawSend> raw_;   ///< append order
   std::vector<NodeId> pool_;   ///< a chain tree's chain, then copied payloads
-  std::size_t payload_ids_ = 0;  ///< sum of the records' pool_len
 
-  // Cached per-sender grouping (each sender's sends in append order).
-  // Bit u % 64 of words_[u / 64] marks sender u; its rank k
+  // Cached per-sender grouping (counting sort by sender, stable within
+  // a sender). Bit u % 64 of words_[u / 64] marks sender u; its rank k
   // is that word's rank plus the set bits below u in it, and its sends
   // are view_[begin_[k] .. begin_[k+1]).
   mutable bool dirty_ = true;

@@ -116,8 +116,9 @@ class LatencyGate(GateRun):
 class ExactGate(GateRun):
     """--exact: results must match, timing may move."""
 
-    def figure(self, rate, steps=6, mean=2.0, events=100):
-        doc = artifact(0, "Release", {"W-sort steps @ x=63": steps,
+    def figure(self, rate, steps=6, mean=2.0, events=100,
+               build_type="Release"):
+        doc = artifact(0, build_type, {"W-sort steps @ x=63": steps,
                                       "events": events,
                                       "events_per_sec": rate})
         doc["series"] = [{"title": "Figure 9", "x_label": "destinations",
@@ -129,6 +130,12 @@ class ExactGate(GateRun):
 
     def test_identical_results_pass_whatever_the_rates(self):
         done = self.run_gate(self.figure(10.0), self.figure(100.0), "--exact")
+        self.assertEqual(done.returncode, 0, done.stdout + done.stderr)
+        self.assertIn("compared 1 benchmark(s) exactly", done.stdout)
+
+    def test_identical_results_pass_across_build_types(self):
+        done = self.run_gate(self.figure(10.0, build_type="RelWithDebInfo"),
+                             self.figure(100.0), "--exact")
         self.assertEqual(done.returncode, 0, done.stdout + done.stderr)
         self.assertIn("compared 1 benchmark(s) exactly", done.stdout)
 

@@ -35,8 +35,8 @@ MulticastSchedule two_pass(const MulticastRequest& req) {
   return out;
 }
 
-/// The same tree rebuilt send by send through add_send, so its payloads
-/// are copies in the pool and its view comes from finalize().
+/// The same tree rebuilt send by send through add_send, so each payload
+/// is its own copy in the pool.
 MulticastSchedule rebuilt(const MulticastSchedule& tree) {
   MulticastSchedule out(tree.topo(), tree.source());
   for (const Unicast& u : tree.unicasts()) {

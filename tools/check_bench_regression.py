@@ -26,9 +26,9 @@ Usage:
 metric the timing gate does not compare (step counts, simulated delays,
 event counts, ...) and every series point must equal the baseline's, and
 a benchmark's non-timing metric present on only one side is a
-difference too. Timing metrics are ignored. For deterministic
-benchmarks (the paper figures run a seeded, integer-time simulation)
-any difference is a change in results.
+difference too. Timing metrics are ignored, and so is the build type
+check below. For deterministic benchmarks (the paper figures run a
+seeded, integer-time simulation) any difference is a change in results.
 
 Rates from different build types are not comparable (a RelWithDebInfo
 coder runs several times slower than a Release one), so the gate
@@ -242,6 +242,9 @@ def main() -> int:
     for name in sorted(baseline.keys() - fresh.keys()):
         print(f"note: {name}: baseline present but missing from fresh run")
 
+    if args.exact:
+        # No rate is compared, so the build types need not match.
+        return exact_gate(fresh, baseline)
     mismatches = build_type_mismatches(fresh_types, base_types,
                                        fresh.keys() & baseline.keys())
     if mismatches:
@@ -250,9 +253,6 @@ def main() -> int:
                   f"{fresh_type}; rates across build types are not "
                   f"comparable", file=sys.stderr)
         return 2
-    if args.exact:
-        return exact_gate(fresh, baseline)
-
     regressions = []
     compared = 0
     for name, fresh_metrics in sorted(fresh.items()):
