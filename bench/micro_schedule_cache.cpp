@@ -11,8 +11,10 @@
 // materializing a cached relative schedule at a new source (translate)
 // and writing the Ok response (encode), for sparse serving shapes and
 // for the dense IST broadcast trees striped serving translates. A
-// cold-miss row serves fresh random sets into a full cache, each one
-// timed, and reports the rate and the p99 serve latency.
+// cold-miss row serves fresh random sets into a full cache, and a hit
+// row serves resident translations from a set larger than the
+// thread-local L1; each serve is timed, and both report the rate and the
+// p99 serve latency.
 
 #include <algorithm>
 #include <chrono>
@@ -149,6 +151,28 @@ void schedule_stage_rows(const bench::Context& ctx, bench::Report& report) {
   }
 }
 
+/// Call serve(i) for i < count, timing each call on its own: the calls
+/// per second and the p99 latency in microseconds.
+template <typename Serve>
+std::pair<double, double> rate_and_p99(std::size_t count, Serve&& serve) {
+  using clock = std::chrono::steady_clock;
+  std::vector<double> us;
+  us.reserve(count);
+  double total = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto start = clock::now();
+    serve(i);
+    us.push_back(
+        std::chrono::duration<double, std::micro>(clock::now() - start)
+            .count());
+    total += us.back();
+  }
+  const auto p99 =
+      us.begin() + static_cast<std::ptrdiff_t>(us.size() * 99 / 100);
+  std::nth_element(us.begin(), p99, us.end());
+  return {static_cast<double>(count) / total * 1e6, *p99};
+}
+
 /// cold_serves_per_sec and cold_serve_p99_us: W-sort requests for fresh
 /// random sets (10-cube, m = 48, random sources) through
 /// ServePipeline::serve into a one-shard cache that is already full, as
@@ -176,32 +200,63 @@ void cold_miss_row(const bench::Context& ctx, bench::Report& report) {
   for (std::size_t i = 0; i < (ctx.quick ? 4096u : 32768u); ++i) {
     stream.push_back(fresh());
   }
-  using clock = std::chrono::steady_clock;
-  std::vector<double> us;
-  us.reserve(stream.size());
-  double total = 0.0;
-  for (const auto& req : stream) {
-    const auto start = clock::now();
-    (void)pipeline.serve(req);
-    us.push_back(
-        std::chrono::duration<double, std::micro>(clock::now() - start)
-            .count());
-    total += us.back();
-  }
-  const auto p99 =
-      us.begin() + static_cast<std::ptrdiff_t>(us.size() * 99 / 100);
-  std::nth_element(us.begin(), p99, us.end());
-  const double per_sec = static_cast<double>(stream.size()) / total * 1e6;
+  const auto [per_sec, p99] = rate_and_p99(
+      stream.size(), [&](std::size_t i) { (void)pipeline.serve(stream[i]); });
   const std::string key = "wsort/10-cube-" + std::to_string(m);
   report.metric(key + " cold_serves_per_sec", per_sec);
-  report.metric(key + " cold_serve_p99_us", *p99);
+  report.metric(key + " cold_serve_p99_us", p99);
   std::printf("  %-24s %10.0f cold serves/s  p99 %.2f us\n", key.c_str(),
-              per_sec, *p99);
+              per_sec, p99);
+}
+
+/// hit_serves_per_sec and hit_serve_p99_us: absolute-level hits as
+/// perfbench's serve_hot meets them. W-sort XOR-translations of 64
+/// shapes (8-cube, m = 24) at every source make 16,384 (source, shape)
+/// pairs, all resident after one warm pass. The timed stream draws pairs
+/// at random, so the 128-slot thread-local L1 rarely holds the pair and
+/// nearly every hit probes a shard. Each serve is timed on its own.
+void hit_row(const bench::Context& ctx, bench::Report& report) {
+  const hcube::Topology topo(8);
+  const std::size_t m = 24;
+  workload::Rng rng(workload::derive_seed(2027, m, 4));
+  std::vector<core::MulticastRequest> pairs;
+  for (std::size_t s = 0; s < 64; ++s) {
+    const auto shape = workload::random_destinations(topo, 0, m, rng);
+    for (std::size_t t = 0; t < topo.num_nodes(); ++t) {
+      core::MulticastRequest req{topo, static_cast<hcube::NodeId>(t), {}};
+      for (const hcube::NodeId d : shape) {
+        req.destinations.push_back(d ^ req.source);
+      }
+      pairs.push_back(std::move(req));
+    }
+  }
+  coll::ScheduleCache::Config config;
+  config.shards = 4;
+  const auto cache = std::make_shared<coll::ScheduleCache>(config);
+  const coll::ServePipeline pipeline("wsort", cache);
+  for (const auto& req : pairs) (void)pipeline.serve(req);
+
+  std::vector<const core::MulticastRequest*> stream;
+  for (std::size_t i = 0; i < (ctx.quick ? 8192u : 65536u); ++i) {
+    stream.push_back(&pairs[rng() % pairs.size()]);
+  }
+  const auto before = cache->stats();
+  const auto [per_sec, p99] = rate_and_p99(
+      stream.size(), [&](std::size_t i) { (void)pipeline.serve(*stream[i]); });
+  if (cache->stats().misses != before.misses) {
+    throw std::runtime_error("hit row: a timed serve missed the cache");
+  }
+  const std::string key = "wsort/8-cube-" + std::to_string(m);
+  report.metric(key + " hit_serves_per_sec", per_sec);
+  report.metric(key + " hit_serve_p99_us", p99);
+  std::printf("  %-24s %10.0f hit serves/s   p99 %.2f us\n", key.c_str(),
+              per_sec, p99);
 }
 
 void run(const bench::Context& ctx, bench::Report& report) {
   schedule_stage_rows(ctx, report);
   cold_miss_row(ctx, report);
+  hit_row(ctx, report);
   const hcube::Topology topo(8);
   const std::size_t shapes = 4;
   const std::size_t m = 224;

@@ -59,6 +59,10 @@ constexpr std::size_t kDoorkeeperWords = kDoorkeeperBits / 64;
 constexpr std::size_t kDoorkeeperMinReset = 64;
 constexpr std::size_t kDoorkeeperMaxReset = kDoorkeeperBits / 4;
 
+/// A shard's first slot array; it doubles whenever it would pass half
+/// full.
+constexpr std::size_t kMinSlots = 16;
+
 /// The bytes an entry charges against its shard's budget.
 std::size_t entry_bytes(const core::CacheKey& key,
                         const core::MulticastSchedule& schedule) {
@@ -104,13 +108,13 @@ std::shared_ptr<const core::MulticastSchedule> ScheduleCache::get(
   std::shared_ptr<const core::MulticastSchedule> found;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
+    const std::uint32_t e = shard.find(key);
+    if (e == kNil) {
       misses_.inc();
       return nullptr;
     }
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru);
-    found = it->second.schedule;
+    shard.touch(e);
+    found = shard.entries[e].schedule;
     hits_.inc();
   }
 
@@ -154,17 +158,7 @@ void ScheduleCache::insert_locked(
     Shard& shard, const core::CacheKey& key,
     std::shared_ptr<const core::MulticastSchedule> schedule,
     std::size_t bytes) {
-  auto [it, inserted] = shard.map.try_emplace(key);
-  Entry& entry = it->second;
-  if (!inserted) {
-    shard.bytes -= entry.bytes;
-    shard.lru.erase(entry.lru);
-  }
-  entry.schedule = std::move(schedule);
-  entry.bytes = bytes;
-  shard.lru.push_front(&it->first);
-  entry.lru = shard.lru.begin();
-  shard.bytes += bytes;
+  shard.insert(key, std::move(schedule), bytes);
   evict_over_budget_locked(shard);
 }
 
@@ -178,7 +172,7 @@ bool ScheduleCache::admit_locked(Shard& shard, const core::CacheKey& key,
   if ((word & mask) != 0) return true;
   word |= mask;
   if (++shard.first_sightings >
-      std::clamp(shard.map.size(), kDoorkeeperMinReset, kDoorkeeperMaxReset)) {
+      std::clamp(shard.count, kDoorkeeperMinReset, kDoorkeeperMaxReset)) {
     std::fill(shard.doorkeeper.begin(), shard.doorkeeper.end(), 0);
     shard.first_sightings = 0;
   }
@@ -187,12 +181,8 @@ bool ScheduleCache::admit_locked(Shard& shard, const core::CacheKey& key,
 }
 
 void ScheduleCache::evict_over_budget_locked(Shard& shard) {
-  while (shard.bytes > per_shard_budget_ && shard.lru.size() > 1) {
-    const core::CacheKey* victim = shard.lru.back();
-    const auto it = shard.map.find(*victim);
-    shard.bytes -= it->second.bytes;
-    shard.lru.pop_back();
-    shard.map.erase(it);
+  while (shard.bytes > per_shard_budget_ && shard.count > 1) {
+    shard.evict_tail();
     evictions_.inc();
   }
 }
@@ -200,13 +190,128 @@ void ScheduleCache::evict_over_budget_locked(Shard& shard) {
 void ScheduleCache::clear() {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->map.clear();
-    shard->lru.clear();
-    shard->bytes = 0;
-    shard->doorkeeper.clear();
-    shard->first_sightings = 0;
+    shard->clear();
     // Generation bump retires every thread-local L1 slot pointing here.
     shard->generation.fetch_add(1, std::memory_order_acq_rel);
+  }
+}
+
+std::uint32_t ScheduleCache::Shard::find(const core::CacheKey& key) const {
+  if (slots.empty()) return kNil;
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t i = key.hash & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots[i];
+    if (slot.entry == kNil) return kNil;
+    if (slot.hash == key.hash && entries[slot.entry].key == key) {
+      return slot.entry;
+    }
+  }
+}
+
+void ScheduleCache::Shard::insert(
+    const core::CacheKey& key,
+    std::shared_ptr<const core::MulticastSchedule> schedule,
+    std::size_t size) {
+  if ((count + 1) * 2 > slots.size()) grow();
+  const std::size_t mask = slots.size() - 1;
+  std::size_t i = key.hash & mask;
+  for (; slots[i].entry != kNil; i = (i + 1) & mask) {
+    const std::uint32_t e = slots[i].entry;
+    if (slots[i].hash == key.hash && entries[e].key == key) {
+      Entry& entry = entries[e];
+      bytes += size - entry.bytes;
+      entry.schedule = std::move(schedule);
+      entry.bytes = size;
+      touch(e);
+      return;
+    }
+  }
+  std::uint32_t e = free;
+  if (e != kNil) {
+    free = entries[e].next;
+  } else {
+    e = static_cast<std::uint32_t>(entries.size());
+    entries.emplace_back();
+  }
+  Entry& entry = entries[e];
+  entry.key = key;
+  entry.schedule = std::move(schedule);
+  entry.bytes = size;
+  slots[i] = Slot{key.hash, e};
+  link_front(e);
+  ++count;
+  bytes += size;
+}
+
+void ScheduleCache::Shard::touch(std::uint32_t e) {
+  if (head == e) return;
+  unlink(e);
+  link_front(e);
+}
+
+void ScheduleCache::Shard::evict_tail() {
+  const std::uint32_t e = tail;
+  Entry& entry = entries[e];
+  const std::size_t mask = slots.size() - 1;
+  std::size_t i = entry.key.hash & mask;
+  while (slots[i].entry != e) i = (i + 1) & mask;
+  erase_slot(i);
+  unlink(e);
+  bytes -= entry.bytes;
+  entry.schedule.reset();
+  entry.next = free;
+  free = e;
+  --count;
+}
+
+void ScheduleCache::Shard::clear() {
+  std::fill(slots.begin(), slots.end(), Slot{});
+  entries.clear();
+  head = tail = free = kNil;
+  count = 0;
+  bytes = 0;
+  doorkeeper.clear();
+  first_sightings = 0;
+}
+
+void ScheduleCache::Shard::link_front(std::uint32_t e) {
+  entries[e].prev = kNil;
+  entries[e].next = head;
+  if (head != kNil) entries[head].prev = e;
+  head = e;
+  if (tail == kNil) tail = e;
+}
+
+void ScheduleCache::Shard::unlink(std::uint32_t e) {
+  const Entry& entry = entries[e];
+  (entry.prev != kNil ? entries[entry.prev].next : head) = entry.next;
+  (entry.next != kNil ? entries[entry.next].prev : tail) = entry.prev;
+}
+
+void ScheduleCache::Shard::erase_slot(std::size_t i) {
+  // Backward-shift deletion: pull each later slot of the probe run into
+  // the hole unless the hole lies before that slot's home position.
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t j = (i + 1) & mask; slots[j].entry != kNil;
+       j = (j + 1) & mask) {
+    const std::size_t home = slots[j].hash & mask;
+    if (((j - home) & mask) >= ((j - i) & mask)) {
+      slots[i] = slots[j];
+      i = j;
+    }
+  }
+  slots[i].entry = kNil;
+}
+
+void ScheduleCache::Shard::grow() {
+  std::vector<Slot> old(std::max<std::size_t>(slots.size() * 2, kMinSlots));
+  old.swap(slots);
+  const std::size_t mask = slots.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.entry == kNil) continue;
+    std::size_t i = slot.hash & mask;
+    while (slots[i].entry != kNil) i = (i + 1) & mask;
+    slots[i] = slot;
   }
 }
 
@@ -219,7 +324,7 @@ ScheduleCache::Stats ScheduleCache::stats() const {
   out.declined = declined_.value();
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    out.entries += shard->map.size();
+    out.entries += shard->count;
     out.bytes += shard->bytes;
   }
   return out;

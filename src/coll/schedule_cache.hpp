@@ -3,11 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/cache_key.hpp"
@@ -38,7 +36,9 @@ namespace hypercast::coll {
 ///
 /// Concurrency
 ///  * The shared tier is striped: the key's hash selects a shard, each
-///    shard owns a mutex + hash map + LRU list. Writers (miss insert,
+///    shard owns a mutex, an open-addressed slot array (full 64-bit hash
+///    + entry index, no division on a probe) and an entry slab threaded
+///    by an index-linked LRU list and a free list. Writers (miss insert,
 ///    eviction, clear) only contend within one shard.
 ///  * The hot path is lock-free: each thread keeps a small direct-mapped
 ///    L1 of recently served entries, validated against the owning
@@ -170,24 +170,39 @@ class ScheduleCache {
   void detach_from_registry();
 
  private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// A resident entry in its shard's slab. prev/next link the LRU list
+  /// (front = most recent); a free entry's next links the free list.
+  /// A freed entry keeps its key, so the next insert reuses the key's
+  /// word buffer.
   struct Entry {
+    core::CacheKey key;
     std::shared_ptr<const core::MulticastSchedule> schedule;
     std::size_t bytes = 0;
-    std::list<const core::CacheKey*>::iterator lru;
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
   };
 
-  struct KeyHash {
-    std::size_t operator()(const core::CacheKey& k) const {
-      return static_cast<std::size_t>(k.hash);
-    }
+  /// An open-addressed slot: a key's full hash and its entry's index
+  /// (kNil when the slot is empty).
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::uint32_t entry = kNil;
   };
 
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<core::CacheKey, Entry, KeyHash> map;
-    /// Front = most recent; elements point at the map's keys (stable:
-    /// unordered_map never moves nodes).
-    std::list<const core::CacheKey*> lru;
+    /// Linear probing from hash & (size - 1), at most half full, so a
+    /// miss reads one cache line in the common case; a power of two
+    /// (or empty), grown by doubling. Deletion shifts the probe run back
+    /// instead of leaving tombstones.
+    std::vector<Slot> slots;
+    std::vector<Entry> entries;  ///< slab indexed by Slot::entry
+    std::uint32_t head = kNil;   ///< most recently used
+    std::uint32_t tail = kNil;   ///< next eviction victim
+    std::uint32_t free = kNil;   ///< free-list head
+    std::size_t count = 0;       ///< resident entries
     std::size_t bytes = 0;
     std::atomic<std::uint64_t> generation{1};
     /// offer()'s doorkeeper: one bit per key-hash bucket, set on a key's
@@ -195,6 +210,25 @@ class ScheduleCache {
     /// first refusal, so caches that never fill never pay for it.
     std::vector<std::uint64_t> doorkeeper;
     std::size_t first_sightings = 0;  ///< since the last doorkeeper reset
+
+    /// The entry holding `key`, or kNil.
+    std::uint32_t find(const core::CacheKey& key) const;
+    /// Insert or overwrite `key` at the LRU front.
+    void insert(const core::CacheKey& key,
+                std::shared_ptr<const core::MulticastSchedule> schedule,
+                std::size_t bytes);
+    /// Move entry e to the LRU front.
+    void touch(std::uint32_t e);
+    /// Drop the LRU tail entry.
+    void evict_tail();
+    /// Drop every entry and every doorkeeper sighting.
+    void clear();
+
+   private:
+    void link_front(std::uint32_t e);
+    void unlink(std::uint32_t e);
+    void erase_slot(std::size_t i);
+    void grow();
   };
 
   void insert_locked(Shard& shard, const core::CacheKey& key,

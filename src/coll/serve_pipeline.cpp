@@ -15,8 +15,8 @@ namespace {
 
 /// Per-thread serving scratch: the canonical key, the chain a miss
 /// builds from and the tree builder. One instance per thread serves
-/// every pipeline (builders are stateless between builds), which is
-/// what keeps a threaded batch at the zero-allocation steady state.
+/// every pipeline (builders are stateless between builds), so a
+/// threaded batch allocates only the schedules it returns.
 struct ServeTls {
   core::CacheKey key;
   std::vector<core::NodeId> chain;

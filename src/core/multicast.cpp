@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
@@ -36,55 +37,88 @@ void MulticastRequest::validate() const {
   }
 }
 
+MulticastSchedule::MulticastSchedule(const MulticastSchedule& other)
+    : topo_(other.topo_), source_(other.source_), raw_(other.raw_),
+      pool_(other.pool_) {
+  if (!other.block_) return;
+  allocate(other.shape_);
+  std::memcpy(block_.get(), other.block_.get(), shape_.bytes());
+  // The view's payloads point into `other`'s pool; move them to ours.
+  const NodeId* const from = other.block_pool();
+  const NodeId* const to = block_pool();
+  Send* const view = this->view();
+  for (std::uint32_t i = 0; i < shape_.sends; ++i) {
+    const std::span<const NodeId> p = view[i].payload;
+    view[i].payload = {to + (p.data() - from), p.size()};
+  }
+}
+
+void MulticastSchedule::allocate(const Shape& shape) const {
+  if (!block_ || shape_.bytes() != shape.bytes()) {
+    block_.reset(new std::byte[shape.bytes()]);
+  }
+  shape_ = shape;
+}
+
+std::unique_ptr<std::byte[]> MulticastSchedule::thaw() {
+  if (!block_) return nullptr;
+  const std::span<const RawSend> records = this->records();
+  const std::span<const NodeId> pool = this->pool();
+  raw_.assign(records.begin(), records.end());
+  pool_.assign(pool.begin(), pool.end());
+  return std::move(block_);
+}
+
+void MulticastSchedule::free_builder() const {
+  raw_ = std::vector<RawSend>();
+  pool_ = std::vector<NodeId>();
+}
+
 void MulticastSchedule::reset(Topology topo, NodeId source) {
   topo_ = std::move(topo);
   source_ = source;
   raw_.clear();
   pool_.clear();
-  view_.clear();
-  dirty_ = true;
+  block_.reset();
   memo_.reset();
 }
 
 void MulticastSchedule::assign_translated(const MulticastSchedule& relative,
                                           NodeId mask) {
+  relative.finalize();
   memo_.reset();
   topo_ = relative.topo_;
   source_ = relative.source_ ^ mask;
-  raw_.resize(relative.raw_.size());
-  for (std::size_t i = 0; i < raw_.size(); ++i) {
-    const RawSend& r = relative.raw_[i];
-    raw_[i] = RawSend{r.from ^ mask, r.to ^ mask, r.pool_begin, r.pool_len};
+  free_builder();
+  allocate(relative.shape_);
+  const std::span<const RawSend> rel_records = relative.records();
+  RawSend* const records = block_records();
+  for (std::size_t i = 0; i < rel_records.size(); ++i) {
+    const RawSend& r = rel_records[i];
+    records[i] = RawSend{r.from ^ mask, r.to ^ mask, r.pool_begin, r.pool_len};
   }
-  pool_.resize(relative.pool_.size());
-  for (std::size_t i = 0; i < pool_.size(); ++i) {
-    pool_[i] = relative.pool_[i] ^ mask;
-  }
-  if (relative.dirty_) {
-    // No view to translate; leave the counting sort to the next accessor.
-    view_.clear();
-    dirty_ = true;
-    return;
+  const std::span<const NodeId> rel_pool = relative.pool();
+  NodeId* const pool = block_pool();
+  for (std::size_t i = 0; i < rel_pool.size(); ++i) {
+    pool[i] = rel_pool[i] ^ mask;
   }
   // The relative view is already grouped by sender, and XOR only permutes
   // whole buckets (bucket u here is bucket u ^ mask there, contents in
   // the same stable order), so the translated view is a gather copy —
-  // cheaper than re-running finalize()'s counting sort. The high mask
-  // bits move whole bitmap words; the low six permute bits within one,
-  // so each word's relative buckets are indexed by their new bit first.
-  const std::size_t words = relative.words_.size();
+  // cheaper than re-running the counting sort. The high mask bits move
+  // whole bitmap words; the low six permute bits within one, so each
+  // word's relative buckets are indexed by their new bit first.
   const std::size_t word_mask = mask >> 6;
   const unsigned bit_mask = mask & 63;
-  words_.resize(words);
-  begin_.resize(relative.begin_.size());
-  view_.resize(relative.view_.size());
-  const NodeId* rel_pool = relative.pool_.data();
-  const NodeId* pool = pool_.data();
+  const SenderWord* const rel_words = relative.words();
+  SenderWord* const words = this->words();
+  std::uint32_t* const begin = begins();
+  Send* const view = this->view();
   std::uint32_t rel_bucket[64];
   std::uint32_t k = 0;
   std::uint32_t out = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    const SenderWord& rel = relative.words_[w ^ word_mask];
+  for (std::size_t w = 0; w < shape_.words; ++w) {
+    const SenderWord& rel = rel_words[w ^ word_mask];
     std::uint32_t rel_k = rel.rank;
     std::uint64_t word = 0;
     for (std::uint64_t bits = rel.bits; bits != 0; bits &= bits - 1) {
@@ -93,21 +127,20 @@ void MulticastSchedule::assign_translated(const MulticastSchedule& relative,
       rel_bucket[bit] = rel_k++;
       word |= std::uint64_t{1} << bit;
     }
-    words_[w] = SenderWord{word, k};
+    words[w] = SenderWord{word, k};
     for (; word != 0; word &= word - 1) {
-      begin_[k++] = out;
+      begin[k++] = out;
       // Every view payload points into its schedule's pool (empty ones
       // included), so the offset carries over unchanged.
       for (const Send& s : relative.bucket(rel_bucket[std::countr_zero(word)])) {
-        view_[out++] = Send{s.to ^ mask,
-                            std::span<const NodeId>(
-                                pool + (s.payload.data() - rel_pool),
-                                s.payload.size())};
+        view[out++] = Send{s.to ^ mask,
+                           std::span<const NodeId>(
+                               pool + (s.payload.data() - rel_pool.data()),
+                               s.payload.size())};
       }
     }
   }
-  begin_[k] = out;
-  dirty_ = false;
+  begin[k] = out;
 }
 
 const ArcFootprint& MulticastSchedule::cached_arc_footprint() const {
@@ -132,31 +165,32 @@ void MulticastSchedule::FootprintMemo::reset() noexcept {
 }
 
 std::size_t MulticastSchedule::footprint_bytes() const {
-  return sizeof(MulticastSchedule) + raw_.capacity() * sizeof(RawSend) +
-         pool_.capacity() * sizeof(NodeId) + view_.capacity() * sizeof(Send) +
-         words_.capacity() * sizeof(SenderWord) +
-         begin_.capacity() * sizeof(std::uint32_t);
+  return sizeof(MulticastSchedule) + (block_ ? shape_.bytes() : 0) +
+         raw_.capacity() * sizeof(RawSend) + pool_.capacity() * sizeof(NodeId);
 }
 
 bool operator==(const MulticastSchedule& a, const MulticastSchedule& b) {
-  if (a.topo_ != b.topo_ || a.source_ != b.source_ ||
-      a.raw_.size() != b.raw_.size()) {
+  const auto ra = a.records();
+  const auto rb = b.records();
+  if (a.topo_ != b.topo_ || a.source_ != b.source_ || ra.size() != rb.size()) {
     return false;
   }
-  for (std::size_t i = 0; i < a.raw_.size(); ++i) {
-    const MulticastSchedule::RawSend& ra = a.raw_[i];
-    const MulticastSchedule::RawSend& rb = b.raw_[i];
-    if (ra.from != rb.from || ra.to != rb.to || ra.pool_len != rb.pool_len) {
+  const NodeId* const pool_a = a.pool().data();
+  const NodeId* const pool_b = b.pool().data();
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    const MulticastSchedule::RawSend& x = ra[i];
+    const MulticastSchedule::RawSend& y = rb[i];
+    if (x.from != y.from || x.to != y.to || x.pool_len != y.pool_len) {
       return false;
     }
-    const NodeId* pa = a.pool_.data() + ra.pool_begin;
-    const NodeId* pb = b.pool_.data() + rb.pool_begin;
-    if (!std::equal(pa, pa + ra.pool_len, pb)) return false;
+    const NodeId* pa = pool_a + x.pool_begin;
+    if (!std::equal(pa, pa + x.pool_len, pool_b + y.pool_begin)) return false;
   }
   return true;
 }
 
 void MulticastSchedule::reserve(std::size_t sends, std::size_t payload_total) {
+  thaw();
   raw_.reserve(sends);
   pool_.reserve(payload_total);
 }
@@ -168,95 +202,98 @@ void MulticastSchedule::assign_chain_tree(const Topology& topo,
   memo_.reset();
   topo_ = topo;
   source_ = chain[0];
-  pool_.assign(chain.begin(), chain.end());
-  raw_.resize(sends.size());
-  for (std::size_t i = 0; i < sends.size(); ++i) {
+  free_builder();
+  pack(static_cast<std::uint32_t>(sends.size()), chain, [&](std::size_t i) {
     const ChainSend& s = sends[i];
-    raw_[i] = RawSend{chain[s.from], chain[s.to], s.to + 1, s.last - s.to};
-  }
-  dirty_ = true;
-  finalize();
+    return RawSend{chain[s.from], chain[s.to], s.to + 1, s.last - s.to};
+  });
 }
 
 void MulticastSchedule::add_send(NodeId from, NodeId to,
                                  std::span<const NodeId> payload) {
-  RawSend raw;
-  raw.from = from;
-  raw.to = to;
-  raw.pool_begin = static_cast<std::uint32_t>(pool_.size());
-  raw.pool_len = static_cast<std::uint32_t>(payload.size());
-  // The payload may alias pool_ itself (a schedule forwarding one of
-  // its own sends), which reallocation would invalidate — copy through
-  // a temporary index loop after the resize re-reads the span only when
-  // it points elsewhere.
-  if (!payload.empty()) {
-    const NodeId* src = payload.data();
-    const bool aliases_pool =
-        !pool_.empty() && src >= pool_.data() && src < pool_.data() + pool_.size();
-    const std::size_t src_offset =
-        aliases_pool ? static_cast<std::size_t>(src - pool_.data()) : 0;
-    pool_.resize(pool_.size() + payload.size());
-    const NodeId* base = aliases_pool ? pool_.data() + src_offset : src;
-    NodeId* dst = pool_.data() + raw.pool_begin;
-    for (std::size_t i = 0; i < raw.pool_len; ++i) dst[i] = base[i];
-  }
-  raw_.push_back(raw);
-  dirty_ = true;
+  // The payload may point into the block (a schedule forwarding one of
+  // its own sends), so the block lives until the payload is copied.
+  const std::unique_ptr<std::byte[]> frozen = thaw();
+  raw_.push_back(RawSend{from, to, static_cast<std::uint32_t>(pool_.size()),
+                         static_cast<std::uint32_t>(payload.size())});
+  pool_.insert(pool_.end(), payload.begin(), payload.end());
   memo_.reset();
 }
 
 std::size_t MulticastSchedule::num_payload_ids() const {
   std::size_t ids = 0;
-  for (const RawSend& r : raw_) ids += r.pool_len;
+  for (const RawSend& r : records()) ids += r.pool_len;
   return ids;
 }
 
-void MulticastSchedule::finalize() const {
-  if (!dirty_) return;
-  words_.assign((topo_.num_nodes() + 63) / 64, SenderWord{});
-  std::uint32_t senders = 0;
-  for (const RawSend& r : raw_) {
-    std::uint64_t& bits = words_[r.from >> 6].bits;
-    const std::uint64_t bit = std::uint64_t{1} << (r.from & 63);
-    senders += (bits & bit) == 0;
-    bits |= bit;
-  }
-  begin_.resize(senders + std::size_t{1});
-  view_.resize(raw_.size());
+template <typename RecordAt>
+void MulticastSchedule::pack(std::uint32_t sends, std::span<const NodeId> pool,
+                             RecordAt record_at) const {
   // Counting sort by sender, stable in append order per sender. The
   // per-node counts, then bucket cursors, live in a per-thread table
-  // whose sender entries are zeroed again before returning (nothing in
-  // between allocates), so no schedule stores an O(2^n) array. Only the
-  // pass that ranks the bitmap words walks all ceil(2^n / 64) of them;
-  // the others walk the sends, so a small tree on a large cube is cheap.
+  // whose sender entries are zeroed again on the way out (the guard
+  // below, also if the allocation throws), so no schedule stores an
+  // O(2^n) array. Only the pass that ranks the bitmap words walks all
+  // ceil(2^n / 64) of them; the others walk the sends, so a small tree
+  // on a large cube is cheap.
   thread_local std::vector<std::uint32_t> cursor;
   if (cursor.size() < topo_.num_nodes()) cursor.resize(topo_.num_nodes(), 0);
   std::uint32_t* const count = cursor.data();
-  for (const RawSend& r : raw_) ++count[r.from];
+  std::uint32_t senders = 0;
+  for (std::uint32_t i = 0; i < sends; ++i) {
+    senders += count[record_at(i).from]++ == 0;
+  }
+  struct Zero {
+    std::uint32_t* count;
+    std::uint32_t sends;
+    RecordAt& record_at;
+    ~Zero() {
+      for (std::uint32_t i = 0; i < sends; ++i) count[record_at(i).from] = 0;
+    }
+  } zero{count, sends, record_at};
+
+  allocate(Shape{static_cast<std::uint32_t>((topo_.num_nodes() + 63) / 64),
+                 sends, senders, static_cast<std::uint32_t>(pool.size())});
+  SenderWord* const words = this->words();
+  std::fill(words, words + shape_.words, SenderWord{});
+  RawSend* const records = block_records();
+  for (std::uint32_t i = 0; i < sends; ++i) {
+    const RawSend r = record_at(i);
+    records[i] = r;
+    words[r.from >> 6].bits |= std::uint64_t{1} << (r.from & 63);
+  }
+  NodeId* const pool_out = block_pool();
+  std::copy(pool.begin(), pool.end(), pool_out);
+  std::uint32_t* const begin = begins();
   std::uint32_t k = 0;
   std::uint32_t start = 0;
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    words_[w].rank = k;
-    for (std::uint64_t bits = words_[w].bits; bits != 0; bits &= bits - 1) {
+  for (std::size_t w = 0; w < shape_.words; ++w) {
+    words[w].rank = k;
+    for (std::uint64_t bits = words[w].bits; bits != 0; bits &= bits - 1) {
       const auto u = static_cast<NodeId>(w * 64 + std::countr_zero(bits));
-      begin_[k++] = start;
+      begin[k++] = start;
       start += std::exchange(count[u], start);
     }
   }
-  begin_[k] = start;
-  const NodeId* pool = pool_.data();
-  Send* const view = view_.data();
-  for (const RawSend& r : raw_) {
-    view[count[r.from]++] =
-        Send{r.to, std::span<const NodeId>(pool + r.pool_begin, r.pool_len)};
+  begin[k] = start;
+  Send* const view = this->view();
+  for (std::uint32_t i = 0; i < sends; ++i) {
+    const RawSend& r = records[i];
+    view[count[r.from]++] = Send{
+        r.to, std::span<const NodeId>(pool_out + r.pool_begin, r.pool_len)};
   }
-  for (const RawSend& r : raw_) count[r.from] = 0;
-  dirty_ = false;
+}
+
+void MulticastSchedule::finalize() const {
+  if (block_) return;
+  pack(static_cast<std::uint32_t>(raw_.size()), pool_,
+       [this](std::size_t i) { return raw_[i]; });
+  free_builder();
 }
 
 std::vector<Unicast> MulticastSchedule::unicasts() const {
   std::vector<Unicast> out;
-  out.reserve(raw_.size());
+  out.reserve(num_unicasts());
   // BFS with a flat frontier; a schedule is a tree, so nodes never
   // repeat and the frontier is bounded by the send count.
   std::vector<NodeId> frontier{source_};
@@ -273,7 +310,7 @@ std::vector<Unicast> MulticastSchedule::unicasts() const {
 
 std::vector<NodeId> MulticastSchedule::recipients() const {
   std::vector<NodeId> out;
-  out.reserve(raw_.size());
+  out.reserve(num_unicasts());
   for (const Unicast& u : unicasts()) out.push_back(u.to);
   return out;
 }
@@ -307,7 +344,7 @@ void MulticastSchedule::validate() const {
       frontier.push_back(s.to);
     }
   }
-  if (tree_sends != raw_.size()) {
+  if (tree_sends != num_unicasts()) {
     throw std::logic_error(
         "schedule contains sends from nodes that never receive the message");
   }

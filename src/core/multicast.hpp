@@ -3,8 +3,11 @@
 
 #include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -74,46 +77,42 @@ struct Unicast {
 /// A schedule forms a tree rooted at the source: each non-source
 /// recipient receives exactly once (validate() enforces this).
 ///
-/// Storage is CSR-style flat arrays: one fixed-size record per send, in
-/// append order, whose payload is a range of one contiguous id pool (no
-/// per-send vectors, no per-node map). A tree built over a chain
-/// (assign_chain_tree) stores the chain once as its pool, and every
-/// payload is a range of it; add_send appends a copy of its payload
-/// instead. Accessors group the records per sender into a view, built
-/// by a counting sort: at once for a chain tree, lazily after add_send.
-/// Spans obtained from sends_from() are invalidated by the next
-/// add_send()/reset(). The lazy rebuild means the first accessor call
-/// after a mutation is not safe to race with other readers — finalize()
-/// first to share a schedule across threads read-only.
+/// A schedule is built in one of two ways. A tree over a chain
+/// (assign_chain_tree) and an XOR translation (assign_translated) are
+/// written straight into their finalized form. add_send appends to two
+/// builder vectors instead: fixed-size send records in append order,
+/// and a pool holding a copy of each payload. finalize() packs those
+/// into the finalized form and frees them; every accessor calls it.
 ///
-/// The grouped view is sized by the sends, not by the cube: a sender
-/// bitmap of ceil(2^n / 64) words, a rank (senders in earlier words)
-/// per word, and senders + 1 bucket offsets. sends_from(u) is one bit
-/// test plus one popcount; for_each_sender() walks the set bits. A
-/// 10-cube wsort tree to 48 destinations pins 2,600 bytes in all, where
-/// two dense 2^n + 1 offset arrays alone took 8,196.
+/// The finalized form is one heap block of exactly the right size
+/// holding, in order: the sender bitmap of ceil(2^n / 64) words, each
+/// with its rank (the senders in earlier words); the sends grouped by
+/// sender (stable in append order) as the Send view sends_from() hands
+/// out; the send records in append order; senders + 1 bucket offsets;
+/// and the payload pool. A chain tree stores its chain once as the pool
+/// and every payload is a range of it. sends_from(u) is one bit test
+/// plus one popcount; for_each_sender() walks the set bits. A 10-cube
+/// wsort tree to 48 destinations pins 2,544 bytes in all: the 96-byte
+/// object and a 2,448-byte block. Shared through make_shared, it is two
+/// heap objects.
+///
+/// Spans obtained from sends_from() point into the block: a move keeps
+/// them valid, and the next add_send()/reserve()/reset()/assign_*()
+/// invalidates them (add_send may still take its payload from one). The
+/// lazy packing means the first accessor call after add_send is not
+/// safe to race with other readers — finalize() first to share a
+/// schedule across threads read-only.
 class MulticastSchedule {
  public:
   MulticastSchedule(Topology topo, NodeId source)
       : topo_(std::move(topo)), source_(source) {}
 
-  // Copies drop the cached view (it points into the source's pool) and
-  // lazily rebuild against their own storage; moves keep it (the heap
-  // buffers move wholesale, so the spans stay valid). The footprint memo
-  // follows the same rule: copies start without one, moves carry it.
-  MulticastSchedule(const MulticastSchedule& other)
-      : topo_(other.topo_), source_(other.source_), raw_(other.raw_),
-        pool_(other.pool_) {}
+  // A copy allocates its own block and points its view into it; moves
+  // keep the block (the spans stay valid). Copies start without the
+  // footprint memo, moves carry it.
+  MulticastSchedule(const MulticastSchedule& other);
   MulticastSchedule& operator=(const MulticastSchedule& other) {
-    if (this != &other) {
-      topo_ = other.topo_;
-      source_ = other.source_;
-      raw_ = other.raw_;
-      pool_ = other.pool_;
-      dirty_ = true;
-      view_.clear();
-      memo_.reset();
-    }
+    if (this != &other) *this = MulticastSchedule(other);
     return *this;
   }
   MulticastSchedule(MulticastSchedule&&) noexcept = default;
@@ -122,9 +121,8 @@ class MulticastSchedule {
   const Topology& topo() const { return topo_; }
   NodeId source() const { return source_; }
 
-  /// Re-initialize in place, keeping the flat arrays' capacity (as
-  /// assign_chain_tree and assign_translated do, which is what lets
-  /// TreeBuilder sweeps reach a zero-allocation steady state).
+  /// Re-initialize in place as an empty schedule: the block is freed,
+  /// the builder vectors keep their capacity.
   void reset(Topology topo, NodeId source);
 
   /// Capacity hint: `sends` future add_send calls carrying
@@ -134,15 +132,14 @@ class MulticastSchedule {
   /// Become the XOR-relabeling of `relative`: every node id (source,
   /// sender, recipient, payload entry) is XORed with `mask`. This is how
   /// the schedule cache materializes a caller-facing schedule from a
-  /// cached source-relative one — a straight linear copy of the flat
-  /// arrays (capacity kept, like reset()), with none of the sorting,
-  /// validation or worklist cost of a fresh build. The result compares
-  /// equal (operator==) to building the translated request directly for
-  /// every translation-invariant algorithm. `relative` may not alias
-  /// this schedule. When `relative` is finalized the grouped view is
-  /// translated too (XOR permutes whole sender buckets, so it is a
-  /// gather copy, not a re-sort) and the result is immediately safe to
-  /// share; otherwise the view is left dirty — finalize() first.
+  /// cached source-relative one — one block of the relative's size,
+  /// filled by a linear pass, with none of the sorting, validation or
+  /// worklist cost of a fresh build. XOR permutes whole sender buckets,
+  /// so the grouped view is a gather copy, not a re-sort. The result is
+  /// finalized and compares equal (operator==) to building the
+  /// translated request directly for every translation-invariant
+  /// algorithm. `relative` is finalized first and may not alias this
+  /// schedule.
   void assign_translated(const MulticastSchedule& relative, NodeId mask);
 
   /// Become the tree whose sends are `sends` over `chain` (position 0 is
@@ -150,13 +147,15 @@ class MulticastSchedule {
   /// pool and each payload is a range of it, so nothing is copied per
   /// send. `sends` lists each sender's sends in issue order; their
   /// order is also the append order operator== compares. The result is
-  /// finalized. `chain` may not alias this schedule.
+  /// finalized, written straight into its block. `chain` may not alias
+  /// this schedule.
   void assign_chain_tree(const Topology& topo, std::span<const NodeId> chain,
                          std::span<const ChainSend> sends);
 
   /// Append a send to `from`'s issue list. The payload is copied into
-  /// the schedule's pool (the argument may alias any storage, including
-  /// this schedule's own pool).
+  /// the builder pool; it may point into this schedule's own block (a
+  /// schedule forwarding one of its own sends), which stays alive until
+  /// the copy is made.
   void add_send(NodeId from, NodeId to, std::span<const NodeId> payload = {});
   void add_send(NodeId from, NodeId to, std::initializer_list<NodeId> payload) {
     add_send(from, to, std::span<const NodeId>(payload.begin(), payload.size()));
@@ -164,8 +163,8 @@ class MulticastSchedule {
 
   /// The ordered sends issued by node u (empty list if u sends nothing).
   std::span<const Send> sends_from(NodeId u) const {
-    if (dirty_) finalize();
-    const SenderWord& word = words_[u >> 6];
+    if (!block_) finalize();
+    const SenderWord& word = words()[u >> 6];
     const std::uint64_t bit = std::uint64_t{1} << (u & 63);
     if ((word.bits & bit) == 0) return {};
     return bucket(word.rank + hcube::popcount64(word.bits & (bit - 1)));
@@ -175,12 +174,12 @@ class MulticastSchedule {
   /// order, without allocating.
   template <typename Fn>
   void for_each_sender(Fn&& fn) const {
-    if (dirty_) finalize();
+    if (!block_) finalize();
     std::size_t k = 0;
     for_each_sender_id([&](NodeId u) { fn(u, bucket(k++)); });
   }
 
-  /// Build the grouped per-sender view now (idempotent). Called
+  /// Pack the builder vectors into the block now (idempotent). Called
   /// implicitly by every accessor; calling it explicitly makes the
   /// schedule safe for concurrent read-only use.
   void finalize() const;
@@ -193,17 +192,17 @@ class MulticastSchedule {
   std::vector<Unicast> unicasts() const;
 
   /// Total number of unicast messages in the schedule.
-  std::size_t num_unicasts() const { return raw_.size(); }
+  std::size_t num_unicasts() const { return records().size(); }
 
   /// Destination ids carried by all payloads together, summed over the
-  /// sends (payloads of a chain tree share the pool, so this is not
-  /// pool_.size()).
+  /// sends (payloads of a chain tree share the pool, so this is not the
+  /// pool's size).
   std::size_t num_payload_ids() const;
 
   /// Number of nodes with at least one outgoing send.
   std::size_t num_senders() const {
-    if (dirty_) finalize();
-    return begin_.size() - 1;
+    if (!block_) finalize();
+    return shape_.senders;
   }
 
   /// Nodes with at least one outgoing send, including the source if it
@@ -244,8 +243,8 @@ class MulticastSchedule {
   /// is held. Never computes.
   const ArcFootprint* arc_footprint_memo() const { return memo_.get(); }
 
-  /// Heap bytes the flat arrays pin (capacity, not size — what a cache
-  /// entry actually holds resident).
+  /// Bytes the schedule pins: the object, its block and any builder
+  /// capacity (what a cache entry actually holds resident).
   std::size_t footprint_bytes() const;
 
   /// Structural equality: same topology, source, and identical append
@@ -257,7 +256,7 @@ class MulticastSchedule {
 
  private:
   /// One send record: fixed size, payload in [pool_begin,
-  /// pool_begin + pool_len) of pool_.
+  /// pool_begin + pool_len) of the pool.
   struct RawSend {
     NodeId from = 0;
     NodeId to = 0;
@@ -305,11 +304,58 @@ class MulticastSchedule {
     std::uint32_t rank = 0;
   };
 
-  /// Call fn(u) for every node u set in words_, ascending.
+  /// The sizes of a block's arrays; their byte offsets follow, in block
+  /// order (each array's alignment divides the bytes before it).
+  struct Shape {
+    std::uint32_t words = 0;    ///< ceil(num_nodes / 64)
+    std::uint32_t sends = 0;
+    std::uint32_t senders = 0;
+    std::uint32_t pool = 0;
+
+    std::size_t view_at() const { return words * sizeof(SenderWord); }
+    std::size_t records_at() const { return view_at() + sends * sizeof(Send); }
+    std::size_t begin_at() const {
+      return records_at() + sends * sizeof(RawSend);
+    }
+    std::size_t pool_at() const {
+      return begin_at() + (senders + std::size_t{1}) * sizeof(std::uint32_t);
+    }
+    std::size_t bytes() const { return pool_at() + pool * sizeof(NodeId); }
+  };
+
+  /// The block's array of T at byte `offset`. The byte array's
+  /// allocation implicitly creates the (implicit-lifetime) elements.
+  template <typename T>
+  T* at(std::size_t offset) const {
+    return std::launder(reinterpret_cast<T*>(block_.get() + offset));
+  }
+  // The block's arrays (valid while block_ is set). Bit u % 64 of
+  // words()[u / 64] marks sender u; its rank k is that word's rank plus
+  // the set bits below u in it, and its sends are
+  // view()[begins()[k] .. begins()[k + 1]).
+  SenderWord* words() const { return at<SenderWord>(0); }
+  Send* view() const { return at<Send>(shape_.view_at()); }
+  RawSend* block_records() const { return at<RawSend>(shape_.records_at()); }
+  std::uint32_t* begins() const { return at<std::uint32_t>(shape_.begin_at()); }
+  NodeId* block_pool() const { return at<NodeId>(shape_.pool_at()); }
+
+  /// The send records in append order and the pool, from whichever
+  /// state holds them; neither call finalizes.
+  std::span<const RawSend> records() const {
+    if (block_) return {block_records(), shape_.sends};
+    return raw_;
+  }
+  std::span<const NodeId> pool() const {
+    if (block_) return {block_pool(), shape_.pool};
+    return pool_;
+  }
+
+  /// Call fn(u) for every node u set in the sender bitmap, ascending.
   template <typename Fn>
   void for_each_sender_id(Fn&& fn) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      for (std::uint64_t bits = words_[w].bits; bits != 0; bits &= bits - 1) {
+    const SenderWord* const ws = words();
+    for (std::size_t w = 0; w < shape_.words; ++w) {
+      for (std::uint64_t bits = ws[w].bits; bits != 0; bits &= bits - 1) {
         fn(static_cast<NodeId>(w * 64 + std::countr_zero(bits)));
       }
     }
@@ -317,22 +363,38 @@ class MulticastSchedule {
 
   /// The k-th sender's sends (k counts senders in ascending order).
   std::span<const Send> bucket(std::size_t k) const {
-    return {view_.data() + begin_[k], begin_[k + 1] - begin_[k]};
+    const std::uint32_t* const begin = begins();
+    return {view() + begin[k], begin[k + 1] - begin[k]};
   }
+
+  /// Make block_ a block of `shape`, reusing the current one when it is
+  /// exactly that size. Its contents are the caller's to write.
+  void allocate(const Shape& shape) const;
+
+  /// Write the block from `sends` records (record_at(i) for i < sends)
+  /// over `pool`: the counting sort by sender shared by finalize() and
+  /// assign_chain_tree().
+  template <typename RecordAt>
+  void pack(std::uint32_t sends, std::span<const NodeId> pool,
+            RecordAt record_at) const;
+
+  /// Move a finalized schedule's records and pool back into the builder
+  /// vectors; returns the block, which the caller frees once nothing
+  /// reads it. Returns null when the schedule holds no block.
+  std::unique_ptr<std::byte[]> thaw();
+
+  /// Release the builder vectors' storage (assigning {} would keep it).
+  void free_builder() const;
 
   Topology topo_;
   NodeId source_;
-  std::vector<RawSend> raw_;   ///< append order
-  std::vector<NodeId> pool_;   ///< a chain tree's chain, then copied payloads
-
-  // Cached per-sender grouping (counting sort by sender, stable within
-  // a sender). Bit u % 64 of words_[u / 64] marks sender u; its rank k
-  // is that word's rank plus the set bits below u in it, and its sends
-  // are view_[begin_[k] .. begin_[k+1]).
-  mutable bool dirty_ = true;
-  mutable std::vector<Send> view_;
-  mutable std::vector<SenderWord> words_;     ///< ceil(num_nodes / 64)
-  mutable std::vector<std::uint32_t> begin_;  ///< senders + 1 offsets
+  // Builder state (add_send), emptied and freed by finalize().
+  mutable std::vector<RawSend> raw_;   ///< append order
+  mutable std::vector<NodeId> pool_;   ///< copied payloads
+  // Finalized state: set by finalize(), assign_chain_tree() and
+  // assign_translated(), dropped by every mutation.
+  mutable std::unique_ptr<std::byte[]> block_;
+  mutable Shape shape_;  ///< block_'s shape (meaningless without one)
 
   FootprintMemo memo_;  ///< see cached_arc_footprint()
 };

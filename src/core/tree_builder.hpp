@@ -19,8 +19,9 @@ namespace hypercast::core {
 /// stores once — no per-hop payload copies, no per-delivery allocation.
 /// The builder owns the chain buffer, the key cache, the worklists and
 /// the sends; reusing one TreeBuilder across a sweep of thousands of
-/// builds reaches a zero-allocation steady state (together with a
-/// reused output schedule, which keeps its arrays' capacity too).
+/// builds allocates nothing but each output schedule's one block (and
+/// not even that when a reused output's block is already the right
+/// size).
 ///
 /// W-sort is one pass over the sorted relative keys: the weighted_sort
 /// permutation (Figure 7) and Maxport's HighDim rule split the same

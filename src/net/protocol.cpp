@@ -3,6 +3,7 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 namespace hypercast::net {
 
@@ -154,9 +155,14 @@ const char* status_name(Status status) {
   return "unknown";
 }
 
-core::MulticastRequest RequestMsg::to_request() const {
+core::MulticastRequest RequestMsg::to_request() const& {
   return core::MulticastRequest{hcube::Topology(dim, resolution), source,
                                 destinations};
+}
+
+core::MulticastRequest RequestMsg::to_request() && {
+  return core::MulticastRequest{hcube::Topology(dim, resolution), source,
+                                std::move(destinations)};
 }
 
 std::size_t frame_size(std::string_view buffer, std::size_t max_body) {

@@ -63,8 +63,10 @@ struct RequestMsg {
 
   /// Materialize the core request (topology built from dim/resolution).
   /// Does not validate: the server validates centrally so that the
-  /// error response is uniform.
-  core::MulticastRequest to_request() const;
+  /// error response is uniform. The rvalue overload moves the
+  /// destinations out instead of copying them; the other fields stay.
+  core::MulticastRequest to_request() const&;
+  core::MulticastRequest to_request() &&;
 };
 
 /// Decoded response header; `message` carries the error text for

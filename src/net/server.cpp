@@ -782,7 +782,9 @@ void Server::Loop::serve_ready() {
   deadlines_.clear();
   for (std::size_t i = 0; i < batch_.size(); ++i) {
     try {
-      core::MulticastRequest request = batch_[i].request.msg.to_request();
+      // Moves the destinations out; only the id is read afterwards.
+      core::MulticastRequest request =
+          std::move(batch_[i].request.msg).to_request();
       request.validate();
       requests_.push_back(std::move(request));
       live_.push_back(i);

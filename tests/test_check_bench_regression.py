@@ -156,6 +156,18 @@ class ExactGate(GateRun):
         self.assertEqual(done.returncode, 1, done.stdout + done.stderr)
         self.assertIn("<missing>", done.stdout)
 
+    def test_measured_speedups_are_timing_but_simulated_ones_are_not(self):
+        def doc(measured, simulated):
+            return artifact(0, "Release", {
+                "hot_repeated speedup": measured,
+                "wsort/224 cached_speedup": measured,
+                "striped_speedup_6cube_1MiB": simulated})
+        done = self.run_gate(doc(3.2, 5.1), doc(6.0, 5.1), "--exact")
+        self.assertEqual(done.returncode, 0, done.stdout + done.stderr)
+        done = self.run_gate(doc(6.0, 5.2), doc(6.0, 5.1), "--exact")
+        self.assertEqual(done.returncode, 1, done.stdout + done.stderr)
+        self.assertIn("'striped_speedup_6cube_1MiB'", done.stdout)
+
     def test_without_exact_results_are_not_compared(self):
         done = self.run_gate(self.figure(100.0, mean=3.0, events=7),
                              self.figure(100.0))

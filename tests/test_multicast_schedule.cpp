@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "core/registry.hpp"
@@ -360,6 +361,169 @@ TEST(MulticastScheduleView, FootprintFollowsSendsNotTheCube) {
   MulticastSchedule translated(topo, 0);
   translated.assign_translated(s, 0x2a5);
   EXPECT_LE(translated.footprint_bytes(), 3584u);
+}
+
+// ---- the finalized block: lifetimes and footprint -------------------------
+// Run under ASan, these catch a span that outlives the block it points
+// into, or a copy whose view still points into its source's block.
+
+/// The bytes a finalized schedule pins: the object, plus a block of
+/// 16-byte sender words, a Send and a 16-byte record per send, senders
+/// + 1 offsets and `pool_ids` pool entries.
+std::size_t finalized_footprint(const MulticastSchedule& s,
+                                std::size_t pool_ids) {
+  const std::size_t words = (s.topo().num_nodes() + 63) / 64;
+  return sizeof(MulticastSchedule) + words * 16 +
+         s.num_unicasts() * (sizeof(Send) + 16) +
+         (s.num_senders() + 1) * sizeof(std::uint32_t) +
+         pool_ids * sizeof(NodeId);
+}
+
+/// Every send of `s` with an owned copy of its payload, per sender.
+Grouping grouping_of(const MulticastSchedule& s) {
+  Grouping out(s.topo().num_nodes());
+  s.for_each_sender([&](NodeId u, std::span<const Send> sends) {
+    for (const Send& x : sends) {
+      out[u].emplace_back(x.to, testutil::to_vec(x.payload));
+    }
+  });
+  return out;
+}
+
+MulticastSchedule wsort_tree(const Topology& topo, std::size_t m,
+                             workload::Rng& rng) {
+  const MulticastRequest request{
+      topo, 0, workload::random_destinations(topo, 0, m, rng)};
+  MulticastSchedule s = find_algorithm("wsort").build(request);
+  s.finalize();
+  return s;
+}
+
+TEST(MulticastScheduleBlock, AddSendTakesItsPayloadFromItsOwnBlock) {
+  const Topology topo(6);
+  workload::Rng rng(61);
+  MulticastSchedule chain = wsort_tree(topo, 24, rng);
+  MulticastSchedule translated(topo, 0);
+  translated.assign_translated(chain, 0x15);
+  for (MulticastSchedule* s : {&chain, &translated}) {
+    Grouping ref = grouping_of(*s);
+    for (int i = 0; i < 12; ++i) {
+      // Each sends_from() packs a fresh block; add_send then moves it
+      // back into the builder vectors while the payload still points
+      // into it.
+      const std::span<const Send> sends = s->sends_from(s->source());
+      const Send& pick = sends[rng() % sends.size()];
+      const auto from = static_cast<NodeId>(rng() % topo.num_nodes());
+      const auto to = static_cast<NodeId>(rng() % topo.num_nodes());
+      ref[from].emplace_back(to, testutil::to_vec(pick.payload));
+      s->add_send(from, to, pick.payload);
+      ASSERT_TRUE(matches(*s, ref)) << "add_send " << i;
+    }
+  }
+}
+
+TEST(MulticastScheduleBlock, CopiesAndAssignmentsOwnTheirBlocks) {
+  const Topology topo(7);
+  workload::Rng rng(62);
+  auto original =
+      std::make_unique<MulticastSchedule>(wsort_tree(topo, 40, rng));
+  const Grouping ref = grouping_of(*original);
+  const std::size_t footprint = original->footprint_bytes();
+
+  MulticastSchedule copied(*original);
+  MulticastSchedule over_builder(Topology(3), 1);
+  over_builder.add_send(1, 2, {3});
+  over_builder = *original;
+  MulticastSchedule over_block = wsort_tree(topo, 5, rng);
+  over_block = *original;
+  MulticastSchedule self = *original;
+  const MulticastSchedule& alias = self;
+  self = alias;
+  MulticastSchedule translated = wsort_tree(topo, 40, rng);
+  translated.assign_translated(*original, 0);
+  // Each holds its own block: the original's going away touches none.
+  original.reset();
+  for (const MulticastSchedule* s :
+       {&copied, &over_builder, &over_block, &self, &translated}) {
+    EXPECT_TRUE(matches(*s, ref));
+    EXPECT_TRUE(*s == copied);
+    EXPECT_EQ(s->footprint_bytes(), footprint);
+  }
+
+  MulticastSchedule moved(std::move(copied));
+  EXPECT_TRUE(matches(moved, ref));
+  MulticastSchedule move_assigned = wsort_tree(topo, 9, rng);
+  move_assigned = std::move(moved);
+  EXPECT_TRUE(matches(move_assigned, ref));
+  EXPECT_EQ(move_assigned.footprint_bytes(), footprint);
+
+  // A builder-state copy carries the vectors and packs on first read.
+  MulticastSchedule building(topo, 0);
+  building.add_send(0, 1, {2, 3});
+  MulticastSchedule building_copy(building);
+  building.reset(topo, 0);
+  ASSERT_EQ(building_copy.sends_from(0).size(), 1u);
+  EXPECT_EQ(testutil::to_vec(building_copy.sends_from(0)[0].payload),
+            (std::vector<NodeId>{2, 3}));
+
+  // reset() frees the block; the builder vectors it left were freed by
+  // the pack, so nothing is pinned.
+  move_assigned.reset(topo, 0);
+  EXPECT_EQ(move_assigned.footprint_bytes(), sizeof(MulticastSchedule));
+  EXPECT_TRUE(matches(move_assigned, Grouping(topo.num_nodes())));
+}
+
+TEST(MulticastScheduleBlock, SendsFromSpansSurviveAMove) {
+  const Topology topo(8);
+  workload::Rng rng(63);
+  std::vector<MulticastSchedule> trees;
+  std::vector<std::span<const Send>> spans;
+  std::vector<Grouping> refs;
+  for (int i = 0; i < 9; ++i) {
+    // Growing the vector moves every tree built so far.
+    trees.push_back(wsort_tree(topo, 30, rng));
+    spans.push_back(trees.back().sends_from(0));
+    refs.push_back(grouping_of(trees.back()));
+  }
+  for (std::size_t i = 0; i < trees.size(); ++i) {
+    EXPECT_EQ(trees[i].sends_from(0).data(), spans[i].data());
+    ASSERT_EQ(spans[i].size(), refs[i][0].size());
+    for (std::size_t j = 0; j < spans[i].size(); ++j) {
+      EXPECT_EQ(spans[i][j].to, refs[i][0][j].first);
+      EXPECT_EQ(testutil::to_vec(spans[i][j].payload), refs[i][0][j].second);
+    }
+  }
+  MulticastSchedule assigned(topo, 0);
+  assigned = std::move(trees[0]);
+  EXPECT_EQ(assigned.sends_from(0).data(), spans[0].data());
+}
+
+TEST(MulticastScheduleBlock, FootprintIsTheBlockPlusBuilderCapacity) {
+  const Topology topo(10);
+  workload::Rng rng(64);
+  for (const char* name : {"ucube", "maxport", "combine", "wsort"}) {
+    const MulticastRequest request{
+        topo, 5, workload::random_destinations(topo, 5, 48, rng)};
+    const MulticastSchedule tree = find_algorithm(name).build(request);
+    // A chain tree's pool is its chain: the source and the destinations.
+    EXPECT_EQ(tree.footprint_bytes(), finalized_footprint(tree, 49)) << name;
+    MulticastSchedule translated(topo, 0);
+    translated.assign_translated(tree, 0x2a5);
+    EXPECT_EQ(translated.footprint_bytes(), tree.footprint_bytes()) << name;
+  }
+
+  MulticastSchedule built(topo, 0);
+  for (NodeId u = 1; u < 40; ++u) built.add_send(u - 1, u, {u, u + 1});
+  EXPECT_GE(built.footprint_bytes(),
+            sizeof(MulticastSchedule) + 39 * 16 + 78 * sizeof(NodeId));
+  built.finalize();
+  EXPECT_EQ(built.footprint_bytes(),
+            finalized_footprint(built, built.num_payload_ids()));
+  built.add_send(39, 40);
+  built.finalize();
+  EXPECT_EQ(built.footprint_bytes(),
+            finalized_footprint(built, built.num_payload_ids()));
+  EXPECT_EQ(built.num_unicasts(), 40u);
 }
 
 }  // namespace

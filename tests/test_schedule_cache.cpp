@@ -8,10 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <list>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "coll/schedule_cache.hpp"
@@ -317,6 +322,232 @@ TEST(ScheduleCache, FaultFingerprintSaltSeparatesAbsoluteEntries) {
   EXPECT_NE(cache.get(relative), nullptr);
   EXPECT_NE(cache.get(under_a), nullptr);
   EXPECT_EQ(cache.stats().entries, 3u);
+}
+
+// ---- differential test: the flat shard against a reference model ---------
+
+/// One shard as ScheduleCache documents it, built from std::unordered_map
+/// and a std::list LRU, with offer()'s doorkeeper (2^16 bits indexed by
+/// the low hash bits, reset after more first sightings than resident
+/// entries, clamped to [64, 2^14]) and the thread-local L1 (128 slots
+/// indexed by hash bits 8..14, stamped on a shared-tier hit, pinning
+/// their schedule until overwritten). Schedules are named by ids.
+class ReferenceShard {
+ public:
+  explicit ReferenceShard(std::size_t budget) : budget_(budget) {}
+
+  /// The id get() returns, or -1 on a miss.
+  int get(const CacheKey& key) {
+    L1& slot = l1_[(key.hash >> 8) & 127];
+    if (slot.id >= 0 && slot.generation == generation_ && slot.key == key) {
+      ++stats.l1_hits;
+      return slot.id;
+    }
+    const auto it = map_.find(key);
+    if (it == map_.end()) {
+      ++stats.misses;
+      return -1;
+    }
+    lru_.splice(lru_.begin(), lru_, it->second.lru);
+    ++stats.hits;
+    slot = L1{generation_, key, it->second.id};
+    return it->second.id;
+  }
+
+  void put(const CacheKey& key, int id, std::size_t bytes) {
+    auto [it, inserted] = map_.try_emplace(key);
+    if (!inserted) {
+      stats.bytes -= it->second.bytes;
+      lru_.erase(it->second.lru);
+    }
+    lru_.push_front(key);
+    it->second = Entry{id, bytes, lru_.begin()};
+    stats.bytes += bytes;
+    while (stats.bytes > budget_ && lru_.size() > 1) {
+      const auto victim = map_.find(lru_.back());
+      stats.bytes -= victim->second.bytes;
+      map_.erase(victim);
+      lru_.pop_back();
+      ++stats.evictions;
+    }
+    stats.entries = map_.size();
+  }
+
+  bool admit(const CacheKey& key, std::size_t bytes) {
+    if (stats.bytes + bytes <= budget_) return true;
+    const std::size_t bit = key.hash & 0xffff;
+    if (doorkeeper_[bit]) return true;
+    doorkeeper_[bit] = true;
+    if (++first_sightings_ >
+        std::clamp<std::size_t>(map_.size(), 64, std::size_t{1} << 14)) {
+      doorkeeper_.assign(doorkeeper_.size(), false);
+      first_sightings_ = 0;
+    }
+    ++stats.declined;
+    return false;
+  }
+
+  bool offer(const CacheKey& key, int id, std::size_t bytes) {
+    if (!admit(key, bytes)) return false;
+    put(key, id, bytes);
+    return true;
+  }
+
+  void clear() {
+    map_.clear();
+    lru_.clear();
+    stats.bytes = 0;
+    stats.entries = 0;
+    doorkeeper_.assign(doorkeeper_.size(), false);
+    first_sightings_ = 0;
+    ++generation_;
+  }
+
+  /// Ids the real cache must keep alive: resident or pinned by the L1.
+  std::set<int> alive() const {
+    std::set<int> out;
+    for (const auto& [key, entry] : map_) out.insert(entry.id);
+    for (const L1& slot : l1_) {
+      if (slot.id >= 0) out.insert(slot.id);
+    }
+    return out;
+  }
+
+  ScheduleCache::Stats stats;
+
+ private:
+  struct Entry {
+    int id = -1;
+    std::size_t bytes = 0;
+    std::list<CacheKey>::iterator lru;
+  };
+  struct L1 {
+    std::uint64_t generation = 0;
+    CacheKey key;
+    int id = -1;
+  };
+  struct KeyHash {
+    std::size_t operator()(const CacheKey& k) const { return k.hash; }
+  };
+
+  std::size_t budget_;
+  std::unordered_map<CacheKey, Entry, KeyHash> map_;
+  std::list<CacheKey> lru_;
+  std::vector<bool> doorkeeper_ = std::vector<bool>(std::size_t{1} << 16);
+  std::size_t first_sightings_ = 0;
+  std::uint64_t generation_ = 0;
+  std::array<L1, 128> l1_;
+};
+
+/// `count` keys whose hashes collide on purpose: most share one of a few
+/// low 16-bit patterns (so they share home slots, probe runs, L1 slots
+/// and doorkeeper bits), and every seventh key repeats the previous
+/// key's full 64-bit hash with different words.
+std::vector<CacheKey> colliding_keys(std::size_t count, workload::Rng& rng) {
+  constexpr std::uint64_t kLow[] = {0x0000, 0x0001, 0x0040, 0x0041, 0x1f00};
+  std::vector<CacheKey> keys(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    CacheKey& key = keys[i];
+    key.dim = 6;
+    key.words = {static_cast<std::uint32_t>(i), 63};
+    if (i % 7 == 6) {
+      key.hash = keys[i - 1].hash;
+    } else if (i % 3 == 2) {
+      key.hash = rng();
+    } else {
+      key.hash = (rng() << 16) | kLow[rng() % std::size(kLow)];
+    }
+  }
+  return keys;
+}
+
+/// A finalized schedule with `sends` sends on the 6-cube.
+std::shared_ptr<const core::MulticastSchedule> schedule_of_size(
+    std::size_t sends) {
+  auto s = std::make_shared<core::MulticastSchedule>(Topology(6), 0);
+  for (NodeId u = 1; u <= sends; ++u) s->add_send(u - 1, u, {u, 63});
+  s->finalize();
+  return s;
+}
+
+::testing::AssertionResult same_stats(const ScheduleCache::Stats& got,
+                                      const ScheduleCache::Stats& want) {
+  if (got.hits == want.hits && got.l1_hits == want.l1_hits &&
+      got.misses == want.misses && got.evictions == want.evictions &&
+      got.declined == want.declined && got.entries == want.entries &&
+      got.bytes == want.bytes) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "hits " << got.hits << "/" << want.hits << ", l1_hits "
+         << got.l1_hits << "/" << want.l1_hits << ", misses " << got.misses
+         << "/" << want.misses << ", evictions " << got.evictions << "/"
+         << want.evictions << ", declined " << got.declined << "/"
+         << want.declined << ", entries " << got.entries << "/"
+         << want.entries << ", bytes " << got.bytes << "/" << want.bytes;
+}
+
+TEST(ScheduleCacheFlat, MatchesAReferenceLruModelOperationByOperation) {
+  for (const std::size_t budget_entries : {1, 6, 40}) {
+    workload::Rng rng(71 + budget_entries);
+    const std::vector<CacheKey> keys =
+        colliding_keys(3 * budget_entries + 8, rng);
+    // Entries charge 200-odd to 500-odd bytes, so a put can evict several.
+    const std::size_t budget =
+        budget_entries * charged_bytes(keys[0], schedule_of_size(4));
+    const auto cache = one_shard_cache(budget);
+    ReferenceShard model(budget);
+    // Weak handles of every schedule made: a victim's handle expires
+    // exactly when the model stops holding its id.
+    std::vector<std::weak_ptr<const core::MulticastSchedule>> made;
+    std::set<int> alive;
+    for (int op = 0; op < 3000; ++op) {
+      const CacheKey& key = keys[rng() % keys.size()];
+      const std::uint64_t dice = rng() % 100;
+      std::string what;
+      if (dice < 40) {
+        what = "get";
+        const int want = model.get(key);
+        const auto got = cache->get(key);
+        ASSERT_EQ(got, want < 0 ? nullptr : made[want].lock()) << op;
+      } else if (dice < 99) {
+        auto schedule = schedule_of_size(1 + rng() % 8);
+        const std::size_t bytes = charged_bytes(key, schedule);
+        const int id = static_cast<int>(made.size());
+        made.push_back(schedule);
+        if (dice < 55) {
+          what = "put";
+          model.put(key, id, bytes);
+          cache->put(key, std::move(schedule));
+        } else if (dice < 85) {
+          what = "offer";
+          ASSERT_EQ(cache->offer(key, std::move(schedule)),
+                    model.offer(key, id, bytes))
+              << op;
+        } else {
+          what = "admit";
+          ASSERT_EQ(cache->admit(key, *schedule), model.admit(key, bytes))
+              << op;
+        }
+      } else {
+        what = "clear";
+        model.clear();
+        cache->clear();
+      }
+      ASSERT_TRUE(same_stats(cache->stats(), model.stats))
+          << "budget " << budget_entries << ", op " << op << " (" << what
+          << ")";
+      std::set<int> now = model.alive();
+      alive.insert(static_cast<int>(made.size()) - 1);
+      for (const int id : alive) {
+        if (id < 0) continue;
+        ASSERT_EQ(made[id].expired(), now.count(id) == 0)
+            << "budget " << budget_entries << ", op " << op << " (" << what
+            << "), schedule " << id;
+      }
+      alive = std::move(now);
+    }
+  }
 }
 
 // ---- the serving pipeline ------------------------------------------------

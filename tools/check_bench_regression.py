@@ -23,11 +23,14 @@ Usage:
       [--baseline-dir results] [--threshold 0.30] [--only SUBSTR] [--exact]
 
 --exact gates what a benchmark computes instead of how fast: every
-metric the timing gate does not compare (step counts, simulated delays,
-event counts, ...) and every series point must equal the baseline's, and
-a benchmark's non-timing metric present on only one side is a
-difference too. Timing metrics are ignored, and so is the build type
-check below. For deterministic benchmarks (the paper figures run a
+non-timing metric (step counts, simulated delays, event counts, ...)
+and every series point must equal the baseline's, and a benchmark's
+non-timing metric present on only one side is a difference too. Timing
+metrics are ignored: the rates and latencies above, and keys ending in
+"speedup", which are ratios of two measured rates ("hot_repeated
+speedup", "wsort/224 cached_speedup"). A ratio of simulated figures
+names what it compares after the word ("striped_speedup_6cube_1MiB")
+and stays exact. The build type check below is skipped too. For deterministic benchmarks (the paper figures run a
 seeded, integer-time simulation) any difference is a change in results.
 
 Rates from different build types are not comparable (a RelWithDebInfo
@@ -55,6 +58,7 @@ from pathlib import Path
 
 RATE_MARKERS = ("per_sec", "per_s")
 LATENCY_SUFFIXES = ("ns_per_event", "_p99_us")
+TIMING_RATIO_SUFFIX = "speedup"
 
 
 def metric_direction(key: str):
@@ -65,6 +69,12 @@ def metric_direction(key: str):
     if any(marker in key for marker in RATE_MARKERS):
         return "higher"
     return None
+
+
+def is_timing(key: str) -> bool:
+    """Whether --exact ignores `key`: a gated rate or latency, or a
+    ratio of two measured rates."""
+    return bool(metric_direction(key)) or key.endswith(TIMING_RATIO_SUFFIX)
 
 
 def load_artifacts(directory: Path):
@@ -114,7 +124,7 @@ def exact_differences(name, fresh_doc, base_doc):
     fresh_metrics = fresh_doc.get("metrics", {})
     base_metrics = base_doc.get("metrics", {})
     for key in sorted(fresh_metrics.keys() | base_metrics.keys()):
-        if metric_direction(key):
+        if is_timing(key):
             continue
         fresh_value = fresh_metrics.get(key, "<missing>")
         base_value = base_metrics.get(key, "<missing>")
