@@ -11,10 +11,12 @@
 // materializing a cached relative schedule at a new source (translate)
 // and writing the Ok response (encode), for sparse serving shapes and
 // for the dense IST broadcast trees striped serving translates. A
-// cold-miss row serves fresh random sets into a full cache, and a hit
-// row serves resident translations from a set larger than the
-// thread-local L1; each serve is timed, and both report the rate and the
-// p99 serve latency.
+// cold-miss row serves fresh random sets into a full cache through the
+// server's serve_view(), and two hit rows serve resident translations
+// from a set larger than the thread-local L1 — through serve()
+// (materialized translations) and through the server's path,
+// serve_view() plus the masked encoder; each serve is timed, and every
+// row reports the rate and the p99 latency.
 
 #include <algorithm>
 #include <chrono>
@@ -175,11 +177,11 @@ std::pair<double, double> rate_and_p99(std::size_t count, Serve&& serve) {
 
 /// cold_serves_per_sec and cold_serve_p99_us: W-sort requests for fresh
 /// random sets (10-cube, m = 48, random sources) through
-/// ServePipeline::serve into a one-shard cache that is already full, as
-/// a server's cold stream meets it: every request misses at both levels
-/// and is built at its source, and its entries are declined (first
-/// sightings). Every request is new, so each is served once and timed
-/// on its own.
+/// ServePipeline::serve_view into a one-shard cache that is already
+/// full, as a server's cold stream meets it: every request misses, its
+/// relative tree is built at source 0, and its entry is declined (a
+/// first sighting). Every request is new, so each is served once and
+/// timed on its own.
 void cold_miss_row(const bench::Context& ctx, bench::Report& report) {
   const hcube::Topology topo(10);
   const std::size_t m = 48;
@@ -194,14 +196,15 @@ void cold_miss_row(const bench::Context& ctx, bench::Report& report) {
   config.max_bytes = std::size_t{2} << 20;
   const auto cache = std::make_shared<coll::ScheduleCache>(config);
   const coll::ServePipeline pipeline("wsort", cache);
-  while (cache->stats().declined == 0) (void)pipeline.serve(fresh());
+  while (cache->stats().declined == 0) (void)pipeline.serve_view(fresh());
 
   std::vector<core::MulticastRequest> stream;
   for (std::size_t i = 0; i < (ctx.quick ? 4096u : 32768u); ++i) {
     stream.push_back(fresh());
   }
   const auto [per_sec, p99] = rate_and_p99(
-      stream.size(), [&](std::size_t i) { (void)pipeline.serve(stream[i]); });
+      stream.size(),
+      [&](std::size_t i) { (void)pipeline.serve_view(stream[i]); });
   const std::string key = "wsort/10-cube-" + std::to_string(m);
   report.metric(key + " cold_serves_per_sec", per_sec);
   report.metric(key + " cold_serve_p99_us", p99);
@@ -209,13 +212,19 @@ void cold_miss_row(const bench::Context& ctx, bench::Report& report) {
               per_sec, p99);
 }
 
-/// hit_serves_per_sec and hit_serve_p99_us: absolute-level hits as
-/// perfbench's serve_hot meets them. W-sort XOR-translations of 64
-/// shapes (8-cube, m = 24) at every source make 16,384 (source, shape)
-/// pairs, all resident after one warm pass. The timed stream draws pairs
-/// at random, so the 128-slot thread-local L1 rarely holds the pair and
-/// nearly every hit probes a shard. Each serve is timed on its own.
-void hit_row(const bench::Context& ctx, bench::Report& report) {
+/// Hits as perfbench's serve_hot meets them: W-sort XOR-translations of
+/// 64 shapes (8-cube, m = 24) at every source make 16,384 (source,
+/// shape) pairs. The timed stream draws pairs at random, so the 128-slot
+/// thread-local L1 rarely holds an absolute pair. Each call is timed on
+/// its own, and a timed call that misses the cache throws.
+///  * hit_serves_per_sec, hit_serve_p99_us: ServePipeline::serve with
+///    every pair's materialized translation resident (absolute-level
+///    hits, as the DES and CLI callers meet them).
+///  * wire_hits_per_sec, wire_hit_p99_us: ServePipeline::serve_view plus
+///    the masked encode_ok_response, the server's path: 64 resident
+///    relative trees, each answer written through the source as an XOR
+///    mask.
+void hit_rows(const bench::Context& ctx, bench::Report& report) {
   const hcube::Topology topo(8);
   const std::size_t m = 24;
   workload::Rng rng(workload::derive_seed(2027, m, 4));
@@ -230,33 +239,56 @@ void hit_row(const bench::Context& ctx, bench::Report& report) {
       pairs.push_back(std::move(req));
     }
   }
-  coll::ScheduleCache::Config config;
-  config.shards = 4;
-  const auto cache = std::make_shared<coll::ScheduleCache>(config);
-  const coll::ServePipeline pipeline("wsort", cache);
-  for (const auto& req : pairs) (void)pipeline.serve(req);
-
   std::vector<const core::MulticastRequest*> stream;
   for (std::size_t i = 0; i < (ctx.quick ? 8192u : 65536u); ++i) {
     stream.push_back(&pairs[rng() % pairs.size()]);
   }
-  const auto before = cache->stats();
-  const auto [per_sec, p99] = rate_and_p99(
-      stream.size(), [&](std::size_t i) { (void)pipeline.serve(*stream[i]); });
-  if (cache->stats().misses != before.misses) {
-    throw std::runtime_error("hit row: a timed serve missed the cache");
-  }
   const std::string key = "wsort/8-cube-" + std::to_string(m);
-  report.metric(key + " hit_serves_per_sec", per_sec);
-  report.metric(key + " hit_serve_p99_us", p99);
+  coll::ScheduleCache::Config config;
+  config.shards = 4;
+  const auto timed_hits = [&](const char* row, auto&& warm, auto&& serve) {
+    const auto cache = std::make_shared<coll::ScheduleCache>(config);
+    const coll::ServePipeline pipeline("wsort", cache);
+    for (const auto& req : pairs) warm(pipeline, req);
+    const auto before = cache->stats();
+    const auto rate = rate_and_p99(
+        stream.size(), [&](std::size_t i) { serve(pipeline, *stream[i]); });
+    if (cache->stats().misses != before.misses) {
+      throw std::runtime_error(std::string(row) +
+                               " row: a timed serve missed the cache");
+    }
+    return rate;
+  };
+  const auto serve = [](const coll::ServePipeline& p,
+                        const core::MulticastRequest& req) {
+    (void)p.serve(req);
+  };
+  const auto [hit_per_sec, hit_p99] = timed_hits("hit", serve, serve);
+  std::string out;
+  const auto [wire_per_sec, wire_p99] = timed_hits(
+      "wire hit",
+      [](const coll::ServePipeline& p, const core::MulticastRequest& req) {
+        (void)p.serve_view(req);
+      },
+      [&](const coll::ServePipeline& p, const core::MulticastRequest& req) {
+        const auto view = p.serve_view(req);
+        out.clear();
+        net::encode_ok_response(0, *view.tree, out, view.mask);
+      });
+  report.metric(key + " hit_serves_per_sec", hit_per_sec);
+  report.metric(key + " hit_serve_p99_us", hit_p99);
+  report.metric(key + " wire_hits_per_sec", wire_per_sec);
+  report.metric(key + " wire_hit_p99_us", wire_p99);
   std::printf("  %-24s %10.0f hit serves/s   p99 %.2f us\n", key.c_str(),
-              per_sec, p99);
+              hit_per_sec, hit_p99);
+  std::printf("  %-24s %10.0f wire hits/s    p99 %.2f us\n", key.c_str(),
+              wire_per_sec, wire_p99);
 }
 
 void run(const bench::Context& ctx, bench::Report& report) {
   schedule_stage_rows(ctx, report);
   cold_miss_row(ctx, report);
-  hit_row(ctx, report);
+  hit_rows(ctx, report);
   const hcube::Topology topo(8);
   const std::size_t shapes = 4;
   const std::size_t m = 224;

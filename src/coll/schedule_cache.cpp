@@ -141,17 +141,25 @@ bool ScheduleCache::offer(
   Shard& shard = *shards_[shard_of(key)];
   const std::size_t bytes = entry_bytes(key, *schedule);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (!admit_locked(shard, key, bytes)) return false;
+  if (shard.bytes + bytes > per_shard_budget_) {
+    // An insert would evict: admit only a key already sighted.
+    if (shard.doorkeeper.empty()) shard.doorkeeper.resize(kDoorkeeperWords);
+    const std::size_t bit = key.hash & (kDoorkeeperBits - 1);
+    std::uint64_t& word = shard.doorkeeper[bit / 64];
+    const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+    if ((word & mask) == 0) {
+      word |= mask;
+      if (++shard.first_sightings >
+          std::clamp(shard.count, kDoorkeeperMinReset, kDoorkeeperMaxReset)) {
+        std::fill(shard.doorkeeper.begin(), shard.doorkeeper.end(), 0);
+        shard.first_sightings = 0;
+      }
+      declined_.inc();
+      return false;
+    }
+  }
   insert_locked(shard, key, std::move(schedule), bytes);
   return true;
-}
-
-bool ScheduleCache::admit(const core::CacheKey& key,
-                          const core::MulticastSchedule& schedule) {
-  Shard& shard = *shards_[shard_of(key)];
-  const std::size_t bytes = entry_bytes(key, schedule);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return admit_locked(shard, key, bytes);
 }
 
 void ScheduleCache::insert_locked(
@@ -160,24 +168,6 @@ void ScheduleCache::insert_locked(
     std::size_t bytes) {
   shard.insert(key, std::move(schedule), bytes);
   evict_over_budget_locked(shard);
-}
-
-bool ScheduleCache::admit_locked(Shard& shard, const core::CacheKey& key,
-                                 std::size_t bytes) {
-  if (shard.bytes + bytes <= per_shard_budget_) return true;
-  if (shard.doorkeeper.empty()) shard.doorkeeper.resize(kDoorkeeperWords);
-  const std::size_t bit = key.hash & (kDoorkeeperBits - 1);
-  std::uint64_t& word = shard.doorkeeper[bit / 64];
-  const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
-  if ((word & mask) != 0) return true;
-  word |= mask;
-  if (++shard.first_sightings >
-      std::clamp(shard.count, kDoorkeeperMinReset, kDoorkeeperMaxReset)) {
-    std::fill(shard.doorkeeper.begin(), shard.doorkeeper.end(), 0);
-    shard.first_sightings = 0;
-  }
-  declined_.inc();
-  return false;
 }
 
 void ScheduleCache::evict_over_budget_locked(Shard& shard) {

@@ -113,16 +113,6 @@ std::shared_ptr<core::MulticastSchedule> finalized(
   return out;
 }
 
-/// The XOR translation of a finalized schedule by `mask`, finalized.
-std::shared_ptr<core::MulticastSchedule> translated(
-    const core::MulticastSchedule& schedule, core::NodeId mask) {
-  auto out = std::make_shared<core::MulticastSchedule>(
-      schedule.topo(), schedule.source() ^ mask);
-  out->assign_translated(schedule, mask);
-  out->finalize();
-  return out;
-}
-
 }  // namespace
 
 ServePipeline::ServePipeline(std::string algorithm,
@@ -161,81 +151,77 @@ ServePipeline::ServePipeline(std::string algorithm,
 std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve(
     const core::MulticastRequest& request) const {
   HYPERCAST_OBS_SPAN("serve");
-  return faults_ != nullptr ? serve_repaired(request) : serve_tree(request);
+  return faults_ != nullptr ? serve_repaired(request)
+                            : serve_tree(request, /*view=*/false).tree;
+}
+
+ServePipeline::View ServePipeline::serve_view(
+    const core::MulticastRequest& request) const {
+  HYPERCAST_OBS_SPAN("serve");
+  return faults_ != nullptr ? View{serve_repaired(request)}
+                            : serve_tree(request, /*view=*/true);
 }
 
 void ServePipeline::first_key(const core::MulticastRequest& request,
-                              bool repaired, core::CacheKey& key) const {
+                              bool repaired, bool absolute,
+                              core::CacheKey& key) const {
   const auto repaired_id =
       static_cast<std::uint8_t>(core::kAlgoRepaired + algo_id_);
   core::canonical_key_into(request.topo, request.source, request.destinations,
                            repaired ? repaired_id : algo_id_,
-                           /*absolute=*/repaired || request.source != 0,
-                           cache_->config().hash_seed, key);
+                           repaired || absolute, cache_->config().hash_seed,
+                           key);
   if (repaired) core::set_salt(key, fault_salt_);
 }
 
-std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_tree(
-    const core::MulticastRequest& request) const {
-  if (cacheable()) return serve_relative(request);
-  // Direct builds are the uncached slow path (several microseconds):
-  // build_ns times every one.
-  StageTimer timer(serve_tls());
-  return timed(serve_metrics().build_ns, [&] { return build_tree(request); });
-}
-
-std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_relative(
-    const core::MulticastRequest& request) const {
+ServePipeline::View ServePipeline::serve_tree(
+    const core::MulticastRequest& request, bool view) const {
   ServeTls& tls = serve_tls();
   StageTimer timer(tls);
   const ServeMetrics& metrics = serve_metrics();
+  if (!cacheable()) {
+    // Direct builds are the uncached slow path (several microseconds):
+    // build_ns times every one.
+    return {timed(metrics.build_ns, [&] { return build_tree(request); }), 0};
+  }
   const core::NodeId mask = request.source;
   // One canonicalization pass yields both identities: the absolute one
-  // (this exact translation, zero-copy on repeat) and — via a cheap
-  // rekey() of the header — the relative one (shared by every
-  // translation of the chain).
-  first_key(request, /*repaired=*/false, tls.key);
+  // (a serve() caller's materialized translation, zero-copy on repeat)
+  // and — via a cheap rekey() of the header — the relative one (shared
+  // by every translation of the chain).
+  const bool materialize = !view && mask != 0;
+  first_key(request, /*repaired=*/false, materialize, tls.key);
   timer.mark(metrics.canonicalize_ns);
-  if (mask != 0) {
+  if (materialize) {
     if (auto hit = cache_->get(tls.key)) {
       timer.mark(metrics.hit_ns);
-      return hit;
+      return {std::move(hit), 0};
     }
     core::rekey(tls.key, /*absolute=*/false, 0);
   }
-  if (auto rel = cache_->get(tls.key)) {
-    if (mask == 0) {
-      timer.mark(metrics.hit_ns);
-      return rel;  // zero-copy: the relative origin
-    }
-    HYPERCAST_OBS_SPAN("serve.translate");
-    auto out =
-        timed(metrics.translate_ns, [&] { return translated(*rel, mask); });
-    // Offer the materialized translation under its absolute identity so
-    // the next identical request shares it without copying.
-    core::rekey(tls.key, /*absolute=*/true, mask);
-    cache_->offer(tls.key, out);
-    return out;
-  }
-  // A miss at both levels: build the requested tree at its source. The
-  // algorithms are translation-invariant, so the relative entry is this
-  // tree translated back to source 0, copied only once it is admitted.
-  std::shared_ptr<core::MulticastSchedule> out;
-  {
+  std::shared_ptr<const core::MulticastSchedule> rel = cache_->get(tls.key);
+  if (rel == nullptr) {
+    // A miss: build the relative tree once, at source 0.
     HYPERCAST_OBS_SPAN("serve.build");
-    out = timed(metrics.build_ns,
-                [&] { return build_at_source(request.topo, tls.key, mask); });
+    auto built = timed(metrics.build_ns,
+                       [&] { return build_relative(request.topo, tls.key); });
+    cache_->offer(tls.key, built);
+    rel = std::move(built);
+  } else if (!materialize) {
+    timer.mark(metrics.hit_ns);
   }
-  if (mask != 0) {
-    if (cache_->admit(tls.key, *out)) {
-      HYPERCAST_OBS_SPAN("serve.translate");
-      cache_->put(tls.key, timed(metrics.translate_ns,
-                                 [&] { return translated(*out, mask); }));
-    }
-    core::rekey(tls.key, /*absolute=*/true, mask);
-  }
+  if (!materialize) return {std::move(rel), mask};
+  HYPERCAST_OBS_SPAN("serve.translate");
+  auto out = timed(metrics.translate_ns, [&] {
+    auto copy = std::make_shared<core::MulticastSchedule>(request.topo, mask);
+    copy->assign_translated(*rel, mask);  // finalized
+    return copy;
+  });
+  // Offer the materialized translation under its absolute identity so
+  // the next identical request shares it without copying.
+  core::rekey(tls.key, /*absolute=*/true, mask);
   cache_->offer(tls.key, out);
-  return out;
+  return {std::move(out), 0};
 }
 
 std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_repaired(
@@ -245,7 +231,7 @@ std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_repaired(
   const ServeMetrics& metrics = serve_metrics();
   const bool cached = cacheable();
   if (cached) {
-    first_key(request, /*repaired=*/true, tls.key);
+    first_key(request, /*repaired=*/true, /*absolute=*/true, tls.key);
     timer.mark(metrics.canonicalize_ns);
     if (auto hit = cache_->get(tls.key)) {
       timer.mark(metrics.hit_ns);
@@ -263,15 +249,14 @@ std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_repaired(
   });
 }
 
-std::shared_ptr<core::MulticastSchedule> ServePipeline::build_at_source(
-    const core::Topology& topo, const core::CacheKey& key,
-    core::NodeId source) const {
+std::shared_ptr<core::MulticastSchedule> ServePipeline::build_relative(
+    const core::Topology& topo, const core::CacheKey& key) const {
   ServeTls& tls = serve_tls();
-  auto out = std::make_shared<core::MulticastSchedule>(topo, source);
+  auto out = std::make_shared<core::MulticastSchedule>(topo, 0);
   if (kind_ == Kind::Wsort) {
-    tls.builder.build_wsort_into(topo, source, key.words, *out);
+    tls.builder.build_wsort_into(topo, 0, key.words, *out);
   } else {
-    core::chain_from_keys(topo, source, key.words, tls.chain);
+    core::chain_from_keys(topo, 0, key.words, tls.chain);
     tls.builder.build_chain_into(topo, tls.chain, rule_, *out);
   }
   return out;
@@ -291,13 +276,12 @@ std::shared_ptr<core::MulticastSchedule> ServePipeline::build_tree(
   return out;  // TreeBuilder output is finalized
 }
 
-std::vector<std::shared_ptr<const core::MulticastSchedule>>
-ServePipeline::serve_batch(std::span<const core::MulticastRequest> requests,
-                           const BatchPolicy& policy) const {
+template <typename ServeSlot>
+void ServePipeline::serve_each(
+    std::span<const core::MulticastRequest> requests,
+    const BatchPolicy& policy, bool views, ServeSlot&& serve_slot) const {
   HYPERCAST_OBS_SPAN("serve.batch");
   if (obs::stats_enabled()) serve_metrics().batches->inc();
-  std::vector<std::shared_ptr<const core::MulticastSchedule>> out(
-      requests.size());
   const std::size_t n = requests.size();
   // Deadline check, evaluated immediately before each request's serve
   // starts. Sampling the clock per request costs ~30ns against serves
@@ -322,10 +306,9 @@ ServePipeline::serve_batch(std::span<const core::MulticastRequest> requests,
   workers = std::min(workers, n);
   if (workers <= 1) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (expired(i)) continue;
-      out[i] = serve(requests[i]);
+      if (!expired(i)) serve_slot(i);
     }
-    return out;
+    return;
   }
 
   // Owner of request i: with a cache, its key's shard (so no two workers
@@ -357,13 +340,14 @@ ServePipeline::serve_batch(std::span<const core::MulticastRequest> requests,
     // Phase 1: canonicalize in parallel chunks to discover each
     // request's shard (the keys are recomputed thread-locally during
     // serving; what matters here is only the partition). Partition by
-    // the identity serve() probes (and inserts) first; the fallback
+    // the identity a serve probes (and inserts) first; serve()'s fallback
     // probe of a cold relative entry may touch a foreign stripe, but
     // that is a once-per-chain event, not the steady state.
     parallel_over([&](std::size_t w) {
       core::CacheKey key;
       for (std::size_t i = w; i < n; i += workers) {
-        first_key(requests[i], faults_ != nullptr, key);
+        first_key(requests[i], faults_ != nullptr,
+                  !views && requests[i].source != 0, key);
         owner[i] = static_cast<std::uint32_t>(cache_->shard_of(key) %
                                               workers);
       }
@@ -379,10 +363,27 @@ ServePipeline::serve_batch(std::span<const core::MulticastRequest> requests,
   parallel_over([&](std::size_t w) {
     for (std::size_t i = 0; i < n; ++i) {
       if (owner[i] != w) continue;
-      if (expired(i)) continue;
-      out[i] = serve(requests[i]);
+      if (!expired(i)) serve_slot(i);
     }
   });
+}
+
+std::vector<std::shared_ptr<const core::MulticastSchedule>>
+ServePipeline::serve_batch(std::span<const core::MulticastRequest> requests,
+                           const BatchPolicy& policy) const {
+  std::vector<std::shared_ptr<const core::MulticastSchedule>> out(
+      requests.size());
+  serve_each(requests, policy, /*views=*/false,
+             [&](std::size_t i) { out[i] = serve(requests[i]); });
+  return out;
+}
+
+std::vector<ServePipeline::View> ServePipeline::serve_views(
+    std::span<const core::MulticastRequest> requests,
+    const BatchPolicy& policy) const {
+  std::vector<View> out(requests.size());
+  serve_each(requests, policy, /*views=*/true,
+             [&](std::size_t i) { out[i] = serve_view(requests[i]); });
   return out;
 }
 
@@ -398,7 +399,7 @@ StripedPlan ServePipeline::serve_striped(
   StripedPlan plan;
   plan.payload_bytes = payload_bytes;
   plan.stripe_bytes = payload_bytes;
-  auto tree = serve_tree(request);
+  auto tree = serve_tree(request, /*view=*/false).tree;
   if (faults_ != nullptr && fault::blocked_unicasts(*tree, *faults_) != 0) {
     // Degraded single-tree fallback: the repaired tree is exactly what
     // serve() returns under this fault set, cached under its salted key.

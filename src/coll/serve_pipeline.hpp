@@ -23,19 +23,16 @@ namespace hypercast::coll {
 /// Serving strategy by algorithm:
 ///  * ucube / maxport / combine / wsort — translation-invariant (the
 ///    property tests prove build(u, D) is the XOR-relabeling of
-///    build(0, u ^ D)), so the pipeline caches at two levels sharing one
-///    canonicalization pass: the *relative* schedule under the canonical
-///    relative chain (paying tree construction once per chain shape),
-///    and each *materialized translation* under its absolute identity
-///    (paying the XOR relabeling copy once per (source, shape) pair).
-///    In steady state a hit is zero-copy: key canonicalization plus a
-///    shared_ptr share, never a construction and never a copy. A miss
-///    at both levels builds the requested tree once, at its source,
-///    from the key's relative chain XOR the source; the relative entry
-///    is a translated copy of it, made only if ScheduleCache::admit()
-///    accepts it, and the tree itself goes through ScheduleCache::offer()
-///    — the same admission test — so once the cache is full a request's
-///    schedules are kept only when it repeats.
+///    build(0, u ^ D)), so the pipeline caches the *relative* tree under
+///    the canonical relative chain, built once per shape at source 0.
+///    The wire path (serve_view) answers with that tree plus the source
+///    as an XOR mask the net encoders apply, and never copies a tree.
+///    Absolute materializations exist only for serve() callers (DES,
+///    striped plans, CLI): a second level of XOR-translated copies under
+///    absolute keys, one per (source, shape) pair, sharing the same
+///    canonicalization pass. Either hit is zero-copy. Every entry goes
+///    through ScheduleCache::offer(), so once the cache is full a
+///    request's trees are kept only when it repeats.
 ///  * the same four under a fault set — the tree is built as above and
 ///    repaired with fault::repair_schedule, the greedy entry point of
 ///    the repair engine (byte-identical to
@@ -73,6 +70,18 @@ class ServePipeline {
   std::shared_ptr<const core::MulticastSchedule> serve(
       const core::MulticastRequest& request) const;
 
+  /// A served tree and the XOR mask that places it: the answer is `tree`
+  /// with every node id XORed by `mask` (net::encode_ok_response's mask).
+  struct View {
+    std::shared_ptr<const core::MulticastSchedule> tree;
+    core::NodeId mask = 0;
+  };
+
+  /// Serve one request as a view: the cached relative tree and mask =
+  /// request.source when cacheable and fault-free, else serve()'s tree
+  /// and mask 0. Encoded, it is byte-identical to serve()'s schedule.
+  View serve_view(const core::MulticastRequest& request) const;
+
   /// Batch-serving policy. The default (1 thread, no deadline) serves
   /// the whole batch sequentially.
   struct BatchPolicy {
@@ -109,6 +118,11 @@ class ServePipeline {
       std::span<const core::MulticastRequest> requests, int threads = 1) const {
     return serve_batch(requests, BatchPolicy{threads, 0});
   }
+
+  /// serve_batch of serve_view(); a shed slot's tree is nullptr.
+  std::vector<View> serve_views(
+      std::span<const core::MulticastRequest> requests,
+      const BatchPolicy& policy) const;
 
   /// A served batch plus its contention-bounded launch plan. Plan wave
   /// members index into `schedules`; shed (nullptr) slots appear in no
@@ -152,11 +166,9 @@ class ServePipeline {
 
   bool cacheable() const { return cache_ != nullptr && kind_ != Kind::Entry; }
 
-  /// The fault-free tree: cached two-level when cacheable, else built.
-  std::shared_ptr<const core::MulticastSchedule> serve_tree(
-      const core::MulticastRequest& request) const;
-  std::shared_ptr<const core::MulticastSchedule> serve_relative(
-      const core::MulticastRequest& request) const;
+  /// The fault-free tree: cached when cacheable, else built; unless a
+  /// `view`, a nonzero source is materialized (mask 0).
+  View serve_tree(const core::MulticastRequest& request, bool view) const;
   /// serve() under a fault set: the repaired tree, cached under the
   /// fingerprint-salted absolute key when cacheable.
   std::shared_ptr<const core::MulticastSchedule> serve_repaired(
@@ -164,21 +176,27 @@ class ServePipeline {
 
   /// The identity a serve probes first: for a repaired tree the absolute
   /// key under core::kAlgoRepaired, salted with the fault fingerprint;
-  /// for a fault-free one the absolute (translated) or relative key.
+  /// for a fault-free one the absolute key if `absolute`, else relative.
   void first_key(const core::MulticastRequest& request, bool repaired,
-                 core::CacheKey& key) const;
+                 bool absolute, core::CacheKey& key) const;
+
+  /// serve_batch's loop: serve_slot(i) for each request not shed, split
+  /// across threads by the shard of its first key (relative for views).
+  template <typename ServeSlot>
+  void serve_each(std::span<const core::MulticastRequest> requests,
+                  const BatchPolicy& policy, bool views,
+                  ServeSlot&& serve_slot) const;
 
   /// Build the fault-free tree for the request directly, finalized.
   std::shared_ptr<core::MulticastSchedule> build_tree(
       const core::MulticastRequest& request) const;
 
-  /// Build, finalized, the fault-free tree from `source` to the
+  /// Build, finalized, the fault-free tree from source 0 to the
   /// destinations a canonical key denotes, through the same TreeBuilder
   /// as every other build: W-sort straight from the key's words, the
-  /// chain rules over its relative chain XOR the source.
-  std::shared_ptr<core::MulticastSchedule> build_at_source(
-      const core::Topology& topo, const core::CacheKey& key,
-      core::NodeId source) const;
+  /// chain rules over its relative chain.
+  std::shared_ptr<core::MulticastSchedule> build_relative(
+      const core::Topology& topo, const core::CacheKey& key) const;
 
   std::string algorithm_;
   Kind kind_ = Kind::Entry;

@@ -170,13 +170,42 @@ class MulticastSchedule {
     return bucket(word.rank + hcube::popcount64(word.bits & (bit - 1)));
   }
 
-  /// Call fn(u, sends_from(u)) for every sender u in ascending node
-  /// order, without allocating.
+  /// Call fn(u, sends_from(u)) for every sender u in ascending order of
+  /// u ^ mask, without allocating: ascending node order at mask 0, else
+  /// the sender order of this schedule's XOR translation by `mask` (the
+  /// order assign_translated() and the masked wire encoders write). The
+  /// high mask bits permute whole bitmap words, the low six permute the
+  /// bits within one.
   template <typename Fn>
-  void for_each_sender(Fn&& fn) const {
+  void for_each_sender(Fn&& fn, NodeId mask = 0) const {
     if (!block_) finalize();
-    std::size_t k = 0;
-    for_each_sender_id([&](NodeId u) { fn(u, bucket(k++)); });
+    // Local array pointers (fn's stores cannot alias them) and one call
+    // site (fn stays inlined).
+    const SenderWord* const ws = words();
+    const std::uint32_t* const begin = begins();
+    const Send* const sends = view();
+    const unsigned bit_mask = mask & 63;
+    std::uint32_t rank_at[64];
+    for (std::size_t w = 0; w < shape_.words; ++w) {
+      const std::size_t at = w ^ (mask >> 6);
+      std::uint32_t k = ws[at].rank;
+      std::uint64_t moved = ws[at].bits;  // the word's senders, translated
+      if (bit_mask != 0) {
+        moved = 0;
+        for (std::uint64_t bits = ws[at].bits; bits != 0; bits &= bits - 1) {
+          const unsigned bit =
+              static_cast<unsigned>(std::countr_zero(bits)) ^ bit_mask;
+          rank_at[bit] = k++;
+          moved |= std::uint64_t{1} << bit;
+        }
+      }
+      for (; moved != 0; moved &= moved - 1) {
+        const auto bit = static_cast<unsigned>(std::countr_zero(moved));
+        const std::uint32_t r = bit_mask != 0 ? rank_at[bit] : k++;
+        fn(static_cast<NodeId>(at * 64 + (bit ^ bit_mask)),
+           std::span<const Send>(sends + begin[r], begin[r + 1] - begin[r]));
+      }
+    }
   }
 
   /// Pack the builder vectors into the block now (idempotent). Called
@@ -348,17 +377,6 @@ class MulticastSchedule {
   std::span<const NodeId> pool() const {
     if (block_) return {block_pool(), shape_.pool};
     return pool_;
-  }
-
-  /// Call fn(u) for every node u set in the sender bitmap, ascending.
-  template <typename Fn>
-  void for_each_sender_id(Fn&& fn) const {
-    const SenderWord* const ws = words();
-    for (std::size_t w = 0; w < shape_.words; ++w) {
-      for (std::uint64_t bits = ws[w].bits; bits != 0; bits &= bits - 1) {
-        fn(static_cast<NodeId>(w * 64 + std::countr_zero(bits)));
-      }
-    }
   }
 
   /// The k-th sender's sends (k counts senders in ascending order).

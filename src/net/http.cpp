@@ -275,25 +275,27 @@ RequestMsg parse_schedule_json(std::string_view body) {
   return out;
 }
 
-std::string schedule_to_json(const core::MulticastSchedule& schedule) {
+std::string schedule_to_json(const core::MulticastSchedule& schedule,
+                             hcube::NodeId mask) {
   metrics::JsonWriter w;
   w.begin_object();
-  w.key("source").value(static_cast<std::uint64_t>(schedule.source()));
+  w.key("source").value(static_cast<std::uint64_t>(schedule.source() ^ mask));
   w.key("sends").begin_array();
   schedule.for_each_sender(
       [&](hcube::NodeId from, std::span<const core::Send> sends) {
         for (const core::Send& send : sends) {
           w.begin_object();
-          w.key("from").value(static_cast<std::uint64_t>(from));
-          w.key("to").value(static_cast<std::uint64_t>(send.to));
+          w.key("from").value(static_cast<std::uint64_t>(from ^ mask));
+          w.key("to").value(static_cast<std::uint64_t>(send.to ^ mask));
           w.key("payload").begin_array();
           for (const hcube::NodeId node : send.payload) {
-            w.value(static_cast<std::uint64_t>(node));
+            w.value(static_cast<std::uint64_t>(node ^ mask));
           }
           w.end_array();
           w.end_object();
         }
-      });
+      },
+      mask);
   w.end_array();
   w.end_object();
   return std::move(w).str();

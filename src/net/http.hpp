@@ -57,8 +57,10 @@ RequestMsg parse_schedule_json(std::string_view body);
 ///   {"source": u, "sends": [{"from": u, "to": v, "payload": [...]},...]}
 /// Sends appear grouped by sender in ascending node order, preserving
 /// each sender's issue order — the same deterministic order as the
-/// binary encoding.
-std::string schedule_to_json(const core::MulticastSchedule& schedule);
+/// binary encoding. A nonzero `mask` renders the XOR translation, as
+/// encode_schedule does.
+std::string schedule_to_json(const core::MulticastSchedule& schedule,
+                             hcube::NodeId mask = 0);
 
 }  // namespace hypercast::net
 

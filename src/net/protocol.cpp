@@ -40,31 +40,50 @@ std::size_t schedule_bytes(const core::MulticastSchedule& schedule) {
               schedule.num_payload_ids());
 }
 
-/// Write encode_schedule's body at p (schedule_bytes of room); returns
-/// the end of what it wrote.
-char* write_schedule(const core::MulticastSchedule& schedule, char* p) {
-  p = store_u32(p, schedule.source());
+/// Store `ids`, each XORed with `mask`, at p as u32s; returns the end.
+/// Its own function, so the cursor is a register, not the caller's
+/// captured one.
+char* store_ids(char* p, std::span<const hcube::NodeId> ids,
+                hcube::NodeId mask) {
+  for (const hcube::NodeId id : ids) p = store_u32(p, id ^ mask);
+  return p;
+}
+
+/// Write encode_schedule's body at p (schedule_bytes of room), every
+/// node id XORed with `mask`; returns the end of what it wrote. The
+/// unmasked instantiation folds the mask away and copies payloads whole.
+template <bool Masked>
+char* write_body(const core::MulticastSchedule& schedule, hcube::NodeId mask,
+                 char* p) {
+  if constexpr (!Masked) mask = 0;
+  p = store_u32(p, schedule.source() ^ mask);
   p = store_u32(p, static_cast<std::uint32_t>(schedule.num_senders()));
   schedule.for_each_sender(
       [&](hcube::NodeId from, std::span<const core::Send> sends) {
-        p = store_u32(p, from);
+        p = store_u32(p, from ^ mask);
         p = store_u32(p, static_cast<std::uint32_t>(sends.size()));
         for (const core::Send& send : sends) {
-          p = store_u32(p, send.to);
+          p = store_u32(p, send.to ^ mask);
           p = store_u32(p, static_cast<std::uint32_t>(send.payload.size()));
-          if constexpr (std::endian::native == std::endian::little) {
+          if constexpr (!Masked &&
+                        std::endian::native == std::endian::little) {
             // NodeId is a u32, so the payload already is its wire bytes.
             const std::size_t bytes = send.payload.size_bytes();
             if (bytes != 0) std::memcpy(p, send.payload.data(), bytes);
             p += bytes;
           } else {
-            for (const hcube::NodeId node : send.payload) {
-              p = store_u32(p, node);
-            }
+            p = store_ids(p, send.payload, mask);
           }
         }
-      });
+      },
+      mask);
   return p;
+}
+
+char* write_schedule(const core::MulticastSchedule& schedule,
+                     hcube::NodeId mask, char* p) {
+  return mask == 0 ? write_body<false>(schedule, 0, p)
+                   : write_body<true>(schedule, mask, p);
 }
 
 /// Sequential reader over a frame body; every read checks bounds and
@@ -193,17 +212,18 @@ void encode_request(const RequestMsg& msg, std::string& out) {
 }
 
 void encode_schedule(const core::MulticastSchedule& schedule,
-                     std::string& out) {
+                     std::string& out, hcube::NodeId mask) {
   const std::size_t at = out.size();
   const std::size_t bytes = schedule_bytes(schedule);
   out.resize(at + bytes);
-  [[maybe_unused]] const char* end = write_schedule(schedule, out.data() + at);
+  [[maybe_unused]] const char* end =
+      write_schedule(schedule, mask, out.data() + at);
   assert(end == out.data() + at + bytes);
 }
 
 void encode_ok_response(std::uint64_t id,
                         const core::MulticastSchedule& schedule,
-                        std::string& out) {
+                        std::string& out, hcube::NodeId mask) {
   // Sized up front and written in place: one resize per response.
   const std::size_t at = out.size();
   const std::size_t body = 1 + 8 + 1 + schedule_bytes(schedule);
@@ -213,7 +233,7 @@ void encode_ok_response(std::uint64_t id,
   p = store_u32(p, static_cast<std::uint32_t>(id & 0xffffffffull));
   p = store_u32(p, static_cast<std::uint32_t>(id >> 32));
   *p++ = static_cast<char>(Status::Ok);
-  [[maybe_unused]] const char* end = write_schedule(schedule, p);
+  [[maybe_unused]] const char* end = write_schedule(schedule, mask, p);
   assert(end == out.data() + out.size());
 }
 

@@ -96,13 +96,16 @@ void encode_request(const RequestMsg& msg, std::string& out);
 /// then per sender in ascending node order its ordered sends with
 /// payloads. Shared by the Ok response encoder and by tests comparing
 /// server bytes against locally built schedules.
+/// With a nonzero `mask` the bytes are those of the XOR translation by
+/// `mask` (assign_translated), written straight from the relative tree.
 void encode_schedule(const core::MulticastSchedule& schedule,
-                     std::string& out);
+                     std::string& out, hcube::NodeId mask = 0);
 
-/// Append one framed Ok response carrying `schedule`.
+/// Append one framed Ok response carrying `schedule` XOR `mask` (see
+/// encode_schedule).
 void encode_ok_response(std::uint64_t id,
                         const core::MulticastSchedule& schedule,
-                        std::string& out);
+                        std::string& out, hcube::NodeId mask = 0);
 
 /// Append one framed non-Ok response with a diagnostic message.
 void encode_error_response(std::uint64_t id, Status status,

@@ -712,7 +712,7 @@ void Server::Loop::parse_http(Conn& conn) {
 
 void Server::Loop::serve_ready() {
   // This turn's batch: up to batch_max requests from every connection
-  // holding any, in one serve_batch call.
+  // holding any, in one serve_views call.
   batch_.clear();
   for (Conn* conn : ready_) {
     if (conn->closed) continue;
@@ -744,17 +744,18 @@ void Server::Loop::serve_ready() {
   }
 
   const auto respond_ok = [&](const Slot& slot,
-                              const core::MulticastSchedule& schedule) {
+                              const coll::ServePipeline::View& view) {
     Conn& conn = *slot.conn;
     const std::uint64_t t0 =
         Metrics::sampled(encode_tick_) ? obs::now_ns() : 0;
     if (conn.http) {
       conn.out += http_response(200, "application/json",
-                                schedule_to_json(schedule),
+                                schedule_to_json(*view.tree, view.mask),
                                 slot.request.http_keep_alive);
       if (!slot.request.http_keep_alive) conn.close_after_flush = true;
     } else {
-      encode_ok_response(slot.request.msg.id, schedule, conn.out);
+      encode_ok_response(slot.request.msg.id, *view.tree, conn.out,
+                         view.mask);
     }
     m.responses->inc();
     if (stats) {
@@ -797,16 +798,17 @@ void Server::Loop::serve_ready() {
 
   if (!requests_.empty()) {
     const coll::ServePipeline::BatchPolicy policy{1, 0, deadlines_};
-    std::vector<std::shared_ptr<const core::MulticastSchedule>> schedules;
+    std::vector<coll::ServePipeline::View> views;
     coll::CoschedPlan plan;
     try {
       if (config.cosched && requests_.size() > 1) {
+        // The planner needs absolute arc footprints: materialized trees.
         auto cosched = server.pipeline_->serve_batch_cosched(
             requests_, policy, config.cosched_policy);
-        schedules = std::move(cosched.schedules);
+        for (auto& tree : cosched.schedules) views.push_back({std::move(tree)});
         plan = std::move(cosched.plan);
       } else {
-        schedules = server.pipeline_->serve_batch(requests_, policy);
+        views = server.pipeline_->serve_views(requests_, policy);
       }
     } catch (const std::exception& e) {
       for (const std::size_t i : live_) {
@@ -816,8 +818,8 @@ void Server::Loop::serve_ready() {
     }
     const auto respond_slot = [&](std::size_t k) {
       const Slot& slot = batch_[live_[k]];
-      if (schedules[k] != nullptr) {
-        respond_ok(slot, *schedules[k]);
+      if (views[k].tree != nullptr) {
+        respond_ok(slot, views[k]);
       } else {
         // Exactly one net.shed_deadline increment per shed request: the
         // pipeline's serve.deadline_shed counter is a different

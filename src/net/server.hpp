@@ -33,14 +33,14 @@ struct ServerConfig {
   std::size_t queue_capacity = 4096;
 
   std::size_t max_connections = 256;  ///< accept cap; excess wait unaccepted
-  /// Requests served per connection per loop turn (one serve_batch call
+  /// Requests served per connection per loop turn (one serve_views call
   /// per turn covers every connection's share).
   std::size_t batch_max = 64;
 
   /// Backlog-time SLO: a request not yet served this long after the
   /// loop turn that read it is shed (ShedDeadline / 429) instead of
   /// served late. 0 disables. Each request carries its own deadline
-  /// into serve_batch, so a request held in the backlog behind a slow
+  /// into serve_views, so a request held in the backlog behind a slow
   /// build is shed exactly once, never served past its window.
   std::uint64_t deadline_ms = 0;
 
@@ -62,9 +62,11 @@ struct ServerConfig {
 /// The serving front end: `workers` independent poll()-based event
 /// loops, each on its own thread and each owning the connections handed
 /// to it round-robin at accept. A loop runs every request to completion
-/// on its own thread: read → decode → one ServePipeline::serve_batch
+/// on its own thread: read → decode → one ServePipeline::serve_views
 /// (or serve_batch_cosched) call over the requests it read this turn →
 /// encode into each connection's output → one send() per connection.
+/// A view is a relative tree plus an XOR mask the encoder applies;
+/// --cosched plans absolute trees (it needs their arc footprints).
 /// No request crosses threads; the loops share only the immutable
 /// pipeline and its sharded ScheduleCache. Binary ("hypercast-net-v1"
 /// frames) and HTTP/JSON clients are detected per connection on the

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "coll/serve_pipeline.hpp"
+#include "net/http.hpp"
 #include "net/loadgen.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
@@ -215,6 +216,76 @@ TEST(NetServer, LoopbackResponsesAreByteIdenticalToDirectServe) {
   EXPECT_EQ(failures.load(), 0);
   server.stop();
   EXPECT_EQ(server.outstanding(), 0u);
+}
+
+TEST(NetServer, TranslatedPoolStreamKeepsOneCacheEntryPerShape) {
+  // The wire path answers a translated request from the relative tree
+  // plus an XOR mask: a stream over a few shapes at many sources leaves
+  // one cache entry per shape, and every response (binary and JSON) is
+  // byte-identical to encoding the materialized translation.
+  obs::FlagsGuard flags;
+  ServerConfig config;
+  config.workers = 2;
+  Server server(config);
+  server.start();
+  const coll::ServePipeline direct(config.algorithm, nullptr);
+
+  constexpr std::size_t kShapes = 5;
+  const hcube::Topology topo(7);
+  workload::Rng rng(0x5a4e5ull);
+  std::vector<std::vector<hcube::NodeId>> shapes;
+  for (std::size_t s = 0; s < kShapes; ++s) {
+    shapes.push_back(workload::random_destinations(topo, 0, 3 + 7 * s, rng));
+  }
+  std::string wire;
+  std::map<std::uint64_t, RequestMsg> pending;
+  for (std::uint64_t id = 0; id < 300; ++id) {
+    RequestMsg msg;
+    msg.id = id;
+    msg.dim = 7;
+    msg.source = static_cast<hcube::NodeId>(rng() % topo.num_nodes());
+    for (const hcube::NodeId d : shapes[id % kShapes]) {
+      msg.destinations.push_back(d ^ msg.source);
+    }
+    net::encode_request(msg, wire);
+    pending.emplace(id, std::move(msg));
+  }
+  Client client(server.port());
+  client.send_all(wire);
+  std::string body;
+  for (std::size_t i = 0; i < 300; ++i) {
+    ASSERT_TRUE(client.read_frame(body));
+    const ResponseMsg response = net::decode_response(body);
+    const auto it = pending.find(response.id);
+    ASSERT_NE(it, pending.end());
+    ASSERT_EQ(response.status, Status::Ok);
+    std::string expected;
+    net::encode_schedule(*direct.serve(it->second.to_request()), expected);
+    EXPECT_TRUE(response.schedule_body == expected) << response.id;
+    pending.erase(it);
+  }
+  // One translated JSON request through the HTTP fallback.
+  const std::string json =
+      R"({"n": 7, "source": 93, "dests": [)" + [&] {
+        std::string list;
+        for (const hcube::NodeId d : shapes[1]) {
+          if (!list.empty()) list += ",";
+          list += std::to_string(d ^ 93);
+        }
+        return list;
+      }() + "]}";
+  Client http(server.port());
+  http.send_all("POST /schedule HTTP/1.1\r\nContent-Length: " +
+                std::to_string(json.size()) + "\r\n\r\n" + json);
+  const std::string response = http.read_http_response();
+  core::MulticastRequest req{topo, 93, {}};
+  for (const hcube::NodeId d : shapes[1]) req.destinations.push_back(d ^ 93);
+  const std::string want = net::schedule_to_json(*direct.serve(req));
+  ASSERT_GE(response.size(), want.size());
+  EXPECT_EQ(response.substr(response.size() - want.size()), want);
+
+  EXPECT_EQ(server.cache()->stats().entries, kShapes);
+  server.stop();
 }
 
 TEST(NetServer, QueueFullSheddingAndAccounting) {
@@ -756,6 +827,19 @@ TEST(NetServer, FdExhaustionPausesAcceptWithoutSpinning) {
     config.workers = 1;
     Server server(config);
     server.start();
+    {
+      // Serve and encode one request of the clients' shape before the
+      // limit drops: the first request's path then runs with descriptors
+      // to spare (UBSan's vptr check probes memory through a pipe on its
+      // first sight of a type).
+      workload::Rng warm_rng(1);
+      const coll::ServePipeline warm(config.algorithm,
+                                     std::make_shared<coll::ScheduleCache>());
+      const auto view =
+          warm.serve_view(make_request(0, 6, 8, warm_rng).to_request());
+      std::string out;
+      net::encode_ok_response(0, *view.tree, out, view.mask);
+    }
     rlimit limit{};
     ::getrlimit(RLIMIT_NOFILE, &limit);
     int free_fds = 0;

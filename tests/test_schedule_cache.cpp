@@ -25,6 +25,8 @@
 #include "core/tree_builder.hpp"
 #include "fault/fault_aware.hpp"
 #include "fault/fault_set.hpp"
+#include "net/http.hpp"
+#include "net/protocol.hpp"
 #include "test_util.hpp"
 #include "workload/concurrent.hpp"
 #include "workload/random_sets.hpp"
@@ -519,14 +521,10 @@ TEST(ScheduleCacheFlat, MatchesAReferenceLruModelOperationByOperation) {
           what = "put";
           model.put(key, id, bytes);
           cache->put(key, std::move(schedule));
-        } else if (dice < 85) {
+        } else {
           what = "offer";
           ASSERT_EQ(cache->offer(key, std::move(schedule)),
                     model.offer(key, id, bytes))
-              << op;
-        } else {
-          what = "admit";
-          ASSERT_EQ(cache->admit(key, *schedule), model.admit(key, bytes))
               << op;
         }
       } else {
@@ -786,7 +784,7 @@ core::MulticastRequest moved_to(const core::MulticastRequest& req,
   return out;
 }
 
-TEST(ServePipeline, ColdMissBuildsAtTheSourceAndCopiesOnlyAdmittedEntries) {
+TEST(ServePipeline, ColdMissBuildsTheRelativeTreeOnceAtSourceZero) {
   const std::uint8_t ids[] = {core::kAlgoUcube, core::kAlgoMaxport,
                               core::kAlgoCombine, core::kAlgoWsort};
   const char* names[] = {"ucube", "maxport", "combine", "wsort"};
@@ -800,7 +798,8 @@ TEST(ServePipeline, ColdMissBuildsAtTheSourceAndCopiesOnlyAdmittedEntries) {
       for (int i = 0; i < 6; ++i) pool.push_back(random_request(topo, 12, rng));
 
       // At budget: a pool fills the cache exactly, so a fresh request's
-      // relative entry and its translation are both first sightings.
+      // relative entry and its translation are both first sightings; a
+      // view offers only the relative entry.
       const auto sizing = one_shard_cache(std::size_t{64} << 20);
       for (const auto& req : pool) ServePipeline(name, sizing).serve(req);
       const auto full = one_shard_cache(sizing->stats().bytes);
@@ -816,9 +815,15 @@ TEST(ServePipeline, ColdMissBuildsAtTheSourceAndCopiesOnlyAdmittedEntries) {
         EXPECT_EQ(after.entries, before.entries) << name;
         EXPECT_EQ(after.evictions, before.evictions) << name;
         EXPECT_EQ(after.declined, before.declined + 2) << name;
+        const auto fresh = moved_to(random_request(topo, 12, rng), 1 + i);
+        const auto view = at_budget.serve_view(fresh);
+        EXPECT_EQ(view.mask, fresh.source) << name;
+        ASSERT_TRUE(*view.tree == direct_build(name, moved_to(fresh, 0)))
+            << name << " " << i;
+        EXPECT_EQ(full->stats().declined, after.declined + 1) << name;
       }
 
-      // With room: the relative entry is the relative tree itself, and
+      // With room: the relative entry is the tree built at source 0, and
       // another translation of the same shape is served from it.
       const auto roomy = std::make_shared<ScheduleCache>();
       const ServePipeline pipeline(name, roomy);
@@ -829,7 +834,6 @@ TEST(ServePipeline, ColdMissBuildsAtTheSourceAndCopiesOnlyAdmittedEntries) {
       const auto rel = roomy->get(key_of(req, ids[a], false));
       ASSERT_NE(rel, nullptr) << name;
       EXPECT_TRUE(*rel == direct_build(name, moved_to(req, 0))) << name;
-      // admit() sized the copy by the tree it was made from.
       EXPECT_EQ(rel->footprint_bytes(), served->footprint_bytes()) << name;
       const auto before = roomy->stats();
       const auto other = moved_to(req, 9);
@@ -839,8 +843,90 @@ TEST(ServePipeline, ColdMissBuildsAtTheSourceAndCopiesOnlyAdmittedEntries) {
       EXPECT_EQ(after.total_hits(), before.total_hits() + 1) << name;
       EXPECT_EQ(after.misses, before.misses + 1) << name;  // absolute probe
       EXPECT_EQ(after.entries, 3u) << name;
+      // A view of a third translation is the relative entry itself: one
+      // probe, one hit, nothing copied or inserted.
+      const auto view = pipeline.serve_view(moved_to(req, 17));
+      EXPECT_EQ(view.tree, rel) << name;
+      EXPECT_EQ(view.mask, 17u) << name;
+      EXPECT_EQ(roomy->stats().total_hits(), after.total_hits() + 1) << name;
+      EXPECT_EQ(roomy->stats().misses, after.misses) << name;
+      EXPECT_EQ(roomy->stats().entries, 3u) << name;
     }
   }
+}
+
+TEST(ServePipeline, ViewEncodesLikeServeWithCacheOnOffAndUnderFaults) {
+  const Topology topo(7, Resolution::HighToLow);
+  auto faults = std::make_shared<const fault::FaultSet>([&] {
+    fault::FaultSet fs(topo);
+    fs.fail_link(0, 1);
+    fs.fail_link(77, 4);
+    return fs;
+  }());
+  for (const char* name : {"ucube", "maxport", "combine", "wsort", "sftree"}) {
+    for (const bool cached : {true, false}) {
+      for (const bool faulted : {false, true}) {
+        const auto cache = cached ? std::make_shared<ScheduleCache>() : nullptr;
+        const ServePipeline pipeline(name, cache,
+                                     faulted ? faults : nullptr);
+        workload::Rng rng(57);
+        std::vector<core::MulticastRequest> shapes;
+        for (int s = 0; s < 3; ++s) {
+          shapes.push_back(random_request(topo, 1 + rng() % 30, rng));
+        }
+        for (int i = 0; i < 40; ++i) {
+          const auto req = moved_to(shapes[i % shapes.size()],
+                                    static_cast<NodeId>(rng() % 128));
+          const std::string where = std::string(name) + " cached " +
+                                    std::to_string(cached) + " faulted " +
+                                    std::to_string(faulted) + " request " +
+                                    std::to_string(i);
+          const auto view = pipeline.serve_view(req);
+          const auto tree = pipeline.serve(req);
+          const bool relative = cached && !faulted &&
+                                std::string(name) != "sftree";
+          EXPECT_EQ(view.mask, relative ? req.source : 0u) << where;
+          if (!relative) {
+            EXPECT_TRUE(*view.tree == *tree) << where;
+          }
+          std::string got;
+          std::string want;
+          net::encode_ok_response(i, *view.tree, got, view.mask);
+          net::encode_ok_response(i, *tree, want);
+          EXPECT_TRUE(got == want) << where;
+          EXPECT_TRUE(net::schedule_to_json(*view.tree, view.mask) ==
+                      net::schedule_to_json(*tree))
+              << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(ServePipeline, ViewBatchMatchesSequentialViewsAndSheds) {
+  const Topology topo(6, Resolution::HighToLow);
+  workload::Rng rng(17);
+  std::vector<core::MulticastRequest> batch;
+  for (int i = 0; i < 60; ++i) {
+    batch.push_back(random_request(topo, 1 + rng() % 40, rng));
+  }
+  const ServePipeline reference("wsort", std::make_shared<ScheduleCache>());
+  for (const int threads : {1, 3}) {
+    const ServePipeline pipeline("wsort", std::make_shared<ScheduleCache>());
+    const auto views =
+        pipeline.serve_views(batch, ServePipeline::BatchPolicy{threads});
+    ASSERT_EQ(views.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const auto want = reference.serve_view(batch[i]);
+      EXPECT_EQ(views[i].mask, want.mask) << threads << " " << i;
+      EXPECT_TRUE(*views[i].tree == *want.tree) << threads << " " << i;
+    }
+  }
+  // A deadline already past sheds every slot.
+  const ServePipeline pipeline("wsort", std::make_shared<ScheduleCache>());
+  const auto shed =
+      pipeline.serve_views(batch, ServePipeline::BatchPolicy{1, 1});
+  for (const auto& view : shed) EXPECT_EQ(view.tree, nullptr);
 }
 
 // ---- concurrency hammer --------------------------------------------------

@@ -4,7 +4,9 @@
 // sends_from() per sender, one u32 appended at a time). The corpus
 // spans 1- to 12-cubes: empty schedules, sparse and broadcast wsort
 // trees, IST broadcast trees, XOR-translated schedules (from finalized
-// and from unfinalized relative schedules) and fault-repaired ones.
+// and from unfinalized relative schedules) and fault-repaired ones. The
+// masked encoders must write exactly the reference bytes of the
+// materialized XOR translation, for the four paper algorithms.
 
 #include <gtest/gtest.h>
 
@@ -200,6 +202,75 @@ TEST(WireGolden, JsonMatchesTheReferenceRendering) {
                 ref_schedule_to_json(c.schedule))
         << c.name;
   }
+}
+
+// Masked encoding: the server answers a translated request from the
+// cached relative tree and the request's source as an XOR mask. The
+// bytes must be those of the materialized translation, run through the
+// reference encoders.
+TEST(WireGolden, MaskedEncodingMatchesTheMaterializedTranslation) {
+  workload::Rng rng(0x3a5c);
+  std::size_t checked = 0;
+  for (const char* name : {"ucube", "maxport", "combine", "wsort"}) {
+    const core::AlgorithmEntry& algo = core::find_algorithm(name);
+    for (const hcube::Resolution res :
+         {hcube::Resolution::HighToLow, hcube::Resolution::LowToHigh}) {
+      for (int dim = 1; dim <= 8; ++dim) {
+        const Topology topo(dim, res);
+        const std::size_t n = topo.num_nodes();
+        for (const std::size_t m : {std::size_t{1}, (n + 2) / 3, n - 1}) {
+          const std::string what = std::string(name) + " " +
+                                   std::to_string(dim) + "-cube m=" +
+                                   std::to_string(m);
+          MulticastSchedule rel = algo.build(MulticastRequest{
+              topo, 0, workload::random_destinations(topo, 0, m, rng)});
+          rel.finalize();
+          std::vector<NodeId> masks;
+          if (dim <= 6) {
+            for (NodeId mask = 0; mask < n; ++mask) masks.push_back(mask);
+          } else {
+            masks.push_back(0);
+            for (int k = 0; k < 32; ++k) {
+              masks.push_back(static_cast<NodeId>(rng() % n));
+            }
+          }
+          for (const NodeId mask : masks) {
+            MulticastSchedule translated(topo, 0);
+            translated.assign_translated(rel, mask);
+            const std::uint64_t id = rng();
+            std::string got = "prefix";
+            std::string want = "prefix";
+            net::encode_ok_response(id, rel, got, mask);
+            ref_encode_ok_response(id, translated, want);
+            EXPECT_TRUE(got == want) << what << " mask " << mask;
+            std::string body_got;
+            std::string body_want;
+            net::encode_schedule(rel, body_got, mask);
+            ref_encode_schedule(translated, body_want);
+            EXPECT_TRUE(body_got == body_want) << what << " mask " << mask;
+            EXPECT_TRUE(net::schedule_to_json(rel, mask) ==
+                        ref_schedule_to_json(translated))
+                << what << " mask " << mask;
+            if (mask == 0) {
+              // Mask 0 is the unmasked encoding of the tree itself.
+              std::string plain = "prefix";
+              net::encode_ok_response(id, rel, plain);
+              EXPECT_TRUE(got == plain) << what;
+              std::string ref = "prefix";
+              ref_encode_ok_response(id, rel, ref);
+              EXPECT_TRUE(got == ref) << what;
+              EXPECT_TRUE(net::schedule_to_json(rel, 0) ==
+                          ref_schedule_to_json(rel))
+                  << what;
+            }
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  // 4 algorithms x 2 resolutions x 3 sizes x (2+4+...+64 + 2 x 33).
+  EXPECT_EQ(checked, 4u * 2 * 3 * (126 + 2 * 33));
 }
 
 }  // namespace

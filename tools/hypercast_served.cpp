@@ -3,7 +3,7 @@
 // Puts a coll::ServePipeline behind the src/net/ front end: binary
 // "hypercast-net-v1" frames and HTTP/JSON on one port, served by
 // --workers independent event loops that each batch what they read
-// into one serve_batch call per turn, with TCP backpressure and a
+// into one serve_views call per turn, with TCP backpressure and a
 // per-loop backlog cap, and Prometheus metrics on GET /metrics.
 // SIGTERM/SIGINT trigger a graceful drain: every admitted request is
 // answered before the process exits.
