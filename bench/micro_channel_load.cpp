@@ -70,7 +70,6 @@ void run(const bench::Context& ctx, bench::Report& report) {
   while (cold_seconds < ctx.min_time(0.3)) {
     for (std::size_t i = 0; i < trees.size(); ++i) {
       trees[i] = originals[i];
-      trees[i].finalize();
     }
     const auto start = clock::now();
     plan();

@@ -126,18 +126,15 @@ void schedule_stage_rows(const bench::Context& ctx, bench::Report& report) {
   }
   for (Shape& shape : shapes) {
     const core::MulticastSchedule& rel = shape.relative;
-    rel.finalize();
     const std::size_t nodes = rel.topo().num_nodes();
     hcube::NodeId mask = 0;
     const bench::Rate translate = best_rate(ctx.min_time(0.1), [&] {
       mask = static_cast<hcube::NodeId>((mask + 0x9e5) % nodes);
       core::MulticastSchedule out(rel.topo(), mask);
       out.assign_translated(rel, mask);
-      out.finalize();
     });
     core::MulticastSchedule translated(rel.topo(), 0);
     translated.assign_translated(rel, static_cast<hcube::NodeId>(nodes / 3));
-    translated.finalize();
     std::uint64_t id = 0;
     const bench::Rate encode = best_rate(ctx.min_time(0.1), [&] {
       std::string out;

@@ -106,13 +106,6 @@ auto timed(obs::Histogram* stage, Fn&& fn) {
   return out;
 }
 
-std::shared_ptr<core::MulticastSchedule> finalized(
-    core::MulticastSchedule&& schedule) {
-  auto out = std::make_shared<core::MulticastSchedule>(std::move(schedule));
-  out->finalize();
-  return out;
-}
-
 }  // namespace
 
 ServePipeline::ServePipeline(std::string algorithm,
@@ -214,7 +207,7 @@ ServePipeline::View ServePipeline::serve_tree(
   HYPERCAST_OBS_SPAN("serve.translate");
   auto out = timed(metrics.translate_ns, [&] {
     auto copy = std::make_shared<core::MulticastSchedule>(request.topo, mask);
-    copy->assign_translated(*rel, mask);  // finalized
+    copy->assign_translated(*rel, mask);
     return copy;
   });
   // Offer the materialized translation under its absolute identity so
@@ -240,7 +233,7 @@ std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_repaired(
   }
   HYPERCAST_OBS_SPAN("serve.build");
   return timed(metrics.build_ns, [&] {
-    auto out = finalized(
+    auto out = std::make_shared<const core::MulticastSchedule>(
         fault::repair_schedule(*build_tree(request), request.destinations,
                                *faults_)
             .schedule);
@@ -264,7 +257,9 @@ std::shared_ptr<core::MulticastSchedule> ServePipeline::build_relative(
 
 std::shared_ptr<core::MulticastSchedule> ServePipeline::build_tree(
     const core::MulticastRequest& request) const {
-  if (kind_ == Kind::Entry) return finalized(entry_->build(request));
+  if (kind_ == Kind::Entry) {
+    return std::make_shared<core::MulticastSchedule>(entry_->build(request));
+  }
   ServeTls& tls = serve_tls();
   auto out =
       std::make_shared<core::MulticastSchedule>(request.topo, request.source);
@@ -273,7 +268,7 @@ std::shared_ptr<core::MulticastSchedule> ServePipeline::build_tree(
   } else {
     tls.builder.build_wsort_into(request, *out);
   }
-  return out;  // TreeBuilder output is finalized
+  return out;
 }
 
 template <typename ServeSlot>
@@ -286,17 +281,12 @@ void ServePipeline::serve_each(
   // Deadline check, evaluated immediately before each request's serve
   // starts. Sampling the clock per request costs ~30ns against serves
   // of >=1.2us, so no batching of the check is needed. Slot i is held
-  // to the tighter of the batch-wide deadline and its own entry in
-  // policy.deadlines_ns — a coalesced batch mixes admission times, and
-  // the oldest request must not inherit the newest one's slack.
-  const std::uint64_t batch_deadline = policy.deadline_ns;
-  const std::span<const std::uint64_t> per_request = policy.deadlines_ns;
-  const auto expired = [batch_deadline, per_request](std::size_t i) {
-    std::uint64_t deadline = batch_deadline;
-    if (i < per_request.size() && per_request[i] != 0) {
-      deadline = deadline == 0 ? per_request[i]
-                               : std::min(deadline, per_request[i]);
-    }
+  // to its own entry in policy.deadlines_ns — a coalesced batch mixes
+  // admission times, and the oldest request must not inherit the
+  // newest one's slack.
+  const std::span<const std::uint64_t> deadlines = policy.deadlines_ns;
+  const auto expired = [deadlines](std::size_t i) {
+    const std::uint64_t deadline = i < deadlines.size() ? deadlines[i] : 0;
     if (deadline == 0 || obs::now_ns() <= deadline) return false;
     if (obs::stats_enabled()) serve_metrics().deadline_shed->inc();
     return true;

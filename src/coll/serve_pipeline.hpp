@@ -82,24 +82,20 @@ class ServePipeline {
   /// and mask 0. Encoded, it is byte-identical to serve()'s schedule.
   View serve_view(const core::MulticastRequest& request) const;
 
-  /// Batch-serving policy. The default (1 thread, no deadline) serves
+  /// Batch-serving policy. The default (1 thread, no deadlines) serves
   /// the whole batch sequentially.
   struct BatchPolicy {
     int threads = 1;
-    /// Absolute obs::now_ns() deadline; 0 = none. A request whose
-    /// serving has not *started* by the deadline is shed: its result
-    /// slot stays nullptr and the serve.deadline_shed counter bumps.
-    /// This is the hook a queue-backed server uses to stop burning CPU
-    /// on requests whose caller has already given up (the response
-    /// would arrive past its latency SLO anyway) — load-shedding at the
-    /// latest possible moment, after queueing but before construction.
-    std::uint64_t deadline_ns = 0;
-    /// Optional per-request absolute deadlines (same clock; 0 = none),
-    /// parallel to the request span. A batch coalesced from a queue
-    /// mixes admission times, so one collapsed batch deadline would
-    /// serve the earliest-admitted requests past their own SLO; each
-    /// slot i is shed against min(deadline_ns, deadlines_ns[i]) of the
-    /// nonzero values instead. An empty span means batch-wide only.
+    /// Optional per-request absolute obs::now_ns() deadlines (0 = none),
+    /// parallel to the request span; an empty span means none. A
+    /// request whose serving has not *started* by its deadline is shed:
+    /// its result slot stays nullptr and the serve.deadline_shed counter
+    /// bumps. This is the hook a queue-backed server uses to stop
+    /// burning CPU on requests whose caller has already given up (the
+    /// response would arrive past its latency SLO anyway) —
+    /// load-shedding at the latest possible moment, after queueing but
+    /// before construction. Each request carries its own deadline
+    /// because a batch coalesced from a queue mixes admission times.
     std::span<const std::uint64_t> deadlines_ns{};
   };
 
@@ -116,7 +112,7 @@ class ServePipeline {
       const BatchPolicy& policy) const;
   std::vector<std::shared_ptr<const core::MulticastSchedule>> serve_batch(
       std::span<const core::MulticastRequest> requests, int threads = 1) const {
-    return serve_batch(requests, BatchPolicy{threads, 0});
+    return serve_batch(requests, BatchPolicy{threads});
   }
 
   /// serve_batch of serve_view(); a shed slot's tree is nullptr.

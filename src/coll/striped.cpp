@@ -32,13 +32,6 @@ StripedTls& striped_tls() {
   return tls;
 }
 
-std::shared_ptr<core::MulticastSchedule> finalized(
-    core::MulticastSchedule&& schedule) {
-  auto out = std::make_shared<core::MulticastSchedule>(std::move(schedule));
-  out->finalize();
-  return out;
-}
-
 void bump(const char* name, std::uint64_t by = 1) {
   if (by != 0 && obs::stats_enabled()) {
     obs::default_registry().counter(name).add(by);
@@ -161,8 +154,9 @@ bool StripedPlanner::should_verify(hcube::Dim dim) const {
 std::shared_ptr<const core::MulticastSchedule> StripedPlanner::serve_tree(
     const core::MulticastRequest& request, hcube::Dim tree) const {
   if (cache_ == nullptr) {
-    return finalized(core::build_ist_tree(request.topo, tree, request.source,
-                                          request.destinations));
+    return std::make_shared<const core::MulticastSchedule>(
+        core::build_ist_tree(request.topo, tree, request.source,
+                             request.destinations));
   }
   // The serving pipeline's two-level scheme, one instance per tree: the
   // relative IST tree caches under the canonical relative chain (built
@@ -180,10 +174,10 @@ std::shared_ptr<const core::MulticastSchedule> StripedPlanner::serve_tree(
   auto rel = cache_->get(tls.key);
   if (rel == nullptr) {
     core::chain_from_keys(request.topo, 0, tls.key.words, tls.chain);
-    auto built = finalized(core::build_ist_tree0(
-        request.topo, tree,
-        std::span<const core::NodeId>(tls.chain.data() + 1,
-                                      tls.chain.size() - 1)));
+    auto built = std::make_shared<const core::MulticastSchedule>(
+        core::build_ist_tree0(request.topo, tree,
+                              std::span<const core::NodeId>(
+                                  tls.chain.data() + 1, tls.chain.size() - 1)));
     cache_->put(tls.key, built);
     rel = std::move(built);
   }
@@ -191,35 +185,21 @@ std::shared_ptr<const core::MulticastSchedule> StripedPlanner::serve_tree(
   auto out = std::make_shared<core::MulticastSchedule>(request.topo,
                                                        request.source);
   out->assign_translated(*rel, mask);
-  out->finalize();
   core::rekey(tls.key, /*absolute=*/true, mask);
   cache_->put(tls.key, out);
   return out;
 }
 
-std::shared_ptr<const core::MulticastSchedule> StripedPlanner::cached_repair(
+const core::CacheKey* StripedPlanner::repair_key(
     const core::MulticastRequest& request, hcube::Dim tree,
     std::uint64_t salt) const {
   if (cache_ == nullptr) return nullptr;
-  StripedTls& tls = striped_tls();
+  core::CacheKey& key = striped_tls().key;
   core::canonical_key_into(request.topo, request.source, request.destinations,
                            ist_repair_algo_id(tree), /*absolute=*/true,
-                           cache_->config().hash_seed, tls.key);
-  core::set_salt(tls.key, salt);
-  return cache_->get(tls.key);
-}
-
-void StripedPlanner::cache_repair(
-    const core::MulticastRequest& request, hcube::Dim tree,
-    std::uint64_t salt,
-    const std::shared_ptr<const core::MulticastSchedule>& schedule) const {
-  if (cache_ == nullptr) return;
-  StripedTls& tls = striped_tls();
-  core::canonical_key_into(request.topo, request.source, request.destinations,
-                           ist_repair_algo_id(tree), /*absolute=*/true,
-                           cache_->config().hash_seed, tls.key);
-  core::set_salt(tls.key, salt);
-  cache_->put(tls.key, schedule);
+                           cache_->config().hash_seed, key);
+  core::set_salt(key, salt);
+  return &key;
 }
 
 StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
@@ -315,8 +295,11 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
       }
     }
     for (const int t : to_repair) {
-      if (auto hit =
-              cached_repair(request, static_cast<hcube::Dim>(t), salt)) {
+      // Canonicalized once per damaged tree: the probe below and, on a
+      // disjoint repair, the put share the key.
+      const core::CacheKey* key =
+          repair_key(request, static_cast<hcube::Dim>(t), salt);
+      if (auto hit = key ? cache_->get(*key) : nullptr) {
         // Only certified disjoint repairs are ever cached, so a hit
         // re-claims its footprint and keeps the certificate.
         out.trees[static_cast<std::size_t>(t)] = hit;
@@ -329,11 +312,12 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
           *out.trees[static_cast<std::size_t>(t)], request.destinations,
           faults, owners, t);
       if (res) {
-        auto fixed = finalized(std::move(res->schedule));
+        auto fixed = std::make_shared<const core::MulticastSchedule>(
+            std::move(res->schedule));
         out.trees[static_cast<std::size_t>(t)] = fixed;
         ++out.repaired_disjoint;
         bump("striped.repair_disjoint");
-        cache_repair(request, static_cast<hcube::Dim>(t), salt, fixed);
+        if (key) cache_->put(*key, fixed);
         continue;
       }
       // Tier 3 — greedy detours: delivery at the price of
@@ -345,7 +329,8 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
       fault::FaultAwareResult greedy = fault::repair_schedule(
           *out.trees[static_cast<std::size_t>(t)], request.destinations,
           faults);
-      auto fixed = finalized(std::move(greedy.schedule));
+      auto fixed = std::make_shared<const core::MulticastSchedule>(
+          std::move(greedy.schedule));
       out.trees[static_cast<std::size_t>(t)] = fixed;
       owners.claim_schedule(*fixed, t);
       ++out.repaired_greedy;

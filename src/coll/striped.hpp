@@ -158,13 +158,11 @@ class StripedPlanner {
   std::shared_ptr<const core::MulticastSchedule> serve_tree(
       const core::MulticastRequest& request, hcube::Dim tree) const;
 
-  std::shared_ptr<const core::MulticastSchedule> cached_repair(
-      const core::MulticastRequest& request, hcube::Dim tree,
-      std::uint64_t salt) const;
-  void cache_repair(
-      const core::MulticastRequest& request, hcube::Dim tree,
-      std::uint64_t salt,
-      const std::shared_ptr<const core::MulticastSchedule>& schedule) const;
+  /// The salted cache key of tree `tree`'s certified repair, written
+  /// into this thread's scratch key (valid until the thread's next
+  /// serve_tree or repair_key); null without a cache.
+  const core::CacheKey* repair_key(const core::MulticastRequest& request,
+                                   hcube::Dim tree, std::uint64_t salt) const;
 
   bool should_verify(hcube::Dim dim) const;
 

@@ -22,7 +22,7 @@ struct TreeEmitter {
   const Topology& topo;
   Dim tree;
   const std::vector<char>& keep;
-  MulticastSchedule& schedule;
+  ScheduleBuilder& schedule;
 
   void emit(NodeId u, std::vector<NodeId>& sub) {
     sub.push_back(u);
@@ -63,13 +63,13 @@ struct TreeEmitter {
 MulticastSchedule build_kept_tree0(const Topology& topo, Dim tree,
                                    const std::vector<char>& keep,
                                    std::size_t kept_nodes) {
-  MulticastSchedule schedule(topo, 0);
+  ScheduleBuilder schedule(topo, 0);
   schedule.reserve(kept_nodes, kept_nodes == 0 ? 0 : kept_nodes - 1);
   TreeEmitter emitter{topo, tree, keep, schedule};
   std::vector<NodeId> sub;
   sub.reserve(kept_nodes + 1);
   emitter.emit(0, sub);
-  return schedule;
+  return std::move(schedule).build();
 }
 
 void check_tree_index(const Topology& topo, Dim tree) {

@@ -38,8 +38,7 @@ void MulticastRequest::validate() const {
 }
 
 MulticastSchedule::MulticastSchedule(const MulticastSchedule& other)
-    : topo_(other.topo_), source_(other.source_), raw_(other.raw_),
-      pool_(other.pool_) {
+    : topo_(other.topo_), source_(other.source_) {
   if (!other.block_) return;
   allocate(other.shape_);
   std::memcpy(block_.get(), other.block_.get(), shape_.bytes());
@@ -53,43 +52,22 @@ MulticastSchedule::MulticastSchedule(const MulticastSchedule& other)
   }
 }
 
-void MulticastSchedule::allocate(const Shape& shape) const {
+void MulticastSchedule::allocate(const Shape& shape) {
   if (!block_ || shape_.bytes() != shape.bytes()) {
     block_.reset(new std::byte[shape.bytes()]);
   }
   shape_ = shape;
 }
 
-std::unique_ptr<std::byte[]> MulticastSchedule::thaw() {
-  if (!block_) return nullptr;
-  const std::span<const RawSend> records = this->records();
-  const std::span<const NodeId> pool = this->pool();
-  raw_.assign(records.begin(), records.end());
-  pool_.assign(pool.begin(), pool.end());
-  return std::move(block_);
-}
-
-void MulticastSchedule::free_builder() const {
-  raw_ = std::vector<RawSend>();
-  pool_ = std::vector<NodeId>();
-}
-
-void MulticastSchedule::reset(Topology topo, NodeId source) {
-  topo_ = std::move(topo);
-  source_ = source;
-  raw_.clear();
-  pool_.clear();
-  block_.reset();
-  memo_.reset();
-}
-
 void MulticastSchedule::assign_translated(const MulticastSchedule& relative,
                                           NodeId mask) {
-  relative.finalize();
   memo_.reset();
   topo_ = relative.topo_;
   source_ = relative.source_ ^ mask;
-  free_builder();
+  if (!relative.block_) {
+    block_.reset();
+    return;
+  }
   allocate(relative.shape_);
   const std::span<const RawSend> rel_records = relative.records();
   RawSend* const records = block_records();
@@ -165,8 +143,7 @@ void MulticastSchedule::FootprintMemo::reset() noexcept {
 }
 
 std::size_t MulticastSchedule::footprint_bytes() const {
-  return sizeof(MulticastSchedule) + (block_ ? shape_.bytes() : 0) +
-         raw_.capacity() * sizeof(RawSend) + pool_.capacity() * sizeof(NodeId);
+  return sizeof(MulticastSchedule) + (block_ ? shape_.bytes() : 0);
 }
 
 bool operator==(const MulticastSchedule& a, const MulticastSchedule& b) {
@@ -189,12 +166,6 @@ bool operator==(const MulticastSchedule& a, const MulticastSchedule& b) {
   return true;
 }
 
-void MulticastSchedule::reserve(std::size_t sends, std::size_t payload_total) {
-  thaw();
-  raw_.reserve(sends);
-  pool_.reserve(payload_total);
-}
-
 void MulticastSchedule::assign_chain_tree(const Topology& topo,
                                           std::span<const NodeId> chain,
                                           std::span<const ChainSend> sends) {
@@ -202,22 +173,10 @@ void MulticastSchedule::assign_chain_tree(const Topology& topo,
   memo_.reset();
   topo_ = topo;
   source_ = chain[0];
-  free_builder();
   pack(static_cast<std::uint32_t>(sends.size()), chain, [&](std::size_t i) {
     const ChainSend& s = sends[i];
     return RawSend{chain[s.from], chain[s.to], s.to + 1, s.last - s.to};
   });
-}
-
-void MulticastSchedule::add_send(NodeId from, NodeId to,
-                                 std::span<const NodeId> payload) {
-  // The payload may point into the block (a schedule forwarding one of
-  // its own sends), so the block lives until the payload is copied.
-  const std::unique_ptr<std::byte[]> frozen = thaw();
-  raw_.push_back(RawSend{from, to, static_cast<std::uint32_t>(pool_.size()),
-                         static_cast<std::uint32_t>(payload.size())});
-  pool_.insert(pool_.end(), payload.begin(), payload.end());
-  memo_.reset();
 }
 
 std::size_t MulticastSchedule::num_payload_ids() const {
@@ -228,7 +187,7 @@ std::size_t MulticastSchedule::num_payload_ids() const {
 
 template <typename RecordAt>
 void MulticastSchedule::pack(std::uint32_t sends, std::span<const NodeId> pool,
-                             RecordAt record_at) const {
+                             RecordAt record_at) {
   // Counting sort by sender, stable in append order per sender. The
   // per-node counts, then bucket cursors, live in a per-thread table
   // whose sender entries are zeroed again on the way out (the guard
@@ -284,11 +243,19 @@ void MulticastSchedule::pack(std::uint32_t sends, std::span<const NodeId> pool,
   }
 }
 
-void MulticastSchedule::finalize() const {
-  if (block_) return;
-  pack(static_cast<std::uint32_t>(raw_.size()), pool_,
-       [this](std::size_t i) { return raw_[i]; });
-  free_builder();
+void ScheduleBuilder::add_send(NodeId from, NodeId to,
+                               std::span<const NodeId> payload) {
+  raw_.push_back(MulticastSchedule::RawSend{
+      from, to, static_cast<std::uint32_t>(pool_.size()),
+      static_cast<std::uint32_t>(payload.size())});
+  pool_.insert(pool_.end(), payload.begin(), payload.end());
+}
+
+MulticastSchedule ScheduleBuilder::build() && {
+  MulticastSchedule out(std::move(topo_), source_);
+  out.pack(static_cast<std::uint32_t>(raw_.size()), pool_,
+           [this](std::size_t i) { return raw_[i]; });
+  return out;
 }
 
 std::vector<Unicast> MulticastSchedule::unicasts() const {

@@ -77,31 +77,27 @@ struct Unicast {
 /// A schedule forms a tree rooted at the source: each non-source
 /// recipient receives exactly once (validate() enforces this).
 ///
-/// A schedule is built in one of two ways. A tree over a chain
-/// (assign_chain_tree) and an XOR translation (assign_translated) are
-/// written straight into their finalized form. add_send appends to two
-/// builder vectors instead: fixed-size send records in append order,
-/// and a pool holding a copy of each payload. finalize() packs those
-/// into the finalized form and frees them; every accessor calls it.
+/// A schedule is frozen: it is written once, by ScheduleBuilder::build(),
+/// assign_chain_tree() (a tree over a chain) or assign_translated() (an
+/// XOR translation), and only read after that, so any number of threads
+/// may read it at once. A schedule constructed from a topology and a
+/// source alone is empty: it holds no block, and its accessors answer
+/// "no sends".
 ///
-/// The finalized form is one heap block of exactly the right size
-/// holding, in order: the sender bitmap of ceil(2^n / 64) words, each
-/// with its rank (the senders in earlier words); the sends grouped by
-/// sender (stable in append order) as the Send view sends_from() hands
-/// out; the send records in append order; senders + 1 bucket offsets;
-/// and the payload pool. A chain tree stores its chain once as the pool
-/// and every payload is a range of it. sends_from(u) is one bit test
-/// plus one popcount; for_each_sender() walks the set bits. A 10-cube
-/// wsort tree to 48 destinations pins 2,544 bytes in all: the 96-byte
-/// object and a 2,448-byte block. Shared through make_shared, it is two
-/// heap objects.
+/// The block is one heap allocation of exactly the right size holding,
+/// in order: the sender bitmap of ceil(2^n / 64) words, each with its
+/// rank (the senders in earlier words); the sends grouped by sender
+/// (stable in append order) as the Send view sends_from() hands out;
+/// the send records in append order; senders + 1 bucket offsets; and
+/// the payload pool. A chain tree stores its chain once as the pool and
+/// every payload is a range of it. sends_from(u) is one bit test plus
+/// one popcount; for_each_sender() walks the set bits. A 10-cube wsort
+/// tree to 48 destinations pins 2,496 bytes in all: the 48-byte object
+/// and a 2,448-byte block. Shared through make_shared, it is two heap
+/// objects.
 ///
 /// Spans obtained from sends_from() point into the block: a move keeps
-/// them valid, and the next add_send()/reserve()/reset()/assign_*()
-/// invalidates them (add_send may still take its payload from one). The
-/// lazy packing means the first accessor call after add_send is not
-/// safe to race with other readers — finalize() first to share a
-/// schedule across threads read-only.
+/// them valid, and the next assign_*() or assignment invalidates them.
 class MulticastSchedule {
  public:
   MulticastSchedule(Topology topo, NodeId source)
@@ -121,24 +117,16 @@ class MulticastSchedule {
   const Topology& topo() const { return topo_; }
   NodeId source() const { return source_; }
 
-  /// Re-initialize in place as an empty schedule: the block is freed,
-  /// the builder vectors keep their capacity.
-  void reset(Topology topo, NodeId source);
-
-  /// Capacity hint: `sends` future add_send calls carrying
-  /// `payload_total` destination ids altogether.
-  void reserve(std::size_t sends, std::size_t payload_total);
-
   /// Become the XOR-relabeling of `relative`: every node id (source,
   /// sender, recipient, payload entry) is XORed with `mask`. This is how
   /// the schedule cache materializes a caller-facing schedule from a
   /// cached source-relative one — one block of the relative's size,
   /// filled by a linear pass, with none of the sorting, validation or
   /// worklist cost of a fresh build. XOR permutes whole sender buckets,
-  /// so the grouped view is a gather copy, not a re-sort. The result is
-  /// finalized and compares equal (operator==) to building the
-  /// translated request directly for every translation-invariant
-  /// algorithm. `relative` is finalized first and may not alias this
+  /// so the grouped view is a gather copy, not a re-sort. The result
+  /// compares equal (operator==) to building the translated request
+  /// directly for every translation-invariant algorithm. An empty
+  /// `relative` gives an empty schedule. `relative` may not alias this
   /// schedule.
   void assign_translated(const MulticastSchedule& relative, NodeId mask);
 
@@ -146,24 +134,15 @@ class MulticastSchedule {
   /// the source), with topology `topo`. The chain is stored once as the
   /// pool and each payload is a range of it, so nothing is copied per
   /// send. `sends` lists each sender's sends in issue order; their
-  /// order is also the append order operator== compares. The result is
-  /// finalized, written straight into its block. `chain` may not alias
-  /// this schedule.
+  /// order is also the append order operator== compares. The tree is
+  /// written straight into its block. `chain` may not alias this
+  /// schedule.
   void assign_chain_tree(const Topology& topo, std::span<const NodeId> chain,
                          std::span<const ChainSend> sends);
 
-  /// Append a send to `from`'s issue list. The payload is copied into
-  /// the builder pool; it may point into this schedule's own block (a
-  /// schedule forwarding one of its own sends), which stays alive until
-  /// the copy is made.
-  void add_send(NodeId from, NodeId to, std::span<const NodeId> payload = {});
-  void add_send(NodeId from, NodeId to, std::initializer_list<NodeId> payload) {
-    add_send(from, to, std::span<const NodeId>(payload.begin(), payload.size()));
-  }
-
   /// The ordered sends issued by node u (empty list if u sends nothing).
   std::span<const Send> sends_from(NodeId u) const {
-    if (!block_) finalize();
+    if (!block_) return {};
     const SenderWord& word = words()[u >> 6];
     const std::uint64_t bit = std::uint64_t{1} << (u & 63);
     if ((word.bits & bit) == 0) return {};
@@ -178,7 +157,7 @@ class MulticastSchedule {
   /// bits within one.
   template <typename Fn>
   void for_each_sender(Fn&& fn, NodeId mask = 0) const {
-    if (!block_) finalize();
+    if (!block_) return;
     // Local array pointers (fn's stores cannot alias them) and one call
     // site (fn stays inlined).
     const SenderWord* const ws = words();
@@ -208,10 +187,9 @@ class MulticastSchedule {
     }
   }
 
-  /// Pack the builder vectors into the block now (idempotent). Called
-  /// implicitly by every accessor; calling it explicitly makes the
-  /// schedule safe for concurrent read-only use.
-  void finalize() const;
+  /// Does nothing: a schedule is frozen from the moment it is written.
+  /// Kept for callers written when schedules packed themselves lazily.
+  void finalize() const {}
 
   /// Every node that receives the message (excludes the source), in
   /// breadth-first tree order. Deterministic.
@@ -229,10 +207,7 @@ class MulticastSchedule {
   std::size_t num_payload_ids() const;
 
   /// Number of nodes with at least one outgoing send.
-  std::size_t num_senders() const {
-    if (!block_) finalize();
-    return shape_.senders;
-  }
+  std::size_t num_senders() const { return block_ ? shape_.senders : 0; }
 
   /// Nodes with at least one outgoing send, including the source if it
   /// sends. Ascending node order.
@@ -258,22 +233,22 @@ class MulticastSchedule {
 
   /// The schedule's arc footprint (core::arc_footprint over topo()),
   /// computed by the first call and kept until the schedule changes:
-  /// reset, add_send, assign_translated and copy-assignment drop it.
+  /// assign_chain_tree, assign_translated and assignment drop it.
   /// This is the co-scheduler's entry point — a cached tree comes back
   /// batch after batch, and its footprint is a pure function of the
   /// tree. Other footprint users call core::arc_footprint and keep
   /// nothing, so serving and the simulators never allocate the memo.
-  /// Safe to call concurrently on a finalized schedule: racing callers
-  /// may each compute it, one result is published (the contents are
-  /// identical), and every caller gets the published one.
+  /// Safe to call concurrently: racing callers may each compute it, one
+  /// result is published (the contents are identical), and every caller
+  /// gets the published one.
   const ArcFootprint& cached_arc_footprint() const;
 
   /// The footprint cached_arc_footprint() published, or null when none
   /// is held. Never computes.
   const ArcFootprint* arc_footprint_memo() const { return memo_.get(); }
 
-  /// Bytes the schedule pins: the object, its block and any builder
-  /// capacity (what a cache entry actually holds resident).
+  /// Bytes the schedule pins: the object and its block (what a cache
+  /// entry actually holds resident).
   std::size_t footprint_bytes() const;
 
   /// Structural equality: same topology, source, and identical append
@@ -284,6 +259,8 @@ class MulticastSchedule {
                          const MulticastSchedule& b);
 
  private:
+  friend class ScheduleBuilder;
+
   /// One send record: fixed size, payload in [pool_begin,
   /// pool_begin + pool_len) of the pool.
   struct RawSend {
@@ -295,7 +272,7 @@ class MulticastSchedule {
 
   /// Owning, atomically published pointer to the footprint memo; moves
   /// transfer it. Only publish() and get() may race. A schedule without
-  /// a memo pays one atomic load per move, reset() or destruction — a
+  /// a memo pays one atomic load per move, assignment or destruction — a
   /// plain load on x86-64 and AArch64 — and no store.
   class FootprintMemo {
    public:
@@ -368,15 +345,15 @@ class MulticastSchedule {
   std::uint32_t* begins() const { return at<std::uint32_t>(shape_.begin_at()); }
   NodeId* block_pool() const { return at<NodeId>(shape_.pool_at()); }
 
-  /// The send records in append order and the pool, from whichever
-  /// state holds them; neither call finalizes.
+  /// The send records in append order and the pool (empty without a
+  /// block).
   std::span<const RawSend> records() const {
-    if (block_) return {block_records(), shape_.sends};
-    return raw_;
+    if (!block_) return {};
+    return {block_records(), shape_.sends};
   }
   std::span<const NodeId> pool() const {
-    if (block_) return {block_pool(), shape_.pool};
-    return pool_;
+    if (!block_) return {};
+    return {block_pool(), shape_.pool};
   }
 
   /// The k-th sender's sends (k counts senders in ascending order).
@@ -387,34 +364,57 @@ class MulticastSchedule {
 
   /// Make block_ a block of `shape`, reusing the current one when it is
   /// exactly that size. Its contents are the caller's to write.
-  void allocate(const Shape& shape) const;
+  void allocate(const Shape& shape);
 
   /// Write the block from `sends` records (record_at(i) for i < sends)
-  /// over `pool`: the counting sort by sender shared by finalize() and
-  /// assign_chain_tree().
+  /// over `pool`: the counting sort by sender shared by
+  /// ScheduleBuilder::build() and assign_chain_tree().
   template <typename RecordAt>
   void pack(std::uint32_t sends, std::span<const NodeId> pool,
-            RecordAt record_at) const;
-
-  /// Move a finalized schedule's records and pool back into the builder
-  /// vectors; returns the block, which the caller frees once nothing
-  /// reads it. Returns null when the schedule holds no block.
-  std::unique_ptr<std::byte[]> thaw();
-
-  /// Release the builder vectors' storage (assigning {} would keep it).
-  void free_builder() const;
+            RecordAt record_at);
 
   Topology topo_;
   NodeId source_;
-  // Builder state (add_send), emptied and freed by finalize().
-  mutable std::vector<RawSend> raw_;   ///< append order
-  mutable std::vector<NodeId> pool_;   ///< copied payloads
-  // Finalized state: set by finalize(), assign_chain_tree() and
-  // assign_translated(), dropped by every mutation.
-  mutable std::unique_ptr<std::byte[]> block_;
-  mutable Shape shape_;  ///< block_'s shape (meaningless without one)
+  // Written by ScheduleBuilder::build(), assign_chain_tree() and
+  // assign_translated(); null while the schedule is empty.
+  std::unique_ptr<std::byte[]> block_;
+  Shape shape_;  ///< block_'s shape (meaningless without one)
 
   FootprintMemo memo_;  ///< see cached_arc_footprint()
+};
+
+/// Builds a MulticastSchedule send by send: fixed-size send records in
+/// append order, and a pool holding a copy of each payload. build()
+/// packs them into the frozen schedule with a stable counting sort by
+/// sender, so each node's sends keep the order of its add_send calls
+/// however the senders interleave.
+class ScheduleBuilder {
+ public:
+  ScheduleBuilder(Topology topo, NodeId source)
+      : topo_(std::move(topo)), source_(source) {}
+
+  /// Capacity hint: `sends` future add_send calls carrying
+  /// `payload_total` destination ids altogether.
+  void reserve(std::size_t sends, std::size_t payload_total) {
+    raw_.reserve(sends);
+    pool_.reserve(payload_total);
+  }
+
+  /// Append a send to `from`'s issue list. The payload is copied, so it
+  /// may point anywhere (into a frozen schedule's sends_from(), say).
+  void add_send(NodeId from, NodeId to, std::span<const NodeId> payload = {});
+  void add_send(NodeId from, NodeId to, std::initializer_list<NodeId> payload) {
+    add_send(from, to, std::span<const NodeId>(payload.begin(), payload.size()));
+  }
+
+  /// The frozen schedule of the sends added so far.
+  MulticastSchedule build() &&;
+
+ private:
+  Topology topo_;
+  NodeId source_;
+  std::vector<MulticastSchedule::RawSend> raw_;  ///< append order
+  std::vector<NodeId> pool_;                     ///< copied payloads
 };
 
 }  // namespace hypercast::core

@@ -19,7 +19,7 @@ struct Task {
 MulticastSchedule sf_tree(const MulticastRequest& req) {
   req.validate();
   const Topology& topo = req.topo;
-  MulticastSchedule schedule(topo, req.source);
+  ScheduleBuilder schedule(topo, req.source);
 
   std::vector<std::uint32_t> targets;
   targets.reserve(req.destinations.size());
@@ -71,7 +71,7 @@ MulticastSchedule sf_tree(const MulticastRequest& req) {
       if (!sub.empty()) work.push_back(Task{next, b, std::move(sub)});
     }
   }
-  return schedule;
+  return std::move(schedule).build();
 }
 
 }  // namespace hypercast::core

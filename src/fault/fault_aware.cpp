@@ -87,7 +87,7 @@ class Repairer {
       process(item);
     }
     if (failed_) return std::nullopt;
-    return FaultAwareResult{std::move(out_), std::move(report_)};
+    return FaultAwareResult{std::move(out_).build(), std::move(report_)};
   }
 
   /// The certified engine's table after a successful run.
@@ -305,7 +305,7 @@ class Repairer {
   const core::MulticastSchedule& base_;
   const FaultSet& faults_;
   Topology topo_;
-  core::MulticastSchedule out_;
+  core::ScheduleBuilder out_;
   std::optional<core::ArcOwnerTable> table_;  ///< certified repair only
   int self_;
   std::vector<bool> planned_;   ///< will receive in the final schedule

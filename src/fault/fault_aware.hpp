@@ -34,8 +34,7 @@ struct RepairReport {
   std::string summary() const;
 };
 
-/// A repaired schedule plus its repair accounting. The schedule is not
-/// finalized (callers finalize after any further surgery).
+/// A repaired schedule plus its repair accounting.
 struct FaultAwareResult {
   core::MulticastSchedule schedule;
   RepairReport report;

@@ -797,7 +797,7 @@ void Server::Loop::serve_ready() {
   }
 
   if (!requests_.empty()) {
-    const coll::ServePipeline::BatchPolicy policy{1, 0, deadlines_};
+    const coll::ServePipeline::BatchPolicy policy{1, deadlines_};
     std::vector<coll::ServePipeline::View> views;
     coll::CoschedPlan plan;
     try {

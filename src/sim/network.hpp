@@ -129,8 +129,7 @@ class Network {
   /// Restore the freshly-constructed invariants (all units idle, no
   /// waiters) while keeping every allocation, so a reused engine doesn't
   /// pay construction again — and `waiter_next_`, which grows to the max
-  /// MessageId ever enqueued, stops accumulating across jobs. Mirrors
-  /// MulticastSchedule::reset().
+  /// MessageId ever enqueued, stops accumulating across jobs.
   void reset();
 
   /// Heap bytes pinned by per-resource and per-waiter state (capacity,

@@ -235,9 +235,9 @@ SimResult simulate_multicast(const core::MulticastSchedule& schedule,
 
 SimTime simulate_unicast(const hcube::Topology& topo, const SimConfig& config,
                          hcube::NodeId from, hcube::NodeId to) {
-  core::MulticastSchedule schedule(topo, from);
-  schedule.add_send(from, to);
-  return simulate_multicast(schedule, config).delay(to);
+  core::ScheduleBuilder unicast(topo, from);
+  unicast.add_send(from, to);
+  return simulate_multicast(std::move(unicast).build(), config).delay(to);
 }
 
 }  // namespace hypercast::sim

@@ -18,8 +18,9 @@ ChannelLoadReport analyze(const MulticastSchedule& s) {
 
 TEST(ChannelLoad, SingleUnicastLoadsItsPathOnce) {
   const Topology topo(4);
-  MulticastSchedule s(topo, 0);
-  s.add_send(0, 0b1011, {});  // 3 hops
+  ScheduleBuilder b(topo, 0);
+  b.add_send(0, 0b1011, {});  // 3 hops
+  const MulticastSchedule s = std::move(b).build();
   const auto report = analyze(s);
   EXPECT_EQ(report.channels_used, 3u);
   EXPECT_EQ(report.total_crossings, 3u);

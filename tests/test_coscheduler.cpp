@@ -39,6 +39,7 @@ using coll::CoschedPolicy;
 using coll::CoScheduler;
 using core::MulticastRequest;
 using core::MulticastSchedule;
+using core::ScheduleBuilder;
 
 std::vector<MulticastSchedule> build_batch(
     const hcube::Topology& topo,
@@ -143,13 +144,13 @@ TEST(CoScheduler, SelfHeavyTreeFallsBackSolo) {
   // (high-to-low resolution: 0->3 routes 0->2->3): self-overlap 2,
   // unschedulable under bound 1.
   const hcube::Topology topo(3);
-  MulticastSchedule heavy(topo, 0);
-  heavy.add_send(0, 2, {});
-  heavy.add_send(0, 3, {});
-  heavy.finalize();
-  MulticastSchedule light(topo, 4);
-  light.add_send(4, 6, {});
-  light.finalize();
+  ScheduleBuilder heavy_builder(topo, 0);
+  heavy_builder.add_send(0, 2, {});
+  heavy_builder.add_send(0, 3, {});
+  const MulticastSchedule heavy = std::move(heavy_builder).build();
+  ScheduleBuilder light_builder(topo, 4);
+  light_builder.add_send(4, 6, {});
+  const MulticastSchedule light = std::move(light_builder).build();
   ASSERT_EQ(core::arc_footprint(topo, heavy).self_max, 2u);
 
   const std::vector<const MulticastSchedule*> ptrs{&heavy, &light};
@@ -210,9 +211,9 @@ TEST(CoScheduler, NullSlotsAreSkippedAndMixedTopologiesThrow) {
   EXPECT_EQ(plan.wave_of(2), plan.size());
 
   const hcube::Topology other(5);
-  MulticastSchedule alien(other, 0);
-  alien.add_send(0, 1, {});
-  alien.finalize();
+  ScheduleBuilder alien_builder(other, 0);
+  alien_builder.add_send(0, 1, {});
+  const MulticastSchedule alien = std::move(alien_builder).build();
   std::vector<const MulticastSchedule*> mixed = pointers(schedules);
   mixed.push_back(&alien);
   EXPECT_THROW(
@@ -233,11 +234,11 @@ TEST(CoScheduler, ServeBatchCoschedIsDeterministicAcrossThreadCounts) {
       "wsort", std::make_shared<coll::ScheduleCache>());
   const CoschedPolicy policy;
   const auto sequential =
-      pipeline.serve_batch(requests, coll::ServePipeline::BatchPolicy{1, 0});
+      pipeline.serve_batch(requests, coll::ServePipeline::BatchPolicy{1});
 
   for (const int threads : {1, 2, 4}) {
     const auto batch = pipeline.serve_batch_cosched(
-        requests, coll::ServePipeline::BatchPolicy{threads, 0}, policy);
+        requests, coll::ServePipeline::BatchPolicy{threads}, policy);
     ASSERT_EQ(batch.schedules.size(), sequential.size());
     for (std::size_t i = 0; i < sequential.size(); ++i) {
       ASSERT_NE(batch.schedules[i], nullptr);
@@ -248,7 +249,7 @@ TEST(CoScheduler, ServeBatchCoschedIsDeterministicAcrossThreadCounts) {
     // The plan is a pure function of the schedules, so every thread
     // count produces the same waves.
     const auto reference = pipeline.serve_batch_cosched(
-        requests, coll::ServePipeline::BatchPolicy{1, 0}, policy);
+        requests, coll::ServePipeline::BatchPolicy{1}, policy);
     ASSERT_EQ(batch.plan.waves.size(), reference.plan.waves.size());
     for (std::size_t w = 0; w < batch.plan.waves.size(); ++w) {
       EXPECT_EQ(batch.plan.waves[w].members,
@@ -477,12 +478,13 @@ TEST(CoSchedulerGolden, SelfHeavyTreeBatch) {
   // The pair from SelfHeavyTreeFallsBackSolo.
   const hcube::Topology topo(3);
   std::vector<MulticastSchedule> schedules;
-  schedules.emplace_back(topo, 0);
-  schedules.back().add_send(0, 2, {});
-  schedules.back().add_send(0, 3, {});
-  schedules.emplace_back(topo, 4);
-  schedules.back().add_send(4, 6, {});
-  for (auto& s : schedules) s.finalize();
+  ScheduleBuilder heavy(topo, 0);
+  heavy.add_send(0, 2, {});
+  heavy.add_send(0, 3, {});
+  schedules.push_back(std::move(heavy).build());
+  ScheduleBuilder light(topo, 4);
+  light.add_send(4, 6, {});
+  schedules.push_back(std::move(light).build());
   expect_golden(schedules, {
     {1, 0,
      "[0]p2 [1]p1 peak 2 deferred 1 fallback 1"},
@@ -522,9 +524,11 @@ TEST(CoSchedulerMemo, EveryMutatorDropsTheFootprint) {
   expect_plan_uses_fresh_footprint(scheduler, s, "second plan");
   EXPECT_EQ(s.arc_footprint_memo(), first);
 
-  s.add_send(s.source(), s.source() ^ 63);
+  ScheduleBuilder built(s.topo(), s.source());
+  built.add_send(s.source(), s.source() ^ 63);
+  s = std::move(built).build();
   EXPECT_EQ(s.arc_footprint_memo(), nullptr);
-  expect_plan_uses_fresh_footprint(scheduler, s, "add_send");
+  expect_plan_uses_fresh_footprint(scheduler, s, "move-assign");
 
   s.assign_translated(batch[1], 5);
   EXPECT_EQ(s.arc_footprint_memo(), nullptr);
@@ -538,11 +542,9 @@ TEST(CoSchedulerMemo, EveryMutatorDropsTheFootprint) {
   expect_plan_uses_fresh_footprint(scheduler, s, "copy-assign");
   EXPECT_NE(s.arc_footprint_memo(), batch[2].arc_footprint_memo());
 
-  s.reset(topo, 7);
+  s = MulticastSchedule(topo, 7);
   EXPECT_EQ(s.arc_footprint_memo(), nullptr);
-  s.add_send(7, 8);
-  s.add_send(7, 48);
-  expect_plan_uses_fresh_footprint(scheduler, s, "reset");
+  expect_plan_uses_fresh_footprint(scheduler, s, "empty");
 
   // A copy starts without a memo; a move carries it.
   const MulticastSchedule copy(batch[2]);
@@ -567,7 +569,7 @@ TEST(CoSchedulerMemo, PlainServingLeavesTheMemoEmpty) {
   for (const auto& request : requests) {
     EXPECT_EQ(pipeline.serve(request)->arc_footprint_memo(), nullptr);
   }
-  for (const auto& s : pipeline.serve_batch(requests, {2, 0})) {
+  for (const auto& s : pipeline.serve_batch(requests, {2})) {
     EXPECT_EQ(s->arc_footprint_memo(), nullptr);
   }
   // Co-scheduled serving fills the memos of the cached trees, and the

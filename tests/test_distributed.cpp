@@ -82,7 +82,7 @@ TEST_P(DistributedEquivalence, MatchesCentralizedSchedules) {
       // every recipient independently processes its field.
       const auto chain =
           hcube::make_relative_chain(topo, req.source, req.destinations);
-      MulticastSchedule distributed(topo, req.source);
+      ScheduleBuilder distributed_builder(topo, req.source);
       std::deque<std::pair<NodeId, std::vector<NodeId>>> inbox;
       inbox.emplace_back(req.source,
                          std::vector<NodeId>(chain.begin() + 1, chain.end()));
@@ -93,9 +93,11 @@ TEST_P(DistributedEquivalence, MatchesCentralizedSchedules) {
         // the inbox (the wire transmission) before field goes away.
         for (const Send& s : local_sends(topo, node, field, rule)) {
           inbox.emplace_back(s.to, to_vec(s.payload));
-          distributed.add_send(node, s.to, s.payload);
+          distributed_builder.add_send(node, s.to, s.payload);
         }
       }
+      const MulticastSchedule distributed =
+          std::move(distributed_builder).build();
       EXPECT_EQ(distributed.format_tree(), centralized.format_tree())
           << name << " m=" << m;
     }

@@ -14,6 +14,7 @@ namespace {
 
 using namespace testutil;
 using core::MulticastSchedule;
+using core::ScheduleBuilder;
 using core::Send;
 
 FlitConfig basic_config() {
@@ -25,9 +26,9 @@ FlitConfig basic_config() {
 
 MulticastSchedule unicast_schedule(const Topology& topo, NodeId from,
                                    NodeId to) {
-  MulticastSchedule s(topo, from);
-  s.add_send(from, to, {});
-  return s;
+  ScheduleBuilder b(topo, from);
+  b.add_send(from, to, {});
+  return std::move(b).build();
 }
 
 TEST(FlitSim, UnicastMatchesClosedForm) {
@@ -118,9 +119,10 @@ TEST(FlitSim, EarlyTailReleaseBeatsTheMessageLevelApproximation) {
   // delivery. The gap is (remaining hops * per_hop - header flit time),
   // so make routing expensive relative to one flit to expose it.
   const Topology topo(4);
-  MulticastSchedule s(topo, 0);
-  s.add_send(0, 0b1111, {});
-  s.add_send(0, 0b1000, {});
+  ScheduleBuilder b(topo, 0);
+  b.add_send(0, 0b1111, {});
+  b.add_send(0, 0b1000, {});
+  const MulticastSchedule s = std::move(b).build();
   FlitConfig fconfig = basic_config();
   fconfig.cost.per_hop = microseconds(20);
   fconfig.flit_bytes = 16;
@@ -146,9 +148,10 @@ TEST(FlitSim, EarlyTailReleaseBeatsTheMessageLevelApproximation) {
 
 TEST(FlitSim, SameChannelSerializationStillHappens) {
   const Topology topo(4);
-  MulticastSchedule s(topo, 0);
-  s.add_send(0, 8, {});
-  s.add_send(0, 9, {});
+  ScheduleBuilder b(topo, 0);
+  b.add_send(0, 8, {});
+  b.add_send(0, 9, {});
+  const MulticastSchedule s = std::move(b).build();
   const auto result = simulate_multicast_flit(s, basic_config());
   EXPECT_GE(result.stats.blocked_acquisitions, 1u);
   EXPECT_GT(result.delay(9), result.delay(8));
@@ -158,9 +161,10 @@ TEST(FlitSim, OnePortInjectionSerializes) {
   const Topology topo(4);
   FlitConfig config = basic_config();
   config.port = core::PortModel::one_port();
-  MulticastSchedule s(topo, 0);
-  s.add_send(0, 1, {});
-  s.add_send(0, 2, {});
+  ScheduleBuilder b(topo, 0);
+  b.add_send(0, 1, {});
+  b.add_send(0, 2, {});
+  const MulticastSchedule s = std::move(b).build();
   const auto result = simulate_multicast_flit(s, config);
   EXPECT_GE(result.stats.blocked_acquisitions, 1u);
   // The second worm cannot inject until the first tail leaves the
@@ -254,9 +258,10 @@ TEST(FlitSim, TraceTimelineIsConsistent) {
   const Topology topo(4);
   FlitConfig config = basic_config();
   config.record_trace = true;
-  MulticastSchedule s(topo, 0);
-  s.add_send(0, 0b1010, {0b1011});
-  s.add_send(0b1010, 0b1011, {});
+  ScheduleBuilder b(topo, 0);
+  b.add_send(0, 0b1010, {0b1011});
+  b.add_send(0b1010, 0b1011, {});
+  const MulticastSchedule s = std::move(b).build();
   const auto result = simulate_multicast_flit(s, config);
   ASSERT_EQ(result.trace.messages.size(), 2u);
   for (const auto& m : result.trace.messages) {

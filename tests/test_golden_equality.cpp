@@ -85,8 +85,8 @@ std::vector<RefSend> ref_local_sends(const Topology& topo, NodeId local,
 MulticastSchedule ref_build_chain_schedule(const Topology& topo,
                                            std::span<const NodeId> chain,
                                            NextRule rule) {
-  MulticastSchedule schedule(topo, chain[0]);
-  if (chain.size() == 1) return schedule;
+  ScheduleBuilder schedule(topo, chain[0]);
+  if (chain.size() == 1) return std::move(schedule).build();
 
   struct Delivery {
     NodeId node;
@@ -105,7 +105,7 @@ MulticastSchedule ref_build_chain_schedule(const Topology& topo,
       }
     }
   }
-  return schedule;
+  return std::move(schedule).build();
 }
 
 MulticastSchedule ref_chain_algorithm(const MulticastRequest& req,

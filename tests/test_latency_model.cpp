@@ -60,8 +60,9 @@ TEST(LatencyModel, RefusesChannelReusingSchedules) {
 
 TEST(LatencyModel, SingleUnicastMatchesCostModel) {
   const Topology topo(5);
-  core::MulticastSchedule s(topo, 0);
-  s.add_send(0, 21, {});
+  core::ScheduleBuilder b(topo, 0);
+  b.add_send(0, 21, {});
+  const core::MulticastSchedule s = std::move(b).build();
   const CostModel cost = CostModel::ncube2();
   const auto predicted = predict_delays(s, cost, 2048);
   ASSERT_TRUE(predicted.has_value());

@@ -34,10 +34,11 @@ TEST(MiscCoverage, FlitSimRespectsKPortInjection) {
   const Topology topo(4);
   sim::FlitConfig config;
   config.port = core::PortModel::k_port(2);
-  core::MulticastSchedule s(topo, 0);
-  s.add_send(0, 1, {});
-  s.add_send(0, 2, {});
-  s.add_send(0, 4, {});
+  core::ScheduleBuilder b(topo, 0);
+  b.add_send(0, 1, {});
+  b.add_send(0, 2, {});
+  b.add_send(0, 4, {});
+  const core::MulticastSchedule s = std::move(b).build();
   const auto result = sim::simulate_multicast_flit(s, config);
   // The third worm waits for an injection slot.
   EXPECT_GE(result.stats.blocked_acquisitions, 1u);

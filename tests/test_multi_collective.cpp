@@ -15,6 +15,7 @@ namespace {
 
 using namespace testutil;
 using core::MulticastSchedule;
+using core::ScheduleBuilder;
 using core::Send;
 
 TEST(MultiCollective, SingleJobMatchesSimulateMulticast) {
@@ -62,10 +63,12 @@ TEST(MultiCollective, DisjointSubcubeJobsDoNotInterfere) {
 TEST(MultiCollective, SharedChannelJobsSlowEachOtherDown) {
   // Two sources pushing through the same channel: job 1 must wait.
   const Topology topo(4);
-  MulticastSchedule s1(topo, 0b0000);
-  s1.add_send(0b0000, 0b1100, {});  // path 0000 -> 1000 -> 1100
-  MulticastSchedule s2(topo, 0b1000);
-  s2.add_send(0b1000, 0b1110, {});  // path 1000 -> 1100 -> 1110
+  ScheduleBuilder s1_builder(topo, 0b0000);
+  s1_builder.add_send(0b0000, 0b1100, {});  // path 0000 -> 1000 -> 1100
+  const MulticastSchedule s1 = std::move(s1_builder).build();
+  ScheduleBuilder s2_builder(topo, 0b1000);
+  s2_builder.add_send(0b1000, 0b1110, {});  // path 1000 -> 1100 -> 1110
+  const MulticastSchedule s2 = std::move(s2_builder).build();
   const SimConfig config;
   // s1's path uses arc (1000, 2); s2's uses (1000, 1)? No: 1000 -> 1100
   // travels dim 2 from 1000 — shared with s1's second hop.
@@ -80,12 +83,14 @@ TEST(MultiCollective, SharedChannelJobsSlowEachOtherDown) {
 
 TEST(MultiCollective, StaggeredStartsShiftDeliveries) {
   const Topology topo(4);
-  MulticastSchedule s(topo, 0);
-  s.add_send(0, 0b1000, {});
+  ScheduleBuilder b(topo, 0);
+  b.add_send(0, 0b1000, {});
+  const MulticastSchedule s = std::move(b).build();
   const SimConfig config;
   const SimTime offset = microseconds(500);
-  MulticastSchedule s2(topo, 1);
-  s2.add_send(1, 0b1001, {});
+  ScheduleBuilder s2_builder(topo, 1);
+  s2_builder.add_send(1, 0b1001, {});
+  const MulticastSchedule s2 = std::move(s2_builder).build();
   const CollectiveJob jobs[] = {{&s, 0}, {&s2, offset}};
   const auto result = simulate_collectives(jobs, config);
   const SimTime lat = config.cost.unicast_latency(1, config.message_bytes);
@@ -97,12 +102,14 @@ TEST(MultiCollective, SharedCpuSerializesSendsAcrossJobs) {
   // The same node is the source of two jobs starting together: its CPU
   // serializes all four startups even though channels are distinct.
   const Topology topo(4);
-  MulticastSchedule s1(topo, 0);
-  s1.add_send(0, 1, {});
-  s1.add_send(0, 2, {});
-  MulticastSchedule s2(topo, 0);
-  s2.add_send(0, 4, {});
-  s2.add_send(0, 8, {});
+  ScheduleBuilder s1_builder(topo, 0);
+  s1_builder.add_send(0, 1, {});
+  s1_builder.add_send(0, 2, {});
+  const MulticastSchedule s1 = std::move(s1_builder).build();
+  ScheduleBuilder s2_builder(topo, 0);
+  s2_builder.add_send(0, 4, {});
+  s2_builder.add_send(0, 8, {});
+  const MulticastSchedule s2 = std::move(s2_builder).build();
   const SimConfig config;
   const CollectiveJob jobs[] = {{&s1, 0}, {&s2, 0}};
   const auto result = simulate_collectives(jobs, config);

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <memory>
+#include <thread>
 #include <utility>
 
 #include "core/registry.hpp"
@@ -66,11 +69,12 @@ TEST(MulticastSchedule, EmptyScheduleIsValid) {
 }
 
 TEST(MulticastSchedule, SendsPreserveIssueOrder) {
-  MulticastSchedule s(Topology(3), 0);
-  s.add_send(0, 4, {5, 6});
-  s.add_send(0, 2, {});
-  s.add_send(4, 5, {});
-  s.add_send(4, 6, {});
+  ScheduleBuilder b(Topology(3), 0);
+  b.add_send(0, 4, {5, 6});
+  b.add_send(0, 2, {});
+  b.add_send(4, 5, {});
+  b.add_send(4, 6, {});
+  const MulticastSchedule s = std::move(b).build();
   const auto sends = s.sends_from(0);
   ASSERT_EQ(sends.size(), 2u);
   EXPECT_EQ(sends[0].to, 4u);
@@ -81,11 +85,12 @@ TEST(MulticastSchedule, SendsPreserveIssueOrder) {
 }
 
 TEST(MulticastSchedule, UnicastsAreBreadthFirst) {
-  MulticastSchedule s(Topology(3), 0);
-  s.add_send(0, 4, {});
-  s.add_send(0, 2, {});
-  s.add_send(4, 5, {});
-  s.add_send(2, 3, {});
+  ScheduleBuilder b(Topology(3), 0);
+  b.add_send(0, 4, {});
+  b.add_send(0, 2, {});
+  b.add_send(4, 5, {});
+  b.add_send(2, 3, {});
+  const MulticastSchedule s = std::move(b).build();
   const auto unis = s.unicasts();
   ASSERT_EQ(unis.size(), 4u);
   EXPECT_EQ(unis[0].from, 0u);
@@ -99,42 +104,48 @@ TEST(MulticastSchedule, UnicastsAreBreadthFirst) {
 }
 
 TEST(MulticastSchedule, ValidateRejectsDoubleDelivery) {
-  MulticastSchedule s(Topology(3), 0);
-  s.add_send(0, 4, {});
-  s.add_send(0, 4, {});
+  ScheduleBuilder b(Topology(3), 0);
+  b.add_send(0, 4, {});
+  b.add_send(0, 4, {});
+  const MulticastSchedule s = std::move(b).build();
   EXPECT_THROW(s.validate(), std::logic_error);
 }
 
 TEST(MulticastSchedule, ValidateRejectsSelfSend) {
-  MulticastSchedule s(Topology(3), 0);
-  s.add_send(0, 0, {});
+  ScheduleBuilder b(Topology(3), 0);
+  b.add_send(0, 0, {});
+  const MulticastSchedule s = std::move(b).build();
   EXPECT_THROW(s.validate(), std::logic_error);
 }
 
 TEST(MulticastSchedule, ValidateRejectsSendBackToSource) {
-  MulticastSchedule s(Topology(3), 0);
-  s.add_send(0, 4, {});
-  s.add_send(4, 0, {});
+  ScheduleBuilder b(Topology(3), 0);
+  b.add_send(0, 4, {});
+  b.add_send(4, 0, {});
+  const MulticastSchedule s = std::move(b).build();
   EXPECT_THROW(s.validate(), std::logic_error);
 }
 
 TEST(MulticastSchedule, ValidateRejectsDisconnectedSender) {
-  MulticastSchedule s(Topology(3), 0);
-  s.add_send(0, 4, {});
-  s.add_send(5, 6, {});  // node 5 never receives
+  ScheduleBuilder b(Topology(3), 0);
+  b.add_send(0, 4, {});
+  b.add_send(5, 6, {});  // node 5 never receives
+  const MulticastSchedule s = std::move(b).build();
   EXPECT_THROW(s.validate(), std::logic_error);
 }
 
 TEST(MulticastSchedule, ValidateRejectsOutOfCubeTarget) {
-  MulticastSchedule s(Topology(3), 0);
-  s.add_send(0, 200, {});
+  ScheduleBuilder b(Topology(3), 0);
+  b.add_send(0, 200, {});
+  const MulticastSchedule s = std::move(b).build();
   EXPECT_THROW(s.validate(), std::logic_error);
 }
 
 TEST(MulticastSchedule, CoversAndRelays) {
-  MulticastSchedule s(Topology(3), 0);
-  s.add_send(0, 4, {});
-  s.add_send(4, 6, {});
+  ScheduleBuilder b(Topology(3), 0);
+  b.add_send(0, 4, {});
+  b.add_send(4, 6, {});
+  const MulticastSchedule s = std::move(b).build();
   const std::vector<hcube::NodeId> dests{6};
   EXPECT_TRUE(s.covers(dests));
   EXPECT_FALSE(s.covers(std::vector<hcube::NodeId>{6, 7}));
@@ -146,9 +157,10 @@ TEST(MulticastSchedule, CoversAndRelays) {
 }
 
 TEST(MulticastSchedule, FormatTreeShowsHierarchy) {
-  MulticastSchedule s(Topology(3), 0);
-  s.add_send(0, 4, {});
-  s.add_send(4, 5, {});
+  ScheduleBuilder b(Topology(3), 0);
+  b.add_send(0, 4, {});
+  b.add_send(4, 5, {});
+  const MulticastSchedule s = std::move(b).build();
   const std::string tree = s.format_tree();
   EXPECT_NE(tree.find("000\n"), std::string::npos);
   EXPECT_NE(tree.find("  100\n"), std::string::npos);
@@ -160,23 +172,26 @@ TEST(MulticastSchedule, FormatTreeShowsHierarchy) {
 /// Reference grouping: node u's (to, payload) pairs in append order.
 using Grouping = std::vector<std::vector<std::pair<NodeId, std::vector<NodeId>>>>;
 
-/// Append `sends` random sends drawn from `senders` distinct senders,
-/// recording each in `ref` as well.
-void add_random_sends(MulticastSchedule& s, std::size_t senders,
-                      std::size_t sends, workload::Rng& rng, Grouping& ref) {
-  const std::size_t n = s.topo().num_nodes();
+/// A schedule of `sends` random sends drawn from `senders` distinct
+/// senders, recording each in `ref` as well.
+MulticastSchedule random_sends(const Topology& topo, NodeId source,
+                               std::size_t senders, std::size_t sends,
+                               workload::Rng& rng, Grouping& ref) {
+  const std::size_t n = topo.num_nodes();
   ref.assign(n, {});
   std::vector<NodeId> from_pool =
-      workload::random_destinations(s.topo(), s.source(), senders - 1, rng);
-  from_pool.push_back(s.source());
+      workload::random_destinations(topo, source, senders - 1, rng);
+  from_pool.push_back(source);
+  ScheduleBuilder b(topo, source);
   for (std::size_t i = 0; i < sends; ++i) {
     const NodeId from = from_pool[rng() % from_pool.size()];
     const auto to = static_cast<NodeId>(rng() % n);
     std::vector<NodeId> payload(rng() % 4);
     for (NodeId& p : payload) p = static_cast<NodeId>(rng() % n);
-    s.add_send(from, to, payload);
+    b.add_send(from, to, payload);
     ref[from].emplace_back(to, payload);
   }
+  return std::move(b).build();
 }
 
 ::testing::AssertionResult matches(const MulticastSchedule& s,
@@ -227,9 +242,10 @@ TEST(MulticastScheduleView, SendsFromMatchesReferenceOnEveryNode) {
     for (const std::size_t senders :
          {std::size_t{1}, std::min<std::size_t>(n, 3),
           std::max<std::size_t>(1, n / 2), n}) {
-      MulticastSchedule s(topo, static_cast<NodeId>(rng() % n));
       Grouping ref;
-      add_random_sends(s, senders, 3 * senders, rng, ref);
+      const MulticastSchedule s =
+          random_sends(topo, static_cast<NodeId>(rng() % n), senders,
+                       3 * senders, rng, ref);
       EXPECT_TRUE(matches(s, ref)) << dim << "-cube, " << senders
                                    << " senders";
     }
@@ -238,15 +254,16 @@ TEST(MulticastScheduleView, SendsFromMatchesReferenceOnEveryNode) {
 
 TEST(MulticastScheduleView, WordBoundarySendersAndTheirNeighbours) {
   const Topology topo(8);
-  MulticastSchedule s(topo, 0);
+  ScheduleBuilder b(topo, 0);
   Grouping ref(topo.num_nodes());
   for (const NodeId from : {0u, 63u, 64u, 127u, 128u, 191u, 192u, 255u}) {
     for (NodeId j = 1; j <= 2; ++j) {
       const auto to = static_cast<NodeId>((from + j) & 255u);
-      s.add_send(from, to, {from});
+      b.add_send(from, to, {from});
       ref[from].emplace_back(to, std::vector<NodeId>{from});
     }
   }
+  const MulticastSchedule s = std::move(b).build();
   EXPECT_TRUE(matches(s, ref));
   for (const NodeId quiet : {1u, 62u, 65u, 126u, 129u, 190u, 193u, 254u}) {
     EXPECT_TRUE(s.sends_from(quiet).empty()) << quiet;
@@ -264,21 +281,63 @@ TEST(MulticastScheduleView, EmptySchedulesHaveNoSenders) {
   }
 }
 
-TEST(MulticastScheduleView, ResetReusesStorageAcrossCubeSizes) {
-  workload::Rng rng(77);
-  MulticastSchedule s(Topology(10), 5);
-  for (const int dim : {10, 4, 12, 1, 7, 7}) {
-    s.reset(Topology(dim), 0);
-    Grouping ref;
-    const std::size_t n = std::size_t{1} << dim;
-    add_random_sends(s, std::min<std::size_t>(n, 9), 20, rng, ref);
-    EXPECT_TRUE(matches(s, ref)) << dim;
-    s.reset(Topology(dim), 0);
-    EXPECT_TRUE(matches(s, Grouping(n))) << dim << " after reset";
-  }
+/// Everything the three read paths report about `s`, starting with the
+/// path `first` names (0: num_senders, 1: for_each_sender, 2: sends_from),
+/// span addresses included.
+std::vector<std::uint64_t> read_all(const MulticastSchedule& s, int first) {
+  const auto address = [](const void* p) {
+    return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p));
+  };
+  std::vector<std::uint64_t> part[3];
+  const auto read = [&](int path) {
+    std::vector<std::uint64_t>& out = part[path];
+    if (path == 0) {
+      out.push_back(s.num_senders());
+    } else if (path == 1) {
+      s.for_each_sender([&](NodeId u, std::span<const Send> sends) {
+        out.insert(out.end(), {u, sends.size(), address(sends.data())});
+      });
+    } else {
+      for (NodeId u = 0; u < s.topo().num_nodes(); ++u) {
+        for (const Send& x : s.sends_from(u)) {
+          out.insert(out.end(), {u, x.to, address(x.payload.data())});
+          out.insert(out.end(), x.payload.begin(), x.payload.end());
+        }
+      }
+    }
+  };
+  for (int k = 0; k < 3; ++k) read((first + k) % 3);
+  std::vector<std::uint64_t> all;
+  for (const auto& p : part) all.insert(all.end(), p.begin(), p.end());
+  return all;
 }
 
-/// One add_send call, kept so a schedule can be replayed relabeled.
+TEST(MulticastSchedule, ConcurrentFirstReadsOfAFreshBuildAreRaceFree) {
+  // A built schedule is frozen: its first reads write nothing, so
+  // threads may make them at once (the TSan build checks this).
+  const Topology topo(9);
+  workload::Rng rng(28);
+  Grouping ref;
+  const MulticastSchedule s = random_sends(topo, 7, 96, 400, rng, ref);
+  constexpr int kThreads = 8;
+  std::vector<std::vector<std::uint64_t>> seen(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      seen[t] = read_all(s, t % 3);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], read_all(s, t % 3)) << "thread " << t;
+  }
+  EXPECT_TRUE(matches(s, ref));
+}
+
+/// One send, kept so a schedule can be replayed relabeled.
 struct SendRecord {
   NodeId from;
   NodeId to;
@@ -288,13 +347,13 @@ struct SendRecord {
 /// The schedule `records` append in order, every id XORed with `mask`.
 MulticastSchedule replay(const Topology& topo, NodeId source,
                          const std::vector<SendRecord>& records, NodeId mask) {
-  MulticastSchedule out(topo, source ^ mask);
+  ScheduleBuilder out(topo, source ^ mask);
   for (const SendRecord& r : records) {
     std::vector<NodeId> payload;
     for (const NodeId p : r.payload) payload.push_back(p ^ mask);
     out.add_send(r.from ^ mask, r.to ^ mask, payload);
   }
-  return out;
+  return std::move(out).build();
 }
 
 /// A tree's sends in breadth-first order with their payloads.
@@ -328,13 +387,11 @@ TEST(MulticastScheduleView, TranslationUnderEveryMaskEqualsDirectRelabel) {
     }
     for (const std::vector<SendRecord>& records : corpus) {
       const MulticastSchedule rel = replay(topo, 0, records, 0);
-      rel.finalize();
       for (std::size_t mask = 0; mask < n; ++mask) {
         const auto m = static_cast<NodeId>(mask);
         MulticastSchedule translated(Topology(1), 0);
         translated.assign_translated(rel, m);
         const MulticastSchedule direct = replay(topo, 0, records, m);
-        direct.finalize();
         Grouping ref(n);
         for (const SendRecord& r : records) {
           std::vector<NodeId> payload;
@@ -355,7 +412,6 @@ TEST(MulticastScheduleView, FootprintFollowsSendsNotTheCube) {
   const MulticastRequest request{topo, 0,
                                  workload::random_destinations(topo, 0, 48, rng)};
   MulticastSchedule s = find_algorithm("wsort").build(request);
-  s.finalize();
   // Dense per-node offsets alone were 2 x 1025 x 4 bytes.
   EXPECT_LE(s.footprint_bytes(), 3584u);
   MulticastSchedule translated(topo, 0);
@@ -363,14 +419,14 @@ TEST(MulticastScheduleView, FootprintFollowsSendsNotTheCube) {
   EXPECT_LE(translated.footprint_bytes(), 3584u);
 }
 
-// ---- the finalized block: lifetimes and footprint -------------------------
+// ---- the block: lifetimes and footprint -----------------------------------
 // Run under ASan, these catch a span that outlives the block it points
 // into, or a copy whose view still points into its source's block.
 
-/// The bytes a finalized schedule pins: the object, plus a block of
+/// The bytes a built schedule pins: the object, plus a block of
 /// 16-byte sender words, a Send and a 16-byte record per send, senders
 /// + 1 offsets and `pool_ids` pool entries.
-std::size_t finalized_footprint(const MulticastSchedule& s,
+std::size_t block_footprint(const MulticastSchedule& s,
                                 std::size_t pool_ids) {
   const std::size_t words = (s.topo().num_nodes() + 63) / 64;
   return sizeof(MulticastSchedule) + words * 16 +
@@ -395,7 +451,6 @@ MulticastSchedule wsort_tree(const Topology& topo, std::size_t m,
   const MulticastRequest request{
       topo, 0, workload::random_destinations(topo, 0, m, rng)};
   MulticastSchedule s = find_algorithm("wsort").build(request);
-  s.finalize();
   return s;
 }
 
@@ -408,15 +463,19 @@ TEST(MulticastScheduleBlock, AddSendTakesItsPayloadFromItsOwnBlock) {
   for (MulticastSchedule* s : {&chain, &translated}) {
     Grouping ref = grouping_of(*s);
     for (int i = 0; i < 12; ++i) {
-      // Each sends_from() packs a fresh block; add_send then moves it
-      // back into the builder vectors while the payload still points
-      // into it.
+      // Rebuild *s plus one send whose payload points into *s's block;
+      // the build then replaces *s, freeing that block.
+      ScheduleBuilder b(topo, s->source());
+      s->for_each_sender([&](NodeId u, std::span<const Send> sends) {
+        for (const Send& x : sends) b.add_send(u, x.to, x.payload);
+      });
       const std::span<const Send> sends = s->sends_from(s->source());
       const Send& pick = sends[rng() % sends.size()];
       const auto from = static_cast<NodeId>(rng() % topo.num_nodes());
       const auto to = static_cast<NodeId>(rng() % topo.num_nodes());
       ref[from].emplace_back(to, testutil::to_vec(pick.payload));
-      s->add_send(from, to, pick.payload);
+      b.add_send(from, to, pick.payload);
+      *s = std::move(b).build();
       ASSERT_TRUE(matches(*s, ref)) << "add_send " << i;
     }
   }
@@ -431,9 +490,8 @@ TEST(MulticastScheduleBlock, CopiesAndAssignmentsOwnTheirBlocks) {
   const std::size_t footprint = original->footprint_bytes();
 
   MulticastSchedule copied(*original);
-  MulticastSchedule over_builder(Topology(3), 1);
-  over_builder.add_send(1, 2, {3});
-  over_builder = *original;
+  MulticastSchedule over_empty(Topology(3), 1);
+  over_empty = *original;
   MulticastSchedule over_block = wsort_tree(topo, 5, rng);
   over_block = *original;
   MulticastSchedule self = *original;
@@ -444,7 +502,7 @@ TEST(MulticastScheduleBlock, CopiesAndAssignmentsOwnTheirBlocks) {
   // Each holds its own block: the original's going away touches none.
   original.reset();
   for (const MulticastSchedule* s :
-       {&copied, &over_builder, &over_block, &self, &translated}) {
+       {&copied, &over_empty, &over_block, &self, &translated}) {
     EXPECT_TRUE(matches(*s, ref));
     EXPECT_TRUE(*s == copied);
     EXPECT_EQ(s->footprint_bytes(), footprint);
@@ -457,18 +515,8 @@ TEST(MulticastScheduleBlock, CopiesAndAssignmentsOwnTheirBlocks) {
   EXPECT_TRUE(matches(move_assigned, ref));
   EXPECT_EQ(move_assigned.footprint_bytes(), footprint);
 
-  // A builder-state copy carries the vectors and packs on first read.
-  MulticastSchedule building(topo, 0);
-  building.add_send(0, 1, {2, 3});
-  MulticastSchedule building_copy(building);
-  building.reset(topo, 0);
-  ASSERT_EQ(building_copy.sends_from(0).size(), 1u);
-  EXPECT_EQ(testutil::to_vec(building_copy.sends_from(0)[0].payload),
-            (std::vector<NodeId>{2, 3}));
-
-  // reset() frees the block; the builder vectors it left were freed by
-  // the pack, so nothing is pinned.
-  move_assigned.reset(topo, 0);
+  // Assigning an empty schedule frees the block, so nothing is pinned.
+  move_assigned = MulticastSchedule(topo, 0);
   EXPECT_EQ(move_assigned.footprint_bytes(), sizeof(MulticastSchedule));
   EXPECT_TRUE(matches(move_assigned, Grouping(topo.num_nodes())));
 }
@@ -498,7 +546,7 @@ TEST(MulticastScheduleBlock, SendsFromSpansSurviveAMove) {
   EXPECT_EQ(assigned.sends_from(0).data(), spans[0].data());
 }
 
-TEST(MulticastScheduleBlock, FootprintIsTheBlockPlusBuilderCapacity) {
+TEST(MulticastScheduleBlock, FootprintIsTheObjectPlusItsBlock) {
   const Topology topo(10);
   workload::Rng rng(64);
   for (const char* name : {"ucube", "maxport", "combine", "wsort"}) {
@@ -506,23 +554,18 @@ TEST(MulticastScheduleBlock, FootprintIsTheBlockPlusBuilderCapacity) {
         topo, 5, workload::random_destinations(topo, 5, 48, rng)};
     const MulticastSchedule tree = find_algorithm(name).build(request);
     // A chain tree's pool is its chain: the source and the destinations.
-    EXPECT_EQ(tree.footprint_bytes(), finalized_footprint(tree, 49)) << name;
+    EXPECT_EQ(tree.footprint_bytes(), block_footprint(tree, 49)) << name;
     MulticastSchedule translated(topo, 0);
     translated.assign_translated(tree, 0x2a5);
     EXPECT_EQ(translated.footprint_bytes(), tree.footprint_bytes()) << name;
   }
 
-  MulticastSchedule built(topo, 0);
-  for (NodeId u = 1; u < 40; ++u) built.add_send(u - 1, u, {u, u + 1});
-  EXPECT_GE(built.footprint_bytes(),
-            sizeof(MulticastSchedule) + 39 * 16 + 78 * sizeof(NodeId));
-  built.finalize();
+  ScheduleBuilder b(topo, 0);
+  for (NodeId u = 1; u < 40; ++u) b.add_send(u - 1, u, {u, u + 1});
+  b.add_send(39, 40);
+  const MulticastSchedule built = std::move(b).build();
   EXPECT_EQ(built.footprint_bytes(),
-            finalized_footprint(built, built.num_payload_ids()));
-  built.add_send(39, 40);
-  built.finalize();
-  EXPECT_EQ(built.footprint_bytes(),
-            finalized_footprint(built, built.num_payload_ids()));
+            block_footprint(built, built.num_payload_ids()));
   EXPECT_EQ(built.num_unicasts(), 40u);
 }
 

@@ -397,9 +397,10 @@ TEST(ObsSimTrace, ChromeJsonMapsWormPhases) {
   config.port = sim::PortModel::all_port();
   config.message_bytes = 4096;
   config.record_trace = true;
-  core::MulticastSchedule s(topo, 0);
-  s.add_send(0, 8, {12});
-  s.add_send(8, 12, {});
+  core::ScheduleBuilder b(topo, 0);
+  b.add_send(0, 8, {12});
+  b.add_send(8, 12, {});
+  const core::MulticastSchedule s = std::move(b).build();
   const auto result = sim::simulate_multicast(s, config);
   ASSERT_EQ(result.trace.messages.size(), 2u);
   EXPECT_EQ(result.trace.earliest_issue(), 0);

@@ -128,7 +128,6 @@ TEST(DisjointRepair, CommitsFootprintOnSuccessOnly) {
   EXPECT_GT(res->report.broken, 0u);
   EXPECT_EQ(res->report.rerouted_shortest + res->report.relayed,
             res->report.broken);
-  res->schedule.finalize();
   EXPECT_TRUE(res->schedule.covers(dests));
   EXPECT_EQ(fault::blocked_unicasts(res->schedule, faults), 0u);
   // Success committed the repaired footprint under `target`.

@@ -18,13 +18,13 @@ MulticastSchedule small_tree() {
   //   5   6
   //       |
   //       7
-  MulticastSchedule s(Topology(3), 0);
-  s.add_send(0, 4, {5, 6, 7});
-  s.add_send(0, 2, {});
-  s.add_send(4, 5, {});
-  s.add_send(4, 6, {7});
-  s.add_send(6, 7, {});
-  return s;
+  ScheduleBuilder b(Topology(3), 0);
+  b.add_send(0, 4, {5, 6, 7});
+  b.add_send(0, 2, {});
+  b.add_send(4, 5, {});
+  b.add_send(4, 6, {7});
+  b.add_send(6, 7, {});
+  return std::move(b).build();
 }
 
 TEST(Reachable, Definition3Examples) {

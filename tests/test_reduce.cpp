@@ -24,8 +24,9 @@ TEST(Reduce, SingleLeafMatchesClosedForm) {
   // One participant at distance 2: leaf sends at t = startup; root
   // folds after recv + combine.
   const Topology topo(4);
-  core::MulticastSchedule tree(topo, 0);
-  tree.add_send(0, 0b1100, {});
+  core::ScheduleBuilder tree_builder(topo, 0);
+  tree_builder.add_send(0, 0b1100, {});
+  const core::MulticastSchedule tree = std::move(tree_builder).build();
   const auto config = basic_config();
   const auto result = simulate_reduce(tree, config);
   const SimTime expected =
@@ -48,9 +49,10 @@ TEST(Reduce, EmptyTreeCompletesAtZero) {
 TEST(Reduce, ChainFoldsSequentially) {
   // 0 <- 8 <- 12: node 12 is a leaf; 8 folds 12's block then forwards.
   const Topology topo(4);
-  core::MulticastSchedule tree(topo, 0);
-  tree.add_send(0, 8, {12});
-  tree.add_send(8, 12, {});
+  core::ScheduleBuilder tree_builder(topo, 0);
+  tree_builder.add_send(0, 8, {12});
+  tree_builder.add_send(8, 12, {});
+  const core::MulticastSchedule tree = std::move(tree_builder).build();
   const auto config = basic_config();
   const auto result = simulate_reduce(tree, config);
   const SimTime combine = 4096 * config.combine_ns_per_byte;
@@ -67,9 +69,10 @@ TEST(Reduce, RootWaitsForAllChildren) {
   // Two children at different distances: completion gated by the slow
   // one plus its fold.
   const Topology topo(4);
-  core::MulticastSchedule tree(topo, 0);
-  tree.add_send(0, 1, {});       // 1 hop
-  tree.add_send(0, 0b1110, {});  // 3 hops, arrives later
+  core::ScheduleBuilder tree_builder(topo, 0);
+  tree_builder.add_send(0, 1, {});       // 1 hop
+  tree_builder.add_send(0, 0b1110, {});  // 3 hops, arrives later
+  const core::MulticastSchedule tree = std::move(tree_builder).build();
   const auto config = basic_config();
   const auto result = simulate_reduce(tree, config);
   const SimTime combine = 4096 * config.combine_ns_per_byte;
@@ -87,9 +90,10 @@ TEST(Reduce, RootWaitsForAllChildren) {
 TEST(Reduce, GatherModeGrowsMessages) {
   // 0 <- 8 <- 12 in gather mode: 12 sends one block, 8 sends two.
   const Topology topo(4);
-  core::MulticastSchedule tree(topo, 0);
-  tree.add_send(0, 8, {12});
-  tree.add_send(8, 12, {});
+  core::ScheduleBuilder tree_builder(topo, 0);
+  tree_builder.add_send(0, 8, {12});
+  tree_builder.add_send(8, 12, {});
+  const core::MulticastSchedule tree = std::move(tree_builder).build();
   ReduceConfig config = basic_config();
   config.mode = ReduceConfig::Mode::Gather;
   config.record_trace = true;
@@ -143,9 +147,10 @@ TEST(Reduce, ReverseTreesCanBlock) {
   // 0000; P(0011,0000) = 0011 -> 0001 -> 0000 shares arc (0001, 0)
   // with P(0001, 0000).
   const Topology topo(4);
-  core::MulticastSchedule tree(topo, 0);
-  tree.add_send(0, 0b0011, {});
-  tree.add_send(0, 0b0001, {});
+  core::ScheduleBuilder tree_builder(topo, 0);
+  tree_builder.add_send(0, 0b0011, {});
+  tree_builder.add_send(0, 0b0001, {});
+  const core::MulticastSchedule tree = std::move(tree_builder).build();
   const auto result = simulate_reduce(tree, basic_config());
   EXPECT_GE(result.stats.blocked_acquisitions, 1u);
 }

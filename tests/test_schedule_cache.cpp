@@ -463,13 +463,12 @@ std::vector<CacheKey> colliding_keys(std::size_t count, workload::Rng& rng) {
   return keys;
 }
 
-/// A finalized schedule with `sends` sends on the 6-cube.
+/// A schedule with `sends` sends on the 6-cube.
 std::shared_ptr<const core::MulticastSchedule> schedule_of_size(
     std::size_t sends) {
-  auto s = std::make_shared<core::MulticastSchedule>(Topology(6), 0);
-  for (NodeId u = 1; u <= sends; ++u) s->add_send(u - 1, u, {u, 63});
-  s->finalize();
-  return s;
+  core::ScheduleBuilder b(Topology(6), 0);
+  for (NodeId u = 1; u <= sends; ++u) b.add_send(u - 1, u, {u, 63});
+  return std::make_shared<const core::MulticastSchedule>(std::move(b).build());
 }
 
 ::testing::AssertionResult same_stats(const ScheduleCache::Stats& got,
@@ -770,7 +769,6 @@ core::MulticastSchedule direct_build(const std::string& name,
                                                     : core::NextRule::MaxOfBoth;
     builder.build_into(req, rule, out);
   }
-  out.finalize();
   return out;
 }
 
@@ -924,8 +922,9 @@ TEST(ServePipeline, ViewBatchMatchesSequentialViewsAndSheds) {
   }
   // A deadline already past sheds every slot.
   const ServePipeline pipeline("wsort", std::make_shared<ScheduleCache>());
+  const std::vector<std::uint64_t> past(batch.size(), 1);
   const auto shed =
-      pipeline.serve_views(batch, ServePipeline::BatchPolicy{1, 1});
+      pipeline.serve_views(batch, ServePipeline::BatchPolicy{1, past});
   for (const auto& view : shed) EXPECT_EQ(view.tree, nullptr);
 }
 

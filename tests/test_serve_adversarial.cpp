@@ -97,23 +97,39 @@ TEST(ServeAdversarial, BatchWithExpiredDeadlineShedsEverything) {
   }
 
   // A deadline in the past sheds every slot, single- and multi-worker.
+  const std::vector<std::uint64_t> past(requests.size(), 1);
   for (const int threads : {1, 4}) {
     const auto shed = pipeline.serve_batch(
-        requests, ServePipeline::BatchPolicy{threads, 1});
+        requests, ServePipeline::BatchPolicy{threads, past});
     ASSERT_EQ(shed.size(), requests.size());
     for (const auto& slot : shed) EXPECT_EQ(slot, nullptr);
   }
   // No deadline (0) serves every slot.
+  const std::vector<std::uint64_t> none(requests.size(), 0);
   const auto served = pipeline.serve_batch(
-      requests, ServePipeline::BatchPolicy{2, 0});
+      requests, ServePipeline::BatchPolicy{2, none});
   for (const auto& slot : served) EXPECT_NE(slot, nullptr);
   // A generous deadline behaves like none.
+  const std::vector<std::uint64_t> generous(
+      requests.size(), obs::now_ns() + 60'000'000'000ull);
   const auto relaxed = pipeline.serve_batch(
-      requests,
-      ServePipeline::BatchPolicy{2, obs::now_ns() + 60'000'000'000ull});
+      requests, ServePipeline::BatchPolicy{2, generous});
   for (std::size_t i = 0; i < relaxed.size(); ++i) {
     ASSERT_NE(relaxed[i], nullptr);
     EXPECT_EQ(*relaxed[i], *served[i]);
+  }
+  // Each slot is held to its own deadline: only the expired ones shed.
+  std::vector<std::uint64_t> mixed = generous;
+  for (std::size_t i = 0; i < mixed.size(); i += 2) mixed[i] = 1;
+  const auto some = pipeline.serve_batch(
+      requests, ServePipeline::BatchPolicy{2, mixed});
+  for (std::size_t i = 0; i < some.size(); ++i) {
+    if (i % 2 == 0) {
+      EXPECT_EQ(some[i], nullptr) << i;
+    } else {
+      ASSERT_NE(some[i], nullptr) << i;
+      EXPECT_EQ(*some[i], *served[i]) << i;
+    }
   }
 }
 

@@ -23,11 +23,12 @@ TEST(Stepwise, OnePortSerializesAllSends) {
   // Source sends to 4 nodes on 4 distinct channels: one-port still
   // serializes them at steps 1, 2, 3, 4.
   const Topology topo(4);
-  MulticastSchedule s(topo, 0);
-  s.add_send(0, 1, {});
-  s.add_send(0, 2, {});
-  s.add_send(0, 4, {});
-  s.add_send(0, 8, {});
+  ScheduleBuilder b(topo, 0);
+  b.add_send(0, 1, {});
+  b.add_send(0, 2, {});
+  b.add_send(0, 4, {});
+  b.add_send(0, 8, {});
+  const MulticastSchedule s = std::move(b).build();
   const auto steps = assign_steps(s, PortModel::one_port());
   EXPECT_EQ(steps.arrival_step.at(1), 1);
   EXPECT_EQ(steps.arrival_step.at(2), 2);
@@ -38,11 +39,12 @@ TEST(Stepwise, OnePortSerializesAllSends) {
 
 TEST(Stepwise, AllPortParallelizesDistinctChannels) {
   const Topology topo(4);
-  MulticastSchedule s(topo, 0);
-  s.add_send(0, 1, {});
-  s.add_send(0, 2, {});
-  s.add_send(0, 4, {});
-  s.add_send(0, 8, {});
+  ScheduleBuilder b(topo, 0);
+  b.add_send(0, 1, {});
+  b.add_send(0, 2, {});
+  b.add_send(0, 4, {});
+  b.add_send(0, 8, {});
+  const MulticastSchedule s = std::move(b).build();
   const auto steps = assign_steps(s, PortModel::all_port());
   for (const NodeId v : {1u, 2u, 4u, 8u}) {
     EXPECT_EQ(steps.arrival_step.at(v), 1);
@@ -54,10 +56,11 @@ TEST(Stepwise, AllPortSerializesSameChannel) {
   // 9, 8, 12: delta from 0 is 3 for all (high-to-low): they share the
   // first arc and must go in consecutive steps, in issue order.
   const Topology topo(4);
-  MulticastSchedule s(topo, 0);
-  s.add_send(0, 9, {});
-  s.add_send(0, 8, {});
-  s.add_send(0, 12, {});
+  ScheduleBuilder b(topo, 0);
+  b.add_send(0, 9, {});
+  b.add_send(0, 8, {});
+  b.add_send(0, 12, {});
+  const MulticastSchedule s = std::move(b).build();
   const auto steps = assign_steps(s, PortModel::all_port());
   EXPECT_EQ(steps.arrival_step.at(9), 1);
   EXPECT_EQ(steps.arrival_step.at(8), 2);
@@ -68,9 +71,10 @@ TEST(Stepwise, ChannelSerializationDependsOnResolutionOrder) {
   // Under low-to-high resolution, 9 (1001) and 8 (1000) leave node 0 on
   // different first channels (0 and 3), so they parallelize.
   const Topology topo(4, Resolution::LowToHigh);
-  MulticastSchedule s(topo, 0);
-  s.add_send(0, 9, {});
-  s.add_send(0, 8, {});
+  ScheduleBuilder b(topo, 0);
+  b.add_send(0, 9, {});
+  b.add_send(0, 8, {});
+  const MulticastSchedule s = std::move(b).build();
   const auto steps = assign_steps(s, PortModel::all_port());
   EXPECT_EQ(steps.arrival_step.at(9), 1);
   EXPECT_EQ(steps.arrival_step.at(8), 1);
@@ -78,11 +82,12 @@ TEST(Stepwise, ChannelSerializationDependsOnResolutionOrder) {
 
 TEST(Stepwise, KPortLimitsConcurrency) {
   const Topology topo(4);
-  MulticastSchedule s(topo, 0);
-  s.add_send(0, 1, {});
-  s.add_send(0, 2, {});
-  s.add_send(0, 4, {});
-  s.add_send(0, 8, {});
+  ScheduleBuilder b(topo, 0);
+  b.add_send(0, 1, {});
+  b.add_send(0, 2, {});
+  b.add_send(0, 4, {});
+  b.add_send(0, 8, {});
+  const MulticastSchedule s = std::move(b).build();
   const auto steps = assign_steps(s, PortModel::k_port(2));
   // Four distinct channels but only two ports: steps 1,1,2,2.
   EXPECT_EQ(steps.arrival_step.at(1), 1);
@@ -93,10 +98,11 @@ TEST(Stepwise, KPortLimitsConcurrency) {
 
 TEST(Stepwise, KPortAlsoRespectsChannelConflicts) {
   const Topology topo(4);
-  MulticastSchedule s(topo, 0);
-  s.add_send(0, 8, {});
-  s.add_send(0, 9, {});   // same channel as 8
-  s.add_send(0, 1, {});
+  ScheduleBuilder b(topo, 0);
+  b.add_send(0, 8, {});
+  b.add_send(0, 9, {});   // same channel as 8
+  b.add_send(0, 1, {});
+  const MulticastSchedule s = std::move(b).build();
   const auto steps = assign_steps(s, PortModel::k_port(2));
   EXPECT_EQ(steps.arrival_step.at(8), 1);
   EXPECT_EQ(steps.arrival_step.at(9), 2);  // channel 3 busy at step 1
@@ -105,9 +111,10 @@ TEST(Stepwise, KPortAlsoRespectsChannelConflicts) {
 
 TEST(Stepwise, ForwardingStartsOneStepAfterArrival) {
   const Topology topo(4);
-  MulticastSchedule s(topo, 0);
-  s.add_send(0, 8, {12});
-  s.add_send(8, 12, {});
+  ScheduleBuilder b(topo, 0);
+  b.add_send(0, 8, {12});
+  b.add_send(8, 12, {});
+  const MulticastSchedule s = std::move(b).build();
   const auto steps = assign_steps(s, PortModel::all_port());
   EXPECT_EQ(steps.arrival_step.at(8), 1);
   EXPECT_EQ(steps.arrival_step.at(12), 2);
@@ -115,9 +122,10 @@ TEST(Stepwise, ForwardingStartsOneStepAfterArrival) {
 
 TEST(Stepwise, TargetsRestrictTotalSteps) {
   const Topology topo(4);
-  MulticastSchedule s(topo, 0);
-  s.add_send(0, 8, {12});
-  s.add_send(8, 12, {});
+  ScheduleBuilder b(topo, 0);
+  b.add_send(0, 8, {12});
+  b.add_send(8, 12, {});
+  const MulticastSchedule s = std::move(b).build();
   const std::vector<NodeId> only_first{8};
   const auto steps = assign_steps(s, PortModel::all_port(), only_first);
   EXPECT_EQ(steps.total_steps, 1);  // 12 is a relay for this query

@@ -124,19 +124,18 @@ std::vector<Case> corpus() {
     }
     out.push_back({cube + "ist broadcast", core::build_ist_tree0(topo, 0)});
 
-    // Translations of a relative tree, with and without a finalized view
-    // to translate from.
+    // Translations of a relative tree and of a copy of it (a copy owns
+    // its own block).
     const MulticastSchedule relative = wsort.build(MulticastRequest{
         topo, 0,
         workload::random_destinations(topo, 0, std::max<std::size_t>(1, n / 4),
                                       rng)});
     const auto mask = static_cast<NodeId>(rng() % n);
-    const MulticastSchedule unfinalized = relative;  // copies drop the view
-    MulticastSchedule dirty_translated(topo, 0);
-    dirty_translated.assign_translated(unfinalized, mask);
-    out.push_back({cube + "translated, unfinalized relative",
-                   std::move(dirty_translated)});
-    relative.finalize();
+    const MulticastSchedule copy = relative;
+    MulticastSchedule copy_translated(topo, 0);
+    copy_translated.assign_translated(copy, mask);
+    out.push_back({cube + "translated, copied relative",
+                   std::move(copy_translated)});
     MulticastSchedule translated(topo, 0);
     translated.assign_translated(relative, mask);
     out.push_back({cube + "translated", std::move(translated)});
@@ -224,7 +223,6 @@ TEST(WireGolden, MaskedEncodingMatchesTheMaterializedTranslation) {
                                    std::to_string(m);
           MulticastSchedule rel = algo.build(MulticastRequest{
               topo, 0, workload::random_destinations(topo, 0, m, rng)});
-          rel.finalize();
           std::vector<NodeId> masks;
           if (dim <= 6) {
             for (NodeId mask = 0; mask < n; ++mask) masks.push_back(mask);

@@ -38,13 +38,13 @@ MulticastSchedule two_pass(const MulticastRequest& req) {
 /// The same tree rebuilt send by send through add_send, so each payload
 /// is its own copy in the pool.
 MulticastSchedule rebuilt(const MulticastSchedule& tree) {
-  MulticastSchedule out(tree.topo(), tree.source());
+  ScheduleBuilder out(tree.topo(), tree.source());
   for (const Unicast& u : tree.unicasts()) {
     const auto sends = tree.sends_from(u.from);
     out.add_send(u.from, u.to,
                  sends[static_cast<std::size_t>(u.issue_index)].payload);
   }
-  return out;
+  return std::move(out).build();
 }
 
 std::size_t payload_sum(const MulticastSchedule& s) {
@@ -141,7 +141,6 @@ TEST(WsortOnePass, PayloadsShareTheChainPool) {
   const auto req = random_request(topo, 48, rng);
   const MulticastSchedule tree = TreeBuilder().build_wsort(req);
   const MulticastSchedule copied = rebuilt(tree);
-  copied.finalize();
   EXPECT_GT(tree.num_payload_ids(), req.destinations.size());
   EXPECT_EQ(copied.num_payload_ids(), tree.num_payload_ids());
   EXPECT_LT(tree.footprint_bytes(), copied.footprint_bytes());
