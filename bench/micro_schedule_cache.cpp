@@ -16,7 +16,9 @@
 // from a set larger than the thread-local L1 — through serve()
 // (materialized translations) and through the server's path,
 // serve_view() plus the masked encoder; each serve is timed, and every
-// row reports the rate and the p99 latency.
+// row reports the rate and the p99 latency. Two untimed rows report the
+// bytes a cached tree pins (entry_bytes), so the exact gate catches any
+// growth of the per-entry storage.
 
 #include <algorithm>
 #include <chrono>
@@ -147,6 +149,30 @@ void schedule_stage_rows(const bench::Context& ctx, bench::Report& report) {
     std::printf("  %-24s %10.0f translates/s %10.0f encodes/s (%zu B)\n",
                 shape.key.c_str(), translate.per_second(),
                 encode.per_second(), response.size());
+  }
+}
+
+/// entry_bytes: MulticastSchedule::footprint_bytes() of one tree — the
+/// object and its block, the part of a cache entry's charge that the
+/// schedule pins — for the shape des_tenants keeps resident (a 10-cube
+/// W-sort tree to 64 destinations) and the dense IST broadcast tree
+/// striped serving caches (8-cube). Deterministic: seeded inputs, no
+/// timing.
+void entry_bytes_rows(bench::Report& report) {
+  const hcube::Topology cube10(10);
+  workload::Rng rng(workload::derive_seed(2027, 64, 5));
+  const std::pair<std::string, core::MulticastSchedule> trees[] = {
+      {"wsort/10-cube-64",
+       core::find_algorithm("wsort").build(core::MulticastRequest{
+           cube10, 0, workload::random_destinations(cube10, 0, 64, rng)})},
+      {"ist/8-cube-broadcast",
+       core::build_ist_tree0(hcube::Topology(8), 0)},
+  };
+  for (const auto& [key, tree] : trees) {
+    report.metric(key + " entry_bytes",
+                  static_cast<double>(tree.footprint_bytes()));
+    std::printf("  %-24s %10zu B per cached tree (%zu sends)\n", key.c_str(),
+                tree.footprint_bytes(), tree.num_unicasts());
   }
 }
 
@@ -283,6 +309,7 @@ void hit_rows(const bench::Context& ctx, bench::Report& report) {
 }
 
 void run(const bench::Context& ctx, bench::Report& report) {
+  entry_bytes_rows(report);
   schedule_stage_rows(ctx, report);
   cold_miss_row(ctx, report);
   hit_rows(ctx, report);

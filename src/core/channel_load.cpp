@@ -89,12 +89,12 @@ ArcFootprint arc_footprint(const Topology& topo,
   // An E-cube route crosses one arc per differing address bit, so the
   // list's exact size is known before the walk.
   std::size_t crossings = 0;
-  schedule.for_each_sender([&](NodeId from, std::span<const Send> sends) {
+  schedule.for_each_sender([&](NodeId from, SendList sends) {
     for (const Send& s : sends) crossings += hcube::popcount64(from ^ s.to);
   });
   ArcFootprint fp;
   fp.arcs.reserve(crossings);
-  schedule.for_each_sender([&](NodeId from, std::span<const Send> sends) {
+  schedule.for_each_sender([&](NodeId from, SendList sends) {
     for (const Send& s : sends) {
       hcube::for_each_ecube_arc(topo, from, s.to, [&](hcube::Arc a) {
         fp.arcs.push_back(static_cast<std::uint32_t>(topo.arc_index(a)));

@@ -42,14 +42,6 @@ MulticastSchedule::MulticastSchedule(const MulticastSchedule& other)
   if (!other.block_) return;
   allocate(other.shape_);
   std::memcpy(block_.get(), other.block_.get(), shape_.bytes());
-  // The view's payloads point into `other`'s pool; move them to ours.
-  const NodeId* const from = other.block_pool();
-  const NodeId* const to = block_pool();
-  Send* const view = this->view();
-  for (std::uint32_t i = 0; i < shape_.sends; ++i) {
-    const std::span<const NodeId> p = view[i].payload;
-    view[i].payload = {to + (p.data() - from), p.size()};
-  }
 }
 
 void MulticastSchedule::allocate(const Shape& shape) {
@@ -69,29 +61,26 @@ void MulticastSchedule::assign_translated(const MulticastSchedule& relative,
     return;
   }
   allocate(relative.shape_);
-  const std::span<const RawSend> rel_records = relative.records();
-  RawSend* const records = block_records();
-  for (std::size_t i = 0; i < rel_records.size(); ++i) {
-    const RawSend& r = rel_records[i];
-    records[i] = RawSend{r.from ^ mask, r.to ^ mask, r.pool_begin, r.pool_len};
-  }
-  const std::span<const NodeId> rel_pool = relative.pool();
+  const NodeId* const rel_pool = relative.block_pool();
   NodeId* const pool = block_pool();
-  for (std::size_t i = 0; i < rel_pool.size(); ++i) {
-    pool[i] = rel_pool[i] ^ mask;
-  }
-  // The relative view is already grouped by sender, and XOR only permutes
-  // whole buckets (bucket u here is bucket u ^ mask there, contents in
-  // the same stable order), so the translated view is a gather copy —
-  // cheaper than re-running the counting sort. The high mask bits move
-  // whole bitmap words; the low six permute bits within one, so each
-  // word's relative buckets are indexed by their new bit first.
+  const std::size_t pool_size = shape_.pool;
+  for (std::size_t i = 0; i < pool_size; ++i) pool[i] = rel_pool[i] ^ mask;
+  // The relative records are already grouped by sender, and XOR only
+  // permutes whole buckets (bucket u here is bucket u ^ mask there,
+  // contents in the same stable order), so the translated records are a
+  // gather copy — cheaper than re-running the counting sort. Pool ranges
+  // and append positions carry over; only the targets change. The high
+  // mask bits move whole bitmap words; the low six permute bits within
+  // one, so each word's relative buckets are indexed by their new bit
+  // first.
   const std::size_t word_mask = mask >> 6;
   const unsigned bit_mask = mask & 63;
   const SenderWord* const rel_words = relative.words();
+  const std::uint32_t* const rel_begin = relative.begins();
+  const PackedSend* const rel_records = relative.block_records();
   SenderWord* const words = this->words();
   std::uint32_t* const begin = begins();
-  Send* const view = this->view();
+  PackedSend* const records = block_records();
   std::uint32_t rel_bucket[64];
   std::uint32_t k = 0;
   std::uint32_t out = 0;
@@ -108,13 +97,12 @@ void MulticastSchedule::assign_translated(const MulticastSchedule& relative,
     words[w] = SenderWord{word, k};
     for (; word != 0; word &= word - 1) {
       begin[k++] = out;
-      // Every view payload points into its schedule's pool (empty ones
-      // included), so the offset carries over unchanged.
-      for (const Send& s : relative.bucket(rel_bucket[std::countr_zero(word)])) {
-        view[out++] = Send{s.to ^ mask,
-                           std::span<const NodeId>(
-                               pool + (s.payload.data() - rel_pool.data()),
-                               s.payload.size())};
+      const std::uint32_t b = rel_bucket[std::countr_zero(word)];
+      const std::uint32_t end = rel_begin[b + 1];
+      for (std::uint32_t i = rel_begin[b]; i < end; ++i) {
+        PackedSend r = rel_records[i];
+        r.to ^= mask;
+        records[out++] = r;
       }
     }
   }
@@ -147,17 +135,32 @@ std::size_t MulticastSchedule::footprint_bytes() const {
 }
 
 bool operator==(const MulticastSchedule& a, const MulticastSchedule& b) {
-  const auto ra = a.records();
-  const auto rb = b.records();
-  if (a.topo_ != b.topo_ || a.source_ != b.source_ || ra.size() != rb.size()) {
+  if (a.topo_ != b.topo_ || a.source_ != b.source_ ||
+      a.num_unicasts() != b.num_unicasts() ||
+      a.num_senders() != b.num_senders()) {
     return false;
   }
-  const NodeId* const pool_a = a.pool().data();
-  const NodeId* const pool_b = b.pool().data();
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    const MulticastSchedule::RawSend& x = ra[i];
-    const MulticastSchedule::RawSend& y = rb[i];
-    if (x.from != y.from || x.to != y.to || x.pool_len != y.pool_len) {
+  if (!a.block_ || !b.block_) return true;  // neither has a send
+  // Same topology, so the same word count; equal bitmaps give equal
+  // ranks, and equal bucket offsets then give equal senders per record.
+  const std::uint32_t words = a.shape_.words;
+  const std::uint32_t senders = a.shape_.senders;
+  const MulticastSchedule::SenderWord* const wa = a.words();
+  const MulticastSchedule::SenderWord* const wb = b.words();
+  for (std::uint32_t w = 0; w < words; ++w) {
+    if (wa[w].bits != wb[w].bits) return false;
+  }
+  if (!std::equal(a.begins(), a.begins() + senders + 1, b.begins())) {
+    return false;
+  }
+  const PackedSend* const ra = a.block_records();
+  const PackedSend* const rb = b.block_records();
+  const NodeId* const pool_a = a.block_pool();
+  const NodeId* const pool_b = b.block_pool();
+  for (std::uint32_t i = 0; i < a.shape_.sends; ++i) {
+    const PackedSend& x = ra[i];
+    const PackedSend& y = rb[i];
+    if (x.to != y.to || x.seq != y.seq || x.pool_len != y.pool_len) {
       return false;
     }
     const NodeId* pa = pool_a + x.pool_begin;
@@ -175,14 +178,8 @@ void MulticastSchedule::assign_chain_tree(const Topology& topo,
   source_ = chain[0];
   pack(static_cast<std::uint32_t>(sends.size()), chain, [&](std::size_t i) {
     const ChainSend& s = sends[i];
-    return RawSend{chain[s.from], chain[s.to], s.to + 1, s.last - s.to};
+    return PendingSend{chain[s.from], chain[s.to], s.to + 1, s.last - s.to};
   });
-}
-
-std::size_t MulticastSchedule::num_payload_ids() const {
-  std::size_t ids = 0;
-  for (const RawSend& r : records()) ids += r.pool_len;
-  return ids;
 }
 
 template <typename RecordAt>
@@ -199,8 +196,11 @@ void MulticastSchedule::pack(std::uint32_t sends, std::span<const NodeId> pool,
   if (cursor.size() < topo_.num_nodes()) cursor.resize(topo_.num_nodes(), 0);
   std::uint32_t* const count = cursor.data();
   std::uint32_t senders = 0;
+  std::uint32_t payload_ids = 0;
   for (std::uint32_t i = 0; i < sends; ++i) {
-    senders += count[record_at(i).from]++ == 0;
+    const PendingSend r = record_at(i);
+    senders += count[r.from]++ == 0;
+    payload_ids += r.pool_len;
   }
   struct Zero {
     std::uint32_t* count;
@@ -212,17 +212,15 @@ void MulticastSchedule::pack(std::uint32_t sends, std::span<const NodeId> pool,
   } zero{count, sends, record_at};
 
   allocate(Shape{static_cast<std::uint32_t>((topo_.num_nodes() + 63) / 64),
-                 sends, senders, static_cast<std::uint32_t>(pool.size())});
+                 sends, senders, static_cast<std::uint32_t>(pool.size()),
+                 payload_ids});
   SenderWord* const words = this->words();
   std::fill(words, words + shape_.words, SenderWord{});
-  RawSend* const records = block_records();
   for (std::uint32_t i = 0; i < sends; ++i) {
-    const RawSend r = record_at(i);
-    records[i] = r;
-    words[r.from >> 6].bits |= std::uint64_t{1} << (r.from & 63);
+    const NodeId from = record_at(i).from;
+    words[from >> 6].bits |= std::uint64_t{1} << (from & 63);
   }
-  NodeId* const pool_out = block_pool();
-  std::copy(pool.begin(), pool.end(), pool_out);
+  std::copy(pool.begin(), pool.end(), block_pool());
   std::uint32_t* const begin = begins();
   std::uint32_t k = 0;
   std::uint32_t start = 0;
@@ -235,17 +233,16 @@ void MulticastSchedule::pack(std::uint32_t sends, std::span<const NodeId> pool,
     }
   }
   begin[k] = start;
-  Send* const view = this->view();
+  PackedSend* const records = block_records();
   for (std::uint32_t i = 0; i < sends; ++i) {
-    const RawSend& r = records[i];
-    view[count[r.from]++] = Send{
-        r.to, std::span<const NodeId>(pool_out + r.pool_begin, r.pool_len)};
+    const PendingSend r = record_at(i);
+    records[count[r.from]++] = PackedSend{r.to, r.pool_begin, r.pool_len, i};
   }
 }
 
 void ScheduleBuilder::add_send(NodeId from, NodeId to,
                                std::span<const NodeId> payload) {
-  raw_.push_back(MulticastSchedule::RawSend{
+  raw_.push_back(MulticastSchedule::PendingSend{
       from, to, static_cast<std::uint32_t>(pool_.size()),
       static_cast<std::uint32_t>(payload.size())});
   pool_.insert(pool_.end(), payload.begin(), payload.end());
@@ -285,7 +282,7 @@ std::vector<NodeId> MulticastSchedule::recipients() const {
 std::vector<NodeId> MulticastSchedule::senders() const {
   std::vector<NodeId> out;
   out.reserve(num_senders());
-  for_each_sender([&](NodeId u, std::span<const Send>) { out.push_back(u); });
+  for_each_sender([&](NodeId u, SendList) { out.push_back(u); });
   return out;
 }
 
@@ -349,10 +346,10 @@ std::string MulticastSchedule::format_tree() const {
     stack.pop_back();
     for (int i = 0; i < f.depth; ++i) os << "  ";
     os << topo_.format(f.node) << '\n';
-    const auto sends = sends_from(f.node);
+    const SendList sends = sends_from(f.node);
     // Push in reverse so that issue order renders top-to-bottom.
-    for (auto it = sends.rbegin(); it != sends.rend(); ++it) {
-      stack.push_back(Frame{it->to, f.depth + 1});
+    for (std::size_t i = sends.size(); i-- > 0;) {
+      stack.push_back(Frame{sends[i].to, f.depth + 1});
     }
   }
   return os.str();

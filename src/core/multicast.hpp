@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <new>
 #include <span>
@@ -53,6 +54,71 @@ struct Send {
   std::span<const NodeId> payload;
 };
 
+/// One send as a frozen schedule's block stores it: 16 bytes and no
+/// pointer. The payload is [pool_begin, pool_begin + pool_len) of the
+/// schedule's pool; seq is the send's append position.
+struct PackedSend {
+  NodeId to = 0;
+  std::uint32_t pool_begin = 0;
+  std::uint32_t pool_len = 0;
+  std::uint32_t seq = 0;
+};
+
+/// The ordered sends of one sender of a frozen schedule: its packed
+/// records and the schedule's pool, read as Sends built by value. Like
+/// a span it owns nothing; it stays valid while the schedule's block
+/// does (a move keeps it).
+class SendList {
+ public:
+  class iterator {
+   public:
+    using value_type = Send;
+    using reference = Send;
+    using pointer = void;
+    using difference_type = std::ptrdiff_t;
+    using iterator_category = std::input_iterator_tag;
+
+    iterator() = default;
+    iterator(const PackedSend* at, const NodeId* pool) : at_(at), pool_(pool) {}
+    Send operator*() const { return unpack(*at_, pool_); }
+    iterator& operator++() {
+      ++at_;
+      return *this;
+    }
+    iterator operator++(int) {
+      const iterator old = *this;
+      ++at_;
+      return old;
+    }
+    friend bool operator==(const iterator& a, const iterator& b) {
+      return a.at_ == b.at_;
+    }
+
+   private:
+    const PackedSend* at_ = nullptr;
+    const NodeId* pool_ = nullptr;
+  };
+
+  SendList() = default;
+  SendList(const PackedSend* records, std::size_t size, const NodeId* pool)
+      : records_(records), size_(size), pool_(pool) {}
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  Send operator[](std::size_t i) const { return unpack(records_[i], pool_); }
+  iterator begin() const { return {records_, pool_}; }
+  iterator end() const { return {records_ + size_, pool_}; }
+
+ private:
+  static Send unpack(const PackedSend& r, const NodeId* pool) {
+    return Send{r.to, std::span<const NodeId>(pool + r.pool_begin, r.pool_len)};
+  }
+
+  const PackedSend* records_ = nullptr;
+  std::size_t size_ = 0;
+  const NodeId* pool_ = nullptr;
+};
+
 /// One send of a tree built over a chain: chain[from] sends chain[to]
 /// the address field chain[to + 1 .. last] (positions in the chain).
 struct ChainSend {
@@ -86,26 +152,28 @@ struct Unicast {
 ///
 /// The block is one heap allocation of exactly the right size holding,
 /// in order: the sender bitmap of ceil(2^n / 64) words, each with its
-/// rank (the senders in earlier words); the sends grouped by sender
-/// (stable in append order) as the Send view sends_from() hands out;
-/// the send records in append order; senders + 1 bucket offsets; and
-/// the payload pool. A chain tree stores its chain once as the pool and
-/// every payload is a range of it. sends_from(u) is one bit test plus
-/// one popcount; for_each_sender() walks the set bits. A 10-cube wsort
-/// tree to 48 destinations pins 2,496 bytes in all: the 48-byte object
-/// and a 2,448-byte block. Shared through make_shared, it is two heap
-/// objects.
+/// rank (the senders in earlier words); one 16-byte PackedSend per send,
+/// grouped by sender (stable in append order); senders + 1 bucket
+/// offsets; and the payload pool. Nothing in it is a pointer: a payload
+/// is a pool range and a send's append position is its seq, so a copy is
+/// one allocation plus one memcpy, and an XOR translation is a gather
+/// that rewrites only the targets and the pool. A chain tree stores its
+/// chain once as the pool and every payload is a range of it.
+/// sends_from(u) is one bit test plus one popcount; for_each_sender()
+/// walks the set bits. A 10-cube wsort tree to 48 destinations pins
+/// 1,344 bytes in all: the 48-byte object and a 1,296-byte block.
+/// Shared through make_shared, it is two heap objects.
 ///
-/// Spans obtained from sends_from() point into the block: a move keeps
+/// Lists obtained from sends_from() point into the block: a move keeps
 /// them valid, and the next assign_*() or assignment invalidates them.
 class MulticastSchedule {
  public:
   MulticastSchedule(Topology topo, NodeId source)
       : topo_(std::move(topo)), source_(source) {}
 
-  // A copy allocates its own block and points its view into it; moves
-  // keep the block (the spans stay valid). Copies start without the
-  // footprint memo, moves carry it.
+  // A copy allocates its own block and copies the other's bytes into it;
+  // moves keep the block (send lists stay valid). Copies start without
+  // the footprint memo, moves carry it.
   MulticastSchedule(const MulticastSchedule& other);
   MulticastSchedule& operator=(const MulticastSchedule& other) {
     if (this != &other) *this = MulticastSchedule(other);
@@ -123,11 +191,12 @@ class MulticastSchedule {
   /// cached source-relative one — one block of the relative's size,
   /// filled by a linear pass, with none of the sorting, validation or
   /// worklist cost of a fresh build. XOR permutes whole sender buckets,
-  /// so the grouped view is a gather copy, not a re-sort. The result
-  /// compares equal (operator==) to building the translated request
-  /// directly for every translation-invariant algorithm. An empty
-  /// `relative` gives an empty schedule. `relative` may not alias this
-  /// schedule.
+  /// so the grouped records are a gather copy, not a re-sort, and only
+  /// their targets change (pool ranges and append positions carry
+  /// over). The result compares equal (operator==) to building the
+  /// translated request directly for every translation-invariant
+  /// algorithm. An empty `relative` gives an empty schedule. `relative`
+  /// may not alias this schedule.
   void assign_translated(const MulticastSchedule& relative, NodeId mask);
 
   /// Become the tree whose sends are `sends` over `chain` (position 0 is
@@ -141,7 +210,7 @@ class MulticastSchedule {
                          std::span<const ChainSend> sends);
 
   /// The ordered sends issued by node u (empty list if u sends nothing).
-  std::span<const Send> sends_from(NodeId u) const {
+  SendList sends_from(NodeId u) const {
     if (!block_) return {};
     const SenderWord& word = words()[u >> 6];
     const std::uint64_t bit = std::uint64_t{1} << (u & 63);
@@ -162,7 +231,8 @@ class MulticastSchedule {
     // site (fn stays inlined).
     const SenderWord* const ws = words();
     const std::uint32_t* const begin = begins();
-    const Send* const sends = view();
+    const PackedSend* const records = block_records();
+    const NodeId* const pool = block_pool();
     const unsigned bit_mask = mask & 63;
     std::uint32_t rank_at[64];
     for (std::size_t w = 0; w < shape_.words; ++w) {
@@ -182,7 +252,7 @@ class MulticastSchedule {
         const auto bit = static_cast<unsigned>(std::countr_zero(moved));
         const std::uint32_t r = bit_mask != 0 ? rank_at[bit] : k++;
         fn(static_cast<NodeId>(at * 64 + (bit ^ bit_mask)),
-           std::span<const Send>(sends + begin[r], begin[r + 1] - begin[r]));
+           SendList(records + begin[r], begin[r + 1] - begin[r], pool));
       }
     }
   }
@@ -199,12 +269,14 @@ class MulticastSchedule {
   std::vector<Unicast> unicasts() const;
 
   /// Total number of unicast messages in the schedule.
-  std::size_t num_unicasts() const { return records().size(); }
+  std::size_t num_unicasts() const { return block_ ? shape_.sends : 0; }
 
   /// Destination ids carried by all payloads together, summed over the
   /// sends (payloads of a chain tree share the pool, so this is not the
-  /// pool's size).
-  std::size_t num_payload_ids() const;
+  /// pool's size). Counted once, when the block is written.
+  std::size_t num_payload_ids() const {
+    return block_ ? shape_.payload_ids : 0;
+  }
 
   /// Number of nodes with at least one outgoing send.
   std::size_t num_senders() const { return block_ ? shape_.senders : 0; }
@@ -253,17 +325,19 @@ class MulticastSchedule {
 
   /// Structural equality: same topology, source, and identical append
   /// order of sends with identical payload contents (pool offsets are
-  /// an implementation detail and do not participate). This is the
-  /// "bit-identical schedule" relation the cache equality tests assert.
+  /// an implementation detail and do not participate). Each send's seq
+  /// is its append position, so equal sender buckets with equal seqs are
+  /// equal append orders. This is the "bit-identical schedule" relation
+  /// the cache equality tests assert.
   friend bool operator==(const MulticastSchedule& a,
                          const MulticastSchedule& b);
 
  private:
   friend class ScheduleBuilder;
 
-  /// One send record: fixed size, payload in [pool_begin,
-  /// pool_begin + pool_len) of the pool.
-  struct RawSend {
+  /// A send as it is appended, before pack() groups it by sender:
+  /// payload in [pool_begin, pool_begin + pool_len) of the pool.
+  struct PendingSend {
     NodeId from = 0;
     NodeId to = 0;
     std::uint32_t pool_begin = 0;
@@ -310,18 +384,19 @@ class MulticastSchedule {
     std::uint32_t rank = 0;
   };
 
-  /// The sizes of a block's arrays; their byte offsets follow, in block
+  /// The sizes of a block's arrays, and the payload ids its sends carry
+  /// (num_payload_ids()); the arrays' byte offsets follow, in block
   /// order (each array's alignment divides the bytes before it).
   struct Shape {
     std::uint32_t words = 0;    ///< ceil(num_nodes / 64)
     std::uint32_t sends = 0;
     std::uint32_t senders = 0;
     std::uint32_t pool = 0;
+    std::uint32_t payload_ids = 0;
 
-    std::size_t view_at() const { return words * sizeof(SenderWord); }
-    std::size_t records_at() const { return view_at() + sends * sizeof(Send); }
+    std::size_t records_at() const { return words * sizeof(SenderWord); }
     std::size_t begin_at() const {
-      return records_at() + sends * sizeof(RawSend);
+      return records_at() + sends * sizeof(PackedSend);
     }
     std::size_t pool_at() const {
       return begin_at() + (senders + std::size_t{1}) * sizeof(std::uint32_t);
@@ -338,28 +413,18 @@ class MulticastSchedule {
   // The block's arrays (valid while block_ is set). Bit u % 64 of
   // words()[u / 64] marks sender u; its rank k is that word's rank plus
   // the set bits below u in it, and its sends are
-  // view()[begins()[k] .. begins()[k + 1]).
+  // block_records()[begins()[k] .. begins()[k + 1]).
   SenderWord* words() const { return at<SenderWord>(0); }
-  Send* view() const { return at<Send>(shape_.view_at()); }
-  RawSend* block_records() const { return at<RawSend>(shape_.records_at()); }
+  PackedSend* block_records() const {
+    return at<PackedSend>(shape_.records_at());
+  }
   std::uint32_t* begins() const { return at<std::uint32_t>(shape_.begin_at()); }
   NodeId* block_pool() const { return at<NodeId>(shape_.pool_at()); }
 
-  /// The send records in append order and the pool (empty without a
-  /// block).
-  std::span<const RawSend> records() const {
-    if (!block_) return {};
-    return {block_records(), shape_.sends};
-  }
-  std::span<const NodeId> pool() const {
-    if (!block_) return {};
-    return {block_pool(), shape_.pool};
-  }
-
   /// The k-th sender's sends (k counts senders in ascending order).
-  std::span<const Send> bucket(std::size_t k) const {
+  SendList bucket(std::size_t k) const {
     const std::uint32_t* const begin = begins();
-    return {view() + begin[k], begin[k + 1] - begin[k]};
+    return {block_records() + begin[k], begin[k + 1] - begin[k], block_pool()};
   }
 
   /// Make block_ a block of `shape`, reusing the current one when it is
@@ -375,10 +440,12 @@ class MulticastSchedule {
 
   Topology topo_;
   NodeId source_;
+  // Before block_, so the 20-byte shape packs beside topo_ and source_
+  // and the object stays 48 bytes.
+  Shape shape_;  ///< block_'s shape (meaningless without one)
   // Written by ScheduleBuilder::build(), assign_chain_tree() and
   // assign_translated(); null while the schedule is empty.
   std::unique_ptr<std::byte[]> block_;
-  Shape shape_;  ///< block_'s shape (meaningless without one)
 
   FootprintMemo memo_;  ///< see cached_arc_footprint()
 };
@@ -413,8 +480,8 @@ class ScheduleBuilder {
  private:
   Topology topo_;
   NodeId source_;
-  std::vector<MulticastSchedule::RawSend> raw_;  ///< append order
-  std::vector<NodeId> pool_;                     ///< copied payloads
+  std::vector<MulticastSchedule::PendingSend> raw_;  ///< append order
+  std::vector<NodeId> pool_;                         ///< copied payloads
 };
 
 }  // namespace hypercast::core

@@ -43,7 +43,7 @@ class Repairer {
         received_(topo_.num_nodes(), false),
         released_(topo_.num_nodes(), 0),
         base_parent_(topo_.num_nodes(), kNoParent),
-        base_send_(topo_.num_nodes(), nullptr) {
+        base_payload_(topo_.num_nodes()) {
     if (faults_.node_failed(base_.source())) {
       throw std::invalid_argument("fault-aware multicast: source is dead");
     }
@@ -59,15 +59,15 @@ class Repairer {
     received_[base_.source()] = true;
     holders_.push_back(base_.source());
     if (owners) table_.emplace(*owners);
-    // Index the base tree (parent and Send per recipient) and pre-claim
+    // Index the base tree (parent and payload per recipient) and pre-claim
     // its footprint under `self`. A pre-claim can lose an arc to a
     // previously committed non-disjoint tree (the striped planner
     // force-claims greedy fallbacks so later repairs still avoid them);
     // the affected send then fails the owns-path test and is rerouted.
-    base_.for_each_sender([&](NodeId u, std::span<const core::Send> sends) {
+    base_.for_each_sender([&](NodeId u, core::SendList sends) {
       for (const core::Send& s : sends) {
         base_parent_[s.to] = u;
-        base_send_[s.to] = &s;
+        base_payload_[s.to] = s.payload;
         if (table_) {
           hcube::for_each_ecube_arc(topo_, u, s.to, [&](hcube::Arc a) {
             table_->try_claim(a, self_);
@@ -96,13 +96,13 @@ class Repairer {
  private:
   struct Item {
     NodeId from;
-    const core::Send* send;
+    core::Send send;  ///< payload points into base_'s pool
     bool deferred = false;  ///< requeued at least once (already reported)
   };
 
   void enqueue_sends(NodeId actual_from, NodeId tree_node) {
     for (const core::Send& s : base_.sends_from(tree_node)) {
-      queue_.push_back({actual_from, &s});
+      queue_.push_back({actual_from, s});
     }
   }
 
@@ -142,7 +142,7 @@ class Repairer {
 
   void process(Item item) {
     const NodeId from = item.from;
-    const NodeId to = item.send->to;
+    const NodeId to = item.send.to;
     if (!item.deferred) ++report_.unicasts_checked;
     if (received_[to]) {
       // A repair chain already fed `to` (its delivery moved onto the
@@ -161,7 +161,7 @@ class Repairer {
       return;
     }
     if (!faults_.path_blocked(from, to) && owns_path(from, to)) {
-      deliver(from, to, item.send->payload);
+      deliver(from, to, item.send.payload);
       enqueue_sends(to, to);
       return;
     }
@@ -171,7 +171,7 @@ class Repairer {
         table_ ? constrained_bfs_detour(topo_, faults_, holders_, to, &*table_)
                : greedy_route(from, to);
     if (path) {
-      emit(from, *item.send, *path);
+      emit(from, item.send, *path);
       enqueue_sends(to, to);
       return;
     }
@@ -268,10 +268,10 @@ class Repairer {
                               send.payload.end());
         for (std::size_t j = i; j + 1 < endpoints.size(); ++j) {
           const NodeId e = endpoints[j];
-          if (planned_[e] && !received_[e] && base_send_[e] != nullptr) {
+          if (planned_[e] && !received_[e] && base_parent_[e] != kNoParent) {
             relay_payload_.insert(relay_payload_.end(),
-                                  base_send_[e]->payload.begin(),
-                                  base_send_[e]->payload.end());
+                                  base_payload_[e].begin(),
+                                  base_payload_[e].end());
           }
         }
         if (planned_[z] && !received_[z]) {
@@ -312,7 +312,8 @@ class Repairer {
   std::vector<bool> received_;  ///< receive already emitted (or source)
   std::vector<char> released_;  ///< base incoming arcs returned
   std::vector<NodeId> base_parent_;
-  std::vector<const core::Send*> base_send_;
+  /// Each base recipient's payload (a range of base_'s pool).
+  std::vector<std::span<const NodeId>> base_payload_;
   std::vector<NodeId> holders_;  ///< source, then every receive emitted
   std::deque<Item> queue_;
   std::vector<NodeId> relay_payload_;   ///< emit() scratch
@@ -393,7 +394,7 @@ std::size_t blocked_unicasts(const core::MulticastSchedule& schedule,
                              const FaultSet& faults) {
   std::size_t blocked = 0;
   schedule.for_each_sender(
-      [&](NodeId from, std::span<const core::Send> sends) {
+      [&](NodeId from, core::SendList sends) {
         for (const core::Send& s : sends) {
           if (faults.path_blocked(from, s.to)) ++blocked;
         }

@@ -282,7 +282,7 @@ std::string schedule_to_json(const core::MulticastSchedule& schedule,
   w.key("source").value(static_cast<std::uint64_t>(schedule.source() ^ mask));
   w.key("sends").begin_array();
   schedule.for_each_sender(
-      [&](hcube::NodeId from, std::span<const core::Send> sends) {
+      [&](hcube::NodeId from, core::SendList sends) {
         for (const core::Send& send : sends) {
           w.begin_object();
           w.key("from").value(static_cast<std::uint64_t>(from ^ mask));

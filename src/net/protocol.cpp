@@ -59,7 +59,7 @@ char* write_body(const core::MulticastSchedule& schedule, hcube::NodeId mask,
   p = store_u32(p, schedule.source() ^ mask);
   p = store_u32(p, static_cast<std::uint32_t>(schedule.num_senders()));
   schedule.for_each_sender(
-      [&](hcube::NodeId from, std::span<const core::Send> sends) {
+      [&](hcube::NodeId from, core::SendList sends) {
         p = store_u32(p, from ^ mask);
         p = store_u32(p, static_cast<std::uint32_t>(sends.size()));
         for (const core::Send& send : sends) {

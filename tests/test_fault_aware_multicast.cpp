@@ -63,9 +63,9 @@ std::vector<core::MulticastRequest> sample_requests(const Topology& topo) {
   // Broadcast from 0 (the worst case: every link matters).
   reqs.push_back({topo, 0, workload::broadcast_destinations(topo, 0)});
   // Random sets of several sizes and sources, deterministic seeds.
-  for (const auto [m, trial] : {std::pair<std::size_t, std::uint64_t>{3, 0},
-                                {7, 1},
-                                {11, 2}}) {
+  for (const auto& [m, trial] : {std::pair<std::size_t, std::uint64_t>{3, 0},
+                                 {7, 1},
+                                 {11, 2}}) {
     workload::Rng rng(workload::derive_seed(0xFA017, m, trial));
     reqs.push_back(testutil::random_request(topo, m, rng));
   }

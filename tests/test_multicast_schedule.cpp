@@ -5,11 +5,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <utility>
 
 #include "core/registry.hpp"
+#include "net/protocol.hpp"
 #include "test_util.hpp"
 #include "workload/random_sets.hpp"
 
@@ -221,13 +223,18 @@ MulticastSchedule random_sends(const Topology& topo, NodeId source,
     return ::testing::AssertionFailure() << "num_senders() differs";
   }
   std::vector<NodeId> visited;
-  bool same_spans = true;
-  s.for_each_sender([&](NodeId u, std::span<const Send> sends) {
+  bool same_sends = true;
+  s.for_each_sender([&](NodeId u, SendList sends) {
     visited.push_back(u);
-    same_spans = same_spans && sends.data() == s.sends_from(u).data() &&
-                 sends.size() == s.sends_from(u).size();
+    const SendList direct = s.sends_from(u);
+    same_sends = same_sends && sends.size() == direct.size();
+    for (std::size_t j = 0; same_sends && j < sends.size(); ++j) {
+      same_sends = sends[j].to == direct[j].to &&
+                   sends[j].payload.data() == direct[j].payload.data() &&
+                   sends[j].payload.size() == direct[j].payload.size();
+    }
   });
-  if (visited != want_senders || !same_spans) {
+  if (visited != want_senders || !same_sends) {
     return ::testing::AssertionFailure() << "for_each_sender() differs";
   }
   return ::testing::AssertionSuccess();
@@ -272,6 +279,70 @@ TEST(MulticastScheduleView, WordBoundarySendersAndTheirNeighbours) {
             (std::vector<NodeId>{0, 63, 64, 127, 128, 191, 192, 255}));
 }
 
+/// ref[u] as Sends whose payloads view ref's copies.
+std::vector<Send> materialized(const Grouping& ref, NodeId u) {
+  std::vector<Send> out;
+  for (const auto& [to, payload] : ref[u]) out.push_back(Send{to, payload});
+  return out;
+}
+
+::testing::AssertionResult same_send(const Send& a, const Send& b) {
+  if (a.to != b.to || !std::ranges::equal(a.payload, b.payload)) {
+    return ::testing::AssertionFailure()
+           << "send to " << a.to << " differs from send to " << b.to;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(MulticastScheduleView, SendListMatchesMaterializedSends) {
+  workload::Rng rng(30);
+  for (int dim = 1; dim <= 10; ++dim) {
+    const Topology topo(dim);
+    const std::size_t n = topo.num_nodes();
+    const std::size_t senders = std::max<std::size_t>(1, n / 2);
+    Grouping ref;
+    const MulticastSchedule s =
+        random_sends(topo, static_cast<NodeId>(rng() % n), senders,
+                     3 * senders, rng, ref);
+    std::vector<NodeId> want_senders;
+    for (NodeId u = 0; u < n; ++u) {
+      const SendList list = s.sends_from(u);
+      const std::vector<Send> want = materialized(ref, u);
+      if (!want.empty()) want_senders.push_back(u);
+      ASSERT_EQ(list.size(), want.size()) << dim << "-cube node " << u;
+      EXPECT_EQ(list.empty(), want.empty()) << dim << "-cube node " << u;
+      std::size_t i = 0;
+      for (const Send& x : list) {
+        EXPECT_TRUE(same_send(x, want[i])) << dim << "-cube node " << u;
+        EXPECT_TRUE(same_send(list[i], want[i])) << dim << "-cube node " << u;
+        ++i;
+      }
+      EXPECT_EQ(i, want.size()) << dim << "-cube node " << u;
+    }
+    for (const NodeId mask :
+         {NodeId{0}, NodeId{1}, static_cast<NodeId>(n - 1),
+          static_cast<NodeId>(rng() % n)}) {
+      std::vector<NodeId> order;
+      s.for_each_sender(
+          [&](NodeId u, SendList list) {
+            order.push_back(u);
+            const std::vector<Send> want = materialized(ref, u);
+            ASSERT_EQ(list.size(), want.size()) << dim << "-cube node " << u;
+            for (std::size_t i = 0; i < want.size(); ++i) {
+              EXPECT_TRUE(same_send(list[i], want[i]))
+                  << dim << "-cube node " << u << " mask " << mask;
+            }
+          },
+          mask);
+      std::vector<NodeId> want_order = want_senders;
+      std::ranges::sort(want_order, [mask](NodeId a, NodeId b) {
+        return (a ^ mask) < (b ^ mask);
+      });
+      EXPECT_EQ(order, want_order) << dim << "-cube mask " << mask;
+    }
+  }
+}
+
 TEST(MulticastScheduleView, EmptySchedulesHaveNoSenders) {
   for (int dim = 0; dim <= 12; ++dim) {
     const Topology topo(dim);
@@ -283,7 +354,7 @@ TEST(MulticastScheduleView, EmptySchedulesHaveNoSenders) {
 
 /// Everything the three read paths report about `s`, starting with the
 /// path `first` names (0: num_senders, 1: for_each_sender, 2: sends_from),
-/// span addresses included.
+/// payload addresses included.
 std::vector<std::uint64_t> read_all(const MulticastSchedule& s, int first) {
   const auto address = [](const void* p) {
     return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p));
@@ -294,8 +365,9 @@ std::vector<std::uint64_t> read_all(const MulticastSchedule& s, int first) {
     if (path == 0) {
       out.push_back(s.num_senders());
     } else if (path == 1) {
-      s.for_each_sender([&](NodeId u, std::span<const Send> sends) {
-        out.insert(out.end(), {u, sends.size(), address(sends.data())});
+      s.for_each_sender([&](NodeId u, SendList sends) {
+        out.insert(out.end(),
+                   {u, sends.size(), address(sends[0].payload.data())});
       });
     } else {
       for (NodeId u = 0; u < s.topo().num_nodes(); ++u) {
@@ -423,22 +495,20 @@ TEST(MulticastScheduleView, FootprintFollowsSendsNotTheCube) {
 // Run under ASan, these catch a span that outlives the block it points
 // into, or a copy whose view still points into its source's block.
 
-/// The bytes a built schedule pins: the object, plus a block of
-/// 16-byte sender words, a Send and a 16-byte record per send, senders
-/// + 1 offsets and `pool_ids` pool entries.
+/// The bytes a written schedule pins: the 48-byte object, plus a block
+/// of 16-byte sender words, a 16-byte record per send, senders + 1
+/// 4-byte offsets and `pool_ids` 4-byte pool entries.
 std::size_t block_footprint(const MulticastSchedule& s,
-                                std::size_t pool_ids) {
+                            std::size_t pool_ids) {
   const std::size_t words = (s.topo().num_nodes() + 63) / 64;
-  return sizeof(MulticastSchedule) + words * 16 +
-         s.num_unicasts() * (sizeof(Send) + 16) +
-         (s.num_senders() + 1) * sizeof(std::uint32_t) +
-         pool_ids * sizeof(NodeId);
+  return 48 + 16 * words + 16 * s.num_unicasts() +
+         4 * (s.num_senders() + 1) + 4 * pool_ids;
 }
 
 /// Every send of `s` with an owned copy of its payload, per sender.
 Grouping grouping_of(const MulticastSchedule& s) {
   Grouping out(s.topo().num_nodes());
-  s.for_each_sender([&](NodeId u, std::span<const Send> sends) {
+  s.for_each_sender([&](NodeId u, SendList sends) {
     for (const Send& x : sends) {
       out[u].emplace_back(x.to, testutil::to_vec(x.payload));
     }
@@ -466,10 +536,10 @@ TEST(MulticastScheduleBlock, AddSendTakesItsPayloadFromItsOwnBlock) {
       // Rebuild *s plus one send whose payload points into *s's block;
       // the build then replaces *s, freeing that block.
       ScheduleBuilder b(topo, s->source());
-      s->for_each_sender([&](NodeId u, std::span<const Send> sends) {
+      s->for_each_sender([&](NodeId u, SendList sends) {
         for (const Send& x : sends) b.add_send(u, x.to, x.payload);
       });
-      const std::span<const Send> sends = s->sends_from(s->source());
+      const SendList sends = s->sends_from(s->source());
       const Send& pick = sends[rng() % sends.size()];
       const auto from = static_cast<NodeId>(rng() % topo.num_nodes());
       const auto to = static_cast<NodeId>(rng() % topo.num_nodes());
@@ -521,29 +591,107 @@ TEST(MulticastScheduleBlock, CopiesAndAssignmentsOwnTheirBlocks) {
   EXPECT_TRUE(matches(move_assigned, Grouping(topo.num_nodes())));
 }
 
+TEST(MulticastScheduleBlock, CopyIsOneMemcpy) {
+  const Topology topo(9);
+  const auto chain = [&] {
+    workload::Rng rng(65);
+    return wsort_tree(topo, 64, rng);
+  };
+  const auto built = [&] {
+    workload::Rng rng(66);
+    Grouping ref;
+    return random_sends(topo, 3, 40, 160, rng, ref);
+  };
+  const auto translated = [&] {
+    MulticastSchedule out(topo, 0);
+    out.assign_translated(chain(), 0x1a7);
+    return out;
+  };
+  for (const auto& make : std::vector<std::function<MulticastSchedule()>>{
+           chain, built, translated}) {
+    auto source = std::make_unique<MulticastSchedule>(make());
+    const Grouping ref = grouping_of(*source);
+    std::string wire_before;
+    net::encode_schedule(*source, wire_before);
+    std::vector<const NodeId*> source_payloads;
+    source->for_each_sender([&](NodeId, SendList sends) {
+      for (const Send& x : sends) source_payloads.push_back(x.payload.data());
+    });
+    const MulticastSchedule copy(*source);
+    source.reset();
+    // Read only after the source is gone: ASan flags any payload that
+    // still points into the source's block.
+    EXPECT_TRUE(matches(copy, ref));
+    EXPECT_TRUE(copy == make());
+    std::string wire_after;
+    net::encode_schedule(copy, wire_after);
+    EXPECT_EQ(wire_after, wire_before);
+    // One block copied whole: every payload moved by the same distance.
+    std::vector<std::ptrdiff_t> moved;
+    copy.for_each_sender([&](NodeId, SendList sends) {
+      for (const Send& x : sends) {
+        moved.push_back(x.payload.data() - source_payloads[moved.size()]);
+      }
+    });
+    ASSERT_EQ(moved.size(), source_payloads.size());
+    EXPECT_NE(moved.front(), 0);
+    EXPECT_TRUE(std::ranges::all_of(
+        moved, [&](std::ptrdiff_t d) { return d == moved.front(); }));
+  }
+}
+
+TEST(MulticastScheduleBlock, FootprintFollowsTheCompactFormula) {
+  workload::Rng rng(67);
+  for (int dim = 1; dim <= 12; ++dim) {
+    const Topology topo(dim);
+    const std::size_t n = topo.num_nodes();
+    const std::size_t m = std::min<std::size_t>(n - 1, 64);
+    const MulticastSchedule chain = wsort_tree(topo, m, rng);
+    // A chain tree's pool is its chain: the source and the destinations.
+    EXPECT_EQ(chain.footprint_bytes(), block_footprint(chain, m + 1)) << dim;
+    MulticastSchedule translated(topo, 0);
+    translated.assign_translated(chain, static_cast<NodeId>(rng() % n));
+    EXPECT_EQ(translated.footprint_bytes(), block_footprint(chain, m + 1))
+        << dim;
+    Grouping ref;
+    const std::size_t senders = std::max<std::size_t>(1, n / 4);
+    const MulticastSchedule built =
+        random_sends(topo, 0, senders, 2 * senders, rng, ref);
+    EXPECT_EQ(built.footprint_bytes(),
+              block_footprint(built, built.num_payload_ids()))
+        << dim;
+    const MulticastSchedule empty = ScheduleBuilder(topo, 0).build();
+    EXPECT_EQ(empty.footprint_bytes(), block_footprint(empty, 0)) << dim;
+    // Never written: the object alone.
+    EXPECT_EQ(MulticastSchedule(topo, 0).footprint_bytes(), 48u) << dim;
+  }
+}
+
 TEST(MulticastScheduleBlock, SendsFromSpansSurviveAMove) {
   const Topology topo(8);
   workload::Rng rng(63);
   std::vector<MulticastSchedule> trees;
-  std::vector<std::span<const Send>> spans;
+  std::vector<SendList> lists;
   std::vector<Grouping> refs;
   for (int i = 0; i < 9; ++i) {
     // Growing the vector moves every tree built so far.
     trees.push_back(wsort_tree(topo, 30, rng));
-    spans.push_back(trees.back().sends_from(0));
+    lists.push_back(trees.back().sends_from(0));
     refs.push_back(grouping_of(trees.back()));
   }
   for (std::size_t i = 0; i < trees.size(); ++i) {
-    EXPECT_EQ(trees[i].sends_from(0).data(), spans[i].data());
-    ASSERT_EQ(spans[i].size(), refs[i][0].size());
-    for (std::size_t j = 0; j < spans[i].size(); ++j) {
-      EXPECT_EQ(spans[i][j].to, refs[i][0][j].first);
-      EXPECT_EQ(testutil::to_vec(spans[i][j].payload), refs[i][0][j].second);
+    EXPECT_EQ(trees[i].sends_from(0)[0].payload.data(),
+              lists[i][0].payload.data());
+    ASSERT_EQ(lists[i].size(), refs[i][0].size());
+    for (std::size_t j = 0; j < lists[i].size(); ++j) {
+      EXPECT_EQ(lists[i][j].to, refs[i][0][j].first);
+      EXPECT_EQ(testutil::to_vec(lists[i][j].payload), refs[i][0][j].second);
     }
   }
   MulticastSchedule assigned(topo, 0);
   assigned = std::move(trees[0]);
-  EXPECT_EQ(assigned.sends_from(0).data(), spans[0].data());
+  EXPECT_EQ(assigned.sends_from(0)[0].payload.data(),
+            lists[0][0].payload.data());
 }
 
 TEST(MulticastScheduleBlock, FootprintIsTheObjectPlusItsBlock) {

@@ -55,7 +55,7 @@ std::uint64_t digest(const MulticastSchedule& s) {
     h.add(u.to);
     h.add(static_cast<std::uint64_t>(u.issue_index));
   }
-  s.for_each_sender([&](NodeId from, std::span<const core::Send> sends) {
+  s.for_each_sender([&](NodeId from, core::SendList sends) {
     h.add(from);
     for (const core::Send& send : sends) {
       h.add(send.to);

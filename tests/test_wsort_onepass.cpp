@@ -49,7 +49,7 @@ MulticastSchedule rebuilt(const MulticastSchedule& tree) {
 
 std::size_t payload_sum(const MulticastSchedule& s) {
   std::size_t total = 0;
-  s.for_each_sender([&](NodeId, std::span<const Send> sends) {
+  s.for_each_sender([&](NodeId, SendList sends) {
     for (const Send& send : sends) total += send.payload.size();
   });
   return total;
@@ -65,7 +65,7 @@ void expect_same_tree(const MulticastSchedule& ref,
                       const MulticastSchedule& got, const std::string& ctx) {
   ASSERT_EQ(ref.source(), got.source()) << ctx;
   ASSERT_EQ(ref.senders(), got.senders()) << ctx;
-  ref.for_each_sender([&](NodeId u, std::span<const Send> want) {
+  ref.for_each_sender([&](NodeId u, SendList want) {
     const auto have = got.sends_from(u);
     ASSERT_EQ(want.size(), have.size()) << ctx << " sender " << u;
     for (std::size_t i = 0; i < want.size(); ++i) {
