@@ -4,8 +4,8 @@
 //
 //   broadcast_all_sources — a broadcast from every node (all 2^n sources
 //       share one relative chain: all-ones). The cache pays one tree
-//       construction plus 2^n translations, then every later round is
-//       pure hits.
+//       construction, then every serve is a hit plus its translation
+//       (serve() never caches the translated copy).
 //   all_to_all — the translated-multicast all-to-all: one random
 //       relative chain, requested from every source as (u, D ^ u).
 //   hot_repeated — one (source, destinations) pair served over and over
@@ -199,10 +199,11 @@ void run(const bench::Context& ctx, bench::Report& report) {
   std::puts(
       "\nReading: translation-sharing patterns (broadcast sweeps,\n"
       "translated all-to-alls, hot or clustered shapes) amortize tree\n"
-      "construction down to a key canonicalization. Fully unique traffic\n"
-      "is the floor: every serve pays the build plus the materialization\n"
-      "and insert overhead (~0.6-0.7x of uncached) — the premium for the\n"
-      "6x+ payoff whenever any chain shape repeats.");
+      "construction down to a key canonicalization plus one translation\n"
+      "copy. Fully unique traffic is the floor: every serve pays the\n"
+      "build plus the translation and insert overhead (~0.6-0.7x of\n"
+      "uncached) — the premium for the payoff whenever any chain shape\n"
+      "repeats.");
 }
 
 const bench::Registration reg{

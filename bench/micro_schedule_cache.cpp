@@ -12,10 +12,10 @@
 // and writing the Ok response (encode), for sparse serving shapes and
 // for the dense IST broadcast trees striped serving translates. A
 // cold-miss row serves fresh random sets into a full cache through the
-// server's serve_view(), and two hit rows serve resident translations
-// from a set larger than the thread-local L1 — through serve()
-// (materialized translations) and through the server's path,
-// serve_view() plus the masked encoder; each serve is timed, and every
+// server's serve_view(), and two hit rows serve resident shapes at
+// translations from a set larger than the thread-local L1 — through
+// serve() (a hit plus a fresh translation) and through the server's
+// path, serve_view() plus the masked encoder; each serve is timed, and every
 // row reports the rate and the p99 latency. Two untimed rows report the
 // bytes a cached tree pins (entry_bytes), so the exact gate catches any
 // growth of the per-entry storage.
@@ -104,8 +104,8 @@ std::vector<core::MulticastRequest> translated_stream(
 }
 
 /// translate_per_sec: a fresh schedule assigned the XOR translation of a
-/// finalized relative one and finalized, as a cache miss on the absolute
-/// key materializes it. encode_per_sec: encode_ok_response into a fresh
+/// finalized relative one, as serve() materializes every hit at a
+/// nonzero source. encode_per_sec: encode_ok_response into a fresh
 /// string, as a worker serializes each response.
 void schedule_stage_rows(const bench::Context& ctx, bench::Report& report) {
   struct Shape {
@@ -237,12 +237,12 @@ void cold_miss_row(const bench::Context& ctx, bench::Report& report) {
 
 /// Hits as perfbench's serve_hot meets them: W-sort XOR-translations of
 /// 64 shapes (8-cube, m = 24) at every source make 16,384 (source,
-/// shape) pairs. The timed stream draws pairs at random, so the 128-slot
-/// thread-local L1 rarely holds an absolute pair. Each call is timed on
-/// its own, and a timed call that misses the cache throws.
+/// shape) pairs. The timed stream draws pairs at random. Each call is
+/// timed on its own, and a timed call that misses the cache throws.
 ///  * hit_serves_per_sec, hit_serve_p99_us: ServePipeline::serve with
-///    every pair's materialized translation resident (absolute-level
-///    hits, as the DES and CLI callers meet them).
+///    the 64 relative trees resident: a hit plus the translation to the
+///    pair's source, which is never cached (as the DES and CLI callers
+///    meet them).
 ///  * wire_hits_per_sec, wire_hit_p99_us: ServePipeline::serve_view plus
 ///    the masked encode_ok_response, the server's path: 64 resident
 ///    relative trees, each answer written through the source as an XOR

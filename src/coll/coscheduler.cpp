@@ -57,7 +57,11 @@ CoschedPlan CoScheduler::plan(
 }
 
 CoschedPlan CoScheduler::plan(
-    std::span<const core::MulticastSchedule* const> schedules) {
+    std::span<const core::MulticastSchedule* const> schedules,
+    std::span<const core::NodeId> masks) {
+  if (!masks.empty() && masks.size() != schedules.size()) {
+    throw std::invalid_argument("CoScheduler::plan: one mask per schedule");
+  }
   const bool stats = obs::stats_enabled();
   const std::uint64_t t_start = stats ? obs::now_ns() : 0;
   const core::Topology* topo = nullptr;
@@ -71,6 +75,9 @@ CoschedPlan CoScheduler::plan(
     } else if (s->topo() != *topo) {
       throw std::invalid_argument(
           "CoScheduler::plan: schedules span different topologies");
+    }
+    if (!masks.empty() && !topo->contains(masks[i])) {
+      throw std::invalid_argument("CoScheduler::plan: mask outside the cube");
     }
     footprints_[i] = &s->cached_arc_footprint();
     remaining.push_back(i);
@@ -104,10 +111,11 @@ CoschedPlan CoScheduler::plan(
     for (std::size_t k = 0; k < remaining.size(); ++k) {
       const std::size_t idx = remaining[k];
       const core::ArcFootprint& fp = *footprints_[idx];
+      const core::NodeId mask = masks.empty() ? 0 : masks[idx];
       // Add, then take back out if rejected: the peak over the arcs the
       // tree touched is its admission score. The peak is never below the
       // tree's own self_max, so fitting the bound implies self_max does.
-      const std::uint32_t peak = wave_load_.add(fp);
+      const std::uint32_t peak = wave_load_.add(fp, mask);
       const bool fits_bound = peak <= bound;
       // Three ways in: it fits under the bound; the wave cap forces the
       // remainder into this final wave obliviously; or the tree's own
@@ -118,7 +126,7 @@ CoschedPlan CoScheduler::plan(
           fits_bound || final_wave ||
           (self_unschedulable && wave.members.empty());
       if (!admit) {
-        wave_load_.remove(fp);
+        wave_load_.remove(fp, mask);
         next_round.push_back(idx);
         ++out.deferred;
         continue;

@@ -79,7 +79,10 @@ class CoScheduler {
 
   /// Plan a batch. Null schedules are skipped (they appear in no wave —
   /// the serving pipeline uses null slots for shed requests). All
-  /// non-null schedules must share one topology.
+  /// non-null schedules must share one topology. A non-empty `masks`
+  /// (one per schedule) scores schedule i's footprint XORed by masks[i]
+  /// (core::arc_footprint): the plan of the translated trees, so one
+  /// relative tree's memo serves every source of its shape.
   ///
   /// Deterministic greedy-wave packing: candidates are ordered by
   /// total footprint crossings (heaviest first, original index breaking
@@ -93,7 +96,8 @@ class CoScheduler {
   CoschedPlan plan(
       std::span<const std::shared_ptr<const core::MulticastSchedule>>
           schedules);
-  CoschedPlan plan(std::span<const core::MulticastSchedule* const> schedules);
+  CoschedPlan plan(std::span<const core::MulticastSchedule* const> schedules,
+                   std::span<const core::NodeId> masks = {});
 
   /// Expand a plan into DES jobs: each member of wave w starts at
   /// `base_start + w * stagger`. Orders jobs by (wave, member), so the

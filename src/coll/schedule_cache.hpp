@@ -24,11 +24,10 @@ namespace hypercast::coll {
 /// entry serves every XOR-translation of its request: `(u, D)` and
 /// `(v, v ^ u ^ D)` hit the same schedule, so a broadcast sweep over all
 /// sources, the n translated multicasts of a tree-based all-to-all, or a
-/// repeated hot pattern all pay tree construction exactly once.
-/// *Absolute* entries pin one specific source: materialized translations
-/// of relative entries for ServePipeline::serve() callers (the wire path
-/// makes none) and fault-repaired trees, whose repairs depend on
-/// absolute link positions.
+/// repeated hot pattern all pay tree construction exactly once; callers
+/// translate it on the way out and cache no copy. *Absolute* entries
+/// (one specific source) hold only fault-repaired trees, whose repairs
+/// depend on absolute link positions.
 /// The cache knows nothing about faults: a repaired tree's key is salted
 /// with its fault set's fingerprint (CacheKey::salt), so the fault set is
 /// part of the identity. Pipelines for different fault sets can share

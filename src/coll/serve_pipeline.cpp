@@ -156,13 +156,12 @@ ServePipeline::View ServePipeline::serve_view(
 }
 
 void ServePipeline::first_key(const core::MulticastRequest& request,
-                              bool repaired, bool absolute,
-                              core::CacheKey& key) const {
+                              bool repaired, core::CacheKey& key) const {
   const auto repaired_id =
       static_cast<std::uint8_t>(core::kAlgoRepaired + algo_id_);
   core::canonical_key_into(request.topo, request.source, request.destinations,
                            repaired ? repaired_id : algo_id_,
-                           repaired || absolute, cache_->config().hash_seed,
+                           /*absolute=*/repaired, cache_->config().hash_seed,
                            key);
   if (repaired) core::set_salt(key, fault_salt_);
 }
@@ -177,44 +176,32 @@ ServePipeline::View ServePipeline::serve_tree(
     // build_ns times every one.
     return {timed(metrics.build_ns, [&] { return build_tree(request); }), 0};
   }
-  const core::NodeId mask = request.source;
-  // One canonicalization pass yields both identities: the absolute one
-  // (a serve() caller's materialized translation, zero-copy on repeat)
-  // and — via a cheap rekey() of the header — the relative one (shared
-  // by every translation of the chain).
-  const bool materialize = !view && mask != 0;
-  first_key(request, /*repaired=*/false, materialize, tls.key);
+  first_key(request, /*repaired=*/false, tls.key);
   timer.mark(metrics.canonicalize_ns);
-  if (materialize) {
-    if (auto hit = cache_->get(tls.key)) {
-      timer.mark(metrics.hit_ns);
-      return {std::move(hit), 0};
-    }
-    core::rekey(tls.key, /*absolute=*/false, 0);
-  }
-  std::shared_ptr<const core::MulticastSchedule> rel = cache_->get(tls.key);
-  if (rel == nullptr) {
+  View out{cache_->get(tls.key), request.source};
+  if (out.tree != nullptr) {
+    timer.mark(metrics.hit_ns);
+  } else {
     // A miss: build the relative tree once, at source 0.
     HYPERCAST_OBS_SPAN("serve.build");
     auto built = timed(metrics.build_ns,
                        [&] { return build_relative(request.topo, tls.key); });
     cache_->offer(tls.key, built);
-    rel = std::move(built);
-  } else if (!materialize) {
-    timer.mark(metrics.hit_ns);
+    out.tree = std::move(built);
   }
-  if (!materialize) return {std::move(rel), mask};
+  return view ? out : View{materialize(out), 0};
+}
+
+std::shared_ptr<const core::MulticastSchedule> ServePipeline::materialize(
+    const View& view) {
+  if (view.mask == 0 || view.tree == nullptr) return view.tree;
   HYPERCAST_OBS_SPAN("serve.translate");
-  auto out = timed(metrics.translate_ns, [&] {
-    auto copy = std::make_shared<core::MulticastSchedule>(request.topo, mask);
-    copy->assign_translated(*rel, mask);
+  return timed(serve_metrics().translate_ns, [&] {
+    auto copy = std::make_shared<core::MulticastSchedule>(view.tree->topo(),
+                                                          view.mask);
+    copy->assign_translated(*view.tree, view.mask);
     return copy;
   });
-  // Offer the materialized translation under its absolute identity so
-  // the next identical request shares it without copying.
-  core::rekey(tls.key, /*absolute=*/true, mask);
-  cache_->offer(tls.key, out);
-  return {std::move(out), 0};
 }
 
 std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_repaired(
@@ -224,7 +211,7 @@ std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_repaired(
   const ServeMetrics& metrics = serve_metrics();
   const bool cached = cacheable();
   if (cached) {
-    first_key(request, /*repaired=*/true, /*absolute=*/true, tls.key);
+    first_key(request, /*repaired=*/true, tls.key);
     timer.mark(metrics.canonicalize_ns);
     if (auto hit = cache_->get(tls.key)) {
       timer.mark(metrics.hit_ns);
@@ -274,7 +261,7 @@ std::shared_ptr<core::MulticastSchedule> ServePipeline::build_tree(
 template <typename ServeSlot>
 void ServePipeline::serve_each(
     std::span<const core::MulticastRequest> requests,
-    const BatchPolicy& policy, bool views, ServeSlot&& serve_slot) const {
+    const BatchPolicy& policy, ServeSlot&& serve_slot) const {
   HYPERCAST_OBS_SPAN("serve.batch");
   if (obs::stats_enabled()) serve_metrics().batches->inc();
   const std::size_t n = requests.size();
@@ -330,14 +317,12 @@ void ServePipeline::serve_each(
     // Phase 1: canonicalize in parallel chunks to discover each
     // request's shard (the keys are recomputed thread-locally during
     // serving; what matters here is only the partition). Partition by
-    // the identity a serve probes (and inserts) first; serve()'s fallback
-    // probe of a cold relative entry may touch a foreign stripe, but
-    // that is a once-per-chain event, not the steady state.
+    // the one identity a serve probes and inserts: the relative key, or
+    // the salted absolute one of a repair.
     parallel_over([&](std::size_t w) {
       core::CacheKey key;
       for (std::size_t i = w; i < n; i += workers) {
-        first_key(requests[i], faults_ != nullptr,
-                  !views && requests[i].source != 0, key);
+        first_key(requests[i], faults_ != nullptr, key);
         owner[i] = static_cast<std::uint32_t>(cache_->shard_of(key) %
                                               workers);
       }
@@ -363,7 +348,7 @@ ServePipeline::serve_batch(std::span<const core::MulticastRequest> requests,
                            const BatchPolicy& policy) const {
   std::vector<std::shared_ptr<const core::MulticastSchedule>> out(
       requests.size());
-  serve_each(requests, policy, /*views=*/false,
+  serve_each(requests, policy,
              [&](std::size_t i) { out[i] = serve(requests[i]); });
   return out;
 }
@@ -372,7 +357,7 @@ std::vector<ServePipeline::View> ServePipeline::serve_views(
     std::span<const core::MulticastRequest> requests,
     const BatchPolicy& policy) const {
   std::vector<View> out(requests.size());
-  serve_each(requests, policy, /*views=*/true,
+  serve_each(requests, policy,
              [&](std::size_t i) { out[i] = serve_view(requests[i]); });
   return out;
 }
@@ -401,16 +386,23 @@ StripedPlan ServePipeline::serve_striped(
   return plan;
 }
 
+CoschedPlan ServePipeline::plan_views(std::span<const View> views,
+                                      const CoschedPolicy& cosched) {
+  std::vector<const core::MulticastSchedule*> trees(views.size());
+  std::vector<core::NodeId> masks(views.size());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    trees[i] = views[i].tree.get();
+    masks[i] = views[i].mask;
+  }
+  return CoScheduler(cosched).plan(trees, masks);
+}
+
 ServePipeline::CoschedBatch ServePipeline::serve_batch_cosched(
     std::span<const core::MulticastRequest> requests,
     const BatchPolicy& policy, const CoschedPolicy& cosched) const {
-  CoschedBatch out;
-  out.schedules = serve_batch(requests, policy);
-  // The plan is a pure function of the served schedules (null slots are
-  // skipped), so co-scheduled serving inherits serve_batch's
-  // thread-count determinism.
-  CoScheduler scheduler(cosched);
-  out.plan = scheduler.plan(out.schedules);
+  const std::vector<View> views = serve_views(requests, policy);
+  CoschedBatch out{{}, plan_views(views, cosched)};
+  for (const View& view : views) out.schedules.push_back(materialize(view));
   return out;
 }
 

@@ -23,16 +23,13 @@ namespace hypercast::coll {
 /// Serving strategy by algorithm:
 ///  * ucube / maxport / combine / wsort — translation-invariant (the
 ///    property tests prove build(u, D) is the XOR-relabeling of
-///    build(0, u ^ D)), so the pipeline caches the *relative* tree under
-///    the canonical relative chain, built once per shape at source 0.
-///    The wire path (serve_view) answers with that tree plus the source
-///    as an XOR mask the net encoders apply, and never copies a tree.
-///    Absolute materializations exist only for serve() callers (DES,
-///    striped plans, CLI): a second level of XOR-translated copies under
-///    absolute keys, one per (source, shape) pair, sharing the same
-///    canonicalization pass. Either hit is zero-copy. Every entry goes
+///    build(0, u ^ D)), so the pipeline caches only the *relative* tree
+///    under the canonical relative chain, built once per shape at
+///    source 0. The wire path (serve_view) and the co-scheduler use that
+///    tree plus the source as an XOR mask; serve() callers (DES, CLI)
+///    get a translated copy that is never cached. Every entry goes
 ///    through ScheduleCache::offer(), so once the cache is full a
-///    request's trees are kept only when it repeats.
+///    request's tree is kept only when it repeats.
 ///  * the same four under a fault set — the tree is built as above and
 ///    repaired with fault::repair_schedule, the greedy entry point of
 ///    the repair engine (byte-identical to
@@ -82,6 +79,16 @@ class ServePipeline {
   /// and mask 0. Encoded, it is byte-identical to serve()'s schedule.
   View serve_view(const core::MulticastRequest& request) const;
 
+  /// The absolute tree a view denotes: a fresh translated copy, or the
+  /// tree itself at mask 0.
+  static std::shared_ptr<const core::MulticastSchedule> materialize(
+      const View& view);
+
+  /// CoScheduler::plan over the views' trees at their masks: the plan of
+  /// the materialized trees, with the memos on the shared relative ones.
+  static CoschedPlan plan_views(std::span<const View> views,
+                                const CoschedPolicy& cosched);
+
   /// Batch-serving policy. The default (1 thread, no deadlines) serves
   /// the whole batch sequentially.
   struct BatchPolicy {
@@ -130,8 +137,8 @@ class ServePipeline {
 
   /// Serve one request as a striped collective: payloads at or above
   /// options.threshold_bytes on cubes of dim >= 2 split across the n
-  /// arc-disjoint IST trees (each tree cached per-tree through this
-  /// pipeline's cache, same two-level scheme as serve()); smaller
+  /// arc-disjoint IST trees (each relative tree cached per-tree through
+  /// this pipeline's cache and translated like serve()); smaller
   /// payloads fall back to the latency-optimal single tree
   /// (plan.striped == false, one tree carrying the whole payload).
   ///
@@ -145,10 +152,10 @@ class ServePipeline {
                             std::size_t payload_bytes,
                             const StripeOptions& options = {}) const;
 
-  /// serve_batch, then co-schedule the served slots into waves under
-  /// `cosched` (see coll::CoScheduler). The schedules are byte-identical
-  /// to plain serve_batch output and the plan is a pure function of
-  /// them, so the result is deterministic at any policy.threads.
+  /// serve_views, plan_views, then materialize each slot. The schedules
+  /// are byte-identical to plain serve_batch output and the plan is a
+  /// pure function of them, so the result is deterministic at any
+  /// policy.threads.
   CoschedBatch serve_batch_cosched(
       std::span<const core::MulticastRequest> requests,
       const BatchPolicy& policy, const CoschedPolicy& cosched) const;
@@ -162,26 +169,25 @@ class ServePipeline {
 
   bool cacheable() const { return cache_ != nullptr && kind_ != Kind::Entry; }
 
-  /// The fault-free tree: cached when cacheable, else built; unless a
-  /// `view`, a nonzero source is materialized (mask 0).
+  /// The fault-free tree: the relative one when cacheable, else built;
+  /// unless a `view`, a nonzero source is materialized (mask 0).
   View serve_tree(const core::MulticastRequest& request, bool view) const;
   /// serve() under a fault set: the repaired tree, cached under the
   /// fingerprint-salted absolute key when cacheable.
   std::shared_ptr<const core::MulticastSchedule> serve_repaired(
       const core::MulticastRequest& request) const;
 
-  /// The identity a serve probes first: for a repaired tree the absolute
-  /// key under core::kAlgoRepaired, salted with the fault fingerprint;
-  /// for a fault-free one the absolute key if `absolute`, else relative.
+  /// The identity a serve probes: for a repaired tree the absolute key
+  /// under core::kAlgoRepaired, salted with the fault fingerprint; for a
+  /// fault-free one the relative key.
   void first_key(const core::MulticastRequest& request, bool repaired,
-                 bool absolute, core::CacheKey& key) const;
+                 core::CacheKey& key) const;
 
   /// serve_batch's loop: serve_slot(i) for each request not shed, split
-  /// across threads by the shard of its first key (relative for views).
+  /// across threads by the shard of its first key.
   template <typename ServeSlot>
   void serve_each(std::span<const core::MulticastRequest> requests,
-                  const BatchPolicy& policy, bool views,
-                  ServeSlot&& serve_slot) const;
+                  const BatchPolicy& policy, ServeSlot&& serve_slot) const;
 
   /// Build the fault-free tree for the request directly, finalized.
   std::shared_ptr<core::MulticastSchedule> build_tree(

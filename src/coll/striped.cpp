@@ -158,19 +158,13 @@ std::shared_ptr<const core::MulticastSchedule> StripedPlanner::serve_tree(
         core::build_ist_tree(request.topo, tree, request.source,
                              request.destinations));
   }
-  // The serving pipeline's two-level scheme, one instance per tree: the
-  // relative IST tree caches under the canonical relative chain (built
-  // once per chain shape, shared by every source), and each materialized
-  // translation under its absolute identity (a pure copy).
+  // The serving pipeline's one cache level, per tree: the relative IST
+  // tree caches under the canonical relative chain, shared by every
+  // source; each plan translates it without caching the copy.
   StripedTls& tls = striped_tls();
-  const core::NodeId mask = request.source;
   core::canonical_key_into(request.topo, request.source, request.destinations,
-                           ist_algo_id(tree), /*absolute=*/mask != 0,
+                           ist_algo_id(tree), /*absolute=*/false,
                            cache_->config().hash_seed, tls.key);
-  if (mask != 0) {
-    if (auto hit = cache_->get(tls.key)) return hit;
-    core::rekey(tls.key, /*absolute=*/false, 0);
-  }
   auto rel = cache_->get(tls.key);
   if (rel == nullptr) {
     core::chain_from_keys(request.topo, 0, tls.key.words, tls.chain);
@@ -181,12 +175,10 @@ std::shared_ptr<const core::MulticastSchedule> StripedPlanner::serve_tree(
     cache_->put(tls.key, built);
     rel = std::move(built);
   }
-  if (mask == 0) return rel;
+  if (request.source == 0) return rel;
   auto out = std::make_shared<core::MulticastSchedule>(request.topo,
                                                        request.source);
-  out->assign_translated(*rel, mask);
-  core::rekey(tls.key, /*absolute=*/true, mask);
-  cache_->put(tls.key, out);
+  out->assign_translated(*rel, request.source);
   return out;
 }
 

@@ -120,8 +120,8 @@ std::vector<std::uint8_t> reassemble_stripes(
 /// Plans striped collectives, consulting a ScheduleCache when attached:
 /// each tree caches as a *relative* schedule under its own per-tree
 /// algorithm id (IST construction is translation-invariant, so one
-/// cached tree serves every source via XOR materialization, exactly
-/// like the serving pipeline's chain algorithms). Degraded-mode
+/// cached tree serves every source via an uncached XOR translation,
+/// exactly like the serving pipeline's chain algorithms). Degraded-mode
 /// repaired trees cache under *absolute* keys salted with the fault
 /// fingerprint + parity config + drop decisions, so plans for different
 /// fault sets share one cache without ever aliasing.

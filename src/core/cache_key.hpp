@@ -85,8 +85,7 @@ std::uint64_t hash_words(std::span<const std::uint32_t> words,
 /// destinations, or the source listed as a destination.
 ///
 /// When `absolute` is set the source is kept in the identity (for
-/// algorithms whose output is not translation-invariant, and for cached
-/// materializations of one specific translation); the words are still
+/// outputs that are not translation-invariant); the words are still
 /// source-relative so that e.g. two identical fault-aware requests
 /// collide regardless of how the caller ordered the destinations.
 void canonical_key_into(const Topology& topo, NodeId source,
@@ -97,9 +96,7 @@ void canonical_key_into(const Topology& topo, NodeId source,
 /// Switch a key between its absolute and relative identities without
 /// re-canonicalizing: the words (and their cached words_hash) are
 /// identical for both — only the identity header changes, so this is a
-/// three-word hash fold. This is what lets a serving pipeline probe the
-/// absolute (materialized-translation) level and fall back to the
-/// relative level on one canonicalization pass.
+/// three-word hash fold.
 void rekey(CacheKey& key, bool absolute, NodeId source);
 
 /// Set the identity salt and re-fold the header hash (same cost as

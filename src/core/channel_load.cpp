@@ -94,10 +94,11 @@ ArcFootprint arc_footprint(const Topology& topo,
   });
   ArcFootprint fp;
   fp.arcs.reserve(crossings);
+  const hcube::Dim n = topo.dim();
   schedule.for_each_sender([&](NodeId from, SendList sends) {
     for (const Send& s : sends) {
       hcube::for_each_ecube_arc(topo, from, s.to, [&](hcube::Arc a) {
-        fp.arcs.push_back(static_cast<std::uint32_t>(topo.arc_index(a)));
+        fp.arcs.push_back(static_cast<NodeId>(a.dim) << n | a.from);
       });
     }
   });

@@ -35,12 +35,17 @@ struct ChannelLoadReport {
 ChannelLoadReport analyze_channel_load(const MulticastSchedule& schedule,
                                        const StepResult& steps);
 
-/// The E-cube arc footprint of one schedule: one dense arc index per
-/// channel crossing of its unicasts' routes, in walk order (senders
-/// ascending, each sender's sends in issue order, each route source to
+/// The E-cube arc footprint of one schedule: one arc index per channel
+/// crossing of its unicasts' routes, in walk order (senders ascending,
+/// each sender's sends in issue order, each route source to
 /// destination). An arc crossed k times appears k times. Adding the
 /// list to a ChannelLoadMap entry by entry is all the co-scheduler does
 /// with it, so it is kept flat: no sort, no run-length encoding.
+///
+/// Arcs are numbered dim-major, `d * 2^n + w` for arc (w, d). E-cube
+/// routes commute with XOR relabeling (route(u ^ m, v ^ m) =
+/// route(u, v) ^ m), so a tree translated by m has every entry XORed
+/// by m: one footprint scores every translation of a tree.
 struct ArcFootprint {
   std::vector<std::uint32_t> arcs;
   std::uint32_t self_max = 0;  ///< max multiplicity of any arc — the
@@ -78,18 +83,18 @@ class ChannelLoadMap {
     return peak;
   }
 
-  /// Accumulate `fp` into the map; returns the peak load over the arcs
-  /// it touched. Loads only rise, so this is also the peak the map would
-  /// reach if `fp` were added — the co-scheduler's admission score.
-  std::uint32_t add(const ArcFootprint& fp) {
+  /// Accumulate `fp` translated by `mask`; returns the peak load over the
+  /// arcs it touched. Loads only rise, so this is also the peak the map
+  /// would reach if it were added — the co-scheduler's admission score.
+  std::uint32_t add(const ArcFootprint& fp, NodeId mask = 0) {
     std::uint32_t peak = 0;
-    for (const std::uint32_t arc : fp.arcs) peak = std::max(peak, ++load_[arc]);
+    for (const auto arc : fp.arcs) peak = std::max(peak, ++load_[arc ^ mask]);
     return peak;
   }
 
-  /// Take `fp` back out: undoes an add(fp).
-  void remove(const ArcFootprint& fp) {
-    for (const std::uint32_t arc : fp.arcs) --load_[arc];
+  /// Take `fp` back out: undoes an add(fp, mask).
+  void remove(const ArcFootprint& fp, NodeId mask = 0) {
+    for (const std::uint32_t arc : fp.arcs) --load_[arc ^ mask];
   }
 
  private:

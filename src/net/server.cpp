@@ -801,14 +801,9 @@ void Server::Loop::serve_ready() {
     std::vector<coll::ServePipeline::View> views;
     coll::CoschedPlan plan;
     try {
-      if (config.cosched && requests_.size() > 1) {
-        // The planner needs absolute arc footprints: materialized trees.
-        auto cosched = server.pipeline_->serve_batch_cosched(
-            requests_, policy, config.cosched_policy);
-        for (auto& tree : cosched.schedules) views.push_back({std::move(tree)});
-        plan = std::move(cosched.plan);
-      } else {
-        views = server.pipeline_->serve_views(requests_, policy);
+      views = server.pipeline_->serve_views(requests_, policy);
+      if (config.cosched && views.size() > 1) {
+        plan = coll::ServePipeline::plan_views(views, config.cosched_policy);
       }
     } catch (const std::exception& e) {
       for (const std::size_t i : live_) {

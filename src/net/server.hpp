@@ -63,10 +63,10 @@ struct ServerConfig {
 /// loops, each on its own thread and each owning the connections handed
 /// to it round-robin at accept. A loop runs every request to completion
 /// on its own thread: read → decode → one ServePipeline::serve_views
-/// (or serve_batch_cosched) call over the requests it read this turn →
-/// encode into each connection's output → one send() per connection.
-/// A view is a relative tree plus an XOR mask the encoder applies;
-/// --cosched plans absolute trees (it needs their arc footprints).
+/// call over the requests it read this turn (then plan_views under
+/// --cosched) → encode into each connection's output → one send() per
+/// connection. A view is a relative tree plus an XOR mask the encoder
+/// applies, so no tree is copied.
 /// No request crosses threads; the loops share only the immutable
 /// pipeline and its sharded ScheduleCache. Binary ("hypercast-net-v1"
 /// frames) and HTTP/JSON clients are detected per connection on the

@@ -497,6 +497,97 @@ TEST(CoSchedulerGolden, SelfHeavyTreeBatch) {
   });
 }
 
+// ---- masked plans ---------------------------------------------------------
+
+/// `relative` translated by `mask`, the way serve() materializes it.
+MulticastSchedule translated(const MulticastSchedule& relative,
+                             hcube::NodeId mask) {
+  MulticastSchedule out(relative.topo(), mask);
+  out.assign_translated(relative, mask);
+  return out;
+}
+
+// A relative tree's footprint, XORed by a mask entry by entry, is the
+// footprint of the tree's translation (as a multiset: the walk visits
+// senders in a different order), and a plan over relative trees plus
+// masks equals the plan over their materialized translations.
+TEST(CoScheduler, MaskedPlanEqualsMaterializedPlan) {
+  for (const hcube::Resolution res :
+       {hcube::Resolution::HighToLow, hcube::Resolution::LowToHigh}) {
+    for (hcube::Dim n = 1; n <= 10; ++n) {
+      const hcube::Topology topo(n, res);
+      const auto nodes = static_cast<hcube::NodeId>(topo.num_nodes());
+      workload::Rng rng(0x3A5Cull + static_cast<std::uint64_t>(n));
+      std::vector<MulticastSchedule> relative;
+      for (const char* algorithm : {"ucube", "maxport", "combine", "wsort"}) {
+        const auto m = 1 + rng() % (nodes - 1);
+        relative.push_back(core::find_algorithm(algorithm).build(
+            MulticastRequest{topo, 0,
+                             workload::random_destinations(topo, 0, m, rng)}));
+      }
+      std::vector<hcube::NodeId> masks;
+      if (n <= 6) {
+        for (hcube::NodeId m = 0; m < nodes; ++m) masks.push_back(m);
+      } else {
+        for (int i = 0; i < 64; ++i) masks.push_back(rng() % nodes);
+      }
+      for (const MulticastSchedule& rel : relative) {
+        const core::ArcFootprint fp = core::arc_footprint(topo, rel);
+        for (const hcube::NodeId mask : masks) {
+          core::ArcFootprint image = fp;
+          for (std::uint32_t& arc : image.arcs) arc ^= mask;
+          core::ArcFootprint direct =
+              core::arc_footprint(topo, translated(rel, mask));
+          std::sort(image.arcs.begin(), image.arcs.end());
+          std::sort(direct.arcs.begin(), direct.arcs.end());
+          ASSERT_EQ(image, direct) << "n " << n << " mask " << mask;
+        }
+      }
+    }
+  }
+
+  for (const hcube::Dim n : {5, 7, 10}) {
+    const hcube::Topology topo(n);
+    workload::Rng rng(0x3A5C0ull + static_cast<std::uint64_t>(n));
+    const auto requests = workload::hot_spot_mix(topo, 10, 12, 4, rng);
+    std::vector<MulticastSchedule> relative, absolute;
+    std::vector<hcube::NodeId> masks;
+    for (const auto& r : requests) {
+      std::vector<hcube::NodeId> dests;
+      for (const hcube::NodeId d : r.destinations) dests.push_back(d ^ r.source);
+      relative.push_back(core::find_algorithm("wsort").build(
+          MulticastRequest{topo, 0, std::move(dests)}));
+      absolute.push_back(translated(relative.back(), r.source));
+      masks.push_back(r.source);
+    }
+    auto rel_ptrs = pointers(relative);
+    auto abs_ptrs = pointers(absolute);
+    rel_ptrs[1] = abs_ptrs[1] = nullptr;  // a shed slot
+    for (const std::uint32_t bound : {1u, 2u, 3u}) {
+      for (const std::size_t max_waves : {std::size_t{0}, std::size_t{2}}) {
+        CoschedPolicy policy;
+        policy.max_arc_overlap = bound;
+        policy.max_waves = max_waves;
+        CoScheduler scheduler(policy);
+        const CoschedPlan masked = scheduler.plan(
+            std::span<const MulticastSchedule* const>(rel_ptrs), masks);
+        const CoschedPlan materialized = scheduler.plan(
+            std::span<const MulticastSchedule* const>(abs_ptrs));
+        EXPECT_EQ(describe(masked), describe(materialized))
+            << "n " << n << " bound " << bound << " max_waves " << max_waves;
+        EXPECT_EQ(masked.size(), requests.size() - 1);
+      }
+    }
+    // One mask per schedule, each inside the cube.
+    CoScheduler scheduler;
+    const std::span<const MulticastSchedule* const> trees(rel_ptrs);
+    EXPECT_THROW(scheduler.plan(trees, std::span(masks).first(1)),
+                 std::invalid_argument);
+    masks[0] = static_cast<hcube::NodeId>(topo.num_nodes());
+    EXPECT_THROW(scheduler.plan(trees, masks), std::invalid_argument);
+  }
+}
+
 // ---- footprint memo -------------------------------------------------------
 
 /// Plan `s` alone; the memo the plan leaves must equal a fresh footprint.
@@ -572,15 +663,24 @@ TEST(CoSchedulerMemo, PlainServingLeavesTheMemoEmpty) {
   for (const auto& s : pipeline.serve_batch(requests, {2})) {
     EXPECT_EQ(s->arc_footprint_memo(), nullptr);
   }
-  // Co-scheduled serving fills the memos of the cached trees, and the
-  // next serve of the same request hands back the tree with its memo.
+  for (const auto& request : requests) {
+    EXPECT_EQ(pipeline.serve_view(request).tree->arc_footprint_memo(),
+              nullptr);
+  }
+  // Co-scheduled serving fills the memos of the cached relative trees,
+  // and the next view of the same request hands back the tree with its
+  // memo; the returned schedules are its translations.
   const auto cosched =
       pipeline.serve_batch_cosched(requests, {}, CoschedPolicy{});
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const core::ArcFootprint* memo =
-        cosched.schedules[i]->arc_footprint_memo();
+    const auto view = pipeline.serve_view(requests[i]);
+    const core::ArcFootprint* memo = view.tree->arc_footprint_memo();
     ASSERT_NE(memo, nullptr) << "slot " << i;
-    EXPECT_EQ(pipeline.serve(requests[i])->arc_footprint_memo(), memo);
+    EXPECT_EQ(pipeline.serve_view(requests[i]).tree->arc_footprint_memo(),
+              memo);
+    EXPECT_TRUE(*cosched.schedules[i] ==
+                *coll::ServePipeline::materialize(view))
+        << "slot " << i;
   }
 }
 

@@ -1,6 +1,6 @@
-// The schedule-serving cache: canonical keys, the two-level (relative +
-// materialized-translation) LRU, admission under budget pressure
-// (offer's doorkeeper), fault-fingerprint salting, and the
+// The schedule-serving cache: canonical keys, the one-level LRU
+// (relative trees; translations are never cached), admission under
+// budget pressure (offer's doorkeeper), fault-fingerprint salting, and the
 // bit-identical guarantee — cached serving returns schedules equal
 // (MulticastSchedule::operator==) to direct construction, sequentially,
 // in batches, and under a multi-threaded hammer with concurrent
@@ -22,6 +22,7 @@
 #include "coll/schedule_cache.hpp"
 #include "coll/serve_pipeline.hpp"
 #include "core/cache_key.hpp"
+#include "core/ist.hpp"
 #include "core/tree_builder.hpp"
 #include "fault/fault_aware.hpp"
 #include "fault/fault_set.hpp"
@@ -694,8 +695,10 @@ TEST(ServePipeline, CoschedOnSharedCachedTreesMatchesSingleThreaded) {
   // its threads plan shared cached trees none of which holds a memo yet.
   for (int round = 0; round < 8; ++round) {
     const ServePipeline pipeline("wsort", std::make_shared<ScheduleCache>());
-    for (const auto& s : pipeline.serve_batch(pool, {})) {
-      ASSERT_EQ(s->arc_footprint_memo(), nullptr);
+    (void)pipeline.serve_batch(pool, {});
+    for (const auto& request : pool) {
+      ASSERT_EQ(pipeline.serve_view(request).tree->arc_footprint_memo(),
+                nullptr);
     }
     std::atomic<int> ready{0};
     std::vector<std::vector<std::size_t>> plans(kThreads);
@@ -713,8 +716,9 @@ TEST(ServePipeline, CoschedOnSharedCachedTreesMatchesSingleThreaded) {
     for (int t = 0; t < kThreads; ++t) {
       EXPECT_EQ(plans[t], reference[t]) << "round " << round << " thread " << t;
     }
-    for (const auto& s : pipeline.serve_batch(pool, {})) {
-      EXPECT_NE(s->arc_footprint_memo(), nullptr);
+    for (const auto& request : pool) {
+      EXPECT_NE(pipeline.serve_view(request).tree->arc_footprint_memo(),
+                nullptr);
     }
   }
 }
@@ -796,8 +800,8 @@ TEST(ServePipeline, ColdMissBuildsTheRelativeTreeOnceAtSourceZero) {
       for (int i = 0; i < 6; ++i) pool.push_back(random_request(topo, 12, rng));
 
       // At budget: a pool fills the cache exactly, so a fresh request's
-      // relative entry and its translation are both first sightings; a
-      // view offers only the relative entry.
+      // relative entry is a first sighting; serve() and a view both
+      // offer only that entry (the translation is never cached).
       const auto sizing = one_shard_cache(std::size_t{64} << 20);
       for (const auto& req : pool) ServePipeline(name, sizing).serve(req);
       const auto full = one_shard_cache(sizing->stats().bytes);
@@ -812,7 +816,7 @@ TEST(ServePipeline, ColdMissBuildsTheRelativeTreeOnceAtSourceZero) {
         const auto after = full->stats();
         EXPECT_EQ(after.entries, before.entries) << name;
         EXPECT_EQ(after.evictions, before.evictions) << name;
-        EXPECT_EQ(after.declined, before.declined + 2) << name;
+        EXPECT_EQ(after.declined, before.declined + 1) << name;
         const auto fresh = moved_to(random_request(topo, 12, rng), 1 + i);
         const auto view = at_budget.serve_view(fresh);
         EXPECT_EQ(view.mask, fresh.source) << name;
@@ -828,7 +832,7 @@ TEST(ServePipeline, ColdMissBuildsTheRelativeTreeOnceAtSourceZero) {
       const auto req = moved_to(pool[0], 5);
       const auto served = pipeline.serve(req);
       ASSERT_TRUE(*served == direct_build(name, req)) << name;
-      EXPECT_EQ(roomy->stats().entries, 2u) << name;
+      EXPECT_EQ(roomy->stats().entries, 1u) << name;
       const auto rel = roomy->get(key_of(req, ids[a], false));
       ASSERT_NE(rel, nullptr) << name;
       EXPECT_TRUE(*rel == direct_build(name, moved_to(req, 0))) << name;
@@ -839,8 +843,8 @@ TEST(ServePipeline, ColdMissBuildsTheRelativeTreeOnceAtSourceZero) {
           << name;
       const auto after = roomy->stats();
       EXPECT_EQ(after.total_hits(), before.total_hits() + 1) << name;
-      EXPECT_EQ(after.misses, before.misses + 1) << name;  // absolute probe
-      EXPECT_EQ(after.entries, 3u) << name;
+      EXPECT_EQ(after.misses, before.misses) << name;
+      EXPECT_EQ(after.entries, 1u) << name;
       // A view of a third translation is the relative entry itself: one
       // probe, one hit, nothing copied or inserted.
       const auto view = pipeline.serve_view(moved_to(req, 17));
@@ -848,7 +852,107 @@ TEST(ServePipeline, ColdMissBuildsTheRelativeTreeOnceAtSourceZero) {
       EXPECT_EQ(view.mask, 17u) << name;
       EXPECT_EQ(roomy->stats().total_hits(), after.total_hits() + 1) << name;
       EXPECT_EQ(roomy->stats().misses, after.misses) << name;
-      EXPECT_EQ(roomy->stats().entries, 3u) << name;
+      EXPECT_EQ(roomy->stats().entries, 1u) << name;
+    }
+  }
+}
+
+// The one cache level: every entry point that returns absolute trees
+// translates them from the cached relative tree on the way out, so a
+// cache fed every translation of a few shapes holds one entry per shape
+// (and per IST tree), never one per (source, shape) pair.
+TEST(ServePipeline, NoFaultFreeAbsoluteEntry) {
+  const char* names[] = {"ucube", "maxport", "combine", "wsort"};
+  constexpr std::size_t kStripeBytes = std::size_t{1} << 20;
+  for (const Resolution res :
+       {Resolution::HighToLow, Resolution::LowToHigh}) {
+    for (hcube::Dim n = 1; n <= 8; ++n) {
+      const Topology topo(n, res);
+      const NodeId nodes = static_cast<NodeId>(topo.num_nodes());
+      // A few relative shapes: the broadcast plus random sets.
+      workload::Rng rng(0x0DE1EE7ull + static_cast<std::uint64_t>(n));
+      std::set<std::vector<NodeId>> shapes;
+      std::vector<NodeId> broadcast;
+      for (NodeId v = 1; v < nodes; ++v) broadcast.push_back(v);
+      shapes.insert(broadcast);
+      for (int i = 0; i < 2; ++i) {
+        auto dests = moved_to(
+            random_request(topo, 1 + rng() % (nodes - 1), rng), 0)
+                         .destinations;
+        std::sort(dests.begin(), dests.end());
+        shapes.insert(dests);
+      }
+      // Every translation of every shape.
+      std::vector<core::MulticastRequest> batch;
+      for (const auto& shape : shapes) {
+        for (NodeId u = 0; u < nodes; ++u) {
+          batch.push_back(moved_to({topo, 0, shape}, u));
+        }
+      }
+      const std::size_t per_tree = shapes.size();
+      const std::size_t striped = per_tree * (1 + static_cast<std::size_t>(n));
+      std::vector<std::vector<core::MulticastSchedule>> ist(batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        for (hcube::Dim t = 0; t < n; ++t) {
+          ist[i].push_back(core::build_ist_tree(topo, t, batch[i].source,
+                                                batch[i].destinations));
+        }
+      }
+      for (const char* name : names) {
+        const auto where = [&] {
+          return std::string(name) + " n=" + std::to_string(n) +
+                 (res == Resolution::HighToLow ? " high" : " low");
+        };
+        std::vector<core::MulticastSchedule> direct;
+        for (const auto& req : batch) direct.push_back(direct_build(name, req));
+        const auto cache = std::make_shared<ScheduleCache>();
+        const ServePipeline pipeline(name, cache);
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          ASSERT_TRUE(*pipeline.serve(batch[i]) == direct[i]) << where();
+        }
+        EXPECT_EQ(cache->stats().entries, per_tree) << where();
+        for (const int threads : {1, 4}) {
+          const auto served = pipeline.serve_batch(batch, threads);
+          for (std::size_t i = 0; i < batch.size(); ++i) {
+            ASSERT_TRUE(*served[i] == direct[i])
+                << where() << " threads " << threads;
+          }
+          EXPECT_EQ(cache->stats().entries, per_tree) << where();
+        }
+        const auto cosched =
+            pipeline.serve_batch_cosched(batch, {}, coll::CoschedPolicy{});
+        ASSERT_EQ(cosched.plan.size(), batch.size()) << where();
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          ASSERT_TRUE(*cosched.schedules[i] == direct[i]) << where();
+        }
+        EXPECT_EQ(cache->stats().entries, per_tree) << where();
+
+        const auto expect_ist = [&](const coll::StripedPlan& plan,
+                                    std::size_t i) {
+          ASSERT_EQ(plan.trees.size(), static_cast<std::size_t>(n));
+          for (hcube::Dim t = 0; t < n; ++t) {
+            ASSERT_TRUE(*plan.trees[t] == ist[i][t])
+                << where() << " tree " << t;
+          }
+        };
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          const auto plan = pipeline.serve_striped(batch[i], kStripeBytes);
+          if (n < 2) {
+            ASSERT_FALSE(plan.striped);
+            ASSERT_TRUE(*plan.trees[0] == direct[i]) << where();
+          } else {
+            expect_ist(plan, i);
+          }
+        }
+        EXPECT_EQ(cache->stats().entries, n < 2 ? per_tree : striped)
+            << where();
+        const coll::StripedPlanner planner({}, cache);
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          expect_ist(planner.plan(batch[i], kStripeBytes), i);
+        }
+        EXPECT_EQ(cache->stats().entries, striped) << where();
+        EXPECT_EQ(cache->stats().evictions, 0u) << where();
+      }
     }
   }
 }
