@@ -9,7 +9,8 @@
 #include <cstdio>
 #include <string>
 
-#include "coll/collectives.hpp"
+#include "coll/reduce.hpp"
+#include "core/registry.hpp"
 #include "harness/bench.hpp"
 #include "metrics/table.hpp"
 #include "workload/random_sets.hpp"
@@ -52,13 +53,12 @@ void run(const bench::Context& ctx, bench::Report& report) {
   bench::summarize_series(report, blocked);
 
   std::puts("\nBarrier latency (8-byte control messages, W-sort tree):");
-  coll::Collectives::Options options;
-  options.topo = topo;
-  const coll::Collectives comm(options);
+  const core::AlgorithmEntry& wsort = core::find_algorithm("wsort");
   for (const std::size_t m : {16u, 64u, 255u}) {
     workload::Rng rng(workload::derive_seed(610, m, 0));
-    const auto dests = workload::random_destinations(topo, 0, m, rng);
-    const double us = sim::to_microseconds(comm.barrier(0, dests));
+    const core::MulticastRequest req{
+        topo, 0, workload::random_destinations(topo, 0, m, rng)};
+    const double us = sim::to_microseconds(coll::barrier(wsort.build(req)));
     std::printf("  %3zu participants: %8.1f us\n", m, us);
     report.metric("barrier_us @ m=" + std::to_string(m), us);
   }

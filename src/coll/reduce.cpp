@@ -14,6 +14,9 @@ namespace {
 using hcube::NodeId;
 using sim::SimTime;
 
+/// Payload of barrier control messages: a few flits.
+constexpr std::size_t kBarrierBytes = 8;
+
 class ReduceEngine {
  public:
   ReduceEngine(const core::MulticastSchedule& tree, const ReduceConfig& config)
@@ -137,6 +140,16 @@ class ReduceEngine {
 ReduceResult simulate_reduce(const core::MulticastSchedule& tree,
                              const ReduceConfig& config) {
   return ReduceEngine(tree, config).run();
+}
+
+SimTime barrier(const core::MulticastSchedule& tree) {
+  ReduceConfig up;
+  up.block_bytes = kBarrierBytes;
+  up.combine_ns_per_byte = 0;  // a barrier folds nothing
+  sim::SimConfig down;
+  down.message_bytes = kBarrierBytes;
+  return simulate_reduce(tree, up).completion +
+         sim::simulate_multicast(tree, down).max_delay();
 }
 
 }  // namespace hypercast::coll

@@ -54,6 +54,12 @@ struct ReduceResult {
 ReduceResult simulate_reduce(const core::MulticastSchedule& tree,
                              const ReduceConfig& config);
 
+/// Full-tree barrier over `tree` on the default machine (nCUBE-2 costs,
+/// all-port): a minimal-payload reduction to the root (tree.source())
+/// followed by a minimal-payload multicast back down the same tree.
+/// Returns the release time of the last recipient.
+sim::SimTime barrier(const core::MulticastSchedule& tree);
+
 }  // namespace hypercast::coll
 
 #endif  // HYPERCAST_COLL_REDUCE_HPP

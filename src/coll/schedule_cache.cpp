@@ -126,15 +126,6 @@ std::shared_ptr<const core::MulticastSchedule> ScheduleCache::get(
   return found;
 }
 
-void ScheduleCache::put(
-    const core::CacheKey& key,
-    std::shared_ptr<const core::MulticastSchedule> schedule) {
-  Shard& shard = *shards_[shard_of(key)];
-  const std::size_t bytes = entry_bytes(key, *schedule);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  insert_locked(shard, key, std::move(schedule), bytes);
-}
-
 bool ScheduleCache::offer(
     const core::CacheKey& key,
     std::shared_ptr<const core::MulticastSchedule> schedule) {
@@ -158,23 +149,12 @@ bool ScheduleCache::offer(
       return false;
     }
   }
-  insert_locked(shard, key, std::move(schedule), bytes);
-  return true;
-}
-
-void ScheduleCache::insert_locked(
-    Shard& shard, const core::CacheKey& key,
-    std::shared_ptr<const core::MulticastSchedule> schedule,
-    std::size_t bytes) {
   shard.insert(key, std::move(schedule), bytes);
-  evict_over_budget_locked(shard);
-}
-
-void ScheduleCache::evict_over_budget_locked(Shard& shard) {
   while (shard.bytes > per_shard_budget_ && shard.count > 1) {
     shard.evict_tail();
     evictions_.inc();
   }
+  return true;
 }
 
 void ScheduleCache::clear() {

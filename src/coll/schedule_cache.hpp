@@ -53,13 +53,14 @@ namespace hypercast::coll {
 /// their schedule + key footprint and the least-recently *inserted or
 /// shared-tier-hit* entry is evicted first (L1 hits deliberately skip
 /// the LRU touch — approximate recency in exchange for zero locking).
-/// put() always inserts. offer() is the admission-gated insert the
-/// serving path uses: while the shard has room it inserts exactly like
-/// put(); once an insert would evict, it admits a key only on its
-/// second sighting, remembered in a per-shard doorkeeper bitset (the
-/// TinyLFU doorkeeper, Einziger, Friedman and Manes, ACM ToS 2017). A
-/// stream of never-repeating requests then costs a bit test instead of
-/// an insert and its evictions, and cannot flush a resident hot set.
+/// offer() is the one insert, admission-gated: while the shard has room
+/// it inserts (evicting nothing); once an insert would evict, it admits
+/// a key only on its second sighting, remembered in a per-shard
+/// doorkeeper bitset (the TinyLFU doorkeeper, Einziger, Friedman and
+/// Manes, ACM ToS 2017). A stream of never-repeating requests (fresh
+/// shapes, or repairs under fresh fault sets) then costs a bit test
+/// instead of an insert and its evictions, and cannot flush a resident
+/// hot set.
 class ScheduleCache {
  public:
   struct Config {
@@ -128,19 +129,15 @@ class ScheduleCache {
   /// finalized, immutable and safe to share across threads.
   std::shared_ptr<const core::MulticastSchedule> get(const core::CacheKey& key);
 
-  /// Insert (or overwrite) the schedule for `key`. The schedule must
-  /// already be finalized; the cache never mutates it. Two threads
-  /// racing on the same cold key may both build and put (last insert
-  /// wins): builds are pure, so both carry the same bytes.
-  void put(const core::CacheKey& key,
-           std::shared_ptr<const core::MulticastSchedule> schedule);
-
-  /// Admission-gated put(): inserts like put() when the entry fits the
-  /// shard's remaining budget. Otherwise it inserts (evicting the LRU
+  /// Insert (or overwrite) the schedule for `key` when the entry fits
+  /// the shard's remaining budget. Otherwise insert it (evicting the LRU
   /// tail) only if the key was already sighted since the doorkeeper's
-  /// last reset, and else just records the sighting. Returns whether
-  /// the schedule was inserted; a declined offer leaves every resident
-  /// entry in place and counts in Stats::declined.
+  /// last reset, and else just record the sighting. Returns whether the
+  /// schedule was inserted; a declined offer leaves every resident entry
+  /// in place and counts in Stats::declined. The schedule must already
+  /// be finalized; the cache never mutates it. Two threads racing on the
+  /// same cold key may both build and offer (last insert wins): builds
+  /// are pure, so both carry the same bytes.
   bool offer(const core::CacheKey& key,
              std::shared_ptr<const core::MulticastSchedule> schedule);
 
@@ -219,11 +216,6 @@ class ScheduleCache {
     void erase_slot(std::size_t i);
     void grow();
   };
-
-  void insert_locked(Shard& shard, const core::CacheKey& key,
-                     std::shared_ptr<const core::MulticastSchedule> schedule,
-                     std::size_t bytes);
-  void evict_over_budget_locked(Shard& shard);
 
   Config config_;
   std::size_t shard_mask_ = 0;

@@ -106,6 +106,24 @@ auto timed(obs::Histogram* stage, Fn&& fn) {
   return out;
 }
 
+/// The one way to a cached fault-free tree or repair: probe `key`, and
+/// on a miss build() the tree and offer() it. `on_hit` runs on a hit
+/// only (a stage timer's mark), so a hit reads no clock of its own.
+template <typename Build, typename OnHit>
+std::shared_ptr<const core::MulticastSchedule> get_or_offer(
+    ScheduleCache& cache, const core::CacheKey& key, Build&& build,
+    OnHit&& on_hit) {
+  // One named result, so every return is elided into the caller's slot.
+  std::shared_ptr<const core::MulticastSchedule> tree = cache.get(key);
+  if (tree != nullptr) {
+    on_hit();
+    return tree;
+  }
+  tree = build();
+  cache.offer(key, tree);
+  return tree;
+}
+
 }  // namespace
 
 ServePipeline::ServePipeline(std::string algorithm,
@@ -178,18 +196,46 @@ ServePipeline::View ServePipeline::serve_tree(
   }
   first_key(request, /*repaired=*/false, tls.key);
   timer.mark(metrics.canonicalize_ns);
-  View out{cache_->get(tls.key), request.source};
-  if (out.tree != nullptr) {
-    timer.mark(metrics.hit_ns);
-  } else {
-    // A miss: build the relative tree once, at source 0.
-    HYPERCAST_OBS_SPAN("serve.build");
-    auto built = timed(metrics.build_ns,
-                       [&] { return build_relative(request.topo, tls.key); });
-    cache_->offer(tls.key, built);
-    out.tree = std::move(built);
-  }
+  const View out{get_or_offer(
+                     *cache_, tls.key,
+                     [&] {
+                       // A miss: build the relative tree once, at source 0.
+                       HYPERCAST_OBS_SPAN("serve.build");
+                       return timed(metrics.build_ns, [&] {
+                         return build_relative(request.topo, tls.key);
+                       });
+                     },
+                     [&] { timer.mark(metrics.hit_ns); }),
+                 request.source};
   return view ? out : View{materialize(out), 0};
+}
+
+ServePipeline::View ServePipeline::serve_ist(
+    ScheduleCache* cache, const core::MulticastRequest& request,
+    hcube::Dim tree) {
+  if (cache == nullptr) {
+    return {std::make_shared<const core::MulticastSchedule>(
+                core::build_ist_tree(request.topo, tree, request.source,
+                                     request.destinations)),
+            0};
+  }
+  ServeTls& tls = serve_tls();
+  core::canonical_key_into(request.topo, request.source, request.destinations,
+                           static_cast<std::uint8_t>(core::kAlgoIst + tree),
+                           /*absolute=*/false, cache->config().hash_seed,
+                           tls.key);
+  return {get_or_offer(
+              *cache, tls.key,
+              [&] {
+                core::chain_from_keys(request.topo, 0, tls.key.words,
+                                      tls.chain);
+                return std::make_shared<const core::MulticastSchedule>(
+                    core::build_ist_tree0(
+                        request.topo, tree,
+                        std::span<const core::NodeId>(tls.chain).subspan(1)));
+              },
+              [] {}),
+          request.source};
 }
 
 std::shared_ptr<const core::MulticastSchedule> ServePipeline::materialize(
@@ -209,24 +255,20 @@ std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_repaired(
   ServeTls& tls = serve_tls();
   StageTimer timer(tls);
   const ServeMetrics& metrics = serve_metrics();
-  const bool cached = cacheable();
-  if (cached) {
-    first_key(request, /*repaired=*/true, tls.key);
-    timer.mark(metrics.canonicalize_ns);
-    if (auto hit = cache_->get(tls.key)) {
-      timer.mark(metrics.hit_ns);
-      return hit;
-    }
-  }
-  HYPERCAST_OBS_SPAN("serve.build");
-  return timed(metrics.build_ns, [&] {
-    auto out = std::make_shared<const core::MulticastSchedule>(
-        fault::repair_schedule(*build_tree(request), request.destinations,
-                               *faults_)
-            .schedule);
-    if (cached) cache_->put(tls.key, out);
-    return out;
-  });
+  const auto build = [&] {
+    HYPERCAST_OBS_SPAN("serve.build");
+    return timed(metrics.build_ns, [&] {
+      return std::make_shared<const core::MulticastSchedule>(
+          fault::repair_schedule(*build_tree(request), request.destinations,
+                                 *faults_)
+              .schedule);
+    });
+  };
+  if (!cacheable()) return build();
+  first_key(request, /*repaired=*/true, tls.key);
+  timer.mark(metrics.canonicalize_ns);
+  return get_or_offer(*cache_, tls.key, build,
+                      [&] { timer.mark(metrics.hit_ns); });
 }
 
 std::shared_ptr<core::MulticastSchedule> ServePipeline::build_relative(

@@ -27,9 +27,11 @@ namespace hypercast::coll {
 ///    under the canonical relative chain, built once per shape at
 ///    source 0. The wire path (serve_view) and the co-scheduler use that
 ///    tree plus the source as an XOR mask; serve() callers (DES, CLI)
-///    get a translated copy that is never cached. Every entry goes
-///    through ScheduleCache::offer(), so once the cache is full a
-///    request's tree is kept only when it repeats.
+///    get a translated copy that is never cached. The IST trees of a
+///    striped plan (serve_ist) take the same path under their per-tree
+///    ids. Every entry, repairs included, goes through
+///    ScheduleCache::offer(), so once the cache is full a tree is kept
+///    only when its key repeats.
 ///  * the same four under a fault set — the tree is built as above and
 ///    repaired with fault::repair_schedule, the greedy entry point of
 ///    the repair engine (byte-identical to
@@ -83,6 +85,16 @@ class ServePipeline {
   /// tree itself at mask 0.
   static std::shared_ptr<const core::MulticastSchedule> materialize(
       const View& view);
+
+  /// Tree `tree` of the request's IST family (core/ist.hpp) as a view.
+  /// With a cache it is the relative tree cached under
+  /// core::kAlgoIst + tree, reached like serve_view's (probe, build at
+  /// source 0 on a miss, offer) and placed at mask = request.source;
+  /// without one, the tree built at the source, mask 0. StripedPlanner
+  /// serves every stripe tree this way.
+  static View serve_ist(ScheduleCache* cache,
+                        const core::MulticastRequest& request,
+                        hcube::Dim tree);
 
   /// CoScheduler::plan over the views' trees at their masks: the plan of
   /// the materialized trees, with the memos on the shared relative ones.

@@ -4,33 +4,13 @@
 #include <stdexcept>
 
 #include "code/rs.hpp"
+#include "coll/serve_pipeline.hpp"
 #include "fault/fault_aware.hpp"
 #include "obs/registry.hpp"
 
 namespace hypercast::coll {
 
 namespace {
-
-/// Per-tree cache algorithm ids (core::CacheAlgoId blocks).
-std::uint8_t ist_algo_id(hcube::Dim tree) {
-  return static_cast<std::uint8_t>(core::kAlgoIst + tree);
-}
-
-std::uint8_t ist_repair_algo_id(hcube::Dim tree) {
-  return static_cast<std::uint8_t>(core::kAlgoIstRepaired + tree);
-}
-
-/// Per-thread scratch mirroring the serving pipeline's: one canonical
-/// key and one chain-reconstruction buffer recycled across plans.
-struct StripedTls {
-  core::CacheKey key;
-  std::vector<core::NodeId> chain;
-};
-
-StripedTls& striped_tls() {
-  thread_local StripedTls tls;
-  return tls;
-}
 
 void bump(const char* name, std::uint64_t by = 1) {
   if (by != 0 && obs::stats_enabled()) {
@@ -151,49 +131,6 @@ bool StripedPlanner::should_verify(hcube::Dim dim) const {
 #endif
 }
 
-std::shared_ptr<const core::MulticastSchedule> StripedPlanner::serve_tree(
-    const core::MulticastRequest& request, hcube::Dim tree) const {
-  if (cache_ == nullptr) {
-    return std::make_shared<const core::MulticastSchedule>(
-        core::build_ist_tree(request.topo, tree, request.source,
-                             request.destinations));
-  }
-  // The serving pipeline's one cache level, per tree: the relative IST
-  // tree caches under the canonical relative chain, shared by every
-  // source; each plan translates it without caching the copy.
-  StripedTls& tls = striped_tls();
-  core::canonical_key_into(request.topo, request.source, request.destinations,
-                           ist_algo_id(tree), /*absolute=*/false,
-                           cache_->config().hash_seed, tls.key);
-  auto rel = cache_->get(tls.key);
-  if (rel == nullptr) {
-    core::chain_from_keys(request.topo, 0, tls.key.words, tls.chain);
-    auto built = std::make_shared<const core::MulticastSchedule>(
-        core::build_ist_tree0(request.topo, tree,
-                              std::span<const core::NodeId>(
-                                  tls.chain.data() + 1, tls.chain.size() - 1)));
-    cache_->put(tls.key, built);
-    rel = std::move(built);
-  }
-  if (request.source == 0) return rel;
-  auto out = std::make_shared<core::MulticastSchedule>(request.topo,
-                                                       request.source);
-  out->assign_translated(*rel, request.source);
-  return out;
-}
-
-const core::CacheKey* StripedPlanner::repair_key(
-    const core::MulticastRequest& request, hcube::Dim tree,
-    std::uint64_t salt) const {
-  if (cache_ == nullptr) return nullptr;
-  core::CacheKey& key = striped_tls().key;
-  core::canonical_key_into(request.topo, request.source, request.destinations,
-                           ist_repair_algo_id(tree), /*absolute=*/true,
-                           cache_->config().hash_seed, key);
-  core::set_salt(key, salt);
-  return &key;
-}
-
 StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
                                  std::size_t payload_bytes) const {
   HYPERCAST_OBS_SPAN("striped.plan");
@@ -210,7 +147,8 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
   plan.parity_tree = k > 0 ? static_cast<int>(n - k) : -1;
   plan.trees.reserve(n);
   for (hcube::Dim t = 0; t < n; ++t) {
-    plan.trees.push_back(serve_tree(request, t));
+    plan.trees.push_back(ServePipeline::materialize(
+        ServePipeline::serve_ist(cache_.get(), request, t)));
   }
   bump("striped.plans");
   return plan;
@@ -286,12 +224,18 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
         owners.claim_schedule(*out.trees[t], static_cast<int>(t));
       }
     }
+    core::CacheKey key;
     for (const int t : to_repair) {
       // Canonicalized once per damaged tree: the probe below and, on a
-      // disjoint repair, the put share the key.
-      const core::CacheKey* key =
-          repair_key(request, static_cast<hcube::Dim>(t), salt);
-      if (auto hit = key ? cache_->get(*key) : nullptr) {
+      // disjoint repair, the offer share the key.
+      if (cache_ != nullptr) {
+        core::canonical_key_into(
+            request.topo, request.source, request.destinations,
+            static_cast<std::uint8_t>(core::kAlgoIstRepaired + t),
+            /*absolute=*/true, cache_->config().hash_seed, key);
+        core::set_salt(key, salt);
+      }
+      if (auto hit = cache_ ? cache_->get(key) : nullptr) {
         // Only certified disjoint repairs are ever cached, so a hit
         // re-claims its footprint and keeps the certificate.
         out.trees[static_cast<std::size_t>(t)] = hit;
@@ -309,7 +253,7 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
         out.trees[static_cast<std::size_t>(t)] = fixed;
         ++out.repaired_disjoint;
         bump("striped.repair_disjoint");
-        if (key) cache_->put(*key, fixed);
+        if (cache_ != nullptr) cache_->offer(key, fixed);
         continue;
       }
       // Tier 3 — greedy detours: delivery at the price of

@@ -117,14 +117,16 @@ std::vector<std::uint8_t> reassemble_stripes(
     std::size_t data_stripes, std::size_t payload_bytes,
     std::span<const std::size_t> missing = {});
 
-/// Plans striped collectives, consulting a ScheduleCache when attached:
-/// each tree caches as a *relative* schedule under its own per-tree
-/// algorithm id (IST construction is translation-invariant, so one
-/// cached tree serves every source via an uncached XOR translation,
-/// exactly like the serving pipeline's chain algorithms). Degraded-mode
-/// repaired trees cache under *absolute* keys salted with the fault
-/// fingerprint + parity config + drop decisions, so plans for different
-/// fault sets share one cache without ever aliasing.
+/// Plans striped collectives, consulting a ScheduleCache when attached.
+/// Each tree is ServePipeline::serve_ist's: IST construction is
+/// translation-invariant, so the relative tree caches once per shape
+/// under its per-tree algorithm id, through the pipeline's own probe,
+/// build and offer, and every plan materializes an uncached XOR
+/// translation of it. Degraded-mode certified repairs are offered under
+/// *absolute* keys salted with the fault fingerprint + parity config +
+/// drop decisions, so plans for different fault sets share one cache
+/// without ever aliasing, and once the cache is full a repair under a
+/// never-repeating fault set is declined instead of evicting.
 class StripedPlanner {
  public:
   explicit StripedPlanner(StripeOptions options = {},
@@ -155,15 +157,6 @@ class StripedPlanner {
                    const fault::FaultSet& faults) const;
 
  private:
-  std::shared_ptr<const core::MulticastSchedule> serve_tree(
-      const core::MulticastRequest& request, hcube::Dim tree) const;
-
-  /// The salted cache key of tree `tree`'s certified repair, written
-  /// into this thread's scratch key (valid until the thread's next
-  /// serve_tree or repair_key); null without a cache.
-  const core::CacheKey* repair_key(const core::MulticastRequest& request,
-                                   hcube::Dim tree, std::uint64_t salt) const;
-
   bool should_verify(hcube::Dim dim) const;
 
   StripeOptions options_;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "coll/collectives.hpp"
 #include "core/chain_search.hpp"
 #include "core/wsort.hpp"
 #include "metrics/table.hpp"
@@ -53,22 +52,6 @@ TEST(MiscCoverage, FlitSimHandlesLowToHighRouting) {
   const auto result = sim::simulate_multicast_flit(s, sim::FlitConfig{});
   EXPECT_EQ(result.stats.blocked_acquisitions, 0u);
   EXPECT_EQ(result.delivery.size(), 12u);
-}
-
-TEST(MiscCoverage, OnePortReduceSlowerButComplete) {
-  coll::Collectives::Options one;
-  one.topo = Topology(5);
-  one.port = core::PortModel::one_port();
-  coll::Collectives::Options all;
-  all.topo = Topology(5);
-  workload::Rng rng(11007);
-  const auto req = random_request(Topology(5), 12, rng);
-  const auto r1 = coll::Collectives(one).reduce(req.source,
-                                                req.destinations, 4096);
-  const auto r2 = coll::Collectives(all).reduce(req.source,
-                                                req.destinations, 4096);
-  EXPECT_GE(r1.completion, r2.completion);
-  EXPECT_EQ(r1.stats.messages, 12u);
 }
 
 TEST(MiscCoverage, AsciiPlotMarksOverlappingCurves) {

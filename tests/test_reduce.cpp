@@ -5,6 +5,7 @@
 #include "core/chain_algorithms.hpp"
 #include "core/wsort.hpp"
 #include "test_util.hpp"
+#include "workload/patterns.hpp"
 
 namespace hypercast::coll {
 namespace {
@@ -176,6 +177,108 @@ TEST(Reduce, OnePortSlowerThanAllPort) {
   one.port = core::PortModel::one_port();
   EXPECT_LE(simulate_reduce(tree, all).completion,
             simulate_reduce(tree, one).completion);
+}
+
+TEST(Reduce, OnePortReduceSlowerButComplete) {
+  workload::Rng rng(11007);
+  const auto req = random_request(Topology(5), 12, rng);
+  const auto tree = core::wsort(req);
+  ReduceConfig one = basic_config();
+  one.port = core::PortModel::one_port();
+  const auto r1 = simulate_reduce(tree, one);
+  const auto r2 = simulate_reduce(tree, basic_config());
+  EXPECT_GE(r1.completion, r2.completion);
+  EXPECT_EQ(r1.stats.messages, 12u);
+}
+
+// ---- collectives over one planned tree -----------------------------------
+// Each collective plans its tree with a registry algorithm (W-sort unless
+// named) and runs it through the simulator, as bench/ablation_reduce and
+// examples/collectives_tour do.
+
+core::MulticastSchedule plan(const core::MulticastRequest& req,
+                             const char* algorithm = "wsort") {
+  return core::find_algorithm(algorithm).build(req);
+}
+
+sim::SimResult multicast(
+    const core::MulticastSchedule& tree, std::size_t bytes,
+    core::PortModel port = core::PortModel::all_port()) {
+  sim::SimConfig config;
+  config.port = port;
+  config.message_bytes = bytes;
+  return sim::simulate_multicast(tree, config);
+}
+
+core::MulticastRequest broadcast(const Topology& topo, NodeId source) {
+  return {topo, source, workload::broadcast_destinations(topo, source)};
+}
+
+TEST(Collectives, MulticastDeliversToAll) {
+  workload::Rng rng(5001);
+  const auto req = random_request(Topology(6), 12, rng);
+  const auto result = multicast(plan(req), 4096);
+  for (const NodeId d : req.destinations) {
+    EXPECT_TRUE(result.delivery.contains(d));
+  }
+  EXPECT_EQ(result.stats.blocked_acquisitions, 0u);  // W-sort, Theorem 6
+}
+
+TEST(Collectives, BroadcastReachesEveryone) {
+  const auto result = multicast(plan(broadcast(Topology(6), 17)), 1024);
+  EXPECT_EQ(result.delivery.size(), 63u);
+}
+
+TEST(Collectives, ReduceCompletesAfterSlowestLeaf) {
+  const auto result =
+      simulate_reduce(plan(broadcast(Topology(6), 0)), basic_config());
+  EXPECT_GT(result.completion, 0);
+  EXPECT_EQ(result.stats.messages, 63u);
+}
+
+TEST(Collectives, GatherCostsMoreThanReduce) {
+  workload::Rng rng(5003);
+  const auto req = random_request(Topology(6), 20, rng);
+  const auto tree = plan(req);
+  ReduceConfig gather = basic_config();
+  gather.mode = ReduceConfig::Mode::Gather;
+  EXPECT_GT(simulate_reduce(tree, gather).completion,
+            simulate_reduce(tree, basic_config()).completion);
+}
+
+TEST(Collectives, BarrierIsReducePlusBroadcastShaped) {
+  const SimTime released = barrier(plan(broadcast(Topology(6), 0)));
+  // Lower bound: two tree traversals of small messages; upper bound:
+  // generous multiple of the per-level cost.
+  const sim::CostModel cost = sim::CostModel::ncube2();
+  const SimTime level = cost.send_startup + cost.recv_overhead;
+  EXPECT_GT(released, 2 * level);
+  EXPECT_LT(released, 40 * level);
+}
+
+TEST(Collectives, BarrierScalesWithParticipants) {
+  const Topology topo(6);
+  const core::MulticastRequest few{topo, 0, {1, 2, 4}};
+  EXPECT_LT(barrier(plan(few)), barrier(plan(broadcast(topo, 0))));
+}
+
+TEST(Collectives, AlgorithmChoiceMattersForDelay) {
+  workload::Rng rng(5009);
+  const auto req = random_request(Topology(6), 30, rng);
+  const auto wsort_avg =
+      multicast(plan(req), 4096).avg_delay(req.destinations);
+  const auto ucube_avg =
+      multicast(plan(req, "ucube"), 4096).avg_delay(req.destinations);
+  EXPECT_LT(wsort_avg, ucube_avg);
+}
+
+TEST(Collectives, OnePortConfigurationPropagates) {
+  workload::Rng rng(5011);
+  const auto req = random_request(Topology(6), 20, rng);
+  const auto tree = plan(req);
+  EXPECT_GT(multicast(tree, 4096, core::PortModel::one_port())
+                .max_delay(req.destinations),
+            multicast(tree, 4096).max_delay(req.destinations));
 }
 
 }  // namespace

@@ -143,7 +143,7 @@ TEST(ScheduleCache, MissPutHitAndL1) {
   EXPECT_EQ(cache.stats().misses, 1u);
 
   const auto schedule = build_wsort(req);
-  cache.put(key, schedule);
+  EXPECT_TRUE(cache.offer(key, schedule));
   EXPECT_EQ(cache.stats().entries, 1u);
   EXPECT_GT(cache.stats().bytes, 0u);
 
@@ -168,7 +168,11 @@ TEST(ScheduleCache, EvictsLeastRecentlyUsedUnderByteBudget) {
   workload::Rng rng(5);
   for (int i = 0; i < 6; ++i) {
     const auto req = random_request(topo, 8, rng);
-    cache.put(key_of(req), build_wsort(req));
+    // No entry fits the budget, so only a second sighting is admitted.
+    const auto key = key_of(req);
+    const auto schedule = build_wsort(req);
+    EXPECT_FALSE(cache.offer(key, schedule));
+    EXPECT_TRUE(cache.offer(key, schedule));
   }
   const auto stats = cache.stats();
   EXPECT_EQ(stats.entries, 1u);  // never evicts the newest entry
@@ -177,12 +181,13 @@ TEST(ScheduleCache, EvictsLeastRecentlyUsedUnderByteBudget) {
 
 // ---- admission under budget pressure (offer) ------------------------------
 
-/// The bytes one entry charges: what a single put() leaves resident.
+/// The bytes one entry charges: what a single offer() to an empty cache
+/// leaves resident.
 std::size_t charged_bytes(
     const CacheKey& key,
     const std::shared_ptr<const core::MulticastSchedule>& schedule) {
   ScheduleCache probe;
-  probe.put(key, schedule);
+  probe.offer(key, schedule);
   return probe.stats().bytes;
 }
 
@@ -247,11 +252,6 @@ TEST(ScheduleCache, OfferAtBudgetAdmitsOnlyTheSecondSighting) {
   EXPECT_LE(stats.bytes, budget);
   EXPECT_EQ(cache->get(keys[3]), schedules[3]);
   EXPECT_EQ(cache->get(keys[0]), nullptr);
-
-  // put() is never gated.
-  cache->put(keys[0], schedules[0]);
-  EXPECT_EQ(cache->get(keys[0]), schedules[0]);
-  EXPECT_EQ(cache->stats().declined, 1u);
 }
 
 TEST(ScheduleCache, OfferDoorkeeperResetsAfterTurnover) {
@@ -310,7 +310,7 @@ TEST(ScheduleCache, FaultFingerprintSaltSeparatesAbsoluteEntries) {
   core::set_salt(under_a, faults_a.fingerprint(kSeed));
   auto under_b = key_of(req, 7, /*absolute=*/true);
   core::set_salt(under_b, faults_b.fingerprint(kSeed));
-  cache.put(under_a, schedule);
+  cache.offer(under_a, schedule);
   EXPECT_NE(cache.get(under_a), nullptr);
   EXPECT_EQ(cache.get(under_b), nullptr);
   EXPECT_EQ(cache.get(key_of(req, 7, /*absolute=*/true)), nullptr);
@@ -319,8 +319,8 @@ TEST(ScheduleCache, FaultFingerprintSaltSeparatesAbsoluteEntries) {
   // entries coexist with the salted one.
   const auto absolute = key_of(req, 7, /*absolute=*/true);
   const auto relative = key_of(req, 7, /*absolute=*/false);
-  cache.put(absolute, schedule);
-  cache.put(relative, schedule);
+  cache.offer(absolute, schedule);
+  cache.offer(relative, schedule);
   EXPECT_NE(cache.get(absolute), nullptr);
   EXPECT_NE(cache.get(relative), nullptr);
   EXPECT_NE(cache.get(under_a), nullptr);
@@ -357,7 +357,7 @@ class ReferenceShard {
     return it->second.id;
   }
 
-  void put(const CacheKey& key, int id, std::size_t bytes) {
+  void insert(const CacheKey& key, int id, std::size_t bytes) {
     auto [it, inserted] = map_.try_emplace(key);
     if (!inserted) {
       stats.bytes -= it->second.bytes;
@@ -392,7 +392,7 @@ class ReferenceShard {
 
   bool offer(const CacheKey& key, int id, std::size_t bytes) {
     if (!admit(key, bytes)) return false;
-    put(key, id, bytes);
+    insert(key, id, bytes);
     return true;
   }
 
@@ -494,7 +494,8 @@ TEST(ScheduleCacheFlat, MatchesAReferenceLruModelOperationByOperation) {
     workload::Rng rng(71 + budget_entries);
     const std::vector<CacheKey> keys =
         colliding_keys(3 * budget_entries + 8, rng);
-    // Entries charge 200-odd to 500-odd bytes, so a put can evict several.
+    // Entries charge 200-odd to 500-odd bytes, so an admitted offer can
+    // evict several.
     const std::size_t budget =
         budget_entries * charged_bytes(keys[0], schedule_of_size(4));
     const auto cache = one_shard_cache(budget);
@@ -517,16 +518,10 @@ TEST(ScheduleCacheFlat, MatchesAReferenceLruModelOperationByOperation) {
         const std::size_t bytes = charged_bytes(key, schedule);
         const int id = static_cast<int>(made.size());
         made.push_back(schedule);
-        if (dice < 55) {
-          what = "put";
-          model.put(key, id, bytes);
-          cache->put(key, std::move(schedule));
-        } else {
-          what = "offer";
-          ASSERT_EQ(cache->offer(key, std::move(schedule)),
-                    model.offer(key, id, bytes))
-              << op;
-        }
+        what = "offer";
+        ASSERT_EQ(cache->offer(key, std::move(schedule)),
+                  model.offer(key, id, bytes))
+            << op;
       } else {
         what = "clear";
         model.clear();
@@ -725,39 +720,51 @@ TEST(ServePipeline, CoschedOnSharedCachedTreesMatchesSingleThreaded) {
 
 TEST(ServePipeline, ScanOfFreshRequestsLeavesAFullCachesHotPoolResident) {
   const Topology topo(6, Resolution::HighToLow);
-  workload::Rng rng(37);
-  std::vector<core::MulticastRequest> pool;
-  for (int i = 0; i < 8; ++i) pool.push_back(random_request(topo, 16, rng));
+  auto link_fault = std::make_shared<fault::FaultSet>(topo);
+  link_fault->fail_link(0, 0);
+  // Fault-free, the pool's entries are relative trees; under a fault set
+  // they are repairs under salted absolute keys, offered the same way.
+  for (const std::shared_ptr<const fault::FaultSet>& faults :
+       {std::shared_ptr<const fault::FaultSet>(), 
+        std::shared_ptr<const fault::FaultSet>(link_fault)}) {
+    SCOPED_TRACE(faults ? "one link fault" : "fault-free");
+    workload::Rng rng(37);
+    std::vector<core::MulticastRequest> pool;
+    for (int i = 0; i < 8; ++i) pool.push_back(random_request(topo, 16, rng));
 
-  // Size the budget to exactly the pool's relative and translated
-  // entries, so the pool fills the cache.
-  const auto sizing = one_shard_cache(std::size_t{64} << 20);
-  for (const auto& req : pool) ServePipeline("wsort", sizing).serve(req);
-  const auto cache = one_shard_cache(sizing->stats().bytes);
-  const ServePipeline pipeline("wsort", cache);
-  for (const auto& req : pool) pipeline.serve(req);
-  ASSERT_EQ(cache->stats().bytes, sizing->stats().bytes);
+    // Size the budget to exactly the pool's entries, so the pool fills
+    // the cache.
+    const auto sizing = one_shard_cache(std::size_t{64} << 20);
+    for (const auto& req : pool) {
+      ServePipeline("wsort", sizing, faults).serve(req);
+    }
+    const auto cache = one_shard_cache(sizing->stats().bytes);
+    const ServePipeline pipeline("wsort", cache, faults);
+    for (const auto& req : pool) pipeline.serve(req);
+    ASSERT_EQ(cache->stats().bytes, sizing->stats().bytes);
 
-  // A scan of sets that never repeat: every insert is a first sighting
-  // at budget. It is kept shorter than the doorkeeper's 2^16 bits by
-  // far, because two keys sharing a bit count as a repeat by design.
-  const ServePipeline uncached("wsort", nullptr);
-  constexpr int kScan = 40;
-  for (int i = 0; i < kScan; ++i) {
-    const auto req = random_request(topo, 16, rng);
-    ASSERT_TRUE(*pipeline.serve(req) == *uncached.serve(req));
+    // A scan of sets that never repeat: every insert is a first sighting
+    // at budget. It is kept shorter than the doorkeeper's 2^16 bits by
+    // far, because two keys sharing a bit count as a repeat by design.
+    const ServePipeline uncached("wsort", nullptr, faults);
+    constexpr int kScan = 40;
+    for (int i = 0; i < kScan; ++i) {
+      const auto req = random_request(topo, 16, rng);
+      ASSERT_TRUE(*pipeline.serve(req) == *uncached.serve(req));
+    }
+    const auto after_scan = cache->stats();
+    EXPECT_EQ(after_scan.evictions, 0u);
+    EXPECT_GE(after_scan.declined, static_cast<std::uint64_t>(kScan));
+
+    // The hot pool is still all hits.
+    for (const auto& req : pool) {
+      ASSERT_TRUE(*pipeline.serve(req) == *uncached.serve(req));
+    }
+    const auto after_pool = cache->stats();
+    EXPECT_EQ(after_pool.misses, after_scan.misses);
+    EXPECT_EQ(after_pool.total_hits(),
+              after_scan.total_hits() + pool.size());
   }
-  const auto after_scan = cache->stats();
-  EXPECT_EQ(after_scan.evictions, 0u);
-  EXPECT_GE(after_scan.declined, static_cast<std::uint64_t>(kScan));
-
-  // The hot pool is still all hits.
-  for (const auto& req : pool) {
-    ASSERT_TRUE(*pipeline.serve(req) == *uncached.serve(req));
-  }
-  const auto after_pool = cache->stats();
-  EXPECT_EQ(after_pool.misses, after_scan.misses);
-  EXPECT_EQ(after_pool.total_hits(), after_scan.total_hits() + pool.size());
 }
 
 /// The tree TreeBuilder builds for `req` directly, finalized.

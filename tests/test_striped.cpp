@@ -7,9 +7,11 @@
 #include "coll/striped.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -702,6 +704,148 @@ TEST(StripedFaults, UntouchedTreesAreNotRepaired) {
   for (std::size_t t = 0; t < clean.trees.size(); ++t) {
     EXPECT_TRUE(*clean.trees[t] == *degraded.trees[t]);
   }
+}
+
+// ---- repairs through cache admission --------------------------------------
+
+/// A striped broadcast draw on the 8-cube, made like the striped_faults
+/// benchmark's: even draws fail one link with k = 1, odd draws two links
+/// with k = 2, at a random source; no two draws share a fault set.
+struct FaultDraw {
+  std::size_t parity = 1;
+  fault::FaultSet faults{Topology(8)};
+  MulticastRequest request{Topology(8), 0, {}};
+};
+
+FaultDraw fault_draw(std::uint64_t index) {
+  const Topology topo(8);
+  workload::Rng rng(workload::derive_seed(0x57a1bed5ull, index, 0));
+  FaultDraw d;
+  d.parity = 1 + index % 2;
+  while (d.faults.num_failed_links() < d.parity) {
+    const auto u = static_cast<NodeId>(rng() % topo.num_nodes());
+    const auto dim = static_cast<Dim>(rng() % topo.dim());
+    d.faults.fail_link(std::min(u, topo.neighbor(u, dim)), dim);
+  }
+  const auto source = static_cast<NodeId>(rng() % topo.num_nodes());
+  d.request = MulticastRequest{topo, source, broadcast_dests(topo, source)};
+  return d;
+}
+
+/// A k = 1 and a k = 2 planner sharing one cache (null: uncached).
+struct PlannerPair {
+  explicit PlannerPair(std::shared_ptr<ScheduleCache> shared)
+      : cache(std::move(shared)), k1(parity(1), cache), k2(parity(2), cache) {}
+
+  static StripeOptions parity(std::size_t k) {
+    StripeOptions options;
+    options.parity_stripes = k;
+    return options;
+  }
+
+  StripedPlan plan(const FaultDraw& d) const {
+    return (d.parity == 1 ? k1 : k2).plan(d.request, 1 << 20, d.faults);
+  }
+
+  std::shared_ptr<ScheduleCache> cache;
+  StripedPlanner k1;
+  StripedPlanner k2;
+};
+
+bool same_plan(const StripedPlan& a, const StripedPlan& b) {
+  if (a.trees.size() != b.trees.size() ||
+      a.dropped_trees != b.dropped_trees ||
+      a.repaired_disjoint != b.repaired_disjoint ||
+      a.repaired_greedy != b.repaired_greedy) {
+    return false;
+  }
+  for (std::size_t t = 0; t < a.trees.size(); ++t) {
+    if (!(*a.trees[t] == *b.trees[t])) return false;
+  }
+  return true;
+}
+
+// Once a budget-limited cache is full, certified repairs under fresh
+// fault sets are offered and declined instead of evicting: the relative
+// IST trees stay resident, so every probe hits or misses exactly as it
+// does in a roomy cache.
+TEST(StripedFaults, FreshFaultRepairsAtBudgetAreDeclinedNotEvicting) {
+  ScheduleCache::Config small;
+  small.shards = 1;
+  small.max_bytes = std::size_t{256} << 10;
+  const PlannerPair tight(std::make_shared<ScheduleCache>(small));
+  const PlannerPair roomy(std::make_shared<ScheduleCache>());
+  constexpr std::uint64_t kWarmup = 40;
+  constexpr std::uint64_t kDraws = 160;
+  ScheduleCache::Stats warm;
+  std::uint64_t offered = 0;
+  for (std::uint64_t i = 0; i < kWarmup + kDraws; ++i) {
+    if (i == kWarmup) warm = tight.cache->stats();
+    const FaultDraw d = fault_draw(i);
+    const StripedPlan plan = tight.plan(d);
+    ASSERT_TRUE(same_plan(plan, roomy.plan(d))) << "draw " << i;
+    // Fresh fault sets never repeat a repair key: every certified repair
+    // is built, and offered.
+    if (i >= kWarmup) offered += plan.repaired_disjoint;
+  }
+  const auto after = tight.cache->stats();
+  const auto reference = roomy.cache->stats();
+  EXPECT_GT(warm.declined, 0u) << "the cache is full after the warm-up";
+  EXPECT_GT(offered, 0u);
+  EXPECT_EQ(after.evictions, warm.evictions);
+  EXPECT_EQ(after.declined - warm.declined, offered);
+  EXPECT_EQ(after.misses, reference.misses);
+  EXPECT_EQ(after.total_hits(), reference.total_hits());
+  EXPECT_EQ(reference.evictions, 0u);
+  EXPECT_EQ(reference.declined, 0u);
+}
+
+// Four threads plan the same faulted draws, each in its own order and
+// twice over, against one budget-limited cache: first and second
+// sightings of the repairs and the relative trees race through
+// admission, and every plan must equal the single-threaded one.
+TEST(StripedConcurrency, FaultedDrawsAtBudgetMatchSingleThreaded) {
+  constexpr std::size_t kDrawCount = 12;
+  const PlannerPair single(nullptr);
+  std::vector<FaultDraw> draws;
+  std::vector<StripedPlan> reference;
+  for (std::size_t i = 0; i < kDrawCount; ++i) {
+    draws.push_back(fault_draw(i));
+    reference.push_back(single.plan(draws.back()));
+  }
+
+  ScheduleCache::Config config;
+  config.shards = 2;
+  config.max_bytes = std::size_t{128} << 10;  // full from the first draws
+  const PlannerPair shared(std::make_shared<ScheduleCache>(config));
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 2;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t j = 0; j < kDrawCount; ++j) {
+          const std::size_t i = (j + 5 * static_cast<std::size_t>(t)) %
+                                kDrawCount;
+          try {
+            if (!same_plan(shared.plan(draws[i]), reference[i])) {
+              mismatches.fetch_add(1, std::memory_order_relaxed);
+            }
+          } catch (...) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  const auto stats = shared.cache->stats();
+  EXPECT_GT(stats.declined, 0u);
+  EXPECT_LE(stats.bytes, config.max_bytes);
 }
 
 }  // namespace
