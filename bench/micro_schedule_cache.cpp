@@ -200,11 +200,12 @@ std::pair<double, double> rate_and_p99(std::size_t count, Serve&& serve) {
 
 /// cold_serves_per_sec and cold_serve_p99_us: W-sort requests for fresh
 /// random sets (10-cube, m = 48, random sources) through
-/// ServePipeline::serve_view into a one-shard cache that is already
-/// full, as a server's cold stream meets it: every request misses, its
-/// relative tree is built at source 0, and its entry is declined (a
-/// first sighting). Every request is new, so each is served once and
-/// timed on its own.
+/// ServePipeline::serve_view into a one-shard 2 MiB cache, as a
+/// server's cold stream meets it: every request misses, its relative
+/// tree is built at source 0, and its offer is declined as a first
+/// sighting, so the cache stays empty while its ghost records the key
+/// hash and retires a generation every 2 MiB of sightings. Every
+/// request is new, so each is served once and timed on its own.
 void cold_miss_row(const bench::Context& ctx, bench::Report& report) {
   const hcube::Topology topo(10);
   const std::size_t m = 48;
@@ -219,7 +220,6 @@ void cold_miss_row(const bench::Context& ctx, bench::Report& report) {
   config.max_bytes = std::size_t{2} << 20;
   const auto cache = std::make_shared<coll::ScheduleCache>(config);
   const coll::ServePipeline pipeline("wsort", cache);
-  while (cache->stats().declined == 0) (void)pipeline.serve_view(fresh());
 
   std::vector<core::MulticastRequest> stream;
   for (std::size_t i = 0; i < (ctx.quick ? 4096u : 32768u); ++i) {

@@ -43,22 +43,6 @@ L1Slot& l1_slot_for(std::uint64_t hash) {
   return l1_table()[(hash >> 8) & (kL1Slots - 1)];
 }
 
-/// offer()'s doorkeeper: 2^16 bits (8 KiB) per shard, indexed by the
-/// low bits of the key hash, which are independent of the bits from 40
-/// up that shard_of() reads.
-constexpr std::size_t kDoorkeeperBits = std::size_t{1} << 16;
-constexpr std::size_t kDoorkeeperWords = kDoorkeeperBits / 64;
-
-/// The doorkeeper resets once the first sightings since its last reset
-/// exceed the shard's resident entry count: by then the LRU has turned
-/// over, and older sightings describe keys no longer competing for
-/// room. The floor keeps a shard holding few entries from forgetting a
-/// sighting before its repeat can arrive; the ceiling keeps at most a
-/// quarter of the bits set, so that fewer than a quarter of first
-/// sightings collide with a set bit and are admitted early.
-constexpr std::size_t kDoorkeeperMinReset = 64;
-constexpr std::size_t kDoorkeeperMaxReset = kDoorkeeperBits / 4;
-
 /// A shard's first slot array; it doubles whenever it would pass half
 /// full.
 constexpr std::size_t kMinSlots = 16;
@@ -132,22 +116,18 @@ bool ScheduleCache::offer(
   Shard& shard = *shards_[shard_of(key)];
   const std::size_t bytes = entry_bytes(key, *schedule);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.bytes + bytes > per_shard_budget_) {
-    // An insert would evict: admit only a key already sighted.
-    if (shard.doorkeeper.empty()) shard.doorkeeper.resize(kDoorkeeperWords);
-    const std::size_t bit = key.hash & (kDoorkeeperBits - 1);
-    std::uint64_t& word = shard.doorkeeper[bit / 64];
-    const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
-    if ((word & mask) == 0) {
-      word |= mask;
-      if (++shard.first_sightings >
-          std::clamp(shard.count, kDoorkeeperMinReset, kDoorkeeperMaxReset)) {
-        std::fill(shard.doorkeeper.begin(), shard.doorkeeper.end(), 0);
-        shard.first_sightings = 0;
-      }
-      declined_.inc();
-      return false;
+  if (!shard.recent.contains(key.hash) && !shard.older.contains(key.hash)) {
+    // A first sighting: remember it, and start a new generation once
+    // this one's sightings pass the shard's budget.
+    shard.recent.insert(key.hash);
+    shard.recent_bytes += bytes;
+    if (shard.recent_bytes > per_shard_budget_) {
+      shard.older = std::move(shard.recent);
+      shard.recent = {};
+      shard.recent_bytes = 0;
     }
+    declined_.inc();
+    return false;
   }
   shard.insert(key, std::move(schedule), bytes);
   while (shard.bytes > per_shard_budget_ && shard.count > 1) {
@@ -240,8 +220,9 @@ void ScheduleCache::Shard::clear() {
   head = tail = free = kNil;
   count = 0;
   bytes = 0;
-  doorkeeper.clear();
-  first_sightings = 0;
+  recent = {};
+  older = {};
+  recent_bytes = 0;
 }
 
 void ScheduleCache::Shard::link_front(std::uint32_t e) {
@@ -285,6 +266,36 @@ void ScheduleCache::Shard::grow() {
   }
 }
 
+bool ScheduleCache::Ghost::contains(std::uint64_t hash) const {
+  if (hash == 0) return zero;
+  if (slots.empty()) return false;
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t i = hash & mask; slots[i] != 0; i = (i + 1) & mask) {
+    if (slots[i] == hash) return true;
+  }
+  return false;
+}
+
+void ScheduleCache::Ghost::insert(std::uint64_t hash) {
+  if (hash == 0) {
+    zero = true;
+    return;
+  }
+  if ((count + 1) * 2 > slots.size()) {
+    std::vector<std::uint64_t> old(std::max<std::size_t>(slots.size() * 2, 4));
+    old.swap(slots);
+    count = 0;
+    for (const std::uint64_t h : old) {
+      if (h != 0) insert(h);
+    }
+  }
+  const std::size_t mask = slots.size() - 1;
+  std::size_t i = hash & mask;
+  while (slots[i] != 0) i = (i + 1) & mask;
+  slots[i] = hash;
+  ++count;
+}
+
 ScheduleCache::Stats ScheduleCache::stats() const {
   Stats out;
   out.hits = hits_.value();
@@ -298,6 +309,15 @@ ScheduleCache::Stats ScheduleCache::stats() const {
     out.bytes += shard->bytes;
   }
   return out;
+}
+
+std::size_t ScheduleCache::ghost_bytes() const {
+  std::size_t slots = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    slots += shard->recent.slots.capacity() + shard->older.slots.capacity();
+  }
+  return slots * sizeof(std::uint64_t);
 }
 
 void ScheduleCache::attach_to_registry(obs::Registry& registry,

@@ -53,14 +53,15 @@ namespace hypercast::coll {
 /// their schedule + key footprint and the least-recently *inserted or
 /// shared-tier-hit* entry is evicted first (L1 hits deliberately skip
 /// the LRU touch — approximate recency in exchange for zero locking).
-/// offer() is the one insert, admission-gated: while the shard has room
-/// it inserts (evicting nothing); once an insert would evict, it admits
-/// a key only on its second sighting, remembered in a per-shard
-/// doorkeeper bitset (the TinyLFU doorkeeper, Einziger, Friedman and
-/// Manes, ACM ToS 2017). A stream of never-repeating requests (fresh
-/// shapes, or repairs under fresh fault sets) then costs a bit test
-/// instead of an insert and its evictions, and cannot flush a resident
-/// hot set.
+/// offer() is the one insert, and it admits a key only on its second
+/// sighting (the rule of 2Q, Johnson and Shasha, VLDB 1994, and of the
+/// TinyLFU doorkeeper, Einziger, Friedman and Manes, ACM ToS 2017): a
+/// shard keeps first sightings' exact key hashes in two "ghost"
+/// generations and drops the older once the newer's sightings pass the
+/// shard's budget. Trees are cheap to rebuild, so a stream of
+/// never-repeating requests (fresh shapes, or repairs under fresh fault
+/// sets) costs a set probe instead of an insert, and neither fills an
+/// idle cache nor flushes a resident hot set.
 class ScheduleCache {
  public:
   struct Config {
@@ -79,7 +80,7 @@ class ScheduleCache {
     std::uint64_t l1_hits = 0;       ///< lock-free thread-local hits
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;     ///< entries dropped for capacity
-    std::uint64_t declined = 0;      ///< offers refused by the doorkeeper
+    std::uint64_t declined = 0;      ///< offers refused: first sightings
     std::size_t entries = 0;         ///< resident entries (shared tier)
     std::size_t bytes = 0;           ///< resident bytes (shared tier)
 
@@ -129,15 +130,15 @@ class ScheduleCache {
   /// finalized, immutable and safe to share across threads.
   std::shared_ptr<const core::MulticastSchedule> get(const core::CacheKey& key);
 
-  /// Insert (or overwrite) the schedule for `key` when the entry fits
-  /// the shard's remaining budget. Otherwise insert it (evicting the LRU
-  /// tail) only if the key was already sighted since the doorkeeper's
-  /// last reset, and else just record the sighting. Returns whether the
-  /// schedule was inserted; a declined offer leaves every resident entry
-  /// in place and counts in Stats::declined. The schedule must already
-  /// be finalized; the cache never mutates it. Two threads racing on the
-  /// same cold key may both build and offer (last insert wins): builds
-  /// are pure, so both carry the same bytes.
+  /// Insert (or overwrite) the schedule for `key`, evicting from the
+  /// LRU tail to stay within the shard's budget, if the key's hash was
+  /// sighted within the ghost's two generations; otherwise only record
+  /// the sighting. Returns whether the schedule was inserted; a declined
+  /// offer leaves every resident entry in place and counts in
+  /// Stats::declined. The schedule must already be finalized; the cache
+  /// never mutates it. Two threads racing on the same cold key may both
+  /// build and offer (the second offer is a second sighting, and the
+  /// last insert wins): builds are pure, so both carry the same bytes.
   bool offer(const core::CacheKey& key,
              std::shared_ptr<const core::MulticastSchedule> schedule);
 
@@ -146,6 +147,9 @@ class ScheduleCache {
   void clear();
 
   Stats stats() const;
+
+  /// Heap bytes the admission ghost holds across all shards.
+  std::size_t ghost_bytes() const;
 
   /// Expose this instance's stats() as a gauge source named `name` on
   /// `registry` (field names per Stats::for_each_field). The source is
@@ -177,6 +181,18 @@ class ScheduleCache {
     std::uint32_t entry = kNil;
   };
 
+  /// An exact set of key hashes: linear probing from hash & (size - 1)
+  /// over a power-of-two array (0 marks an empty slot, so hash 0 has its
+  /// own flag), doubled before it passes half full.
+  struct Ghost {
+    std::vector<std::uint64_t> slots;
+    std::size_t count = 0;
+    bool zero = false;
+
+    bool contains(std::uint64_t hash) const;
+    void insert(std::uint64_t hash);  ///< `hash` must be absent
+  };
+
   struct Shard {
     mutable std::mutex mu;
     /// Linear probing from hash & (size - 1), at most half full, so a
@@ -191,11 +207,12 @@ class ScheduleCache {
     std::size_t count = 0;       ///< resident entries
     std::size_t bytes = 0;
     std::atomic<std::uint64_t> generation{1};
-    /// offer()'s doorkeeper: one bit per key-hash bucket, set on a key's
-    /// first sighting while the shard is full. Allocated on the shard's
-    /// first refusal, so caches that never fill never pay for it.
-    std::vector<std::uint64_t> doorkeeper;
-    std::size_t first_sightings = 0;  ///< since the last doorkeeper reset
+    /// offer()'s ghost: first sightings land in `recent`; once their
+    /// bytes pass the shard's budget, `recent` becomes `older` and a new
+    /// `recent` starts empty.
+    Ghost recent;
+    Ghost older;
+    std::size_t recent_bytes = 0;
 
     /// The entry holding `key`, or kNil.
     std::uint32_t find(const core::CacheKey& key) const;
@@ -207,7 +224,7 @@ class ScheduleCache {
     void touch(std::uint32_t e);
     /// Drop the LRU tail entry.
     void evict_tail();
-    /// Drop every entry and every doorkeeper sighting.
+    /// Drop every entry and every sighting.
     void clear();
 
    private:

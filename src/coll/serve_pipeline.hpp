@@ -30,8 +30,8 @@ namespace hypercast::coll {
 ///    get a translated copy that is never cached. The IST trees of a
 ///    striped plan (serve_ist) take the same path under their per-tree
 ///    ids. Every entry, repairs included, goes through
-///    ScheduleCache::offer(), so once the cache is full a tree is kept
-///    only when its key repeats.
+///    ScheduleCache::offer(), so a tree is kept only when its key
+///    repeats.
 ///  * the same four under a fault set — the tree is built as above and
 ///    repaired with fault::repair_schedule, the greedy entry point of
 ///    the repair engine (byte-identical to

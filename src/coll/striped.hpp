@@ -125,8 +125,8 @@ std::vector<std::uint8_t> reassemble_stripes(
 /// translation of it. Degraded-mode certified repairs are offered under
 /// *absolute* keys salted with the fault fingerprint + parity config +
 /// drop decisions, so plans for different fault sets share one cache
-/// without ever aliasing, and once the cache is full a repair under a
-/// never-repeating fault set is declined instead of evicting.
+/// without ever aliasing, and a repair under a never-repeating fault set
+/// is declined (a first sighting) instead of growing the cache.
 class StripedPlanner {
  public:
   explicit StripedPlanner(StripeOptions options = {},

@@ -230,6 +230,10 @@ TEST(FaultAwareServing, PipelineMatchesFaultAwareMulticast) {
         ASSERT_TRUE(no_unicast_blocked(expected.schedule, *fs));
         EXPECT_TRUE(*uncached.serve(req) == expected.schedule)
             << algo.name << " trial " << trial;
+        // A first sighting is repaired and declined; the next serve
+        // builds and caches it.
+        EXPECT_TRUE(*cached.serve(req) == expected.schedule)
+            << algo.name << " trial " << trial;
         const auto cold = cached.serve(req);
         EXPECT_TRUE(*cold == expected.schedule)
             << algo.name << " trial " << trial;

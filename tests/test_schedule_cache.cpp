@@ -1,6 +1,6 @@
 // The schedule-serving cache: canonical keys, the one-level LRU
-// (relative trees; translations are never cached), admission under
-// budget pressure (offer's doorkeeper), fault-fingerprint salting, and the
+// (relative trees; translations are never cached), admission on the
+// second sighting (offer's ghost), fault-fingerprint salting, and the
 // bit-identical guarantee — cached serving returns schedules equal
 // (MulticastSchedule::operator==) to direct construction, sequentially,
 // in batches, and under a multi-threaded hammer with concurrent
@@ -17,6 +17,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "coll/schedule_cache.hpp"
@@ -133,6 +134,24 @@ std::shared_ptr<const core::MulticastSchedule> build_wsort(
   return ServePipeline("wsort", nullptr).serve(req);
 }
 
+/// A schedule with `sends` sends on the 6-cube.
+std::shared_ptr<const core::MulticastSchedule> schedule_of_size(
+    std::size_t sends) {
+  core::ScheduleBuilder b(Topology(6), 0);
+  for (NodeId u = 1; u <= sends; ++u) b.add_send(u - 1, u, {u, 63});
+  return std::make_shared<const core::MulticastSchedule>(std::move(b).build());
+}
+
+/// `req` moved to a new source: the same destinations relative to it.
+core::MulticastRequest moved_to(const core::MulticastRequest& req,
+                                NodeId source) {
+  core::MulticastRequest out{req.topo, source, {}};
+  for (const NodeId d : req.destinations) {
+    out.destinations.push_back(d ^ req.source ^ source);
+  }
+  return out;
+}
+
 TEST(ScheduleCache, MissPutHitAndL1) {
   ScheduleCache cache;
   const Topology topo(6, Resolution::HighToLow);
@@ -143,6 +162,7 @@ TEST(ScheduleCache, MissPutHitAndL1) {
   EXPECT_EQ(cache.stats().misses, 1u);
 
   const auto schedule = build_wsort(req);
+  EXPECT_FALSE(cache.offer(key, schedule));  // first sighting
   EXPECT_TRUE(cache.offer(key, schedule));
   EXPECT_EQ(cache.stats().entries, 1u);
   EXPECT_GT(cache.stats().bytes, 0u);
@@ -181,12 +201,13 @@ TEST(ScheduleCache, EvictsLeastRecentlyUsedUnderByteBudget) {
 
 // ---- admission under budget pressure (offer) ------------------------------
 
-/// The bytes one entry charges: what a single offer() to an empty cache
-/// leaves resident.
+/// The bytes one entry charges: what its second offer() to an empty
+/// cache leaves resident.
 std::size_t charged_bytes(
     const CacheKey& key,
     const std::shared_ptr<const core::MulticastSchedule>& schedule) {
   ScheduleCache probe;
+  probe.offer(key, schedule);
   probe.offer(key, schedule);
   return probe.stats().bytes;
 }
@@ -199,7 +220,7 @@ std::shared_ptr<ScheduleCache> one_shard_cache(std::size_t bytes) {
   return std::make_shared<ScheduleCache>(config);
 }
 
-TEST(ScheduleCache, OfferInsertsOnFirstSightWhileThereIsRoom) {
+TEST(ScheduleCache, OfferAdmitsOnlyTheSecondSightingEvenWithRoom) {
   ScheduleCache cache;
   const Topology topo(6, Resolution::HighToLow);
   workload::Rng rng(17);
@@ -207,13 +228,59 @@ TEST(ScheduleCache, OfferInsertsOnFirstSightWhileThereIsRoom) {
     const auto req = random_request(topo, 1 + rng() % 30, rng);
     const auto key = key_of(req);
     const auto schedule = build_wsort(req);
+    ASSERT_FALSE(cache.offer(key, schedule)) << "offer " << i;
+    EXPECT_EQ(cache.get(key), nullptr);
+    EXPECT_EQ(cache.stats().entries, static_cast<std::size_t>(i));
     ASSERT_TRUE(cache.offer(key, schedule)) << "offer " << i;
     EXPECT_EQ(cache.get(key), schedule);
   }
   const auto stats = cache.stats();
   EXPECT_EQ(stats.entries, 20u);
-  EXPECT_EQ(stats.declined, 0u);
+  EXPECT_EQ(stats.declined, 20u);
   EXPECT_EQ(stats.evictions, 0u);
+}
+
+TEST(ScheduleCache, MillionFreshKeysAdmitNothing) {
+  ScheduleCache cache;
+  const auto schedule = schedule_of_size(4);
+  workload::Rng rng(19);
+  constexpr std::uint32_t kOffers = 1000000;
+  CacheKey key;
+  key.dim = 6;
+  key.words = {0};
+  std::uint64_t admitted = 0;
+  for (std::uint32_t i = 0; i < kOffers; ++i) {
+    key.words[0] = i;
+    key.hash = rng();
+    admitted += cache.offer(key, schedule) ? 1 : 0;
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(admitted, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.declined, kOffers);
+}
+
+TEST(ScheduleCache, SixtyFourShapesPinUnderFourKiBOfGhost) {
+  const Topology topo(8, Resolution::HighToLow);
+  workload::Rng rng(47);
+  std::vector<core::MulticastRequest> shapes;
+  for (int i = 0; i < 64; ++i) shapes.push_back(random_request(topo, 24, rng));
+  // Every shape at several sources, as a hot serving pool sees them.
+  const auto shared = std::make_shared<ScheduleCache>();
+  EXPECT_EQ(shared->ghost_bytes(), 0u);
+  const ServePipeline pipeline("wsort", shared);
+  for (int round = 0; round < 4; ++round) {
+    for (const auto& shape : shapes) {
+      (void)pipeline.serve_view(
+          moved_to(shape, static_cast<NodeId>(rng() % 256)));
+    }
+  }
+  EXPECT_EQ(shared->stats().entries, 64u);
+  EXPECT_EQ(shared->stats().declined, 64u);
+  EXPECT_GT(shared->ghost_bytes(), 0u);
+  EXPECT_LT(shared->ghost_bytes(), std::size_t{4} << 10);
 }
 
 TEST(ScheduleCache, OfferAtBudgetAdmitsOnlyTheSecondSighting) {
@@ -230,7 +297,10 @@ TEST(ScheduleCache, OfferAtBudgetAdmitsOnlyTheSecondSighting) {
   std::size_t budget = 0;
   for (int i = 0; i < 3; ++i) budget += charged_bytes(keys[i], schedules[i]);
   const auto cache = one_shard_cache(budget);
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(cache->offer(keys[i], schedules[i]));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_FALSE(cache->offer(keys[i], schedules[i]));
+    ASSERT_TRUE(cache->offer(keys[i], schedules[i]));
+  }
   ASSERT_EQ(cache->stats().bytes, budget);
 
   // First sighting of a fourth key: nothing inserted, nothing evicted.
@@ -238,7 +308,7 @@ TEST(ScheduleCache, OfferAtBudgetAdmitsOnlyTheSecondSighting) {
   auto stats = cache->stats();
   EXPECT_EQ(stats.entries, 3u);
   EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_EQ(stats.declined, 1u);
+  EXPECT_EQ(stats.declined, 4u);
   EXPECT_EQ(stats.bytes, budget);
   EXPECT_EQ(cache->get(keys[3]), nullptr);
 
@@ -246,7 +316,7 @@ TEST(ScheduleCache, OfferAtBudgetAdmitsOnlyTheSecondSighting) {
   // room for it.
   EXPECT_TRUE(cache->offer(keys[3], schedules[3]));
   stats = cache->stats();
-  EXPECT_EQ(stats.declined, 1u);
+  EXPECT_EQ(stats.declined, 4u);
   EXPECT_GE(stats.evictions, 1u);
   EXPECT_EQ(stats.entries + stats.evictions, 4u);
   EXPECT_LE(stats.bytes, budget);
@@ -254,44 +324,50 @@ TEST(ScheduleCache, OfferAtBudgetAdmitsOnlyTheSecondSighting) {
   EXPECT_EQ(cache->get(keys[0]), nullptr);
 }
 
-TEST(ScheduleCache, OfferDoorkeeperResetsAfterTurnover) {
+// The ghost remembers a first sighting across at least one budget's
+// worth of other first sightings and forgets it within about two, at
+// every phase of its generation. With k equal entries to a budget, k
+// others never flush a sighting and 2k + 1 always do.
+TEST(ScheduleCache, OfferRemembersASightingForOneToTwoBudgets) {
   const Topology topo(6, Resolution::HighToLow);
+  constexpr int kPerBudget = 8;
   workload::Rng rng(29);
-  const auto entry = [&] {
-    const auto req = random_request(topo, 10, rng);
-    return std::pair{key_of(req), build_wsort(req)};
-  };
-  const auto [resident_key, resident] = entry();
-  const auto cache = one_shard_cache(charged_bytes(resident_key, resident));
-  ASSERT_TRUE(cache->offer(resident_key, resident));
-
-  // A few sightings in between: the doorkeeper still remembers x.
-  const auto [x_key, x] = entry();
-  EXPECT_FALSE(cache->offer(x_key, x));
-  for (int i = 0; i < 8; ++i) {
-    const auto [key, schedule] = entry();
-    EXPECT_FALSE(cache->offer(key, schedule));
+  const auto schedule = schedule_of_size(4);
+  // Ten destinations each: equal key footprints, so equal charges.
+  const auto fresh_key = [&] { return key_of(random_request(topo, 10, rng)); };
+  const std::size_t charge = charged_bytes(fresh_key(), schedule);
+  for (int phase = 0; phase < 2 * kPerBudget + 2; ++phase) {
+    for (const int others : {kPerBudget, 2 * kPerBudget + 1}) {
+      const auto cache = one_shard_cache(kPerBudget * charge);
+      for (int i = 0; i < phase; ++i) {
+        ASSERT_FALSE(cache->offer(fresh_key(), schedule));
+      }
+      const CacheKey x = fresh_key();
+      ASSERT_EQ(charged_bytes(x, schedule), charge);
+      EXPECT_FALSE(cache->offer(x, schedule));
+      for (int i = 0; i < others; ++i) {
+        ASSERT_FALSE(cache->offer(fresh_key(), schedule));
+      }
+      const bool remembered = others == kPerBudget;
+      EXPECT_EQ(cache->offer(x, schedule), remembered)
+          << "phase " << phase << ", others " << others;
+      EXPECT_EQ(cache->stats().entries, remembered ? 1u : 0u);
+      EXPECT_EQ(cache->stats().declined,
+                static_cast<std::uint64_t>(phase + others + 2 - remembered));
+      // Forgotten, the re-offer was a first sighting again.
+      if (!remembered) {
+        EXPECT_TRUE(cache->offer(x, schedule));
+      }
+    }
   }
-  EXPECT_TRUE(cache->offer(x_key, x));
 
-  // Far more first sightings than the shard holds entries (and than the
-  // doorkeeper's floor): the LRU has turned over, the doorkeeper has
-  // reset, and y's next offer counts as a first sighting again.
-  const auto [y_key, y] = entry();
-  EXPECT_FALSE(cache->offer(y_key, y));
-  for (int i = 0; i < 300; ++i) {
-    const auto [key, schedule] = entry();
-    cache->offer(key, schedule);
-  }
-  EXPECT_FALSE(cache->offer(y_key, y));
-  EXPECT_TRUE(cache->offer(y_key, y));
-
-  // clear() forgets every sighting too; the emptied shard has room.
-  const auto [z_key, z] = entry();
-  EXPECT_FALSE(cache->offer(z_key, z));
+  // clear() forgets every sighting too.
+  const auto cache = one_shard_cache(kPerBudget * charge);
+  const CacheKey z = fresh_key();
+  EXPECT_FALSE(cache->offer(z, schedule));
   cache->clear();
-  EXPECT_TRUE(cache->offer(resident_key, resident));
-  EXPECT_FALSE(cache->offer(z_key, z));
+  EXPECT_FALSE(cache->offer(z, schedule));
+  EXPECT_TRUE(cache->offer(z, schedule));
 }
 
 TEST(ScheduleCache, FaultFingerprintSaltSeparatesAbsoluteEntries) {
@@ -310,6 +386,7 @@ TEST(ScheduleCache, FaultFingerprintSaltSeparatesAbsoluteEntries) {
   core::set_salt(under_a, faults_a.fingerprint(kSeed));
   auto under_b = key_of(req, 7, /*absolute=*/true);
   core::set_salt(under_b, faults_b.fingerprint(kSeed));
+  EXPECT_FALSE(cache.offer(under_a, schedule));  // first sighting
   cache.offer(under_a, schedule);
   EXPECT_NE(cache.get(under_a), nullptr);
   EXPECT_EQ(cache.get(under_b), nullptr);
@@ -319,8 +396,10 @@ TEST(ScheduleCache, FaultFingerprintSaltSeparatesAbsoluteEntries) {
   // entries coexist with the salted one.
   const auto absolute = key_of(req, 7, /*absolute=*/true);
   const auto relative = key_of(req, 7, /*absolute=*/false);
-  cache.offer(absolute, schedule);
-  cache.offer(relative, schedule);
+  for (int sighting = 0; sighting < 2; ++sighting) {
+    cache.offer(absolute, schedule);
+    cache.offer(relative, schedule);
+  }
   EXPECT_NE(cache.get(absolute), nullptr);
   EXPECT_NE(cache.get(relative), nullptr);
   EXPECT_NE(cache.get(under_a), nullptr);
@@ -330,9 +409,9 @@ TEST(ScheduleCache, FaultFingerprintSaltSeparatesAbsoluteEntries) {
 // ---- differential test: the flat shard against a reference model ---------
 
 /// One shard as ScheduleCache documents it, built from std::unordered_map
-/// and a std::list LRU, with offer()'s doorkeeper (2^16 bits indexed by
-/// the low hash bits, reset after more first sightings than resident
-/// entries, clamped to [64, 2^14]) and the thread-local L1 (128 slots
+/// and a std::list LRU, with offer()'s ghost (two generations of sighted
+/// key hashes in std::unordered_sets, the older one dropped once the
+/// newer one's sightings pass the budget) and the thread-local L1 (128 slots
 /// indexed by hash bits 8..14, stamped on a shared-tier hit, pinning
 /// their schedule until overwritten). Schedules are named by ids.
 class ReferenceShard {
@@ -377,14 +456,15 @@ class ReferenceShard {
   }
 
   bool admit(const CacheKey& key, std::size_t bytes) {
-    if (stats.bytes + bytes <= budget_) return true;
-    const std::size_t bit = key.hash & 0xffff;
-    if (doorkeeper_[bit]) return true;
-    doorkeeper_[bit] = true;
-    if (++first_sightings_ >
-        std::clamp<std::size_t>(map_.size(), 64, std::size_t{1} << 14)) {
-      doorkeeper_.assign(doorkeeper_.size(), false);
-      first_sightings_ = 0;
+    if (recent_.count(key.hash) != 0 || older_.count(key.hash) != 0) {
+      return true;
+    }
+    recent_.insert(key.hash);
+    recent_bytes_ += bytes;
+    if (recent_bytes_ > budget_) {
+      older_ = std::move(recent_);
+      recent_.clear();
+      recent_bytes_ = 0;
     }
     ++stats.declined;
     return false;
@@ -401,8 +481,9 @@ class ReferenceShard {
     lru_.clear();
     stats.bytes = 0;
     stats.entries = 0;
-    doorkeeper_.assign(doorkeeper_.size(), false);
-    first_sightings_ = 0;
+    recent_.clear();
+    older_.clear();
+    recent_bytes_ = 0;
     ++generation_;
   }
 
@@ -436,16 +517,18 @@ class ReferenceShard {
   std::size_t budget_;
   std::unordered_map<CacheKey, Entry, KeyHash> map_;
   std::list<CacheKey> lru_;
-  std::vector<bool> doorkeeper_ = std::vector<bool>(std::size_t{1} << 16);
-  std::size_t first_sightings_ = 0;
+  std::unordered_set<std::uint64_t> recent_;
+  std::unordered_set<std::uint64_t> older_;
+  std::size_t recent_bytes_ = 0;
   std::uint64_t generation_ = 0;
   std::array<L1, 128> l1_;
 };
 
 /// `count` keys whose hashes collide on purpose: most share one of a few
-/// low 16-bit patterns (so they share home slots, probe runs, L1 slots
-/// and doorkeeper bits), and every seventh key repeats the previous
-/// key's full 64-bit hash with different words.
+/// low 16-bit patterns (so they share home slots and probe runs, in the
+/// shard and in the ghost, and L1 slots), and every seventh key repeats
+/// the previous key's full 64-bit hash with different words (the ghost
+/// takes one for a sighting of the other, by design).
 std::vector<CacheKey> colliding_keys(std::size_t count, workload::Rng& rng) {
   constexpr std::uint64_t kLow[] = {0x0000, 0x0001, 0x0040, 0x0041, 0x1f00};
   std::vector<CacheKey> keys(count);
@@ -462,14 +545,6 @@ std::vector<CacheKey> colliding_keys(std::size_t count, workload::Rng& rng) {
     }
   }
   return keys;
-}
-
-/// A schedule with `sends` sends on the 6-cube.
-std::shared_ptr<const core::MulticastSchedule> schedule_of_size(
-    std::size_t sends) {
-  core::ScheduleBuilder b(Topology(6), 0);
-  for (NodeId u = 1; u <= sends; ++u) b.add_send(u - 1, u, {u, 63});
-  return std::make_shared<const core::MulticastSchedule>(std::move(b).build());
 }
 
 ::testing::AssertionResult same_stats(const ScheduleCache::Stats& got,
@@ -556,11 +631,14 @@ TEST(ServePipeline, CachedEqualsUncachedForAllInvariantAlgorithms) {
       workload::Rng rng(31);
       for (int trial = 0; trial < 25; ++trial) {
         const auto req = random_request(topo, 1 + rng() % 50, rng);
-        // Twice: the first serve materializes, the second must return
-        // the bit-identical cached translation.
+        // A first sighting is built and declined; then twice: the first
+        // serve materializes, the second must return the bit-identical
+        // cached translation.
+        const auto sighting = cached.serve(req);
         const auto first = cached.serve(req);
         const auto second = cached.serve(req);
         const auto direct = uncached.serve(req);
+        ASSERT_TRUE(*sighting == *direct) << name << " trial " << trial;
         ASSERT_TRUE(*first == *direct) << name << " trial " << trial;
         ASSERT_TRUE(*second == *direct) << name << " trial " << trial;
       }
@@ -591,7 +669,9 @@ TEST(ServePipeline, FaultAwareServesCachedRepairsPerFaultSet) {
   auto cache = std::make_shared<ScheduleCache>();
   const ServePipeline pipeline("wsort", cache, faults);
   const core::MulticastRequest req{topo, 0, {1, 2, 3, 42}};
+  const auto sighting = pipeline.serve(req);  // built, and declined
   const auto first = pipeline.serve(req);
+  EXPECT_TRUE(*sighting == *first);
   const auto second = pipeline.serve(req);
   EXPECT_EQ(first, second);  // pointer-shared cache hit
   EXPECT_EQ(cache->stats().total_hits(), 1u);
@@ -733,19 +813,22 @@ TEST(ServePipeline, ScanOfFreshRequestsLeavesAFullCachesHotPoolResident) {
     for (int i = 0; i < 8; ++i) pool.push_back(random_request(topo, 16, rng));
 
     // Size the budget to exactly the pool's entries, so the pool fills
-    // the cache.
+    // the cache (each entry on its second sighting).
     const auto sizing = one_shard_cache(std::size_t{64} << 20);
-    for (const auto& req : pool) {
-      ServePipeline("wsort", sizing, faults).serve(req);
+    for (int sighting = 0; sighting < 2; ++sighting) {
+      for (const auto& req : pool) {
+        ServePipeline("wsort", sizing, faults).serve(req);
+      }
     }
     const auto cache = one_shard_cache(sizing->stats().bytes);
     const ServePipeline pipeline("wsort", cache, faults);
-    for (const auto& req : pool) pipeline.serve(req);
+    for (int sighting = 0; sighting < 2; ++sighting) {
+      for (const auto& req : pool) pipeline.serve(req);
+    }
     ASSERT_EQ(cache->stats().bytes, sizing->stats().bytes);
 
     // A scan of sets that never repeat: every insert is a first sighting
-    // at budget. It is kept shorter than the doorkeeper's 2^16 bits by
-    // far, because two keys sharing a bit count as a repeat by design.
+    // at budget.
     const ServePipeline uncached("wsort", nullptr, faults);
     constexpr int kScan = 40;
     for (int i = 0; i < kScan; ++i) {
@@ -783,16 +866,6 @@ core::MulticastSchedule direct_build(const std::string& name,
   return out;
 }
 
-/// `req` moved to a new source: the same destinations relative to it.
-core::MulticastRequest moved_to(const core::MulticastRequest& req,
-                                NodeId source) {
-  core::MulticastRequest out{req.topo, source, {}};
-  for (const NodeId d : req.destinations) {
-    out.destinations.push_back(d ^ req.source ^ source);
-  }
-  return out;
-}
-
 TEST(ServePipeline, ColdMissBuildsTheRelativeTreeOnceAtSourceZero) {
   const std::uint8_t ids[] = {core::kAlgoUcube, core::kAlgoMaxport,
                               core::kAlgoCombine, core::kAlgoWsort};
@@ -809,11 +882,16 @@ TEST(ServePipeline, ColdMissBuildsTheRelativeTreeOnceAtSourceZero) {
       // At budget: a pool fills the cache exactly, so a fresh request's
       // relative entry is a first sighting; serve() and a view both
       // offer only that entry (the translation is never cached).
+      // Each pool entry is admitted on its second sighting.
       const auto sizing = one_shard_cache(std::size_t{64} << 20);
-      for (const auto& req : pool) ServePipeline(name, sizing).serve(req);
+      for (int sighting = 0; sighting < 2; ++sighting) {
+        for (const auto& req : pool) ServePipeline(name, sizing).serve(req);
+      }
       const auto full = one_shard_cache(sizing->stats().bytes);
       const ServePipeline at_budget(name, full);
-      for (const auto& req : pool) at_budget.serve(req);
+      for (int sighting = 0; sighting < 2; ++sighting) {
+        for (const auto& req : pool) at_budget.serve(req);
+      }
       ASSERT_EQ(full->stats().bytes, sizing->stats().bytes) << name;
       for (int i = 0; i < 5; ++i) {
         const auto req = moved_to(random_request(topo, 12, rng), 1 + i);
@@ -833,10 +911,13 @@ TEST(ServePipeline, ColdMissBuildsTheRelativeTreeOnceAtSourceZero) {
       }
 
       // With room: the relative entry is the tree built at source 0, and
-      // another translation of the same shape is served from it.
+      // another translation of the same shape is served from it. The
+      // first sighting is built and declined.
       const auto roomy = std::make_shared<ScheduleCache>();
       const ServePipeline pipeline(name, roomy);
       const auto req = moved_to(pool[0], 5);
+      ASSERT_TRUE(*pipeline.serve(req) == direct_build(name, req)) << name;
+      EXPECT_EQ(roomy->stats().entries, 0u) << name;
       const auto served = pipeline.serve(req);
       ASSERT_TRUE(*served == direct_build(name, req)) << name;
       EXPECT_EQ(roomy->stats().entries, 1u) << name;
@@ -1137,6 +1218,63 @@ TEST(ScheduleCacheConcurrency, RacingSightingsAtBudgetStayBitIdentical) {
   EXPECT_GT(stats.declined, 0u);
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GT(stats.total_hits(), 0u);
+  EXPECT_LE(stats.bytes, config.max_bytes);
+}
+
+// Four threads offer and probe overlapping keys on a two-shard cache
+// whose budget holds a handful of entries, so each shard's ghost flips
+// generations every few sightings while other threads probe and insert.
+// Every hit must equal the uncached build.
+TEST(ScheduleCache, ConcurrentOffersAcrossGhostFlips) {
+  const Topology topo(6, Resolution::HighToLow);
+  workload::Rng rng(53);
+  std::vector<core::MulticastRequest> requests;
+  std::vector<CacheKey> keys;
+  std::vector<core::MulticastSchedule> reference;
+  std::size_t charge = 0;  // the largest entry's
+  for (int i = 0; i < 64; ++i) {
+    requests.push_back(moved_to(random_request(topo, 1 + rng() % 40, rng), 0));
+    keys.push_back(key_of(requests.back()));
+    reference.push_back(direct_build("wsort", requests.back()));
+    const auto tree =
+        std::make_shared<core::MulticastSchedule>(reference.back());
+    charge = std::max(charge, charged_bytes(keys.back(), tree));
+  }
+  ScheduleCache::Config config;
+  config.shards = 2;
+  config.max_bytes = 8 * charge;
+  ScheduleCache cache(config);
+
+  constexpr int kThreads = 4;
+  constexpr int kItersPerThread = 3000;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      workload::Rng local(3000 + t);
+      // Thread t draws from keys [16t, 16t + 32): each key is shared by
+      // two threads.
+      for (int i = 0; i < kItersPerThread; ++i) {
+        const std::size_t pick = (16 * t + local() % 32) % keys.size();
+        const auto hit = cache.get(keys[pick]);
+        if (hit != nullptr) {
+          if (!(*hit == reference[pick])) mismatches.fetch_add(1);
+          continue;
+        }
+        cache.offer(keys[pick], std::make_shared<core::MulticastSchedule>(
+                                    direct_build("wsort", requests[pick])));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  const auto stats = cache.stats();
+  EXPECT_GT(stats.total_hits(), 0u);
+  // More declines than keys: sightings were forgotten as generations
+  // flipped, and the keys were sighted afresh.
+  EXPECT_GT(stats.declined, keys.size());
+  EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.bytes, config.max_bytes);
 }
 

@@ -276,6 +276,8 @@ TEST(StripedPlanTest, CachedPlansAreBitIdenticalAndHit) {
   const StripedPlanner cached({}, cache);
   const StripedPlanner uncached;
 
+  // A first sighting of each tree is built and declined.
+  const StripedPlan sighting = cached.plan(request, 1 << 20);
   const StripedPlan a = cached.plan(request, 1 << 20);
   const auto stats_cold = cache->stats();
   EXPECT_EQ(stats_cold.total_hits(), 0u);
@@ -283,7 +285,9 @@ TEST(StripedPlanTest, CachedPlansAreBitIdenticalAndHit) {
 
   const StripedPlan b = uncached.plan(request, 1 << 20);
   ASSERT_EQ(a.trees.size(), b.trees.size());
+  ASSERT_EQ(sighting.trees.size(), b.trees.size());
   for (std::size_t t = 0; t < a.trees.size(); ++t) {
+    EXPECT_TRUE(*sighting.trees[t] == *b.trees[t]) << "tree " << t;
     EXPECT_TRUE(*a.trees[t] == *b.trees[t]) << "tree " << t;
   }
 
@@ -601,8 +605,14 @@ TEST(StripedFaults, DegradedRepairsAreKeyedByFaultSet) {
   fault::FaultSet faults(topo);
   faults.fail_link(0b0101, 1);
 
+  // A first sighting of each tree and repair is built and declined.
+  const StripedPlan sighting = planner.plan(request, 1 << 20, faults);
   const StripedPlan first = planner.plan(request, 1 << 20, faults);
   ASSERT_GE(first.repaired_disjoint, 1u);
+  ASSERT_EQ(sighting.repaired_trees, first.repaired_trees);
+  for (std::size_t t = 0; t < first.trees.size(); ++t) {
+    EXPECT_TRUE(*first.trees[t] == *sighting.trees[t]) << "tree " << t;
+  }
   const auto warm_misses = cache->stats().misses;
 
   // Same faults: the certified repairs come from the cache (only the
@@ -614,8 +624,10 @@ TEST(StripedFaults, DegradedRepairsAreKeyedByFaultSet) {
     EXPECT_TRUE(*first.trees[t] == *replay.trees[t]) << "tree " << t;
   }
 
-  // A cleared cache rebuilds (misses grow) the same bits.
+  // A cleared cache rebuilds (misses grow) the same bits, and a second
+  // plan caches them again.
   cache->clear();
+  (void)planner.plan(request, 1 << 20, faults);
   const StripedPlan rebuilt = planner.plan(request, 1 << 20, faults);
   EXPECT_GT(cache->stats().misses, warm_misses);
   ASSERT_EQ(rebuilt.repaired_trees, first.repaired_trees);
@@ -652,7 +664,11 @@ TEST(StripedFaults, FallbackSingleTreeRepairsAndCaches) {
   ASSERT_GT(fault::blocked_unicasts(*tree, *blocking), 0u);
   auto cache = std::make_shared<ScheduleCache>();
   const ServePipeline faulted("wsort", cache, blocking);
+  // A first sighting of the repair is built and declined.
+  const StripedPlan sighting = faulted.serve_striped(request, small, options);
   const StripedPlan plan = faulted.serve_striped(request, small, options);
+  ASSERT_EQ(sighting.trees.size(), 1u);
+  EXPECT_EQ(sighting.repaired_trees, 1u);
   EXPECT_FALSE(plan.striped);
   EXPECT_EQ(plan.repaired_trees, 1u);
   EXPECT_EQ(plan.repaired_greedy, 1u) << "the fallback repair is greedy";
@@ -662,6 +678,7 @@ TEST(StripedFaults, FallbackSingleTreeRepairsAndCaches) {
   EXPECT_TRUE(*plan.trees[0] ==
               fault::repair_schedule(*tree, request.destinations, *blocking)
                   .schedule);
+  EXPECT_TRUE(*sighting.trees[0] == *plan.trees[0]);
   const auto misses = cache->stats().misses;
   const StripedPlan again = faulted.serve_striped(request, small, options);
   EXPECT_EQ(cache->stats().misses, misses) << "second call is a cache hit";
@@ -765,10 +782,10 @@ bool same_plan(const StripedPlan& a, const StripedPlan& b) {
   return true;
 }
 
-// Once a budget-limited cache is full, certified repairs under fresh
-// fault sets are offered and declined instead of evicting: the relative
-// IST trees stay resident, so every probe hits or misses exactly as it
-// does in a roomy cache.
+// Certified repairs under fresh fault sets are offered and declined
+// instead of evicting, in a budget-limited cache as in a roomy one: the
+// relative IST trees stay resident, so every probe hits or misses, and
+// every offer is declined, exactly as in a roomy cache.
 TEST(StripedFaults, FreshFaultRepairsAtBudgetAreDeclinedNotEvicting) {
   ScheduleCache::Config small;
   small.shards = 1;
@@ -790,14 +807,46 @@ TEST(StripedFaults, FreshFaultRepairsAtBudgetAreDeclinedNotEvicting) {
   }
   const auto after = tight.cache->stats();
   const auto reference = roomy.cache->stats();
-  EXPECT_GT(warm.declined, 0u) << "the cache is full after the warm-up";
+  EXPECT_GT(warm.declined, 0u) << "first sightings in the warm-up";
   EXPECT_GT(offered, 0u);
   EXPECT_EQ(after.evictions, warm.evictions);
   EXPECT_EQ(after.declined - warm.declined, offered);
   EXPECT_EQ(after.misses, reference.misses);
   EXPECT_EQ(after.total_hits(), reference.total_hits());
   EXPECT_EQ(reference.evictions, 0u);
-  EXPECT_EQ(reference.declined, 0u);
+  EXPECT_EQ(after.declined, reference.declined);
+  EXPECT_EQ(after.entries, reference.entries);
+  EXPECT_EQ(after.bytes, reference.bytes);
+}
+
+// At the default budget, draws under fresh fault sets leave the cache
+// flat: once the warm-up has admitted the relative IST trees, every
+// certified repair is a first sighting and is declined, so neither
+// entries nor bytes grow, and every plan equals the uncached plan.
+TEST(StripedFaults, FreshFaultDrawsLeaveTheCacheFlatAtTheDefaultBudget) {
+  const PlannerPair cached(std::make_shared<ScheduleCache>());
+  const PlannerPair uncached(nullptr);
+  constexpr std::uint64_t kWarmup = 8;
+  constexpr std::uint64_t kDraws = 200;
+  for (std::uint64_t i = 0; i < kWarmup; ++i) {
+    const FaultDraw d = fault_draw(i);
+    ASSERT_TRUE(same_plan(cached.plan(d), uncached.plan(d))) << "draw " << i;
+  }
+  const auto warm = cached.cache->stats();
+  std::uint64_t offered = 0;
+  for (std::uint64_t i = kWarmup; i < kWarmup + kDraws; ++i) {
+    const FaultDraw d = fault_draw(i);
+    const StripedPlan plan = cached.plan(d);
+    ASSERT_TRUE(same_plan(plan, uncached.plan(d))) << "draw " << i;
+    offered += plan.repaired_disjoint;
+  }
+  const auto after = cached.cache->stats();
+  EXPECT_GT(offered, 0u);
+  EXPECT_GT(warm.entries, 0u);
+  EXPECT_EQ(after.entries, warm.entries);
+  EXPECT_EQ(after.bytes, warm.bytes);
+  EXPECT_EQ(after.evictions, 0u);
+  EXPECT_EQ(after.declined - warm.declined, offered);
 }
 
 // Four threads plan the same faulted draws, each in its own order and
