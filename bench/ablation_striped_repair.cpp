@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -152,17 +153,21 @@ void run(const bench::Context& ctx, bench::Report& report) {
               planned > 0.0 ? delivered / planned : 0.0, planned);
 
   // Part 3 — degraded planning throughput (wall clock, gated): the full
-  // ladder on a fixed single-fault 8-cube draw, uncached, verification
-  // off (the hot-path configuration for large cubes).
+  // ladder on a fixed single-fault 8-cube draw, uncached (the planner's
+  // cache is cleared before every plan, so each builds its trees and
+  // repairs), verification off (the hot-path configuration for large
+  // cubes).
   const hcube::Topology topo8(8);
   const core::MulticastRequest request8{topo8, 0, broadcast_dests(topo8)};
   coll::StripeOptions hot;
   hot.parity_stripes = 1;
   hot.verify = coll::StripeOptions::Verify::kOff;
-  const coll::StripedPlanner hot_planner(hot);
+  const auto hot_cache = std::make_shared<coll::ScheduleCache>();
+  const coll::StripedPlanner hot_planner(hot, hot_cache);
   workload::Rng rng8(ctx.seed);
   const fault::FaultSet faults8 = random_link_faults(topo8, 1, rng8);
   const auto plan_rate = bench::measure_rate(ctx.min_time(0.5), [&] {
+    hot_cache->clear();
     const coll::StripedPlan plan =
         hot_planner.plan(request8, kPayload, faults8);
     if (plan.trees.size() != 8) std::abort();

@@ -14,9 +14,6 @@
 //   bench_runner --quick                  shrunken sweeps (CI smoke)
 //   bench_runner --out <dir>              artifact directory
 //   bench_runner --seed <n>               experiment seed for the sweeps
-//   bench_runner --cache on|off           schedule-cache mode for
-//                                         cache-sensitive benchmarks;
-//                                         "on" suffixes artifacts _cached
 //   bench_runner --cache-shards <n>       lock stripes (0 = auto)
 //   bench_runner --cache-bytes <b>        cache byte budget (0 = default)
 //   bench_runner --stats                  collect obs counters/histograms
@@ -48,8 +45,7 @@ int main(int argc, char** argv) {
     run.seed = static_cast<std::uint64_t>(
         options.get_int_or("seed", 0x5C93C0DE));
     run.out_dir = options.get_or("out", "results");
-    const auto cache = options.cache(/*default_enabled=*/false);
-    run.cache = cache.enabled;
+    const auto cache = options.cache();
     run.cache_shards = cache.shards;
     run.cache_bytes = cache.max_bytes;
     run.stats = options.has("stats");

@@ -1,15 +1,15 @@
-// Microbenchmark: schedule-serving throughput with and without the
-// translation-invariant ScheduleCache. The workload is the cache's
-// design target — a request stream cycling a few destination-chain
-// shapes, each XOR-translated to a pseudorandom source — so in steady
-// state nearly every serve is a cache hit that costs one key
-// canonicalization instead of a tree construction. Measures both modes
-// regardless of --cache (the flag only picks which artifact the run
-// gates against) and verifies cached output is bit-identical to direct
-// construction before timing anything. Two rows per schedule shape
-// time the stages around a hit that scale with the schedule:
-// materializing a cached relative schedule at a new source (translate)
-// and writing the Ok response (encode), for sparse serving shapes and
+// Microbenchmark: schedule-serving throughput through the
+// translation-invariant ScheduleCache against direct construction by
+// the core algorithm. The workload is the cache's design target — a
+// request stream cycling a few destination-chain shapes, each
+// XOR-translated to a pseudorandom source — so in steady state nearly
+// every serve is a cache hit that costs one key canonicalization
+// instead of a tree construction. Verifies cached output is
+// bit-identical to the core algorithm's build before timing anything.
+// Two rows per schedule shape time the stages around a hit that scale
+// with the schedule: materializing a cached relative schedule at a new
+// source (translate) and writing the Ok response (encode), for sparse
+// serving shapes and
 // for the dense IST broadcast trees striped serving translates. A
 // cold-miss row serves fresh random sets into a full cache through the
 // server's serve_view(), and two hit rows serve resident shapes at
@@ -322,7 +322,7 @@ void run(const bench::Context& ctx, bench::Report& report) {
     workload::Rng rng(workload::derive_seed(2027, m, 0));
     const auto stream = translated_stream(topo, shapes, m, requests, rng);
 
-    const coll::ServePipeline uncached(name, nullptr);
+    const core::AlgorithmEntry& direct = core::find_algorithm(name);
     const auto cache =
         std::make_shared<coll::ScheduleCache>(cache_config(ctx));
     const coll::ServePipeline cached(name, cache);
@@ -330,7 +330,7 @@ void run(const bench::Context& ctx, bench::Report& report) {
     // Correctness gate: cached output must be bit-identical to direct
     // construction for every request (this pass also warms the cache).
     for (const auto& req : stream) {
-      if (!(*cached.serve(req) == *uncached.serve(req))) {
+      if (!(*cached.serve(req) == direct.build(req))) {
         throw std::runtime_error(std::string(name) +
                                  ": cached schedule differs from uncached");
       }
@@ -341,7 +341,7 @@ void run(const bench::Context& ctx, bench::Report& report) {
     const auto [cold, warm] = best_rates_interleaved(
         ctx.min_time(0.15),
         [&] {
-          (void)uncached.serve(stream[ci]);
+          (void)direct.build(stream[ci]);
           ci = (ci + 1) % stream.size();
         },
         [&] {

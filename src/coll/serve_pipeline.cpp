@@ -130,7 +130,8 @@ ServePipeline::ServePipeline(std::string algorithm,
                              std::shared_ptr<ScheduleCache> cache,
                              std::shared_ptr<const fault::FaultSet> faults)
     : algorithm_(std::move(algorithm)),
-      cache_(std::move(cache)),
+      cache_(cache != nullptr ? std::move(cache)
+                              : std::make_shared<ScheduleCache>()),
       faults_(std::move(faults)) {
   if (algorithm_ == "ucube") {
     kind_ = Kind::Chain;
@@ -154,8 +155,7 @@ ServePipeline::ServePipeline(std::string algorithm,
     entry_ = &core::find_algorithm(algorithm_);
   }
   if (faults_ != nullptr) {
-    fault_salt_ =
-        faults_->fingerprint(cache_ ? cache_->config().hash_seed : 0);
+    fault_salt_ = faults_->fingerprint(cache_->config().hash_seed);
   }
 }
 
@@ -190,8 +190,7 @@ ServePipeline::View ServePipeline::serve_tree(
   StageTimer timer(tls);
   const ServeMetrics& metrics = serve_metrics();
   if (!cacheable()) {
-    // Direct builds are the uncached slow path (several microseconds):
-    // build_ns times every one.
+    // Pass-through builds (several microseconds): build_ns times each.
     return {timed(metrics.build_ns, [&] { return build_tree(request); }), 0};
   }
   first_key(request, /*repaired=*/false, tls.key);
@@ -211,21 +210,15 @@ ServePipeline::View ServePipeline::serve_tree(
 }
 
 ServePipeline::View ServePipeline::serve_ist(
-    ScheduleCache* cache, const core::MulticastRequest& request,
+    ScheduleCache& cache, const core::MulticastRequest& request,
     hcube::Dim tree) {
-  if (cache == nullptr) {
-    return {std::make_shared<const core::MulticastSchedule>(
-                core::build_ist_tree(request.topo, tree, request.source,
-                                     request.destinations)),
-            0};
-  }
   ServeTls& tls = serve_tls();
   core::canonical_key_into(request.topo, request.source, request.destinations,
                            static_cast<std::uint8_t>(core::kAlgoIst + tree),
-                           /*absolute=*/false, cache->config().hash_seed,
+                           /*absolute=*/false, cache.config().hash_seed,
                            tls.key);
   return {get_or_offer(
-              *cache, tls.key,
+              cache, tls.key,
               [&] {
                 core::chain_from_keys(request.topo, 0, tls.key.words,
                                       tls.chain);
@@ -330,9 +323,8 @@ void ServePipeline::serve_each(
     return;
   }
 
-  // Owner of request i: with a cache, its key's shard (so no two workers
-  // ever touch the same stripe — hits resolve without lock contention);
-  // without one, a contiguous chunk.
+  // Owner of request i: its key's shard, so no two workers ever touch
+  // the same stripe — hits resolve without lock contention.
   std::vector<std::uint32_t> owner(n, 0);
   std::mutex error_mu;
   std::exception_ptr error;
@@ -355,25 +347,18 @@ void ServePipeline::serve_each(
     if (error) std::rethrow_exception(error);
   };
 
-  if (cacheable()) {
-    // Phase 1: canonicalize in parallel chunks to discover each
-    // request's shard (the keys are recomputed thread-locally during
-    // serving; what matters here is only the partition). Partition by
-    // the one identity a serve probes and inserts: the relative key, or
-    // the salted absolute one of a repair.
-    parallel_over([&](std::size_t w) {
-      core::CacheKey key;
-      for (std::size_t i = w; i < n; i += workers) {
-        first_key(requests[i], faults_ != nullptr, key);
-        owner[i] = static_cast<std::uint32_t>(cache_->shard_of(key) %
-                                              workers);
-      }
-    });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      owner[i] = static_cast<std::uint32_t>(i % workers);
+  // Phase 1: canonicalize in parallel chunks to discover each request's
+  // shard (the keys are recomputed thread-locally during serving; what
+  // matters here is only the partition). Partition by the one identity a
+  // serve probes and inserts: the relative key, or the salted absolute
+  // one of a repair.
+  parallel_over([&](std::size_t w) {
+    core::CacheKey key;
+    for (std::size_t i = w; i < n; i += workers) {
+      first_key(requests[i], faults_ != nullptr, key);
+      owner[i] = static_cast<std::uint32_t>(cache_->shard_of(key) % workers);
     }
-  }
+  });
 
   // Phase 2: every worker serves exactly its shard group, writing
   // disjoint result slots.

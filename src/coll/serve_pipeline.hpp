@@ -16,9 +16,9 @@
 namespace hypercast::coll {
 
 /// The concurrent schedule-serving front end: turns MulticastRequests
-/// into finalized, immutably shared MulticastSchedules, consulting a
-/// ScheduleCache when one is attached. A pipeline is immutable after
-/// construction, so any number of threads may serve through it.
+/// into finalized, immutably shared MulticastSchedules through a
+/// ScheduleCache. A pipeline is immutable after construction, so any
+/// number of threads may serve through it.
 ///
 /// Serving strategy by algorithm:
 ///  * ucube / maxport / combine / wsort — translation-invariant (the
@@ -31,10 +31,10 @@ namespace hypercast::coll {
 ///    striped plan (serve_ist) take the same path under their per-tree
 ///    ids. Every entry, repairs included, goes through
 ///    ScheduleCache::offer(), so a tree is kept only when its key
-///    repeats.
-///  * the same four under a fault set — the tree is built as above and
-///    repaired with fault::repair_schedule, the greedy entry point of
-///    the repair engine (byte-identical to
+///    repeats, and traffic that never repeats leaves the cache empty.
+///  * the same four under a fault set — the tree is built directly at
+///    the source and repaired with fault::repair_schedule, the greedy
+///    entry point of the repair engine (byte-identical to
 ///    fault::fault_aware_multicast; striped plans take the certified
 ///    one, see serve_striped). Repairs depend on absolute fault
 ///    positions, so they cache under absolute keys salted with the
@@ -47,18 +47,17 @@ namespace hypercast::coll {
 ///
 /// Misses build through a thread-local core::TreeBuilder, so a pipeline
 /// shared by many worker threads stays allocation-free in steady state
-/// and bit-identical to uncached construction at any thread count.
+/// and bit-identical to the core algorithms at any thread count.
 class ServePipeline {
  public:
-  /// `cache` may be nullptr: the pipeline then serves every request by
-  /// direct construction (the --cache=off mode everywhere). With a
-  /// non-null `faults`, every served tree is repaired against it.
+  /// A null `cache` gets a private default ScheduleCache, so cache() is
+  /// never null. With a non-null `faults`, every served tree is repaired
+  /// against it.
   ServePipeline(std::string algorithm, std::shared_ptr<ScheduleCache> cache,
                 std::shared_ptr<const fault::FaultSet> faults = nullptr);
 
   const std::string& algorithm() const { return algorithm_; }
   const std::shared_ptr<ScheduleCache>& cache() const { return cache_; }
-  bool cached() const { return cache_ != nullptr; }
   const std::shared_ptr<const fault::FaultSet>& faults() const {
     return faults_;
   }
@@ -77,8 +76,8 @@ class ServePipeline {
   };
 
   /// Serve one request as a view: the cached relative tree and mask =
-  /// request.source when cacheable and fault-free, else serve()'s tree
-  /// and mask 0. Encoded, it is byte-identical to serve()'s schedule.
+  /// request.source when fault-free and not pass-through, else serve()'s
+  /// tree and mask 0. Encoded, it is byte-identical to serve()'s schedule.
   View serve_view(const core::MulticastRequest& request) const;
 
   /// The absolute tree a view denotes: a fresh translated copy, or the
@@ -86,13 +85,12 @@ class ServePipeline {
   static std::shared_ptr<const core::MulticastSchedule> materialize(
       const View& view);
 
-  /// Tree `tree` of the request's IST family (core/ist.hpp) as a view.
-  /// With a cache it is the relative tree cached under
-  /// core::kAlgoIst + tree, reached like serve_view's (probe, build at
-  /// source 0 on a miss, offer) and placed at mask = request.source;
-  /// without one, the tree built at the source, mask 0. StripedPlanner
-  /// serves every stripe tree this way.
-  static View serve_ist(ScheduleCache* cache,
+  /// Tree `tree` of the request's IST family (core/ist.hpp) as a view:
+  /// the relative tree cached under core::kAlgoIst + tree, reached like
+  /// serve_view's (probe, build at source 0 on a miss, offer) and placed
+  /// at mask = request.source. StripedPlanner serves every stripe tree
+  /// this way.
+  static View serve_ist(ScheduleCache& cache,
                         const core::MulticastRequest& request,
                         hcube::Dim tree);
 
@@ -121,11 +119,10 @@ class ServePipeline {
   /// Serve a batch, results in request order. With `policy.threads` > 1
   /// the batch is partitioned by cache shard — every shard's requests
   /// are handled by exactly one worker, so workers never contend on a
-  /// stripe and hits resolve lock-free (uncached pipelines fall back to
-  /// contiguous chunks). Without a deadline, output is bit-identical to
-  /// serving the batch sequentially, at any thread count; with one,
-  /// served slots are still bit-identical but trailing requests may be
-  /// shed (nullptr).
+  /// stripe and hits resolve lock-free. Without a deadline, output is
+  /// bit-identical to serving the batch sequentially, at any thread
+  /// count; with one, served slots are still bit-identical but trailing
+  /// requests may be shed (nullptr).
   std::vector<std::shared_ptr<const core::MulticastSchedule>> serve_batch(
       std::span<const core::MulticastRequest> requests,
       const BatchPolicy& policy) const;
@@ -179,7 +176,8 @@ class ServePipeline {
     Entry,   ///< registry entry; served pass-through
   };
 
-  bool cacheable() const { return cache_ != nullptr && kind_ != Kind::Entry; }
+  /// Every algorithm but the order-dependent pass-through ones caches.
+  bool cacheable() const { return kind_ != Kind::Entry; }
 
   /// The fault-free tree: the relative one when cacheable, else built;
   /// unless a `view`, a nonzero source is materialized (mask 0).
@@ -201,7 +199,10 @@ class ServePipeline {
   void serve_each(std::span<const core::MulticastRequest> requests,
                   const BatchPolicy& policy, ServeSlot&& serve_slot) const;
 
-  /// Build the fault-free tree for the request directly, finalized.
+  /// Build the fault-free tree for the request directly at its source,
+  /// finalized: a pass-through algorithm's tree, or the base tree of a
+  /// greedy repair (a repair caches under its absolute key, so its base
+  /// is never looked up relative).
   std::shared_ptr<core::MulticastSchedule> build_tree(
       const core::MulticastRequest& request) const;
 

@@ -108,7 +108,9 @@ std::vector<std::uint8_t> reassemble_stripes(
 
 StripedPlanner::StripedPlanner(StripeOptions options,
                                std::shared_ptr<ScheduleCache> cache)
-    : options_(options), cache_(std::move(cache)) {}
+    : options_(options),
+      cache_(cache != nullptr ? std::move(cache)
+                              : std::make_shared<ScheduleCache>()) {}
 
 std::size_t StripedPlanner::effective_parity(hcube::Dim dim) const {
   if (dim < 2) return 0;
@@ -148,7 +150,7 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
   plan.trees.reserve(n);
   for (hcube::Dim t = 0; t < n; ++t) {
     plan.trees.push_back(ServePipeline::materialize(
-        ServePipeline::serve_ist(cache_.get(), request, t)));
+        ServePipeline::serve_ist(*cache_, request, t)));
   }
   bump("striped.plans");
   return plan;
@@ -209,8 +211,7 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
     // fold them all in.
     std::uint64_t drop_mask = 0;
     for (const int d : out.dropped_trees) drop_mask |= std::uint64_t{1} << d;
-    std::uint64_t salt =
-        faults.fingerprint(cache_ ? cache_->config().hash_seed : 0);
+    std::uint64_t salt = faults.fingerprint(cache_->config().hash_seed);
     salt ^= ((std::uint64_t{out.parity_stripes} << 32) | drop_mask) *
             0x9e3779b97f4a7c15ull;
 
@@ -228,14 +229,12 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
     for (const int t : to_repair) {
       // Canonicalized once per damaged tree: the probe below and, on a
       // disjoint repair, the offer share the key.
-      if (cache_ != nullptr) {
-        core::canonical_key_into(
-            request.topo, request.source, request.destinations,
-            static_cast<std::uint8_t>(core::kAlgoIstRepaired + t),
-            /*absolute=*/true, cache_->config().hash_seed, key);
-        core::set_salt(key, salt);
-      }
-      if (auto hit = cache_ ? cache_->get(key) : nullptr) {
+      core::canonical_key_into(
+          request.topo, request.source, request.destinations,
+          static_cast<std::uint8_t>(core::kAlgoIstRepaired + t),
+          /*absolute=*/true, cache_->config().hash_seed, key);
+      core::set_salt(key, salt);
+      if (auto hit = cache_->get(key)) {
         // Only certified disjoint repairs are ever cached, so a hit
         // re-claims its footprint and keeps the certificate.
         out.trees[static_cast<std::size_t>(t)] = hit;
@@ -253,7 +252,7 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
         out.trees[static_cast<std::size_t>(t)] = fixed;
         ++out.repaired_disjoint;
         bump("striped.repair_disjoint");
-        if (cache_ != nullptr) cache_->offer(key, fixed);
+        cache_->offer(key, fixed);
         continue;
       }
       // Tier 3 — greedy detours: delivery at the price of

@@ -117,12 +117,12 @@ std::vector<std::uint8_t> reassemble_stripes(
     std::size_t data_stripes, std::size_t payload_bytes,
     std::span<const std::size_t> missing = {});
 
-/// Plans striped collectives, consulting a ScheduleCache when attached.
-/// Each tree is ServePipeline::serve_ist's: IST construction is
-/// translation-invariant, so the relative tree caches once per shape
-/// under its per-tree algorithm id, through the pipeline's own probe,
-/// build and offer, and every plan materializes an uncached XOR
-/// translation of it. Degraded-mode certified repairs are offered under
+/// Plans striped collectives through a ScheduleCache (a null `cache`
+/// gets a private default one). Each tree is ServePipeline::serve_ist's:
+/// IST construction is translation-invariant, so the relative tree
+/// caches once per shape under its per-tree algorithm id, through the
+/// pipeline's own probe, build and offer, and every plan materializes an
+/// uncached XOR translation of it. Degraded-mode certified repairs are offered under
 /// *absolute* keys salted with the fault fingerprint + parity config +
 /// drop decisions, so plans for different fault sets share one cache
 /// without ever aliasing, and a repair under a never-repeating fault set

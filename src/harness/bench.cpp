@@ -213,10 +213,6 @@ bool matches(const Benchmark& benchmark, const std::string& filter) {
   return filter == kind_name(benchmark.kind);
 }
 
-std::string artifact_name(const Benchmark& benchmark, const RunOptions& opts) {
-  return opts.cache ? benchmark.name + "_cached" : benchmark.name;
-}
-
 std::string benchmark_json(const Benchmark& benchmark, const RunOptions& opts,
                            const Report& report,
                            const std::vector<double>& wall_seconds,
@@ -224,7 +220,7 @@ std::string benchmark_json(const Benchmark& benchmark, const RunOptions& opts,
   metrics::JsonWriter w;
   w.begin_object();
   w.key("schema").value("hypercast-bench-v1");
-  w.key("name").value(artifact_name(benchmark, opts));
+  w.key("name").value(benchmark.name);
   w.key("kind").value(kind_name(benchmark.kind));
   w.key("description").value(benchmark.description);
   w.key("config").begin_object();
@@ -232,7 +228,6 @@ std::string benchmark_json(const Benchmark& benchmark, const RunOptions& opts,
   w.key("threads").value(static_cast<std::int64_t>(opts.threads));
   w.key("repeat").value(static_cast<std::int64_t>(opts.repeat));
   w.key("seed").value(static_cast<std::uint64_t>(opts.seed));
-  w.key("cache").value(opts.cache);
   w.end_object();
   w.key("wall_seconds").begin_array();
   for (const double s : wall_seconds) w.value(s);
@@ -274,7 +269,6 @@ std::vector<RunRecord> run_benchmarks(const RunOptions& opts) {
   ctx.quick = opts.quick;
   ctx.threads = opts.threads;
   ctx.seed = opts.seed;
-  ctx.cache = opts.cache;
   ctx.cache_shards = opts.cache_shards;
   ctx.cache_bytes = opts.cache_bytes;
 
@@ -299,7 +293,7 @@ std::vector<RunRecord> run_benchmarks(const RunOptions& opts) {
       std::fflush(stdout);
     }
     RunRecord record;
-    record.name = artifact_name(*b, opts);
+    record.name = b->name;
     std::vector<Report> runs(static_cast<std::size_t>(opts.repeat));
     // Each artifact's stats block covers exactly its own benchmark.
     if (opts.stats) obs::default_registry().reset();

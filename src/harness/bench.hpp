@@ -35,10 +35,8 @@ struct Context {
   int threads = 1;     ///< worker threads for parallel sweeps
   std::uint64_t seed = 0x5C93C0DE;  ///< experiment seed (sweep instances)
 
-  /// Schedule-cache mode for cache-sensitive benchmarks (--cache flags).
-  /// Benchmarks that exist to compare cached vs uncached measure both
-  /// regardless; collective-level benchmarks honour `cache` directly.
-  bool cache = false;
+  /// Schedule-cache sizing for the benchmarks that build their own
+  /// caches (--cache-shards, --cache-bytes).
   std::size_t cache_shards = 0;     ///< 0 = auto
   std::size_t cache_bytes = 0;      ///< 0 = library default
 
@@ -116,11 +114,7 @@ struct RunOptions {
   std::string out_dir = ".";  ///< BENCH_<name>.json directory; "" disables
   bool verbose = true;        ///< per-benchmark progress on stdout
 
-  /// Schedule-cache mode. When `cache` is on, artifacts are emitted as
-  /// BENCH_<name>_cached.json (with "name": "<name>_cached") so the
-  /// cached configuration gates against its own committed baseline
-  /// instead of being diffed against uncached numbers.
-  bool cache = false;
+  /// Schedule-cache sizing handed to every benchmark's Context.
   std::size_t cache_shards = 0;
   std::size_t cache_bytes = 0;
 
@@ -142,11 +136,6 @@ struct RunRecord {
 /// opts.out_dir (created if needed). Returns the records in run order;
 /// metrics/series come from the final repetition, wall_seconds from all.
 std::vector<RunRecord> run_benchmarks(const RunOptions& opts);
-
-/// The artifact name for this run: the benchmark name, plus a "_cached"
-/// suffix when opts.cache is on (cached runs gate against their own
-/// baselines).
-std::string artifact_name(const Benchmark& benchmark, const RunOptions& opts);
 
 /// The JSON document for one benchmark result — exposed so tests can
 /// validate the schema without spawning the runner binary. When `stats`

@@ -208,23 +208,13 @@ std::optional<fault::FaultSet> Options::fault_set(
   return fs;
 }
 
-Options::CacheOptions Options::cache(bool default_enabled) const {
-  CacheOptions out;
-  out.enabled = default_enabled;
+Options::CacheOptions Options::cache() const {
   if (has("cache")) {
-    if (is_bare_flag("cache")) {
-      out.enabled = true;  // bare --cache opts in
-    } else {
-      const std::string v = get("cache");
-      if (v == "on" || v == "true" || v == "1") {
-        out.enabled = true;
-      } else if (v == "off" || v == "false" || v == "0") {
-        out.enabled = false;
-      } else {
-        throw std::invalid_argument("--cache expects on|off, got '" + v + "'");
-      }
-    }
+    throw std::invalid_argument(
+        "--cache was removed: every pipeline caches; size the cache with "
+        "--cache-bytes (and --cache-shards)");
   }
+  CacheOptions out;
   const long shards = get_int_or("cache-shards", 0);
   if (shards < 0) {
     throw std::invalid_argument("--cache-shards needs n >= 0 (0 = auto)");

@@ -77,21 +77,20 @@ class Options {
   std::optional<fault::FaultSet> fault_set(const hcube::Topology& topo) const;
 
   /// Schedule-cache flags shared by the CLI and the bench runner:
-  ///   --cache on|off       serving-cache mode (also bare --cache = on)
   ///   --cache-shards n     lock stripes (0 = auto)
   ///   --cache-bytes b      total byte budget across shards
   /// Kept as a plain struct so the harness stays independent of the
   /// coll layer; callers translate it into coll::ScheduleCache::Config.
   struct CacheOptions {
-    bool enabled = false;
     std::size_t shards = 0;    ///< 0 = auto
     std::size_t max_bytes = 0; ///< 0 = library default
   };
 
-  /// Parse the cache flags; `default_enabled` is what the absence of
-  /// --cache means for this tool. Throws std::invalid_argument for
-  /// values other than on/off/true/false/1/0.
-  CacheOptions cache(bool default_enabled = false) const;
+  /// Parse the cache flags. Throws std::invalid_argument for a negative
+  /// count and for --cache in any spelling: every pipeline caches, so
+  /// the on|off switch is gone, and a leftover flag must not be
+  /// silently ignored.
+  CacheOptions cache() const;
 
   /// Keys the caller never consumed (typo detection).
   std::vector<std::string> keys() const;

@@ -24,6 +24,10 @@ namespace hypercast::net {
 
 namespace {
 
+/// stop() flushes admitted work for at most this long before
+/// force-closing (a drain, not an accept timeout).
+constexpr int kDrainTimeoutMs = 5000;
+
 [[noreturn]] void throw_errno(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
 }
@@ -262,12 +266,14 @@ void Server::start() {
   // here, before any socket exists. Nothing registers with the metrics
   // registry until every throwing step has succeeded, so a failed
   // start() never leaves a gauge callback pointing at a dead server.
-  if (config_.cache) {
-    coll::ScheduleCache::Config cc;
-    cc.shards = config_.cache_shards;
-    if (config_.cache_bytes != 0) cc.max_bytes = config_.cache_bytes;
-    cache_ = std::make_shared<coll::ScheduleCache>(cc);
+  if (!config_.cache) {
+    throw std::invalid_argument(
+        "ServerConfig::cache is always on: every server caches");
   }
+  coll::ScheduleCache::Config cc;
+  cc.shards = config_.cache_shards;
+  if (config_.cache_bytes != 0) cc.max_bytes = config_.cache_bytes;
+  cache_ = std::make_shared<coll::ScheduleCache>(cc);
   pipeline_ = std::make_unique<coll::ServePipeline>(config_.algorithm, cache_);
   metrics_ = &Metrics::get();
 
@@ -316,7 +322,7 @@ void Server::start() {
   }
 
   // Past this point nothing throws: registrations and threads are safe.
-  if (cache_) cache_->attach_to_registry(obs::default_registry(), "cache");
+  cache_->attach_to_registry(obs::default_registry(), "cache");
   obs::default_registry().register_gauge_source("net", [this] {
     std::vector<std::pair<std::string, double>> out;
     out.emplace_back("connections",
@@ -348,7 +354,7 @@ void Server::stop() {
     if (loop->thread.joinable()) loop->thread.join();
   }
   obs::default_registry().unregister_gauge_source("net");
-  if (cache_) cache_->detach_from_registry();
+  cache_->detach_from_registry();
   close_fds();  // the loops stay, so outstanding() reads their last backlog
   started_ = false;
 }
@@ -366,7 +372,7 @@ void Server::Loop::run() {
       // already admitted is still served and flushed.
       draining_ = true;
       drain_deadline = clock::now() +
-                       std::chrono::milliseconds(config.drain_timeout_ms);
+                       std::chrono::milliseconds(kDrainTimeoutMs);
       if (acceptor() && server.listen_fd_ >= 0) {
         ::close(server.listen_fd_);
         server.listen_fd_ = -1;
@@ -582,7 +588,7 @@ void Server::Loop::parse_binary(Conn& conn) {
     const std::string_view rest = std::string_view(conn.in).substr(consumed);
     std::size_t size = 0;
     try {
-      size = frame_size(rest, config.max_frame_bytes);
+      size = frame_size(rest, kMaxFrameBytes);
     } catch (const ProtocolError& e) {
       // An over-limit length prefix cannot be resynchronized; answer
       // and hang up.
@@ -697,7 +703,7 @@ void Server::Loop::parse_http(Conn& conn) {
     HttpRequest request;
     std::size_t consumed = 0;
     try {
-      consumed = parse_http_request(conn.in, config.max_frame_bytes,
+      consumed = parse_http_request(conn.in, kMaxFrameBytes,
                                     request);
     } catch (const ProtocolError& e) {
       respond_error(conn, 0, false, Status::BadRequest, e.what());

@@ -19,7 +19,8 @@ struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral (read back via Server::port())
 
-  /// Schedule-serving pipeline behind the socket.
+  /// Schedule-serving pipeline behind the socket. Every server caches:
+  /// `cache` must stay true (start() throws otherwise).
   std::string algorithm = "wsort";
   bool cache = true;
   std::size_t cache_shards = 0;  ///< 0 = auto
@@ -51,12 +52,6 @@ struct ServerConfig {
   /// inherit the contention-bounded stagger.
   bool cosched = false;
   coll::CoschedPolicy cosched_policy{};
-
-  std::size_t max_frame_bytes = kMaxFrameBytes;
-
-  /// stop() flushes admitted work for at most this long before
-  /// force-closing (a drain, not an accept timeout).
-  int drain_timeout_ms = 5000;
 };
 
 /// The serving front end: `workers` independent poll()-based event

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "coll/serve_pipeline.hpp"
+#include "core/registry.hpp"
 #include "net/http.hpp"
 #include "net/loadgen.hpp"
 #include "net/protocol.hpp"
@@ -168,9 +169,9 @@ TEST(NetServer, LoopbackResponsesAreByteIdenticalToDirectServe) {
   Server server(config);
   server.start();
 
-  // The reference pipeline: same algorithm, no cache (the cache is
+  // The reference: the core algorithm's own build (the cache is
   // bit-identical by the schedule-cache tests; here it must not matter).
-  coll::ServePipeline direct(config.algorithm, nullptr);
+  const core::AlgorithmEntry& direct = core::find_algorithm(config.algorithm);
 
   constexpr int kThreads = 4;
   constexpr int kRequestsPerConn = 40;
@@ -204,7 +205,7 @@ TEST(NetServer, LoopbackResponsesAreByteIdenticalToDirectServe) {
           continue;
         }
         std::string expected;
-        net::encode_schedule(*direct.serve(it->second.to_request()),
+        net::encode_schedule(direct.build(it->second.to_request()),
                              expected);
         if (response.schedule_body != expected) ++failures;
         pending.erase(it);  // a duplicate response would fail the find
@@ -228,7 +229,7 @@ TEST(NetServer, TranslatedPoolStreamKeepsOneCacheEntryPerShape) {
   config.workers = 2;
   Server server(config);
   server.start();
-  const coll::ServePipeline direct(config.algorithm, nullptr);
+  const core::AlgorithmEntry& direct = core::find_algorithm(config.algorithm);
 
   constexpr std::size_t kShapes = 5;
   const hcube::Topology topo(7);
@@ -260,7 +261,7 @@ TEST(NetServer, TranslatedPoolStreamKeepsOneCacheEntryPerShape) {
     ASSERT_NE(it, pending.end());
     ASSERT_EQ(response.status, Status::Ok);
     std::string expected;
-    net::encode_schedule(*direct.serve(it->second.to_request()), expected);
+    net::encode_schedule(direct.build(it->second.to_request()), expected);
     EXPECT_TRUE(response.schedule_body == expected) << response.id;
     pending.erase(it);
   }
@@ -280,12 +281,20 @@ TEST(NetServer, TranslatedPoolStreamKeepsOneCacheEntryPerShape) {
   const std::string response = http.read_http_response();
   core::MulticastRequest req{topo, 93, {}};
   for (const hcube::NodeId d : shapes[1]) req.destinations.push_back(d ^ 93);
-  const std::string want = net::schedule_to_json(*direct.serve(req));
+  const std::string want = net::schedule_to_json(direct.build(req));
   ASSERT_GE(response.size(), want.size());
   EXPECT_EQ(response.substr(response.size() - want.size()), want);
 
   EXPECT_EQ(server.cache()->stats().entries, kShapes);
   server.stop();
+}
+
+TEST(NetServer, StartRefusesToServeWithoutACache) {
+  ServerConfig config;
+  config.cache = false;
+  Server server(config);
+  EXPECT_THROW(server.start(), std::invalid_argument);
+  EXPECT_FALSE(server.running());
 }
 
 TEST(NetServer, QueueFullSheddingAndAccounting) {
@@ -294,7 +303,6 @@ TEST(NetServer, QueueFullSheddingAndAccounting) {
   config.workers = 1;
   config.queue_capacity = 1;
   config.batch_max = 1;
-  config.cache = false;
   Server server(config);
   server.start();
 
@@ -339,6 +347,10 @@ TEST(NetServer, QueueFullSheddingAndAccounting) {
   // Shed accounting matches responses one-for-one.
   EXPECT_EQ(shed_counter.value() - shed_before,
             static_cast<std::uint64_t>(shed));
+  // Every served request was a real build: a miss, never a hit.
+  const auto cache_stats = server.cache()->stats();
+  EXPECT_EQ(cache_stats.misses, static_cast<std::uint64_t>(ok));
+  EXPECT_EQ(cache_stats.total_hits(), 0u);
   server.stop();
 }
 
@@ -353,7 +365,6 @@ TEST(NetServer, QueuedExpiryShedsWithExactlyOneResponseAndOneCount) {
   ServerConfig config;
   config.workers = 1;
   config.batch_max = 1;
-  config.cache = false;
   config.deadline_ms = 1;
   Server server(config);
   server.start();
@@ -396,6 +407,10 @@ TEST(NetServer, QueuedExpiryShedsWithExactlyOneResponseAndOneCount) {
   EXPECT_GE(shed_responses, static_cast<std::uint64_t>(kCheap));
   // Shed accounting matches responses one-for-one (no double count).
   EXPECT_EQ(shed_counter.value() - shed_before, shed_responses);
+  // Every served request was a real build: a miss, never a hit.
+  const auto cache_stats = server.cache()->stats();
+  EXPECT_EQ(cache_stats.misses, kCheap + 1 - shed_responses);
+  EXPECT_EQ(cache_stats.total_hits(), 0u);
 
   server.stop();
   EXPECT_FALSE(client.read_frame(body));  // nothing extra after the drain
@@ -415,7 +430,7 @@ TEST(NetServer, CoschedServingAnswersEverythingByteIdentically) {
   obs::Counter& plans = obs::default_registry().counter("cosched.plans");
   const std::uint64_t plans0 = plans.value();
 
-  coll::ServePipeline direct(config.algorithm, nullptr);
+  const core::AlgorithmEntry& direct = core::find_algorithm(config.algorithm);
   Client client(server.port());
   workload::Rng rng(0xC05C4EDull);
   constexpr int kRequests = 48;
@@ -437,7 +452,7 @@ TEST(NetServer, CoschedServingAnswersEverythingByteIdentically) {
     ASSERT_NE(it, pending.end()) << "unknown/duplicate id " << response.id;
     ASSERT_EQ(response.status, Status::Ok);
     std::string expected;
-    net::encode_schedule(*direct.serve(it->second.to_request()), expected);
+    net::encode_schedule(direct.build(it->second.to_request()), expected);
     EXPECT_EQ(response.schedule_body, expected);
     pending.erase(it);
   }
@@ -511,7 +526,7 @@ TEST(NetServer, ConcurrentPipelinedBurstsAnswerEveryIdExactlyOnce) {
   const std::uint64_t shed_full0 = shed_full.value();
   const std::uint64_t shed_deadline0 = shed_deadline.value();
 
-  coll::ServePipeline direct(config.algorithm, nullptr);
+  const core::AlgorithmEntry& direct = core::find_algorithm(config.algorithm);
   constexpr int kBinaryThreads = 4;
   constexpr int kBinaryRequests = 160;
   constexpr int kHttpThreads = 2;
@@ -558,7 +573,7 @@ TEST(NetServer, ConcurrentPipelinedBurstsAnswerEveryIdExactlyOnce) {
           }
           if (response.status == Status::Ok) {
             std::string expected;
-            net::encode_schedule(*direct.serve(it->second.to_request()),
+            net::encode_schedule(direct.build(it->second.to_request()),
                                  expected);
             if (response.schedule_body != expected) ++failures;
             ++ok;
@@ -638,7 +653,6 @@ TEST(NetServer, OneLoopInterleavesConnectionsFairly) {
   ServerConfig config;
   config.workers = 1;
   config.batch_max = 4;
-  config.cache = false;  // every A request is a real build
   Server server(config);
   server.start();
   obs::Counter& served = obs::default_registry().counter("net.responses");
@@ -678,6 +692,10 @@ TEST(NetServer, OneLoopInterleavesConnectionsFairly) {
   }
   a_writer.join();
   EXPECT_EQ(a_status.size(), static_cast<std::size_t>(kDeep));
+  // Every A request and B's were real builds: misses, never hits.
+  const auto cache_stats = server.cache()->stats();
+  EXPECT_EQ(cache_stats.misses, static_cast<std::uint64_t>(kDeep + 1));
+  EXPECT_EQ(cache_stats.total_hits(), 0u);
   server.stop();
   EXPECT_EQ(server.outstanding(), 0u);
 }
@@ -760,7 +778,7 @@ TEST(NetServer, FourLoopsAnswerEveryIdExactlyOnceByteIdentically) {
   config.batch_max = 8;
   Server server(config);
   server.start();
-  coll::ServePipeline direct(config.algorithm, nullptr);
+  const core::AlgorithmEntry& direct = core::find_algorithm(config.algorithm);
 
   constexpr int kConns = 8;
   constexpr int kRequestsPerConn = 48;
@@ -793,7 +811,7 @@ TEST(NetServer, FourLoopsAnswerEveryIdExactlyOnceByteIdentically) {
           continue;
         }
         std::string expected;
-        net::encode_schedule(*direct.serve(it->second.to_request()),
+        net::encode_schedule(direct.build(it->second.to_request()),
                              expected);
         if (response.schedule_body != expected) ++failures;
         pending.erase(it);
@@ -1103,9 +1121,9 @@ TEST(NetServer, OpenLoopLatencyIncludesGeneratorLag) {
   ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &addr_len);
 
   // Any valid schedule will do: the generator only times Ok responses.
-  coll::ServePipeline direct("wsort", nullptr);
   workload::Rng rng(0x1A7Eull);
-  const auto schedule = direct.serve(make_request(0, 6, 8, rng).to_request());
+  const core::MulticastSchedule schedule = core::find_algorithm("wsort").build(
+      make_request(0, 6, 8, rng).to_request());
   std::thread peer([&] {
     const int fd = ::accept(listener, nullptr, nullptr);
     if (fd < 0) return;
@@ -1122,7 +1140,7 @@ TEST(NetServer, OpenLoopLatencyIncludesGeneratorLag) {
                                      net::kMaxFrameBytes)) != 0) {
         const RequestMsg msg = net::decode_request(
             std::string_view(in).substr(off + 4, size - 4));
-        net::encode_ok_response(msg.id, *schedule, out);
+        net::encode_ok_response(msg.id, schedule, out);
         off += size;
       }
       in.erase(0, off);

@@ -165,5 +165,32 @@ TEST(Options, KeysListsEverything) {
   EXPECT_EQ(keys, (std::vector<std::string>{"a", "b"}));
 }
 
+TEST(Options, CacheSizingParsesAndRejectsNegatives) {
+  const auto sized = parse({"--cache-shards", "4", "--cache-bytes", "4096"});
+  EXPECT_EQ(sized.cache().shards, 4u);
+  EXPECT_EQ(sized.cache().max_bytes, 4096u);
+  EXPECT_EQ(parse({}).cache().shards, 0u);
+  EXPECT_EQ(parse({}).cache().max_bytes, 0u);
+  EXPECT_THROW(parse({"--cache-shards", "-1"}).cache(), std::invalid_argument);
+  EXPECT_THROW(parse({"--cache-bytes", "-1"}).cache(), std::invalid_argument);
+}
+
+TEST(Options, RemovedCacheSwitchFailsLoudly) {
+  // Every pipeline caches, so --cache in any spelling is an error that
+  // names the flag that still sizes the cache.
+  for (const auto& args : {parse({"--cache"}), parse({"--cache", "on"}),
+                           parse({"--cache", "off"}), parse({"--cache=off"}),
+                           parse({"--cache=on", "--cache-bytes", "1024"})}) {
+    try {
+      (void)args.cache();
+      ADD_FAILURE() << "--cache was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--cache-bytes"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hypercast::harness

@@ -24,6 +24,7 @@
 #include "coll/serve_pipeline.hpp"
 #include "core/cache_key.hpp"
 #include "core/ist.hpp"
+#include "core/registry.hpp"
 #include "core/tree_builder.hpp"
 #include "fault/fault_aware.hpp"
 #include "fault/fault_set.hpp"
@@ -131,7 +132,8 @@ TEST(CacheKey, DistinctIdentitiesDoNotCollide) {
 
 std::shared_ptr<const core::MulticastSchedule> build_wsort(
     const core::MulticastRequest& req) {
-  return ServePipeline("wsort", nullptr).serve(req);
+  return std::make_shared<const core::MulticastSchedule>(
+      core::find_algorithm("wsort").build(req));
 }
 
 /// A schedule with `sends` sends on the 6-cube.
@@ -627,7 +629,7 @@ TEST(ServePipeline, CachedEqualsUncachedForAllInvariantAlgorithms) {
     for (const char* name : {"ucube", "maxport", "combine", "wsort"}) {
       auto cache = std::make_shared<ScheduleCache>();
       ServePipeline cached(name, cache);
-      ServePipeline uncached(name, nullptr);
+      const core::AlgorithmEntry& uncached = core::find_algorithm(name);
       workload::Rng rng(31);
       for (int trial = 0; trial < 25; ++trial) {
         const auto req = random_request(topo, 1 + rng() % 50, rng);
@@ -637,13 +639,53 @@ TEST(ServePipeline, CachedEqualsUncachedForAllInvariantAlgorithms) {
         const auto sighting = cached.serve(req);
         const auto first = cached.serve(req);
         const auto second = cached.serve(req);
-        const auto direct = uncached.serve(req);
-        ASSERT_TRUE(*sighting == *direct) << name << " trial " << trial;
-        ASSERT_TRUE(*first == *direct) << name << " trial " << trial;
-        ASSERT_TRUE(*second == *direct) << name << " trial " << trial;
+        const auto direct = uncached.build(req);
+        ASSERT_TRUE(*sighting == direct) << name << " trial " << trial;
+        ASSERT_TRUE(*first == direct) << name << " trial " << trial;
+        ASSERT_TRUE(*second == direct) << name << " trial " << trial;
       }
       EXPECT_GT(cache->stats().total_hits(), 0u);
     }
+  }
+}
+
+// Every pipeline and planner caches: a null cache argument gets a
+// private default cache, which declines a first sighting and admits the
+// second, and the trees still equal the core builds.
+TEST(ServePipeline, NullCacheGetsAPrivateCacheThatAdmitsSecondSightings) {
+  const Topology topo(6, Resolution::HighToLow);
+  workload::Rng rng(71);
+  const auto req = random_request(topo, 20, rng);
+  const core::MulticastSchedule want = core::find_algorithm("wsort").build(req);
+
+  const ServePipeline pipeline("wsort", nullptr);
+  ASSERT_NE(pipeline.cache(), nullptr);
+  for (int serve = 0; serve < 3; ++serve) {
+    EXPECT_TRUE(*pipeline.serve(req) == want) << "serve " << serve;
+  }
+  const auto stats = pipeline.cache()->stats();
+  EXPECT_EQ(stats.declined, 1u);  // the first sighting
+  EXPECT_EQ(stats.entries, 1u);   // the second, admitted
+  EXPECT_EQ(stats.total_hits(), 1u);
+
+  // At source 0 a plan's trees are the relative trees themselves, so the
+  // third plan returns the very trees the second one admitted.
+  const core::MulticastRequest at_zero{
+      topo, 0, workload::random_destinations(topo, 0, 20, rng)};
+  const coll::StripedPlanner planner({}, nullptr);
+  std::vector<coll::StripedPlan> plans;
+  for (int plan = 0; plan < 3; ++plan) {
+    plans.push_back(planner.plan(at_zero, 1 << 20));
+  }
+  ASSERT_EQ(plans[2].trees.size(), static_cast<std::size_t>(topo.dim()));
+  for (hcube::Dim t = 0; t < topo.dim(); ++t) {
+    const core::MulticastSchedule ist =
+        core::build_ist_tree(topo, t, 0, at_zero.destinations);
+    for (const coll::StripedPlan& plan : plans) {
+      EXPECT_TRUE(*plan.trees[t] == ist) << "tree " << t;
+    }
+    EXPECT_NE(plans[0].trees[t], plans[1].trees[t]) << "tree " << t;
+    EXPECT_EQ(plans[1].trees[t], plans[2].trees[t]) << "tree " << t;
   }
 }
 
@@ -702,9 +744,8 @@ TEST(ServePipeline, BatchMatchesSequentialAtAnyThreadCount) {
   for (int i = 0; i < 60; ++i) {
     batch.push_back(random_request(topo, 1 + rng() % 40, rng));
   }
-  ServePipeline uncached("wsort", nullptr);
   std::vector<std::shared_ptr<const core::MulticastSchedule>> reference;
-  for (const auto& req : batch) reference.push_back(uncached.serve(req));
+  for (const auto& req : batch) reference.push_back(build_wsort(req));
 
   for (const int threads : {1, 2, 4, 8}) {
     auto cache = std::make_shared<ScheduleCache>();
@@ -829,11 +870,15 @@ TEST(ServePipeline, ScanOfFreshRequestsLeavesAFullCachesHotPoolResident) {
 
     // A scan of sets that never repeat: every insert is a first sighting
     // at budget.
-    const ServePipeline uncached("wsort", nullptr, faults);
+    const auto uncached = [&](const core::MulticastRequest& req) {
+      const core::AlgorithmEntry& wsort = core::find_algorithm("wsort");
+      return faults ? fault::fault_aware_multicast(wsort, req, *faults).schedule
+                    : wsort.build(req);
+    };
     constexpr int kScan = 40;
     for (int i = 0; i < kScan; ++i) {
       const auto req = random_request(topo, 16, rng);
-      ASSERT_TRUE(*pipeline.serve(req) == *uncached.serve(req));
+      ASSERT_TRUE(*pipeline.serve(req) == uncached(req));
     }
     const auto after_scan = cache->stats();
     EXPECT_EQ(after_scan.evictions, 0u);
@@ -841,7 +886,7 @@ TEST(ServePipeline, ScanOfFreshRequestsLeavesAFullCachesHotPoolResident) {
 
     // The hot pool is still all hits.
     for (const auto& req : pool) {
-      ASSERT_TRUE(*pipeline.serve(req) == *uncached.serve(req));
+      ASSERT_TRUE(*pipeline.serve(req) == uncached(req));
     }
     const auto after_pool = cache->stats();
     EXPECT_EQ(after_pool.misses, after_scan.misses);
@@ -1045,7 +1090,7 @@ TEST(ServePipeline, NoFaultFreeAbsoluteEntry) {
   }
 }
 
-TEST(ServePipeline, ViewEncodesLikeServeWithCacheOnOffAndUnderFaults) {
+TEST(ServePipeline, ViewEncodesLikeServeWithAnyCacheAndUnderFaults) {
   const Topology topo(7, Resolution::HighToLow);
   auto faults = std::make_shared<const fault::FaultSet>([&] {
     fault::FaultSet fs(topo);
@@ -1054,9 +1099,10 @@ TEST(ServePipeline, ViewEncodesLikeServeWithCacheOnOffAndUnderFaults) {
     return fs;
   }());
   for (const char* name : {"ucube", "maxport", "combine", "wsort", "sftree"}) {
-    for (const bool cached : {true, false}) {
+    // A shared cache, or a null one (the pipeline's private cache).
+    for (const bool shared : {true, false}) {
       for (const bool faulted : {false, true}) {
-        const auto cache = cached ? std::make_shared<ScheduleCache>() : nullptr;
+        const auto cache = shared ? std::make_shared<ScheduleCache>() : nullptr;
         const ServePipeline pipeline(name, cache,
                                      faulted ? faults : nullptr);
         workload::Rng rng(57);
@@ -1067,14 +1113,13 @@ TEST(ServePipeline, ViewEncodesLikeServeWithCacheOnOffAndUnderFaults) {
         for (int i = 0; i < 40; ++i) {
           const auto req = moved_to(shapes[i % shapes.size()],
                                     static_cast<NodeId>(rng() % 128));
-          const std::string where = std::string(name) + " cached " +
-                                    std::to_string(cached) + " faulted " +
+          const std::string where = std::string(name) + " shared " +
+                                    std::to_string(shared) + " faulted " +
                                     std::to_string(faulted) + " request " +
                                     std::to_string(i);
           const auto view = pipeline.serve_view(req);
           const auto tree = pipeline.serve(req);
-          const bool relative = cached && !faulted &&
-                                std::string(name) != "sftree";
+          const bool relative = !faulted && std::string(name) != "sftree";
           EXPECT_EQ(view.mask, relative ? req.source : 0u) << where;
           if (!relative) {
             EXPECT_TRUE(*view.tree == *tree) << where;
@@ -1130,7 +1175,6 @@ TEST(ScheduleCacheConcurrency, HammerMixedHitMissInvalidateStaysBitIdentical) {
                                             // evictions mid-hammer
   auto cache = std::make_shared<ScheduleCache>(config);
   ServePipeline cached("wsort", cache);
-  ServePipeline uncached("wsort", nullptr);
 
   // A fixed pool of requests with precomputed uncached references.
   workload::Rng rng(99);
@@ -1138,7 +1182,7 @@ TEST(ScheduleCacheConcurrency, HammerMixedHitMissInvalidateStaysBitIdentical) {
   std::vector<std::shared_ptr<const core::MulticastSchedule>> reference;
   for (int i = 0; i < 48; ++i) {
     pool.push_back(random_request(topo, 1 + rng() % 40, rng));
-    reference.push_back(uncached.serve(pool.back()));
+    reference.push_back(build_wsort(pool.back()));
   }
 
   constexpr int kThreads = 8;
@@ -1175,7 +1219,6 @@ TEST(ScheduleCacheConcurrency, RacingSightingsAtBudgetStayBitIdentical) {
   config.max_bytes = std::size_t{32} << 10;  // full from the first rounds
   auto cache = std::make_shared<ScheduleCache>(config);
   ServePipeline cached("wsort", cache);
-  ServePipeline uncached("wsort", nullptr);
 
   // Shared keys: every thread draws from one pool, so first and second
   // sightings of a key race across threads and shards.
@@ -1184,7 +1227,7 @@ TEST(ScheduleCacheConcurrency, RacingSightingsAtBudgetStayBitIdentical) {
   std::vector<std::shared_ptr<const core::MulticastSchedule>> reference;
   for (int i = 0; i < 96; ++i) {
     pool.push_back(random_request(topo, 1 + rng() % 40, rng));
-    reference.push_back(uncached.serve(pool.back()));
+    reference.push_back(build_wsort(pool.back()));
   }
 
   constexpr int kThreads = 8;

@@ -14,6 +14,7 @@
 
 #include "coll/schedule_cache.hpp"
 #include "coll/serve_pipeline.hpp"
+#include "core/registry.hpp"
 #include "fault/fault_aware.hpp"
 #include "fault/fault_inject.hpp"
 #include "obs/obs.hpp"
@@ -53,18 +54,16 @@ TEST(ServeAdversarial, MalformedDestinationSetsThrow) {
 
 TEST(ServeAdversarial, ZeroDestinationRequestsServeEmptySchedules) {
   for (const char* algo : {"wsort", "ucube"}) {
-    const ServePipeline uncached(algo, nullptr);
-    const ServePipeline cached(algo, std::make_shared<ScheduleCache>(
-                                         ScheduleCache::Config{}));
+    const ServePipeline pipeline(algo, std::make_shared<ScheduleCache>(
+                                           ScheduleCache::Config{}));
     const MulticastRequest empty = request_of(5, 7, {});
-    for (const ServePipeline* pipeline : {&uncached, &cached}) {
-      const auto schedule = pipeline->serve(empty);
-      ASSERT_NE(schedule, nullptr);
-      EXPECT_EQ(schedule->source(), 7u);
-      EXPECT_TRUE(schedule->senders().empty());
-      // Twice: the second serve may come from the cache.
-      EXPECT_EQ(*pipeline->serve(empty), *schedule);
-    }
+    const auto schedule = pipeline.serve(empty);
+    ASSERT_NE(schedule, nullptr);
+    EXPECT_EQ(schedule->source(), 7u);
+    EXPECT_TRUE(schedule->senders().empty());
+    EXPECT_EQ(*schedule, core::find_algorithm(algo).build(empty));
+    // Three more: the later serves may come from the cache.
+    for (int i = 0; i < 3; ++i) EXPECT_EQ(*pipeline.serve(empty), *schedule);
   }
 }
 
@@ -137,7 +136,7 @@ TEST(ServeAdversarial, ConcurrentCacheClearsDuringServeBatch) {
   obs::FlagsGuard flags;
   auto cache = std::make_shared<ScheduleCache>(ScheduleCache::Config{});
   const ServePipeline cached("wsort", cache);
-  const ServePipeline direct("wsort", nullptr);
+  const core::AlgorithmEntry& direct = core::find_algorithm("wsort");
 
   workload::Rng rng(0xEB0C5ull);
   const hcube::Topology topo(7);
@@ -149,10 +148,10 @@ TEST(ServeAdversarial, ConcurrentCacheClearsDuringServeBatch) {
         topo, source,
         workload::random_destinations(topo, source, 1 + (i % 30), rng)});
   }
-  std::vector<std::shared_ptr<const core::MulticastSchedule>> expected;
+  std::vector<core::MulticastSchedule> expected;
   expected.reserve(requests.size());
   for (const MulticastRequest& r : requests) {
-    expected.push_back(direct.serve(r));
+    expected.push_back(direct.build(r));
   }
 
   // Hammer serve_batch while another thread keeps clearing the cache
@@ -172,7 +171,7 @@ TEST(ServeAdversarial, ConcurrentCacheClearsDuringServeBatch) {
       for (int round = 0; round < 30; ++round) {
         const auto results = cached.serve_batch(requests, 1 + (round % 3));
         for (std::size_t i = 0; i < results.size(); ++i) {
-          if (results[i] == nullptr || !(*results[i] == *expected[i])) {
+          if (results[i] == nullptr || !(*results[i] == expected[i])) {
             ++mismatches;
           }
         }

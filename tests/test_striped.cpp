@@ -19,6 +19,7 @@
 #include "code/rs.hpp"
 #include "coll/serve_pipeline.hpp"
 #include "core/ist.hpp"
+#include "core/registry.hpp"
 #include "fault/fault_aware.hpp"
 #include "workload/concurrent.hpp"
 #include "workload/random_sets.hpp"
@@ -214,11 +215,10 @@ TEST(StripedPlanTest, DeliverySetMatchesSingleTreeUnderDes) {
   MulticastRequest request{topo, source,
                            workload::random_destinations(topo, source, 14,
                                                          rng)};
-  const coll::ServePipeline single("wsort", nullptr);
   sim::SimConfig config;
 
-  const auto tree = single.serve(request);
-  const sim::SimResult single_result = sim::simulate_multicast(*tree, config);
+  const MulticastSchedule tree = core::find_algorithm("wsort").build(request);
+  const sim::SimResult single_result = sim::simulate_multicast(tree, config);
   for (const NodeId d : request.destinations) {
     ASSERT_TRUE(single_result.delivery.contains(d));
   }
@@ -246,9 +246,8 @@ TEST(StripedPlanTest, LargePayloadBeatsSingleTreeByAtLeast2x) {
   constexpr std::size_t kPayload = 256 * 1024;
   sim::SimConfig config;
 
-  const coll::ServePipeline single("wsort", nullptr);
-  const auto tree = single.serve(request);
-  const sim::CollectiveJob single_job{tree.get(), 0, kPayload};
+  const MulticastSchedule tree = core::find_algorithm("wsort").build(request);
+  const sim::CollectiveJob single_job{&tree, 0, kPayload};
   const sim::SimTime single_makespan =
       sim::simulate_collectives(std::span(&single_job, 1), config).makespan();
 
@@ -262,9 +261,9 @@ TEST(StripedPlanTest, LargePayloadBeatsSingleTreeByAtLeast2x) {
       << "ns";
 }
 
-// Cache integration: cached plans are bit-identical to uncached ones,
-// the relative tree is built once per chain shape, and an exact repeat
-// is served from the materialized translation.
+// Cache integration: cached plans are bit-identical to the IST trees
+// core::build_ist_tree builds at the source, the relative tree is built
+// once per chain shape, and an exact repeat is served from the cache.
 TEST(StripedPlanTest, CachedPlansAreBitIdenticalAndHit) {
   const Topology topo(5);
   workload::Rng rng(0xcafe);
@@ -274,7 +273,10 @@ TEST(StripedPlanTest, CachedPlansAreBitIdenticalAndHit) {
                                                          rng)};
   auto cache = std::make_shared<ScheduleCache>();
   const StripedPlanner cached({}, cache);
-  const StripedPlanner uncached;
+  const auto uncached = [](const MulticastRequest& req, Dim tree) {
+    return core::build_ist_tree(req.topo, tree, req.source,
+                                req.destinations);
+  };
 
   // A first sighting of each tree is built and declined.
   const StripedPlan sighting = cached.plan(request, 1 << 20);
@@ -283,12 +285,12 @@ TEST(StripedPlanTest, CachedPlansAreBitIdenticalAndHit) {
   EXPECT_EQ(stats_cold.total_hits(), 0u);
   EXPECT_GT(stats_cold.misses, 0u);
 
-  const StripedPlan b = uncached.plan(request, 1 << 20);
-  ASSERT_EQ(a.trees.size(), b.trees.size());
-  ASSERT_EQ(sighting.trees.size(), b.trees.size());
+  ASSERT_EQ(a.trees.size(), static_cast<std::size_t>(topo.dim()));
+  ASSERT_EQ(sighting.trees.size(), a.trees.size());
   for (std::size_t t = 0; t < a.trees.size(); ++t) {
-    EXPECT_TRUE(*sighting.trees[t] == *b.trees[t]) << "tree " << t;
-    EXPECT_TRUE(*a.trees[t] == *b.trees[t]) << "tree " << t;
+    const MulticastSchedule b = uncached(request, static_cast<Dim>(t));
+    EXPECT_TRUE(*sighting.trees[t] == b) << "tree " << t;
+    EXPECT_TRUE(*a.trees[t] == b) << "tree " << t;
   }
 
   // Identical repeat: every tree resolves from the absolute
@@ -310,8 +312,7 @@ TEST(StripedPlanTest, CachedPlansAreBitIdenticalAndHit) {
   }
   const StripedPlan d = cached.plan(translated, 1 << 20);
   for (std::size_t t = 0; t < d.trees.size(); ++t) {
-    EXPECT_TRUE(*d.trees[t] ==
-                *uncached.plan(translated, 1 << 20).trees[t]);
+    EXPECT_TRUE(*d.trees[t] == uncached(translated, static_cast<Dim>(t)));
   }
 }
 
@@ -657,11 +658,11 @@ TEST(StripedFaults, FallbackSingleTreeRepairsAndCaches) {
   const MulticastRequest request{topo, 0, {1, 3, 6, 9, 12, 15}};
   const StripeOptions options;  // 64 KiB threshold
   const std::size_t small = 1024;
-  const auto tree = ServePipeline("wsort", nullptr).serve(request);
+  const MulticastSchedule tree = core::find_algorithm("wsort").build(request);
 
   auto blocking = std::make_shared<fault::FaultSet>(topo);
   blocking->fail_link(0, 0);  // the source's dim-0 link: 0 -> 1
-  ASSERT_GT(fault::blocked_unicasts(*tree, *blocking), 0u);
+  ASSERT_GT(fault::blocked_unicasts(tree, *blocking), 0u);
   auto cache = std::make_shared<ScheduleCache>();
   const ServePipeline faulted("wsort", cache, blocking);
   // A first sighting of the repair is built and declined.
@@ -676,7 +677,7 @@ TEST(StripedFaults, FallbackSingleTreeRepairsAndCaches) {
             plan.repaired_disjoint + plan.repaired_greedy);
   ASSERT_EQ(plan.trees.size(), 1u);
   EXPECT_TRUE(*plan.trees[0] ==
-              fault::repair_schedule(*tree, request.destinations, *blocking)
+              fault::repair_schedule(tree, request.destinations, *blocking)
                   .schedule);
   EXPECT_TRUE(*sighting.trees[0] == *plan.trees[0]);
   const auto misses = cache->stats().misses;
@@ -689,13 +690,13 @@ TEST(StripedFaults, FallbackSingleTreeRepairsAndCaches) {
   // A fault that blocks nothing leaves the fault-free tree in place.
   auto harmless = std::make_shared<fault::FaultSet>(topo);
   harmless->fail_link(0b1010, 2);
-  ASSERT_EQ(fault::blocked_unicasts(*tree, *harmless), 0u);
+  ASSERT_EQ(fault::blocked_unicasts(tree, *harmless), 0u);
   const StripedPlan clean =
       ServePipeline("wsort", cache, harmless).serve_striped(request, small,
                                                             options);
   EXPECT_EQ(clean.repaired_trees, 0u);
   EXPECT_EQ(clean.repaired_greedy, 0u);
-  EXPECT_TRUE(*clean.trees[0] == *tree);
+  EXPECT_TRUE(*clean.trees[0] == tree);
 }
 
 // A fault that touches nothing leaves the plan identical to fault-free.
@@ -749,7 +750,7 @@ FaultDraw fault_draw(std::uint64_t index) {
   return d;
 }
 
-/// A k = 1 and a k = 2 planner sharing one cache (null: uncached).
+/// A k = 1 and a k = 2 planner sharing one cache.
 struct PlannerPair {
   explicit PlannerPair(std::shared_ptr<ScheduleCache> shared)
       : cache(std::move(shared)), k1(parity(1), cache), k2(parity(2), cache) {}
@@ -762,6 +763,12 @@ struct PlannerPair {
 
   StripedPlan plan(const FaultDraw& d) const {
     return (d.parity == 1 ? k1 : k2).plan(d.request, 1 << 20, d.faults);
+  }
+
+  /// The uncached plan: a fresh planner's private cache is empty, so it
+  /// builds every tree and repair.
+  static StripedPlan fresh_plan(const FaultDraw& d) {
+    return StripedPlanner(parity(d.parity)).plan(d.request, 1 << 20, d.faults);
   }
 
   std::shared_ptr<ScheduleCache> cache;
@@ -825,19 +832,19 @@ TEST(StripedFaults, FreshFaultRepairsAtBudgetAreDeclinedNotEvicting) {
 // entries nor bytes grow, and every plan equals the uncached plan.
 TEST(StripedFaults, FreshFaultDrawsLeaveTheCacheFlatAtTheDefaultBudget) {
   const PlannerPair cached(std::make_shared<ScheduleCache>());
-  const PlannerPair uncached(nullptr);
   constexpr std::uint64_t kWarmup = 8;
   constexpr std::uint64_t kDraws = 200;
   for (std::uint64_t i = 0; i < kWarmup; ++i) {
     const FaultDraw d = fault_draw(i);
-    ASSERT_TRUE(same_plan(cached.plan(d), uncached.plan(d))) << "draw " << i;
+    ASSERT_TRUE(same_plan(cached.plan(d), PlannerPair::fresh_plan(d)))
+        << "draw " << i;
   }
   const auto warm = cached.cache->stats();
   std::uint64_t offered = 0;
   for (std::uint64_t i = kWarmup; i < kWarmup + kDraws; ++i) {
     const FaultDraw d = fault_draw(i);
     const StripedPlan plan = cached.plan(d);
-    ASSERT_TRUE(same_plan(plan, uncached.plan(d))) << "draw " << i;
+    ASSERT_TRUE(same_plan(plan, PlannerPair::fresh_plan(d))) << "draw " << i;
     offered += plan.repaired_disjoint;
   }
   const auto after = cached.cache->stats();
@@ -852,15 +859,14 @@ TEST(StripedFaults, FreshFaultDrawsLeaveTheCacheFlatAtTheDefaultBudget) {
 // Four threads plan the same faulted draws, each in its own order and
 // twice over, against one budget-limited cache: first and second
 // sightings of the repairs and the relative trees race through
-// admission, and every plan must equal the single-threaded one.
+// admission, and every plan must equal the single-threaded uncached one.
 TEST(StripedConcurrency, FaultedDrawsAtBudgetMatchSingleThreaded) {
   constexpr std::size_t kDrawCount = 12;
-  const PlannerPair single(nullptr);
   std::vector<FaultDraw> draws;
   std::vector<StripedPlan> reference;
   for (std::size_t i = 0; i < kDrawCount; ++i) {
     draws.push_back(fault_draw(i));
-    reference.push_back(single.plan(draws.back()));
+    reference.push_back(PlannerPair::fresh_plan(draws.back()));
   }
 
   ScheduleCache::Config config;

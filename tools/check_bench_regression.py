@@ -40,8 +40,8 @@ record machine.build_type and the two differ. When only one side
 records it, the comparison goes ahead with a warning.
 
 --only restricts the comparison to benchmark names containing SUBSTR
-(applied to both sides; used by CI to gate cached-mode "_cached"
-artifacts against their own baselines only). A SUBSTR that matches no
+(applied to both sides; used by CI to gate one benchmark's artifacts
+against its own baselines only). A SUBSTR that matches no
 fresh artifact or no committed baseline is an error (exit 2), not a
 silent pass -- a renamed benchmark must not leave a green gate
 comparing nothing. The threshold can also be set via the

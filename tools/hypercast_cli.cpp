@@ -7,7 +7,7 @@
 //   hypercast_cli chains --n 4 --source 0 --dests 1,3,5,7,11,12,14,15
 //   hypercast_cli compare --n 6 --m 25 --seed 3
 //   hypercast_cli faults --n 6 --faults 0.10 --fault-seed 42
-//   hypercast_cli serve --n 8 --requests 5000 --shapes 4 --threads 4 --cache
+//   hypercast_cli serve --n 8 --requests 5000 --shapes 4 --threads 4
 //   hypercast_cli stripe --n 8 --bytes 1048576 --parity --faults 0.05
 //   hypercast_cli stats --n 8 --requests 2048 --trace-out=trace.json
 //
@@ -324,6 +324,15 @@ std::vector<core::MulticastRequest> translated_stream(
   return stream;
 }
 
+/// The schedule cache sized by --cache-shards and --cache-bytes.
+std::shared_ptr<coll::ScheduleCache> make_cache(const harness::Options& opts) {
+  const harness::Options::CacheOptions sizing = opts.cache();
+  coll::ScheduleCache::Config config;
+  config.shards = sizing.shards;
+  if (sizing.max_bytes != 0) config.max_bytes = sizing.max_bytes;
+  return std::make_shared<coll::ScheduleCache>(config);
+}
+
 /// Serve a synthetic request stream through the schedule-serving
 /// pipeline and report throughput plus the cache counters. The stream
 /// cycles `--shapes` distinct destination shapes across random sources,
@@ -340,20 +349,13 @@ int cmd_serve(const harness::Options& opts) {
   const std::size_t m = static_cast<std::size_t>(
       opts.get_int_or("m", static_cast<long>(topo.num_nodes() / 2)));
   const int threads = static_cast<int>(opts.get_int_or("threads", 1));
-  const auto cache_opts = opts.cache(/*default_enabled=*/true);
+  const auto cache = make_cache(opts);
   const auto faults = setup_faults(opts, topo);
 
   workload::Rng rng(static_cast<std::uint64_t>(opts.get_int_or("seed", 1)));
   const auto stream = translated_stream(topo, shapes, m, requests, rng);
 
-  std::shared_ptr<coll::ScheduleCache> cache;
-  if (cache_opts.enabled) {
-    coll::ScheduleCache::Config config;
-    config.shards = cache_opts.shards;
-    if (cache_opts.max_bytes != 0) config.max_bytes = cache_opts.max_bytes;
-    cache = std::make_shared<coll::ScheduleCache>(config);
-    cache->attach_to_registry(obs::default_registry(), "cache");
-  }
+  cache->attach_to_registry(obs::default_registry(), "cache");
   const coll::ServePipeline pipeline(algo, cache, faults);
 
   const auto start = std::chrono::steady_clock::now();
@@ -366,21 +368,19 @@ int cmd_serve(const harness::Options& opts) {
   for (const auto& s : schedules) unicasts += s->num_unicasts();
   std::printf(
       "served %zu requests (%zu shapes, %zu dests each) on a %d-cube\n"
-      "  algorithm: %s, threads: %d, cache: %s\n"
+      "  algorithm: %s, threads: %d\n"
       "  wall: %.3fs  (%.0f requests/s), %zu unicasts planned\n",
       stream.size(), std::max<std::size_t>(shapes, 1), m, n, algo.c_str(),
-      threads, cache ? "on" : "off", seconds,
+      threads, seconds,
       seconds > 0.0 ? static_cast<double>(stream.size()) / seconds : 0.0,
       unicasts);
-  if (cache) {
-    // Field names are Stats::for_each_field — identical to the "cache"
-    // gauge source in the --stats JSON exposition by construction.
-    std::printf("  cache:");
-    cache->stats().for_each_field([](const char* field, double value) {
-      std::printf(" %s=%.6g", field, value);
-    });
-    std::printf(" shards=%zu\n", cache->num_shards());
-  }
+  // Field names are Stats::for_each_field — identical to the "cache"
+  // gauge source in the --stats JSON exposition by construction.
+  std::printf("  cache:");
+  cache->stats().for_each_field([](const char* field, double value) {
+    std::printf(" %s=%.6g", field, value);
+  });
+  std::printf(" shards=%zu\n", cache->num_shards());
   const std::string trace_out = opts.get_or("trace-out", "");
   if (!trace_out.empty()) {
     write_text_file(trace_out,
@@ -418,16 +418,8 @@ int cmd_stripe(const harness::Options& opts) {
   stripe_opts.threshold_bytes = static_cast<std::size_t>(opts.get_int_or(
       "stripe-threshold", static_cast<long>(stripe_opts.threshold_bytes)));
 
-  const auto cache_opts = opts.cache(/*default_enabled=*/false);
-  std::shared_ptr<coll::ScheduleCache> cache;
-  if (cache_opts.enabled) {
-    coll::ScheduleCache::Config config;
-    config.shards = cache_opts.shards;
-    if (cache_opts.max_bytes != 0) config.max_bytes = cache_opts.max_bytes;
-    cache = std::make_shared<coll::ScheduleCache>(config);
-  }
   const std::string algo = opts.get_or("algo", "wsort");
-  const coll::ServePipeline pipeline(algo, cache, faults);
+  const coll::ServePipeline pipeline(algo, make_cache(opts), faults);
   const coll::StripedPlan plan =
       pipeline.serve_striped(req, bytes, stripe_opts);
 
@@ -575,10 +567,11 @@ int usage() {
       "          [--fail-links u:d,...] [--fail-nodes a,b]\n"
       "  serve:  --n <dim> [--requests r] [--shapes k] [--m dests]\n"
       "          [--threads t] parallel shard workers\n"
-      "          [--cache on|off] [--cache-shards n] [--cache-bytes b]\n"
+      "          [--cache-shards n] [--cache-bytes b]\n"
       "  stripe: --n <dim> [--bytes b] [--parity[=k]] [--stripe-threshold b]\n"
-      "          [--cache on|off] — payload striped over the n\n"
-      "          arc-disjoint trees vs the single tree, DES-replayed\n"
+      "          [--cache-shards n] [--cache-bytes b] — payload striped\n"
+      "          over the n arc-disjoint trees vs the single tree,\n"
+      "          DES-replayed\n"
       "  stats:  [--n dim] [--requests r] [--format json|text|prom] —\n"
       "          serving batch + simulated broadcast, stats forced on\n",
       stderr);

@@ -12,7 +12,7 @@
 //   hypercast_served [--port P] [--bind ADDR] [--algo NAME]
 //                    [--workers N] [--queue-cap N] [--batch-max N]
 //                    [--deadline-ms MS] [--max-conns N]
-//                    [--cache on|off] [--cache-shards N] [--cache-bytes B]
+//                    [--cache-shards N] [--cache-bytes B]
 //                    [--cosched] [--cosched-overlap K]
 //                    [--cosched-stagger-us US] [--cosched-max-waves N]
 //                    [--port-file PATH] [--quiet]
@@ -75,8 +75,7 @@ int main(int argc, char** argv) {
         opts.get_int_or("deadline-ms", 0));
     config.max_connections = static_cast<std::size_t>(opts.get_int_or(
         "max-conns", static_cast<long>(config.max_connections)));
-    const Options::CacheOptions cache = opts.cache(/*default_enabled=*/true);
-    config.cache = cache.enabled;
+    const Options::CacheOptions cache = opts.cache();
     config.cache_shards = cache.shards;
     config.cache_bytes = cache.max_bytes;
     config.cosched = opts.has("cosched");
