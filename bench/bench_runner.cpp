@@ -31,6 +31,7 @@ int main(int argc, char** argv) {
   try {
     const auto options = harness::Options::parse(argc, argv);
     if (options.has("list")) {
+      options.reject_unread();
       for (const bench::Benchmark* b : bench::all_benchmarks()) {
         std::printf("%-28s %-9s %s\n", b->name.c_str(),
                     bench::kind_name(b->kind), b->description.c_str());
@@ -49,6 +50,7 @@ int main(int argc, char** argv) {
     run.cache_shards = cache.shards;
     run.cache_bytes = cache.max_bytes;
     run.stats = options.has("stats");
+    options.reject_unread();
 
     const auto records = bench::run_benchmarks(run);
     if (records.empty()) {

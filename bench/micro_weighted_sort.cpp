@@ -1,8 +1,8 @@
 // Microbenchmark: the faithful Figure-7 weighted_sort (in-place
 // rotations, the paper's centralized O(m^2)-class procedure) against
 // the one-pass W-sort build that replaces it in the library
-// (TreeBuilder::build_wsort_into from the sorted relative keys a cache
-// key carries), which produces the same permutation (tested) and the
+// (TreeBuilder::build_into from the sorted relative keys a cache key
+// carries), which produces the same permutation (tested) and the
 // whole tree with it. faithful/<m> times the sort alone, onepass/<m>
 // the sort plus the tree's sends and schedule. The one-pass row reuses
 // its builder and schedule across calls, so it times the build, not the
@@ -58,7 +58,7 @@ void run(const bench::Context& ctx, bench::Report& report) {
     }
     report_rate(report, "onepass/" + std::to_string(m), "builds",
                 bench::measure_rate(ctx.min_time(0.2), [&] {
-                  builder.build_wsort_into(topo, 0, keys, tree);
+                  builder.build_into(topo, 0, keys, core::kAlgoWsort, tree);
                 }));
   }
 }

@@ -124,36 +124,31 @@ std::shared_ptr<const core::MulticastSchedule> get_or_offer(
   return tree;
 }
 
+/// `tree`, shared; unless `faults` is null, its greedy repair
+/// (fault::repair_schedule, byte-identical to
+/// fault::fault_aware_multicast) instead.
+std::shared_ptr<const core::MulticastSchedule> shared_tree(
+    core::MulticastSchedule tree, const core::MulticastRequest& request,
+    const fault::FaultSet* faults) {
+  return std::make_shared<const core::MulticastSchedule>(
+      faults == nullptr
+          ? std::move(tree)
+          : fault::repair_schedule(tree, request.destinations, *faults)
+                .schedule);
+}
+
 }  // namespace
 
 ServePipeline::ServePipeline(std::string algorithm,
                              std::shared_ptr<ScheduleCache> cache,
                              std::shared_ptr<const fault::FaultSet> faults)
     : algorithm_(std::move(algorithm)),
+      // Resolves (and validates) the name against the registry; throws
+      // the self-diagnosing invalid_argument for typos.
+      entry_(&core::find_algorithm(algorithm_)),
       cache_(cache != nullptr ? std::move(cache)
                               : std::make_shared<ScheduleCache>()),
       faults_(std::move(faults)) {
-  if (algorithm_ == "ucube") {
-    kind_ = Kind::Chain;
-    rule_ = core::NextRule::Center;
-    algo_id_ = core::kAlgoUcube;
-  } else if (algorithm_ == "maxport") {
-    kind_ = Kind::Chain;
-    rule_ = core::NextRule::HighDim;
-    algo_id_ = core::kAlgoMaxport;
-  } else if (algorithm_ == "combine") {
-    kind_ = Kind::Chain;
-    rule_ = core::NextRule::MaxOfBoth;
-    algo_id_ = core::kAlgoCombine;
-  } else if (algorithm_ == "wsort") {
-    kind_ = Kind::Wsort;
-    algo_id_ = core::kAlgoWsort;
-  } else {
-    // Resolves (and validates) the name against the registry; throws the
-    // self-diagnosing invalid_argument for typos.
-    kind_ = Kind::Entry;
-    entry_ = &core::find_algorithm(algorithm_);
-  }
   if (faults_ != nullptr) {
     fault_salt_ = faults_->fingerprint(cache_->config().hash_seed);
   }
@@ -162,66 +157,85 @@ ServePipeline::ServePipeline(std::string algorithm,
 std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve(
     const core::MulticastRequest& request) const {
   HYPERCAST_OBS_SPAN("serve");
-  return faults_ != nullptr ? serve_repaired(request)
-                            : serve_tree(request, /*view=*/false).tree;
+  return serve_one(request, /*view=*/false).tree;
 }
 
 ServePipeline::View ServePipeline::serve_view(
     const core::MulticastRequest& request) const {
   HYPERCAST_OBS_SPAN("serve");
-  return faults_ != nullptr ? View{serve_repaired(request)}
-                            : serve_tree(request, /*view=*/true);
+  return serve_one(request, /*view=*/true);
 }
 
 void ServePipeline::first_key(const core::MulticastRequest& request,
                               bool repaired, core::CacheKey& key) const {
-  const auto repaired_id =
-      static_cast<std::uint8_t>(core::kAlgoRepaired + algo_id_);
   core::canonical_key_into(request.topo, request.source, request.destinations,
-                           repaired ? repaired_id : algo_id_,
-                           /*absolute=*/repaired, cache_->config().hash_seed,
-                           key);
-  if (repaired) core::set_salt(key, fault_salt_);
+                           *entry_->paper_id, /*absolute=*/false,
+                           cache_->config().hash_seed, key);
+  if (repaired) repaired_header(key, request.source);
 }
 
-ServePipeline::View ServePipeline::serve_tree(
+void ServePipeline::repaired_header(core::CacheKey& key,
+                                    core::NodeId source) const {
+  core::set_header(key,
+                   static_cast<std::uint8_t>(core::kAlgoRepaired +
+                                             *entry_->paper_id),
+                   /*absolute=*/true, source, fault_salt_);
+}
+
+ServePipeline::View ServePipeline::serve_one(
     const core::MulticastRequest& request, bool view) const {
   ServeTls& tls = serve_tls();
   StageTimer timer(tls);
   const ServeMetrics& metrics = serve_metrics();
   if (!cacheable()) {
     // Pass-through builds (several microseconds): build_ns times each.
-    return {timed(metrics.build_ns, [&] { return build_tree(request); }), 0};
+    return {timed(metrics.build_ns,
+                  [&] {
+                    return shared_tree(entry_->build(request), request,
+                                       faults_.get());
+                  }),
+            0};
   }
-  first_key(request, /*repaired=*/false, tls.key);
+  first_key(request, faults_ != nullptr, tls.key);
   timer.mark(metrics.canonicalize_ns);
-  const View out{get_or_offer(
-                     *cache_, tls.key,
-                     [&] {
-                       // A miss: build the relative tree once, at source 0.
-                       HYPERCAST_OBS_SPAN("serve.build");
-                       return timed(metrics.build_ns, [&] {
-                         return build_relative(request.topo, tls.key);
-                       });
-                     },
-                     [&] { timer.mark(metrics.hit_ns); }),
-                 request.source};
+  const View out{keyed_tree(request, tls.key,
+                            [&] { timer.mark(metrics.hit_ns); }),
+                 faults_ != nullptr ? 0 : request.source};
   return view ? out : View{materialize(out), 0};
+}
+
+template <typename OnHit>
+std::shared_ptr<const core::MulticastSchedule> ServePipeline::keyed_tree(
+    const core::MulticastRequest& request, const core::CacheKey& key,
+    OnHit&& on_hit) const {
+  return get_or_offer(
+      *cache_, key,
+      [&] {
+        HYPERCAST_OBS_SPAN("serve.build");
+        return timed(serve_metrics().build_ns, [&] {
+          // A relative tree is built once, at source 0; a repair's base
+          // at the request's source, from the same sorted words.
+          const core::NodeId at = key.absolute ? request.source : 0;
+          core::MulticastSchedule tree(request.topo, at);
+          serve_tls().builder.build_into(request.topo, at, key.words,
+                                         *entry_->paper_id, tree);
+          return shared_tree(std::move(tree), request,
+                             key.absolute ? faults_.get() : nullptr);
+        });
+      },
+      on_hit);
 }
 
 ServePipeline::View ServePipeline::serve_ist(
     ScheduleCache& cache, const core::MulticastRequest& request,
-    hcube::Dim tree) {
+    core::CacheKey& key, hcube::Dim tree) {
+  core::set_header(key, static_cast<std::uint8_t>(core::kAlgoIst + tree),
+                   /*absolute=*/false, 0);
   ServeTls& tls = serve_tls();
-  core::canonical_key_into(request.topo, request.source, request.destinations,
-                           static_cast<std::uint8_t>(core::kAlgoIst + tree),
-                           /*absolute=*/false, cache.config().hash_seed,
-                           tls.key);
   return {get_or_offer(
-              cache, tls.key,
+              cache, key,
               [&] {
-                core::chain_from_keys(request.topo, 0, tls.key.words,
-                                      tls.chain);
+                core::chain_from_keys(request.topo, 0, key.words, tls.chain);
                 return std::make_shared<const core::MulticastSchedule>(
                     core::build_ist_tree0(
                         request.topo, tree,
@@ -241,56 +255,6 @@ std::shared_ptr<const core::MulticastSchedule> ServePipeline::materialize(
     copy->assign_translated(*view.tree, view.mask);
     return copy;
   });
-}
-
-std::shared_ptr<const core::MulticastSchedule> ServePipeline::serve_repaired(
-    const core::MulticastRequest& request) const {
-  ServeTls& tls = serve_tls();
-  StageTimer timer(tls);
-  const ServeMetrics& metrics = serve_metrics();
-  const auto build = [&] {
-    HYPERCAST_OBS_SPAN("serve.build");
-    return timed(metrics.build_ns, [&] {
-      return std::make_shared<const core::MulticastSchedule>(
-          fault::repair_schedule(*build_tree(request), request.destinations,
-                                 *faults_)
-              .schedule);
-    });
-  };
-  if (!cacheable()) return build();
-  first_key(request, /*repaired=*/true, tls.key);
-  timer.mark(metrics.canonicalize_ns);
-  return get_or_offer(*cache_, tls.key, build,
-                      [&] { timer.mark(metrics.hit_ns); });
-}
-
-std::shared_ptr<core::MulticastSchedule> ServePipeline::build_relative(
-    const core::Topology& topo, const core::CacheKey& key) const {
-  ServeTls& tls = serve_tls();
-  auto out = std::make_shared<core::MulticastSchedule>(topo, 0);
-  if (kind_ == Kind::Wsort) {
-    tls.builder.build_wsort_into(topo, 0, key.words, *out);
-  } else {
-    core::chain_from_keys(topo, 0, key.words, tls.chain);
-    tls.builder.build_chain_into(topo, tls.chain, rule_, *out);
-  }
-  return out;
-}
-
-std::shared_ptr<core::MulticastSchedule> ServePipeline::build_tree(
-    const core::MulticastRequest& request) const {
-  if (kind_ == Kind::Entry) {
-    return std::make_shared<core::MulticastSchedule>(entry_->build(request));
-  }
-  ServeTls& tls = serve_tls();
-  auto out =
-      std::make_shared<core::MulticastSchedule>(request.topo, request.source);
-  if (kind_ == Kind::Chain) {
-    tls.builder.build_into(request, rule_, *out);
-  } else {
-    tls.builder.build_wsort_into(request, *out);
-  }
-  return out;
 }
 
 template <typename ServeSlot>
@@ -355,6 +319,10 @@ void ServePipeline::serve_each(
   parallel_over([&](std::size_t w) {
     core::CacheKey key;
     for (std::size_t i = w; i < n; i += workers) {
+      if (!cacheable()) {
+        owner[i] = static_cast<std::uint32_t>(w);  // touches no cache
+        continue;
+      }
       first_key(requests[i], faults_ != nullptr, key);
       owner[i] = static_cast<std::uint32_t>(cache_->shard_of(key) % workers);
     }
@@ -401,11 +369,20 @@ StripedPlan ServePipeline::serve_striped(
   StripedPlan plan;
   plan.payload_bytes = payload_bytes;
   plan.stripe_bytes = payload_bytes;
-  auto tree = serve_tree(request, /*view=*/false).tree;
+  // The fault-free tree, and under a fault set that blocks it exactly
+  // what serve() returns, cached under its salted key: one
+  // canonicalization names both.
+  ServeTls& tls = serve_tls();
+  const StageTimer timer(tls);
+  if (cacheable()) first_key(request, /*repaired=*/false, tls.key);
+  auto tree = cacheable() ? materialize({keyed_tree(request, tls.key, [] {}),
+                                         request.source})
+                          : shared_tree(entry_->build(request), request,
+                                        nullptr);
   if (faults_ != nullptr && fault::blocked_unicasts(*tree, *faults_) != 0) {
-    // Degraded single-tree fallback: the repaired tree is exactly what
-    // serve() returns under this fault set, cached under its salted key.
-    tree = serve_repaired(request);
+    if (cacheable()) repaired_header(tls.key, request.source);
+    tree = cacheable() ? keyed_tree(request, tls.key, [] {})
+                       : shared_tree(*tree, request, faults_.get());
     plan.repaired_trees = 1;
     plan.repaired_greedy = 1;
   }

@@ -20,7 +20,7 @@ namespace hypercast::coll {
 /// ScheduleCache. A pipeline is immutable after construction, so any
 /// number of threads may serve through it.
 ///
-/// Serving strategy by algorithm:
+/// Serving strategy by algorithm (its core::AlgorithmEntry::paper_id):
 ///  * ucube / maxport / combine / wsort — translation-invariant (the
 ///    property tests prove build(u, D) is the XOR-relabeling of
 ///    build(0, u ^ D)), so the pipeline caches only the *relative* tree
@@ -32,8 +32,10 @@ namespace hypercast::coll {
 ///    ids. Every entry, repairs included, goes through
 ///    ScheduleCache::offer(), so a tree is kept only when its key
 ///    repeats, and traffic that never repeats leaves the cache empty.
-///  * the same four under a fault set — the tree is built directly at
-///    the source and repaired with fault::repair_schedule, the greedy
+///  * the same four under a fault set — the request is canonicalized
+///    once, its key re-tagged to the repaired identity, and on a miss
+///    the tree is built from that key's words at the request's source
+///    and repaired with fault::repair_schedule, the greedy
 ///    entry point of the repair engine (byte-identical to
 ///    fault::fault_aware_multicast; striped plans take the certified
 ///    one, see serve_striped). Repairs depend on absolute fault
@@ -45,9 +47,11 @@ namespace hypercast::coll {
 ///    erases, so these are served pass-through (built, and repaired
 ///    under a fault set, per request; never cached).
 ///
-/// Misses build through a thread-local core::TreeBuilder, so a pipeline
-/// shared by many worker threads stays allocation-free in steady state
-/// and bit-identical to the core algorithms at any thread count.
+/// Misses build through a thread-local core::TreeBuilder::build_into
+/// straight from the key's sorted relative words (the one input of every
+/// paper tree), so a pipeline shared by many worker threads stays
+/// allocation-free in steady state and bit-identical to the core
+/// algorithms at any thread count.
 class ServePipeline {
  public:
   /// A null `cache` gets a private default ScheduleCache, so cache() is
@@ -88,11 +92,13 @@ class ServePipeline {
   /// Tree `tree` of the request's IST family (core/ist.hpp) as a view:
   /// the relative tree cached under core::kAlgoIst + tree, reached like
   /// serve_view's (probe, build at source 0 on a miss, offer) and placed
-  /// at mask = request.source. StripedPlanner serves every stripe tree
-  /// this way.
+  /// at mask = request.source. `key` holds the request's canonical words
+  /// (canonical_key_into, any header) and is re-tagged here, so a
+  /// StripedPlanner canonicalizes once and serves every stripe tree
+  /// from that one key.
   static View serve_ist(ScheduleCache& cache,
                         const core::MulticastRequest& request,
-                        hcube::Dim tree);
+                        core::CacheKey& key, hcube::Dim tree);
 
   /// CoScheduler::plan over the views' trees at their masks: the plan of
   /// the materialized trees, with the memos on the shared relative ones.
@@ -170,28 +176,33 @@ class ServePipeline {
       const BatchPolicy& policy, const CoschedPolicy& cosched) const;
 
  private:
-  enum class Kind {
-    Chain,   ///< ucube / maxport / combine: TreeBuilder + NextRule
-    Wsort,   ///< weighted_sort permutation + HighDim rule
-    Entry,   ///< registry entry; served pass-through
-  };
-
   /// Every algorithm but the order-dependent pass-through ones caches.
-  bool cacheable() const { return kind_ != Kind::Entry; }
+  bool cacheable() const { return entry_->paper_id.has_value(); }
 
-  /// The fault-free tree: the relative one when cacheable, else built;
-  /// unless a `view`, a nonzero source is materialized (mask 0).
-  View serve_tree(const core::MulticastRequest& request, bool view) const;
-  /// serve() under a fault set: the repaired tree, cached under the
-  /// fingerprint-salted absolute key when cacheable.
-  std::shared_ptr<const core::MulticastSchedule> serve_repaired(
-      const core::MulticastRequest& request) const;
+  /// serve() and serve_view(): a pass-through tree (repaired under a
+  /// fault set) at mask 0, else the tree first_key names. Unless a
+  /// `view`, a relative tree at a nonzero source is materialized.
+  View serve_one(const core::MulticastRequest& request, bool view) const;
 
-  /// The identity a serve probes: for a repaired tree the absolute key
-  /// under core::kAlgoRepaired, salted with the fault fingerprint; for a
-  /// fault-free one the relative key.
+  /// Canonicalize a cacheable request into the identity a serve probes:
+  /// the relative key, or for a repaired tree repaired_header's.
   void first_key(const core::MulticastRequest& request, bool repaired,
                  core::CacheKey& key) const;
+
+  /// Re-tag a canonical key to the repaired identity: absolute under
+  /// core::kAlgoRepaired + the paper id, salted with the fault
+  /// fingerprint.
+  void repaired_header(core::CacheKey& key, core::NodeId source) const;
+
+  /// The cached tree `key` names (probe; on a miss build and offer):
+  /// under a relative key the tree built at source 0, under a repaired
+  /// one the tree built at the request's source and repaired against
+  /// the fault set. Either is built straight from the key's words.
+  /// `on_hit` runs on a hit only.
+  template <typename OnHit>
+  std::shared_ptr<const core::MulticastSchedule> keyed_tree(
+      const core::MulticastRequest& request, const core::CacheKey& key,
+      OnHit&& on_hit) const;
 
   /// serve_batch's loop: serve_slot(i) for each request not shed, split
   /// across threads by the shard of its first key.
@@ -199,25 +210,8 @@ class ServePipeline {
   void serve_each(std::span<const core::MulticastRequest> requests,
                   const BatchPolicy& policy, ServeSlot&& serve_slot) const;
 
-  /// Build the fault-free tree for the request directly at its source,
-  /// finalized: a pass-through algorithm's tree, or the base tree of a
-  /// greedy repair (a repair caches under its absolute key, so its base
-  /// is never looked up relative).
-  std::shared_ptr<core::MulticastSchedule> build_tree(
-      const core::MulticastRequest& request) const;
-
-  /// Build, finalized, the fault-free tree from source 0 to the
-  /// destinations a canonical key denotes, through the same TreeBuilder
-  /// as every other build: W-sort straight from the key's words, the
-  /// chain rules over its relative chain.
-  std::shared_ptr<core::MulticastSchedule> build_relative(
-      const core::Topology& topo, const core::CacheKey& key) const;
-
   std::string algorithm_;
-  Kind kind_ = Kind::Entry;
-  core::NextRule rule_ = core::NextRule::Center;
-  const core::AlgorithmEntry* entry_ = nullptr;  ///< Kind::Entry only
-  std::uint8_t algo_id_ = 0;  ///< the fault-free core::CacheAlgoId
+  const core::AlgorithmEntry* entry_ = nullptr;
   std::shared_ptr<ScheduleCache> cache_;
   std::shared_ptr<const fault::FaultSet> faults_;
   std::uint64_t fault_salt_ = 0;  ///< faults_->fingerprint(hash seed)

@@ -18,6 +18,12 @@ void bump(const char* name, std::uint64_t by = 1) {
   }
 }
 
+/// The canonical key of the plan this thread last made.
+core::CacheKey& plan_key() {
+  thread_local core::CacheKey key;
+  return key;
+}
+
 }  // namespace
 
 std::vector<sim::CollectiveJob> StripedPlan::jobs(sim::SimTime start) const {
@@ -136,7 +142,13 @@ bool StripedPlanner::should_verify(hcube::Dim dim) const {
 StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
                                  std::size_t payload_bytes) const {
   HYPERCAST_OBS_SPAN("striped.plan");
-  request.validate();
+  // The one canonicalization of the plan (it validates the request):
+  // every tree below, and every repair of a degraded plan, names itself
+  // by re-tagging this key.
+  core::CacheKey& key = plan_key();
+  core::canonical_key_into(request.topo, request.source, request.destinations,
+                           core::kAlgoIst, /*absolute=*/false,
+                           cache_->config().hash_seed, key);
   const hcube::Dim n = core::ist_tree_count(request.topo);
   const std::size_t k = effective_parity(n);
   StripedPlan plan;
@@ -150,7 +162,7 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
   plan.trees.reserve(n);
   for (hcube::Dim t = 0; t < n; ++t) {
     plan.trees.push_back(ServePipeline::materialize(
-        ServePipeline::serve_ist(*cache_, request, t)));
+        ServePipeline::serve_ist(*cache_, request, key, t)));
   }
   bump("striped.plans");
   return plan;
@@ -160,6 +172,7 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
                                  std::size_t payload_bytes,
                                  const fault::FaultSet& faults) const {
   StripedPlan out = plan(request, payload_bytes);
+  core::CacheKey& key = plan_key();  // the request's words, from plan()
   const std::size_t n = out.trees.size();
   // Which trees does the fault set actually touch? Every tree arc is a
   // single hop, so blocked_unicasts counts exactly the tree edges that
@@ -225,15 +238,12 @@ StripedPlan StripedPlanner::plan(const core::MulticastRequest& request,
         owners.claim_schedule(*out.trees[t], static_cast<int>(t));
       }
     }
-    core::CacheKey key;
     for (const int t : to_repair) {
-      // Canonicalized once per damaged tree: the probe below and, on a
-      // disjoint repair, the offer share the key.
-      core::canonical_key_into(
-          request.topo, request.source, request.destinations,
-          static_cast<std::uint8_t>(core::kAlgoIstRepaired + t),
-          /*absolute=*/true, cache_->config().hash_seed, key);
-      core::set_salt(key, salt);
+      // The probe below and, on a disjoint repair, the offer share the
+      // re-tagged key.
+      core::set_header(key,
+                       static_cast<std::uint8_t>(core::kAlgoIstRepaired + t),
+                       /*absolute=*/true, request.source, salt);
       if (auto hit = cache_->get(key)) {
         // Only certified disjoint repairs are ever cached, so a hit
         // re-claims its footprint and keeps the certificate.

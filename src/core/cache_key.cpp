@@ -84,40 +84,44 @@ std::uint64_t hash_words(std::span<const std::uint32_t> words,
   return h;
 }
 
-void canonical_key_into(const Topology& topo, NodeId source,
-                        std::span<const NodeId> destinations,
-                        std::uint8_t algo, bool absolute, std::uint64_t seed,
-                        CacheKey& out) {
+void sorted_relative_keys(const Topology& topo, NodeId source,
+                          std::span<const NodeId> destinations,
+                          std::vector<std::uint32_t>& keys) {
   if (!topo.contains(source)) {
     throw std::invalid_argument("multicast source outside the cube");
   }
   const std::uint32_t source_key = topo.key(source);
-  out.algo = algo;
-  out.absolute = absolute;
-  out.dim = static_cast<std::uint8_t>(topo.dim());
-  out.res = static_cast<std::uint8_t>(topo.resolution());
-  out.source = absolute ? source : 0;
-  out.words.resize(destinations.size());
+  keys.resize(destinations.size());
   for (std::size_t i = 0; i < destinations.size(); ++i) {
     if (!topo.contains(destinations[i])) {
       throw std::invalid_argument("multicast destination outside the cube");
     }
-    out.words[i] = topo.key(destinations[i]) ^ source_key;
+    keys[i] = topo.key(destinations[i]) ^ source_key;
   }
-  sort_and_validate(out.words, topo.num_nodes());
-
-  // The words are hashed once; the scalar identity fields (which rekey()
-  // can swap without re-reading the words) are folded on top, so that
-  // e.g. the same relative chain under the two resolution orders, or
-  // under two algorithms, never collides structurally.
-  out.words_hash = hash_words(out.words, seed);
-  out.salt = 0;  // `out` is recycled scratch; salting is opt-in afterwards
-  rekey(out, absolute, source);
+  sort_and_validate(keys, topo.num_nodes());
 }
 
-void rekey(CacheKey& key, bool absolute, NodeId source) {
+void canonical_key_into(const Topology& topo, NodeId source,
+                        std::span<const NodeId> destinations,
+                        std::uint8_t algo, bool absolute, std::uint64_t seed,
+                        CacheKey& out) {
+  sorted_relative_keys(topo, source, destinations, out.words);
+  // The words are hashed once; the scalar identity fields (which
+  // set_header() can swap without re-reading the words) are folded on
+  // top, so that e.g. the same relative chain under the two resolution
+  // orders, or under two algorithms, never collides structurally.
+  out.dim = static_cast<std::uint8_t>(topo.dim());
+  out.res = static_cast<std::uint8_t>(topo.resolution());
+  out.words_hash = hash_words(out.words, seed);
+  set_header(out, algo, absolute, source);
+}
+
+void set_header(CacheKey& key, std::uint8_t algo, bool absolute,
+                NodeId source, std::uint64_t salt) {
+  key.algo = algo;
   key.absolute = absolute;
   key.source = absolute ? source : 0;
+  key.salt = salt;
   const std::uint32_t header[5] = {
       (static_cast<std::uint32_t>(key.algo) << 16) |
           (static_cast<std::uint32_t>(key.absolute) << 8) |
@@ -128,11 +132,6 @@ void rekey(CacheKey& key, bool absolute, NodeId source) {
       static_cast<std::uint32_t>(key.salt >> 32),
   };
   key.hash = hash_words(header, key.words_hash);
-}
-
-void set_salt(CacheKey& key, std::uint64_t salt) {
-  key.salt = salt;
-  rekey(key, key.absolute, key.source);
 }
 
 void chain_from_keys(const Topology& topo, NodeId source,

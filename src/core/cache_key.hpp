@@ -17,7 +17,7 @@ namespace hypercast::core {
 /// tests/test_translation_invariance.cpp proves for all four paper
 /// algorithms). The canonical form of a request is therefore the sorted
 /// sequence of relative keys key(d) ^ key(source) — which is exactly the
-/// key sequence hcube::make_relative_chain_into sorts by — plus the cube
+/// key sequence hcube::make_relative_chain sorts by — plus the cube
 /// dimension, the resolution order and an opaque algorithm id.
 ///
 /// Requests whose schedules are NOT translation-invariant (fault-aware
@@ -36,7 +36,7 @@ struct CacheKey {
                                 ///< plans, the parity config), so two
                                 ///< fault sets never alias in one cache
   std::uint64_t hash = 0;       ///< seeded FNV-1a over the fields + words
-  std::uint64_t words_hash = 0; ///< hash of the words alone (rekey cache)
+  std::uint64_t words_hash = 0; ///< hash of the words alone (header seed)
 
   /// The canonical relative chain: strictly increasing relative keys of
   /// the destinations (the source's relative key, 0, is omitted).
@@ -78,11 +78,20 @@ static_assert(kAlgoIst + hcube::kMaxDim <= 0xff);
 std::uint64_t hash_words(std::span<const std::uint32_t> words,
                          std::uint64_t seed);
 
-/// Build the canonical key of (source, destinations) under `topo` into
-/// `out` (its word buffer is recycled across calls). Also validates the
-/// request with the same guarantees as MulticastRequest::validate():
+/// The relative keys key(d) ^ key(source) of the destinations, sorted
+/// strictly increasing into `keys` (its buffer is recycled across
+/// calls): the one input every paper tree is built from
+/// (TreeBuilder::build_into) and the words of a canonical key. Validates
+/// the request with the same guarantees as MulticastRequest::validate():
 /// throws std::invalid_argument on out-of-cube nodes, duplicate
 /// destinations, or the source listed as a destination.
+void sorted_relative_keys(const Topology& topo, NodeId source,
+                          std::span<const NodeId> destinations,
+                          std::vector<std::uint32_t>& keys);
+
+/// Build the canonical key of (source, destinations) under `topo` into
+/// `out`: sorted_relative_keys into its words, hashed once, under the
+/// header set_header(out, algo, absolute, source) gives.
 ///
 /// When `absolute` is set the source is kept in the identity (for
 /// outputs that are not translation-invariant); the words are still
@@ -93,16 +102,13 @@ void canonical_key_into(const Topology& topo, NodeId source,
                         std::uint8_t algo, bool absolute, std::uint64_t seed,
                         CacheKey& out);
 
-/// Switch a key between its absolute and relative identities without
-/// re-canonicalizing: the words (and their cached words_hash) are
-/// identical for both — only the identity header changes, so this is a
-/// three-word hash fold.
-void rekey(CacheKey& key, bool absolute, NodeId source);
-
-/// Set the identity salt and re-fold the header hash (same cost as
-/// rekey). canonical_key_into always resets the salt to 0; callers that
-/// scope entries (fault fingerprint, parity config) salt afterwards.
-void set_salt(CacheKey& key, std::uint64_t salt);
+/// Re-tag a key's identity header without re-canonicalizing: the words
+/// (and their cached words_hash) stay, so one canonicalization names a
+/// request under any algorithm id, absolute or relative, salted or not
+/// (the salt scopes entries to a fault set or parity config; 0 = none).
+/// A three-word hash fold.
+void set_header(CacheKey& key, std::uint8_t algo, bool absolute,
+                NodeId source, std::uint64_t salt = 0);
 
 /// Reconstruct a build chain from relative keys: `source`, then the node
 /// each key denotes relative to it, unkey(k ^ key(source)). Fed a

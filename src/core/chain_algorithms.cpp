@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "core/tree_builder.hpp"
+#include "core/wsort.hpp"
 #include "hcube/bits.hpp"
 
 namespace hypercast::core {
@@ -79,26 +80,51 @@ MulticastSchedule build_chain_schedule(const Topology& topo,
 
 namespace {
 
-TreeBuilder& local_builder() {
-  // One scratch arena per thread: registry-driven callers (sweeps,
-  // benches, the CLI) amortize all construction allocations without
-  // sharing state across sweep workers.
-  thread_local TreeBuilder builder;
-  return builder;
+/// One scratch arena per thread: registry-driven callers (sweeps,
+/// benches, the CLI) amortize all construction allocations without
+/// sharing state across sweep workers.
+struct LocalBuild {
+  std::vector<std::uint32_t> keys;
+  TreeBuilder builder;
+};
+
+LocalBuild& local_build() {
+  thread_local LocalBuild local;
+  return local;
+}
+
+/// The paper tree `algo` for a request: its sorted relative keys (which
+/// validates it), built at its source.
+MulticastSchedule paper_tree(const MulticastRequest& req, CacheAlgoId algo) {
+  LocalBuild& local = local_build();
+  sorted_relative_keys(req.topo, req.source, req.destinations, local.keys);
+  MulticastSchedule out(req.topo, req.source);
+  local.builder.build_into(req.topo, req.source, local.keys, algo, out);
+  return out;
 }
 
 }  // namespace
 
 MulticastSchedule ucube(const MulticastRequest& req) {
-  return local_builder().build(req, NextRule::Center);
+  return paper_tree(req, kAlgoUcube);
 }
 
 MulticastSchedule maxport(const MulticastRequest& req) {
-  return local_builder().build(req, NextRule::HighDim);
+  return paper_tree(req, kAlgoMaxport);
 }
 
 MulticastSchedule combine(const MulticastRequest& req) {
-  return local_builder().build(req, NextRule::MaxOfBoth);
+  return paper_tree(req, kAlgoCombine);
+}
+
+MulticastSchedule wsort(const MulticastRequest& req) {
+  return paper_tree(req, kAlgoWsort);
+}
+
+std::vector<NodeId> wsort_chain(const MulticastRequest& req) {
+  (void)paper_tree(req, kAlgoWsort);
+  const std::span<const NodeId> chain = local_build().builder.chain();
+  return {chain.begin(), chain.end()};
 }
 
 }  // namespace hypercast::core

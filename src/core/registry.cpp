@@ -13,16 +13,19 @@ namespace {
 
 const std::vector<AlgorithmEntry>& table() {
   static const std::vector<AlgorithmEntry> entries = {
-      {"ucube", "U-cube", [](const MulticastRequest& r) { return ucube(r); }},
+      {"ucube", "U-cube", [](const MulticastRequest& r) { return ucube(r); },
+       kAlgoUcube},
       {"maxport", "Maxport",
-       [](const MulticastRequest& r) { return maxport(r); }},
+       [](const MulticastRequest& r) { return maxport(r); }, kAlgoMaxport},
       {"combine", "Combine",
-       [](const MulticastRequest& r) { return combine(r); }},
-      {"wsort", "W-sort", [](const MulticastRequest& r) { return wsort(r); }},
+       [](const MulticastRequest& r) { return combine(r); }, kAlgoCombine},
+      {"wsort", "W-sort", [](const MulticastRequest& r) { return wsort(r); },
+       kAlgoWsort},
       {"separate", "Separate",
-       [](const MulticastRequest& r) { return separate_addressing(r); }},
+       [](const MulticastRequest& r) { return separate_addressing(r); },
+       std::nullopt},
       {"sftree", "SF-tree",
-       [](const MulticastRequest& r) { return sf_tree(r); }},
+       [](const MulticastRequest& r) { return sf_tree(r); }, std::nullopt},
   };
   return entries;
 }

@@ -2,12 +2,13 @@
 #define HYPERCAST_CORE_REGISTRY_HPP
 
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/multicast.hpp"
+#include "core/cache_key.hpp"
 
 namespace hypercast::core {
 
@@ -16,6 +17,9 @@ struct AlgorithmEntry {
   std::string name;         ///< e.g. "wsort"
   std::string display;      ///< e.g. "W-sort"
   std::function<MulticastSchedule(const MulticastRequest&)> build;
+  /// The paper algorithms' id for TreeBuilder::build_into; none for the
+  /// baselines, whose trees may depend on the destinations' order.
+  std::optional<CacheAlgoId> paper_id;
 };
 
 /// The four algorithms the paper evaluates (Figures 9-14), in the

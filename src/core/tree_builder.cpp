@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "hcube/bits.hpp"
 
@@ -21,37 +22,28 @@ std::uint32_t upper_half(std::span<const std::uint32_t> keys, std::uint32_t i,
 
 }  // namespace
 
-MulticastSchedule TreeBuilder::build(const MulticastRequest& req,
-                                     NextRule rule) {
-  MulticastSchedule out(req.topo, req.source);
-  build_into(req, rule, out);
-  return out;
-}
-
-void TreeBuilder::build_into(const MulticastRequest& req, NextRule rule,
-                             MulticastSchedule& out) {
-  req.validate();
-  hcube::make_relative_chain_into(req.topo, req.source, req.destinations,
-                                  chain_);
-  build_chain_into(req.topo, chain_, rule, out);
-}
-
-MulticastSchedule TreeBuilder::build_wsort(const MulticastRequest& req) {
-  MulticastSchedule out(req.topo, req.source);
-  build_wsort_into(req, out);
-  return out;
-}
-
-void TreeBuilder::build_wsort_into(const MulticastRequest& req,
-                                   MulticastSchedule& out) {
-  req.validate();
-  const std::uint32_t source_key = req.topo.key(req.source);
-  keys_.resize(req.destinations.size());
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    keys_[i] = req.topo.key(req.destinations[i]) ^ source_key;
+void TreeBuilder::build_into(const Topology& topo, NodeId source,
+                             std::span<const std::uint32_t> keys,
+                             CacheAlgoId algo, MulticastSchedule& out) {
+  NextRule rule = NextRule::Center;
+  switch (algo) {
+    case kAlgoUcube:
+      break;
+    case kAlgoMaxport:
+      rule = NextRule::HighDim;
+      break;
+    case kAlgoCombine:
+      rule = NextRule::MaxOfBoth;
+      break;
+    case kAlgoWsort:
+      build_wsort_into(topo, source, keys, out);
+      return;
+    default:
+      throw std::invalid_argument("TreeBuilder::build_into: not a paper "
+                                  "algorithm id");
   }
-  std::sort(keys_.begin(), keys_.end());
-  build_wsort_into(req.topo, req.source, keys_, out);
+  chain_from_keys(topo, source, keys, chain_);
+  build_chain_into(topo, chain_, rule, out);
 }
 
 void TreeBuilder::build_wsort_into(const Topology& topo, NodeId source,

@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "core/cache_key.hpp"
 #include "core/chain_algorithms.hpp"
 
 namespace hypercast::core {
@@ -39,33 +40,25 @@ namespace hypercast::core {
 /// threaded sweeps bit-identical at any thread count.
 class TreeBuilder {
  public:
-  /// Sort the destinations into the source-relative dimension-ordered
-  /// chain and run `rule` over it (ucube/maxport/combine, depending on
-  /// the rule). Validates the request.
-  MulticastSchedule build(const MulticastRequest& req, NextRule rule);
-  void build_into(const MulticastRequest& req, NextRule rule,
+  /// The paper tree `algo` (kAlgoUcube, kAlgoMaxport, kAlgoCombine or
+  /// kAlgoWsort) from `source` to the nodes whose relative keys are
+  /// `keys`: strictly increasing and nonzero, as sorted_relative_keys
+  /// and CacheKey::words hold them (not validated). The chain rules run
+  /// over the source-relative dimension-ordered chain those keys denote
+  /// (chain_from_keys), W-sort over its weighted permutation in one pass.
+  /// Throws std::invalid_argument for any other id.
+  void build_into(const Topology& topo, NodeId source,
+                  std::span<const std::uint32_t> keys, CacheAlgoId algo,
                   MulticastSchedule& out);
-
-  /// W-sort: the weighted_sort permutation of the dimension-ordered
-  /// chain under the HighDim rule, built in one pass. Validates the
-  /// request.
-  MulticastSchedule build_wsort(const MulticastRequest& req);
-  void build_wsort_into(const MulticastRequest& req, MulticastSchedule& out);
-
-  /// W-sort from `source` to the nodes whose relative keys are `keys`:
-  /// strictly increasing and nonzero (CacheKey::words), not validated.
-  void build_wsort_into(const Topology& topo, NodeId source,
-                        std::span<const std::uint32_t> keys,
-                        MulticastSchedule& out);
 
   /// Run `rule` over an explicit cube-ordered chain (position 0 is the
   /// source). `chain` may alias this builder's internal chain buffer
-  /// (the *_into entry points above rely on that).
+  /// (build_into relies on that).
   void build_chain_into(const Topology& topo, std::span<const NodeId> chain,
                         NextRule rule, MulticastSchedule& out);
 
-  /// The chain the last build_into or build_wsort_into call ran over:
-  /// after W-sort, the weighted chain. Valid until the next build.
+  /// The chain the last build_into call ran over: after W-sort, the
+  /// weighted chain. Valid until the next build.
   std::span<const NodeId> chain() const { return chain_; }
 
  private:
@@ -91,6 +84,11 @@ class TreeBuilder {
   std::vector<Block> blocks_;
 
   std::vector<ChainSend> sends_;  ///< each sender's sends as one run
+
+  /// W-sort's one pass (see the class comment).
+  void build_wsort_into(const Topology& topo, NodeId source,
+                        std::span<const std::uint32_t> keys,
+                        MulticastSchedule& out);
 };
 
 }  // namespace hypercast::core

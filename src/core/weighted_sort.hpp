@@ -16,10 +16,11 @@ namespace hypercast::core {
 /// This is the paper's centralized recursion, with the swap done by
 /// rotating subcube halves in place after recursing (the paper quotes
 /// O(m^2) for the centralized form). It is the reference the W-sort
-/// build is tested against: TreeBuilder::build_wsort_into computes the
-/// same permutation top-down, in the one pass over the sorted relative
-/// keys that also records the tree's sends (so levels where one half is
-/// empty cost nothing), and core::wsort_chain returns it. That pass
+/// build is tested against: TreeBuilder::build_into (kAlgoWsort)
+/// computes the same permutation top-down, in the one pass over the
+/// sorted relative keys that also records the tree's sends (so levels
+/// where one half is empty cost nothing), and core::wsort_chain returns
+/// it. That pass
 /// stands in for the distributed O(m log m) version the paper defers to
 /// the technical report.
 ///

@@ -45,37 +45,44 @@ Options Options::parse(int argc, const char* const* argv, int first) {
   return out;
 }
 
-std::string Options::get(const std::string& key) const {
+const Options::Entry* Options::find(const std::string& key) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) {
+  if (it == values_.end()) return nullptr;
+  it->second.read = true;
+  return &it->second;
+}
+
+std::string Options::get(const std::string& key) const {
+  const Entry* entry = find(key);
+  if (entry == nullptr) {
     throw std::invalid_argument("missing required option --" + key);
   }
-  return it->second.last();
+  return entry->last();
 }
 
 std::string Options::get_or(const std::string& key,
                             std::string fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? std::move(fallback) : it->second.last();
+  const Entry* entry = find(key);
+  return entry == nullptr ? std::move(fallback) : entry->last();
 }
 
 std::vector<std::string> Options::get_all(const std::string& key) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? std::vector<std::string>{} : it->second.values;
+  const Entry* entry = find(key);
+  return entry == nullptr ? std::vector<std::string>{} : entry->values;
 }
 
 const std::string& Options::typed_value(const std::string& key,
                                         const char* what) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) {
+  const Entry* entry = find(key);
+  if (entry == nullptr) {
     throw std::invalid_argument("missing required option --" + key);
   }
-  if (it->second.bare) {
+  if (entry->bare) {
     throw std::invalid_argument("--" + key + " expects " + what +
                                 " but was given as a bare flag; use --" +
                                 key + "=<value> or --" + key + " <value>");
   }
-  return it->second.last();
+  return entry->last();
 }
 
 long Options::get_int(const std::string& key) const {
@@ -228,11 +235,14 @@ Options::CacheOptions Options::cache() const {
   return out;
 }
 
-std::vector<std::string> Options::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [k, v] : values_) out.push_back(k);
-  return out;
+void Options::reject_unread() const {
+  std::string unread;
+  for (const auto& [key, entry] : values_) {
+    if (!entry.read) unread += (unread.empty() ? "--" : ", --") + key;
+  }
+  if (!unread.empty()) {
+    throw std::invalid_argument("unknown option " + unread);
+  }
 }
 
 }  // namespace hypercast::harness

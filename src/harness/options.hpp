@@ -1,9 +1,9 @@
 #ifndef HYPERCAST_HARNESS_OPTIONS_HPP
 #define HYPERCAST_HARNESS_OPTIONS_HPP
 
+#include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/stepwise.hpp"
@@ -29,20 +29,23 @@ class Options {
   /// every occurrence for genuinely multi-valued options.
   static Options parse(int argc, const char* const* argv, int first = 1);
 
-  bool has(const std::string& key) const { return values_.contains(key); }
+  /// Every lookup below (has and count too) marks the key as read, so
+  /// reject_unread() knows which flags the caller consumed; the marks
+  /// make concurrent lookups on one Options a data race.
+  bool has(const std::string& key) const { return find(key) != nullptr; }
 
   /// Number of times the key was given (0 when absent).
   std::size_t count(const std::string& key) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? 0 : it->second.values.size();
+    const Entry* entry = find(key);
+    return entry == nullptr ? 0 : entry->values.size();
   }
 
   /// True iff the key's last occurrence was a bare `--flag` (no value).
   /// Typed getters reject bare flags with a diagnostic suggesting
   /// `--key=<v>`.
   bool is_bare_flag(const std::string& key) const {
-    const auto it = values_.find(key);
-    return it != values_.end() && it->second.bare;
+    const Entry* entry = find(key);
+    return entry != nullptr && entry->bare;
   }
 
   /// Value lookups; `get` throws std::invalid_argument when the key is
@@ -92,23 +95,30 @@ class Options {
   /// silently ignored.
   CacheOptions cache() const;
 
-  /// Keys the caller never consumed (typo detection).
-  std::vector<std::string> keys() const;
+  /// Typo detection: throws std::invalid_argument naming every given
+  /// flag no lookup has read yet. A tool calls it once it has read all
+  /// its options, before it starts work, so a misspelled or unsupported
+  /// flag fails instead of being silently ignored.
+  void reject_unread() const;
 
  private:
   struct Entry {
     std::vector<std::string> values;  ///< one per occurrence, argv order
     bool bare = false;  ///< last occurrence was `--flag` (value "true")
+    mutable bool read = false;  ///< some lookup asked for this key
 
     const std::string& last() const { return values.back(); }
   };
+
+  /// The key's entry (nullptr when absent), marked as read.
+  const Entry* find(const std::string& key) const;
 
   /// Value lookup for typed getters: throws for missing keys and for
   /// bare flags (`what` names the expected value kind).
   const std::string& typed_value(const std::string& key,
                                  const char* what) const;
 
-  std::unordered_map<std::string, Entry> values_;
+  std::map<std::string, Entry> values_;  ///< in key order, as reject_unread lists
 };
 
 }  // namespace hypercast::harness

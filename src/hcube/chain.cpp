@@ -15,10 +15,9 @@ std::uint32_t relative_key(const Topology& topo, NodeId d0, NodeId u) {
   return topo.key(u) ^ topo.key(d0);
 }
 
-void make_relative_chain_into(const Topology& topo, NodeId source,
-                              std::span<const NodeId> destinations,
-                              std::vector<NodeId>& chain) {
-  chain.resize(destinations.size() + 1);
+std::vector<NodeId> make_relative_chain(const Topology& topo, NodeId source,
+                                        std::span<const NodeId> destinations) {
+  std::vector<NodeId> chain(destinations.size() + 1);
   chain[0] = source;
   std::copy(destinations.begin(), destinations.end(), chain.begin() + 1);
   // Relative keys are XOR-translations of canonical keys, and XOR by a
@@ -35,12 +34,6 @@ void make_relative_chain_into(const Topology& topo, NodeId source,
            "destinations must be distinct");
   }
 #endif
-}
-
-std::vector<NodeId> make_relative_chain(const Topology& topo, NodeId source,
-                                        std::span<const NodeId> destinations) {
-  std::vector<NodeId> chain;
-  make_relative_chain_into(topo, source, destinations, chain);
   return chain;
 }
 

@@ -32,13 +32,6 @@ std::uint32_t relative_key(const Topology& topo, NodeId d0, NodeId u);
 std::vector<NodeId> make_relative_chain(const Topology& topo, NodeId source,
                                         std::span<const NodeId> destinations);
 
-/// Same, into a caller-provided buffer (resized to destinations.size()
-/// + 1), so sweeps can recycle one chain allocation across builds.
-/// `destinations` must not alias `chain`.
-void make_relative_chain_into(const Topology& topo, NodeId source,
-                              std::span<const NodeId> destinations,
-                              std::vector<NodeId>& chain);
-
 /// True iff the chain (source at position 0) is a d0-relative
 /// dimension-ordered chain: relative keys strictly increasing.
 bool is_relative_dimension_ordered(const Topology& topo,

@@ -1,7 +1,8 @@
 // Exhaustive verification on the 3-cube: EVERY source and EVERY
 // non-empty destination subset (8 x 127 = 1016 instances), every paper
-// algorithm. Small enough to brute-force, strong enough to catch any
-// corner the randomized suites might miss.
+// algorithm; and on the 4-cube every destination set from source 0.
+// Small enough to brute-force, strong enough to catch any corner the
+// randomized suites might miss.
 
 #include <gtest/gtest.h>
 
@@ -108,6 +109,65 @@ TEST_P(Exhaustive3Cube, StepCountsWithinBounds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothResolutions, Exhaustive3Cube,
+                         ::testing::Values(Resolution::HighToLow,
+                                           Resolution::LowToHigh),
+                         [](const auto& info) {
+                           return info.param == Resolution::HighToLow
+                                      ? "HighToLow"
+                                      : "LowToHigh";
+                         });
+
+// The 4-cube at source 0 — every one of the 32,767 destination sets.
+// XOR translation makes source 0 general
+// (test_translation_invariance.cpp), so this covers every 4-cube
+// request.
+
+/// Destination set `mask` (bit u = node u) on the 4-cube, from source 0.
+core::MulticastRequest four_cube_request(const Topology& topo,
+                                         std::uint32_t mask) {
+  core::MulticastRequest req{topo, 0, {}};
+  for (NodeId u = 1; u < 16; ++u) {
+    if (mask & (1u << u)) req.destinations.push_back(u);
+  }
+  return req;
+}
+
+class Exhaustive4CubeSourceZero : public ::testing::TestWithParam<Resolution> {
+};
+
+/// Each paper algorithm's registry build equals its independent
+/// reference (test_util.hpp): the recursive-delivery builder over
+/// hcube::make_relative_chain, and for W-sort over the O(m^2)
+/// weighted_sort_faithful.
+TEST_P(Exhaustive4CubeSourceZero, RegistryBuildsMatchTheReferences) {
+  const Topology topo(4, GetParam());
+  for (std::uint32_t mask = 2; mask < (1u << 16); mask += 2) {
+    const auto req = four_cube_request(topo, mask);
+    for (const PaperAlgo& algo : kPaperAlgos) {
+      ASSERT_TRUE(same_sends(core::find_algorithm(algo.name).build(req),
+                             ref_paper_tree(algo, req)))
+          << algo.name << " mask=" << mask;
+    }
+  }
+}
+
+/// Theorem 6 (and Maxport's channel spreading): contention-free under
+/// the all-port model for every destination set.
+TEST_P(Exhaustive4CubeSourceZero, MaxportAndWsortAreContentionFree) {
+  const Topology topo(4, GetParam());
+  for (std::uint32_t mask = 2; mask < (1u << 16); mask += 2) {
+    const auto req = four_cube_request(topo, mask);
+    for (const char* name : {"maxport", "wsort"}) {
+      const auto report = core::check_contention(
+          core::find_algorithm(name).build(req), PortModel::all_port());
+      ASSERT_TRUE(report.contention_free())
+          << name << " mask=" << mask << "\n"
+          << report.summary(req.topo);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothResolutions, Exhaustive4CubeSourceZero,
                          ::testing::Values(Resolution::HighToLow,
                                            Resolution::LowToHigh),
                          [](const auto& info) {

@@ -20,6 +20,7 @@ namespace {
 
 using fault::FaultSet;
 using hcube::NodeId;
+using hcube::Resolution;
 using hcube::Topology;
 
 /// Every unicast of the schedule routes cleanly around the faults.
@@ -205,36 +206,41 @@ TEST(FaultAwareMulticast, RandomMultiFaultScenariosOn5Cube) {
 
 // A fault set handed to a ServePipeline makes every paper algorithm
 // fault-aware: serving (a first sighting, cold, warm, and translated to
-// other sources) returns exactly fault_aware_multicast's repair.
+// other sources) returns exactly fault_aware_multicast's repair. Both
+// resolutions: the repair's base is built from the key's words at a
+// nonzero source, where only LowToHigh makes key(u) differ from u.
 TEST(FaultAwareServing, PipelineMatchesFaultAwareMulticast) {
-  const Topology topo(5);
-  for (std::uint64_t trial = 0; trial < 4; ++trial) {
-    workload::Rng rng(workload::derive_seed(0x5E4E, 6, trial));
-    const auto fs = std::make_shared<const FaultSet>(
-        fault::connected_link_faults(topo, 6, rng));
-    std::vector<core::MulticastRequest> requests;
-    const auto shape = testutil::random_request(topo, 9, rng);
-    for (const NodeId mask : {NodeId{0}, NodeId{5}, NodeId{22}}) {
-      core::MulticastRequest r{topo, shape.source ^ mask, {}};
-      for (const NodeId d : shape.destinations) {
-        r.destinations.push_back(d ^ mask);
+  for (const Resolution res :
+       {Resolution::HighToLow, Resolution::LowToHigh}) {
+    const Topology topo(5, res);
+    for (std::uint64_t trial = 0; trial < 4; ++trial) {
+      workload::Rng rng(workload::derive_seed(0x5E4E, 6, trial));
+      const auto fs = std::make_shared<const FaultSet>(
+          fault::connected_link_faults(topo, 6, rng));
+      std::vector<core::MulticastRequest> requests;
+      const auto shape = testutil::random_request(topo, 9, rng);
+      for (const NodeId mask : {NodeId{0}, NodeId{5}, NodeId{22}}) {
+        core::MulticastRequest r{topo, shape.source ^ mask, {}};
+        for (const NodeId d : shape.destinations) {
+          r.destinations.push_back(d ^ mask);
+        }
+        requests.push_back(std::move(r));
       }
-      requests.push_back(std::move(r));
-    }
-    for (const auto& algo : core::paper_algorithms()) {
-      const coll::ServePipeline cached(
-          algo.name, std::make_shared<coll::ScheduleCache>(), fs);
-      for (const auto& req : requests) {
-        const auto expected = fault::fault_aware_multicast(algo, req, *fs);
-        ASSERT_TRUE(no_unicast_blocked(expected.schedule, *fs));
-        // A first sighting is repaired and declined; the next serve
-        // builds and caches it.
-        EXPECT_TRUE(*cached.serve(req) == expected.schedule)
-            << algo.name << " trial " << trial;
-        const auto cold = cached.serve(req);
-        EXPECT_TRUE(*cold == expected.schedule)
-            << algo.name << " trial " << trial;
-        EXPECT_EQ(cached.serve(req), cold) << "warm serve is a cache hit";
+      for (const auto& algo : core::paper_algorithms()) {
+        const coll::ServePipeline cached(
+            algo.name, std::make_shared<coll::ScheduleCache>(), fs);
+        for (const auto& req : requests) {
+          const auto expected = fault::fault_aware_multicast(algo, req, *fs);
+          ASSERT_TRUE(no_unicast_blocked(expected.schedule, *fs));
+          // A first sighting is repaired and declined; the next serve
+          // builds and caches it.
+          EXPECT_TRUE(*cached.serve(req) == expected.schedule)
+              << algo.name << " trial " << trial;
+          const auto cold = cached.serve(req);
+          EXPECT_TRUE(*cold == expected.schedule)
+              << algo.name << " trial " << trial;
+          EXPECT_EQ(cached.serve(req), cold) << "warm serve is a cache hit";
+        }
       }
     }
   }

@@ -158,11 +158,43 @@ TEST(Options, PortParsing) {
   EXPECT_THROW(parse({"--port", "none"}).port(), std::invalid_argument);
 }
 
-TEST(Options, KeysListsEverything) {
-  const auto o = parse({"--a", "1", "--b", "2"});
-  auto keys = o.keys();
-  std::sort(keys.begin(), keys.end());
-  EXPECT_EQ(keys, (std::vector<std::string>{"a", "b"}));
+TEST(Options, UnreadFlagsAreRejectedByName) {
+  // A misspelled flag is never read, so it fails instead of leaving the
+  // cache at its default budget.
+  const auto o =
+      parse({"--n", "4", "--requests", "5", "--cahce-bytes", "100"});
+  EXPECT_EQ(o.get_int("n"), 4);
+  EXPECT_EQ(o.get_int_or("requests", 1), 5);
+  EXPECT_EQ(o.cache().max_bytes, 0u);
+  try {
+    o.reject_unread();
+    ADD_FAILURE() << "--cahce-bytes was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown option --cahce-bytes");
+  }
+  try {
+    parse({"--b", "1", "--a", "--c=2"}).reject_unread();
+    ADD_FAILURE() << "unread flags were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown option --a, --b, --c");
+  }
+  EXPECT_NO_THROW(parse({}).reject_unread());
+}
+
+TEST(Options, EveryLookupMarksItsKeyRead) {
+  const auto o = parse({"--a", "1", "--b", "--c", "x", "--d", "2", "--e",
+                        "3", "--f", "4", "--g", "5", "--h", "6", "--i",
+                        "1,2"});
+  EXPECT_TRUE(o.has("a"));
+  EXPECT_TRUE(o.is_bare_flag("b"));
+  EXPECT_EQ(o.count("c"), 1u);
+  EXPECT_EQ(o.get("d"), "2");
+  EXPECT_EQ(o.get_or("e", "0"), "3");
+  EXPECT_EQ(o.get_all("f").size(), 1u);
+  EXPECT_EQ(o.get_int("g"), 5);
+  EXPECT_EQ(o.get_double("h"), 6.0);
+  EXPECT_EQ(o.get_nodes("i").size(), 2u);
+  EXPECT_NO_THROW(o.reject_unread());
 }
 
 TEST(Options, CacheSizingParsesAndRejectsNegatives) {

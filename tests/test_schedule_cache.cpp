@@ -106,13 +106,18 @@ TEST(CacheKey, RekeySwitchesIdentityCheaply) {
   EXPECT_EQ(key.source, 9u);
   const auto absolute_hash = key.hash;
 
-  core::rekey(key, /*absolute=*/false, 0);
+  core::set_header(key, 3, /*absolute=*/false, 0);
   EXPECT_FALSE(key.absolute);
   EXPECT_EQ(key.source, 0u);
   EXPECT_NE(key.hash, absolute_hash);
   EXPECT_TRUE(key == key_of({topo, 9, {1, 2, 3}}, 3, false));
 
-  core::rekey(key, /*absolute=*/true, 9);
+  // The algorithm id re-tags the same way: one canonicalization names
+  // the request under any id.
+  core::set_header(key, 5, /*absolute=*/false, 0);
+  EXPECT_TRUE(key == key_of({topo, 9, {1, 2, 3}}, 5, false));
+
+  core::set_header(key, 3, /*absolute=*/true, 9);
   EXPECT_EQ(key.hash, absolute_hash);
 }
 
@@ -385,9 +390,11 @@ TEST(ScheduleCache, FaultFingerprintSaltSeparatesAbsoluteEntries) {
   // A fault-dependent entry is visible only under its own fault set's
   // salt: a different fault set misses, as does the unsalted identity.
   auto under_a = key_of(req, 7, /*absolute=*/true);
-  core::set_salt(under_a, faults_a.fingerprint(kSeed));
+  core::set_header(under_a, 7, /*absolute=*/true, req.source,
+                   faults_a.fingerprint(kSeed));
   auto under_b = key_of(req, 7, /*absolute=*/true);
-  core::set_salt(under_b, faults_b.fingerprint(kSeed));
+  core::set_header(under_b, 7, /*absolute=*/true, req.source,
+                   faults_b.fingerprint(kSeed));
   EXPECT_FALSE(cache.offer(under_a, schedule));  // first sighting
   cache.offer(under_a, schedule);
   EXPECT_NE(cache.get(under_a), nullptr);
@@ -895,20 +902,10 @@ TEST(ServePipeline, ScanOfFreshRequestsLeavesAFullCachesHotPoolResident) {
   }
 }
 
-/// The tree TreeBuilder builds for `req` directly, finalized.
+/// The tree the registry builds for `req` directly at its source.
 core::MulticastSchedule direct_build(const std::string& name,
                                      const core::MulticastRequest& req) {
-  core::TreeBuilder builder;
-  core::MulticastSchedule out(req.topo, req.source);
-  if (name == "wsort") {
-    builder.build_wsort_into(req, out);
-  } else {
-    const core::NextRule rule = name == "ucube"     ? core::NextRule::Center
-                                : name == "maxport" ? core::NextRule::HighDim
-                                                    : core::NextRule::MaxOfBoth;
-    builder.build_into(req, rule, out);
-  }
-  return out;
+  return core::find_algorithm(name).build(req);
 }
 
 TEST(ServePipeline, ColdMissBuildsTheRelativeTreeOnceAtSourceZero) {

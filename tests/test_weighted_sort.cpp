@@ -103,7 +103,7 @@ TEST_P(WeightedSortProperty, FastMatchesFaithful) {
 
     canonical_key_into(topo, req.source, req.destinations, kAlgoWsort,
                        /*absolute=*/false, /*seed=*/0, key);
-    builder.build_wsort_into(topo, req.source, key.words, tree);
+    builder.build_into(topo, req.source, key.words, kAlgoWsort, tree);
     const auto chain = builder.chain();
     EXPECT_EQ(faithful, std::vector<NodeId>(chain.begin(), chain.end()))
         << "m=" << m;

@@ -1,4 +1,4 @@
-// Golden test for the one-pass W-sort build (TreeBuilder::build_wsort_into)
+// Golden test for the one-pass W-sort build (TreeBuilder::build_into)
 // against the two-pass composition W-sort is defined as: the
 // paper-literal weighted_sort (weighted_sort_faithful) over the
 // dimension-ordered chain, then Maxport's HighDim rule over the weighted
@@ -105,8 +105,8 @@ TEST_P(WsortOnePassGolden, MatchesTheTwoPassBuildOnOneToTwelveCubes) {
       const MulticastSchedule ref = two_pass(req);
       EXPECT_EQ(ref.num_payload_ids(), payload_sum(ref)) << ctx;
 
-      // From the request.
-      const MulticastSchedule tree = builder.build_wsort(req);
+      // From the request's sorted relative keys, at its source.
+      const MulticastSchedule tree = keyed_build(builder, req, kAlgoWsort);
       expect_same_tree(ref, tree, ctx);
 
       // add_send-built copies hold the same tree, counted the same way.
@@ -119,7 +119,7 @@ TEST_P(WsortOnePassGolden, MatchesTheTwoPassBuildOnOneToTwelveCubes) {
       canonical_key_into(topo, req.source, req.destinations, kAlgoWsort,
                          /*absolute=*/false, /*seed=*/0, key);
       MulticastSchedule relative(topo, 0);
-      builder.build_wsort_into(topo, 0, key.words, relative);
+      builder.build_into(topo, 0, key.words, kAlgoWsort, relative);
       expect_same_tree(two_pass(moved_to(req, 0)), relative, ctx + " keys");
       const auto to = static_cast<NodeId>(rng() % topo.num_nodes());
       MulticastSchedule translated(topo, 0);
@@ -139,7 +139,8 @@ TEST(WsortOnePass, PayloadsShareTheChainPool) {
   const Topology topo(10);
   workload::Rng rng(48);
   const auto req = random_request(topo, 48, rng);
-  const MulticastSchedule tree = TreeBuilder().build_wsort(req);
+  TreeBuilder builder;
+  const MulticastSchedule tree = keyed_build(builder, req, kAlgoWsort);
   const MulticastSchedule copied = rebuilt(tree);
   EXPECT_GT(tree.num_payload_ids(), req.destinations.size());
   EXPECT_EQ(copied.num_payload_ids(), tree.num_payload_ids());

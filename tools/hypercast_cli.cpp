@@ -16,11 +16,14 @@
 // registry exposition after the run; --trace-out=<file> writes Chrome
 // trace-event JSON (worm timelines for delay/faults, pipeline spans for
 // serve, both merged for stats).
-// Fault injection (all commands): --faults <count|rate> [--fault-seed s],
-// --fail-links u:d,..., --fail-nodes a,b. With faults present, trees are
-// built by the requested algorithm and then repaired fault-aware; the
-// simulator itself refuses to route a worm into a failed channel, so a
-// clean `delay` run doubles as proof the repair worked.
+// Fault injection (every command but chains): --faults <count|rate>
+// [--fault-seed s], --fail-links u:d,..., --fail-nodes a,b. With faults
+// present, trees are built by the requested algorithm and then repaired
+// fault-aware; the simulator itself refuses to route a worm into a
+// failed channel, so a clean `delay` run doubles as proof the repair
+// worked. Each command reads its options before it starts work and
+// exits 1 naming any option it did not read (a typo, or a flag the
+// command does not take).
 
 #include <chrono>
 #include <cstdio>
@@ -141,15 +144,16 @@ int cmd_plan(const harness::Options& opts) {
   const auto req = request_from(opts);
   const auto faults = setup_faults(opts, req.topo);
   const auto& algo = core::find_algorithm(opts.get_or("algo", "wsort"));
+  const core::PortModel port = opts.port();
+  opts.reject_unread();
   const auto schedule = build_schedule(algo, req, faults.get());
   std::printf("%s tree, %zu destinations, %zu unicasts:\n",
               algo.display.c_str(), req.destinations.size(),
               schedule.num_unicasts());
   std::fputs(schedule.format_tree().c_str(), stdout);
-  const auto steps =
-      core::assign_steps(schedule, opts.port(), req.destinations);
+  const auto steps = core::assign_steps(schedule, port, req.destinations);
   const auto report = core::check_contention(schedule, steps);
-  std::printf("steps (%s): %d | %s\n", opts.port().name(), steps.total_steps,
+  std::printf("steps (%s): %d | %s\n", port.name(), steps.total_steps,
               report.contention_free() ? "contention-free"
                                        : report.summary(req.topo).c_str());
   finish_stats(opts);
@@ -160,8 +164,10 @@ int cmd_steps(const harness::Options& opts) {
   const auto req = request_from(opts);
   const auto faults = setup_faults(opts, req.topo);
   const auto& algo = core::find_algorithm(opts.get_or("algo", "wsort"));
+  const core::PortModel port = opts.port();
+  opts.reject_unread();
   const auto steps = core::assign_steps(build_schedule(algo, req, faults.get()),
-                                        opts.port(), req.destinations);
+                                        port, req.destinations);
   for (const auto& u : steps.unicasts) {
     std::printf("step %2d  %s -> %s\n", u.step,
                 req.topo.format(u.from).c_str(),
@@ -183,6 +189,7 @@ int cmd_delay(const harness::Options& opts) {
       static_cast<std::size_t>(opts.get_int_or("bytes", 4096));
   config.faults = faults.get();
   config.record_trace = !trace_out.empty();
+  opts.reject_unread();
   const auto result =
       sim::simulate_multicast(build_schedule(algo, req, faults.get()), config);
   std::printf(
@@ -190,7 +197,7 @@ int cmd_delay(const harness::Options& opts) {
       "  avg delay %10.1f us\n  max delay %10.1f us\n"
       "  blocked channel acquisitions: %llu\n",
       algo.display.c_str(), req.destinations.size(), config.message_bytes,
-      opts.port().name(), result.avg_delay(req.destinations) / 1000.0,
+      config.port.name(), result.avg_delay(req.destinations) / 1000.0,
       sim::to_microseconds(result.max_delay(req.destinations)),
       static_cast<unsigned long long>(result.stats.blocked_acquisitions));
   if (!trace_out.empty()) {
@@ -202,7 +209,9 @@ int cmd_delay(const harness::Options& opts) {
 
 int cmd_chains(const harness::Options& opts) {
   const auto req = request_from(opts);
-  const auto best = core::best_cube_ordered_chain(req, opts.port());
+  const core::PortModel port = opts.port();
+  opts.reject_unread();
+  const auto best = core::best_cube_ordered_chain(req, port);
   std::printf("admissible cube-ordered chains: %zu\n", best.chains_examined);
   std::printf("best steps: %d\nbest chain:", best.best_steps);
   for (const auto node : best.best_chain) {
@@ -220,6 +229,7 @@ int cmd_compare(const harness::Options& opts) {
   config.port = opts.port();
   config.message_bytes =
       static_cast<std::size_t>(opts.get_int_or("bytes", 4096));
+  opts.reject_unread();
   if (faults) {
     config.faults = faults.get();
     std::printf("faults: %s\n", faults->format().c_str());
@@ -235,7 +245,7 @@ int cmd_compare(const harness::Options& opts) {
       return std::move(result.schedule);
     }();
     const auto steps =
-        core::assign_steps(schedule, opts.port(), req.destinations);
+        core::assign_steps(schedule, config.port, req.destinations);
     const auto result = sim::simulate_multicast(schedule, config);
     std::printf("%-9s %6d %12.1f %12.1f %9llu %8zu\n", algo.display.c_str(),
                 steps.total_steps,
@@ -253,6 +263,14 @@ int cmd_faults(const harness::Options& opts) {
   const hcube::Dim n = static_cast<hcube::Dim>(opts.get_int("n"));
   const hcube::Topology topo(n, opts.resolution());
   const auto faults = opts.fault_set(topo);
+  // The degraded broadcast (--trace-out) runs under these.
+  const std::string trace_out = opts.get_or("trace-out", "");
+  const std::string algo_name = opts.get_or("algo", "wsort");
+  sim::SimConfig config;
+  config.port = opts.port();
+  config.message_bytes =
+      static_cast<std::size_t>(opts.get_int_or("bytes", 4096));
+  opts.reject_unread();
   if (!faults) {
     std::puts("no faults configured (use --faults, --fail-links or "
               "--fail-nodes)");
@@ -266,7 +284,6 @@ int cmd_faults(const harness::Options& opts) {
   std::printf("surviving cube %s\n", faults->surviving_connected()
                                          ? "is connected"
                                          : "is PARTITIONED");
-  const std::string trace_out = opts.get_or("trace-out", "");
   if (!trace_out.empty()) {
     // Broadcast to every live node from the first one, repaired against
     // the fault set, and dump the worm timelines — a visual proof of
@@ -278,14 +295,10 @@ int cmd_faults(const harness::Options& opts) {
     }
     core::MulticastRequest req{topo, source, std::move(dests)};
     req.validate();
-    const auto& algo = core::find_algorithm(opts.get_or("algo", "wsort"));
+    const auto& algo = core::find_algorithm(algo_name);
     auto repaired =
         fault::repair_schedule(algo.build(req), req.destinations, *faults);
     std::printf("  %s\n", repair_summary(repaired).c_str());
-    sim::SimConfig config;
-    config.port = opts.port();
-    config.message_bytes =
-        static_cast<std::size_t>(opts.get_int_or("bytes", 4096));
     config.record_trace = true;
     config.faults = &*faults;
     const auto result = sim::simulate_multicast(repaired.schedule, config);
@@ -351,10 +364,11 @@ int cmd_serve(const harness::Options& opts) {
   const int threads = static_cast<int>(opts.get_int_or("threads", 1));
   const auto cache = make_cache(opts);
   const auto faults = setup_faults(opts, topo);
-
   workload::Rng rng(static_cast<std::uint64_t>(opts.get_int_or("seed", 1)));
-  const auto stream = translated_stream(topo, shapes, m, requests, rng);
+  const std::string trace_out = opts.get_or("trace-out", "");
+  opts.reject_unread();
 
+  const auto stream = translated_stream(topo, shapes, m, requests, rng);
   cache->attach_to_registry(obs::default_registry(), "cache");
   const coll::ServePipeline pipeline(algo, cache, faults);
 
@@ -381,7 +395,6 @@ int cmd_serve(const harness::Options& opts) {
     std::printf(" %s=%.6g", field, value);
   });
   std::printf(" shards=%zu\n", cache->num_shards());
-  const std::string trace_out = opts.get_or("trace-out", "");
   if (!trace_out.empty()) {
     write_text_file(trace_out,
                     obs::default_registry().tracer().to_chrome_json());
@@ -420,6 +433,10 @@ int cmd_stripe(const harness::Options& opts) {
 
   const std::string algo = opts.get_or("algo", "wsort");
   const coll::ServePipeline pipeline(algo, make_cache(opts), faults);
+  sim::SimConfig config;
+  config.port = opts.port();
+  config.faults = faults.get();
+  opts.reject_unread();
   const coll::StripedPlan plan =
       pipeline.serve_striped(req, bytes, stripe_opts);
 
@@ -461,9 +478,6 @@ int cmd_stripe(const harness::Options& opts) {
   }
 
   // DES replay, striped vs the single tree carrying the whole payload.
-  sim::SimConfig config;
-  config.port = opts.port();
-  config.faults = faults.get();
   const auto jobs = plan.jobs();
   const double striped_us = sim::to_microseconds(
       sim::simulate_collectives(jobs, config).makespan());
@@ -506,9 +520,16 @@ int cmd_stats(const harness::Options& opts) {
   const std::size_t m = static_cast<std::size_t>(
       opts.get_int_or("m", static_cast<long>(topo.num_nodes() / 2)));
   const int threads = static_cast<int>(opts.get_int_or("threads", 1));
+  workload::Rng rng(static_cast<std::uint64_t>(opts.get_int_or("seed", 1)));
+  sim::SimConfig config;
+  config.port = opts.port();
+  config.message_bytes =
+      static_cast<std::size_t>(opts.get_int_or("bytes", 4096));
+  config.record_trace = !trace_out.empty();
+  const std::string format = opts.get_or("format", "json");
+  opts.reject_unread();
 
   // A cached serving batch...
-  workload::Rng rng(static_cast<std::uint64_t>(opts.get_int_or("seed", 1)));
   const auto stream = translated_stream(topo, shapes, m, requests, rng);
   auto cache = std::make_shared<coll::ScheduleCache>();
   cache->attach_to_registry(obs::default_registry(), "cache");
@@ -520,11 +541,6 @@ int cmd_stats(const harness::Options& opts) {
   for (hcube::NodeId u = 1; u < topo.num_nodes(); ++u) dests.push_back(u);
   core::MulticastRequest broadcast{topo, 0, std::move(dests)};
   broadcast.validate();
-  sim::SimConfig config;
-  config.port = opts.port();
-  config.message_bytes =
-      static_cast<std::size_t>(opts.get_int_or("bytes", 4096));
-  config.record_trace = !trace_out.empty();
   const auto& algo = core::find_algorithm(algo_name);
   const auto result = sim::simulate_multicast(algo.build(broadcast), config);
 
@@ -538,7 +554,6 @@ int cmd_stats(const harness::Options& opts) {
     write_text_file(trace_out, std::move(w).str());
   }
 
-  const std::string format = opts.get_or("format", "json");
   if (format == "json") {
     print_registry(StatsMode::Json);
   } else if (format == "text") {
@@ -559,7 +574,8 @@ int usage() {
       "[options]\n"
       "  common: --n <dim> (--dests a,b,c | --m <count> [--seed s])\n"
       "          [--source u] [--algo name] [--res high|low]\n"
-      "          [--port one|all|k:<n>] [--bytes b]\n"
+      "          [--port one|all|k:<n>] [--bytes b] — each command\n"
+      "          exits 1 naming any option it does not read\n"
       "  obs:    [--stats[=text|json|prom]] print obs counters/histograms\n"
       "          [--trace-out=<file>] Chrome trace JSON (delay/faults:\n"
       "          worm timelines; serve: pipeline spans; stats: merged)\n"

@@ -53,6 +53,8 @@ int main(int argc, char** argv) {
     if (config.mix != "translated" && config.mix != "random") {
       throw std::invalid_argument("--mix must be translated or random");
     }
+    const std::string out_dir = opts.get_or("out", "");
+    opts.reject_unread();
 
     const LoadgenResult result = hypercast::net::run_loadgen(config);
 
@@ -73,8 +75,8 @@ int main(int argc, char** argv) {
                   static_cast<double>(result.latency_ns(0.999)) / 1e3);
     }
 
-    if (opts.has("out")) {
-      const std::filesystem::path dir(opts.get("out"));
+    if (!out_dir.empty()) {
+      const std::filesystem::path dir(out_dir);
       std::filesystem::create_directories(dir);
       const std::filesystem::path path = dir / "BENCH_serve_net.json";
       std::ofstream out(path, std::ios::trunc);

@@ -91,6 +91,8 @@ int main(int argc, char** argv) {
         opts.get_int_or("cosched-max-waves",
                         static_cast<long>(config.cosched_policy.max_waves)));
     const bool quiet = opts.has("quiet");
+    const std::string port_file = opts.get_or("port-file", "");
+    opts.reject_unread();  // before binding: a typo must not serve
 
     hypercast::net::Server server(config);
     server.start();
@@ -108,8 +110,8 @@ int main(int argc, char** argv) {
                 << ", backlog-cap=" << config.queue_capacity << " per loop)"
                 << std::endl;
     }
-    if (opts.has("port-file")) {
-      std::ofstream out(opts.get("port-file"), std::ios::trunc);
+    if (!port_file.empty()) {
+      std::ofstream out(port_file, std::ios::trunc);
       out << server.port() << "\n";
     }
 
