@@ -372,24 +372,24 @@ void run(const bench::Context& ctx, bench::Report& report) {
         hit_rate * 100.0);
   }
 
-  // Batch serving through the pipeline front end (shard-partitioned when
-  // ctx.threads > 1), steady state.
+  // Batch serving through the pipeline front end (serve_views, then
+  // materialize), steady state.
   {
     workload::Rng rng(workload::derive_seed(2027, m, 1));
     const auto stream = translated_stream(topo, shapes, m, requests, rng);
     const auto cache =
         std::make_shared<coll::ScheduleCache>(cache_config(ctx));
     const coll::ServePipeline cached("wsort", cache);
-    (void)cached.serve_batch(stream, ctx.threads);  // warm
+    (void)cached.serve_batch(stream);  // warm
     const bench::Rate batch = best_rate(ctx.min_time(0.3), [&] {
-      (void)cached.serve_batch(stream, ctx.threads);
+      (void)cached.serve_batch(stream);
     });
     const double per_req =
         batch.per_second() * static_cast<double>(stream.size());
     const std::string key = "wsort/" + std::to_string(m);
     report.metric(key + " batch_serves_per_sec", per_req);
-    std::printf("  %s serve_batch (%d threads) %10.0f requests/s\n",
-                key.c_str(), ctx.threads, per_req);
+    std::printf("  %s serve_batch %10.0f requests/s\n", key.c_str(),
+                per_req);
   }
 }
 

@@ -120,12 +120,6 @@ class ScheduleCache {
   const Config& config() const { return config_; }
   std::size_t num_shards() const { return shards_.size(); }
 
-  /// The shard a key maps to (exposed so batch servers can partition
-  /// request groups shard-aligned and keep worker threads lock-disjoint).
-  std::size_t shard_of(const core::CacheKey& key) const {
-    return (key.hash >> 40) & shard_mask_;
-  }
-
   /// Look the key up; nullptr on miss. The returned schedule is
   /// finalized, immutable and safe to share across threads.
   std::shared_ptr<const core::MulticastSchedule> get(const core::CacheKey& key);
@@ -161,6 +155,11 @@ class ScheduleCache {
 
  private:
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// The shard a key maps to.
+  std::size_t shard_of(const core::CacheKey& key) const {
+    return (key.hash >> 40) & shard_mask_;
+  }
 
   /// A resident entry in its shard's slab. prev/next link the LRU list
   /// (front = most recent); a free entry's next links the free list.

@@ -1,10 +1,5 @@
 #include "coll/serve_pipeline.hpp"
 
-#include <algorithm>
-#include <exception>
-#include <mutex>
-#include <thread>
-
 #include "core/tree_builder.hpp"
 #include "fault/fault_aware.hpp"
 #include "obs/registry.hpp"
@@ -15,8 +10,9 @@ namespace {
 
 /// Per-thread serving scratch: the canonical key, the chain a miss
 /// builds from and the tree builder. One instance per thread serves
-/// every pipeline (builders are stateless between builds), so a
-/// threaded batch allocates only the schedules it returns.
+/// every pipeline (builders are stateless between builds), so each
+/// thread serving through a shared pipeline allocates only the
+/// schedules it returns.
 struct ServeTls {
   core::CacheKey key;
   std::vector<core::NodeId> chain;
@@ -257,103 +253,37 @@ std::shared_ptr<const core::MulticastSchedule> ServePipeline::materialize(
   });
 }
 
-template <typename ServeSlot>
-void ServePipeline::serve_each(
+std::vector<ServePipeline::View> ServePipeline::serve_views(
     std::span<const core::MulticastRequest> requests,
-    const BatchPolicy& policy, ServeSlot&& serve_slot) const {
+    std::span<const std::uint64_t> deadlines_ns) const {
   HYPERCAST_OBS_SPAN("serve.batch");
   if (obs::stats_enabled()) serve_metrics().batches->inc();
-  const std::size_t n = requests.size();
-  // Deadline check, evaluated immediately before each request's serve
-  // starts. Sampling the clock per request costs ~30ns against serves
-  // of >=1.2us, so no batching of the check is needed. Slot i is held
-  // to its own entry in policy.deadlines_ns — a coalesced batch mixes
-  // admission times, and the oldest request must not inherit the
-  // newest one's slack.
-  const std::span<const std::uint64_t> deadlines = policy.deadlines_ns;
-  const auto expired = [deadlines](std::size_t i) {
-    const std::uint64_t deadline = i < deadlines.size() ? deadlines[i] : 0;
-    if (deadline == 0 || obs::now_ns() <= deadline) return false;
-    if (obs::stats_enabled()) serve_metrics().deadline_shed->inc();
-    return true;
-  };
-  std::size_t workers =
-      policy.threads < 1 ? 1 : static_cast<std::size_t>(policy.threads);
-  workers = std::min(workers, n);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!expired(i)) serve_slot(i);
+  std::vector<View> out(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    // Deadline check, evaluated immediately before each request's serve
+    // starts. Sampling the clock per request costs ~30ns against serves
+    // of >=1.2us, so no batching of the check is needed. Slot i is held
+    // to its own deadline — a coalesced batch mixes admission times,
+    // and the oldest request must not inherit the newest one's slack.
+    const std::uint64_t deadline =
+        i < deadlines_ns.size() ? deadlines_ns[i] : 0;
+    if (deadline != 0 && obs::now_ns() > deadline) {
+      if (obs::stats_enabled()) serve_metrics().deadline_shed->inc();
+      continue;
     }
-    return;
+    out[i] = serve_view(requests[i]);
   }
-
-  // Owner of request i: its key's shard, so no two workers ever touch
-  // the same stripe — hits resolve without lock contention.
-  std::vector<std::uint32_t> owner(n, 0);
-  std::mutex error_mu;
-  std::exception_ptr error;
-
-  const auto guard = [&](auto&& fn) {
-    try {
-      fn();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!error) error = std::current_exception();
-    }
-  };
-  const auto parallel_over = [&](auto&& body) {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] { guard([&] { body(w); }); });
-    }
-    for (std::thread& t : pool) t.join();
-    if (error) std::rethrow_exception(error);
-  };
-
-  // Phase 1: canonicalize in parallel chunks to discover each request's
-  // shard (the keys are recomputed thread-locally during serving; what
-  // matters here is only the partition). Partition by the one identity a
-  // serve probes and inserts: the relative key, or the salted absolute
-  // one of a repair.
-  parallel_over([&](std::size_t w) {
-    core::CacheKey key;
-    for (std::size_t i = w; i < n; i += workers) {
-      if (!cacheable()) {
-        owner[i] = static_cast<std::uint32_t>(w);  // touches no cache
-        continue;
-      }
-      first_key(requests[i], faults_ != nullptr, key);
-      owner[i] = static_cast<std::uint32_t>(cache_->shard_of(key) % workers);
-    }
-  });
-
-  // Phase 2: every worker serves exactly its shard group, writing
-  // disjoint result slots.
-  parallel_over([&](std::size_t w) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (owner[i] != w) continue;
-      if (!expired(i)) serve_slot(i);
-    }
-  });
+  return out;
 }
 
 std::vector<std::shared_ptr<const core::MulticastSchedule>>
 ServePipeline::serve_batch(std::span<const core::MulticastRequest> requests,
-                           const BatchPolicy& policy) const {
-  std::vector<std::shared_ptr<const core::MulticastSchedule>> out(
-      requests.size());
-  serve_each(requests, policy,
-             [&](std::size_t i) { out[i] = serve(requests[i]); });
-  return out;
-}
-
-std::vector<ServePipeline::View> ServePipeline::serve_views(
-    std::span<const core::MulticastRequest> requests,
-    const BatchPolicy& policy) const {
-  std::vector<View> out(requests.size());
-  serve_each(requests, policy,
-             [&](std::size_t i) { out[i] = serve_view(requests[i]); });
+                           std::span<const std::uint64_t> deadlines_ns) const {
+  std::vector<std::shared_ptr<const core::MulticastSchedule>> out;
+  out.reserve(requests.size());
+  for (const View& view : serve_views(requests, deadlines_ns)) {
+    out.push_back(materialize(view));
+  }
   return out;
 }
 
@@ -403,8 +333,9 @@ CoschedPlan ServePipeline::plan_views(std::span<const View> views,
 
 ServePipeline::CoschedBatch ServePipeline::serve_batch_cosched(
     std::span<const core::MulticastRequest> requests,
-    const BatchPolicy& policy, const CoschedPolicy& cosched) const {
-  const std::vector<View> views = serve_views(requests, policy);
+    std::span<const std::uint64_t> deadlines_ns,
+    const CoschedPolicy& cosched) const {
+  const std::vector<View> views = serve_views(requests, deadlines_ns);
   CoschedBatch out{{}, plan_views(views, cosched)};
   for (const View& view : views) out.schedules.push_back(materialize(view));
   return out;

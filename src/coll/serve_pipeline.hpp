@@ -18,7 +18,9 @@ namespace hypercast::coll {
 /// The concurrent schedule-serving front end: turns MulticastRequests
 /// into finalized, immutably shared MulticastSchedules through a
 /// ScheduleCache. A pipeline is immutable after construction, so any
-/// number of threads may serve through it.
+/// number of threads may serve through it; it starts none of its own.
+/// Concurrency is the caller's: the server runs one event loop per
+/// thread, each serving its batches through one shared pipeline.
 ///
 /// Serving strategy by algorithm (its core::AlgorithmEntry::paper_id):
 ///  * ucube / maxport / combine / wsort — translation-invariant (the
@@ -49,9 +51,9 @@ namespace hypercast::coll {
 ///
 /// Misses build through a thread-local core::TreeBuilder::build_into
 /// straight from the key's sorted relative words (the one input of every
-/// paper tree), so a pipeline shared by many worker threads stays
+/// paper tree), so a pipeline shared by many threads stays
 /// allocation-free in steady state and bit-identical to the core
-/// algorithms at any thread count.
+/// algorithms whichever thread serves a request.
 class ServePipeline {
  public:
   /// A null `cache` gets a private default ScheduleCache, so cache() is
@@ -105,42 +107,27 @@ class ServePipeline {
   static CoschedPlan plan_views(std::span<const View> views,
                                 const CoschedPolicy& cosched);
 
-  /// Batch-serving policy. The default (1 thread, no deadlines) serves
-  /// the whole batch sequentially.
-  struct BatchPolicy {
-    int threads = 1;
-    /// Optional per-request absolute obs::now_ns() deadlines (0 = none),
-    /// parallel to the request span; an empty span means none. A
-    /// request whose serving has not *started* by its deadline is shed:
-    /// its result slot stays nullptr and the serve.deadline_shed counter
-    /// bumps. This is the hook a queue-backed server uses to stop
-    /// burning CPU on requests whose caller has already given up (the
-    /// response would arrive past its latency SLO anyway) —
-    /// load-shedding at the latest possible moment, after queueing but
-    /// before construction. Each request carries its own deadline
-    /// because a batch coalesced from a queue mixes admission times.
-    std::span<const std::uint64_t> deadlines_ns{};
-  };
-
-  /// Serve a batch, results in request order. With `policy.threads` > 1
-  /// the batch is partitioned by cache shard — every shard's requests
-  /// are handled by exactly one worker, so workers never contend on a
-  /// stripe and hits resolve lock-free. Without a deadline, output is
-  /// bit-identical to serving the batch sequentially, at any thread
-  /// count; with one, served slots are still bit-identical but trailing
-  /// requests may be shed (nullptr).
-  std::vector<std::shared_ptr<const core::MulticastSchedule>> serve_batch(
-      std::span<const core::MulticastRequest> requests,
-      const BatchPolicy& policy) const;
-  std::vector<std::shared_ptr<const core::MulticastSchedule>> serve_batch(
-      std::span<const core::MulticastRequest> requests, int threads = 1) const {
-    return serve_batch(requests, BatchPolicy{threads});
-  }
-
-  /// serve_batch of serve_view(); a shed slot's tree is nullptr.
+  /// serve_view() of each request, in request order: the one batch
+  /// loop. `deadlines_ns` optionally holds per-request absolute
+  /// obs::now_ns() deadlines (0 = none), parallel to `requests`; an
+  /// empty span means none. A request whose serving has not *started*
+  /// by its deadline is shed: its slot's tree stays nullptr and the
+  /// serve.deadline_shed counter bumps. This is the hook a queue-backed
+  /// server uses to stop burning CPU on requests whose caller has
+  /// already given up (the response would arrive past its latency SLO
+  /// anyway) — load-shedding at the latest possible moment, after
+  /// queueing but before construction. Each request carries its own
+  /// deadline because a batch coalesced from a queue mixes admission
+  /// times.
   std::vector<View> serve_views(
       std::span<const core::MulticastRequest> requests,
-      const BatchPolicy& policy) const;
+      std::span<const std::uint64_t> deadlines_ns = {}) const;
+
+  /// serve_views, then materialize each slot: serve() of each request,
+  /// or nullptr where a deadline shed it.
+  std::vector<std::shared_ptr<const core::MulticastSchedule>> serve_batch(
+      std::span<const core::MulticastRequest> requests,
+      std::span<const std::uint64_t> deadlines_ns = {}) const;
 
   /// A served batch plus its contention-bounded launch plan. Plan wave
   /// members index into `schedules`; shed (nullptr) slots appear in no
@@ -169,11 +156,11 @@ class ServePipeline {
 
   /// serve_views, plan_views, then materialize each slot. The schedules
   /// are byte-identical to plain serve_batch output and the plan is a
-  /// pure function of them, so the result is deterministic at any
-  /// policy.threads.
+  /// pure function of them.
   CoschedBatch serve_batch_cosched(
       std::span<const core::MulticastRequest> requests,
-      const BatchPolicy& policy, const CoschedPolicy& cosched) const;
+      std::span<const std::uint64_t> deadlines_ns,
+      const CoschedPolicy& cosched) const;
 
  private:
   /// Every algorithm but the order-dependent pass-through ones caches.
@@ -203,12 +190,6 @@ class ServePipeline {
   std::shared_ptr<const core::MulticastSchedule> keyed_tree(
       const core::MulticastRequest& request, const core::CacheKey& key,
       OnHit&& on_hit) const;
-
-  /// serve_batch's loop: serve_slot(i) for each request not shed, split
-  /// across threads by the shard of its first key.
-  template <typename ServeSlot>
-  void serve_each(std::span<const core::MulticastRequest> requests,
-                  const BatchPolicy& policy, ServeSlot&& serve_slot) const;
 
   std::string algorithm_;
   const core::AlgorithmEntry* entry_ = nullptr;

@@ -803,11 +803,10 @@ void Server::Loop::serve_ready() {
   }
 
   if (!requests_.empty()) {
-    const coll::ServePipeline::BatchPolicy policy{1, deadlines_};
     std::vector<coll::ServePipeline::View> views;
     coll::CoschedPlan plan;
     try {
-      views = server.pipeline_->serve_views(requests_, policy);
+      views = server.pipeline_->serve_views(requests_, deadlines_);
       if (config.cosched && views.size() > 1) {
         plan = coll::ServePipeline::plan_views(views, config.cosched_policy);
       }

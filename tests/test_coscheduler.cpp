@@ -3,8 +3,8 @@
 // The plan-shape tests recompute every invariant independently from
 // core::arc_footprint (waves partition the batch, per-wave overlap
 // stays within the bound, fallbacks are accounted), the determinism
-// tests pin serve_batch_cosched to byte-identical sequential serving at
-// any thread count, and the DES tests assert the acceptance criterion:
+// tests pin serve_batch_cosched to the registry builds and one plan on
+// any number of threads sharing its pipeline, and the DES tests assert the acceptance criterion:
 // co-scheduled launches beat oblivious superposition on blocked-cycle
 // count (>= 20% reduction at the default bound) and phase makespan on
 // the multi-tenant and hot-spot workloads. The simulator is
@@ -28,6 +28,7 @@
 #include "core/channel_load.hpp"
 #include "core/registry.hpp"
 #include "sim/wormhole_sim.hpp"
+#include "test_util.hpp"
 #include "workload/concurrent.hpp"
 #include "workload/random_sets.hpp"
 
@@ -230,32 +231,41 @@ TEST(CoScheduler, ServeBatchCoschedIsDeterministicAcrossThreadCounts) {
     requests.push_back(MulticastRequest{topo, r.source, r.destinations});
   }
 
-  const coll::ServePipeline pipeline(
-      "wsort", std::make_shared<coll::ScheduleCache>());
+  std::vector<MulticastSchedule> direct;
+  for (const auto& r : requests) {
+    direct.push_back(core::find_algorithm("wsort").build(r));
+  }
   const CoschedPolicy policy;
-  const auto sequential =
-      pipeline.serve_batch(requests, coll::ServePipeline::BatchPolicy{1});
+  const auto reference =
+      coll::ServePipeline("wsort", std::make_shared<coll::ScheduleCache>())
+          .serve_batch_cosched(requests, {}, policy);
 
+  // Threads sharing one pipeline and cache, as event loops do, each
+  // co-scheduling the whole batch.
   for (const int threads : {1, 2, 4}) {
-    const auto batch = pipeline.serve_batch_cosched(
-        requests, coll::ServePipeline::BatchPolicy{threads}, policy);
-    ASSERT_EQ(batch.schedules.size(), sequential.size());
-    for (std::size_t i = 0; i < sequential.size(); ++i) {
-      ASSERT_NE(batch.schedules[i], nullptr);
-      // Byte-identical payloads: co-scheduling reorders launches, never
-      // rebuilds or mutates the schedules themselves.
-      EXPECT_EQ(*batch.schedules[i], *sequential[i]) << "slot " << i;
-    }
-    // The plan is a pure function of the schedules, so every thread
-    // count produces the same waves.
-    const auto reference = pipeline.serve_batch_cosched(
-        requests, coll::ServePipeline::BatchPolicy{1}, policy);
-    ASSERT_EQ(batch.plan.waves.size(), reference.plan.waves.size());
-    for (std::size_t w = 0; w < batch.plan.waves.size(); ++w) {
-      EXPECT_EQ(batch.plan.waves[w].members,
-                reference.plan.waves[w].members);
-      EXPECT_EQ(batch.plan.waves[w].start_offset_ns,
-                reference.plan.waves[w].start_offset_ns);
+    const coll::ServePipeline pipeline(
+        "wsort", std::make_shared<coll::ScheduleCache>());
+    std::vector<coll::ServePipeline::CoschedBatch> batches(threads);
+    testutil::on_threads(threads, [&](int t) {
+      batches[t] = pipeline.serve_batch_cosched(requests, {}, policy);
+    });
+    for (const auto& batch : batches) {
+      ASSERT_EQ(batch.schedules.size(), direct.size());
+      for (std::size_t i = 0; i < direct.size(); ++i) {
+        ASSERT_NE(batch.schedules[i], nullptr);
+        // Byte-identical payloads: co-scheduling reorders launches, never
+        // rebuilds or mutates the schedules themselves.
+        EXPECT_EQ(*batch.schedules[i], direct[i]) << "slot " << i;
+      }
+      // The plan is a pure function of the schedules, so every thread
+      // produces the same waves.
+      ASSERT_EQ(batch.plan.waves.size(), reference.plan.waves.size());
+      for (std::size_t w = 0; w < batch.plan.waves.size(); ++w) {
+        EXPECT_EQ(batch.plan.waves[w].members,
+                  reference.plan.waves[w].members);
+        EXPECT_EQ(batch.plan.waves[w].start_offset_ns,
+                  reference.plan.waves[w].start_offset_ns);
+      }
     }
   }
 }
@@ -660,7 +670,7 @@ TEST(CoSchedulerMemo, PlainServingLeavesTheMemoEmpty) {
   for (const auto& request : requests) {
     EXPECT_EQ(pipeline.serve(request)->arc_footprint_memo(), nullptr);
   }
-  for (const auto& s : pipeline.serve_batch(requests, {2})) {
+  for (const auto& s : pipeline.serve_batch(requests)) {
     EXPECT_EQ(s->arc_footprint_memo(), nullptr);
   }
   for (const auto& request : requests) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bounds.hpp"
+#include "core/chain_search.hpp"
 #include "core/contention.hpp"
 #include "core/registry.hpp"
 #include "sim/wormhole_sim.hpp"
@@ -33,6 +34,19 @@ std::vector<core::MulticastRequest> all_3cube_requests(Resolution res) {
     }
   }
   return out;
+}
+
+/// W-sort's all-port step count equals the best over every cube-ordered
+/// chain with the source first (core::best_cube_ordered_chain, Maxport's
+/// tree over each chain).
+::testing::AssertionResult wsort_is_optimal(const core::MulticastRequest& req) {
+  const int wsort = core::assign_steps(core::find_algorithm("wsort").build(req),
+                                       PortModel::all_port(), req.destinations)
+                        .total_steps;
+  const int best = core::best_cube_ordered_chain(req).best_steps;
+  if (wsort == best) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "wsort takes " << wsort << " steps, the best chain " << best;
 }
 
 class Exhaustive3Cube : public ::testing::TestWithParam<Resolution> {};
@@ -108,6 +122,12 @@ TEST_P(Exhaustive3Cube, StepCountsWithinBounds) {
   }
 }
 
+TEST_P(Exhaustive3Cube, WsortIsOptimalAmongCubeOrderedChains) {
+  for (const auto& req : all_3cube_requests(GetParam())) {
+    ASSERT_TRUE(wsort_is_optimal(req)) << "src=" << req.source;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(BothResolutions, Exhaustive3Cube,
                          ::testing::Values(Resolution::HighToLow,
                                            Resolution::LowToHigh),
@@ -164,6 +184,14 @@ TEST_P(Exhaustive4CubeSourceZero, MaxportAndWsortAreContentionFree) {
           << name << " mask=" << mask << "\n"
           << report.summary(req.topo);
     }
+  }
+}
+
+TEST_P(Exhaustive4CubeSourceZero, WsortIsOptimalAmongCubeOrderedChains) {
+  const Topology topo(4, GetParam());
+  for (std::uint32_t mask = 2; mask < (1u << 16); mask += 2) {
+    ASSERT_TRUE(wsort_is_optimal(four_cube_request(topo, mask)))
+        << "mask=" << mask;
   }
 }
 

@@ -744,6 +744,9 @@ TEST(ServePipeline, FaultAwareServesCachedRepairsPerFaultSet) {
   EXPECT_EQ(pipeline.serve(req), first);
 }
 
+// The server's model: one thread per event loop, every loop serving
+// through one shared pipeline and cache. At any number of such threads,
+// every entry point returns the registry build.
 TEST(ServePipeline, BatchMatchesSequentialAtAnyThreadCount) {
   const Topology topo(6, Resolution::HighToLow);
   workload::Rng rng(13);
@@ -756,13 +759,27 @@ TEST(ServePipeline, BatchMatchesSequentialAtAnyThreadCount) {
 
   for (const int threads : {1, 2, 4, 8}) {
     auto cache = std::make_shared<ScheduleCache>();
-    ServePipeline cached("wsort", cache);
-    const auto out = cached.serve_batch(batch, threads);
-    ASSERT_EQ(out.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_TRUE(*out[i] == *reference[i])
-          << "threads=" << threads << " request " << i;
-    }
+    const ServePipeline cached("wsort", cache);
+    std::atomic<int> mismatches{0};
+    on_threads(threads, [&](int t) {
+      const auto check = [&](std::size_t i,
+                             const core::MulticastSchedule& served) {
+        if (!(served == *reference[i])) ++mismatches;
+      };
+      // Thread t starts 7t requests in, so the threads race on different
+      // keys first. serve() sights a key, serve_view() admits it, and
+      // serve_batch() hits it.
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        const std::size_t i = (k + 7 * static_cast<std::size_t>(t)) %
+                              batch.size();
+        check(i, *cached.serve(batch[i]));
+        check(i, *ServePipeline::materialize(cached.serve_view(batch[i])));
+      }
+      const auto served = cached.serve_batch(batch);
+      for (std::size_t i = 0; i < batch.size(); ++i) check(i, *served[i]);
+    });
+    EXPECT_EQ(mismatches.load(), 0) << "threads=" << threads;
+    EXPECT_GE(cache->stats().total_hits(), batch.size()) << threads;
   }
 }
 
@@ -773,7 +790,7 @@ TEST(ServePipeline, BatchPropagatesExceptions) {
   batch.push_back({topo, 0, {3, 3}});  // duplicate destination
   auto cache = std::make_shared<ScheduleCache>();
   ServePipeline pipeline("wsort", cache);
-  EXPECT_THROW(pipeline.serve_batch(batch, 2), std::invalid_argument);
+  EXPECT_THROW(pipeline.serve_batch(batch), std::invalid_argument);
 }
 
 // Several event loops serving under --cosched plan the same cached
@@ -823,19 +840,11 @@ TEST(ServePipeline, CoschedOnSharedCachedTreesMatchesSingleThreaded) {
       ASSERT_EQ(pipeline.serve_view(request).tree->arc_footprint_memo(),
                 nullptr);
     }
-    std::atomic<int> ready{0};
     std::vector<std::vector<std::size_t>> plans(kThreads);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        ready.fetch_add(1);
-        while (ready.load() < kThreads) {
-        }
-        plans[t] = describe(
-            pipeline.serve_batch_cosched(batches[t], {}, policy).plan);
-      });
-    }
-    for (auto& th : threads) th.join();
+    on_threads(kThreads, [&](int t) {
+      plans[t] =
+          describe(pipeline.serve_batch_cosched(batches[t], {}, policy).plan);
+    });
     for (int t = 0; t < kThreads; ++t) {
       EXPECT_EQ(plans[t], reference[t]) << "round " << round << " thread " << t;
     }
@@ -1041,12 +1050,17 @@ TEST(ServePipeline, NoFaultFreeAbsoluteEntry) {
           ASSERT_TRUE(*pipeline.serve(batch[i]) == direct[i]) << where();
         }
         EXPECT_EQ(cache->stats().entries, per_tree) << where();
+        // Threads sharing the pipeline, as event loops do, each serving
+        // every threads-th request of the batch.
         for (const int threads : {1, 4}) {
-          const auto served = pipeline.serve_batch(batch, threads);
-          for (std::size_t i = 0; i < batch.size(); ++i) {
-            ASSERT_TRUE(*served[i] == direct[i])
-                << where() << " threads " << threads;
-          }
+          std::atomic<int> mismatches{0};
+          on_threads(threads, [&](int t) {
+            for (std::size_t i = static_cast<std::size_t>(t); i < batch.size();
+                 i += static_cast<std::size_t>(threads)) {
+              if (!(*pipeline.serve(batch[i]) == direct[i])) ++mismatches;
+            }
+          });
+          EXPECT_EQ(mismatches.load(), 0) << where() << " threads " << threads;
           EXPECT_EQ(cache->stats().entries, per_tree) << where();
         }
         const auto cosched =
@@ -1142,24 +1156,33 @@ TEST(ServePipeline, ViewBatchMatchesSequentialViewsAndSheds) {
   for (int i = 0; i < 60; ++i) {
     batch.push_back(random_request(topo, 1 + rng() % 40, rng));
   }
-  const ServePipeline reference("wsort", std::make_shared<ScheduleCache>());
+  std::vector<std::shared_ptr<const core::MulticastSchedule>> reference;
+  for (const auto& req : batch) reference.push_back(build_wsort(req));
+  const std::vector<std::uint64_t> past(batch.size(), 1);
   for (const int threads : {1, 3}) {
     const ServePipeline pipeline("wsort", std::make_shared<ScheduleCache>());
-    const auto views =
-        pipeline.serve_views(batch, ServePipeline::BatchPolicy{threads});
-    ASSERT_EQ(views.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const auto want = reference.serve_view(batch[i]);
-      EXPECT_EQ(views[i].mask, want.mask) << threads << " " << i;
-      EXPECT_TRUE(*views[i].tree == *want.tree) << threads << " " << i;
-    }
+    // Each thread serves the batch as views three times (sighted,
+    // admitted, hit), then once more past its deadline: every slot of
+    // that last batch is shed.
+    std::atomic<int> mismatches{0};
+    std::atomic<int> unshed{0};
+    on_threads(threads, [&](int) {
+      for (int pass = 0; pass < 3; ++pass) {
+        const auto views = pipeline.serve_views(batch);
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          if (views[i].mask != batch[i].source ||
+              !(*ServePipeline::materialize(views[i]) == *reference[i])) {
+            ++mismatches;
+          }
+        }
+      }
+      for (const auto& view : pipeline.serve_views(batch, past)) {
+        if (view.tree != nullptr) ++unshed;
+      }
+    });
+    EXPECT_EQ(mismatches.load(), 0) << threads;
+    EXPECT_EQ(unshed.load(), 0) << threads;
   }
-  // A deadline already past sheds every slot.
-  const ServePipeline pipeline("wsort", std::make_shared<ScheduleCache>());
-  const std::vector<std::uint64_t> past(batch.size(), 1);
-  const auto shed =
-      pipeline.serve_views(batch, ServePipeline::BatchPolicy{1, past});
-  for (const auto& view : shed) EXPECT_EQ(view.tree, nullptr);
 }
 
 // ---- concurrency hammer --------------------------------------------------

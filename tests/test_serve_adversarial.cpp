@@ -1,7 +1,9 @@
 // Adversarial serving-pipeline tests: malformed and oversized
 // destination sets, zero-destination requests, deadline shedding, cache
-// clears racing serve_batch, and pipelines for different fault sets
-// serving concurrently through one cache. These run under the sanitize
+// clears racing threads that serve through one pipeline, and pipelines
+// for different fault sets serving concurrently through one cache. The
+// threads follow the server's model: each serves on its own through a
+// shared pipeline, as one event loop does. These run under the sanitize
 // (ASan/UBSan) and tsan CI jobs, so "survives" means clean under
 // instrumentation.
 
@@ -18,6 +20,8 @@
 #include "fault/fault_aware.hpp"
 #include "fault/fault_inject.hpp"
 #include "obs/obs.hpp"
+#include "obs/registry.hpp"
+#include "test_util.hpp"
 #include "workload/random_sets.hpp"
 
 namespace hypercast {
@@ -26,6 +30,7 @@ namespace {
 using coll::ScheduleCache;
 using coll::ServePipeline;
 using core::MulticastRequest;
+using testutil::on_threads;
 
 MulticastRequest request_of(int dim, hcube::NodeId source,
                             std::vector<hcube::NodeId> dests) {
@@ -95,24 +100,37 @@ TEST(ServeAdversarial, BatchWithExpiredDeadlineShedsEverything) {
         topo, 0, workload::random_destinations(topo, 0, 12, rng)});
   }
 
-  // A deadline in the past sheds every slot, single- and multi-worker.
+  // A deadline in the past sheds every slot, on one thread or on four
+  // sharing the pipeline, and counts each shed slot once.
   const std::vector<std::uint64_t> past(requests.size(), 1);
+  const obs::Counter& shed_count =
+      obs::default_registry().counter("serve.deadline_shed");
   for (const int threads : {1, 4}) {
-    const auto shed = pipeline.serve_batch(
-        requests, ServePipeline::BatchPolicy{threads, past});
-    ASSERT_EQ(shed.size(), requests.size());
-    for (const auto& slot : shed) EXPECT_EQ(slot, nullptr);
+    const std::uint64_t before = shed_count.value();
+    std::atomic<int> unshed{0};
+    on_threads(threads, [&](int) {
+      const auto shed = pipeline.serve_views(requests, past);
+      if (shed.size() != requests.size()) ++unshed;
+      for (const auto& slot : shed) {
+        if (slot.tree != nullptr) ++unshed;
+      }
+    });
+    EXPECT_EQ(unshed.load(), 0) << threads;
+    EXPECT_EQ(shed_count.value() - before,
+              static_cast<std::uint64_t>(threads) * requests.size());
   }
-  // No deadline (0) serves every slot.
+  // No deadline (0) serves every slot: the registry build.
   const std::vector<std::uint64_t> none(requests.size(), 0);
-  const auto served = pipeline.serve_batch(
-      requests, ServePipeline::BatchPolicy{2, none});
-  for (const auto& slot : served) EXPECT_NE(slot, nullptr);
+  const auto served = pipeline.serve_batch(requests, none);
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    ASSERT_NE(served[i], nullptr) << i;
+    EXPECT_EQ(*served[i], core::find_algorithm("wsort").build(requests[i]))
+        << i;
+  }
   // A generous deadline behaves like none.
   const std::vector<std::uint64_t> generous(
       requests.size(), obs::now_ns() + 60'000'000'000ull);
-  const auto relaxed = pipeline.serve_batch(
-      requests, ServePipeline::BatchPolicy{2, generous});
+  const auto relaxed = pipeline.serve_batch(requests, generous);
   for (std::size_t i = 0; i < relaxed.size(); ++i) {
     ASSERT_NE(relaxed[i], nullptr);
     EXPECT_EQ(*relaxed[i], *served[i]);
@@ -120,8 +138,7 @@ TEST(ServeAdversarial, BatchWithExpiredDeadlineShedsEverything) {
   // Each slot is held to its own deadline: only the expired ones shed.
   std::vector<std::uint64_t> mixed = generous;
   for (std::size_t i = 0; i < mixed.size(); i += 2) mixed[i] = 1;
-  const auto some = pipeline.serve_batch(
-      requests, ServePipeline::BatchPolicy{2, mixed});
+  const auto some = pipeline.serve_batch(requests, mixed);
   for (std::size_t i = 0; i < some.size(); ++i) {
     if (i % 2 == 0) {
       EXPECT_EQ(some[i], nullptr) << i;
@@ -132,6 +149,9 @@ TEST(ServeAdversarial, BatchWithExpiredDeadlineShedsEverything) {
   }
 }
 
+// Serving threads racing a thread that keeps clearing the cache. Each
+// round takes one entry point: serve() or serve_view() per request, or
+// the whole batch through serve_batch() (serve_views, then materialize).
 TEST(ServeAdversarial, ConcurrentCacheClearsDuringServeBatch) {
   obs::FlagsGuard flags;
   auto cache = std::make_shared<ScheduleCache>(ScheduleCache::Config{});
@@ -154,9 +174,20 @@ TEST(ServeAdversarial, ConcurrentCacheClearsDuringServeBatch) {
     expected.push_back(direct.build(r));
   }
 
-  // Hammer serve_batch while another thread keeps clearing the cache
-  // (retiring shared-tier and thread-local L1 entries mid-flight).
-  // Results must stay bit-identical to direct construction throughout.
+  const auto serve_all = [&](int round) {
+    if (round % 3 == 2) return cached.serve_batch(requests);
+    std::vector<std::shared_ptr<const core::MulticastSchedule>> out;
+    for (const MulticastRequest& r : requests) {
+      out.push_back(round % 3 == 0
+                        ? cached.serve(r)
+                        : ServePipeline::materialize(cached.serve_view(r)));
+    }
+    return out;
+  };
+
+  // Serve while another thread keeps clearing the cache (retiring
+  // entries mid-flight). Results must stay bit-identical to direct
+  // construction throughout.
   std::atomic<bool> stop{false};
   std::thread clearer([&] {
     while (!stop.load()) {
@@ -165,20 +196,16 @@ TEST(ServeAdversarial, ConcurrentCacheClearsDuringServeBatch) {
     }
   });
   std::atomic<int> mismatches{0};
-  std::vector<std::thread> hammers;
-  for (int t = 0; t < 3; ++t) {
-    hammers.emplace_back([&] {
-      for (int round = 0; round < 30; ++round) {
-        const auto results = cached.serve_batch(requests, 1 + (round % 3));
-        for (std::size_t i = 0; i < results.size(); ++i) {
-          if (results[i] == nullptr || !(*results[i] == expected[i])) {
-            ++mismatches;
-          }
+  on_threads(3, [&](int t) {
+    for (int round = t; round < t + 30; ++round) {
+      const auto results = serve_all(round);
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        if (results[i] == nullptr || !(*results[i] == expected[i])) {
+          ++mismatches;
         }
       }
-    });
-  }
-  for (std::thread& t : hammers) t.join();
+    }
+  });
   stop.store(true);
   clearer.join();
   EXPECT_EQ(mismatches.load(), 0);
@@ -240,22 +267,27 @@ TEST(ServeAdversarial, PipelinesUnderDifferentFaultSetsShareOneCache) {
   EXPECT_TRUE(*ServePipeline("wsort", nullptr, faults[1]).serve(probe) ==
               probe_1.schedule);
 
+  // One thread per pipeline, alternating whole batches with serves of
+  // one request at a time.
   std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kPipelines; ++p) {
-    threads.emplace_back([&, p] {
-      for (int round = 0; round < 20; ++round) {
-        const auto results =
-            pipelines[p]->serve_batch(requests, 1 + (round % 2));
-        for (std::size_t i = 0; i < results.size(); ++i) {
-          if (results[i] == nullptr || !(*results[i] == expected[p][i])) {
-            ++mismatches;
-          }
+  on_threads(kPipelines, [&](int p) {
+    const ServePipeline& pipeline = *pipelines[p];
+    for (int round = 0; round < 20; ++round) {
+      std::vector<std::shared_ptr<const core::MulticastSchedule>> results;
+      if (round % 2 == 0) {
+        results = pipeline.serve_batch(requests);
+      } else {
+        for (const MulticastRequest& r : requests) {
+          results.push_back(pipeline.serve(r));
         }
       }
-    });
-  }
-  for (std::thread& t : threads) t.join();
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        if (results[i] == nullptr || !(*results[i] == expected[p][i])) {
+          ++mismatches;
+        }
+      }
+    }
+  });
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GT(cache->stats().evictions, 0u);
   EXPECT_GT(cache->stats().total_hits(), 0u);

@@ -2,8 +2,11 @@
 #define HYPERCAST_TESTS_TEST_UTIL_HPP
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
+#include <exception>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/chain_algorithms.hpp"
@@ -246,6 +249,27 @@ inline MulticastSchedule keyed_build(core::TreeBuilder& builder,
   MulticastSchedule out(req.topo, req.source);
   builder.build_into(req.topo, req.source, keys, algo, out);
   return out;
+}
+
+/// Run body(t) for every t < threads, each on its own thread, all
+/// released at once: the server's model, one event loop per thread
+/// serving through one shared pipeline and cache.
+template <typename Body>
+void on_threads(int threads, Body&& body) {
+  std::atomic<int> ready{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < threads) std::this_thread::yield();
+      try {
+        body(t);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "thread " << t << " threw: " << e.what();
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
 }
 
 }  // namespace hypercast::testutil

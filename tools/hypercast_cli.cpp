@@ -7,7 +7,7 @@
 //   hypercast_cli chains --n 4 --source 0 --dests 1,3,5,7,11,12,14,15
 //   hypercast_cli compare --n 6 --m 25 --seed 3
 //   hypercast_cli faults --n 6 --faults 0.10 --fault-seed 42
-//   hypercast_cli serve --n 8 --requests 5000 --shapes 4 --threads 4
+//   hypercast_cli serve --n 8 --requests 5000 --shapes 4
 //   hypercast_cli stripe --n 8 --bytes 1048576 --parity --faults 0.05
 //   hypercast_cli stats --n 8 --requests 2048 --trace-out=trace.json
 //
@@ -361,7 +361,6 @@ int cmd_serve(const harness::Options& opts) {
       static_cast<std::size_t>(opts.get_int_or("shapes", 4));
   const std::size_t m = static_cast<std::size_t>(
       opts.get_int_or("m", static_cast<long>(topo.num_nodes() / 2)));
-  const int threads = static_cast<int>(opts.get_int_or("threads", 1));
   const auto cache = make_cache(opts);
   const auto faults = setup_faults(opts, topo);
   workload::Rng rng(static_cast<std::uint64_t>(opts.get_int_or("seed", 1)));
@@ -373,7 +372,7 @@ int cmd_serve(const harness::Options& opts) {
   const coll::ServePipeline pipeline(algo, cache, faults);
 
   const auto start = std::chrono::steady_clock::now();
-  const auto schedules = pipeline.serve_batch(stream, threads);
+  const auto schedules = pipeline.serve_batch(stream);
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -382,10 +381,10 @@ int cmd_serve(const harness::Options& opts) {
   for (const auto& s : schedules) unicasts += s->num_unicasts();
   std::printf(
       "served %zu requests (%zu shapes, %zu dests each) on a %d-cube\n"
-      "  algorithm: %s, threads: %d\n"
+      "  algorithm: %s\n"
       "  wall: %.3fs  (%.0f requests/s), %zu unicasts planned\n",
       stream.size(), std::max<std::size_t>(shapes, 1), m, n, algo.c_str(),
-      threads, seconds,
+      seconds,
       seconds > 0.0 ? static_cast<double>(stream.size()) / seconds : 0.0,
       unicasts);
   // Field names are Stats::for_each_field — identical to the "cache"
@@ -519,7 +518,6 @@ int cmd_stats(const harness::Options& opts) {
       static_cast<std::size_t>(opts.get_int_or("shapes", 4));
   const std::size_t m = static_cast<std::size_t>(
       opts.get_int_or("m", static_cast<long>(topo.num_nodes() / 2)));
-  const int threads = static_cast<int>(opts.get_int_or("threads", 1));
   workload::Rng rng(static_cast<std::uint64_t>(opts.get_int_or("seed", 1)));
   sim::SimConfig config;
   config.port = opts.port();
@@ -534,7 +532,7 @@ int cmd_stats(const harness::Options& opts) {
   auto cache = std::make_shared<coll::ScheduleCache>();
   cache->attach_to_registry(obs::default_registry(), "cache");
   const coll::ServePipeline pipeline(algo_name, cache);
-  (void)pipeline.serve_batch(stream, threads);
+  (void)pipeline.serve_batch(stream);
 
   // ...then one full broadcast through the wormhole simulator.
   std::vector<hcube::NodeId> dests;
@@ -582,7 +580,6 @@ int usage() {
       "  faults: [--faults count|rate] [--fault-seed s]\n"
       "          [--fail-links u:d,...] [--fail-nodes a,b]\n"
       "  serve:  --n <dim> [--requests r] [--shapes k] [--m dests]\n"
-      "          [--threads t] parallel shard workers\n"
       "          [--cache-shards n] [--cache-bytes b]\n"
       "  stripe: --n <dim> [--bytes b] [--parity[=k]] [--stripe-threshold b]\n"
       "          [--cache-shards n] [--cache-bytes b] — payload striped\n"
